@@ -195,9 +195,19 @@ def evaluate_trace(trace: EpisodeTrace, scenario: ScenarioConfig) -> EvalReport:
     for r in trace.records:
         if r.reflect is None or not r.reflect.get("triggered"):
             continue
+        candidates = r.reflect.get("candidates")
+        accepted = r.reflect.get("accepted")
+        if not (
+            isinstance(candidates, list)
+            and isinstance(accepted, list)
+            and all(isinstance(h, dict) and isinstance(h.get("kind"), str) for h in accepted)
+        ):
+            raise InputError(
+                f"tick {r.tick}: triggered reflect block needs candidates and accepted edit lists"
+            )
         triggers += 1
-        n_candidates += len(r.reflect["candidates"])
-        for h in r.reflect["accepted"]:
+        n_candidates += len(candidates)
+        for h in accepted:
             acceptances[h["kind"]] = acceptances.get(h["kind"], 0) + 1
 
     return EvalReport(

@@ -8,6 +8,25 @@ exactly as the world's delayed-effect queue would.  With the true graph,
 delta_hat = 0 and no noise, those one-step predictions reproduce the world
 bit for bit -- the oracle-equivalence tests lean on that.
 
+Teacher-forced prediction over recorded rows goes through one
+lagged-feature kernel, ``_LagFeatures``, built for a fixed (history, rows)
+pair: it builds the history's tick map once, caches each (source, delay,
+form) feature column over the rows, and predicts any (graph, delta_hat)
+from those columns, strict or lenient.  ``rollout``, ``fit`` and the
+repair loop's scoring and testing all read it.
+
+The kernel keeps the bits of the per-row loop it replaced, because traces
+record scores and replays compare them exactly:
+
+* each target's change accumulates from 0.0 in graph edge order, each
+  term computed as ``coefficient * feature * scale``, left to right, and
+  the change is then added to the recorded state;
+* squared errors stay Python ``(o - p) ** 2`` summed with ``sum`` in
+  dimension order.  Python's ``**`` calls the C library's ``pow``, which
+  is not always correctly rounded, while numpy's ``x * x``, ``x ** 2`` and
+  ``np.power`` are; the two differ on about one double in a thousand, so
+  moving these sums to numpy would move trace bits.
+
 Coefficient fitting is plain per-dimension ordinary least squares on
 lagged features (numpy.linalg.lstsq); delta_hat is deliberately treated as
 zero there, so coefficients own persistent scale and delta_hat only ever
@@ -35,7 +54,7 @@ from .core import (
     DELTA_MAX,
 )
 from .scenario import canonical_json, graph_to_dict
-from .world import CausalGraph, SourceKind
+from .world import CausalEdge, CausalGraph, Form, SourceKind, VarRef
 
 
 @dataclass(frozen=True)
@@ -134,30 +153,7 @@ def _source_at(tick_map: dict[int, CausalTuple], ref, tick: int) -> float | None
     tup = tick_map.get(tick)
     if tup is None:
         return None
-    return tup.action[ref.index] if ref.kind is SourceKind.ACTION else tup.state[ref.index]
-
-
-def _step_change(
-    graph: CausalGraph,
-    scale: float,
-    tick_map: dict[int, CausalTuple],
-    tick: int,
-    lenient: bool = False,
-) -> list[float] | None:
-    """Per-dimension predicted change from tick to tick+1.
-
-    A needed lag falling in a gap of the record yields None, unless
-    ``lenient`` -- then the missing contribution is simply dropped.
-    """
-    change = [0.0] * graph.d_state
-    for e in graph.edges:
-        v = _source_at(tick_map, e.source, tick + 1 - e.delay)
-        if v is None:
-            if lenient:
-                continue
-            return None
-        change[e.target] += e.coefficient * e.form.apply(v) * scale
-    return change
+    return (tup.action if ref.kind is SourceKind.ACTION else tup.state).values[ref.index]
 
 
 def predict_next(m: CausalModel, current: CausalTuple) -> StateVec:
@@ -178,6 +174,188 @@ def predict_next(m: CausalModel, current: CausalTuple) -> StateVec:
     return StateVec(tuple(values))
 
 
+class _Target:
+    """One state dimension's predictions over every row of a kernel.
+
+    ``dead`` holds the rows a strict prediction leaves out for a gap in a
+    lag; ``sq`` and ``loss`` are that dimension's squared errors in the two
+    forms callers sum, filled on first use.
+    """
+
+    __slots__ = ("pred", "dead", "finite", "sq", "loss")
+
+    def __init__(self, pred: list[float], dead: set[int]) -> None:
+        self.pred = pred
+        self.dead = dead
+        self.finite = math.isfinite(sum(pred))
+        self.sq: list[float] | None = None
+        self.loss: list[float] | None = None
+
+
+class _LagFeatures:
+    """Lagged-feature kernel for one fixed ``(history, rows)`` pair.
+
+    The tick map over ``history`` is built once.  ``column(source, delay,
+    form)`` holds ``form.apply(v)`` for each row, where ``v`` is the
+    source's value at the row's tick + 1 - delay: 0.0 before tick 0 and
+    None where that tick is unrecorded.  Columns are computed on first use
+    and cached, so any number of graphs -- a working model and every
+    candidate edit of it -- are predicted from one set of lag lookups.
+
+    Predictions are memoised per target dimension, keyed by the scale, the
+    mode and the (column, coefficient) of each incoming edge in order.  A
+    candidate that edits one target's edges therefore reuses every other
+    target's predictions and squared errors from the model it edits.
+    """
+
+    def __init__(self, history: Sequence[Transition], rows: Sequence[Transition]) -> None:
+        self.rows = rows
+        self._tick_map = _tick_map(history)
+        self._ticks = [tr.tuple.time.tick for tr in rows]
+        self._states = [tr.tuple.state.values for tr in rows]
+        self._observed = [tr.observed.values for tr in rows]
+        self._columns: dict[tuple, tuple[list[float | None], bool]] = {}
+        self._edge_columns: dict[int, tuple[CausalEdge, tuple]] = {}
+        self._targets: dict[tuple, _Target] = {}
+
+    def column(self, source: VarRef, delay: int, form: Form) -> tuple[list[float | None], bool]:
+        """The feature column and whether it has a gap (a None entry)."""
+        key = (source, delay, form)
+        hit = self._columns.get(key)
+        if hit is not None:
+            return hit
+        col: list[float | None] = []
+        for tick in self._ticks:
+            v = _source_at(self._tick_map, source, tick + 1 - delay)
+            col.append(None if v is None else form.apply(v))
+        hit = self._columns[key] = (col, None in col)
+        return hit
+
+    def design(
+        self, edges: Sequence[CausalEdge], target: int, scale: float = 1.0
+    ) -> tuple[list[tuple[float, ...]], list[float]]:
+        """Least-squares rows for ``target``: the features of ``edges``
+        times ``scale``, and the observed change, over every row whose lags
+        are all recorded."""
+        cols = [
+            [None if fv is None else fv * scale for fv in self.column(e.source, e.delay, e.form)[0]]
+            for e in edges
+        ]
+        x_rows: list[tuple[float, ...]] = []
+        y_rows: list[float] = []
+        for tr, feats in zip(self.rows, zip(*cols)):
+            if None in feats:
+                continue
+            x_rows.append(feats)
+            y_rows.append(tr.observed[target] - tr.tuple.state[target])
+        return x_rows, y_rows
+
+    def _edge_column(self, e: CausalEdge) -> tuple[list[float | None], bool, tuple[int, float]]:
+        """The edge's column, its gap flag and its part of a target's memo key."""
+        # Keyed by identity: candidate graphs share the edges they leave
+        # alone, and the entry keeps its edge alive so the id stays unique.
+        hit = self._edge_columns.get(id(e))
+        if hit is None:
+            col, gaps = self.column(e.source, e.delay, e.form)
+            hit = self._edge_columns[id(e)] = (e, (col, gaps, (id(col), e.coefficient)))
+        return hit[1]
+
+    def _target(self, k: int, edges: list[CausalEdge], scale: float, lenient: bool) -> _Target:
+        cols = [self._edge_column(e) for e in edges]
+        key = (k, scale, lenient, *[c[2] for c in cols])
+        hit = self._targets.get(key)
+        if hit is not None:
+            return hit
+        acc = [0.0] * len(self.rows)
+        dead: set[int] = set()
+        for (col, gaps, _), e in zip(cols, edges):
+            c = e.coefficient
+            if not gaps:
+                acc = [x + c * fv * scale for x, fv in zip(acc, col)]
+                continue
+            for i, fv in enumerate(col):
+                if fv is not None:
+                    acc[i] += c * fv * scale
+                elif not lenient:
+                    dead.add(i)
+        pred = [s[k] + ch for s, ch in zip(self._states, acc)]
+        hit = self._targets[key] = _Target(pred, dead)
+        return hit
+
+    def _predicted(
+        self, graph: CausalGraph, delta_hat: float, lenient: bool, lo: int, hi: int
+    ) -> tuple[list[_Target], set[int]]:
+        """Every target of ``graph`` and the dead rows of ``[lo, hi)``."""
+        scale = math.exp(-delta_hat)
+        groups: list[list[CausalEdge]] = [[] for _ in range(graph.d_state)]
+        for e in graph.edges:
+            groups[e.target].append(e)
+        targets = [self._target(k, g, scale, lenient) for k, g in enumerate(groups)]
+        dead = {i for t in targets for i in t.dead if lo <= i < hi}
+        if not all(t.finite for t in targets):
+            for i in range(lo, hi):
+                if i not in dead:
+                    StateVec(tuple(t.pred[i] for t in targets))  # raises if non-finite
+        return targets, dead
+
+    def predict(
+        self,
+        graph: CausalGraph,
+        delta_hat: float,
+        lenient: bool = False,
+        lo: int = 0,
+        hi: int | None = None,
+    ) -> list[tuple[float, ...] | None]:
+        """Teacher-forced one-step predictions for rows ``[lo, hi)``.
+
+        Each target's change is accumulated from 0.0 in graph edge order,
+        each term as ``coefficient * feature * scale``, and added to the
+        row's recorded state -- the arithmetic of the per-row loop this
+        kernel replaced, so the result is bit-identical to it.  A row with
+        a gap in a needed lag is None, or drops that edge's term when
+        ``lenient``.  A non-finite prediction raises :class:`DomainError`
+        as building a :class:`StateVec` from it would.
+        """
+        hi = len(self.rows) if hi is None else hi
+        targets, dead = self._predicted(graph, delta_hat, lenient, lo, hi)
+        out: list[tuple[float, ...] | None] = list(zip(*(t.pred[lo:hi] for t in targets)))
+        for i in dead:
+            out[i - lo] = None
+        return out
+
+    def sq_errors(
+        self, graph: CausalGraph, delta_hat: float, lo: int = 0, hi: int | None = None
+    ) -> list[float | None]:
+        """Per row of ``[lo, hi)``, ``sum((o - p) ** 2)`` over dimensions in
+        order, for the strict prediction; None where that is None."""
+        hi = len(self.rows) if hi is None else hi
+        targets, dead = self._predicted(graph, delta_hat, False, lo, hi)
+        for k, t in enumerate(targets):
+            if t.sq is None:
+                t.sq = [(o[k] - p) ** 2 for o, p in zip(self._observed, t.pred)]
+        out: list[float | None] = list(map(sum, zip(*(t.sq[lo:hi] for t in targets))))
+        for i in dead:
+            out[i - lo] = None
+        return out
+
+    def loss_errors(
+        self, graph: CausalGraph, delta_hat: float, lo: int = 0, hi: int | None = None
+    ) -> list[float | None]:
+        """Per row of ``[lo, hi)``, :func:`causalloop.core.loss`'s epsilon
+        ``sum((p - o) ** 2) / d`` for the strict prediction; None where that
+        is None."""
+        hi = len(self.rows) if hi is None else hi
+        targets, dead = self._predicted(graph, delta_hat, False, lo, hi)
+        for k, t in enumerate(targets):
+            if t.loss is None:
+                t.loss = [(p - o[k]) ** 2 for o, p in zip(self._observed, t.pred)]
+        d = len(targets)
+        out: list[float | None] = [sum(r) / d for r in zip(*(t.loss[lo:hi] for t in targets))]
+        for i in dead:
+            out[i - lo] = None
+        return out
+
+
 def rollout(
     graph: CausalGraph,
     delta_hat: float,
@@ -192,16 +370,8 @@ def rollout(
     the full ``history``.  Rows whose lags are unrecorded yield None, or
     drop the missing contribution when ``lenient``.
     """
-    tick_map = _tick_map(history)
-    scale = math.exp(-delta_hat)
-    out: list[StateVec | None] = []
-    for tr in rows:
-        change = _step_change(graph, scale, tick_map, tr.tuple.time.tick, lenient=lenient)
-        if change is None:
-            out.append(None)
-        else:
-            out.append(StateVec(tuple(s + c for s, c in zip(tr.tuple.state.values, change))))
-    return out
+    preds = _LagFeatures(history, rows).predict(graph, delta_hat, lenient)
+    return [None if p is None else StateVec(p) for p in preds]
 
 
 # ---------------------------------------------------------------------------
@@ -224,27 +394,14 @@ def fit(m: CausalModel) -> CausalModel:
     need = max(m.fit_window // 4, 2 * len(edges))
     if len(m.history) < need:
         raise NotEnoughDataError(f"fit needs >= {need} transitions, history has {len(m.history)}")
-    window = m.history[-m.fit_window :]
-    tick_map = _tick_map(m.history)
+    lags = _LagFeatures(m.history, m.history[-m.fit_window :])
 
     new_coefs = list(e.coefficient for e in edges)
     for j in range(m.graph.d_state):
         incoming = m.graph.incoming(j)
         if not incoming:
             continue
-        x_rows: list[list[float]] = []
-        y_rows: list[float] = []
-        for tr in window:
-            t = tr.tuple.time.tick
-            feats: list[float] = []
-            for _, e in incoming:
-                v = _source_at(tick_map, e.source, t + 1 - e.delay)
-                if v is None:
-                    break
-                feats.append(e.form.apply(v))
-            else:
-                x_rows.append(feats)
-                y_rows.append(tr.observed[j] - tr.tuple.state[j])
+        x_rows, y_rows = lags.design([e for _, e in incoming], j)
         if len(x_rows) < max(2, len(incoming)):
             raise NotEnoughDataError(
                 f"fit for dim {j}: only {len(x_rows)} usable rows for {len(incoming)} edges"

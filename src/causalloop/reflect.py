@@ -16,6 +16,16 @@ generation time against the *anomalous suffix*: the maximal run of most
 recent transitions whose per-row error stays above a floor.  During a
 persistent regime change that suffix is exactly the post-change data, so
 refits are not diluted by stale rows.
+
+Each trigger builds one lagged-feature kernel (see :mod:`causalloop.model`)
+over the model's ``fit_window`` window.  The working model's predictions
+and per-row squared errors are computed once and shared by every
+``score_hypothesis`` and ``test_hypothesis`` call; a candidate's own
+predictions reuse each target dimension its edit leaves alone.
+``anomalous_suffix`` and the residual fits read the same columns.  After an
+acceptance only the baseline is recomputed, and the kernel is rebuilt only
+when an accepted StructuralBreak has replaced the history.  Every score and
+holdout MSE is bit-identical to rolling each candidate out afresh.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from .core import (
     NotEnoughDataError,
     NotIdentifiableError,
     PredictionError,
+    StateVec,
     Transition,
     loss,
 )
@@ -37,8 +48,7 @@ from .model import (
     append_history,
     estimate_delta,
     rollout,
-    _source_at,
-    _tick_map,
+    _LagFeatures,
 )
 from .world import CausalEdge, Form, SourceKind, VarRef
 
@@ -192,25 +202,14 @@ def _refit_on(m: CausalModel, rows: Sequence[Transition]) -> CausalModel:
 
     if not m.graph.edges or not rows:
         return m
-    tick_map = _tick_map(m.history)
+    lags = _LagFeatures(m.history, rows)
     new_coefs = [e.coefficient for e in m.graph.edges]
     scale = math.exp(-m.delta_hat)
     for j in range(m.graph.d_state):
         incoming = m.graph.incoming(j)
         if not incoming:
             continue
-        x_rows, y_rows = [], []
-        for tr in rows:
-            t = tr.tuple.time.tick
-            feats = []
-            for _, e in incoming:
-                v = _source_at(tick_map, e.source, t + 1 - e.delay)
-                if v is None:
-                    break
-                feats.append(e.form.apply(v) * scale)
-            else:
-                x_rows.append(feats)
-                y_rows.append(tr.observed[j] - tr.tuple.state[j])
+        x_rows, y_rows = lags.design([e for _, e in incoming], j, scale)
         if len(x_rows) < max(2, len(incoming)):
             continue
         x = np.asarray(x_rows)
@@ -229,59 +228,94 @@ def _refit_on(m: CausalModel, rows: Sequence[Transition]) -> CausalModel:
 # ---------------------------------------------------------------------------
 
 
-def anomalous_suffix(m: CausalModel, floor: float) -> int:
-    """Length of the maximal trailing run of history rows with error > floor."""
-    window = m.history[-m.fit_window :]
-    preds = rollout(m.graph, m.delta_hat, m.history, window)
+class _Baseline:
+    """A model's per-row errors over rows ``[lo, hi)`` of a kernel.
+
+    Computed once and shared by every score or test against that model:
+    ``sq`` is the score's ``sum((o - p) ** 2)`` and ``eps`` the
+    :func:`loss` epsilon, both None where the row is not predictable.
+    """
+
+    def __init__(
+        self, m: CausalModel, lags: _LagFeatures, lo: int = 0, hi: int | None = None
+    ) -> None:
+        self.lags = lags
+        self.lo = lo
+        self.hi = len(lags.rows) if hi is None else hi
+        self.sq = lags.sq_errors(m.graph, m.delta_hat, lo, self.hi)
+        self.eps = lags.loss_errors(m.graph, m.delta_hat, lo, self.hi)
+
+    @staticmethod
+    def over(m: CausalModel, rows: Sequence[Transition]) -> _Baseline:
+        return _Baseline(m, _LagFeatures(m.history, rows))
+
+
+def anomalous_suffix(m: CausalModel, floor: float, base: _Baseline | None = None) -> int:
+    """Length of the maximal trailing run of history rows with error > floor.
+
+    ``base``, when given, must hold ``m``'s predictions over its
+    ``fit_window`` window.
+    """
+    if base is None:
+        base = _Baseline.over(m, m.history[-m.fit_window :])
     count = 0
-    for tr, pred in zip(reversed(window), reversed(preds)):
-        if pred is None:
-            break
-        if loss(pred, tr.observed).epsilon <= floor:
+    for eps in reversed(base.eps):
+        if eps is None or eps <= floor:
             break
         count += 1
     return count
 
 
+def _residuals(
+    m: CausalModel, lags: _LagFeatures, lo: int, target: int, exclude_edge: int | None
+) -> list[float | None]:
+    """The target's observed change minus every modeled edge's term except
+    ``exclude_edge``'s, for each kernel row from ``lo``; None where one of
+    those edges' lags is unrecorded."""
+    scale = math.exp(-m.delta_hat)
+    others = [
+        (e.coefficient, lags.column(e.source, e.delay, e.form)[0])
+        for i, e in enumerate(m.graph.edges)
+        if i != exclude_edge and e.target == target
+    ]
+    out: list[float | None] = []
+    for i in range(lo, len(lags.rows)):
+        tr = lags.rows[i]
+        resid = tr.observed[target] - tr.tuple.state[target]
+        for coef, col in others:
+            ev = col[i]
+            if ev is None:
+                resid = None
+                break
+            resid -= coef * ev * scale
+        out.append(resid)
+    return out
+
+
 def _residual_fit(
     m: CausalModel,
-    rows: Sequence[Transition],
-    target: int,
+    lags: _LagFeatures,
+    lo: int,
+    resid: list[float | None],
     source: VarRef,
     delay: int,
     form: Form,
-    exclude_edge: int | None,
 ) -> float | None:
-    """Single-coefficient LS: how much of the target's unexplained change
-    the given source/delay/form accounts for over ``rows``.
+    """Single-coefficient LS: how much of the residuals ``resid`` (from
+    :func:`_residuals`) the given source/delay/form accounts for over the
+    kernel's rows from ``lo`` on.
 
-    Residuals are taken after every modeled edge except ``exclude_edge``.
     Returns None when the feature carries no signal on these rows.
     """
-    tick_map = _tick_map(m.history)
     scale = math.exp(-m.delta_hat)
     sxx = 0.0
     sxy = 0.0
-    for tr in rows:
-        t = tr.tuple.time.tick
-        v = _source_at(tick_map, source, t + 1 - delay)
-        if v is None:
+    for fv, r in zip(lags.column(source, delay, form)[0][lo:], resid):
+        if fv is None or r is None:
             continue
-        x = form.apply(v) * scale
-        resid = tr.observed[target] - tr.tuple.state[target]
-        usable = True
-        for i, e in enumerate(m.graph.edges):
-            if i == exclude_edge or e.target != target:
-                continue
-            ev = _source_at(tick_map, e.source, t + 1 - e.delay)
-            if ev is None:
-                usable = False
-                break
-            resid -= e.coefficient * e.form.apply(ev) * scale
-        if not usable:
-            continue
+        x = fv * scale
         sxx += x * x
-        sxy += x * resid
+        sxy += x * r
     if sxx <= 1e-12:
         return None
     return sxy / sxx
@@ -293,22 +327,31 @@ def generate_hypotheses(
     err: PredictionError,
     tau: float,
     settings: ReflectSettings = ReflectSettings(),
+    base: _Baseline | None = None,
 ) -> tuple[Hypothesis, ...]:
     """Deterministic candidate set, clamped to the budget.
 
     Only state dimensions whose share of the error exceeds tau / d_state
     attract edits; a lone DeltaShift (when identifiable) and a lone
-    StructuralBreak round out the set.
+    StructuralBreak round out the set.  ``base``, when given, must hold
+    ``m``'s predictions over its ``fit_window`` window; estimates read
+    their lagged features from its kernel.
     """
+    if base is None:
+        base = _Baseline.over(m, m.history[-m.fit_window :])
     d_state = m.graph.d_state
     offending = [j for j in range(d_state) if err.per_dim[j] > tau / d_state]
-    suffix = max(1, anomalous_suffix(m, tau * SUFFIX_FLOOR_FRACTION))
-    est_rows = m.history[-suffix:]
+    suffix = max(1, anomalous_suffix(m, tau * SUFFIX_FLOOR_FRACTION, base=base))
+    rows = base.lags.rows
+    est_lo = len(rows) - suffix
     out: list[Hypothesis] = []
 
     # DeltaShift from the single worst dimension of the triggering context.
     j_star = max(range(d_state), key=lambda j: err.per_dim[j])
-    pred = rollout(m.graph, m.delta_hat, m.history, [ctx])[0]
+    if rows and rows[-1] == ctx:
+        pred = base.lags.predict(m.graph, m.delta_hat, lo=len(rows) - 1)[0]
+    else:
+        pred = rollout(m.graph, m.delta_hat, m.history, [ctx])[0]
     if pred is not None:
         pred_eff = pred[j_star] - ctx.tuple.state[j_star]
         obs_eff = ctx.observed[j_star] - ctx.tuple.state[j_star]
@@ -327,7 +370,8 @@ def generate_hypotheses(
     for j in offending:
         incoming = m.graph.incoming(j)
         for edge_index, e in incoming:
-            refit = _residual_fit(m, est_rows, j, e.source, e.delay, e.form, exclude_edge=edge_index)
+            resid = _residuals(m, base.lags, est_lo, j, edge_index)
+            refit = _residual_fit(m, base.lags, est_lo, resid, e.source, e.delay, e.form)
             grid = [-e.coefficient, 0.5 * e.coefficient, 2.0 * e.coefficient]
             if refit is not None:
                 grid.append(refit)
@@ -349,11 +393,12 @@ def generate_hypotheses(
         sources = [VarRef.action(i) for i in range(m.graph.d_action)] + [
             VarRef.state(i) for i in range(d_state)
         ]
+        resid = _residuals(m, base.lags, est_lo, j, None)
         for src in sources:
             if (src, j) in existing_pairs:
                 continue
             for delay in (1, 2):
-                coef = _residual_fit(m, est_rows, j, src, delay, Form.LINEAR, exclude_edge=None)
+                coef = _residual_fit(m, base.lags, est_lo, resid, src, delay, Form.LINEAR)
                 if coef is None or not math.isfinite(coef) or coef == 0.0:
                     continue
                 out.append(EdgeAdd(src, j, delay, Form.LINEAR, coef))
@@ -375,52 +420,60 @@ def generate_hypotheses(
 # ---------------------------------------------------------------------------
 
 
-def score_hypothesis(m: CausalModel, h: Hypothesis, window: Sequence[Transition]) -> float:
+def score_hypothesis(
+    m: CausalModel, h: Hypothesis, window: Sequence[Transition], base: _Baseline | None = None
+) -> float:
     """Likelihood gained by ``h`` over the current model on ``window``.
 
     Under an isotropic Gaussian observation model with stddev sigma_lik,
     the log-likelihood difference per row reduces to
     (|obs - pred_current|^2 - |obs - pred_h|^2) / (2 sigma_lik^2); rows
     either model cannot predict (unresolvable lags) are skipped for both.
+    ``base``, when given, must hold ``m``'s predictions over ``window``.
     """
     if not window:
         return 0.0
+    if base is None:
+        base = _Baseline.over(m, window)
     applied = apply_hypothesis(m, h)
-    preds_h = rollout(applied.graph, applied.delta_hat, m.history, window)
-    preds_m = rollout(m.graph, m.delta_hat, m.history, window)
+    sq_hs = base.lags.sq_errors(applied.graph, applied.delta_hat, base.lo, base.hi)
     two_var = 2.0 * m.sigma_lik**2
     total = 0.0
-    for tr, ph, pm in zip(window, preds_h, preds_m):
-        if ph is None or pm is None:
+    for sq_m, sq_h in zip(base.sq, sq_hs):
+        if sq_m is None or sq_h is None:
             continue
-        sq_m = sum((o - p) ** 2 for o, p in zip(tr.observed.values, pm.values))
-        sq_h = sum((o - p) ** 2 for o, p in zip(tr.observed.values, ph.values))
         total += (sq_m - sq_h) / two_var
     return total
 
 
 def test_hypothesis(
-    m: CausalModel, h: Hypothesis, holdout: Sequence[Transition], rho: float
+    m: CausalModel,
+    h: Hypothesis,
+    holdout: Sequence[Transition],
+    rho: float,
+    base: _Baseline | None = None,
 ) -> tuple[bool, float, float]:
     """Accept iff the edit cuts holdout MSE by at least the fraction rho.
 
     Returns (accepted, holdout MSE of the current model, holdout MSE under
     the edit).  Raises :class:`NotEnoughDataError` when no holdout row is
-    predictable under both models.
+    predictable under both models.  ``base``, when given, must hold
+    ``m``'s predictions over ``holdout``.
     """
     if not holdout:
         raise NotEnoughDataError("empty holdout")
+    if base is None:
+        base = _Baseline.over(m, holdout)
     applied = apply_hypothesis(m, h)
-    preds_h = rollout(applied.graph, applied.delta_hat, m.history, holdout)
-    preds_m = rollout(m.graph, m.delta_hat, m.history, holdout)
+    eps_hs = base.lags.loss_errors(applied.graph, applied.delta_hat, base.lo, base.hi)
     sq_m = 0.0
     sq_h = 0.0
     n = 0
-    for tr, ph, pm in zip(holdout, preds_h, preds_m):
-        if ph is None or pm is None:
+    for eps_m, eps_h in zip(base.eps, eps_hs):
+        if eps_m is None or eps_h is None:
             continue
-        sq_m += loss(pm, tr.observed).epsilon
-        sq_h += loss(ph, tr.observed).epsilon
+        sq_m += eps_m
+        sq_h += eps_h
         n += 1
     if n == 0:
         raise NotEnoughDataError("no predictable holdout rows")
@@ -476,7 +529,11 @@ def reflect(
     if not m.history or m.history[-1] != ctx:
         m = append_history(m, ctx)
 
-    pred = rollout(m.graph, m.delta_hat, m.history, [ctx], lenient=True)[0]
+    # One kernel serves the whole trigger: ctx is the window's last row.
+    window = m.history[-m.fit_window :]
+    n = len(window)
+    lags = _LagFeatures(m.history, window)
+    pred = StateVec(lags.predict(m.graph, m.delta_hat, lenient=True, lo=n - 1)[0])
     err = loss(pred, ctx.observed)
     if not detect_mismatch(err, tau):
         return ReflectReport(
@@ -488,17 +545,19 @@ def reflect(
             updated_model=m,
         )
 
-    window = m.history[-m.fit_window :]
-    holdout = window[-settings.holdout :]
-    scoring = window[: -settings.holdout] if len(window) > settings.holdout else ()
+    h_lo = n - len(window[-settings.holdout :])
+    holdout = window[h_lo:]
+    scoring = window[:h_lo]
 
-    candidates = generate_hypotheses(m, ctx, err, tau, settings)
+    candidates = generate_hypotheses(m, ctx, err, tau, settings, base=_Baseline(m, lags))
+    score_base = _Baseline(m, lags, 0, h_lo)
     scored = sorted(
-        (HypothesisScore(h, score_hypothesis(m, h, scoring)) for h in candidates),
+        (HypothesisScore(h, score_hypothesis(m, h, scoring, base=score_base)) for h in candidates),
         key=lambda hs: (-hs.score, _tie_key(hs.hypothesis)),
     )
 
     working = m
+    test_base = _Baseline(m, lags, h_lo, n)
     index_map = {i: i for i in range(len(m.graph.edges))}
     accepted: list[Hypothesis] = []
     for hs in scored:
@@ -508,13 +567,21 @@ def reflect(
         if h is None:
             continue
         try:
-            ok, _, _ = test_hypothesis(working, h, holdout, settings.rho)
-            if ok:
-                working = apply_hypothesis(working, h)
-                index_map = _update_map(h, index_map)
-                accepted.append(hs.hypothesis)
+            ok, _, _ = test_hypothesis(working, h, holdout, settings.rho, base=test_base)
         except CausalLoopError:
             continue
+        if not ok:
+            continue
+        working = apply_hypothesis(working, h)
+        index_map = _update_map(h, index_map)
+        accepted.append(hs.hypothesis)
+        try:
+            if isinstance(h, StructuralBreak):
+                test_base = _Baseline.over(working, holdout)
+            else:
+                test_base = _Baseline(working, test_base.lags, test_base.lo, test_base.hi)
+        except CausalLoopError:
+            break  # a non-finite holdout prediction: every later test would raise on it
 
     return ReflectReport(
         triggered=True,

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import causalloop
 from causalloop.cli import main
 from causalloop.trace import read_trace
 
@@ -80,6 +84,42 @@ def test_evaluate_against_wrong_scenario(tmp_path, capsys):
     path = run_trace(tmp_path)
     assert main(["evaluate", str(path), "break_demo"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_evaluate_truncated_reflect_block_is_data_error(tmp_path, capsys):
+    path = run_trace(tmp_path)
+    lines = path.read_text().strip().split("\n")
+    doctored = json.loads(lines[2])
+    doctored["reflect"] = {"triggered": True}
+    lines[2] = json.dumps(doctored)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", str(path), "calm"]) == 2
+    assert "error: tick 1: triggered reflect block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["causalloop", "causalloop.cli"])
+def test_module_entry_points(module):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(causalloop.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    helped = subprocess.run(
+        [sys.executable, "-m", module, "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert helped.returncode == 0
+    assert "usage: causalloop" in helped.stdout
+    bad = subprocess.run(
+        [sys.executable, "-m", module, "run", "no_such_scenario", "--seed", "0", "--length", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert bad.returncode == 2
+    assert "error:" in bad.stderr
 
 
 def test_replay_verifies_and_detects_tampering(tmp_path, capsys):
