@@ -41,7 +41,8 @@ from .model import (
     model_snapshot,
     predict,
     predict_next,
-    rollout,
+    rollout,  # not called here; perfbench/bench_layers.py wraps agent.rollout
+    _LagFeatures,
 )
 from .reflect import ReflectSettings, detect_mismatch, reflect
 from .scenario import ScenarioConfig, scenario_digest
@@ -156,16 +157,20 @@ def initial_model(sc: ScenarioConfig) -> CausalModel:
 def _fit_improves(current: CausalModel, fitted: CausalModel, holdout_size: int) -> bool:
     """Keep a scheduled fit only if it does not predict the recent holdout
     worse than the model it would replace."""
-    holdout = current.history[-holdout_size:]
-    preds_new = rollout(fitted.graph, fitted.delta_hat, current.history, holdout)
-    preds_old = rollout(current.graph, current.delta_hat, current.history, holdout)
+    # The two graphs share every (source, delay, form) column, so one
+    # kernel serves both; sq / d is each row's loss epsilon to the bit.
+    lags = _LagFeatures(current.history, current.history[-holdout_size:])
+    d = current.graph.d_state
     sq_new = sq_old = 0.0
     n = 0
-    for tr, pn, po in zip(holdout, preds_new, preds_old):
-        if pn is None or po is None:
+    for sn, so in zip(
+        lags.sq_errors(fitted.graph, fitted.delta_hat),
+        lags.sq_errors(current.graph, current.delta_hat),
+    ):
+        if sn is None or so is None:
             continue
-        sq_new += loss(pn, tr.observed).epsilon
-        sq_old += loss(po, tr.observed).epsilon
+        sq_new += sn / d
+        sq_old += so / d
         n += 1
     if n == 0:
         return True

@@ -25,7 +25,10 @@ record scores and replays compare them exactly:
   dimension order.  Python's ``**`` calls the C library's ``pow``, which
   is not always correctly rounded, while numpy's ``x * x``, ``x ** 2`` and
   ``np.power`` are; the two differ on about one double in a thousand, so
-  moving these sums to numpy would move trace bits.
+  moving these sums to numpy would move trace bits.  A row's sum divided
+  by d_state is :func:`causalloop.core.loss`'s epsilon to the bit:
+  ``p - o`` is exactly ``-(o - p)`` and ``pow`` of a negated base to an
+  even integer power is the same double.
 
 Coefficient fitting is plain per-dimension ordinary least squares on
 lagged features (numpy.linalg.lstsq); delta_hat is deliberately treated as
@@ -178,18 +181,16 @@ class _Target:
     """One state dimension's predictions over every row of a kernel.
 
     ``dead`` holds the rows a strict prediction leaves out for a gap in a
-    lag; ``sq`` and ``loss`` are that dimension's squared errors in the two
-    forms callers sum, filled on first use.
+    lag; ``sq`` is that dimension's squared errors, filled on first use.
     """
 
-    __slots__ = ("pred", "dead", "finite", "sq", "loss")
+    __slots__ = ("pred", "dead", "finite", "sq")
 
     def __init__(self, pred: list[float], dead: set[int]) -> None:
         self.pred = pred
         self.dead = dead
         self.finite = math.isfinite(sum(pred))
         self.sq: list[float] | None = None
-        self.loss: list[float] | None = None
 
 
 class _LagFeatures:
@@ -327,30 +328,15 @@ class _LagFeatures:
         self, graph: CausalGraph, delta_hat: float, lo: int = 0, hi: int | None = None
     ) -> list[float | None]:
         """Per row of ``[lo, hi)``, ``sum((o - p) ** 2)`` over dimensions in
-        order, for the strict prediction; None where that is None."""
+        order, for the strict prediction; None where that is None.  Divided
+        by ``graph.d_state`` it is the row's :func:`causalloop.core.loss`
+        epsilon."""
         hi = len(self.rows) if hi is None else hi
         targets, dead = self._predicted(graph, delta_hat, False, lo, hi)
         for k, t in enumerate(targets):
             if t.sq is None:
                 t.sq = [(o[k] - p) ** 2 for o, p in zip(self._observed, t.pred)]
         out: list[float | None] = list(map(sum, zip(*(t.sq[lo:hi] for t in targets))))
-        for i in dead:
-            out[i - lo] = None
-        return out
-
-    def loss_errors(
-        self, graph: CausalGraph, delta_hat: float, lo: int = 0, hi: int | None = None
-    ) -> list[float | None]:
-        """Per row of ``[lo, hi)``, :func:`causalloop.core.loss`'s epsilon
-        ``sum((p - o) ** 2) / d`` for the strict prediction; None where that
-        is None."""
-        hi = len(self.rows) if hi is None else hi
-        targets, dead = self._predicted(graph, delta_hat, False, lo, hi)
-        for k, t in enumerate(targets):
-            if t.loss is None:
-                t.loss = [(p - o[k]) ** 2 for o, p in zip(self._observed, t.pred)]
-        d = len(targets)
-        out: list[float | None] = [sum(r) / d for r in zip(*(t.loss[lo:hi] for t in targets))]
         for i in dead:
             out[i - lo] = None
         return out

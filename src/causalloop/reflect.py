@@ -232,8 +232,8 @@ class _Baseline:
     """A model's per-row errors over rows ``[lo, hi)`` of a kernel.
 
     Computed once and shared by every score or test against that model:
-    ``sq`` is the score's ``sum((o - p) ** 2)`` and ``eps`` the
-    :func:`loss` epsilon, both None where the row is not predictable.
+    ``sq`` is each row's ``sum((o - p) ** 2)``, None where the row is not
+    predictable.  ``sq / d`` is the row's :func:`loss` epsilon to the bit.
     """
 
     def __init__(
@@ -242,8 +242,8 @@ class _Baseline:
         self.lags = lags
         self.lo = lo
         self.hi = len(lags.rows) if hi is None else hi
+        self.d = m.graph.d_state
         self.sq = lags.sq_errors(m.graph, m.delta_hat, lo, self.hi)
-        self.eps = lags.loss_errors(m.graph, m.delta_hat, lo, self.hi)
 
     @staticmethod
     def over(m: CausalModel, rows: Sequence[Transition]) -> _Baseline:
@@ -259,8 +259,8 @@ def anomalous_suffix(m: CausalModel, floor: float, base: _Baseline | None = None
     if base is None:
         base = _Baseline.over(m, m.history[-m.fit_window :])
     count = 0
-    for eps in reversed(base.eps):
-        if eps is None or eps <= floor:
+    for sq in reversed(base.sq):
+        if sq is None or sq / base.d <= floor:
             break
         count += 1
     return count
@@ -342,16 +342,12 @@ def generate_hypotheses(
     d_state = m.graph.d_state
     offending = [j for j in range(d_state) if err.per_dim[j] > tau / d_state]
     suffix = max(1, anomalous_suffix(m, tau * SUFFIX_FLOOR_FRACTION, base=base))
-    rows = base.lags.rows
-    est_lo = len(rows) - suffix
+    est_lo = max(0, len(base.lags.rows) - suffix)
     out: list[Hypothesis] = []
 
     # DeltaShift from the single worst dimension of the triggering context.
     j_star = max(range(d_state), key=lambda j: err.per_dim[j])
-    if rows and rows[-1] == ctx:
-        pred = base.lags.predict(m.graph, m.delta_hat, lo=len(rows) - 1)[0]
-    else:
-        pred = rollout(m.graph, m.delta_hat, m.history, [ctx])[0]
+    pred = rollout(m.graph, m.delta_hat, m.history, [ctx])[0]
     if pred is not None:
         pred_eff = pred[j_star] - ctx.tuple.state[j_star]
         obs_eff = ctx.observed[j_star] - ctx.tuple.state[j_star]
@@ -465,15 +461,16 @@ def test_hypothesis(
     if base is None:
         base = _Baseline.over(m, holdout)
     applied = apply_hypothesis(m, h)
-    eps_hs = base.lags.loss_errors(applied.graph, applied.delta_hat, base.lo, base.hi)
+    sq_hs = base.lags.sq_errors(applied.graph, applied.delta_hat, base.lo, base.hi)
+    d = base.d
     sq_m = 0.0
     sq_h = 0.0
     n = 0
-    for eps_m, eps_h in zip(base.eps, eps_hs):
-        if eps_m is None or eps_h is None:
+    for row_m, row_h in zip(base.sq, sq_hs):
+        if row_m is None or row_h is None:
             continue
-        sq_m += eps_m
-        sq_h += eps_h
+        sq_m += row_m / d
+        sq_h += row_h / d
         n += 1
     if n == 0:
         raise NotEnoughDataError("no predictable holdout rows")

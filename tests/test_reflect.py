@@ -205,6 +205,23 @@ def test_delay_candidates_stay_in_range():
     assert 1 not in delays  # current delay is not a candidate
 
 
+def test_candidates_from_empty_history():
+    # No recorded rows: estimates have nothing to read, so refits and new
+    # edges drop out, and the break keeps the minimum of one row.
+    m = one_edge_model(coef=1.0)
+    ctx = row(0, (0.0,), (1.0,), (3.0,))
+    err = PredictionError(epsilon=9.0, per_dim=(9.0,))
+    assert generate_hypotheses(m, ctx, err, tau=0.5) == (
+        CoefChange(0, -1.0),
+        CoefChange(0, 0.5),
+        CoefChange(0, 2.0),
+        DelayChange(0, 2),
+        DelayChange(0, 3),
+        EdgeRemove(0),
+        StructuralBreak(keep=1),
+    )
+
+
 # ---- end-to-end repairs ---------------------------------------------------
 
 
