@@ -16,6 +16,7 @@ reflect_enabled); replay re-runs it and demands bit-identical records.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -204,6 +205,8 @@ def run_episode(
     records: list[TraceRecord] = []
     state = StateVec(sc.initial_state)
     prev_digest: str | None = None
+    digest: str | None = None
+    digest_fields: tuple = ()
     for t in range(length):
         action = policy_action(policy, seed, t, sc.d_action)
         tup = CausalTuple(state, action, TimeIndex(t), Perturbation(m.delta_hat))
@@ -234,7 +237,13 @@ def run_episode(
             except (NotEnoughDataError, DegenerateDataError) as exc:
                 fit_event = f"skipped: {type(exc).__name__}"
 
-        digest = model_digest(m)
+        # The digest covers exactly these fields (``model_snapshot``).  Each
+        # is immutable, so while every one is the very object the last
+        # digest saw, that digest still holds.
+        fields = (m.graph, m.delta_hat, m.fit_window, m.sigma_lik, m.capacity, m.delta_max)
+        if digest is None or not all(map(operator.is_, fields, digest_fields)):
+            digest = model_digest(m)
+            digest_fields = fields
         records.append(
             TraceRecord(
                 tick=t,

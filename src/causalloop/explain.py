@@ -17,6 +17,7 @@ package ever talks to a network.
 from __future__ import annotations
 
 import enum
+import json
 import math
 import os
 import re
@@ -199,25 +200,35 @@ _HYPOTHESIS_PHRASES = {
 
 
 def explain_reflection(tick: int, report: dict[str, Any]) -> Explanation:
-    """Summarize a repair event from its serialized report."""
-    eps = report["epsilon"]
-    tau = report["tau"]
-    n_cand = len(report["candidates"])
-    n_acc = len(report["accepted"])
-    parts = [
-        f"At tick {tick}, prediction error {fmt(eps)} exceeded the threshold {fmt(tau)}; "
-        f"{n_cand} candidate repairs were scored and {n_acc} accepted."
-    ]
-    for h in report["accepted"]:
-        phrase = _HYPOTHESIS_PHRASES[h["kind"]](h)
-        parts.append(f"Accepted: {phrase}.")
+    """Summarize a repair event from its serialized report.
+
+    Raises :class:`InputError` when the report lacks a field the summary
+    cites or holds one of the wrong type.
+    """
+    try:
+        eps = report["epsilon"]
+        tau = report["tau"]
+        n_cand = len(report["candidates"])
+        accepted = report["accepted"]
+        n_acc = len(accepted)
+        parts = [
+            f"At tick {tick}, prediction error {fmt(eps)} exceeded the threshold {fmt(tau)}; "
+            f"{n_cand} candidate repairs were scored and {n_acc} accepted."
+        ]
+        for h in accepted:
+            phrase = _HYPOTHESIS_PHRASES[h["kind"]](h)
+            parts.append(f"Accepted: {phrase}.")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(
+            f"tick {tick}: reflect block cannot be summarized ({type(exc).__name__}: {exc})"
+        ) from exc
     grounding = {
         "tick": tick,
         "epsilon": eps,
         "tau": tau,
         "candidates": n_cand,
         "accepted_count": n_acc,
-        "accepted": report["accepted"],
+        "accepted": accepted,
     }
     return Explanation(ExplanationKind.REFLECTION_SUMMARY, " ".join(parts), grounding)
 
@@ -258,6 +269,32 @@ def llm_configured() -> bool:
     return bool(os.environ.get(ENV_LLM_URL))
 
 
+def _post_json(
+    url: str, payload: dict[str, Any], headers: dict[str, str], timeout: float
+) -> tuple[int, bytes]:
+    """POST ``payload`` as JSON; the response's status code and body.
+
+    An HTTP error status is returned like any other; a failure to reach the
+    endpoint at all raises :class:`InputError`.
+    """
+    import urllib.error  # only here: the import costs ~2 MB of resident memory
+    import urllib.request
+
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json", **headers},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read()
+    except (OSError, ValueError) as exc:  # URLError and timeouts are OSErrors
+        raise InputError(f"cannot reach LLM endpoint {url}: {exc}") from exc
+
+
 def narrate_via_llm(bundle: PromptBundle, max_tokens: int = 256, timeout: float = 10.0) -> str:
     """POST the bundle to the configured endpoint; only called explicitly.
 
@@ -268,23 +305,18 @@ def narrate_via_llm(bundle: PromptBundle, max_tokens: int = 256, timeout: float 
     url = os.environ.get(ENV_LLM_URL)
     if not url:
         raise ConfigError(f"{ENV_LLM_URL} is not set; the template backend is the only path")
-    import requests
-
     headers = {}
     key = os.environ.get(ENV_LLM_KEY)
     if key:
         headers["Authorization"] = f"Bearer {key}"
-    resp = requests.post(
-        url,
-        json={"prompt": bundle.flatten(), "max_tokens": max_tokens},
-        headers=headers,
-        timeout=timeout,
+    status, body = _post_json(
+        url, {"prompt": bundle.flatten(), "max_tokens": max_tokens}, headers, timeout
     )
-    if resp.status_code != 200:
-        raise InputError(f"LLM endpoint returned status {resp.status_code}")
+    if status != 200:
+        raise InputError(f"LLM endpoint returned status {status}")
     try:
-        text = resp.json()["text"]
-    except (ValueError, KeyError) as exc:
+        text = json.loads(body)["text"]
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"LLM endpoint returned malformed payload: {exc}") from exc
     if not isinstance(text, str):
         raise InputError("LLM endpoint 'text' field is not a string")

@@ -10,10 +10,13 @@ bit for bit -- the oracle-equivalence tests lean on that.
 
 Teacher-forced prediction over recorded rows goes through one
 lagged-feature kernel, ``_LagFeatures``, built for a fixed (history, rows)
-pair: it builds the history's tick map once, caches each (source, delay,
-form) feature column over the rows, and predicts any (graph, delta_hat)
-from those columns, strict or lenient.  ``rollout``, ``fit`` and the
-repair loop's scoring and testing all read it.
+pair: it caches each (source, delay, form) feature column over the rows
+and predicts any (graph, delta_hat) from those columns, strict or
+lenient.  ``rollout``, ``fit`` and the repair loop's scoring and testing
+all read it.  It and ``predict_next`` find each lagged tick by its place
+from the end of the history, checked against the tick, through one
+helper, ``_TickIndex``; only a history that is not one run of consecutive
+ticks builds a full tick map.
 
 The kernel keeps the bits of the per-row loop it replaced, because traces
 record scores and replays compare them exactly:
@@ -138,14 +141,55 @@ def predict(m: CausalModel, t: CausalTuple) -> Prediction:
 # ---------------------------------------------------------------------------
 
 
-def _tick_map(history: Iterable[Transition], extra: CausalTuple | None = None) -> dict[int, CausalTuple]:
-    out = {tr.tuple.time.tick: tr.tuple for tr in history}
-    if extra is not None:
-        out[extra.time.tick] = extra
-    return out
+def _tick_map(history: Iterable[Transition]) -> dict[int, CausalTuple]:
+    return {tr.tuple.time.tick: tr.tuple for tr in history}
 
 
-def _source_at(tick_map: dict[int, CausalTuple], ref, tick: int) -> float | None:
+class _TickIndex:
+    """The tuples of ``history`` (and ``extra``, which wins its tick) by
+    absolute tick, as a :func:`_tick_map` would give them, mostly without
+    building one.
+
+    An agent's history is one run of consecutive ticks, so tick q sits
+    ``last - q`` places from its end.  A lookup answers from that place
+    once every entry from there to the end is checked to hold consecutive
+    ticks up to ``last``, so no later entry repeats q and the tick map,
+    where the last entry for a tick wins, would give the same tuple.  The
+    check goes only as deep as lookups do.  When the whole history passes
+    it, a tick outside the run is simply unrecorded.  A lookup the check
+    cannot settle (a gap, a repeated or an unordered tick) builds the tick
+    map once and reads it from then on.
+    """
+
+    __slots__ = ("_history", "_extra", "_last", "_run", "_map")
+
+    def __init__(self, history: Sequence[Transition], extra: CausalTuple | None = None) -> None:
+        self._history = history
+        self._extra = extra
+        self._last = history[-1].tuple.time.tick if history else 0
+        self._run = 0  # trailing entries checked to hold ticks last - run + 1 .. last
+        self._map: dict[int, CausalTuple] | None = None if history else {}
+
+    def get(self, tick: int) -> CausalTuple | None:
+        if self._extra is not None and tick == self._extra.time.tick:
+            return self._extra
+        back = self._last - tick
+        if 0 <= back < self._run:
+            return self._history[-1 - back].tuple
+        if self._map is None:
+            hist, last, run = self._history, self._last, self._run
+            while run <= back and run < len(hist) and hist[-1 - run].tuple.time.tick == last - run:
+                run += 1
+            self._run = run
+            if 0 <= back < run:
+                return hist[-1 - back].tuple
+            if run == len(hist):
+                return None  # the history is one run and ``tick`` lies outside it
+            self._map = _tick_map(hist)
+        return self._map.get(tick)
+
+
+def _source_at(ticks: _TickIndex, ref: VarRef, tick: int) -> float | None:
     """Value of a source variable at an absolute tick; None if unrecorded.
 
     Ticks before episode start contribute nothing (the world's queue starts
@@ -153,7 +197,7 @@ def _source_at(tick_map: dict[int, CausalTuple], ref, tick: int) -> float | None
     """
     if tick < 0:
         return 0.0
-    tup = tick_map.get(tick)
+    tup = ticks.get(tick)
     if tup is None:
         return None
     return (tup.action if ref.kind is SourceKind.ACTION else tup.state).values[ref.index]
@@ -162,15 +206,18 @@ def _source_at(tick_map: dict[int, CausalTuple], ref, tick: int) -> float | None
 def predict_next(m: CausalModel, current: CausalTuple) -> StateVec:
     """One-step-ahead prediction for the live loop.
 
-    Missing lags (possible right after a history flush) are treated as
-    zero contributions; the inaccuracy heals once enough fresh transitions
+    Each lag is read at its place from the end of the history after a
+    check of its tick; only a history that is not one run of consecutive
+    ticks costs a full tick map (see :class:`_TickIndex`).  Missing lags
+    (possible right after a history flush) are treated as zero
+    contributions; the inaccuracy heals once enough fresh transitions
     accumulate.
     """
-    tick_map = _tick_map(m.history, current)
+    ticks = _TickIndex(m.history, current)
     scale = math.exp(-m.delta_hat)
     values = list(current.state.values)
     for e in m.graph.edges:
-        v = _source_at(tick_map, e.source, current.time.tick + 1 - e.delay)
+        v = _source_at(ticks, e.source, current.time.tick + 1 - e.delay)
         if v is None:
             continue
         values[e.target] += e.coefficient * e.form.apply(v) * scale
@@ -196,10 +243,10 @@ class _Target:
 class _LagFeatures:
     """Lagged-feature kernel for one fixed ``(history, rows)`` pair.
 
-    The tick map over ``history`` is built once.  ``column(source, delay,
-    form)`` holds ``form.apply(v)`` for each row, where ``v`` is the
-    source's value at the row's tick + 1 - delay: 0.0 before tick 0 and
-    None where that tick is unrecorded.  Columns are computed on first use
+    Lags are resolved through one :class:`_TickIndex` over ``history``.
+    ``column(source, delay, form)`` holds ``form.apply(v)`` for each row,
+    where ``v`` is the source's value at the row's tick + 1 - delay: 0.0
+    before tick 0 and None where that tick is unrecorded.  Columns are computed on first use
     and cached, so any number of graphs -- a working model and every
     candidate edit of it -- are predicted from one set of lag lookups.
 
@@ -211,7 +258,7 @@ class _LagFeatures:
 
     def __init__(self, history: Sequence[Transition], rows: Sequence[Transition]) -> None:
         self.rows = rows
-        self._tick_map = _tick_map(history)
+        self._lags = _TickIndex(history)
         self._ticks = [tr.tuple.time.tick for tr in rows]
         self._states = [tr.tuple.state.values for tr in rows]
         self._observed = [tr.observed.values for tr in rows]
@@ -227,7 +274,7 @@ class _LagFeatures:
             return hit
         col: list[float | None] = []
         for tick in self._ticks:
-            v = _source_at(self._tick_map, source, tick + 1 - delay)
+            v = _source_at(self._lags, source, tick + 1 - delay)
             col.append(None if v is None else form.apply(v))
         hit = self._columns[key] = (col, None in col)
         return hit

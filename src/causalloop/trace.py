@@ -143,19 +143,30 @@ def record_to_dict(r: TraceRecord) -> dict[str, Any]:
     }
 
 
+def _vector(v: Any) -> list:
+    """A record's vector field, which JSON carries as a list.
+
+    Anything else is refused: read as a vector, a string or a dict would
+    quietly yield its characters or keys.
+    """
+    if type(v) is not list:
+        raise TypeError(f"vector field is {type(v).__name__}, not a list")
+    return v
+
+
 def record_from_dict(d: dict[str, Any]) -> TraceRecord:
     try:
         return TraceRecord(
             tick=int(d["tick"]),
-            state=StateVec(tuple(d["state"])),
-            action=ActionVec(tuple(d["action"])),
+            state=StateVec(_vector(d["state"])),
+            action=ActionVec(_vector(d["action"])),
             delta_hat=float(d["delta_hat"]),
             true_delta=float(d["true_delta"]),
-            predicted={int(k): StateVec(tuple(v)) for k, v in d["predicted"].items()},
-            predicted_next=StateVec(tuple(d["predicted_next"])),
-            observed=StateVec(tuple(d["observed"])),
+            predicted={int(k): StateVec(_vector(v)) for k, v in d["predicted"].items()},
+            predicted_next=StateVec(_vector(d["predicted_next"])),
+            observed=StateVec(_vector(d["observed"])),
             epsilon=float(d["epsilon"]),
-            per_dim=tuple(float(v) for v in d["per_dim"]),
+            per_dim=tuple(float(v) for v in _vector(d["per_dim"])),
             reflect=d["reflect"],
             fit_event=d["fit_event"],
             model_digest=str(d["model_digest"]),

@@ -128,6 +128,27 @@ def test_snapshot_reconstructs_digest():
     assert model_digest(m) == r0.model_digest
 
 
+@pytest.mark.parametrize("reflect_enabled", [False, True])
+def test_digest_computed_only_when_the_model_may_have_changed(monkeypatch, reflect_enabled):
+    import causalloop.agent as agent_mod
+
+    calls = []
+    real = agent_mod.model_digest
+    monkeypatch.setattr(agent_mod, "model_digest", lambda m: calls.append(m) or real(m))
+    tr = run_episode(BREAK, RandomPolicy(), seed=0, length=260, reflect_enabled=reflect_enabled)
+    distinct = len({r.model_digest for r in tr.records})
+    assert distinct > 1
+    if not reflect_enabled:
+        # delta_hat stays 0.0, so only the first tick and applied fits digest.
+        applied = sum(r.fit_event == "applied" for r in tr.records)
+        assert len(calls) == 1 + applied
+    assert distinct <= len(calls) < len(tr.records)
+    snap = None
+    for r in tr.records:
+        snap = r.model_snapshot or snap
+        assert real(model_from_snapshot(snap)) == r.model_digest, f"tick {r.tick}"
+
+
 def test_baseline_never_reflects():
     tr = run_episode(BREAK, RandomPolicy(), seed=1, length=250, reflect_enabled=False)
     assert all(r.reflect is None for r in tr.records)

@@ -97,6 +97,17 @@ def test_evaluate_truncated_reflect_block_is_data_error(tmp_path, capsys):
     assert "error: tick 1: triggered reflect block" in capsys.readouterr().err
 
 
+def test_explain_truncated_reflect_block_is_data_error(tmp_path, capsys):
+    path = run_trace(tmp_path)
+    lines = path.read_text().strip().split("\n")
+    doctored = json.loads(lines[2])
+    doctored["reflect"] = {"triggered": True}
+    lines[2] = json.dumps(doctored)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["explain", str(path), "--tick", "1"]) == 2
+    assert "error: tick 1: reflect block cannot be summarized" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("module", ["causalloop", "causalloop.cli"])
 def test_module_entry_points(module):
     env = dict(os.environ)
@@ -161,14 +172,9 @@ def test_explain_llm_round_trip(tmp_path, monkeypatch, capsys):
     path = run_trace(tmp_path)
     monkeypatch.setenv("EXPLAIN_LLM_URL", "http://example.invalid/narrate")
 
-    class FakeResponse:
-        status_code = 200
-
-        @staticmethod
-        def json():
-            return {"text": "A short story."}
-
-    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse())
+    monkeypatch.setattr(
+        "causalloop.explain._post_json", lambda *a, **k: (200, b'{"text": "A short story."}')
+    )
     capsys.readouterr()
     assert main(["explain", str(path), "--tick", "1", "--llm"]) == 0
     assert capsys.readouterr().out.strip() == "A short story."

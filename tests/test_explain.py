@@ -6,7 +6,10 @@ faithfulness audit) treat these strings as a stable output format.
 
 from __future__ import annotations
 
+import http.server
+import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -274,15 +277,7 @@ def test_llm_unconfigured(monkeypatch, record):
         narrate_via_llm(render_prompt(record))
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        if isinstance(self._payload, Exception):
-            raise self._payload
-        return self._payload
+POST = "causalloop.explain._post_json"
 
 
 def test_llm_round_trip(monkeypatch, record):
@@ -290,11 +285,11 @@ def test_llm_round_trip(monkeypatch, record):
     monkeypatch.delenv("EXPLAIN_LLM_KEY", raising=False)
     seen = {}
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        seen.update(url=url, json=json, headers=headers, timeout=timeout)
-        return FakeResponse(200, {"text": "All calm."})
+    def fake_post(url, payload, headers, timeout):
+        seen.update(url=url, json=payload, headers=headers, timeout=timeout)
+        return 200, b'{"text": "All calm."}'
 
-    monkeypatch.setattr("requests.post", fake_post)
+    monkeypatch.setattr(POST, fake_post)
     bundle = render_prompt(record)
     assert llm_configured()
     assert narrate_via_llm(bundle, max_tokens=64) == "All calm."
@@ -308,11 +303,11 @@ def test_llm_sends_bearer_key(monkeypatch, record):
     monkeypatch.setenv("EXPLAIN_LLM_KEY", "sekrit")
     seen = {}
 
-    def fake_post(url, json=None, headers=None, timeout=None):
+    def fake_post(url, payload, headers, timeout):
         seen["headers"] = headers
-        return FakeResponse(200, {"text": "ok"})
+        return 200, b'{"text": "ok"}'
 
-    monkeypatch.setattr("requests.post", fake_post)
+    monkeypatch.setattr(POST, fake_post)
     narrate_via_llm(render_prompt(record))
     assert seen["headers"]["Authorization"] == "Bearer sekrit"
 
@@ -320,15 +315,51 @@ def test_llm_sends_bearer_key(monkeypatch, record):
 @pytest.mark.parametrize(
     "response",
     [
-        FakeResponse(500, {"text": "nope"}),
-        FakeResponse(200, ValueError("not json")),
-        FakeResponse(200, {"output": "wrong key"}),
-        FakeResponse(200, {"text": 7}),
+        (500, b'{"text": "nope"}'),
+        (200, b"not json"),
+        (200, b'{"output": "wrong key"}'),
+        (200, b'{"text": 7}'),
     ],
 )
 def test_llm_rejects_bad_responses(monkeypatch, record, response):
     monkeypatch.setenv("EXPLAIN_LLM_URL", "http://example.invalid/narrate")
 
-    monkeypatch.setattr("requests.post", lambda *a, **k: response)
+    monkeypatch.setattr(POST, lambda *a, **k: response)
     with pytest.raises(InputError):
         narrate_via_llm(render_prompt(record))
+
+
+def test_post_json_over_http(monkeypatch, record):
+    """The stdlib POST against a local server: body, headers, status."""
+    seen = {}
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            seen.update(json=json.loads(body), auth=self.headers.get("Authorization"))
+            self.send_response(200 if self.path == "/ok" else 503)
+            self.end_headers()
+            self.wfile.write(b'{"text": "over the wire"}')
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        monkeypatch.setenv("EXPLAIN_LLM_URL", base + "/ok")
+        monkeypatch.setenv("EXPLAIN_LLM_KEY", "sekrit")
+        bundle = render_prompt(record)
+        assert narrate_via_llm(bundle, max_tokens=8) == "over the wire"
+        assert seen == {"json": {"prompt": bundle.flatten(), "max_tokens": 8}, "auth": "Bearer sekrit"}
+        monkeypatch.setenv("EXPLAIN_LLM_URL", base + "/down")
+        with pytest.raises(InputError, match="status 503"):
+            narrate_via_llm(bundle)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    with pytest.raises(InputError, match="cannot reach"):
+        narrate_via_llm(bundle, timeout=2.0)

@@ -1,9 +1,10 @@
 """The lagged-feature kernel against plain per-row reference loops, bit for bit.
 
-The references below resolve every lag afresh for every row, the way
-rollout, scoring and testing worked before one kernel served a whole
-reflect trigger.  Results are compared as ``float.hex`` strings, so a sign
-of zero or a last-place difference counts.
+The references below resolve every lag afresh for every row from a full
+tick map, the way rollout, scoring, testing and ``predict_next`` worked
+before one kernel served a whole reflect trigger and lags were looked up
+by position.  Results are compared as ``float.hex`` strings, so a sign of
+zero or a last-place difference counts.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalloop.core import ActionVec, CausalTuple, StateVec, TimeIndex, Transition, loss
-from causalloop.model import CausalModel, append_history, rollout
+from causalloop.model import CausalModel, _TickIndex, append_history, predict_next, rollout
 from causalloop.reflect import (
     ReflectSettings,
     StructuralBreak,
@@ -160,3 +162,108 @@ def test_reflect_scores_and_tests_match_reference(seed):
             continue
         _, mse_m, mse_h = holdout_test(m, hs.hypothesis, holdout, 0.1)
         assert (mse_m.hex(), mse_h.hex()) == (expected[0].hex(), expected[1].hex())
+
+
+def reference_predict_next(m, current):
+    by_tick = {tr.tuple.time.tick: tr.tuple for tr in m.history}
+    by_tick[current.time.tick] = current
+    scale = math.exp(-m.delta_hat)
+    values = list(current.state.values)
+    for e in m.graph.edges:
+        tick = current.time.tick + 1 - e.delay
+        if tick < 0:
+            v = 0.0
+        elif tick in by_tick:
+            tup = by_tick[tick]
+            v = (tup.action if e.source.kind is SourceKind.ACTION else tup.state)[e.source.index]
+        else:
+            continue
+        values[e.target] += e.coefficient * e.form.apply(v) * scale
+    return StateVec(tuple(values))
+
+
+HISTORY_KINDS = ("contiguous", "flushed", "gapped", "duplicate", "unordered")
+
+
+def odd_model(seed, kind):
+    """A model whose history is one run of ticks (``contiguous``, or
+    ``flushed`` by a StructuralBreak), or is not: ticks missing, repeated
+    with other values, or out of order."""
+    if kind == "flushed":
+        return flushed_model(seed)
+    rng = np.random.default_rng(seed)
+    d_state = int(rng.integers(1, 5))
+    d_action = int(rng.integers(0, 3))
+    graph = random_graph(rng, d_state, d_action, max_edges=8, max_delay=5)
+    start = int(rng.choice([0, int(rng.integers(1, 40))]))
+    ticks = list(range(start, start + int(rng.integers(1, 30))))
+    if kind == "gapped":
+        ticks = [t for t in ticks if rng.uniform() < 0.7] or ticks[-1:]
+    elif kind == "duplicate":
+        for _ in range(int(rng.integers(1, 4))):
+            ticks.insert(int(rng.integers(0, len(ticks) + 1)), int(rng.choice(ticks)))
+    elif kind == "unordered":
+        rng.shuffle(ticks)
+    m = CausalModel(graph=graph, delta_hat=float(rng.uniform(-0.5, 0.5)), capacity=4096)
+    for tr in transitions(rng, d_state, d_action, ticks):
+        m = append_history(m, tr)
+    return m, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(HISTORY_KINDS), st.integers(-3, 3))
+def test_predict_next_matches_tick_map_reference(seed, kind, offset):
+    m, rng = odd_model(seed, kind)
+    g = m.graph
+    # Usually the tick after the history's last one, as in the live loop;
+    # otherwise a tick the history also holds or one it skips over.
+    now = max(0, m.history[-1].tuple.time.tick + 1 + offset)
+    current = transitions(rng, g.d_state, g.d_action, [now])[0].tuple
+    got = predict_next(m, current)
+    expected = reference_predict_next(m, current)
+    assert [v.hex() for v in got.values] == [v.hex() for v in expected.values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(HISTORY_KINDS), st.booleans())
+def test_rollout_matches_reference_on_odd_histories(seed, kind, lenient):
+    m, rng = odd_model(seed, kind)
+    rows = m.history[int(rng.integers(0, len(m.history))) :]
+    got = rollout(m.graph, m.delta_hat, m.history, rows, lenient)
+    assert bits(got) == bits(reference_rollout(m.graph, m.delta_hat, m.history, rows, lenient))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 12), max_size=16),
+    st.lists(st.integers(-2, 16), min_size=1, max_size=24),
+    st.booleans(),
+)
+def test_tick_index_answers_as_the_tick_map(ticks, queries, with_extra):
+    """Same tuple object as the map (last entry for a tick wins, ``extra``
+    over all), in any query order, for any tick sequence."""
+    rng = np.random.default_rng(len(ticks))
+    history = transitions(rng, 1, 1, ticks)
+    extra = transitions(rng, 1, 1, [queries[0] % 13])[0].tuple if with_extra else None
+    by_tick = {tr.tuple.time.tick: tr.tuple for tr in history}
+    if extra is not None:
+        by_tick[extra.time.tick] = extra
+    index = _TickIndex(tuple(history), extra)
+    for q in queries:
+        assert index.get(q) is by_tick.get(q), (ticks, q)
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "flushed"])
+def test_one_run_of_ticks_builds_no_tick_map(kind, monkeypatch):
+    import causalloop.model as model_mod
+
+    def no_map(*args, **kwargs):
+        raise AssertionError("tick map built for a history that is one run of ticks")
+
+    monkeypatch.setattr(model_mod, "_tick_map", no_map)
+    for seed in range(10):
+        m, rng = odd_model(seed, kind)
+        now = m.history[-1].tuple.time.tick + 1
+        current = transitions(rng, m.graph.d_state, m.graph.d_action, [now])[0].tuple
+        predict_next(m, current)
+        rollout(m.graph, m.delta_hat, m.history, m.history, lenient=True)

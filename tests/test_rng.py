@@ -6,6 +6,8 @@ import json
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalloop import rng
 
@@ -53,3 +55,27 @@ def test_distinct_ticks_distinct_draws():
     a = rng.stream(3, 1, 5).uniform(size=8)
     b = rng.stream(3, 1, 6).uniform(size=8)
     assert not np.allclose(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.integers(0, 2**16), st.integers(0, 2**40)),
+)
+def test_counter_address_is_the_tick_jump(seed, stream_id, tick):
+    """Setting the counter to tick * 2**128 is the scheme's ``jumped(tick)``."""
+    jumped = np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)).jumped(tick)
+    gen = rng.stream(seed, stream_id, tick)
+    assert repr(gen.bit_generator.state) == repr(jumped.state)
+    expected = np.random.Generator(jumped)
+    assert gen.uniform(-1.0, 1.0, size=5).tolist() == expected.uniform(-1.0, 1.0, size=5).tolist()
+    assert gen.normal(size=3).tolist() == expected.normal(size=3).tolist()
+
+
+def test_generators_for_one_address_share_no_state():
+    a = rng.stream(5, rng.STREAM_WORLD, 9)
+    b = rng.stream(5, rng.STREAM_WORLD, 9)
+    first = a.uniform(size=4).tolist()
+    assert b.uniform(size=4).tolist() == first
+    assert rng.stream(5, rng.STREAM_WORLD, 9).uniform(size=4).tolist() == first

@@ -50,6 +50,18 @@ def test_record_round_trip_is_bit_exact():
     assert back.predicted[1].values == rec.predicted[1].values
 
 
+@pytest.mark.parametrize("field", ["state", "action", "predicted", "predicted_next", "observed", "per_dim"])
+@pytest.mark.parametrize("bad", ["12", {"0": 1.0}, 3.0])
+def test_record_vectors_must_be_lists(field, bad):
+    d = json.loads(json.dumps(record_to_dict(awkward_record())))
+    if field == "predicted":
+        d["predicted"]["1"] = bad
+    else:
+        d[field] = bad
+    with pytest.raises(InputError, match="malformed trace record"):
+        record_from_dict(d)
+
+
 def test_write_read_round_trip(tmp_path):
     sc = builtin_scenarios()["calm"]
     trace = run_episode(sc, RandomPolicy(), seed=1, length=25)

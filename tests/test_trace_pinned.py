@@ -1,11 +1,13 @@
-"""Pinned trace bytes: repair-enabled episodes must serialize to fixed hashes.
+"""Pinned trace bytes: episodes must serialize to fixed hashes.
 
 Replay only checks a trace against the code that re-runs it, so a change
-that shifts trace bits in every run alike passes replay.  These hashes were
-recorded before the lagged-feature kernel replaced per-candidate rollouts
-in reflect; a speed change must leave them alone.  If they ever need to
-move, the trace format moved: bump ``TRACE_FORMAT_VERSION`` and say so in
-CHANGES.md.
+that shifts trace bits in every run alike passes replay.  The repair-run
+hashes were recorded before the lagged-feature kernel replaced
+per-candidate rollouts in reflect; the fit-only hashes before the RNG
+streams were addressed by counter, the model digest was kept while the
+model is unchanged and lags were looked up by position.  A speed change
+must leave them alone.  If they ever need to move, the trace format
+moved: bump ``TRACE_FORMAT_VERSION`` and say so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -56,6 +58,13 @@ PINNED = {
     "wide4": (60, "be02bbf50dc65aedb6259942babeed50b7210cf30079cc3717550e77c38fd26e"),
 }
 
+# Fit-only (``reflect_enabled=False``): the model changes only at applied
+# scheduled fits, so most ticks reuse the previous tick's digest.
+PINNED_FIT_ONLY = {
+    "break_demo": (300, "655d37153f4b58176aa5b518470818fc86b994693ff3a800a82dbd4a305a55b5"),
+    "wide4": (120, "b398786257d3cad4eebc750a9893b2d2aeba1fd663414e2afbea111b4e074a24"),
+}
+
 
 def _scenario(name: str) -> ScenarioConfig:
     return _wide4() if name == "wide4" else builtin_scenarios()[name]
@@ -70,6 +79,17 @@ def test_trace_bytes_match_pinned_hash(name, tmp_path):
     length, expected = PINNED[name]
     trace = run_episode(_scenario(name), RandomPolicy(), SEED, length, reflect_enabled=True)
     assert any(r.reflect and r.reflect["accepted"] for r in trace.records)
+    path = tmp_path / "t.jsonl"
+    write_trace(trace, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FIT_ONLY))
+def test_fit_only_trace_bytes_match_pinned_hash(name, tmp_path):
+    length, expected = PINNED_FIT_ONLY[name]
+    trace = run_episode(_scenario(name), RandomPolicy(), SEED, length, reflect_enabled=False)
+    assert any(r.fit_event == "applied" for r in trace.records)
+    assert len({r.model_digest for r in trace.records}) > 2
     path = tmp_path / "t.jsonl"
     write_trace(trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
