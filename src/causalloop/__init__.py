@@ -50,7 +50,7 @@ from .model import (
     predict,
     predict_next,
 )
-from .reflect import ReflectReport, ReflectSettings, reflect
+from .reflect import ReflectReport, ReflectSettings
 from .scenario import (
     ScenarioConfig,
     builtin_scenarios,
@@ -132,7 +132,6 @@ __all__ = [
     "predict_next",
     "read_trace",
     "recovery_time",
-    "reflect",
     "replay",
     "resolve_scenario",
     "rolling_rmse",

@@ -40,11 +40,12 @@ from .model import (
     fit,
     model_digest,
     model_snapshot,
-    predict,
     predict_next,
-    rollout,  # not called here; perfbench/bench_layers.py wraps agent.rollout
     _LagFeatures,
 )
+# Not called here: perfbench/bench_layers.py wraps agent.predict and
+# agent.rollout, so both names stay importable from this module.
+from .model import predict, rollout  # noqa: F401
 from .reflect import ReflectSettings, detect_mismatch, reflect
 from .scenario import ScenarioConfig, scenario_digest
 from .trace import EpisodeTrace, TraceHeader, TraceRecord, record_to_dict, report_to_dict
@@ -210,7 +211,6 @@ def run_episode(
     for t in range(length):
         action = policy_action(policy, seed, t, sc.d_action)
         tup = CausalTuple(state, action, TimeIndex(t), Perturbation(m.delta_hat))
-        pred = predict(m, tup)
         pred_next = predict_next(m, tup)
         w, observed, true_delta = world_step(w, action)
         err = loss(pred_next, observed)
@@ -251,7 +251,6 @@ def run_episode(
                 action=action,
                 delta_hat=tup.delta.delta,
                 true_delta=true_delta,
-                predicted=pred.horizon_states,
                 predicted_next=pred_next,
                 observed=observed,
                 epsilon=err.epsilon,

@@ -34,8 +34,9 @@ record scores and replays compare them exactly:
   even integer power is the same double.
 
 Coefficient fitting is plain per-dimension ordinary least squares on
-lagged features (numpy.linalg.lstsq); delta_hat is deliberately treated as
-zero there, so coefficients own persistent scale and delta_hat only ever
+lagged features (numpy.linalg.lstsq), one path for the scheduled fit and a
+structural break's refit.  The scheduled fit deliberately treats delta_hat
+as zero, so coefficients own persistent scale and delta_hat only ever
 carries transient residual scaling.
 """
 
@@ -421,34 +422,50 @@ def fit(m: CausalModel) -> CausalModel:
     :class:`DegenerateDataError` when a design matrix is unusable
     (a constant feature column or rank deficiency).
     """
-    edges = m.graph.edges
-    if not edges:
-        return m
-    need = max(m.fit_window // 4, 2 * len(edges))
-    if len(m.history) < need:
+    need = max(m.fit_window // 4, 2 * len(m.graph.edges))
+    if m.graph.edges and len(m.history) < need:
         raise NotEnoughDataError(f"fit needs >= {need} transitions, history has {len(m.history)}")
-    lags = _LagFeatures(m.history, m.history[-m.fit_window :])
+    return _least_squares(m, m.history[-m.fit_window :], strict=True)
 
-    new_coefs = list(e.coefficient for e in edges)
+
+def _least_squares(m: CausalModel, rows: Sequence[Transition], strict: bool) -> CausalModel:
+    """Every edge coefficient re-estimated by per-target OLS over ``rows``.
+
+    Strict (:func:`fit`): features at scale 1.0, and a target with too few
+    usable rows, a constant feature column or a rank-deficient design
+    raises.  Best-effort (a structural break's refit): features at the
+    model's scale ``exp(-delta_hat)``, and a target with too few rows or a
+    rank-deficient design keeps its coefficients.
+    """
+    edges = m.graph.edges
+    if not edges or not rows:
+        return m
+    lags = _LagFeatures(m.history, rows)
+    scale = 1.0 if strict else math.exp(-m.delta_hat)
+    new_coefs = [e.coefficient for e in edges]
     for j in range(m.graph.d_state):
         incoming = m.graph.incoming(j)
         if not incoming:
             continue
-        x_rows, y_rows = lags.design([e for _, e in incoming], j)
+        x_rows, y_rows = lags.design([e for _, e in incoming], j, scale)
         if len(x_rows) < max(2, len(incoming)):
+            if not strict:
+                continue
             raise NotEnoughDataError(
                 f"fit for dim {j}: only {len(x_rows)} usable rows for {len(incoming)} edges"
             )
         x = np.asarray(x_rows)
-        y = np.asarray(y_rows)
-        spans = x.max(axis=0) - x.min(axis=0)
-        if np.any(spans == 0.0):
-            flat = int(np.argmax(spans == 0.0))
-            raise DegenerateDataError(
-                f"fit for dim {j}: feature column {flat} is constant over the window"
-            )
-        coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+        if strict:
+            spans = x.max(axis=0) - x.min(axis=0)
+            if np.any(spans == 0.0):
+                flat = int(np.argmax(spans == 0.0))
+                raise DegenerateDataError(
+                    f"fit for dim {j}: feature column {flat} is constant over the window"
+                )
+        coef, _, rank, _ = np.linalg.lstsq(x, np.asarray(y_rows), rcond=None)
         if rank < x.shape[1]:
+            if not strict:
+                continue
             raise DegenerateDataError(f"fit for dim {j}: design matrix rank {rank} < {x.shape[1]}")
         for (edge_index, _), c in zip(incoming, coef):
             new_coefs[edge_index] = float(c)

@@ -49,6 +49,7 @@ from .model import (
     estimate_delta,
     rollout,
     _LagFeatures,
+    _least_squares,
 )
 from .world import CausalEdge, Form, SourceKind, VarRef
 
@@ -192,35 +193,7 @@ def apply_hypothesis(m: CausalModel, h: Hypothesis) -> CausalModel:
     # StructuralBreak: flush stale history, then refit whatever the kept
     # suffix supports; dims the suffix cannot support keep their coefficients.
     kept = m.history[-h.keep :] if h.keep > 0 else ()
-    flushed = replace(m, history=kept)
-    return _refit_on(flushed, kept)
-
-
-def _refit_on(m: CausalModel, rows: Sequence[Transition]) -> CausalModel:
-    """Joint per-dimension OLS over ``rows`` only; best-effort."""
-    import numpy as np
-
-    if not m.graph.edges or not rows:
-        return m
-    lags = _LagFeatures(m.history, rows)
-    new_coefs = [e.coefficient for e in m.graph.edges]
-    scale = math.exp(-m.delta_hat)
-    for j in range(m.graph.d_state):
-        incoming = m.graph.incoming(j)
-        if not incoming:
-            continue
-        x_rows, y_rows = lags.design([e for _, e in incoming], j, scale)
-        if len(x_rows) < max(2, len(incoming)):
-            continue
-        x = np.asarray(x_rows)
-        y = np.asarray(y_rows)
-        coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-        if rank < x.shape[1]:
-            continue
-        for (edge_index, _), c in zip(incoming, coef):
-            new_coefs[edge_index] = float(c)
-    edges = tuple(replace(e, coefficient=c) for e, c in zip(m.graph.edges, new_coefs))
-    return replace(m, graph=replace(m.graph, edges=edges))
+    return _least_squares(replace(m, history=kept), kept, strict=False)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ record.  Floats serialize via Python's shortest-round-trip repr, so a
 parsed trace compares equal to the in-memory original and replay can
 demand bit-identity rather than tolerances.
 
-Records carry the full reflect report (every candidate and its score) and
-a model snapshot whenever the model's digest changed that tick, which is
-what lets evaluation and explanation reconstruct the agent's model at any
-tick without re-running anything.
+Records carry the one-step prediction, the full reflect report (every
+candidate and its score) and a model snapshot whenever the model's digest
+changed that tick, which is what lets evaluation and explanation
+reconstruct the agent's model at any tick without re-running anything.
+Horizon predictions are not recorded: explanation recomputes them from
+the snapshot and the record's delta_hat.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .reflect import ReflectReport, hypothesis_to_dict
 from .rng import GENERATOR_NAME, SCHEME_VERSION
 from .scenario import atomic_write_text
 
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,6 @@ class TraceRecord:
     action: ActionVec
     delta_hat: float
     true_delta: float
-    predicted: dict[int, StateVec]
     predicted_next: StateVec
     observed: StateVec
     epsilon: float
@@ -131,7 +132,6 @@ def record_to_dict(r: TraceRecord) -> dict[str, Any]:
         "action": list(r.action.values),
         "delta_hat": r.delta_hat,
         "true_delta": r.true_delta,
-        "predicted": {str(k): list(v.values) for k, v in sorted(r.predicted.items())},
         "predicted_next": list(r.predicted_next.values),
         "observed": list(r.observed.values),
         "epsilon": r.epsilon,
@@ -144,13 +144,17 @@ def record_to_dict(r: TraceRecord) -> dict[str, Any]:
 
 
 def _vector(v: Any) -> list:
-    """A record's vector field, which JSON carries as a list.
+    """A record's vector field, which JSON carries as a list of numbers.
 
     Anything else is refused: read as a vector, a string or a dict would
-    quietly yield its characters or keys.
+    quietly yield its characters or keys, and ``float`` would turn the
+    element ``"1"`` or ``true`` into 1.0.
     """
     if type(v) is not list:
         raise TypeError(f"vector field is {type(v).__name__}, not a list")
+    for x in v:
+        if type(x) is not float and type(x) is not int:  # so a bool is refused too
+            raise TypeError(f"vector element {x!r} is {type(x).__name__}, not a number")
     return v
 
 
@@ -162,7 +166,6 @@ def record_from_dict(d: dict[str, Any]) -> TraceRecord:
             action=ActionVec(_vector(d["action"])),
             delta_hat=float(d["delta_hat"]),
             true_delta=float(d["true_delta"]),
-            predicted={int(k): StateVec(_vector(v)) for k, v in d["predicted"].items()},
             predicted_next=StateVec(_vector(d["predicted_next"])),
             observed=StateVec(_vector(d["observed"])),
             epsilon=float(d["epsilon"]),

@@ -149,6 +149,61 @@ def test_digest_computed_only_when_the_model_may_have_changed(monkeypatch, refle
         assert real(model_from_snapshot(snap)) == r.model_digest, f"tick {r.tick}"
 
 
+# ---- one model application per tick -----------------------------------------
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("run_episode must not build a horizon map")
+
+
+def test_run_episode_builds_no_horizon_map(monkeypatch):
+    import causalloop.agent as agent_mod
+    import causalloop.model as model_mod
+
+    monkeypatch.setattr(agent_mod, "predict", _refuse)
+    monkeypatch.setattr(model_mod, "counterfactual", _refuse)
+    tr = run_episode(BREAK, RandomPolicy(), seed=7, length=240, reflect_enabled=True)
+    assert any(r.reflect and r.reflect["accepted"] for r in tr.records)
+    assert not any("predicted" in record_to_dict(r) for r in tr.records)
+
+
+def test_trace_rebuilds_every_horizon_map(monkeypatch, tmp_path):
+    """The map the live model would have given each tick is the one
+    explain recomputes from the written trace: the snapshot entering the
+    tick with the record's delta_hat."""
+    import causalloop.agent as agent_mod
+    from causalloop.cli import _model_entering_tick
+    from causalloop.core import CausalTuple, Perturbation, TimeIndex
+    from causalloop.model import predict
+    from causalloop.trace import read_trace, write_trace
+
+    live = {}
+    real = agent_mod.predict_next
+
+    def capture(m, tup):
+        live[tup.time.tick] = predict(m, tup).horizon_states
+        return real(m, tup)
+
+    monkeypatch.setattr(agent_mod, "predict_next", capture)
+    # productivity's 24-tick delays give every map a second horizon.
+    sc = builtin_scenarios()["productivity"]
+    tr = run_episode(sc, RandomPolicy(), seed=7, length=160, reflect_enabled=True)
+    assert sum(r.model_snapshot is not None for r in tr.records) > 1
+    path = tmp_path / "t.jsonl"
+    write_trace(tr, str(path))
+    back = read_trace(str(path))
+    assert len(live) == len(back.records) == 160
+    assert all(len(h) > 1 for h in live.values())
+
+    def hexes(horizons):
+        return {k: [v.hex() for v in s.values] for k, s in horizons.items()}
+
+    for r in back.records:
+        m = dataclasses.replace(_model_entering_tick(back, r.tick), delta_hat=r.delta_hat)
+        tup = CausalTuple(r.state, r.action, TimeIndex(r.tick), Perturbation(r.delta_hat))
+        assert hexes(predict(m, tup).horizon_states) == hexes(live[r.tick]), f"tick {r.tick}"
+
+
 def test_baseline_never_reflects():
     tr = run_episode(BREAK, RandomPolicy(), seed=1, length=250, reflect_enabled=False)
     assert all(r.reflect is None for r in tr.records)

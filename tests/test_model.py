@@ -242,6 +242,12 @@ def test_fit_needs_enough_history():
         m = append_history(m, row(t, (0.0,), (1.0,), (1.0,)))
     with pytest.raises(NotEnoughDataError):
         fit(m)
+    # Long enough, but after a flush only one row has its lag recorded.
+    m = single_edge_model(1.0, delay=3, fit_window=8)
+    for t, a in zip(range(10, 13), (1.0, -1.0, 2.0)):
+        m = append_history(m, row(t, (0.0,), (a,), (a,)))
+    with pytest.raises(NotEnoughDataError, match="usable rows"):
+        fit(m)
 
 
 def test_fit_rejects_constant_feature():

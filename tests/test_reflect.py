@@ -6,12 +6,23 @@ history and check that the loop lands on the matching repair.
 
 from __future__ import annotations
 
+import math
+import types
 
 import numpy as np
 import pytest
 
-from causalloop.core import ActionVec, CausalTuple, PredictionError, StateVec, TimeIndex, Transition
-from causalloop.model import CausalModel, append_history
+import causalloop
+from causalloop.core import (
+    ActionVec,
+    CausalTuple,
+    DegenerateDataError,
+    PredictionError,
+    StateVec,
+    TimeIndex,
+    Transition,
+)
+from causalloop.model import CausalModel, append_history, fit
 from causalloop.reflect import (
     CoefChange,
     DelayChange,
@@ -69,6 +80,10 @@ def feed_effect_rows(m, effects, actions, start_tick=0, start_state=0.0):
 # ---- trigger --------------------------------------------------------------
 
 
+def test_package_attribute_is_the_reflect_module():
+    assert isinstance(causalloop.reflect, types.ModuleType)
+
+
 def test_detect_mismatch_is_strict():
     err = PredictionError(epsilon=1.0, per_dim=(1.0,))
     assert not detect_mismatch(err, 1.0)
@@ -109,6 +124,34 @@ def test_structural_break_flushes_and_refits():
 
 
 # ---- anomalous suffix -----------------------------------------------------
+
+
+def test_structural_break_refit_is_best_effort():
+    # The refit runs at the model's scale, fits a constant feature column
+    # that fit() refuses, and leaves a coefficient alone when the kept
+    # suffix is too short to estimate it.
+    m = one_edge_model(coef=1.0, fit_window=16, delta_hat=math.log(2.0))
+    m, _ = feed_effect_rows(m, [lambda a: 3.0 * a] * 6, [1.0] * 6)
+    with pytest.raises(DegenerateDataError):
+        fit(m)
+    assert apply_hypothesis(m, StructuralBreak(keep=4)).graph.edges[0].coefficient == pytest.approx(6.0)
+    assert apply_hypothesis(m, StructuralBreak(keep=1)).graph.edges[0].coefficient == 1.0
+    # Collinear features: both coefficients stay where fit() would refuse.
+    g = CausalGraph(
+        d_state=1,
+        d_action=2,
+        edges=(
+            CausalEdge(VarRef.action(0), 0, delay=1, coefficient=1.0),
+            CausalEdge(VarRef.action(1), 0, delay=1, coefficient=0.5),
+        ),
+    )
+    m = CausalModel(graph=g, fit_window=16)
+    for t, a in enumerate([1.0, -2.0, 0.5, 3.0]):
+        m = append_history(m, row(t, (0.0,), (a, 2.0 * a), (a,)))
+    with pytest.raises(DegenerateDataError):
+        fit(m)
+    out = apply_hypothesis(m, StructuralBreak(keep=4))
+    assert [e.coefficient for e in out.graph.edges] == [1.0, 0.5]
 
 
 def test_anomalous_suffix_counts_trailing_misses():

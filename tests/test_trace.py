@@ -28,7 +28,6 @@ def awkward_record():
         action=ActionVec((1e-17,)),
         delta_hat=0.30000000000000004,
         true_delta=-2.2250738585072014e-308,
-        predicted={1: StateVec((0.1 + 0.2, 2.0 / 7.0))},
         predicted_next=StateVec((0.30000000000000004, 0.2857142857142857)),
         observed=StateVec((-0.0, 3.141592653589793)),
         epsilon=1.2345678901234567e-5,
@@ -47,17 +46,14 @@ def test_record_round_trip_is_bit_exact():
     assert record_to_dict(back) == record_to_dict(rec)
     assert back.state.values == rec.state.values
     assert back.true_delta == rec.true_delta
-    assert back.predicted[1].values == rec.predicted[1].values
+    assert back.predicted_next.values == rec.predicted_next.values
 
 
-@pytest.mark.parametrize("field", ["state", "action", "predicted", "predicted_next", "observed", "per_dim"])
-@pytest.mark.parametrize("bad", ["12", {"0": 1.0}, 3.0])
+@pytest.mark.parametrize("field", ["state", "action", "predicted_next", "observed", "per_dim"])
+@pytest.mark.parametrize("bad", ["12", {"0": 1.0}, 3.0, ["1"], [True], [None]])
 def test_record_vectors_must_be_lists(field, bad):
     d = json.loads(json.dumps(record_to_dict(awkward_record())))
-    if field == "predicted":
-        d["predicted"]["1"] = bad
-    else:
-        d[field] = bad
+    d[field] = bad
     with pytest.raises(InputError, match="malformed trace record"):
         record_from_dict(d)
 
@@ -109,12 +105,13 @@ def test_read_rejects_unknown_format_version(tmp_path):
     trace = run_episode(sc, RandomPolicy(), seed=1, length=2)
     lines = trace_to_lines(trace)
     head = json.loads(lines[0])
-    head["format_version"] = 99
-    lines[0] = json.dumps(head)
     path = tmp_path / "t.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InputError):
-        read_trace(str(path))
+    for version in (1, 99):  # 1: records that still carry the horizon map
+        head["format_version"] = version
+        lines[0] = json.dumps(head)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=f"format_version {version}"):
+            read_trace(str(path))
 
 
 def test_write_replaces_existing_file_atomically(tmp_path):

@@ -5,9 +5,13 @@ that shifts trace bits in every run alike passes replay.  The repair-run
 hashes were recorded before the lagged-feature kernel replaced
 per-candidate rollouts in reflect; the fit-only hashes before the RNG
 streams were addressed by counter, the model digest was kept while the
-model is unchanged and lags were looked up by position.  A speed change
-must leave them alone.  If they ever need to move, the trace format
-moved: bump ``TRACE_FORMAT_VERSION`` and say so in CHANGES.md.
+model is unchanged and lags were looked up by position.  All five were
+re-pinned once, for format 2, which drops the per-tick horizon map
+(``predicted``) from every record: the format-1 bytes of each episode,
+with that key deleted and the header's ``format_version`` set to 2, are
+exactly the format-2 bytes.  A speed change must leave them alone.  If
+they ever need to move, the trace format moved: bump
+``TRACE_FORMAT_VERSION`` and say so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -53,16 +57,16 @@ def _wide4() -> ScenarioConfig:
 
 
 PINNED = {
-    "break_demo": (240, "330de7f4963c2e678a33bc1cfb262af5347688141e7b9e9890057e19a1191d8f"),
-    "productivity": (160, "f41fef5c9475d6bfa515f93c96b083e5985caba9c30ba5709b448239e147f42c"),
-    "wide4": (60, "be02bbf50dc65aedb6259942babeed50b7210cf30079cc3717550e77c38fd26e"),
+    "break_demo": (240, "54d8017d7b31aae544faef90d609ee52046817a21f8e1d5316af3ccdfa57b17a"),
+    "productivity": (160, "82f22f3a1e0157f91201a95605d50e2f868796fa81fbbc342a07ec4b3f8a4f6b"),
+    "wide4": (60, "7e409ebfe311b3d97cfa85bb685844360fcd43610df97b05a9ee3e13e1b61ed9"),
 }
 
 # Fit-only (``reflect_enabled=False``): the model changes only at applied
 # scheduled fits, so most ticks reuse the previous tick's digest.
 PINNED_FIT_ONLY = {
-    "break_demo": (300, "655d37153f4b58176aa5b518470818fc86b994693ff3a800a82dbd4a305a55b5"),
-    "wide4": (120, "b398786257d3cad4eebc750a9893b2d2aeba1fd663414e2afbea111b4e074a24"),
+    "break_demo": (300, "d43d7ebe31bb585301e29639b02d2236dc83b168dc498e01f7499d3e8f8912c3"),
+    "wide4": (120, "82516031fdd2106a2520aecd76fe31b27ecb128f98cb0f75e31546873088f730"),
 }
 
 
@@ -71,7 +75,7 @@ def _scenario(name: str) -> ScenarioConfig:
 
 
 def test_format_version_is_pinned():
-    assert TRACE_FORMAT_VERSION == 1
+    assert TRACE_FORMAT_VERSION == 2
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
