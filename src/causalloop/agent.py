@@ -41,12 +41,11 @@ from .model import (
     model_digest,
     model_snapshot,
     predict_next,
-    _LagFeatures,
 )
 # Not called here: perfbench/bench_layers.py wraps agent.predict and
 # agent.rollout, so both names stay importable from this module.
 from .model import predict, rollout  # noqa: F401
-from .reflect import ReflectSettings, detect_mismatch, reflect
+from .reflect import ReflectSettings, detect_mismatch, reflect, _Baseline
 from .scenario import ScenarioConfig, scenario_digest
 from .trace import EpisodeTrace, TraceHeader, TraceRecord, record_to_dict, report_to_dict
 from .world import world_init, world_step
@@ -129,14 +128,17 @@ def policy_to_dict(policy: Policy) -> dict[str, Any]:
 
 def policy_from_dict(d: dict[str, Any]) -> Policy:
     kind = d.get("kind")
-    if kind == "random":
-        return RandomPolicy(low=float(d["low"]), high=float(d["high"]))
-    if kind == "cyclic":
-        return CyclicPolicy(vectors=tuple(tuple(float(x) for x in v) for v in d["vectors"]))
-    if kind == "probe":
-        return ProbePolicy(magnitude=float(d["magnitude"]))
-    if kind == "scripted":
-        return ScriptedPolicy(actions=tuple(tuple(float(x) for x in v) for v in d["actions"]))
+    try:
+        if kind == "random":
+            return RandomPolicy(low=float(d["low"]), high=float(d["high"]))
+        if kind == "cyclic":
+            return CyclicPolicy(vectors=tuple(tuple(float(x) for x in v) for v in d["vectors"]))
+        if kind == "probe":
+            return ProbePolicy(magnitude=float(d["magnitude"]))
+        if kind == "scripted":
+            return ScriptedPolicy(actions=tuple(tuple(float(x) for x in v) for v in d["actions"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {kind} policy: {exc!r}") from exc
     raise ConfigError(f"unknown policy kind {kind!r}")
 
 
@@ -158,25 +160,9 @@ def initial_model(sc: ScenarioConfig) -> CausalModel:
 
 def _fit_improves(current: CausalModel, fitted: CausalModel, holdout_size: int) -> bool:
     """Keep a scheduled fit only if it does not predict the recent holdout
-    worse than the model it would replace."""
-    # The two graphs share every (source, delay, form) column, so one
-    # kernel serves both; sq / d is each row's loss epsilon to the bit.
-    lags = _LagFeatures(current.history, current.history[-holdout_size:])
-    d = current.graph.d_state
-    sq_new = sq_old = 0.0
-    n = 0
-    for sn, so in zip(
-        lags.sq_errors(fitted.graph, fitted.delta_hat),
-        lags.sq_errors(current.graph, current.delta_hat),
-    ):
-        if sn is None or so is None:
-            continue
-        sq_new += sn / d
-        sq_old += so / d
-        n += 1
-    if n == 0:
-        return True
-    return sq_new <= sq_old
+    worse than the model it would replace, or no holdout row is predictable."""
+    mses = _Baseline.over(current, current.history[-holdout_size:]).mse(fitted)
+    return mses is None or mses[1] <= mses[0]
 
 
 def run_episode(

@@ -82,7 +82,7 @@ def graphs_per_tick(trace: EpisodeTrace) -> list[CausalGraph]:
     current: CausalGraph | None = None
     for r in trace.records:
         if r.model_snapshot is not None:
-            current = graph_from_dict(r.model_snapshot["graph"])
+            current = graph_from_dict(r.model_snapshot.get("graph"))
         if current is None:
             raise InputError(f"trace record at tick {r.tick} precedes any model snapshot")
         graphs.append(current)

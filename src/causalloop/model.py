@@ -6,24 +6,30 @@ predict what the *next observation* will be inside an episode it resolves
 each edge's source value at the lagged cause tick from recorded history,
 exactly as the world's delayed-effect queue would.  With the true graph,
 delta_hat = 0 and no noise, those one-step predictions reproduce the world
-bit for bit -- the oracle-equivalence tests lean on that.
+up to rounding (the world adds each landing effect to the state in queue
+order, the model sums a target's effects first) -- the oracle-equivalence
+tests lean on that, at 1e-9.
 
-Teacher-forced prediction over recorded rows goes through one
+Every lag-resolved prediction follows one rule: each target's change
+accumulates from 0.0 in graph edge order, each term computed as
+``coefficient * feature * scale``, left to right, and the change is then
+added to the recorded state once.  ``predict_next`` applies it to the live
+tick; teacher-forced prediction over recorded rows applies it through one
 lagged-feature kernel, ``_LagFeatures``, built for a fixed (history, rows)
 pair: it caches each (source, delay, form) feature column over the rows
 and predicts any (graph, delta_hat) from those columns, strict or
-lenient.  ``rollout``, ``fit`` and the repair loop's scoring and testing
-all read it.  It and ``predict_next`` find each lagged tick by its place
-from the end of the history, checked against the tick, through one
-helper, ``_TickIndex``; only a history that is not one run of consecutive
-ticks builds a full tick map.
+lenient.  ``rollout``, ``fit``, the scheduled fit's holdout gate and the
+repair loop's residuals, scoring and testing all read it, so the
+mismatch a record states is the one reflect acts on, to the bit.  The
+kernel and ``predict_next`` find each lagged tick by its place from the
+end of the history, checked against the tick, through one helper,
+``_TickIndex``; only a history that is not one run of consecutive ticks
+builds a full tick map.
 
-The kernel keeps the bits of the per-row loop it replaced, because traces
-record scores and replays compare them exactly:
+Traces record predictions and scores and replays compare them exactly, so
+the arithmetic is fixed:
 
-* each target's change accumulates from 0.0 in graph edge order, each
-  term computed as ``coefficient * feature * scale``, left to right, and
-  the change is then added to the recorded state;
+* the rule above, in that order;
 * squared errors stay Python ``(o - p) ** 2`` summed with ``sum`` in
   dimension order.  Python's ``**`` calls the C library's ``pow``, which
   is not always correctly rounded, while numpy's ``x * x``, ``x ** 2`` and
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -53,6 +60,7 @@ from .core import (
     CausalTuple,
     DegenerateDataError,
     DimensionError,
+    InputError,
     NotEnoughDataError,
     NotIdentifiableError,
     Perturbation,
@@ -205,7 +213,11 @@ def _source_at(ticks: _TickIndex, ref: VarRef, tick: int) -> float | None:
 
 
 def predict_next(m: CausalModel, current: CausalTuple) -> StateVec:
-    """One-step-ahead prediction for the live loop.
+    """One-step-ahead prediction for the live loop, by the kernel's rule:
+    each target's change accumulates from 0.0 in graph edge order as
+    ``coefficient * feature * scale`` and is added to ``current``'s state
+    once, so it equals :class:`_LagFeatures`'s lenient prediction of the
+    same row to the bit.
 
     Each lag is read at its place from the end of the history after a
     check of its tick; only a history that is not one run of consecutive
@@ -216,13 +228,12 @@ def predict_next(m: CausalModel, current: CausalTuple) -> StateVec:
     """
     ticks = _TickIndex(m.history, current)
     scale = math.exp(-m.delta_hat)
-    values = list(current.state.values)
+    change = [0.0] * m.graph.d_state
     for e in m.graph.edges:
         v = _source_at(ticks, e.source, current.time.tick + 1 - e.delay)
-        if v is None:
-            continue
-        values[e.target] += e.coefficient * e.form.apply(v) * scale
-    return StateVec(tuple(values))
+        if v is not None:
+            change[e.target] += e.coefficient * e.form.apply(v) * scale
+    return StateVec(tuple(map(operator.add, current.state.values, change)))
 
 
 class _Target:
@@ -298,6 +309,16 @@ class _LagFeatures:
             x_rows.append(feats)
             y_rows.append(tr.observed[target] - tr.tuple.state[target])
         return x_rows, y_rows
+
+    def residuals(
+        self, edges: list[CausalEdge], target: int, scale: float, lo: int
+    ) -> list[float | None]:
+        """Per row from ``lo``, ``target``'s observed value minus its strict
+        prediction from ``edges`` alone, memoised as any target's is; None
+        where a lag of one of those edges is unrecorded."""
+        t = self._target(target, edges, scale, False)
+        obs = self._observed
+        return [None if i in t.dead else obs[i][target] - t.pred[i] for i in range(lo, len(self.rows))]
 
     def _edge_column(self, e: CausalEdge) -> tuple[list[float | None], bool, tuple[int, float]]:
         """The edge's column, its gap flag and its part of a target's memo key."""
@@ -521,14 +542,17 @@ def model_snapshot(m: CausalModel) -> dict:
 def model_from_snapshot(snap: dict) -> CausalModel:
     from .scenario import graph_from_dict
 
-    return CausalModel(
-        graph=graph_from_dict(snap["graph"]),
-        delta_hat=float(snap["delta_hat"]),
-        fit_window=int(snap["fit_window"]),
-        sigma_lik=float(snap["sigma_lik"]),
-        capacity=int(snap["capacity"]),
-        delta_max=float(snap["delta_max"]),
-    )
+    try:
+        return CausalModel(
+            graph=graph_from_dict(snap["graph"]),
+            delta_hat=float(snap["delta_hat"]),
+            fit_window=int(snap["fit_window"]),
+            sigma_lik=float(snap["sigma_lik"]),
+            capacity=int(snap["capacity"]),
+            delta_max=float(snap["delta_max"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed model snapshot: {exc!r}") from exc
 
 
 def model_digest(m: CausalModel) -> str:

@@ -22,10 +22,12 @@ over the model's ``fit_window`` window.  The working model's predictions
 and per-row squared errors are computed once and shared by every
 ``score_hypothesis`` and ``test_hypothesis`` call; a candidate's own
 predictions reuse each target dimension its edit leaves alone.
-``anomalous_suffix`` and the residual fits read the same columns.  After an
-acceptance only the baseline is recomputed, and the kernel is rebuilt only
-when an accepted StructuralBreak has replaced the history.  Every score and
-holdout MSE is bit-identical to rolling each candidate out afresh.
+``anomalous_suffix`` reads the working model's errors, and a residual fit
+the observations minus the kernel's prediction from the other edges.
+After an acceptance only the baseline is recomputed, and the kernel is
+rebuilt only when an accepted StructuralBreak has replaced the history.
+Every score and holdout MSE is bit-identical to rolling each candidate out
+afresh.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .model import (
     _LagFeatures,
     _least_squares,
 )
-from .world import CausalEdge, Form, SourceKind, VarRef
+from .world import CausalEdge, Form, VarRef
 
 # Fraction of tau below which a row counts as "explained" when delimiting
 # the anomalous suffix.
@@ -222,6 +224,20 @@ class _Baseline:
     def over(m: CausalModel, rows: Sequence[Transition]) -> _Baseline:
         return _Baseline(m, _LagFeatures(m.history, rows))
 
+    def mse(self, other: CausalModel) -> tuple[float, float] | None:
+        """Mean loss epsilon of this model and of ``other`` over the rows
+        both predict; None when there are none."""
+        sq_os = self.lags.sq_errors(other.graph, other.delta_hat, self.lo, self.hi)
+        sq_m = sq_o = 0.0
+        n = 0
+        for row_m, row_o in zip(self.sq, sq_os):
+            if row_m is None or row_o is None:
+                continue
+            sq_m += row_m / self.d
+            sq_o += row_o / self.d
+            n += 1
+        return None if n == 0 else (sq_m / n, sq_o / n)
+
 
 def anomalous_suffix(m: CausalModel, floor: float, base: _Baseline | None = None) -> int:
     """Length of the maximal trailing run of history rows with error > floor.
@@ -242,27 +258,11 @@ def anomalous_suffix(m: CausalModel, floor: float, base: _Baseline | None = None
 def _residuals(
     m: CausalModel, lags: _LagFeatures, lo: int, target: int, exclude_edge: int | None
 ) -> list[float | None]:
-    """The target's observed change minus every modeled edge's term except
-    ``exclude_edge``'s, for each kernel row from ``lo``; None where one of
-    those edges' lags is unrecorded."""
-    scale = math.exp(-m.delta_hat)
-    others = [
-        (e.coefficient, lags.column(e.source, e.delay, e.form)[0])
-        for i, e in enumerate(m.graph.edges)
-        if i != exclude_edge and e.target == target
-    ]
-    out: list[float | None] = []
-    for i in range(lo, len(lags.rows)):
-        tr = lags.rows[i]
-        resid = tr.observed[target] - tr.tuple.state[target]
-        for coef, col in others:
-            ev = col[i]
-            if ev is None:
-                resid = None
-                break
-            resid -= coef * ev * scale
-        out.append(resid)
-    return out
+    """The target's observed value minus its strict prediction from every
+    modeled edge but ``exclude_edge``, for each kernel row from ``lo``; None
+    where one of those edges' lags is unrecorded."""
+    others = [e for i, e in enumerate(m.graph.edges) if i != exclude_edge and e.target == target]
+    return lags.residuals(others, target, math.exp(-m.delta_hat), lo)
 
 
 def _residual_fit(
@@ -433,22 +433,10 @@ def test_hypothesis(
         raise NotEnoughDataError("empty holdout")
     if base is None:
         base = _Baseline.over(m, holdout)
-    applied = apply_hypothesis(m, h)
-    sq_hs = base.lags.sq_errors(applied.graph, applied.delta_hat, base.lo, base.hi)
-    d = base.d
-    sq_m = 0.0
-    sq_h = 0.0
-    n = 0
-    for row_m, row_h in zip(base.sq, sq_hs):
-        if row_m is None or row_h is None:
-            continue
-        sq_m += row_m / d
-        sq_h += row_h / d
-        n += 1
-    if n == 0:
+    mses = base.mse(apply_hypothesis(m, h))
+    if mses is None:
         raise NotEnoughDataError("no predictable holdout rows")
-    mse_m = sq_m / n
-    mse_h = sq_h / n
+    mse_m, mse_h = mses
     return mse_h <= (1.0 - rho) * mse_m, mse_m, mse_h
 
 
@@ -587,26 +575,3 @@ def hypothesis_to_dict(h: Hypothesis) -> dict[str, Any]:
             "coefficient": h.coefficient,
         }
     return {"kind": "structural_break", "keep": h.keep}
-
-
-def hypothesis_from_dict(d: dict[str, Any]) -> Hypothesis:
-    kind = d.get("kind")
-    if kind == "delta_shift":
-        return DeltaShift(float(d["new_delta"]))
-    if kind == "coef_change":
-        return CoefChange(int(d["edge_index"]), float(d["new_coefficient"]))
-    if kind == "delay_change":
-        return DelayChange(int(d["edge_index"]), int(d["new_delay"]))
-    if kind == "edge_remove":
-        return EdgeRemove(int(d["edge_index"]))
-    if kind == "edge_add":
-        return EdgeAdd(
-            source=VarRef(SourceKind(d["source"]["kind"]), int(d["source"]["index"])),
-            target=int(d["target"]),
-            delay=int(d["delay"]),
-            form=Form(d["form"]),
-            coefficient=float(d["coefficient"]),
-        )
-    if kind == "structural_break":
-        return StructuralBreak(int(d["keep"]))
-    raise ValueError(f"unknown hypothesis kind {kind!r}")

@@ -20,6 +20,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
+from types import NoneType
 from typing import Any
 
 from .core import ConfigError, InputError, DELTA_MAX
@@ -181,7 +182,7 @@ def graph_from_dict(d: dict[str, Any]) -> CausalGraph:
             d_action=int(d["d_action"]),
             edges=tuple(edge_from_dict(e) for e in d["edges"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph record: {exc}") from exc
 
 
@@ -204,25 +205,36 @@ def perturbation_from_dict(d: dict[str, Any]) -> PerturbationProcess:
     raise InputError(f"unknown perturbation kind {kind!r}")
 
 
-_SCALAR_FIELDS = (
-    "name",
-    "d_state",
-    "d_action",
-    "perturbation_label",
-    "noise_sigma",
-    "tick_label",
-    "tau",
-    "fit_window",
-    "history_capacity",
-    "holdout",
-    "budget",
-    "max_accepts",
-    "fit_every",
-    "sigma_lik",
-    "rho",
-    "k_max",
-    "delta_max",
-)
+# Each scalar field and the JSON types it may hold (null: derive tau on load).
+_SCALAR_FIELDS: dict[str, tuple[type, ...]] = {
+    "name": (str,),
+    "d_state": (int,),
+    "d_action": (int,),
+    "perturbation_label": (str,),
+    "noise_sigma": (int, float),
+    "tick_label": (str,),
+    "tau": (int, float, NoneType),
+    "fit_window": (int,),
+    "history_capacity": (int,),
+    "holdout": (int,),
+    "budget": (int,),
+    "max_accepts": (int,),
+    "fit_every": (int,),
+    "sigma_lik": (int, float),
+    "rho": (int, float),
+    "k_max": (int,),
+    "delta_max": (int, float),
+}
+
+
+def json_typed(v: Any, *types: type, name: str = "value") -> Any:
+    """``v`` if JSON gave it one of ``types`` exactly, and finite if a
+    float; TypeError otherwise.  So ``true`` is no int, nor is ``2.5`` or
+    ``1e300``, and the ``NaN`` Python's parser accepts is no number."""
+    if type(v) not in types or (type(v) is float and not math.isfinite(v)):
+        want = " or ".join("finite float" if t is float else t.__name__ for t in types)
+        raise TypeError(f"{name} is {v!r} of type {type(v).__name__}, expected {want}")
+    return v
 
 
 def scenario_to_dict(sc: ScenarioConfig) -> dict[str, Any]:
@@ -262,22 +274,27 @@ def scenario_from_dict(d: dict[str, Any]) -> ScenarioConfig:
     version = d.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise InputError(f"unsupported scenario format_version {version!r}")
-    kwargs: dict[str, Any] = {k: d[k] for k in _SCALAR_FIELDS if k in d}
-    kwargs["initial_state"] = tuple(float(v) for v in d["initial_state"])
-    kwargs["graph"] = graph_from_dict(d["graph"])
-    kwargs["breaks"] = tuple(
-        ScheduledBreak(at_tick=int(b["at_tick"]), graph=graph_from_dict(b["graph"]))
-        for b in d.get("breaks", [])
-    )
-    if "perturbation" in d:
-        kwargs["perturbation"] = perturbation_from_dict(d["perturbation"])
-    if d.get("agent_graph") is not None:
-        kwargs["agent_graph"] = graph_from_dict(d["agent_graph"])
     try:
-        sc = ScenarioConfig(**kwargs)
-    except (TypeError, ValueError, ConfigError) as exc:
+        kwargs = {k: json_typed(d[k], *t, name=k) for k, t in _SCALAR_FIELDS.items() if k in d}
+        kwargs["initial_state"] = [
+            json_typed(v, int, float, name="initial_state element")
+            for v in json_typed(d["initial_state"], list, name="initial_state")
+        ]
+        kwargs["graph"] = graph_from_dict(d["graph"])
+        kwargs["breaks"] = [
+            ScheduledBreak(json_typed(b["at_tick"], int, name="at_tick"), graph_from_dict(b["graph"]))
+            for b in json_typed(d.get("breaks", []), list, name="breaks")
+        ]
+        if "perturbation" in d:
+            perturbation = json_typed(d["perturbation"], dict, name="perturbation")
+            kwargs["perturbation"] = perturbation_from_dict(perturbation)
+        if d.get("agent_graph") is not None:
+            kwargs["agent_graph"] = graph_from_dict(d["agent_graph"])
+    except KeyError as exc:
+        raise InputError(f"invalid scenario: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise InputError(f"invalid scenario: {exc}") from exc
-    return sc.materialized()
+    return ScenarioConfig(**kwargs).materialized()
 
 
 def canonical_json(obj: Any) -> str:

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import NoneType
 from typing import Any
 
 from .core import ActionVec, InputError, StateVec
 from .reflect import ReflectReport, hypothesis_to_dict
 from .rng import GENERATOR_NAME, SCHEME_VERSION
-from .scenario import atomic_write_text
+from .scenario import atomic_write_text, json_typed
 
-TRACE_FORMAT_VERSION = 2
+TRACE_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -105,23 +106,27 @@ def header_to_dict(h: TraceHeader) -> dict[str, Any]:
     }
 
 
-def header_from_dict(d: dict[str, Any]) -> TraceHeader:
+def header_from_dict(d: Any) -> TraceHeader:
+    if type(d) is not dict:
+        raise InputError(f"first trace line is a JSON {type(d).__name__}, not a header object")
     try:
         if d["kind"] != "header":
             raise InputError(f"first trace line has kind {d['kind']!r}, expected 'header'")
         return TraceHeader(
-            scenario_digest=str(d["scenario_digest"]),
-            scenario_name=str(d["scenario_name"]),
-            seed=int(d["seed"]),
-            length=int(d["length"]),
-            policy=dict(d["policy"]),
-            reflect_enabled=bool(d["reflect_enabled"]),
-            artifact_version=str(d["artifact_version"]),
-            format_version=int(d["format_version"]),
-            generator=dict(d["generator"]),
+            scenario_digest=json_typed(d["scenario_digest"], str, name="scenario_digest"),
+            scenario_name=json_typed(d["scenario_name"], str, name="scenario_name"),
+            seed=json_typed(d["seed"], int, name="seed"),
+            length=json_typed(d["length"], int, name="length"),
+            policy=json_typed(d["policy"], dict, name="policy"),
+            reflect_enabled=json_typed(d["reflect_enabled"], bool, name="reflect_enabled"),
+            artifact_version=json_typed(d["artifact_version"], str, name="artifact_version"),
+            format_version=json_typed(d["format_version"], int, name="format_version"),
+            generator=json_typed(d["generator"], dict, name="generator"),
         )
     except KeyError as exc:
         raise InputError(f"trace header missing key {exc}") from exc
+    except TypeError as exc:
+        raise InputError(f"malformed trace header: {exc}") from exc
 
 
 def record_to_dict(r: TraceRecord) -> dict[str, Any]:
@@ -170,10 +175,10 @@ def record_from_dict(d: dict[str, Any]) -> TraceRecord:
             observed=StateVec(_vector(d["observed"])),
             epsilon=float(d["epsilon"]),
             per_dim=tuple(float(v) for v in _vector(d["per_dim"])),
-            reflect=d["reflect"],
+            reflect=json_typed(d["reflect"], dict, NoneType, name="reflect"),
             fit_event=d["fit_event"],
             model_digest=str(d["model_digest"]),
-            model_snapshot=d["model_snapshot"],
+            model_snapshot=json_typed(d["model_snapshot"], dict, NoneType, name="model_snapshot"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace record: {exc}") from exc

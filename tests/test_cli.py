@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +107,57 @@ def test_explain_truncated_reflect_block_is_data_error(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert main(["explain", str(path), "--tick", "1"]) == 2
     assert "error: tick 1: reflect block cannot be summarized" in capsys.readouterr().err
+
+
+# (line, fields set on it or None for the line ``[]``, commands that read them)
+READ_ALL = ("evaluate", "replay", "explain")
+MALFORMED_TRACES = {
+    "header-seed-string": (0, {"seed": "x"}, READ_ALL),
+    "header-length-null": (0, {"length": None}, READ_ALL),
+    "header-policy-number": (0, {"policy": 5}, READ_ALL),
+    "header-policy-fields": (0, {"policy": {"kind": "random"}}, ("replay",)),
+    "header-not-object": (0, None, READ_ALL),
+    "record-reflect-number": (2, {"reflect": 5}, READ_ALL),
+    "record-snapshot-number": (1, {"model_snapshot": 5}, READ_ALL),
+    "record-snapshot-empty": (1, {"model_snapshot": {}}, READ_ALL),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
+def test_malformed_trace_is_data_error(case, tmp_path, capsys):
+    line, fields, commands = MALFORMED_TRACES[case]
+    path = run_trace(tmp_path, length=6)
+    lines = path.read_text().strip().split("\n")
+    lines[line] = "[]" if fields is None else json.dumps({**json.loads(lines[line]), **fields})
+    path.write_text("\n".join(lines) + "\n")
+    argv = {
+        "evaluate": ["evaluate", str(path), "calm"],
+        "replay": ["replay", str(path), "calm"],
+        "explain": ["explain", str(path), "--tick", "2"],
+    }
+    for command in commands:
+        assert main(argv[command]) == 2, command
+        assert capsys.readouterr().err.startswith(("error:", "replay failed:"))
+
+
+CALM_FILE = Path(__file__).parents[1] / "scenarios" / "calm.json"
+MALFORMED_SCENARIOS = {
+    "d_state-string": {"d_state": "1"},
+    "holdout-float": {"holdout": 2.5},
+    "tau-string": {"tau": "x"},
+    "initial_state-string-element": {"initial_state": ["a", 0.0]},
+    "break-without-at_tick": {"breaks": [{"graph": json.loads(CALM_FILE.read_text())["graph"]}]},
+    "budget-bool": {"budget": True},
+    "fit_every-huge-float": {"fit_every": 1e300},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenario_is_data_error(case, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**json.loads(CALM_FILE.read_text()), **MALFORMED_SCENARIOS[case]}))
+    assert main(["run", str(path), "--seed", "0", "--length", "3"]) == 2
+    assert "error: invalid scenario" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["causalloop", "causalloop.cli"])

@@ -1,15 +1,19 @@
 """The lagged-feature kernel against plain per-row reference loops, bit for bit.
 
 The references below resolve every lag afresh for every row from a full
-tick map, the way rollout, scoring, testing and ``predict_next`` worked
-before one kernel served a whole reflect trigger and lags were looked up
-by position.  Results are compared as ``float.hex`` strings, so a sign of
-zero or a last-place difference counts.
+tick map, the way rollout, scoring and testing worked before one kernel
+served a whole reflect trigger and lags were looked up by position.
+``predict_next`` is held to ``reference_rollout``'s lenient arithmetic, the
+one prediction rule, and reflect's residuals and the holdout MSE shared by
+``test_hypothesis`` and the fit gate to the same references.  Results are
+compared as ``float.hex`` strings, so a sign of zero or a last-place
+difference counts.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,13 +21,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalloop.core import ActionVec, CausalTuple, StateVec, TimeIndex, Transition, loss
-from causalloop.model import CausalModel, _TickIndex, append_history, predict_next, rollout
+from causalloop.agent import _fit_improves
+from causalloop.model import (
+    CausalModel,
+    _LagFeatures,
+    _TickIndex,
+    append_history,
+    predict_next,
+    rollout,
+)
 from causalloop.reflect import (
     ReflectSettings,
     StructuralBreak,
     apply_hypothesis,
     reflect,
     score_hypothesis,
+    _Baseline,
+    _residuals,
 )
 from causalloop.reflect import test_hypothesis as holdout_test
 from causalloop.world import SourceKind
@@ -72,25 +86,42 @@ def reference_score(m, h, window):
     return total
 
 
-def reference_test(m, h, holdout, rho):
-    applied = apply_hypothesis(m, h)
-    preds_h = reference_rollout(applied.graph, applied.delta_hat, m.history, holdout)
+def reference_mse(m, other, holdout):
+    preds_o = reference_rollout(other.graph, other.delta_hat, m.history, holdout)
     preds_m = reference_rollout(m.graph, m.delta_hat, m.history, holdout)
-    sq_m = sq_h = 0.0
+    sq_m = sq_o = 0.0
     n = 0
-    for tr, ph, pm in zip(holdout, preds_h, preds_m):
-        if ph is None or pm is None:
+    for tr, po, pm in zip(holdout, preds_o, preds_m):
+        if po is None or pm is None:
             continue
         sq_m += loss(pm, tr.observed).epsilon
-        sq_h += loss(ph, tr.observed).epsilon
+        sq_o += loss(po, tr.observed).epsilon
         n += 1
     if n == 0:
         return None
-    return sq_m / n, sq_h / n
+    return sq_m / n, sq_o / n
+
+
+def reference_test(m, h, holdout, rho):
+    return reference_mse(m, apply_hypothesis(m, h), holdout)
+
+
+def reference_residuals(m, rows, target, exclude_edge):
+    """Observed minus the strict reference prediction from the target's
+    other edges."""
+    others = tuple(
+        e for i, e in enumerate(m.graph.edges) if i != exclude_edge and e.target == target
+    )
+    preds = reference_rollout(replace(m.graph, edges=others), m.delta_hat, m.history, rows)
+    return [None if p is None else tr.observed[target] - p[target] for tr, p in zip(rows, preds)]
 
 
 def bits(preds):
-    return [None if p is None else [v.hex() for v in p.values] for p in preds]
+    return [None if p is None else hexes(p.values) for p in preds]
+
+
+def hexes(values):
+    return [None if v is None else v.hex() for v in values]
 
 
 def transitions(rng, d_state, d_action, ticks):
@@ -164,24 +195,6 @@ def test_reflect_scores_and_tests_match_reference(seed):
         assert (mse_m.hex(), mse_h.hex()) == (expected[0].hex(), expected[1].hex())
 
 
-def reference_predict_next(m, current):
-    by_tick = {tr.tuple.time.tick: tr.tuple for tr in m.history}
-    by_tick[current.time.tick] = current
-    scale = math.exp(-m.delta_hat)
-    values = list(current.state.values)
-    for e in m.graph.edges:
-        tick = current.time.tick + 1 - e.delay
-        if tick < 0:
-            v = 0.0
-        elif tick in by_tick:
-            tup = by_tick[tick]
-            v = (tup.action if e.source.kind is SourceKind.ACTION else tup.state)[e.source.index]
-        else:
-            continue
-        values[e.target] += e.coefficient * e.form.apply(v) * scale
-    return StateVec(tuple(values))
-
-
 HISTORY_KINDS = ("contiguous", "flushed", "gapped", "duplicate", "unordered")
 
 
@@ -220,8 +233,11 @@ def test_predict_next_matches_tick_map_reference(seed, kind, offset):
     now = max(0, m.history[-1].tuple.time.tick + 1 + offset)
     current = transitions(rng, g.d_state, g.d_action, [now])[0].tuple
     got = predict_next(m, current)
-    expected = reference_predict_next(m, current)
-    assert [v.hex() for v in got.values] == [v.hex() for v in expected.values]
+    # The live loop's rule is the kernel's lenient one: the current tuple
+    # is the row, and the last entry of a history, so it wins its tick.
+    row = Transition(current, 1, current.state)
+    expected = reference_rollout(g, m.delta_hat, m.history + (row,), [row], lenient=True)
+    assert bits([got]) == bits(expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,3 +283,45 @@ def test_one_run_of_ticks_builds_no_tick_map(kind, monkeypatch):
         current = transitions(rng, m.graph.d_state, m.graph.d_action, [now])[0].tuple
         predict_next(m, current)
         rollout(m.graph, m.delta_hat, m.history, m.history, lenient=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(HISTORY_KINDS))
+def test_residuals_match_reference(seed, kind):
+    m, rng = odd_model(seed, kind)
+    rows = m.history[-m.fit_window :]
+    lo = int(rng.integers(0, len(rows)))
+    lags = _LagFeatures(m.history, rows)
+    _Baseline(m, lags)  # the working model's predictions, as reflect memoises them
+    memo = len(lags._targets)
+    for j in range(m.graph.d_state):
+        got = _residuals(m, lags, lo, j, None)
+        assert hexes(got) == hexes(reference_residuals(m, rows[lo:], j, None))
+    assert len(lags._targets) == memo  # excluding no edge is the working model
+    for j in range(m.graph.d_state):
+        for i, _ in m.graph.incoming(j):
+            got = _residuals(m, lags, lo, j, i)
+            assert hexes(got) == hexes(reference_residuals(m, rows[lo:], j, i))
+
+
+def rescaled(m, rng):
+    """``m`` with every coefficient and delta_hat moved, as a fit would."""
+    edges = tuple(replace(e, coefficient=e.coefficient * rng.uniform(0.5, 1.5)) for e in m.graph.edges)
+    delta_hat = float(rng.choice([0.0, m.delta_hat]))
+    return replace(m, graph=replace(m.graph, edges=edges), delta_hat=delta_hat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(HISTORY_KINDS), st.integers(1, 12))
+def test_holdout_mse_and_fit_gate_match_reference(seed, kind, size):
+    m, rng = odd_model(seed, kind)
+    other = rescaled(m, rng)
+    holdout = m.history[-size:]
+    expected = reference_mse(m, other, holdout)
+    got = _Baseline.over(m, holdout).mse(other)
+    if expected is None:
+        assert got is None
+        assert _fit_improves(m, other, size)
+        return
+    assert (got[0].hex(), got[1].hex()) == (expected[0].hex(), expected[1].hex())
+    assert _fit_improves(m, other, size) == (expected[1] <= expected[0])

@@ -35,8 +35,6 @@ from causalloop.reflect import (
     apply_hypothesis,
     detect_mismatch,
     generate_hypotheses,
-    hypothesis_from_dict,
-    hypothesis_to_dict,
     reflect,
     score_hypothesis,
 )
@@ -376,24 +374,3 @@ def test_candidates_are_rank_ordered():
     report = reflect(m, last, tau=0.5)
     scores = [hs.score for hs in report.candidates]
     assert scores == sorted(scores, reverse=True)
-
-
-# ---- serialization --------------------------------------------------------
-
-
-def test_hypothesis_dict_round_trip():
-    cases = [
-        DeltaShift(0.25),
-        CoefChange(1, -2.5),
-        DelayChange(0, 4),
-        EdgeAdd(VarRef.action(1), 2, 1, Form.QUADRATIC, 0.9),
-        EdgeRemove(3),
-        StructuralBreak(keep=7),
-    ]
-    for h in cases:
-        assert hypothesis_from_dict(hypothesis_to_dict(h)) == h
-
-
-def test_hypothesis_dict_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        hypothesis_from_dict({"kind": "nope"})

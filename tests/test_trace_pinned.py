@@ -9,8 +9,15 @@ model is unchanged and lags were looked up by position.  All five were
 re-pinned once, for format 2, which drops the per-tick horizon map
 (``predicted``) from every record: the format-1 bytes of each episode,
 with that key deleted and the header's ``format_version`` set to 2, are
-exactly the format-2 bytes.  A speed change must leave them alone.  If
-they ever need to move, the trace format moved: bump
+exactly the format-2 bytes.  All five moved again for format 3, where
+``predict_next`` and the repair loop's residual fits sum edge effects by
+the kernel's rule (each target's change from 0.0, then added to the state
+once) instead of subtracting or adding each term on its own, so each
+reflect block's epsilon equals its record's.  Predictions, epsilons and
+residual-fit coefficients moved in the last bits; the fit-only
+``break_demo`` bytes moved only in the header's ``format_version``, as a
+target with one edge sums the same either way.  A speed change must leave
+them alone.  If they ever need to move, the trace format moved: bump
 ``TRACE_FORMAT_VERSION`` and say so in CHANGES.md.
 """
 
@@ -57,16 +64,16 @@ def _wide4() -> ScenarioConfig:
 
 
 PINNED = {
-    "break_demo": (240, "54d8017d7b31aae544faef90d609ee52046817a21f8e1d5316af3ccdfa57b17a"),
-    "productivity": (160, "82f22f3a1e0157f91201a95605d50e2f868796fa81fbbc342a07ec4b3f8a4f6b"),
-    "wide4": (60, "7e409ebfe311b3d97cfa85bb685844360fcd43610df97b05a9ee3e13e1b61ed9"),
+    "break_demo": (240, "38a0793273660a03cd55d42cdbac0e238c18f6e9eb0467a32c80530507b8dd0a"),
+    "productivity": (160, "8d561cfbccf402b216a4f89e35ad53cee1bb58f2a683738ec169ec9822a0f7f7"),
+    "wide4": (60, "cf972ec7c6e07e0c69ecf7ab613f1ab8863596fae552c4dadacc6d375edb5f52"),
 }
 
 # Fit-only (``reflect_enabled=False``): the model changes only at applied
 # scheduled fits, so most ticks reuse the previous tick's digest.
 PINNED_FIT_ONLY = {
-    "break_demo": (300, "d43d7ebe31bb585301e29639b02d2236dc83b168dc498e01f7499d3e8f8912c3"),
-    "wide4": (120, "82516031fdd2106a2520aecd76fe31b27ecb128f98cb0f75e31546873088f730"),
+    "break_demo": (300, "c977275bc80c0d60cfc6726ab388d22a973823b84ad12281d333a42c834432f1"),
+    "wide4": (120, "f4a040dd797f60b7eedfdcbc11c6c7d3775b14105e5c13db31d8c16be78abdb5"),
 }
 
 
@@ -75,7 +82,7 @@ def _scenario(name: str) -> ScenarioConfig:
 
 
 def test_format_version_is_pinned():
-    assert TRACE_FORMAT_VERSION == 2
+    assert TRACE_FORMAT_VERSION == 3
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -97,3 +104,14 @@ def test_fit_only_trace_bytes_match_pinned_hash(name, tmp_path):
     path = tmp_path / "t.jsonl"
     write_trace(trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+def test_reflect_epsilon_is_the_record_epsilon():
+    """The mismatch reflect acts on is the one the record states: both
+    predictions of the triggering tick sum by one rule."""
+    length, _ = PINNED["wide4"]
+    trace = run_episode(_wide4(), RandomPolicy(), SEED, length, reflect_enabled=True)
+    blocks = [r for r in trace.records if r.reflect is not None]
+    assert len(blocks) >= 10
+    for r in blocks:
+        assert r.reflect["epsilon"].hex() == r.epsilon.hex(), r.tick
