@@ -1,14 +1,14 @@
 """The closed loop: policy acts, model predicts, world answers, agent repairs.
 
-Each tick the agent forms a one-step prediction from its model and
-history, the world advances, and the squared error decides what happens
-next: above tau the repair loop (:func:`causalloop.reflect.reflect`) runs
-and may edit the model; at or below tau the delta estimate decays ten
-percent toward zero, so transient perturbation estimates do not outlive
+Each tick the agent forms a one-step prediction from its model and history,
+the world advances, and the squared error decides what happens next: above
+tau the repair loop (:func:`causalloop.reflect.reflect`) runs on that
+mismatch and may edit the model; at or below tau the delta estimate decays
+ten percent toward zero, so transient perturbation estimates do not outlive
 their evidence.  Every ``fit_every`` ticks a scheduled least-squares refit
-re-estimates coefficients -- but its result is discarded if it predicts
-the reserved recent holdout worse than the current model does, which keeps
-a window still contaminated by pre-break rows from undoing a repair.
+re-estimates coefficients -- but its result is discarded if it predicts the
+reserved recent holdout worse than the current model does, which keeps a
+window still contaminated by pre-break rows from undoing a repair.
 
 ``run_episode`` is a pure function of (scenario, policy, seed, length,
 reflect_enabled); replay re-runs it and demands bit-identical records.
@@ -46,7 +46,7 @@ from .model import (
 # agent.rollout, so both names stay importable from this module.
 from .model import predict, rollout  # noqa: F401
 from .reflect import ReflectSettings, detect_mismatch, reflect, _Baseline
-from .scenario import ScenarioConfig, scenario_digest
+from .scenario import ScenarioConfig, json_number, json_typed, scenario_digest
 from .trace import EpisodeTrace, TraceHeader, TraceRecord, record_to_dict, report_to_dict
 from .world import world_init, world_step
 
@@ -127,16 +127,22 @@ def policy_to_dict(policy: Policy) -> dict[str, Any]:
 
 
 def policy_from_dict(d: dict[str, Any]) -> Policy:
+    def vectors(key: str) -> tuple[tuple[float, ...], ...]:
+        return tuple(
+            tuple(json_number(x, name=f"{key} element") for x in json_typed(v, list, name=key))
+            for v in json_typed(d[key], list, name=key)
+        )
+
     kind = d.get("kind")
     try:
         if kind == "random":
-            return RandomPolicy(low=float(d["low"]), high=float(d["high"]))
+            return RandomPolicy(json_number(d["low"], name="low"), json_number(d["high"], name="high"))
         if kind == "cyclic":
-            return CyclicPolicy(vectors=tuple(tuple(float(x) for x in v) for v in d["vectors"]))
+            return CyclicPolicy(vectors=vectors("vectors"))
         if kind == "probe":
-            return ProbePolicy(magnitude=float(d["magnitude"]))
+            return ProbePolicy(magnitude=json_number(d["magnitude"], name="magnitude"))
         if kind == "scripted":
-            return ScriptedPolicy(actions=tuple(tuple(float(x) for x in v) for v in d["actions"]))
+            return ScriptedPolicy(actions=vectors("actions"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {kind} policy: {exc!r}") from exc
     raise ConfigError(f"unknown policy kind {kind!r}")
@@ -205,7 +211,7 @@ def run_episode(
 
         report_dict: dict[str, Any] | None = None
         if reflect_enabled and detect_mismatch(err, tau):
-            report = reflect(m, tr, tau, settings)
+            report = reflect(m, tr, err, tau, settings)
             m = report.updated_model
             report_dict = report_to_dict(report)
         elif m.delta_hat != 0.0:

@@ -14,17 +14,18 @@ Every lag-resolved prediction follows one rule: each target's change
 accumulates from 0.0 in graph edge order, each term computed as
 ``coefficient * feature * scale``, left to right, and the change is then
 added to the recorded state once.  ``predict_next`` applies it to the live
-tick; teacher-forced prediction over recorded rows applies it through one
-lagged-feature kernel, ``_LagFeatures``, built for a fixed (history, rows)
-pair: it caches each (source, delay, form) feature column over the rows
-and predicts any (graph, delta_hat) from those columns, strict or
-lenient.  ``rollout``, ``fit``, the scheduled fit's holdout gate and the
-repair loop's residuals, scoring and testing all read it, so the
-mismatch a record states is the one reflect acts on, to the bit.  The
-kernel and ``predict_next`` find each lagged tick by its place from the
-end of the history, checked against the tick, through one helper,
-``_TickIndex``; only a history that is not one run of consecutive ticks
-builds a full tick map.
+tick and is the one lenient prediction: a lag that is unrecorded drops its
+term.  Teacher-forced prediction over recorded rows applies it through one
+strict lagged-feature kernel, ``_LagFeatures``, built for a fixed
+(history, rows) pair: it caches each (source, delay, form) feature column
+over the rows and predicts any (graph, delta_hat) from those columns,
+leaving out a row with an unrecorded lag.  ``rollout``, ``fit``, the
+scheduled fit's holdout gate and the repair loop's residuals, scoring and
+testing all read it; reflect acts on the mismatch the live loop measured
+with ``predict_next``.  The kernel and ``predict_next`` find each lagged
+tick by its place from the end of the history, checked against the tick,
+through one helper, ``_TickIndex``; only a history that is not one run of
+consecutive ticks builds a full tick map.
 
 Traces record predictions and scores and replays compare them exactly, so
 the arithmetic is fixed:
@@ -68,7 +69,7 @@ from .core import (
     Transition,
     DELTA_MAX,
 )
-from .scenario import canonical_json, graph_to_dict
+from .scenario import canonical_json, graph_from_dict, graph_to_dict, json_number, json_typed
 from .world import CausalEdge, CausalGraph, Form, SourceKind, VarRef
 
 
@@ -216,15 +217,12 @@ def predict_next(m: CausalModel, current: CausalTuple) -> StateVec:
     """One-step-ahead prediction for the live loop, by the kernel's rule:
     each target's change accumulates from 0.0 in graph edge order as
     ``coefficient * feature * scale`` and is added to ``current``'s state
-    once, so it equals :class:`_LagFeatures`'s lenient prediction of the
-    same row to the bit.
+    once.
 
-    Each lag is read at its place from the end of the history after a
-    check of its tick; only a history that is not one run of consecutive
-    ticks costs a full tick map (see :class:`_TickIndex`).  Missing lags
-    (possible right after a history flush) are treated as zero
-    contributions; the inaccuracy heals once enough fresh transitions
-    accumulate.
+    This is the one lenient rule: a missing lag (possible right after a
+    history flush) contributes zero, where the strict kernel leaves the
+    row out; the inaccuracy heals once fresh transitions accumulate.  Lags
+    are read by place from the end of the history (see :class:`_TickIndex`).
     """
     ticks = _TickIndex(m.history, current)
     scale = math.exp(-m.delta_hat)
@@ -253,7 +251,7 @@ class _Target:
 
 
 class _LagFeatures:
-    """Lagged-feature kernel for one fixed ``(history, rows)`` pair.
+    """Strict lagged-feature kernel for one fixed ``(history, rows)`` pair.
 
     Lags are resolved through one :class:`_TickIndex` over ``history``.
     ``column(source, delay, form)`` holds ``form.apply(v)`` for each row,
@@ -261,11 +259,13 @@ class _LagFeatures:
     before tick 0 and None where that tick is unrecorded.  Columns are computed on first use
     and cached, so any number of graphs -- a working model and every
     candidate edit of it -- are predicted from one set of lag lookups.
+    A prediction leaves out each row where a lag it needs is unrecorded;
+    only :func:`predict_next` drops the term instead.
 
-    Predictions are memoised per target dimension, keyed by the scale, the
-    mode and the (column, coefficient) of each incoming edge in order.  A
-    candidate that edits one target's edges therefore reuses every other
-    target's predictions and squared errors from the model it edits.
+    Predictions are memoised per target dimension, keyed by the scale and
+    the (column, coefficient) of each incoming edge in order.  A candidate
+    that edits one target's edges therefore reuses every other target's
+    predictions and squared errors from the model it edits.
     """
 
     def __init__(self, history: Sequence[Transition], rows: Sequence[Transition]) -> None:
@@ -316,7 +316,7 @@ class _LagFeatures:
         """Per row from ``lo``, ``target``'s observed value minus its strict
         prediction from ``edges`` alone, memoised as any target's is; None
         where a lag of one of those edges is unrecorded."""
-        t = self._target(target, edges, scale, False)
+        t = self._target(target, edges, scale)
         obs = self._observed
         return [None if i in t.dead else obs[i][target] - t.pred[i] for i in range(lo, len(self.rows))]
 
@@ -330,9 +330,9 @@ class _LagFeatures:
             hit = self._edge_columns[id(e)] = (e, (col, gaps, (id(col), e.coefficient)))
         return hit[1]
 
-    def _target(self, k: int, edges: list[CausalEdge], scale: float, lenient: bool) -> _Target:
+    def _target(self, k: int, edges: list[CausalEdge], scale: float) -> _Target:
         cols = [self._edge_column(e) for e in edges]
-        key = (k, scale, lenient, *[c[2] for c in cols])
+        key = (k, scale, *[c[2] for c in cols])
         hit = self._targets.get(key)
         if hit is not None:
             return hit
@@ -346,21 +346,23 @@ class _LagFeatures:
             for i, fv in enumerate(col):
                 if fv is not None:
                     acc[i] += c * fv * scale
-                elif not lenient:
+                else:
                     dead.add(i)
         pred = [s[k] + ch for s, ch in zip(self._states, acc)]
         hit = self._targets[key] = _Target(pred, dead)
         return hit
 
     def _predicted(
-        self, graph: CausalGraph, delta_hat: float, lenient: bool, lo: int, hi: int
+        self, graph: CausalGraph, delta_hat: float, lo: int, hi: int
     ) -> tuple[list[_Target], set[int]]:
-        """Every target of ``graph`` and the dead rows of ``[lo, hi)``."""
+        """Every target of ``graph`` and the dead rows of ``[lo, hi)``.  A
+        non-finite prediction on a live row raises :class:`DomainError` as
+        building a :class:`StateVec` from it would."""
         scale = math.exp(-delta_hat)
         groups: list[list[CausalEdge]] = [[] for _ in range(graph.d_state)]
         for e in graph.edges:
             groups[e.target].append(e)
-        targets = [self._target(k, g, scale, lenient) for k, g in enumerate(groups)]
+        targets = [self._target(k, g, scale) for k, g in enumerate(groups)]
         dead = {i for t in targets for i in t.dead if lo <= i < hi}
         if not all(t.finite for t in targets):
             for i in range(lo, hi):
@@ -368,40 +370,15 @@ class _LagFeatures:
                     StateVec(tuple(t.pred[i] for t in targets))  # raises if non-finite
         return targets, dead
 
-    def predict(
-        self,
-        graph: CausalGraph,
-        delta_hat: float,
-        lenient: bool = False,
-        lo: int = 0,
-        hi: int | None = None,
-    ) -> list[tuple[float, ...] | None]:
-        """Teacher-forced one-step predictions for rows ``[lo, hi)``.
-
-        Each target's change is accumulated from 0.0 in graph edge order,
-        each term as ``coefficient * feature * scale``, and added to the
-        row's recorded state -- the arithmetic of the per-row loop this
-        kernel replaced, so the result is bit-identical to it.  A row with
-        a gap in a needed lag is None, or drops that edge's term when
-        ``lenient``.  A non-finite prediction raises :class:`DomainError`
-        as building a :class:`StateVec` from it would.
-        """
-        hi = len(self.rows) if hi is None else hi
-        targets, dead = self._predicted(graph, delta_hat, lenient, lo, hi)
-        out: list[tuple[float, ...] | None] = list(zip(*(t.pred[lo:hi] for t in targets)))
-        for i in dead:
-            out[i - lo] = None
-        return out
-
     def sq_errors(
         self, graph: CausalGraph, delta_hat: float, lo: int = 0, hi: int | None = None
     ) -> list[float | None]:
         """Per row of ``[lo, hi)``, ``sum((o - p) ** 2)`` over dimensions in
-        order, for the strict prediction; None where that is None.  Divided
+        order; None where the row is left out.  Divided
         by ``graph.d_state`` it is the row's :func:`causalloop.core.loss`
         epsilon."""
         hi = len(self.rows) if hi is None else hi
-        targets, dead = self._predicted(graph, delta_hat, False, lo, hi)
+        targets, dead = self._predicted(graph, delta_hat, lo, hi)
         for k, t in enumerate(targets):
             if t.sq is None:
                 t.sq = [(o[k] - p) ** 2 for o, p in zip(self._observed, t.pred)]
@@ -416,17 +393,16 @@ def rollout(
     delta_hat: float,
     history: Sequence[Transition],
     rows: Sequence[Transition],
-    lenient: bool = False,
 ) -> list[StateVec | None]:
-    """Teacher-forced one-step predictions for each row.
+    """Teacher-forced one-step predictions for each row, by the kernel.
 
     Each prediction starts from the row's own recorded state and adds the
     modeled effects landing that tick, with lagged sources resolved against
-    the full ``history``.  Rows whose lags are unrecorded yield None, or
-    drop the missing contribution when ``lenient``.
+    the full ``history``.  Rows whose lags are unrecorded yield None.
     """
-    preds = _LagFeatures(history, rows).predict(graph, delta_hat, lenient)
-    return [None if p is None else StateVec(p) for p in preds]
+    targets, dead = _LagFeatures(history, rows)._predicted(graph, delta_hat, 0, len(rows))
+    preds = zip(*(t.pred for t in targets))
+    return [None if i in dead else StateVec(p) for i, p in enumerate(preds)]
 
 
 # ---------------------------------------------------------------------------
@@ -540,16 +516,14 @@ def model_snapshot(m: CausalModel) -> dict:
 
 
 def model_from_snapshot(snap: dict) -> CausalModel:
-    from .scenario import graph_from_dict
-
     try:
         return CausalModel(
             graph=graph_from_dict(snap["graph"]),
-            delta_hat=float(snap["delta_hat"]),
-            fit_window=int(snap["fit_window"]),
-            sigma_lik=float(snap["sigma_lik"]),
-            capacity=int(snap["capacity"]),
-            delta_max=float(snap["delta_max"]),
+            delta_hat=json_number(snap["delta_hat"], name="delta_hat"),
+            fit_window=json_typed(snap["fit_window"], int, name="fit_window"),
+            sigma_lik=json_number(snap["sigma_lik"], name="sigma_lik"),
+            capacity=json_typed(snap["capacity"], int, name="capacity"),
+            delta_max=json_number(snap["delta_max"], name="delta_max"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model snapshot: {exc!r}") from exc

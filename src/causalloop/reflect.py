@@ -1,13 +1,16 @@
 """Mismatch-triggered self-repair of the agent's causal model.
 
-When a one-step prediction misses by more than the threshold tau, the
-agent proposes a bounded set of candidate edits to its model -- rescale
-delta, change a coefficient or delay, add or remove an edge, or declare a
-structural break and flush stale history.  Candidates are ranked by how
-much likelihood they recover over a recent scoring window, then tested in
-rank order against a reserved holdout of the most recent transitions; an
-edit is kept only if it cuts holdout MSE by at least the fraction rho.
-The working model updates after each acceptance, so later candidates must
+The trigger is the agent's: when its live one-step prediction misses by
+more than the threshold tau, it hands that mismatch to :func:`reflect`,
+which proposes a bounded set of candidate edits to the model -- rescale
+delta, change a coefficient or delay, add or remove an edge, or declare
+a structural break and flush stale history.  Generation stops at the
+budget: nothing past the first ``budget`` distinct candidates, in a
+fixed order, is estimated.  Candidates are ranked by how much likelihood
+they recover over a recent scoring window, then tested in rank order
+against a reserved holdout of the most recent transitions; an edit is
+kept only if it cuts holdout MSE by at least the fraction rho.  The
+working model updates after each acceptance, so later candidates must
 beat the already-repaired model.
 
 Candidate parameters that need estimation (a refitted coefficient, a new
@@ -34,17 +37,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .core import (
     CausalLoopError,
     NotEnoughDataError,
     NotIdentifiableError,
     PredictionError,
-    StateVec,
     Transition,
-    loss,
 )
+# Not called here: perfbench/bench_layers.py wraps reflect.loss, so the
+# name stays importable from this module.
+from .core import loss  # noqa: F401
 from .model import (
     CausalModel,
     append_history,
@@ -148,7 +152,7 @@ class ReflectSettings:
 
 @dataclass(frozen=True)
 class ReflectReport:
-    triggered: bool
+    triggered: bool  # always True: perfbench/bench_layers.py reads it
     epsilon: float
     tau: float
     candidates: tuple[HypothesisScore, ...]
@@ -302,21 +306,44 @@ def generate_hypotheses(
     settings: ReflectSettings = ReflectSettings(),
     base: _Baseline | None = None,
 ) -> tuple[Hypothesis, ...]:
-    """Deterministic candidate set, clamped to the budget.
+    """The first ``settings.budget`` distinct candidates of
+    :func:`_candidates`, in its order; none past them is estimated.
 
-    Only state dimensions whose share of the error exceeds tau / d_state
-    attract edits; a lone DeltaShift (when identifiable) and a lone
-    StructuralBreak round out the set.  ``base``, when given, must hold
-    ``m``'s predictions over its ``fit_window`` window; estimates read
-    their lagged features from its kernel.
+    ``base``, when given, must hold ``m``'s predictions over its
+    ``fit_window`` window; estimates read their lagged features from its
+    kernel.
     """
     if base is None:
         base = _Baseline.over(m, m.history[-m.fit_window :])
+    unique: dict[Hypothesis, None] = {}
+    if settings.budget > 0:
+        for h in _candidates(m, ctx, err, tau, settings, base):
+            unique[h] = None
+            if len(unique) == settings.budget:
+                break
+    return tuple(unique)
+
+
+def _candidates(
+    m: CausalModel,
+    ctx: Transition,
+    err: PredictionError,
+    tau: float,
+    settings: ReflectSettings,
+    base: _Baseline,
+) -> Iterator[Hypothesis]:
+    """Every candidate edit, repeats included, each estimated when reached.
+
+    A lone DeltaShift (when identifiable) comes first.  Each state
+    dimension whose share of the error exceeds tau / d_state then gets, in
+    index order, coefficient changes (the grid, then a residual refit),
+    delay changes, removals and linear edge additions.  A lone
+    StructuralBreak comes last.
+    """
     d_state = m.graph.d_state
     offending = [j for j in range(d_state) if err.per_dim[j] > tau / d_state]
     suffix = max(1, anomalous_suffix(m, tau * SUFFIX_FLOOR_FRACTION, base=base))
     est_lo = max(0, len(base.lags.rows) - suffix)
-    out: list[Hypothesis] = []
 
     # DeltaShift from the single worst dimension of the triggering context.
     j_star = max(range(d_state), key=lambda j: err.per_dim[j])
@@ -331,7 +358,7 @@ def generate_hypotheses(
         if correction is not None:
             new_delta = max(-m.delta_max, min(m.delta_max, m.delta_hat + correction))
             if new_delta != m.delta_hat:
-                out.append(DeltaShift(new_delta))
+                yield DeltaShift(new_delta)
 
     existing_triples = {(e.source, e.target, e.delay) for e in m.graph.edges}
     existing_pairs = {(e.source, e.target) for e in m.graph.edges}
@@ -339,26 +366,21 @@ def generate_hypotheses(
     for j in offending:
         incoming = m.graph.incoming(j)
         for edge_index, e in incoming:
-            resid = _residuals(m, base.lags, est_lo, j, edge_index)
-            refit = _residual_fit(m, base.lags, est_lo, resid, e.source, e.delay, e.form)
-            grid = [-e.coefficient, 0.5 * e.coefficient, 2.0 * e.coefficient]
-            if refit is not None:
-                grid.append(refit)
-            seen: set[float] = set()
-            for c in grid:
-                if not math.isfinite(c) or c == e.coefficient or c in seen:
-                    continue
-                seen.add(c)
-                out.append(CoefChange(edge_index, c))
+            for c in (-e.coefficient, 0.5 * e.coefficient, 2.0 * e.coefficient, None):
+                if c is None:  # the residual refit
+                    resid = _residuals(m, base.lags, est_lo, j, edge_index)
+                    c = _residual_fit(m, base.lags, est_lo, resid, e.source, e.delay, e.form)
+                if c is not None and math.isfinite(c) and c != e.coefficient:
+                    yield CoefChange(edge_index, c)
         for edge_index, e in incoming:
             for k in (e.delay + 1, e.delay - 1, e.delay + 2, e.delay - 2):
                 if not 1 <= k <= settings.k_max or k == e.delay:
                     continue
                 if (e.source, e.target, k) in existing_triples:
                     continue
-                out.append(DelayChange(edge_index, k))
+                yield DelayChange(edge_index, k)
         for edge_index, _ in incoming:
-            out.append(EdgeRemove(edge_index))
+            yield EdgeRemove(edge_index)
         sources = [VarRef.action(i) for i in range(m.graph.d_action)] + [
             VarRef.state(i) for i in range(d_state)
         ]
@@ -370,18 +392,9 @@ def generate_hypotheses(
                 coef = _residual_fit(m, base.lags, est_lo, resid, src, delay, Form.LINEAR)
                 if coef is None or not math.isfinite(coef) or coef == 0.0:
                     continue
-                out.append(EdgeAdd(src, j, delay, Form.LINEAR, coef))
+                yield EdgeAdd(src, j, delay, Form.LINEAR, coef)
 
-    out.append(StructuralBreak(keep=suffix))
-
-    # Dedup preserving order, then clamp to budget.
-    unique: list[Hypothesis] = []
-    seen_h: set[Hypothesis] = set()
-    for h in out:
-        if h not in seen_h:
-            seen_h.add(h)
-            unique.append(h)
-    return tuple(unique[: settings.budget])
+    yield StructuralBreak(keep=suffix)
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +488,16 @@ def _update_map(h: Hypothesis, index_map: dict[int, int]) -> dict[int, int]:
 def reflect(
     m: CausalModel,
     ctx: Transition,
+    err: PredictionError,
     tau: float,
     settings: ReflectSettings = ReflectSettings(),
 ) -> ReflectReport:
     """Generate, rank, test, and greedily accept model edits.
 
-    ``ctx`` is expected to be the most recent transition; it is appended to
-    history if the caller has not already done so.  When the context error
-    is at or below tau nothing triggers and the model comes back untouched.
+    ``err`` is the mismatch the caller measured on ``ctx`` and found above
+    tau (:func:`detect_mismatch`); reflect acts on it and does not predict
+    ``ctx`` again.  ``ctx`` is expected to be the most recent transition;
+    it is appended to history if the caller has not already done so.
     """
     if not m.history or m.history[-1] != ctx:
         m = append_history(m, ctx)
@@ -491,18 +506,6 @@ def reflect(
     window = m.history[-m.fit_window :]
     n = len(window)
     lags = _LagFeatures(m.history, window)
-    pred = StateVec(lags.predict(m.graph, m.delta_hat, lenient=True, lo=n - 1)[0])
-    err = loss(pred, ctx.observed)
-    if not detect_mismatch(err, tau):
-        return ReflectReport(
-            triggered=False,
-            epsilon=err.epsilon,
-            tau=tau,
-            candidates=(),
-            accepted=(),
-            updated_model=m,
-        )
-
     h_lo = n - len(window[-settings.holdout :])
     holdout = window[h_lo:]
     scoring = window[:h_lo]

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field, replace
 from types import NoneType
@@ -38,6 +39,7 @@ from .world import (
 )
 
 FORMAT_VERSION = 1
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -156,11 +158,12 @@ def edge_to_dict(e: CausalEdge) -> dict[str, Any]:
 
 def edge_from_dict(d: dict[str, Any]) -> CausalEdge:
     try:
+        source = json_typed(d["source"], dict, name="source")
         return CausalEdge(
-            source=VarRef(SourceKind(d["source"]["kind"]), int(d["source"]["index"])),
-            target=int(d["target"]),
-            delay=int(d["delay"]),
-            coefficient=float(d["coefficient"]),
+            source=VarRef(SourceKind(source["kind"]), json_typed(source["index"], int, name="index")),
+            target=json_typed(d["target"], int, name="target"),
+            delay=json_typed(d["delay"], int, name="delay"),
+            coefficient=json_number(d["coefficient"], name="coefficient"),
             form=Form(d["form"]),
         )
     except (KeyError, ValueError, TypeError) as exc:
@@ -178,9 +181,9 @@ def graph_to_dict(g: CausalGraph) -> dict[str, Any]:
 def graph_from_dict(d: dict[str, Any]) -> CausalGraph:
     try:
         return CausalGraph(
-            d_state=int(d["d_state"]),
-            d_action=int(d["d_action"]),
-            edges=tuple(edge_from_dict(e) for e in d["edges"]),
+            d_state=json_typed(d["d_state"], int, name="d_state"),
+            d_action=json_typed(d["d_action"], int, name="d_action"),
+            edges=tuple(edge_from_dict(e) for e in json_typed(d["edges"], list, name="edges")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph record: {exc}") from exc
@@ -199,9 +202,12 @@ def perturbation_from_dict(d: dict[str, Any]) -> PerturbationProcess:
     if kind == "none":
         return NoPerturbation()
     if kind == "gaussian_walk":
-        return GaussianWalk(sigma_delta=float(d["sigma_delta"]))
+        return GaussianWalk(sigma_delta=json_number(d["sigma_delta"], name="sigma_delta"))
     if kind == "spike":
-        return Spike(prob=float(d["prob"]), magnitude=float(d["magnitude"]))
+        return Spike(
+            prob=json_number(d["prob"], name="prob"),
+            magnitude=json_number(d["magnitude"], name="magnitude"),
+        )
     raise InputError(f"unknown perturbation kind {kind!r}")
 
 
@@ -228,13 +234,21 @@ _SCALAR_FIELDS: dict[str, tuple[type, ...]] = {
 
 
 def json_typed(v: Any, *types: type, name: str = "value") -> Any:
-    """``v`` if JSON gave it one of ``types`` exactly, and finite if a
-    float; TypeError otherwise.  So ``true`` is no int, nor is ``2.5`` or
-    ``1e300``, and the ``NaN`` Python's parser accepts is no number."""
-    if type(v) not in types or (type(v) is float and not math.isfinite(v)):
-        want = " or ".join("finite float" if t is float else t.__name__ for t in types)
-        raise TypeError(f"{name} is {v!r} of type {type(v).__name__}, expected {want}")
+    """``v`` if JSON gave it one of ``types`` exactly, and finite as a
+    float if a float is among them; TypeError otherwise.  So ``true`` is
+    no int, nor is ``2.5`` or ``1e300``; the ``NaN`` Python's parser
+    accepts is no number, nor is an int too large for a float."""
+    t = type(v)
+    number = t is float or (t is int and float in types)
+    if t not in types or (number and not -_FLOAT_MAX <= v <= _FLOAT_MAX):
+        want = " or ".join("finite float" if w is float else w.__name__ for w in types)
+        raise TypeError(f"{name} is {v!r} of type {t.__name__}, expected {want}")
     return v
+
+
+def json_number(v: Any, name: str = "value") -> float:
+    """A JSON int or finite float as a float; TypeError for anything else."""
+    return float(json_typed(v, int, float, name=name))
 
 
 def scenario_to_dict(sc: ScenarioConfig) -> dict[str, Any]:
@@ -290,11 +304,11 @@ def scenario_from_dict(d: dict[str, Any]) -> ScenarioConfig:
             kwargs["perturbation"] = perturbation_from_dict(perturbation)
         if d.get("agent_graph") is not None:
             kwargs["agent_graph"] = graph_from_dict(d["agent_graph"])
+        return ScenarioConfig(**kwargs).materialized()  # overflows if noise_sigma squares past a float
     except KeyError as exc:
         raise InputError(f"invalid scenario: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"invalid scenario: {exc}") from exc
-    return ScenarioConfig(**kwargs).materialized()
 
 
 def canonical_json(obj: Any) -> str:
@@ -336,6 +350,8 @@ def load_scenario(path: str) -> ScenarioConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an int too long to convert
+        raise InputError(f"{path}: {exc}") from exc
     sc = scenario_from_dict(data)
     try:
         sc.validate()

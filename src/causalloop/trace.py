@@ -24,7 +24,7 @@ from typing import Any
 from .core import ActionVec, InputError, StateVec
 from .reflect import ReflectReport, hypothesis_to_dict
 from .rng import GENERATOR_NAME, SCHEME_VERSION
-from .scenario import atomic_write_text, json_typed
+from .scenario import atomic_write_text, json_number, json_typed
 
 TRACE_FORMAT_VERSION = 3
 
@@ -153,31 +153,31 @@ def _vector(v: Any) -> list:
 
     Anything else is refused: read as a vector, a string or a dict would
     quietly yield its characters or keys, and ``float`` would turn the
-    element ``"1"`` or ``true`` into 1.0.
+    element ``"1"`` or ``true`` into 1.0, or overflow on a huge int.
     """
     if type(v) is not list:
         raise TypeError(f"vector field is {type(v).__name__}, not a list")
     for x in v:
-        if type(x) is not float and type(x) is not int:  # so a bool is refused too
-            raise TypeError(f"vector element {x!r} is {type(x).__name__}, not a number")
+        if type(x) is not float:  # floats, nearly every element, cost one check
+            json_typed(x, int, float, name="vector element")
     return v
 
 
 def record_from_dict(d: dict[str, Any]) -> TraceRecord:
     try:
         return TraceRecord(
-            tick=int(d["tick"]),
+            tick=json_typed(d["tick"], int, name="tick"),
             state=StateVec(_vector(d["state"])),
             action=ActionVec(_vector(d["action"])),
-            delta_hat=float(d["delta_hat"]),
-            true_delta=float(d["true_delta"]),
+            delta_hat=json_number(d["delta_hat"], name="delta_hat"),
+            true_delta=json_number(d["true_delta"], name="true_delta"),
             predicted_next=StateVec(_vector(d["predicted_next"])),
             observed=StateVec(_vector(d["observed"])),
-            epsilon=float(d["epsilon"]),
+            epsilon=json_number(d["epsilon"], name="epsilon"),
             per_dim=tuple(float(v) for v in _vector(d["per_dim"])),
             reflect=json_typed(d["reflect"], dict, NoneType, name="reflect"),
-            fit_event=d["fit_event"],
-            model_digest=str(d["model_digest"]),
+            fit_event=json_typed(d["fit_event"], str, NoneType, name="fit_event"),
+            model_digest=json_typed(d["model_digest"], str, name="model_digest"),
             model_snapshot=json_typed(d["model_snapshot"], dict, NoneType, name="model_snapshot"),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -211,8 +211,8 @@ def read_trace(path: str) -> EpisodeTrace:
     for i, ln in enumerate(lines, start=1):
         try:
             parsed.append(json.loads(ln))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: line {i}: {exc.msg}") from exc
+        except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
+            raise InputError(f"{path}: line {i}: {exc}") from exc
     header = header_from_dict(parsed[0])
     if header.format_version != TRACE_FORMAT_VERSION:
         raise InputError(f"unsupported trace format_version {header.format_version}")

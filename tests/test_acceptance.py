@@ -402,9 +402,10 @@ def test_criterion_4_exhaustive_repair_oracle():
             for tr in rows:
                 m = append_history(m, tr)
             pred = rollout(m.graph, m.delta_hat, m.history, [rows[-1]])[0]
-            if loss(pred, rows[-1].observed).epsilon > 1e-3:
+            err = loss(pred, rows[-1].observed)
+            if err.epsilon > 1e-3:
                 break
-        report = reflect(m, rows[-1], tau)
+        report = reflect(m, rows[-1], err, tau)
         updated = report.updated_model
 
         best_graph, best_mse = _oracle_best_edit(states, acts, base, range(window))

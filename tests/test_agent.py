@@ -72,6 +72,23 @@ def test_policy_dict_round_trip():
         policy_from_dict({"kind": "mystery"})
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"kind": "random", "low": "0.5", "high": 1.0},
+        {"kind": "random", "low": -1.0, "high": True},
+        {"kind": "probe", "magnitude": None},
+        {"kind": "cyclic", "vectors": [["1"]]},
+        {"kind": "cyclic", "vectors": "1"},
+        {"kind": "scripted", "actions": [[1.0], [True]]},
+        {"kind": "scripted", "actions": {"0": [1.0]}},
+    ],
+)
+def test_policy_fields_must_have_their_json_type(d):
+    with pytest.raises(ConfigError, match=f"malformed {d['kind']} policy"):
+        policy_from_dict(d)
+
+
 # ---- episode determinism ---------------------------------------------------
 
 

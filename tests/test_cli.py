@@ -120,6 +120,12 @@ MALFORMED_TRACES = {
     "record-reflect-number": (2, {"reflect": 5}, READ_ALL),
     "record-snapshot-number": (1, {"model_snapshot": 5}, READ_ALL),
     "record-snapshot-empty": (1, {"model_snapshot": {}}, READ_ALL),
+    "record-tick-string": (2, {"tick": "1"}, READ_ALL),
+    "record-epsilon-string": (2, {"epsilon": "0.5"}, READ_ALL),
+    "record-fit_event-number": (2, {"fit_event": 5}, READ_ALL),
+    "record-digest-null": (2, {"model_digest": None}, READ_ALL),
+    "header-policy-low-string": (0, {"policy": {"kind": "random", "low": "0.5", "high": 1.0}}, ("replay",)),
+    "header-policy-high-bool": (0, {"policy": {"kind": "random", "low": -1.0, "high": True}}, ("replay",)),
 }
 
 
@@ -158,6 +164,53 @@ def test_malformed_scenario_is_data_error(case, tmp_path, capsys):
     path.write_text(json.dumps({**json.loads(CALM_FILE.read_text()), **MALFORMED_SCENARIOS[case]}))
     assert main(["run", str(path), "--seed", "0", "--length", "3"]) == 2
     assert "error: invalid scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, bad", [("fit_window", 2.5), ("capacity", True), ("delta_hat", "0.1"), ("delta_max", None)]
+)
+def test_malformed_model_snapshot_is_data_error(field, bad, tmp_path, capsys):
+    path = run_trace(tmp_path)
+    lines = path.read_text().strip().split("\n")
+    record = json.loads(lines[1])
+    record["model_snapshot"][field] = bad
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["explain", str(path), "--tick", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model snapshot") and f"{field} is" in err
+
+
+CALM_GRAPH = json.loads(CALM_FILE.read_text())["graph"]
+# (top-level key, edge index or None for the whole value, fields set, the
+# field the error names)
+MALFORMED_NESTED = {
+    "edge-coefficient-string": ("graph", 0, {"coefficient": "0.8"}, "coefficient"),
+    "edge-delay-float": ("graph", 0, {"delay": 1.7}, "delay"),
+    "edge-target-bool": ("agent_graph", 1, {"target": True}, "target"),
+    "graph-d_state-float": ("graph", None, {"d_state": 2.0}, "d_state"),
+    "graph-edges-object": ("graph", None, {"edges": {}}, "edges"),
+    "spike-prob-string": ("perturbation", None, {"kind": "spike", "prob": "0.5", "magnitude": 1.0}, "prob"),
+    "spike-magnitude-bool": ("perturbation", None, {"kind": "spike", "prob": 0.5, "magnitude": True}, "magnitude"),
+    "walk-sigma-huge-int": ("perturbation", None, {"kind": "gaussian_walk", "sigma_delta": 10**400}, "sigma_delta"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NESTED))
+def test_malformed_nested_scenario_field_is_data_error(case, tmp_path, capsys):
+    key, edge, fields, named = MALFORMED_NESTED[case]
+    d = json.loads(CALM_FILE.read_text())
+    if key == "perturbation":
+        d[key] = fields
+    elif edge is None:
+        d[key] = {**CALM_GRAPH, **fields}
+    else:
+        d[key]["edges"][edge].update(fields)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert main(["run", str(path), "--seed", "0", "--length", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{named} is" in err
 
 
 @pytest.mark.parametrize("module", ["causalloop", "causalloop.cli"])

@@ -7,13 +7,16 @@ served a whole reflect trigger and lags were looked up by position.
 one prediction rule, and reflect's residuals and the holdout MSE shared by
 ``test_hypothesis`` and the fit gate to the same references.  Results are
 compared as ``float.hex`` strings, so a sign of zero or a last-place
-difference counts.
+difference counts.  Over the same random models, candidate generation is
+held to its budget: it estimates nothing past it.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from causalloop.reflect import (
     ReflectSettings,
     StructuralBreak,
     apply_hypothesis,
+    generate_hypotheses,
     reflect,
     score_hypothesis,
     _Baseline,
@@ -156,13 +160,13 @@ def flushed_model(seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_rollout_matches_reference_loop(seed, lenient):
+@given(st.integers(0, 2**32 - 1))
+def test_rollout_matches_reference_loop(seed):
     m, rng = flushed_model(seed)
     lo = int(rng.integers(0, len(m.history)))
     rows = m.history[lo:]
-    got = rollout(m.graph, m.delta_hat, m.history, rows, lenient)
-    assert bits(got) == bits(reference_rollout(m.graph, m.delta_hat, m.history, rows, lenient))
+    got = rollout(m.graph, m.delta_hat, m.history, rows)
+    assert bits(got) == bits(reference_rollout(m.graph, m.delta_hat, m.history, rows))
 
 
 def test_flushed_histories_leave_gaps():
@@ -179,7 +183,8 @@ def test_reflect_scores_and_tests_match_reference(seed):
     m, _ = flushed_model(seed)
     ctx = m.history[-1]
     holdout_size = 4
-    report = reflect(m, ctx, tau=0.0, settings=ReflectSettings(holdout=holdout_size))
+    err = loss(predict_next(m, ctx.tuple), ctx.observed)
+    report = reflect(m, ctx, err, tau=0.0, settings=ReflectSettings(holdout=holdout_size))
     assert report.triggered
     window = m.history[-m.fit_window :]
     holdout = window[-holdout_size:]
@@ -193,6 +198,41 @@ def test_reflect_scores_and_tests_match_reference(seed):
             continue
         _, mse_m, mse_h = holdout_test(m, hs.hypothesis, holdout, 0.1)
         assert (mse_m.hex(), mse_h.hex()) == (expected[0].hex(), expected[1].hex())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_generation_stops_at_the_budget(seed, budget):
+    """A budget keeps the first candidates of the unbounded order, and no
+    residual fit runs once that many distinct candidates are in hand."""
+    reflect_mod = importlib.import_module("causalloop.reflect")
+    m, rng = flushed_model(seed)
+    ctx = m.history[-1]
+    err = loss(predict_next(m, ctx.tuple), ctx.observed)
+    tau = float(rng.choice([0.0, rng.uniform(0.0, err.epsilon)]))
+    real_candidates, real_fit = reflect_mod._candidates, reflect_mod._residual_fit
+    yielded, fits_at = [], []
+
+    def candidates(*args):
+        for h in real_candidates(*args):
+            yielded.append(h)
+            yield h
+
+    def residual_fit(*args):
+        fits_at.append(len(set(yielded)))
+        return real_fit(*args)
+
+    with mock.patch.object(reflect_mod, "_candidates", candidates), mock.patch.object(
+        reflect_mod, "_residual_fit", residual_fit
+    ):
+        full = generate_hypotheses(m, ctx, err, tau, ReflectSettings(budget=10**6))
+        fits_full = len(fits_at)
+        yielded.clear()
+        fits_at.clear()
+        bounded = generate_hypotheses(m, ctx, err, tau, ReflectSettings(budget=budget))
+    assert bounded == full[:budget]
+    assert all(n < budget for n in fits_at)
+    assert len(fits_at) <= fits_full
 
 
 HISTORY_KINDS = ("contiguous", "flushed", "gapped", "duplicate", "unordered")
@@ -241,12 +281,12 @@ def test_predict_next_matches_tick_map_reference(seed, kind, offset):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(HISTORY_KINDS), st.booleans())
-def test_rollout_matches_reference_on_odd_histories(seed, kind, lenient):
+@given(st.integers(0, 2**32 - 1), st.sampled_from(HISTORY_KINDS))
+def test_rollout_matches_reference_on_odd_histories(seed, kind):
     m, rng = odd_model(seed, kind)
     rows = m.history[int(rng.integers(0, len(m.history))) :]
-    got = rollout(m.graph, m.delta_hat, m.history, rows, lenient)
-    assert bits(got) == bits(reference_rollout(m.graph, m.delta_hat, m.history, rows, lenient))
+    got = rollout(m.graph, m.delta_hat, m.history, rows)
+    assert bits(got) == bits(reference_rollout(m.graph, m.delta_hat, m.history, rows))
 
 
 @settings(max_examples=200, deadline=None)
@@ -282,7 +322,7 @@ def test_one_run_of_ticks_builds_no_tick_map(kind, monkeypatch):
         now = m.history[-1].tuple.time.tick + 1
         current = transitions(rng, m.graph.d_state, m.graph.d_action, [now])[0].tuple
         predict_next(m, current)
-        rollout(m.graph, m.delta_hat, m.history, m.history, lenient=True)
+        rollout(m.graph, m.delta_hat, m.history, m.history)
 
 
 @settings(max_examples=60, deadline=None)

@@ -132,7 +132,7 @@ def test_predict_next_uses_current_tuple_for_delay_one():
     assert predict_next(m, cur).values == (9.0,)
 
 
-def test_rollout_strict_vs_lenient_on_gap():
+def test_rollout_leaves_out_rows_with_a_gap():
     m = single_edge_model(1.0, delay=2)
     # history records tick 5 only; the row at tick 6 needs tick 5 (present),
     # the row at tick 8 needs tick 7 (missing)
@@ -143,8 +143,6 @@ def test_rollout_strict_vs_lenient_on_gap():
     strict = rollout(m.graph, 0.0, hist, (r6, r8))
     assert strict[0].values == (4.0,)
     assert strict[1] is None
-    lenient = rollout(m.graph, 0.0, hist, (r6, r8), lenient=True)
-    assert lenient[1].values == (4.0,)
 
 
 def test_rollout_applies_scale():

@@ -139,6 +139,14 @@ def test_missing_required_key_rejected():
         scenario_from_dict(d)
 
 
+def test_noise_too_large_to_derive_tau_rejected():
+    d = scenario_to_dict(tiny())
+    d["noise_sigma"] = 1e200  # its square, and so the default tau, overflows
+    del d["tau"]
+    with pytest.raises(InputError, match="invalid scenario"):
+        scenario_from_dict(d)
+
+
 # ---- files -----------------------------------------------------------------
 
 
@@ -156,6 +164,13 @@ def test_load_reports_json_position(tmp_path):
     with pytest.raises(InputError) as exc_info:
         load_scenario(str(path))
     assert "line" in str(exc_info.value)
+
+
+def test_load_refuses_an_int_too_long_to_convert(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario_to_dict(tiny())).replace('"budget": 32', '"budget": ' + "9" * 5000))
+    with pytest.raises(InputError, match="s.json: Exceeds the limit"):
+        load_scenario(str(path))
 
 
 def test_load_missing_file(tmp_path):

@@ -50,12 +50,56 @@ def test_record_round_trip_is_bit_exact():
 
 
 @pytest.mark.parametrize("field", ["state", "action", "predicted_next", "observed", "per_dim"])
-@pytest.mark.parametrize("bad", ["12", {"0": 1.0}, 3.0, ["1"], [True], [None]])
+@pytest.mark.parametrize("bad", ["12", {"0": 1.0}, 3.0, ["1"], [True], [None], [10**400]])
 def test_record_vectors_must_be_lists(field, bad):
     d = json.loads(json.dumps(record_to_dict(awkward_record())))
     d[field] = bad
     with pytest.raises(InputError, match="malformed trace record"):
         record_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("tick", "1"),
+        ("tick", 1.0),
+        ("tick", True),
+        ("delta_hat", "0.5"),
+        ("delta_hat", None),
+        ("true_delta", False),
+        ("epsilon", "0.5"),
+        ("epsilon", float("nan")),
+        ("epsilon", 10**400),
+        ("fit_event", 5),
+        ("fit_event", ["applied"]),
+        ("model_digest", None),
+        ("model_digest", 12),
+    ],
+)
+def test_record_scalars_must_have_their_json_type(field, bad):
+    d = json.loads(json.dumps(record_to_dict(awkward_record())))
+    d[field] = bad
+    with pytest.raises(InputError, match=f"malformed trace record: {field} is"):
+        record_from_dict(d)
+
+
+def test_record_numbers_may_be_json_ints():
+    d = json.loads(json.dumps(record_to_dict(awkward_record())))
+    d.update(delta_hat=0, true_delta=-1, epsilon=2, fit_event="applied")
+    back = record_from_dict(d)
+    assert (back.delta_hat, back.true_delta, back.epsilon) == (0.0, -1.0, 2.0)
+    assert type(back.epsilon) is float
+    assert back.fit_event == "applied"
+
+
+def test_read_refuses_an_int_too_long_to_convert(tmp_path):
+    sc = builtin_scenarios()["calm"]
+    lines = trace_to_lines(run_episode(sc, RandomPolicy(), seed=1, length=2))
+    lines[1] = lines[1].replace('"tick": 0', '"tick": ' + "9" * 5000)
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match="line 2"):
+        read_trace(str(path))
 
 
 def test_write_read_round_trip(tmp_path):
