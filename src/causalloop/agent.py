@@ -206,7 +206,7 @@ def run_episode(
         pred_next = predict_next(m, tup)
         w, observed, true_delta = world_step(w, action)
         err = loss(pred_next, observed)
-        tr = Transition(tup, 1, observed)
+        tr = Transition(tup, observed)
         m = append_history(m, tr)
 
         report_dict: dict[str, Any] | None = None

@@ -151,15 +151,12 @@ class CausalTuple:
 
 @dataclass(frozen=True)
 class Transition:
-    """An evaluation point plus what was actually observed ``horizon`` ticks later."""
+    """An evaluation point plus the state observed one tick later."""
 
     tuple: CausalTuple
-    horizon: int
     observed: StateVec
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise DomainError(f"horizon must be >= 1, got {self.horizon}")
         if len(self.observed) != len(self.tuple.state):
             raise DimensionError(
                 f"observed has {len(self.observed)} dims, state has {len(self.tuple.state)}"

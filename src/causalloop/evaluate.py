@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .core import InputError
+from .reflect import hypothesis_to_dict
 from .scenario import ScenarioConfig, graph_from_dict, scenario_digest
-from .trace import EpisodeTrace
+from .trace import EpisodeTrace, reflect_block_from_dict
 from .world import CausalGraph, active_graph
 
 RMSE_WINDOW = 16
@@ -193,22 +194,14 @@ def evaluate_trace(trace: EpisodeTrace, scenario: ScenarioConfig) -> EvalReport:
     n_candidates = 0
     acceptances: dict[str, int] = {}
     for r in trace.records:
-        if r.reflect is None or not r.reflect.get("triggered"):
+        if r.reflect is None:
             continue
-        candidates = r.reflect.get("candidates")
-        accepted = r.reflect.get("accepted")
-        if not (
-            isinstance(candidates, list)
-            and isinstance(accepted, list)
-            and all(isinstance(h, dict) and isinstance(h.get("kind"), str) for h in accepted)
-        ):
-            raise InputError(
-                f"tick {r.tick}: triggered reflect block needs candidates and accepted edit lists"
-            )
+        block = reflect_block_from_dict(r.tick, r.reflect)
         triggers += 1
-        n_candidates += len(candidates)
-        for h in accepted:
-            acceptances[h["kind"]] = acceptances.get(h["kind"], 0) + 1
+        n_candidates += len(block.candidates)
+        for h in block.accepted:
+            kind = hypothesis_to_dict(h)["kind"]
+            acceptances[kind] = acceptances.get(kind, 0) + 1
 
     return EvalReport(
         scenario_name=sc.name,

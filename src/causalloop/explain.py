@@ -26,8 +26,9 @@ from typing import Any
 
 from .core import CausalTuple, ConfigError, InputError, Perturbation
 from .model import CausalModel, counterfactual, predict
+from .reflect import hypothesis_to_dict
 from .scenario import canonical_json
-from .trace import TraceRecord, record_to_dict
+from .trace import TraceRecord, record_to_dict, reflect_block_from_dict
 
 ENV_LLM_URL = "EXPLAIN_LLM_URL"
 ENV_LLM_KEY = "EXPLAIN_LLM_KEY"
@@ -202,32 +203,23 @@ _HYPOTHESIS_PHRASES = {
 def explain_reflection(tick: int, report: dict[str, Any]) -> Explanation:
     """Summarize a repair event from its serialized report.
 
-    Raises :class:`InputError` when the report lacks a field the summary
-    cites or holds one of the wrong type.
+    The report is read by :func:`causalloop.trace.reflect_block_from_dict`,
+    which raises :class:`InputError` for a malformed one.
     """
-    try:
-        eps = report["epsilon"]
-        tau = report["tau"]
-        n_cand = len(report["candidates"])
-        accepted = report["accepted"]
-        n_acc = len(accepted)
-        parts = [
-            f"At tick {tick}, prediction error {fmt(eps)} exceeded the threshold {fmt(tau)}; "
-            f"{n_cand} candidate repairs were scored and {n_acc} accepted."
-        ]
-        for h in accepted:
-            phrase = _HYPOTHESIS_PHRASES[h["kind"]](h)
-            parts.append(f"Accepted: {phrase}.")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(
-            f"tick {tick}: reflect block cannot be summarized ({type(exc).__name__}: {exc})"
-        ) from exc
+    block = reflect_block_from_dict(tick, report)
+    accepted = [hypothesis_to_dict(h) for h in block.accepted]
+    parts = [
+        f"At tick {tick}, prediction error {fmt(block.epsilon)} exceeded the threshold "
+        f"{fmt(block.tau)}; {len(block.candidates)} candidate repairs were scored and "
+        f"{len(accepted)} accepted."
+    ]
+    parts += [f"Accepted: {_HYPOTHESIS_PHRASES[h['kind']](h)}." for h in accepted]
     grounding = {
         "tick": tick,
-        "epsilon": eps,
-        "tau": tau,
-        "candidates": n_cand,
-        "accepted_count": n_acc,
+        "epsilon": block.epsilon,
+        "tau": block.tau,
+        "candidates": len(block.candidates),
+        "accepted_count": len(accepted),
         "accepted": accepted,
     }
     return Explanation(ExplanationKind.REFLECTION_SUMMARY, " ".join(parts), grounding)

@@ -22,10 +22,10 @@ over the rows and predicts any (graph, delta_hat) from those columns,
 leaving out a row with an unrecorded lag.  ``rollout``, ``fit``, the
 scheduled fit's holdout gate and the repair loop's residuals, scoring and
 testing all read it; reflect acts on the mismatch the live loop measured
-with ``predict_next``.  The kernel and ``predict_next`` find each lagged
-tick by its place from the end of the history, checked against the tick,
-through one helper, ``_TickIndex``; only a history that is not one run of
-consecutive ticks builds a full tick map.
+with ``predict_next``.  A history is one run of consecutive ticks
+(:func:`append_history`, its only builder, refuses anything else; capacity
+trims and structural breaks keep suffixes), so the kernel and
+``predict_next`` find lagged tick q ``last - q`` places from its end (``_TickIndex``).
 
 Traces record predictions and scores and replays compare them exactly, so
 the arithmetic is fixed:
@@ -53,7 +53,7 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from .core import (
     CausalTuple,
     DegenerateDataError,
     DimensionError,
+    DomainError,
     InputError,
     NotEnoughDataError,
     NotIdentifiableError,
@@ -104,6 +105,14 @@ class Prediction:
 
 
 def append_history(m: CausalModel, tr: Transition) -> CausalModel:
+    """``m`` with ``tr`` recorded last, keeping the newest ``capacity`` entries.
+
+    ``tr`` must come one tick after the last entry, or :class:`DomainError`
+    is raised; an empty history may start at any tick.
+    """
+    last = m.history[-1].tuple.time.tick if m.history else None
+    if last is not None and tr.tuple.time.tick != last + 1:
+        raise DomainError(f"tick {tr.tuple.time.tick} cannot follow tick {last} in a history")
     hist = m.history + (tr,)
     if len(hist) > m.capacity:
         hist = hist[-m.capacity :]
@@ -151,52 +160,31 @@ def predict(m: CausalModel, t: CausalTuple) -> Prediction:
 # ---------------------------------------------------------------------------
 
 
-def _tick_map(history: Iterable[Transition]) -> dict[int, CausalTuple]:
-    return {tr.tuple.time.tick: tr.tuple for tr in history}
-
-
 class _TickIndex:
     """The tuples of ``history`` (and ``extra``, which wins its tick) by
-    absolute tick, as a :func:`_tick_map` would give them, mostly without
-    building one.
-
-    An agent's history is one run of consecutive ticks, so tick q sits
-    ``last - q`` places from its end.  A lookup answers from that place
-    once every entry from there to the end is checked to hold consecutive
-    ticks up to ``last``, so no later entry repeats q and the tick map,
-    where the last entry for a tick wins, would give the same tuple.  The
-    check goes only as deep as lookups do.  When the whole history passes
-    it, a tick outside the run is simply unrecorded.  A lookup the check
-    cannot settle (a gap, a repeated or an unordered tick) builds the tick
-    map once and reads it from then on.
+    absolute tick: in a history that is one run of ticks, tick q sits
+    ``last - q`` places from the end, and a tick outside the run is
+    unrecorded.  A lookup that lands on an entry holding another tick raises
+    :class:`DomainError`: that history was not built by :func:`append_history`.
     """
 
-    __slots__ = ("_history", "_extra", "_last", "_run", "_map")
+    __slots__ = ("_history", "_extra", "_last")
 
     def __init__(self, history: Sequence[Transition], extra: CausalTuple | None = None) -> None:
         self._history = history
         self._extra = extra
         self._last = history[-1].tuple.time.tick if history else 0
-        self._run = 0  # trailing entries checked to hold ticks last - run + 1 .. last
-        self._map: dict[int, CausalTuple] | None = None if history else {}
 
     def get(self, tick: int) -> CausalTuple | None:
         if self._extra is not None and tick == self._extra.time.tick:
             return self._extra
         back = self._last - tick
-        if 0 <= back < self._run:
-            return self._history[-1 - back].tuple
-        if self._map is None:
-            hist, last, run = self._history, self._last, self._run
-            while run <= back and run < len(hist) and hist[-1 - run].tuple.time.tick == last - run:
-                run += 1
-            self._run = run
-            if 0 <= back < run:
-                return hist[-1 - back].tuple
-            if run == len(hist):
-                return None  # the history is one run and ``tick`` lies outside it
-            self._map = _tick_map(hist)
-        return self._map.get(tick)
+        if not 0 <= back < len(self._history):
+            return None
+        tup = self._history[-1 - back].tuple
+        if tup.time.tick != tick:
+            raise DomainError(f"history is not one run: tick {tup.time.tick} is where {tick} belongs")
+        return tup
 
 
 def _source_at(ticks: _TickIndex, ref: VarRef, tick: int) -> float | None:
@@ -221,8 +209,7 @@ def predict_next(m: CausalModel, current: CausalTuple) -> StateVec:
 
     This is the one lenient rule: a missing lag (possible right after a
     history flush) contributes zero, where the strict kernel leaves the
-    row out; the inaccuracy heals once fresh transitions accumulate.  Lags
-    are read by place from the end of the history (see :class:`_TickIndex`).
+    row out; the inaccuracy heals once fresh transitions accumulate.
     """
     ticks = _TickIndex(m.history, current)
     scale = math.exp(-m.delta_hat)
@@ -237,7 +224,7 @@ def predict_next(m: CausalModel, current: CausalTuple) -> StateVec:
 class _Target:
     """One state dimension's predictions over every row of a kernel.
 
-    ``dead`` holds the rows a strict prediction leaves out for a gap in a
+    ``dead`` holds the rows a strict prediction leaves out for an unrecorded
     lag; ``sq`` is that dimension's squared errors, filled on first use.
     """
 
@@ -253,10 +240,10 @@ class _Target:
 class _LagFeatures:
     """Strict lagged-feature kernel for one fixed ``(history, rows)`` pair.
 
-    Lags are resolved through one :class:`_TickIndex` over ``history``.
     ``column(source, delay, form)`` holds ``form.apply(v)`` for each row,
-    where ``v`` is the source's value at the row's tick + 1 - delay: 0.0
-    before tick 0 and None where that tick is unrecorded.  Columns are computed on first use
+    where ``v`` is the source's value at the row's tick + 1 - delay, read
+    through one :class:`_TickIndex` over ``history``: 0.0 before tick 0 and
+    None where that tick is unrecorded.  Columns are computed on first use
     and cached, so any number of graphs -- a working model and every
     candidate edit of it -- are predicted from one set of lag lookups.
     A prediction leaves out each row where a lag it needs is unrecorded;
@@ -398,7 +385,8 @@ def rollout(
 
     Each prediction starts from the row's own recorded state and adds the
     modeled effects landing that tick, with lagged sources resolved against
-    the full ``history``.  Rows whose lags are unrecorded yield None.
+    ``history``, which must be one run of consecutive ticks (see
+    :class:`_TickIndex`).  Rows whose lags are unrecorded yield None.
     """
     targets, dead = _LagFeatures(history, rows)._predicted(graph, delta_hat, 0, len(rows))
     preds = zip(*(t.pred for t in targets))

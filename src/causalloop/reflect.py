@@ -57,7 +57,8 @@ from .model import (
     _LagFeatures,
     _least_squares,
 )
-from .world import CausalEdge, Form, VarRef
+from .scenario import json_number, json_typed
+from .world import CausalEdge, Form, SourceKind, VarRef
 
 # Fraction of tau below which a row counts as "explained" when delimiting
 # the anomalous suffix.
@@ -496,8 +497,9 @@ def reflect(
 
     ``err`` is the mismatch the caller measured on ``ctx`` and found above
     tau (:func:`detect_mismatch`); reflect acts on it and does not predict
-    ``ctx`` again.  ``ctx`` is expected to be the most recent transition;
-    it is appended to history if the caller has not already done so.
+    ``ctx`` again.  ``ctx`` must be the last history entry or come one tick
+    after it, and is then appended; :func:`append_history` raises
+    :class:`DomainError` for any other ``ctx``.
     """
     if not m.history or m.history[-1] != ctx:
         m = append_history(m, ctx)
@@ -578,3 +580,36 @@ def hypothesis_to_dict(h: Hypothesis) -> dict[str, Any]:
             "coefficient": h.coefficient,
         }
     return {"kind": "structural_break", "keep": h.keep}
+
+
+def hypothesis_from_dict(d: Any) -> Hypothesis:
+    """The edit :func:`hypothesis_to_dict` wrote, each field read as its JSON
+    type; TypeError, KeyError or ValueError for anything else."""
+    kind = json_typed(d, dict, name="edit")["kind"]
+
+    def integer(key: str) -> int:
+        return json_typed(d[key], int, name=key)
+
+    def number(key: str) -> float:
+        return json_number(d[key], name=key)
+
+    if kind == "delta_shift":
+        return DeltaShift(number("new_delta"))
+    if kind == "coef_change":
+        return CoefChange(integer("edge_index"), number("new_coefficient"))
+    if kind == "delay_change":
+        return DelayChange(integer("edge_index"), integer("new_delay"))
+    if kind == "edge_remove":
+        return EdgeRemove(integer("edge_index"))
+    if kind == "edge_add":
+        source = json_typed(d["source"], dict, name="source")
+        return EdgeAdd(
+            VarRef(SourceKind(source["kind"]), json_typed(source["index"], int, name="index")),
+            integer("target"),
+            integer("delay"),
+            Form(d["form"]),
+            number("coefficient"),
+        )
+    if kind == "structural_break":
+        return StructuralBreak(integer("keep"))
+    raise ValueError(f"unknown edit kind {kind!r}")

@@ -78,7 +78,11 @@ class ScenarioConfig:
     def default_tau(self) -> float:
         """Mismatch threshold when none is configured: generous enough that
         observation noise alone almost never trips it."""
-        return 4.0 * (self.noise_sigma**2 + 0.01)
+        try:
+            return 4.0 * (self.noise_sigma**2 + 0.01)
+        except OverflowError:
+            msg = f"noise_sigma {self.noise_sigma!r} squares past a float, so tau cannot be derived"
+            raise OverflowError(msg) from None
 
     def effective_tau(self) -> float:
         return self.tau if self.tau is not None else self.default_tau()

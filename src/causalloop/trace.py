@@ -17,12 +17,13 @@ the snapshot and the record's delta_hat.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from types import NoneType
 from typing import Any
 
 from .core import ActionVec, InputError, StateVec
-from .reflect import ReflectReport, hypothesis_to_dict
+from .reflect import Hypothesis, ReflectReport, hypothesis_from_dict, hypothesis_to_dict
 from .rng import GENERATOR_NAME, SCHEME_VERSION
 from .scenario import atomic_write_text, json_number, json_typed
 
@@ -84,6 +85,39 @@ def report_to_dict(r: ReflectReport) -> dict[str, Any]:
         ],
         "accepted": [hypothesis_to_dict(h) for h in r.accepted],
     }
+
+
+@dataclass(frozen=True)
+class ReflectBlock:
+    """What the readers of a record's reflect block read of it."""
+
+    epsilon: float
+    tau: float
+    candidates: list[dict[str, Any]]  # contents not read yet
+    accepted: tuple[Hypothesis, ...]
+
+
+def reflect_block_from_dict(tick: int, d: dict[str, Any]) -> ReflectBlock:
+    """A record's reflect block as :func:`report_to_dict` writes it:
+    ``triggered`` true, finite ``epsilon`` and ``tau``, a list of candidate
+    objects and each accepted edit read by :func:`hypothesis_from_dict`.
+    Anything else raises :class:`InputError` naming the tick."""
+    try:
+        if d["triggered"] is not True:
+            raise ValueError(f"triggered is {d['triggered']!r}, expected true")
+        candidates = json_typed(d["candidates"], list, name="candidates")
+        if not all(type(c) is dict for c in candidates):
+            raise TypeError("candidates are not all objects")
+        accepted = json_typed(d["accepted"], list, name="accepted")
+        return ReflectBlock(
+            epsilon=json_number(d["epsilon"], name="epsilon"),
+            tau=json_number(d["tau"], name="tau"),
+            candidates=candidates,
+            accepted=tuple(map(hypothesis_from_dict, accepted)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        msg = f"tick {tick}: malformed reflect block ({type(exc).__name__}: {exc})"
+        raise InputError(msg) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +197,15 @@ def _vector(v: Any) -> list:
     return v
 
 
+def _finite(v: list, name: str) -> tuple[float, ...]:
+    """A vector field's elements as floats, refusing the ``NaN`` and
+    ``Infinity`` that Python's JSON parser accepts."""
+    out = tuple(map(float, v))
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{name} element is not finite: {list(out)}")
+    return out
+
+
 def record_from_dict(d: dict[str, Any]) -> TraceRecord:
     try:
         return TraceRecord(
@@ -174,7 +217,7 @@ def record_from_dict(d: dict[str, Any]) -> TraceRecord:
             predicted_next=StateVec(_vector(d["predicted_next"])),
             observed=StateVec(_vector(d["observed"])),
             epsilon=json_number(d["epsilon"], name="epsilon"),
-            per_dim=tuple(float(v) for v in _vector(d["per_dim"])),
+            per_dim=_finite(_vector(d["per_dim"]), name="per_dim"),
             reflect=json_typed(d["reflect"], dict, NoneType, name="reflect"),
             fit_event=json_typed(d["fit_event"], str, NoneType, name="fit_event"),
             model_digest=json_typed(d["model_digest"], str, name="model_digest"),

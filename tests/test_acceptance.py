@@ -143,7 +143,6 @@ def _mismatch_stream(case_seed: int, tau: float):
         effect = true_coef * actions[u][0] if u >= 0 else 0.0
         tr = Transition(
             tuple=CausalTuple(StateVec((s,)), ActionVec(tuple(actions[t])), TimeIndex(t)),
-            horizon=1,
             observed=StateVec((s + effect,)),
         )
         m = append_history(m, tr)
@@ -393,7 +392,6 @@ def test_criterion_4_exhaustive_repair_oracle():
                     tuple=CausalTuple(
                         StateVec(tuple(states[t])), ActionVec(tuple(acts[t])), TimeIndex(t)
                     ),
-                    horizon=1,
                     observed=StateVec(tuple(states[t + 1])),
                 )
                 for t in range(window)

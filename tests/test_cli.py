@@ -95,7 +95,7 @@ def test_evaluate_truncated_reflect_block_is_data_error(tmp_path, capsys):
     lines[2] = json.dumps(doctored)
     path.write_text("\n".join(lines) + "\n")
     assert main(["evaluate", str(path), "calm"]) == 2
-    assert "error: tick 1: triggered reflect block" in capsys.readouterr().err
+    assert "error: tick 1: malformed reflect block" in capsys.readouterr().err
 
 
 def test_explain_truncated_reflect_block_is_data_error(tmp_path, capsys):
@@ -106,11 +106,13 @@ def test_explain_truncated_reflect_block_is_data_error(tmp_path, capsys):
     lines[2] = json.dumps(doctored)
     path.write_text("\n".join(lines) + "\n")
     assert main(["explain", str(path), "--tick", "1"]) == 2
-    assert "error: tick 1: reflect block cannot be summarized" in capsys.readouterr().err
+    assert "error: tick 1: malformed reflect block" in capsys.readouterr().err
 
 
 # (line, fields set on it or None for the line ``[]``, commands that read them)
 READ_ALL = ("evaluate", "replay", "explain")
+READ_BLOCK = ("evaluate", "explain")  # the reflect block of tick 2 (line 3)
+BLOCK = {"triggered": True, "epsilon": 0.5, "tau": 0.1, "candidates": [], "accepted": []}
 MALFORMED_TRACES = {
     "header-seed-string": (0, {"seed": "x"}, READ_ALL),
     "header-length-null": (0, {"length": None}, READ_ALL),
@@ -126,6 +128,12 @@ MALFORMED_TRACES = {
     "record-digest-null": (2, {"model_digest": None}, READ_ALL),
     "header-policy-low-string": (0, {"policy": {"kind": "random", "low": "0.5", "high": 1.0}}, ("replay",)),
     "header-policy-high-bool": (0, {"policy": {"kind": "random", "low": -1.0, "high": True}}, ("replay",)),
+    "record-per_dim-nan": (2, {"per_dim": [float("nan"), float("inf")]}, READ_ALL),
+    "reflect-epsilon-string": (3, {"reflect": {**BLOCK, "epsilon": "x"}}, READ_BLOCK),
+    "reflect-tau-null": (3, {"reflect": {**BLOCK, "tau": None}}, READ_BLOCK),
+    "reflect-not-triggered": (3, {"reflect": {**BLOCK, "triggered": False}}, READ_BLOCK),
+    "reflect-candidate-number": (3, {"reflect": {**BLOCK, "candidates": [5]}}, READ_BLOCK),
+    "reflect-bare-edge_add": (3, {"reflect": {**BLOCK, "accepted": [{"kind": "edge_add"}]}}, READ_BLOCK),
 }
 
 
@@ -144,6 +152,19 @@ def test_malformed_trace_is_data_error(case, tmp_path, capsys):
     for command in commands:
         assert main(argv[command]) == 2, command
         assert capsys.readouterr().err.startswith(("error:", "replay failed:"))
+
+
+def test_reflect_block_baseline_is_read(tmp_path, capsys):
+    """``BLOCK``, which each reflect case above spoils in one field, is read."""
+    path = run_trace(tmp_path, length=6)
+    lines = path.read_text().strip().split("\n")
+    lines[3] = json.dumps({**json.loads(lines[3]), "reflect": BLOCK})
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", str(path), "calm"]) == 0
+    assert json.loads(capsys.readouterr().out)["reflect_triggers"] == 1
+    assert main(["explain", str(path), "--tick", "2"]) == 0
+    assert "0 candidate repairs were scored" in capsys.readouterr().out
 
 
 CALM_FILE = Path(__file__).parents[1] / "scenarios" / "calm.json"

@@ -108,15 +108,8 @@ def test_transition_dimension_check():
         time=TimeIndex(0),
     )
     with pytest.raises(DimensionError):
-        Transition(tuple=tup, horizon=1, observed=StateVec((0.0,)))
-    tr = Transition(tuple=tup, horizon=1, observed=StateVec((0.5, 0.5)))
-    assert tr.horizon == 1
-
-
-def test_transition_horizon_positive():
-    tup = CausalTuple(state=StateVec((0.0,)), action=ActionVec(()), time=TimeIndex(0))
-    with pytest.raises(DomainError):
-        Transition(tuple=tup, horizon=0, observed=StateVec((0.0,)))
+        Transition(tuple=tup, observed=StateVec((0.0,)))
+    Transition(tuple=tup, observed=StateVec((0.5, 0.5)))
 
 
 # ---- loss ------------------------------------------------------------------

@@ -21,8 +21,10 @@ from causalloop.evaluate import (
     rolling_rmse,
     shd,
 )
+from causalloop.explain import explain_reflection
+from causalloop.reflect import CoefChange, EdgeAdd, hypothesis_to_dict
 from causalloop.scenario import builtin_scenarios
-from causalloop.world import CausalEdge, CausalGraph, VarRef
+from causalloop.world import CausalEdge, CausalGraph, Form, VarRef
 
 BREAK = builtin_scenarios()["break_demo"]
 
@@ -197,3 +199,66 @@ def test_compare_reflect_vs_baseline():
     # the repair loop recovers faster on this seed (checked broadly in the
     # acceptance suite; here only the plumbing is under test)
     assert brk["reflect_recovery"] <= brk["baseline_recovery"]
+
+
+# ---- reflect blocks -------------------------------------------------------
+
+EDGE_ADD = hypothesis_to_dict(EdgeAdd(VarRef.action(1), 2, 2, Form.LINEAR, 0.25))
+BLOCK = {
+    "triggered": True,
+    "epsilon": 0.5,
+    "tau": 0.1,
+    "candidates": [{"hypothesis": EDGE_ADD, "score": 1.5}, {}],
+    "accepted": [EDGE_ADD, hypothesis_to_dict(CoefChange(0, -1.0))],
+}
+
+
+def with_block(block, tick=3):
+    """A 10-tick break_demo trace (no tick of it triggers) with ``block`` as
+    the reflect block of ``tick``."""
+    tr = run_episode(BREAK, RandomPolicy(), seed=0, length=10)
+    assert all(r.reflect is None for r in tr.records)
+    records = list(tr.records)
+    records[tick] = dataclasses.replace(records[tick], reflect=block)
+    return dataclasses.replace(tr, records=tuple(records))
+
+
+def test_evaluate_counts_a_read_reflect_block():
+    rep = evaluate_trace(with_block(BLOCK), BREAK)
+    assert (rep.reflect_triggers, rep.candidates_scored) == (1, 2)
+    assert rep.acceptances == {"edge_add": 1, "coef_change": 1}
+    assert explain_reflection(3, BLOCK).grounding["accepted"] == BLOCK["accepted"]
+
+
+MALFORMED_BLOCKS = {
+    "epsilon-string": {"epsilon": "x"},
+    "epsilon-nan": {"epsilon": float("nan")},
+    "tau-null": {"tau": None},
+    "not-triggered": {"triggered": False},
+    "triggered-one": {"triggered": 1},
+    "candidates-object": {"candidates": {}},
+    "candidate-number": {"candidates": [5]},
+    "accepted-object": {"accepted": EDGE_ADD},
+    "bare-edge_add": {"accepted": [{"kind": "edge_add"}]},
+    "edge_add-source-kind": {"accepted": [{**EDGE_ADD, "source": {"kind": "bogus", "index": 0}}]},
+    "edge_add-delay-float": {"accepted": [{**EDGE_ADD, "delay": 2.0}]},
+    "coef_change-index-string": {"accepted": [{**hypothesis_to_dict(CoefChange(0, 1.0)), "edge_index": "0"}]},
+    "unknown-kind": {"accepted": [{"kind": "rewire"}]},
+    "edit-number": {"accepted": [5]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BLOCKS))
+def test_evaluate_and_explain_refuse_a_malformed_reflect_block(case):
+    block = {**BLOCK, **MALFORMED_BLOCKS[case]}
+    with pytest.raises(InputError, match="tick 3: malformed reflect block"):
+        evaluate_trace(with_block(block), BREAK)
+    with pytest.raises(InputError, match="tick 3: malformed reflect block"):
+        explain_reflection(3, block)
+
+
+def test_reflect_block_needs_every_field():
+    for key in BLOCK:
+        block = {k: v for k, v in BLOCK.items() if k != key}
+        with pytest.raises(InputError, match=f"tick 3: malformed reflect block \\(KeyError: '{key}'"):
+            evaluate_trace(with_block(block), BREAK)

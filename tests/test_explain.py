@@ -188,6 +188,7 @@ def test_counterfactual_uses_farthest_horizon():
 
 def test_reflection_summary_exact():
     report = {
+        "triggered": True,
         "epsilon": 0.5,
         "tau": 0.04,
         "candidates": [{} for _ in range(7)],
@@ -218,7 +219,7 @@ def test_reflection_summary_phrases_cover_every_kind():
         ),
         hypothesis_to_dict(StructuralBreak(keep=8)),
     ]
-    report = {"epsilon": 1.0, "tau": 0.5, "candidates": [], "accepted": accepted}
+    report = {"triggered": True, "epsilon": 1.0, "tau": 0.5, "candidates": [], "accepted": accepted}
     e = explain_reflection(10, report)
     assert "the perturbation estimate was set to 0.3" in e.text
     assert "edge 0 took coefficient -1.5" in e.text

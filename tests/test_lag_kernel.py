@@ -23,7 +23,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalloop.core import ActionVec, CausalTuple, StateVec, TimeIndex, Transition, loss
+from causalloop.core import (
+    ActionVec,
+    CausalTuple,
+    DomainError,
+    StateVec,
+    TimeIndex,
+    Transition,
+    loss,
+)
 from causalloop.agent import _fit_improves
 from causalloop.model import (
     CausalModel,
@@ -136,7 +144,7 @@ def transitions(rng, d_state, d_action, ticks):
             ActionVec(tuple(rng.uniform(-1.0, 1.0, size=d_action))),
             TimeIndex(t),
         )
-        out.append(Transition(tup, 1, StateVec(tuple(rng.uniform(-2.0, 2.0, size=d_state)))))
+        out.append(Transition(tup, StateVec(tuple(rng.uniform(-2.0, 2.0, size=d_state)))))
     return out
 
 
@@ -235,19 +243,13 @@ def test_generation_stops_at_the_budget(seed, budget):
     assert len(fits_at) <= fits_full
 
 
-HISTORY_KINDS = ("contiguous", "flushed", "gapped", "duplicate", "unordered")
+HISTORY_KINDS = ("contiguous", "flushed")
+NOT_A_RUN = ("gapped", "duplicate", "unordered")
 
 
-def odd_model(seed, kind):
-    """A model whose history is one run of ticks (``contiguous``, or
-    ``flushed`` by a StructuralBreak), or is not: ticks missing, repeated
-    with other values, or out of order."""
-    if kind == "flushed":
-        return flushed_model(seed)
-    rng = np.random.default_rng(seed)
-    d_state = int(rng.integers(1, 5))
-    d_action = int(rng.integers(0, 3))
-    graph = random_graph(rng, d_state, d_action, max_edges=8, max_delay=5)
+def tick_sequence(rng, kind):
+    """One run of ticks from 0 or later, or, for a kind of ``NOT_A_RUN``,
+    that run with ticks missing, repeated or out of order."""
     start = int(rng.choice([0, int(rng.integers(1, 40))]))
     ticks = list(range(start, start + int(rng.integers(1, 30))))
     if kind == "gapped":
@@ -257,10 +259,42 @@ def odd_model(seed, kind):
             ticks.insert(int(rng.integers(0, len(ticks) + 1)), int(rng.choice(ticks)))
     elif kind == "unordered":
         rng.shuffle(ticks)
+    return ticks
+
+
+def odd_model(seed, kind):
+    """A model whose history is one run of ticks: ``contiguous`` from tick 0
+    or later, or ``flushed`` by a StructuralBreak."""
+    if kind == "flushed":
+        return flushed_model(seed)
+    rng = np.random.default_rng(seed)
+    d_state = int(rng.integers(1, 5))
+    d_action = int(rng.integers(0, 3))
+    graph = random_graph(rng, d_state, d_action, max_edges=8, max_delay=5)
+    ticks = tick_sequence(rng, kind)
     m = CausalModel(graph=graph, delta_hat=float(rng.uniform(-0.5, 0.5)), capacity=4096)
     for tr in transitions(rng, d_state, d_action, ticks):
         m = append_history(m, tr)
     return m, rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(NOT_A_RUN))
+def test_append_history_refuses_what_is_not_one_run(seed, kind):
+    """The first tick that is not one after the last entry's is refused,
+    and the history keeps the run before it; the first entry may be any
+    tick."""
+    rng = np.random.default_rng(seed)
+    ticks = tick_sequence(rng, kind)
+    bad = next((i for i in range(1, len(ticks)) if ticks[i] != ticks[i - 1] + 1), None)
+    m = CausalModel(graph=random_graph(rng, 1, 1), capacity=4096)
+    for i, tr in enumerate(transitions(rng, 1, 1, ticks)):
+        if i == bad:
+            with pytest.raises(DomainError):
+                append_history(m, tr)
+            break
+        m = append_history(m, tr)
+    assert [tr.tuple.time.tick for tr in m.history] == ticks[:bad]
 
 
 @settings(max_examples=150, deadline=None)
@@ -275,7 +309,7 @@ def test_predict_next_matches_tick_map_reference(seed, kind, offset):
     got = predict_next(m, current)
     # The live loop's rule is the kernel's lenient one: the current tuple
     # is the row, and the last entry of a history, so it wins its tick.
-    row = Transition(current, 1, current.state)
+    row = Transition(current, current.state)
     expected = reference_rollout(g, m.delta_hat, m.history + (row,), [row], lenient=True)
     assert bits([got]) == bits(expected)
 
@@ -291,38 +325,23 @@ def test_rollout_matches_reference_on_odd_histories(seed, kind):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.integers(0, 12), max_size=16),
-    st.lists(st.integers(-2, 16), min_size=1, max_size=24),
+    st.integers(0, 12),
+    st.integers(0, 16),
+    st.lists(st.integers(-2, 30), min_size=1, max_size=24),
     st.booleans(),
 )
-def test_tick_index_answers_as_the_tick_map(ticks, queries, with_extra):
-    """Same tuple object as the map (last entry for a tick wins, ``extra``
-    over all), in any query order, for any tick sequence."""
-    rng = np.random.default_rng(len(ticks))
-    history = transitions(rng, 1, 1, ticks)
-    extra = transitions(rng, 1, 1, [queries[0] % 13])[0].tuple if with_extra else None
+def test_tick_index_answers_as_the_tick_map(start, length, queries, with_extra):
+    """Same tuple object as the map (``extra`` wins its tick), in any query
+    order, for any run of ticks."""
+    rng = np.random.default_rng(length)
+    history = transitions(rng, 1, 1, range(start, start + length))
+    extra = transitions(rng, 1, 1, [queries[0] % 31])[0].tuple if with_extra else None
     by_tick = {tr.tuple.time.tick: tr.tuple for tr in history}
     if extra is not None:
         by_tick[extra.time.tick] = extra
     index = _TickIndex(tuple(history), extra)
     for q in queries:
-        assert index.get(q) is by_tick.get(q), (ticks, q)
-
-
-@pytest.mark.parametrize("kind", ["contiguous", "flushed"])
-def test_one_run_of_ticks_builds_no_tick_map(kind, monkeypatch):
-    import causalloop.model as model_mod
-
-    def no_map(*args, **kwargs):
-        raise AssertionError("tick map built for a history that is one run of ticks")
-
-    monkeypatch.setattr(model_mod, "_tick_map", no_map)
-    for seed in range(10):
-        m, rng = odd_model(seed, kind)
-        now = m.history[-1].tuple.time.tick + 1
-        current = transitions(rng, m.graph.d_state, m.graph.d_action, [now])[0].tuple
-        predict_next(m, current)
-        rollout(m.graph, m.delta_hat, m.history, m.history)
+        assert index.get(q) is by_tick.get(q), (start, length, q)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,6 +7,7 @@ normal equations assembled by hand from the raw transitions.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from causalloop.core import (
     ActionVec,
     CausalTuple,
     DimensionError,
+    DomainError,
     DegenerateDataError,
     NotEnoughDataError,
     NotIdentifiableError,
@@ -45,7 +47,6 @@ def row(tick, state, action, observed):
             action=ActionVec(tuple(action)),
             time=TimeIndex(tick),
         ),
-        horizon=1,
         observed=StateVec(tuple(observed)),
     )
 
@@ -134,15 +135,30 @@ def test_predict_next_uses_current_tuple_for_delay_one():
 
 def test_rollout_leaves_out_rows_with_a_gap():
     m = single_edge_model(1.0, delay=2)
-    # history records tick 5 only; the row at tick 6 needs tick 5 (present),
-    # the row at tick 8 needs tick 7 (missing)
     r5 = row(5, (0.0,), (2.0,), (2.0,))
     r6 = row(6, (2.0,), (0.0,), (4.0,))
-    r8 = row(8, (4.0,), (0.0,), (4.0,))
-    hist = (r5, r6, r8)
-    strict = rollout(m.graph, 0.0, hist, (r6, r8))
-    assert strict[0].values == (4.0,)
-    assert strict[1] is None
+    m = append_history(append_history(m, r5), r6)
+    # A gapped history is refused: tick 8 cannot follow tick 6.
+    with pytest.raises(DomainError):
+        append_history(m, row(8, (4.0,), (0.0,), (4.0,)))
+    # The row at tick 6 needs tick 5 (recorded); the row at tick 5 needs
+    # tick 4, which precedes the run, as after a history flush.
+    assert rollout(m.graph, 0.0, m.history, (r5, r6)) == [None, StateVec((4.0,))]
+
+
+@pytest.mark.parametrize(
+    "ticks", [(5, 6, 8), (5, 6, 6), (6, 5, 7)], ids=["gapped", "repeated", "unordered"]
+)
+def test_lookups_refuse_a_history_that_is_not_one_run(ticks):
+    """Built by hand, not by append_history: each lookup below lands on an
+    entry that holds another tick."""
+    m = single_edge_model(1.0, delay=3)
+    hist = tuple(row(t, (0.0,), (1.0,), (1.0,)) for t in ticks)
+    with pytest.raises(DomainError, match="not one run"):
+        rollout(m.graph, 0.0, hist, hist[-1:])  # needs tick ticks[-1] - 2, two places back
+    cur = CausalTuple(StateVec((0.0,)), ActionVec((1.0,)), TimeIndex(ticks[-1] + 1))
+    with pytest.raises(DomainError, match="not one run"):
+        predict_next(replace(m, history=hist), cur)  # needs tick ticks[-1] - 1, one place back
 
 
 def test_rollout_applies_scale():
@@ -153,6 +169,15 @@ def test_rollout_applies_scale():
 
 
 # ---- history --------------------------------------------------------------
+
+
+def test_append_history_keeps_one_run_of_ticks():
+    m = append_history(single_edge_model(1.0), row(7, (0.0,), (1.0,), (1.0,)))  # any first tick
+    m = append_history(m, row(8, (0.0,), (1.0,), (1.0,)))
+    for tick in (10, 8, 3):  # skipped, repeated, earlier
+        with pytest.raises(DomainError, match=f"tick {tick} cannot follow tick 8"):
+            append_history(m, row(tick, (0.0,), (1.0,), (1.0,)))
+    assert [r.tuple.time.tick for r in m.history] == [7, 8]
 
 
 def test_append_history_caps_capacity():

@@ -6,6 +6,7 @@ history and check that the loop lands on the matching repair.
 
 from __future__ import annotations
 
+import json
 import math
 import types
 
@@ -17,6 +18,7 @@ from causalloop.core import (
     ActionVec,
     CausalTuple,
     DegenerateDataError,
+    DomainError,
     PredictionError,
     StateVec,
     TimeIndex,
@@ -36,6 +38,8 @@ from causalloop.reflect import (
     apply_hypothesis,
     detect_mismatch,
     generate_hypotheses,
+    hypothesis_from_dict,
+    hypothesis_to_dict,
     reflect,
     score_hypothesis,
 )
@@ -50,7 +54,6 @@ def row(tick, state, action, observed):
             action=ActionVec(tuple(action)),
             time=TimeIndex(tick),
         ),
-        horizon=1,
         observed=StateVec(tuple(observed)),
     )
 
@@ -371,3 +374,29 @@ def test_candidates_are_rank_ordered():
     report = reflect(m, last, mismatch(m, last), tau=0.5)
     scores = [hs.score for hs in report.candidates]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_ctx_is_the_last_entry_or_the_tick_after_it():
+    m = one_edge_model(coef=1.0, fit_window=32)
+    m, last = feed_effect_rows(m, [lambda a: a] * 16, [1.0, -0.5, 2.0, 0.7] * 4)
+    tick, s = last.tuple.time.tick, last.observed[0]
+    nxt = row(tick + 1, (s,), (1.0,), (s + 3.0,))
+    assert reflect(m, nxt, mismatch(m, nxt), tau=0.5).updated_model.history[-1] == nxt
+    skip = row(tick + 2, (s,), (1.0,), (s + 3.0,))
+    with pytest.raises(DomainError, match=f"tick {tick + 2} cannot follow tick {tick}"):
+        reflect(m, skip, mismatch(m, skip), tau=0.5)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        DeltaShift(0.3),
+        CoefChange(1, -1.5),
+        DelayChange(0, 3),
+        EdgeRemove(2),
+        EdgeAdd(VarRef.state(1), 0, 2, Form.LINEAR, 0.7),
+        StructuralBreak(keep=8),
+    ],
+)
+def test_hypothesis_from_dict_reads_what_to_dict_writes(h):
+    assert hypothesis_from_dict(json.loads(json.dumps(hypothesis_to_dict(h)))) == h

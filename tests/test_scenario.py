@@ -143,7 +143,7 @@ def test_noise_too_large_to_derive_tau_rejected():
     d = scenario_to_dict(tiny())
     d["noise_sigma"] = 1e200  # its square, and so the default tau, overflows
     del d["tau"]
-    with pytest.raises(InputError, match="invalid scenario"):
+    with pytest.raises(InputError, match="invalid scenario: noise_sigma 1e[+]200 squares past a float"):
         scenario_from_dict(d)
 
 

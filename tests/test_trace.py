@@ -58,6 +58,14 @@ def test_record_vectors_must_be_lists(field, bad):
         record_from_dict(d)
 
 
+@pytest.mark.parametrize("text", ["[NaN, Infinity]", "[1e-300, -Infinity]", "[NaN]"])
+def test_record_per_dim_elements_must_be_finite(text):
+    d = json.loads(json.dumps(record_to_dict(awkward_record())))
+    d["per_dim"] = json.loads(text)  # Python's JSON parser accepts NaN and Infinity
+    with pytest.raises(InputError, match="malformed trace record: per_dim element is not finite"):
+        record_from_dict(d)
+
+
 @pytest.mark.parametrize(
     "field, bad",
     [
