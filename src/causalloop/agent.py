@@ -167,7 +167,8 @@ def initial_model(sc: ScenarioConfig) -> CausalModel:
 def _fit_improves(current: CausalModel, fitted: CausalModel, holdout_size: int) -> bool:
     """Keep a scheduled fit only if it does not predict the recent holdout
     worse than the model it would replace, or no holdout row is predictable."""
-    mses = _Baseline.over(current, current.history[-holdout_size:]).mse(fitted)
+    base = _Baseline.over(current, current.history[-holdout_size:])
+    mses = base.mse(base.lags.targets(fitted.graph, fitted.delta_hat))
     return mses is None or mses[1] <= mses[0]
 
 

@@ -6,8 +6,8 @@ tick of a trace, ``replay`` a trace for bit-exact verification, and
 arguments accept either a file path or the name of a bundled scenario
 (``productivity``, ``break_demo``, ``calm``).
 
-Exit codes: 0 success, 1 usage error, 2 data error (bad files, digest
-mismatches, failed replays).
+Exit codes: 0 success, 1 usage error, 2 data error (bad files or option
+values, digest mismatches, failed replays).
 """
 
 from __future__ import annotations
@@ -92,7 +92,9 @@ def build_parser() -> _Parser:
     sweep_p.add_argument("--seeds", default="0:10", help="seed range lo:hi (hi exclusive)")
     sweep_p.add_argument("--length", type=int, default=400)
     sweep_p.add_argument("--out", required=True, help="output directory")
-    sweep_p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = auto)")
+    sweep_p.add_argument(
+        "--jobs", type=int, default=0, help="worker processes, at most one per seed (0 = auto)"
+    )
     return p
 
 
@@ -211,10 +213,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError(f"--seeds wants lo:hi, got {args.seeds!r}") from exc
     if hi <= lo:
         raise _UsageError("--seeds hi must exceed lo")
+    if args.jobs < 0:
+        raise InputError(f"--jobs must be >= 0, got {args.jobs}")
     resolve_scenario(args.scenario)  # fail fast before spawning workers
     os.makedirs(args.out, exist_ok=True)
     payloads = [(args.scenario, seed, args.length) for seed in range(lo, hi)]
-    jobs = args.jobs or min(4, os.cpu_count() or 1)
+    # The pool starts every worker at once, so never more than there are seeds.
+    jobs = min(args.jobs or min(4, os.cpu_count() or 1), len(payloads))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = sorted(pool.map(_sweep_one, payloads))

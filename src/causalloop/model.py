@@ -18,14 +18,17 @@ tick and is the one lenient prediction: a lag that is unrecorded drops its
 term.  Teacher-forced prediction over recorded rows applies it through one
 strict lagged-feature kernel, ``_LagFeatures``, built for a fixed
 (history, rows) pair: it caches each (source, delay, form) feature column
-over the rows and predicts any (graph, delta_hat) from those columns,
-leaving out a row with an unrecorded lag.  ``rollout``, ``fit``, the
-scheduled fit's holdout gate and the repair loop's residuals, scoring and
-testing all read it; reflect acts on the mismatch the live loop measured
-with ``predict_next``.  A history is one run of consecutive ticks
+over the rows and predicts any (graph, delta_hat) -- or any per-target
+edge lists, as the repair loop's candidate edits are -- from those
+columns, leaving out a row with an unrecorded lag.  ``rollout``, ``fit``,
+the scheduled fit's holdout gate and the repair loop's residuals, scoring
+and testing all read it; reflect acts on the mismatch the live loop
+measured with ``predict_next``.  A history is one run of consecutive ticks
 (:func:`append_history`, its only builder, refuses anything else; capacity
-trims and structural breaks keep suffixes), so the kernel and
-``predict_next`` find lagged tick q ``last - q`` places from its end (``_TickIndex``).
+trims and structural breaks keep suffixes), so lagged tick q sits
+``last - q`` places from its end.  ``predict_next`` looks its few lags up
+that way (``_TickIndex``); the kernel builds a whole column by position,
+row tick t reading history index ``len(history) - 1 - last + t + 1 - delay``.
 
 Traces record predictions and scores and replays compare them exactly, so
 the arithmetic is fixed:
@@ -241,13 +244,15 @@ class _LagFeatures:
     """Strict lagged-feature kernel for one fixed ``(history, rows)`` pair.
 
     ``column(source, delay, form)`` holds ``form.apply(v)`` for each row,
-    where ``v`` is the source's value at the row's tick + 1 - delay, read
-    through one :class:`_TickIndex` over ``history``: 0.0 before tick 0 and
-    None where that tick is unrecorded.  Columns are computed on first use
-    and cached, so any number of graphs -- a working model and every
-    candidate edit of it -- are predicted from one set of lag lookups.
-    A prediction leaves out each row where a lag it needs is unrecorded;
-    only :func:`predict_next` drops the term instead.
+    where ``v`` is the source's value at the row's tick + 1 - delay: 0.0
+    before tick 0, None where that tick is outside the history's run, and
+    otherwise read by position, as :class:`_TickIndex` reads it, from the
+    history entry ``last - (tick + 1 - delay)`` places from the end (an
+    entry holding another tick raises :class:`DomainError`).  Columns are
+    computed on first use and cached, so any number of graphs -- a working
+    model and every candidate edit of it -- are predicted from one set of
+    lag lookups.  A prediction leaves out each row where a lag it needs is
+    unrecorded; only :func:`predict_next` drops the term instead.
 
     Predictions are memoised per target dimension, keyed by the scale and
     the (column, coefficient) of each incoming edge in order.  A candidate
@@ -257,7 +262,8 @@ class _LagFeatures:
 
     def __init__(self, history: Sequence[Transition], rows: Sequence[Transition]) -> None:
         self.rows = rows
-        self._lags = _TickIndex(history)
+        self._history = history
+        self._last = history[-1].tuple.time.tick if history else 0
         self._ticks = [tr.tuple.time.tick for tr in rows]
         self._states = [tr.tuple.state.values for tr in rows]
         self._observed = [tr.observed.values for tr in rows]
@@ -271,10 +277,28 @@ class _LagFeatures:
         hit = self._columns.get(key)
         if hit is not None:
             return hit
+        history = self._history
+        n = len(history)
+        offset = n - self._last - delay  # row tick t reads history[offset + t]
+        action = source.kind is SourceKind.ACTION
+        index = source.index
+        apply = form.apply
         col: list[float | None] = []
         for tick in self._ticks:
-            v = _source_at(self._lags, source, tick + 1 - delay)
-            col.append(None if v is None else form.apply(v))
+            lag = tick + 1 - delay
+            if lag < 0:
+                col.append(apply(0.0))
+                continue
+            pos = offset + tick
+            if not 0 <= pos < n:
+                col.append(None)
+                continue
+            tup = history[pos].tuple
+            if tup.time.tick != lag:
+                raise DomainError(
+                    f"history is not one run: tick {tup.time.tick} is where {lag} belongs"
+                )
+            col.append(apply((tup.action if action else tup.state).values[index]))
         hit = self._columns[key] = (col, None in col)
         return hit
 
@@ -339,33 +363,31 @@ class _LagFeatures:
         hit = self._targets[key] = _Target(pred, dead)
         return hit
 
-    def _predicted(
-        self, graph: CausalGraph, delta_hat: float, lo: int, hi: int
-    ) -> tuple[list[_Target], set[int]]:
-        """Every target of ``graph`` and the dead rows of ``[lo, hi)``.  A
+    def targets(self, graph: CausalGraph, delta_hat: float) -> list[_Target]:
+        """Every target dimension of ``graph`` at ``delta_hat``, in order."""
+        scale = math.exp(-delta_hat)
+        return [self._target(k, g, scale) for k, g in enumerate(_by_target(graph))]
+
+    def _dead(self, targets: list[_Target], lo: int, hi: int) -> set[int]:
+        """The rows of ``[lo, hi)`` one of ``targets`` leaves out.  A
         non-finite prediction on a live row raises :class:`DomainError` as
         building a :class:`StateVec` from it would."""
-        scale = math.exp(-delta_hat)
-        groups: list[list[CausalEdge]] = [[] for _ in range(graph.d_state)]
-        for e in graph.edges:
-            groups[e.target].append(e)
-        targets = [self._target(k, g, scale) for k, g in enumerate(groups)]
         dead = {i for t in targets for i in t.dead if lo <= i < hi}
         if not all(t.finite for t in targets):
             for i in range(lo, hi):
                 if i not in dead:
                     StateVec(tuple(t.pred[i] for t in targets))  # raises if non-finite
-        return targets, dead
+        return dead
 
     def sq_errors(
-        self, graph: CausalGraph, delta_hat: float, lo: int = 0, hi: int | None = None
+        self, targets: list[_Target], lo: int = 0, hi: int | None = None
     ) -> list[float | None]:
-        """Per row of ``[lo, hi)``, ``sum((o - p) ** 2)`` over dimensions in
-        order; None where the row is left out.  Divided
-        by ``graph.d_state`` it is the row's :func:`causalloop.core.loss`
-        epsilon."""
+        """Per row of ``[lo, hi)``, ``sum((o - p) ** 2)`` over ``targets``
+        (from :meth:`targets`, or a candidate edit's) in dimension order;
+        None where the row is left out.  Divided by d_state it is the row's
+        :func:`causalloop.core.loss` epsilon."""
         hi = len(self.rows) if hi is None else hi
-        targets, dead = self._predicted(graph, delta_hat, lo, hi)
+        dead = self._dead(targets, lo, hi)
         for k, t in enumerate(targets):
             if t.sq is None:
                 t.sq = [(o[k] - p) ** 2 for o, p in zip(self._observed, t.pred)]
@@ -373,6 +395,14 @@ class _LagFeatures:
         for i in dead:
             out[i - lo] = None
         return out
+
+
+def _by_target(graph: CausalGraph) -> list[list[CausalEdge]]:
+    """Each state dimension's incoming edges, in graph order."""
+    groups: list[list[CausalEdge]] = [[] for _ in range(graph.d_state)]
+    for e in graph.edges:
+        groups[e.target].append(e)
+    return groups
 
 
 def rollout(
@@ -388,7 +418,9 @@ def rollout(
     ``history``, which must be one run of consecutive ticks (see
     :class:`_TickIndex`).  Rows whose lags are unrecorded yield None.
     """
-    targets, dead = _LagFeatures(history, rows)._predicted(graph, delta_hat, 0, len(rows))
+    lags = _LagFeatures(history, rows)
+    targets = lags.targets(graph, delta_hat)
+    dead = lags._dead(targets, 0, len(rows))
     preds = zip(*(t.pred for t in targets))
     return [None if i in dead else StateVec(p) for i, p in enumerate(preds)]
 

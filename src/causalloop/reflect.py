@@ -21,16 +21,20 @@ persistent regime change that suffix is exactly the post-change data, so
 refits are not diluted by stale rows.
 
 Each trigger builds one lagged-feature kernel (see :mod:`causalloop.model`)
-over the model's ``fit_window`` window.  The working model's predictions
-and per-row squared errors are computed once and shared by every
-``score_hypothesis`` and ``test_hypothesis`` call; a candidate's own
-predictions reuse each target dimension its edit leaves alone.
-``anomalous_suffix`` reads the working model's errors, and a residual fit
-the observations minus the kernel's prediction from the other edges.
-After an acceptance only the baseline is recomputed, and the kernel is
-rebuilt only when an accepted StructuralBreak has replaced the history.
-Every score and holdout MSE is bit-identical to rolling each candidate out
-afresh.
+over the model's ``fit_window`` window.  The working model's per-target
+predictions and per-row squared errors are computed once and shared by
+every ``score_hypothesis`` and ``test_hypothesis`` call, and each candidate
+is scored and tested as an edit to them, without building its model: an
+edge edit becomes one target's new edge list, so only that target is
+predicted again, and a delta shift re-predicts the unchanged graph at the
+new scale.  The edit keeps the checks building the edited graph would
+make.  Only a StructuralBreak, whose refit needs the model, and an
+accepted edit go through ``apply_hypothesis``.  ``anomalous_suffix``
+reads the working model's errors, and a residual fit the observations
+minus the kernel's prediction from the other edges.  After an acceptance
+only the baseline is recomputed, and the kernel is rebuilt only when an
+accepted StructuralBreak has replaced the history.  Every score and
+holdout MSE is bit-identical to rolling each candidate's model out afresh.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from typing import Any, Iterator, Sequence
 
 from .core import (
     CausalLoopError,
+    ConfigError,
     NotEnoughDataError,
     NotIdentifiableError,
     PredictionError,
@@ -55,6 +60,8 @@ from .model import (
     estimate_delta,
     rollout,
     _LagFeatures,
+    _Target,
+    _by_target,
     _least_squares,
 )
 from .scenario import json_number, json_typed
@@ -176,11 +183,14 @@ def detect_mismatch(err: PredictionError, tau: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _clamped(m: CausalModel, delta: float) -> float:
+    return max(-m.delta_max, min(m.delta_max, delta))
+
+
 def apply_hypothesis(m: CausalModel, h: Hypothesis) -> CausalModel:
     """A copy of ``m`` with the edit applied; the input is untouched."""
     if isinstance(h, DeltaShift):
-        d = max(-m.delta_max, min(m.delta_max, h.new_delta))
-        return replace(m, delta_hat=d)
+        return replace(m, delta_hat=_clamped(m, h.new_delta))
     if isinstance(h, CoefChange):
         edges = list(m.graph.edges)
         edges[h.edge_index] = replace(edges[h.edge_index], coefficient=h.new_coefficient)
@@ -209,30 +219,91 @@ def apply_hypothesis(m: CausalModel, h: Hypothesis) -> CausalModel:
 
 
 class _Baseline:
-    """A model's per-row errors over rows ``[lo, hi)`` of a kernel.
+    """A model's per-row errors over rows ``[lo, hi)`` of a kernel, and the
+    predictions of any edit of that model.
 
     Computed once and shared by every score or test against that model:
-    ``sq`` is each row's ``sum((o - p) ** 2)``, None where the row is not
-    predictable.  ``sq / d`` is the row's :func:`loss` epsilon to the bit.
+    ``targets[k]`` is target dimension k's predictions from ``incoming[k]``,
+    its edges in graph order, and ``sq`` is each row's ``sum((o - p) **
+    2)``, None where the row is not predictable.  ``sq / d`` is the row's
+    :func:`loss` epsilon to the bit.
+
+    :meth:`edited` scores an edit as a delta to these predictions: a
+    coefficient, delay, removal or addition becomes (target, that target's
+    new edge list in graph order, scale), so only that target is predicted
+    again and every other target is this baseline's object; a DeltaShift
+    re-predicts the unchanged graph at the clamped delta.  No graph is
+    built, and the results equal those of ``apply_hypothesis(m, h)``'s
+    graph to the bit.
     """
 
     def __init__(
         self, m: CausalModel, lags: _LagFeatures, lo: int = 0, hi: int | None = None
     ) -> None:
+        self.m = m
         self.lags = lags
         self.lo = lo
         self.hi = len(lags.rows) if hi is None else hi
         self.d = m.graph.d_state
-        self.sq = lags.sq_errors(m.graph, m.delta_hat, lo, self.hi)
+        self.scale = math.exp(-m.delta_hat)
+        self.incoming = _by_target(m.graph)
+        self.targets = [lags._target(k, g, self.scale) for k, g in enumerate(self.incoming)]
+        self.sq = lags.sq_errors(self.targets, lo, self.hi)
 
     @staticmethod
     def over(m: CausalModel, rows: Sequence[Transition]) -> _Baseline:
         return _Baseline(m, _LagFeatures(m.history, rows))
 
-    def mse(self, other: CausalModel) -> tuple[float, float] | None:
-        """Mean loss epsilon of this model and of ``other`` over the rows
-        both predict; None when there are none."""
-        sq_os = self.lags.sq_errors(other.graph, other.delta_hat, self.lo, self.hi)
+    def edited(self, h: Hypothesis) -> list[_Target]:
+        """Every target dimension of ``apply_hypothesis(m, h)``, in order.
+
+        Raises :class:`ConfigError` wherever building that model's graph
+        would: a new edge's delay below 1 or coefficient not finite, its
+        source or target out of range, or its (source, delay) already
+        feeding the edited target.  A StructuralBreak (its refit needs the
+        model) and an edge index outside the graph go through
+        :func:`apply_hypothesis` itself.
+        """
+        m = self.m
+        if isinstance(h, DeltaShift):
+            return self.lags.targets(m.graph, _clamped(m, h.new_delta))
+        edges = m.graph.edges
+        if isinstance(h, EdgeAdd):
+            new: CausalEdge | None = CausalEdge(h.source, h.target, h.delay, h.coefficient, h.form)
+            m.graph.check_in_range(new)
+            k = h.target
+            group = [*self.incoming[k], new]
+        elif isinstance(h, StructuralBreak) or not 0 <= h.edge_index < len(edges):
+            applied = apply_hypothesis(m, h)
+            return self.lags.targets(applied.graph, applied.delta_hat)
+        else:
+            old = edges[h.edge_index]
+            k = old.target
+            group = list(self.incoming[k])
+            at = [e is old for e in group].index(True)
+            if isinstance(h, EdgeRemove):
+                new = None
+                del group[at]
+            elif isinstance(h, CoefChange):
+                new = group[at] = CausalEdge(old.source, k, old.delay, h.new_coefficient, old.form)
+            else:
+                new = group[at] = CausalEdge(old.source, k, h.new_delay, old.coefficient, old.form)
+        if new is not None:
+            for e in group:
+                if e is not new and e.source == new.source and e.delay == new.delay:
+                    raise ConfigError(
+                        f"duplicate edge (source={new.source}, target={k}, delay={new.delay})"
+                    )
+        targets = list(self.targets)
+        targets[k] = self.lags._target(k, group, self.scale)
+        return targets
+
+    def mse(self, targets: list[_Target]) -> tuple[float, float] | None:
+        """Mean loss epsilon of this model and of the one ``targets``
+        predicts (an :meth:`edited` result, or the kernel's targets of
+        another model) over the rows both predict; None when there are
+        none."""
+        sq_os = self.lags.sq_errors(targets, self.lo, self.hi)
         sq_m = sq_o = 0.0
         n = 0
         for row_m, row_o in zip(self.sq, sq_os):
@@ -357,7 +428,7 @@ def _candidates(
         except NotIdentifiableError:
             correction = None
         if correction is not None:
-            new_delta = max(-m.delta_max, min(m.delta_max, m.delta_hat + correction))
+            new_delta = _clamped(m, m.delta_hat + correction)
             if new_delta != m.delta_hat:
                 yield DeltaShift(new_delta)
 
@@ -418,8 +489,7 @@ def score_hypothesis(
         return 0.0
     if base is None:
         base = _Baseline.over(m, window)
-    applied = apply_hypothesis(m, h)
-    sq_hs = base.lags.sq_errors(applied.graph, applied.delta_hat, base.lo, base.hi)
+    sq_hs = base.lags.sq_errors(base.edited(h), base.lo, base.hi)
     two_var = 2.0 * m.sigma_lik**2
     total = 0.0
     for sq_m, sq_h in zip(base.sq, sq_hs):
@@ -447,7 +517,7 @@ def test_hypothesis(
         raise NotEnoughDataError("empty holdout")
     if base is None:
         base = _Baseline.over(m, holdout)
-    mses = base.mse(apply_hypothesis(m, h))
+    mses = base.mse(base.edited(h))
     if mses is None:
         raise NotEnoughDataError("no predictable holdout rows")
     mse_m, mse_h = mses

@@ -112,17 +112,20 @@ class CausalGraph:
             raise ConfigError(f"d_action must be >= 0, got {self.d_action}")
         seen: set[tuple[VarRef, int, int]] = set()
         for e in self.edges:
-            if not 0 <= e.target < self.d_state:
-                raise ConfigError(f"edge target {e.target} out of range for d_state={self.d_state}")
-            bound = self.d_action if e.source.kind is SourceKind.ACTION else self.d_state
-            if not 0 <= e.source.index < bound:
-                raise ConfigError(
-                    f"edge source {e.source.kind.value}[{e.source.index}] out of range"
-                )
+            self.check_in_range(e)
             key = (e.source, e.target, e.delay)
             if key in seen:
                 raise ConfigError(f"duplicate edge (source={e.source}, target={e.target}, delay={e.delay})")
             seen.add(key)
+
+    def check_in_range(self, e: CausalEdge) -> None:
+        """Raise :class:`ConfigError` unless ``e``'s target and source are
+        dimensions of this graph."""
+        if not 0 <= e.target < self.d_state:
+            raise ConfigError(f"edge target {e.target} out of range for d_state={self.d_state}")
+        bound = self.d_action if e.source.kind is SourceKind.ACTION else self.d_state
+        if not 0 <= e.source.index < bound:
+            raise ConfigError(f"edge source {e.source.kind.value}[{e.source.index}] out of range")
 
     def incoming(self, target: int) -> tuple[tuple[int, CausalEdge], ...]:
         """(index, edge) pairs for edges landing on ``target``."""

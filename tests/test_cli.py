@@ -336,3 +336,42 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main([*argv, "--out", str(parallel), "--jobs", "2"]) == 0
     for name in ("seed_0.json", "seed_1.json", "summary.tsv"):
         assert (serial / name).read_text() == (parallel / name).read_text()
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    the tasks in this process, so no worker is ever started."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(x) for x in items]
+
+
+@pytest.mark.parametrize(
+    "jobs, seeds, workers", [("5000", "0:2", [2]), ("3", "0:5", [3]), ("0", "0:1", [])]
+)
+def test_sweep_starts_at_most_one_worker_per_seed(tmp_path, monkeypatch, jobs, seeds, workers):
+    monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr("causalloop.cli.ProcessPoolExecutor", _SerialPool)
+    argv = ["sweep", "calm", "--seeds", seeds, "--length", "5", "--jobs", jobs]
+    assert main([*argv, "--out", str(tmp_path / "sw")]) == 0
+    assert _SerialPool.created == workers
+
+
+def test_sweep_refuses_negative_jobs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr("causalloop.cli.ProcessPoolExecutor", _SerialPool)
+    out = tmp_path / "sw"
+    assert main(["sweep", "calm", "--seeds", "0:2", "--jobs", "-1", "--out", str(out)]) == 2
+    assert "--jobs must be >= 0" in capsys.readouterr().err
+    assert _SerialPool.created == [] and not out.exists()

@@ -8,7 +8,9 @@ one prediction rule, and reflect's residuals and the holdout MSE shared by
 ``test_hypothesis`` and the fit gate to the same references.  Results are
 compared as ``float.hex`` strings, so a sign of zero or a last-place
 difference counts.  Over the same random models, candidate generation is
-held to its budget: it estimates nothing past it.
+held to its budget: it estimates nothing past it, and every candidate edit
+scored as a delta to the working model's predictions is held to the model
+``apply_hypothesis`` builds.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ from causalloop.model import (
     predict_next,
     rollout,
 )
+from causalloop.core import CausalLoopError
 from causalloop.reflect import (
+    DelayChange,
     ReflectSettings,
     StructuralBreak,
     apply_hypothesis,
@@ -49,7 +53,9 @@ from causalloop.reflect import (
     reflect,
     score_hypothesis,
     _Baseline,
+    _remap,
     _residuals,
+    _update_map,
 )
 from causalloop.reflect import test_hypothesis as holdout_test
 from causalloop.world import SourceKind
@@ -377,10 +383,86 @@ def test_holdout_mse_and_fit_gate_match_reference(seed, kind, size):
     other = rescaled(m, rng)
     holdout = m.history[-size:]
     expected = reference_mse(m, other, holdout)
-    got = _Baseline.over(m, holdout).mse(other)
+    base = _Baseline.over(m, holdout)
+    got = base.mse(base.lags.targets(other.graph, other.delta_hat))
     if expected is None:
         assert got is None
         assert _fit_improves(m, other, size)
         return
     assert (got[0].hex(), got[1].hex()) == (expected[0].hex(), expected[1].hex())
     assert _fit_improves(m, other, size) == (expected[1] <= expected[0])
+
+
+def outcome(rows):
+    """``rows()`` as ``float.hex`` strings, or the class of the
+    :class:`CausalLoopError` it raised."""
+    try:
+        return hexes(rows())
+    except CausalLoopError as exc:
+        return type(exc)
+
+
+def with_twin(m):
+    """``m`` with a second edge from its first edge's source to its target,
+    two ticks later: one delay change of each lands both on the tick between."""
+    e = m.graph.edges[0]
+    return replace(m, graph=replace(m.graph, edges=m.graph.edges + (replace(e, delay=e.delay + 2),)))
+
+
+def edit_outcomes(seed, pick, twin):
+    """Hold every candidate's rows by the edit path to ``sq_errors`` of the
+    model ``apply_hypothesis`` builds, read through a kernel of its own, on
+    the model and on a working model after one accepted, remapped edit (the
+    ``pick``-th, or with None the first edge's delay change onto its twin's
+    neighbour tick); return how many candidates raised."""
+    m, _ = flushed_model(seed)
+    if twin:
+        m = with_twin(m)
+    ctx = m.history[-1]
+    err = loss(predict_next(m, ctx.tuple), ctx.observed)
+    candidates = generate_hypotheses(m, ctx, err, 0.0, ReflectSettings(budget=1024))
+    rows = m.history[-m.fit_window :]
+    lags = _LagFeatures(m.history, rows)
+    raised = 0
+
+    def check(working, hs):
+        nonlocal raised
+        base = _Baseline(working, lags)
+        for h in hs:
+
+            def built(h=h):
+                applied = apply_hypothesis(working, h)
+                fresh = _LagFeatures(m.history, rows)
+                return fresh.sq_errors(fresh.targets(applied.graph, applied.delta_hat))
+
+            expected = outcome(built)
+            assert outcome(lambda: lags.sq_errors(base.edited(h))) == expected, h
+            raised += isinstance(expected, type)
+
+    check(m, candidates)
+    edits = [h for h in candidates if not isinstance(h, StructuralBreak)]
+    if pick is None:
+        first = DelayChange(0, m.graph.edges[0].delay + 1)
+        assert first in edits
+    else:
+        first = edits[pick % len(edits)]
+    try:
+        working = apply_hypothesis(m, first)
+    except CausalLoopError:
+        return raised
+    index_map = _update_map(first, {i: i for i in range(len(m.graph.edges))})
+    remapped = [_remap(h, index_map) for h in candidates if h != first]
+    check(working, [h for h in remapped if h is not None])
+    return raised
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 2**16)), st.booleans())
+def test_edits_match_the_models_they_build(seed, pick, twin):
+    edit_outcomes(seed, pick, twin)
+
+
+def test_twin_delay_changes_collide():
+    """After one twin's delay change, the other's onto the same tick is a
+    duplicate edge: building it raises, and so does its edit."""
+    assert sum(edit_outcomes(seed, None, True) for seed in range(10)) >= 10

@@ -17,6 +17,7 @@ import causalloop
 from causalloop.core import (
     ActionVec,
     CausalTuple,
+    ConfigError,
     DegenerateDataError,
     DomainError,
     PredictionError,
@@ -353,6 +354,84 @@ def test_spurious_edge_neutralized():
     final = report.updated_model.graph
     # either the edge is gone or its coefficient collapsed to ~0
     assert not final.edges or abs(final.edges[0].coefficient) < 1e-6
+
+
+def twin_delay_model():
+    """Edges a0 -> s0 at delays 1 and 3 over a world whose one edge is
+    a0 -> s0 at delay 2: either delay change onto 2 fits."""
+    g = CausalGraph(
+        d_state=1,
+        d_action=1,
+        edges=(
+            CausalEdge(VarRef.action(0), 0, delay=1, coefficient=2.0),
+            CausalEdge(VarRef.action(0), 0, delay=3, coefficient=2.0),
+        ),
+    )
+    m = CausalModel(graph=g, fit_window=32)
+    gen = np.random.default_rng(0)
+    actions = [float(gen.uniform(-2.0, 2.0)) for _ in range(24)]
+    effects = [lambda a: 0.0] + [lambda a, t=t: 2.0 * actions[t - 1] for t in range(1, 24)]
+    return feed_effect_rows(m, effects, actions)
+
+
+def test_colliding_delay_change_is_skipped(monkeypatch):
+    m, last = twin_delay_model()
+    working = apply_hypothesis(m, DelayChange(0, 2))
+    holdout = working.history[-8:]
+    with pytest.raises(ConfigError):
+        apply_hypothesis(working, DelayChange(1, 2))
+    with pytest.raises(ConfigError):
+        holdout_test(working, DelayChange(1, 2), holdout, 0.1)
+    with pytest.raises(ConfigError):
+        score_hypothesis(working, DelayChange(1, 2), working.history[-32:-8])
+
+    reflect_mod = causalloop.reflect
+    real_test = reflect_mod.test_hypothesis
+    tested = []
+
+    def logged_test(w, h, *args, **kwargs):
+        try:
+            result = real_test(w, h, *args, **kwargs)
+        except ConfigError:
+            tested.append((h, "ConfigError"))
+            raise
+        tested.append((h, result[0]))
+        return result
+
+    monkeypatch.setattr(reflect_mod, "test_hypothesis", logged_test)
+    report = reflect(m, last, mismatch(m, last), tau=0.5)
+    assert tested[:2] == [(DelayChange(0, 2), True), (DelayChange(1, 2), "ConfigError")]
+    assert report.accepted == (DelayChange(0, 2), EdgeRemove(1))
+
+    # The same report as when every candidate's model is built and rolled out.
+    def built(base, h):
+        applied = apply_hypothesis(base.m, h)
+        return base.lags.targets(applied.graph, applied.delta_hat)
+
+    monkeypatch.setattr(reflect_mod._Baseline, "edited", built)
+    assert reflect(m, last, mismatch(m, last), tau=0.5) == report
+
+
+def test_no_model_is_built_per_candidate(monkeypatch):
+    """Scoring and testing edit the working model's predictions: only an
+    accepted edit, or a StructuralBreak's refit, builds a model."""
+    reflect_mod = causalloop.reflect
+    real_apply = reflect_mod.apply_hypothesis
+    built = []
+
+    def counted(m, h):
+        built.append(h)
+        return real_apply(m, h)
+
+    monkeypatch.setattr(reflect_mod, "apply_hypothesis", counted)
+    sc = causalloop.resolve_scenario("break_demo")
+    trace = causalloop.run_episode(sc, causalloop.RandomPolicy(), seed=2, length=260)
+    accepted = [
+        h["kind"] for r in trace.records if r.reflect is not None for h in r.reflect["accepted"]
+    ]
+    edits = [h for h in accepted if h != "structural_break"]
+    assert len(edits) >= 5
+    assert len([h for h in built if not isinstance(h, StructuralBreak)]) == len(edits)
 
 
 def test_max_accepts_bounds_acceptances():
