@@ -6,8 +6,11 @@ tick of a trace, ``replay`` a trace for bit-exact verification, and
 arguments accept either a file path or the name of a bundled scenario
 (``productivity``, ``break_demo``, ``calm``).
 
-Exit codes: 0 success, 1 usage error, 2 data error (bad files or option
-values, digest mismatches, failed replays).
+Exit codes: 0 success, 1 usage error (an unknown command or option, or an
+option value that does not parse, such as ``--jobs x`` or ``--seeds x``),
+2 data error (bad files; option values that parse but are out of range,
+such as ``--length -1``, ``--jobs -3``, an empty ``--seeds 5:2`` or a seed
+of 2**64 or more; digest mismatches; failed replays).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .explain import (
 from .model import model_from_snapshot
 from .scenario import atomic_write_text, resolve_scenario
 from .trace import EpisodeTrace, read_trace, write_trace
+from .world import check_seed
 
 
 class _UsageError(Exception):
@@ -212,9 +216,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _UsageError(f"--seeds wants lo:hi, got {args.seeds!r}") from exc
     if hi <= lo:
-        raise _UsageError("--seeds hi must exceed lo")
+        raise InputError(f"--seeds {args.seeds} is empty: hi must exceed lo")
     if args.jobs < 0:
         raise InputError(f"--jobs must be >= 0, got {args.jobs}")
+    check_seed(lo)
+    check_seed(hi - 1)
     resolve_scenario(args.scenario)  # fail fast before spawning workers
     os.makedirs(args.out, exist_ok=True)
     payloads = [(args.scenario, seed, args.length) for seed in range(lo, hi)]

@@ -189,10 +189,18 @@ def scale_factor(delta: Perturbation | float) -> float:
 
 
 def loss(predicted: StateVec, observed: StateVec) -> PredictionError:
-    """Per-dimension squared error and its mean."""
+    """Per-dimension squared error and its mean.
+
+    The errors are added left to right from 0.0, not with ``sum``: since
+    Python 3.12 ``sum`` compensates float rounding, and epsilon reaches
+    traces, so it must not depend on the Python version.
+    """
     if len(predicted) != len(observed):
         raise DimensionError(
             f"predicted has {len(predicted)} dims, observed has {len(observed)}"
         )
     per_dim = tuple((p - o) ** 2 for p, o in zip(predicted.values, observed.values))
-    return PredictionError(epsilon=sum(per_dim) / len(per_dim), per_dim=per_dim)
+    total = 0.0
+    for sq in per_dim:
+        total += sq
+    return PredictionError(epsilon=total / len(per_dim), per_dim=per_dim)

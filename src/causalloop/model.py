@@ -31,17 +31,29 @@ that way (``_TickIndex``); the kernel builds a whole column by position,
 row tick t reading history index ``len(history) - 1 - last + t + 1 - delay``.
 
 Traces record predictions and scores and replays compare them exactly, so
-the arithmetic is fixed:
+the arithmetic is fixed, in Python loops and in the repair loop's numpy
+batch (:mod:`causalloop.reflect`) alike:
 
 * the rule above, in that order;
-* squared errors stay Python ``(o - p) ** 2`` summed with ``sum`` in
-  dimension order.  Python's ``**`` calls the C library's ``pow``, which
-  is not always correctly rounded, while numpy's ``x * x``, ``x ** 2`` and
-  ``np.power`` are; the two differ on about one double in a thousand, so
-  moving these sums to numpy would move trace bits.  A row's sum divided
-  by d_state is :func:`causalloop.core.loss`'s epsilon to the bit:
-  ``p - o`` is exactly ``-(o - p)`` and ``pow`` of a negated base to an
-  even integer power is the same double.
+* a squared error is Python ``(o - p) ** 2`` or, on arrays,
+  ``np.float_power(o - p, 2.0)``: both call the C library's ``pow``.  That
+  ``pow`` is not always correctly rounded, while numpy's ``x * x``,
+  ``x ** 2`` and ``np.power`` are (or are vectorised apart from it); they
+  differ on about one double in a thousand;
+* a tanh feature is ``math.tanh``; ``np.tanh`` differs on about one double
+  in four;
+* every sum -- a target's edge effects, a row's squared errors over
+  dimensions, a score or a mean over rows -- adds left to right from 0.0:
+  a Python loop or ``map(operator.add, ...)``, or ``np.cumsum`` along an
+  axis from a leading 0.0.  Never the builtin ``sum``, which compensates
+  rounding since Python 3.12, nor ``np.sum``, which adds pairwise.  A
+  masked entry adds +0.0, which equals skipping it: a sum that starts at
+  +0.0 never holds -0.0.
+
+A row's squared errors summed and divided by d_state is
+:func:`causalloop.core.loss`'s epsilon to the bit: ``p - o`` is exactly
+``-(o - p)`` and ``pow`` of a negated base to an even integer power is the
+same double.
 
 Coefficient fitting is plain per-dimension ordinary least squares on
 lagged features (numpy.linalg.lstsq), one path for the scheduled fit and a
@@ -273,7 +285,8 @@ class _LagFeatures:
 
     def column(self, source: VarRef, delay: int, form: Form) -> tuple[list[float | None], bool]:
         """The feature column and whether it has a gap (a None entry)."""
-        key = (source, delay, form)
+        # Plain values hash in C; a VarRef or a Form hashes in Python.
+        key = (source.kind is SourceKind.ACTION, source.index, delay, form.value)
         hit = self._columns.get(key)
         if hit is not None:
             return hit
@@ -382,16 +395,18 @@ class _LagFeatures:
     def sq_errors(
         self, targets: list[_Target], lo: int = 0, hi: int | None = None
     ) -> list[float | None]:
-        """Per row of ``[lo, hi)``, ``sum((o - p) ** 2)`` over ``targets``
-        (from :meth:`targets`, or a candidate edit's) in dimension order;
-        None where the row is left out.  Divided by d_state it is the row's
-        :func:`causalloop.core.loss` epsilon."""
+        """Per row of ``[lo, hi)``, ``(o - p) ** 2`` added from 0.0 over
+        ``targets`` (from :meth:`targets`, or a candidate edit's) in
+        dimension order; None where the row is left out.  Divided by d_state
+        it is the row's :func:`causalloop.core.loss` epsilon."""
         hi = len(self.rows) if hi is None else hi
         dead = self._dead(targets, lo, hi)
         for k, t in enumerate(targets):
             if t.sq is None:
                 t.sq = [(o[k] - p) ** 2 for o, p in zip(self._observed, t.pred)]
-        out: list[float | None] = list(map(sum, zip(*(t.sq[lo:hi] for t in targets))))
+        out: list[float | None] = [0.0] * (hi - lo)
+        for t in targets:
+            out = list(map(operator.add, out, t.sq[lo:hi]))
         for i in dead:
             out[i - lo] = None
         return out

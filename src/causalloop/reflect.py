@@ -23,18 +23,27 @@ refits are not diluted by stale rows.
 Each trigger builds one lagged-feature kernel (see :mod:`causalloop.model`)
 over the model's ``fit_window`` window.  The working model's per-target
 predictions and per-row squared errors are computed once and shared by
-every ``score_hypothesis`` and ``test_hypothesis`` call, and each candidate
-is scored and tested as an edit to them, without building its model: an
-edge edit becomes one target's new edge list, so only that target is
-predicted again, and a delta shift re-predicts the unchanged graph at the
-new scale.  The edit keeps the checks building the edited graph would
-make.  Only a StructuralBreak, whose refit needs the model, and an
-accepted edit go through ``apply_hypothesis``.  ``anomalous_suffix``
-reads the working model's errors, and a residual fit the observations
-minus the kernel's prediction from the other edges.  After an acceptance
-only the baseline is recomputed, and the kernel is rebuilt only when an
-accepted StructuralBreak has replaced the history.  Every score and
-holdout MSE is bit-identical to rolling each candidate's model out afresh.
+every score and test, and each candidate is scored and tested as an edit to
+them, without building its model.  Before the first acceptance every
+CoefChange, DelayChange, EdgeRemove and EdgeAdd is scored and tested in one
+numpy batch (``_EditBatch``): one row of a (candidates x window rows) array
+per edit, holding its edited target's edge sum in graph order, whose
+squared errors are added to the working model's other targets in dimension
+order, with every sum a cumsum from a leading 0.0.  The rest go one at a
+time through ``score_hypothesis`` and ``test_hypothesis``: a DeltaShift,
+which re-predicts the unchanged graph at the new scale; a StructuralBreak,
+whose refit needs the model; an edit the batch cannot settle (it raises, or
+some squared error is not finite), so that it is refused where it always
+was; and every test after an acceptance, against the repaired model.  One
+at a time, an edge edit becomes one target's new edge list, so only that
+target is predicted again.  Either way the edit keeps the checks building
+the edited graph would make, and only a StructuralBreak and an accepted
+edit go through ``apply_hypothesis``.  ``anomalous_suffix`` reads the
+working model's errors, and a residual fit the observations minus the
+kernel's prediction from the other edges.  After an acceptance only the
+baseline is recomputed, and the kernel is rebuilt only when an accepted
+StructuralBreak has replaced the history.  Every score and holdout MSE is
+bit-identical to rolling each candidate's model out afresh.
 """
 
 from __future__ import annotations
@@ -42,6 +51,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Iterator, Sequence
+
+import numpy as np
 
 from .core import (
     CausalLoopError,
@@ -61,7 +72,6 @@ from .model import (
     rollout,
     _LagFeatures,
     _Target,
-    _by_target,
     _least_squares,
 )
 from .scenario import json_number, json_typed
@@ -224,17 +234,18 @@ class _Baseline:
 
     Computed once and shared by every score or test against that model:
     ``targets[k]`` is target dimension k's predictions from ``incoming[k]``,
-    its edges in graph order, and ``sq`` is each row's ``sum((o - p) **
-    2)``, None where the row is not predictable.  ``sq / d`` is the row's
+    its edges in graph order (``position`` gives each edge's place there),
+    and ``sq`` is each row's ``(o - p) ** 2`` added over dimensions from
+    0.0, None where the row is not predictable.  ``sq / d`` is the row's
     :func:`loss` epsilon to the bit.
 
     :meth:`edited` scores an edit as a delta to these predictions: a
     coefficient, delay, removal or addition becomes (target, that target's
-    new edge list in graph order, scale), so only that target is predicted
-    again and every other target is this baseline's object; a DeltaShift
-    re-predicts the unchanged graph at the clamped delta.  No graph is
-    built, and the results equal those of ``apply_hypothesis(m, h)``'s
-    graph to the bit.
+    new edge list in graph order, scale) through :meth:`edit`, so only that
+    target is predicted again and every other target is this baseline's
+    object; a DeltaShift re-predicts the unchanged graph at the clamped
+    delta.  No graph is built, and the results equal those of
+    ``apply_hypothesis(m, h)``'s graph to the bit.
     """
 
     def __init__(
@@ -246,7 +257,11 @@ class _Baseline:
         self.hi = len(lags.rows) if hi is None else hi
         self.d = m.graph.d_state
         self.scale = math.exp(-m.delta_hat)
-        self.incoming = _by_target(m.graph)
+        self.incoming: list[list[CausalEdge]] = [[] for _ in range(self.d)]
+        self.position: list[int] = []  # each edge's place in its target's list
+        for e in m.graph.edges:
+            self.position.append(len(self.incoming[e.target]))
+            self.incoming[e.target].append(e)
         self.targets = [lags._target(k, g, self.scale) for k, g in enumerate(self.incoming)]
         self.sq = lags.sq_errors(self.targets, lo, self.hi)
 
@@ -254,46 +269,62 @@ class _Baseline:
     def over(m: CausalModel, rows: Sequence[Transition]) -> _Baseline:
         return _Baseline(m, _LagFeatures(m.history, rows))
 
+    def edit(self, h: Hypothesis) -> tuple[int, int, CausalEdge | None] | None:
+        """An edge edit as ``(k, at, new)``: target dimension k's incoming
+        edges in graph order with the one at position ``at`` replaced by
+        ``new``, or removed when ``new`` is None, or with ``new`` appended
+        when ``at`` is their number.  None for a DeltaShift, a
+        StructuralBreak and an edge index outside the graph.
+
+        Raises :class:`ConfigError` wherever building the edited graph
+        would: a new edge's delay below 1 or coefficient not finite, its
+        source or target out of range, or its (source, delay) already
+        feeding the edited target.
+        """
+        edges = self.m.graph.edges
+        if isinstance(h, EdgeAdd):
+            new: CausalEdge | None = CausalEdge(h.source, h.target, h.delay, h.coefficient, h.form)
+            self.m.graph.check_in_range(new)
+            k = h.target
+            at = len(self.incoming[k])
+        elif isinstance(h, (DeltaShift, StructuralBreak)) or not 0 <= h.edge_index < len(edges):
+            return None
+        else:
+            old = edges[h.edge_index]
+            k = old.target
+            at = self.position[h.edge_index]
+            if isinstance(h, EdgeRemove):
+                new = None
+            elif isinstance(h, CoefChange):
+                new = CausalEdge(old.source, k, old.delay, h.new_coefficient, old.form)
+            else:
+                new = CausalEdge(old.source, k, h.new_delay, old.coefficient, old.form)
+        if new is not None:
+            for i, e in enumerate(self.incoming[k]):
+                if i != at and e.delay == new.delay and e.source == new.source:
+                    raise ConfigError(
+                        f"duplicate edge (source={new.source}, target={k}, delay={new.delay})"
+                    )
+        return k, at, new
+
     def edited(self, h: Hypothesis) -> list[_Target]:
         """Every target dimension of ``apply_hypothesis(m, h)``, in order.
 
-        Raises :class:`ConfigError` wherever building that model's graph
-        would: a new edge's delay below 1 or coefficient not finite, its
-        source or target out of range, or its (source, delay) already
-        feeding the edited target.  A StructuralBreak (its refit needs the
-        model) and an edge index outside the graph go through
-        :func:`apply_hypothesis` itself.
+        An edge edit predicts only the target :meth:`edit` names again, and
+        raises where it does; a DeltaShift re-predicts the unchanged graph,
+        and a StructuralBreak (its refit needs the model) and an edge index
+        outside the graph go through :func:`apply_hypothesis` itself.
         """
         m = self.m
         if isinstance(h, DeltaShift):
             return self.lags.targets(m.graph, _clamped(m, h.new_delta))
-        edges = m.graph.edges
-        if isinstance(h, EdgeAdd):
-            new: CausalEdge | None = CausalEdge(h.source, h.target, h.delay, h.coefficient, h.form)
-            m.graph.check_in_range(new)
-            k = h.target
-            group = [*self.incoming[k], new]
-        elif isinstance(h, StructuralBreak) or not 0 <= h.edge_index < len(edges):
+        edit = self.edit(h)
+        if edit is None:
             applied = apply_hypothesis(m, h)
             return self.lags.targets(applied.graph, applied.delta_hat)
-        else:
-            old = edges[h.edge_index]
-            k = old.target
-            group = list(self.incoming[k])
-            at = [e is old for e in group].index(True)
-            if isinstance(h, EdgeRemove):
-                new = None
-                del group[at]
-            elif isinstance(h, CoefChange):
-                new = group[at] = CausalEdge(old.source, k, old.delay, h.new_coefficient, old.form)
-            else:
-                new = group[at] = CausalEdge(old.source, k, h.new_delay, old.coefficient, old.form)
-        if new is not None:
-            for e in group:
-                if e is not new and e.source == new.source and e.delay == new.delay:
-                    raise ConfigError(
-                        f"duplicate edge (source={new.source}, target={k}, delay={new.delay})"
-                    )
+        k, at, new = edit
+        group = list(self.incoming[k])
+        group[at : at + 1] = [] if new is None else [new]
         targets = list(self.targets)
         targets[k] = self.lags._target(k, group, self.scale)
         return targets
@@ -517,11 +548,160 @@ def test_hypothesis(
         raise NotEnoughDataError("empty holdout")
     if base is None:
         base = _Baseline.over(m, holdout)
-    mses = base.mse(base.edited(h))
+    return _verdict(base.mse(base.edited(h)), rho)
+
+
+def _verdict(mses: tuple[float, float] | None, rho: float) -> tuple[bool, float, float]:
     if mses is None:
         raise NotEnoughDataError("no predictable holdout rows")
     mse_m, mse_h = mses
     return mse_h <= (1.0 - rho) * mse_m, mse_m, mse_h
+
+
+def _fold(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Each row of ``values`` added left to right from 0.0, skipping the
+    entries ``keep`` masks out (each adds +0.0 instead)."""
+    out = np.zeros((values.shape[0], values.shape[1] + 1))
+    out[:, 1:] = np.where(keep, values, 0.0)
+    return np.cumsum(out, axis=1)[:, -1]
+
+
+class _EditBatch:
+    """Every candidate of ``hs`` scored over kernel rows ``[0, split)`` and
+    tested over rows ``[split, n)`` against ``base``, a model's baseline
+    over all ``n`` rows of its kernel, as :func:`score_hypothesis` and
+    :func:`test_hypothesis` would score and test it, to the bit.
+
+    Each CoefChange, DelayChange, EdgeRemove and EdgeAdd that
+    :meth:`_Baseline.edit` turns into an edge list is one row of a
+    (candidates x rows) array: the edited target's edge sum in graph order,
+    its squared errors added to the baseline's other targets in dimension
+    order, and the score and the two holdout means summed over rows, each
+    sum a cumsum from a leading 0.0 (see :mod:`causalloop.model`).  Every
+    other candidate goes through those two functions, which refuse it where
+    they always have: a DeltaShift, a StructuralBreak, an edit that raises,
+    an edit with a non-finite squared error on some row, and every candidate
+    when the model has a non-finite prediction.  An edit with no holdout row
+    both models predict raises :class:`NotEnoughDataError` from
+    :meth:`test`, as the function does.
+    """
+
+    def __init__(self, base: _Baseline, hs: Sequence[Hypothesis], split: int) -> None:
+        self.base = base
+        self.hs = hs
+        self.split = split
+        self._row: list[int | None] = [None] * len(hs)  # candidate -> batch row
+        self._score_base: _Baseline | None = None
+        self._test_base: _Baseline | None = None
+        # A model with a non-finite prediction is left to the functions.
+        if all(t.finite for t in base.targets):
+            self._predict()
+
+    def score(self, i: int) -> float:
+        """``score_hypothesis`` of candidate ``i`` over rows ``[0, split)``."""
+        r = self._row[i]
+        if r is not None:
+            return self._scores[r]
+        m, lags = self.base.m, self.base.lags
+        if self._score_base is None:
+            self._score_base = _Baseline(m, lags, 0, self.split)
+        return score_hypothesis(m, self.hs[i], lags.rows[: self.split], base=self._score_base)
+
+    def test(self, i: int, rho: float) -> tuple[bool, float, float]:
+        """``test_hypothesis`` of candidate ``i`` over rows ``[split, n)``."""
+        r = self._row[i]
+        if r is not None:
+            return _verdict(self._mses[r] if self._counts[r] else None, rho)
+        m, lags = self.base.m, self.base.lags
+        if self._test_base is None:
+            self._test_base = _Baseline(m, lags, self.split, len(lags.rows))
+        return test_hypothesis(m, self.hs[i], lags.rows[self.split :], rho, base=self._test_base)
+
+    def _predict(self) -> None:
+        base, lags, split = self.base, self.base.lags, self.split
+        n, d = len(lags.rows), base.d
+        edits, columns, gapped = self._edge_lists()
+        if not edits or n == 0:
+            return
+        width = 1 + max(len(p) for _, _, p, _ in edits)
+        place = np.array([[0, *p] + [0] * (width - 1 - len(p)) for _, _, p, _ in edits])
+        coef = np.array([[0.0, *c] + [0.0] * (width - 1 - len(c)) for _, _, _, c in edits])
+        target = np.array([k for _, k, _, _ in edits])
+        # A row counts where the model and the edit both predict it.  The
+        # edit's other targets are the model's, so it leaves out no row the
+        # model keeps but one with a gap in its edited target's columns.
+        live = np.broadcast_to([sq is not None for sq in base.sq], (len(edits), n))
+        if gapped:
+            gap = np.zeros((len(columns), n), dtype=bool)
+            for g in gapped:
+                gap[g] = [v is None for v in columns[g]]
+                columns[g] = [0.0 if v is None else v for v in columns[g]]
+            live = live & ~gap[place].any(axis=1)
+        sq_m = np.array([0.0 if sq is None else sq for sq in base.sq])
+        with np.errstate(all="ignore"):
+            terms = coef[:, :, None] * np.array(columns)[place] * base.scale
+            pred = np.array(lags._states).T[target] + np.cumsum(terms, axis=1)[:, -1]
+            sq_k = np.float_power(np.array(lags._observed).T[target] - pred, 2.0)
+            by_dim = np.zeros((len(edits), d + 1, n))
+            by_dim[:, 1:] = [t.sq for t in base.targets]
+            by_dim[np.arange(len(edits)), target + 1] = sq_k
+            sq_h = np.cumsum(by_dim, axis=1)[:, -1]
+
+            two_var = 2.0 * base.m.sigma_lik**2
+            gain = (sq_m[:split] - sq_h[:, :split]) / two_var
+            self._scores = _fold(gain, live[:, :split]).tolist()
+            held = live[:, split:]
+            counts = held.sum(axis=1)
+            mse_m = _fold(np.broadcast_to(sq_m[split:] / d, held.shape), held) / counts
+            mse_h = _fold(sq_h[:, split:] / d, held) / counts
+        self._counts = counts.tolist()
+        self._mses = list(zip(mse_m.tolist(), mse_h.tolist()))
+        for r, ((i, _, _, _), finite) in enumerate(zip(edits, np.isfinite(sq_k).all(axis=1))):
+            if finite:
+                self._row[i] = r
+
+    def _edge_lists(
+        self,
+    ) -> tuple[list[tuple[int, int, list[int], list[float]]], list[list[float | None]], list[int]]:
+        """Each edge edit that :meth:`_Baseline.edit` accepts as (candidate,
+        target, column of each edge in graph order, coefficient of each),
+        the kernel columns they read, and which of those have a gap.
+        Column 0 is all zeros: a leading 0.0 for every edge sum, and the
+        padding (coefficient 0.0) of a target with fewer edges."""
+        base, lags = self.base, self.base.lags
+        columns: list[list[float | None]] = [[0.0] * len(lags.rows)]
+        gapped: list[int] = []
+        at_column: dict[int, int] = {}  # id of a kernel column -> its place in ``columns``
+
+        def place_of(e: CausalEdge) -> int:
+            col, gaps = lags.column(e.source, e.delay, e.form)
+            p = at_column.get(id(col))
+            if p is None:
+                p = at_column[id(col)] = len(columns)
+                columns.append(col)
+                if gaps:
+                    gapped.append(p)
+            return p
+
+        places = [[place_of(e) for e in g] for g in base.incoming]
+        coefs = [[e.coefficient for e in g] for g in base.incoming]
+        edits = []
+        for i, h in enumerate(self.hs):
+            try:
+                edit = base.edit(h)
+            except CausalLoopError:
+                continue
+            if edit is None:
+                continue
+            k, at, new = edit
+            p, c = list(places[k]), list(coefs[k])
+            if new is None:
+                del p[at], c[at]
+            else:  # a coefficient change keeps its edge's column
+                p[at : at + 1] = [p[at] if isinstance(h, CoefChange) else place_of(new)]
+                c[at : at + 1] = [new.coefficient]
+            edits.append((i, k, p, c))
+        return edits, columns, gapped
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +715,7 @@ def _remap(h: Hypothesis, index_map: dict[int, int]) -> Hypothesis | None:
         pos = index_map.get(h.edge_index)
         if pos is None:
             return None
-        return replace(h, edge_index=pos)
+        return h if pos == h.edge_index else replace(h, edge_index=pos)
     return h
 
 
@@ -580,27 +760,30 @@ def reflect(
     lags = _LagFeatures(m.history, window)
     h_lo = n - len(window[-settings.holdout :])
     holdout = window[h_lo:]
-    scoring = window[:h_lo]
 
-    candidates = generate_hypotheses(m, ctx, err, tau, settings, base=_Baseline(m, lags))
-    score_base = _Baseline(m, lags, 0, h_lo)
-    scored = sorted(
-        (HypothesisScore(h, score_hypothesis(m, h, scoring, base=score_base)) for h in candidates),
-        key=lambda hs: (-hs.score, _tie_key(hs.hypothesis)),
+    base = _Baseline(m, lags)
+    candidates = generate_hypotheses(m, ctx, err, tau, settings, base=base)
+    batch = _EditBatch(base, candidates, h_lo)
+    ranked = sorted(
+        ((i, HypothesisScore(h, batch.score(i))) for i, h in enumerate(candidates)),
+        key=lambda item: (-item[1].score, _tie_key(item[1].hypothesis)),
     )
 
     working = m
-    test_base = _Baseline(m, lags, h_lo, n)
+    test_base: _Baseline | None = None  # the working model's, once it has changed
     index_map = {i: i for i in range(len(m.graph.edges))}
     accepted: list[Hypothesis] = []
-    for hs in scored:
+    for i, hs in ranked:
         if len(accepted) >= settings.max_accepts:
             break
         h = _remap(hs.hypothesis, index_map)
         if h is None:
             continue
         try:
-            ok, _, _ = test_hypothesis(working, h, holdout, settings.rho, base=test_base)
+            if test_base is None:
+                ok, _, _ = batch.test(i, settings.rho)
+            else:
+                ok, _, _ = test_hypothesis(working, h, holdout, settings.rho, base=test_base)
         except CausalLoopError:
             continue
         if not ok:
@@ -611,6 +794,8 @@ def reflect(
         try:
             if isinstance(h, StructuralBreak):
                 test_base = _Baseline.over(working, holdout)
+            elif test_base is None:
+                test_base = _Baseline(working, lags, h_lo, n)
             else:
                 test_base = _Baseline(working, test_base.lags, test_base.lo, test_base.hi)
         except CausalLoopError:
@@ -620,7 +805,7 @@ def reflect(
         triggered=True,
         epsilon=err.epsilon,
         tau=tau,
-        candidates=tuple(scored),
+        candidates=tuple(hs for _, hs in ranked),
         accepted=tuple(accepted),
         updated_model=working,
     )

@@ -216,11 +216,17 @@ class WorldState:
     delta: float = 0.0  # perturbation process state (previous delta_t)
 
 
+def check_seed(seed: int) -> None:
+    """Raise :class:`ConfigError` unless ``seed`` fits the 64-bit word that
+    keys every random stream (:mod:`causalloop.rng`)."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def world_init(scenario: "ScenarioConfig", seed: int) -> WorldState:
     """Validated initial world at tick 0."""
     scenario.validate()
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     return WorldState(
         scenario=scenario,
         seed=seed,

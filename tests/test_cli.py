@@ -306,10 +306,59 @@ def test_explain_llm_round_trip(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "A short story."
 
 
-@pytest.mark.parametrize("seeds", ["5:2", "abc", "1:2:3"])
+@pytest.mark.parametrize("seeds", ["abc", "1:2:3", "x"])
 def test_sweep_rejects_bad_seed_ranges(tmp_path, seeds, capsys):
+    """A range that does not parse is a usage error."""
     assert main(["sweep", "calm", "--seeds", seeds, "--out", str(tmp_path / "sw")]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_sweep_jobs_that_do_not_parse_are_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "sw"
+    assert main(["sweep", "calm", "--seeds", "0:2", "--jobs", "x", "--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["5:2", "3:3"])
+def test_sweep_refuses_an_empty_seed_range(tmp_path, seeds, capsys):
+    """A range that parses but holds no seed is a bad option value."""
+    out = tmp_path / "sw"
+    assert main(["sweep", "calm", "--seeds", seeds, "--out", str(out)]) == 2
+    assert f"--seeds {seeds} is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", [f"{2**64}:{2**64 + 1}", f"{2**64 - 1}:{2**64 + 1}", "-1:1"])
+def test_sweep_refuses_seeds_outside_64_bits(tmp_path, monkeypatch, seeds, capsys):
+    monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr("causalloop.cli.ProcessPoolExecutor", _SerialPool)
+    out = tmp_path / "sw"
+    assert main(["sweep", "calm", f"--seeds={seeds}", "--length", "3", "--out", str(out)]) == 2
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+    assert _SerialPool.created == [] and not out.exists()
+
+
+def test_run_refuses_a_seed_of_2_to_the_64(capsys):
+    assert main(["run", "break_demo", "--seed", str(2**64), "--length", "3"]) == 2
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_run_accepts_the_largest_seed(tmp_path):
+    trace = read_trace(run_trace(tmp_path, scenario="break_demo", seed=2**64 - 1, length=3))
+    assert trace.header.seed == 2**64 - 1
+
+
+def test_replay_refuses_a_header_seed_of_2_to_the_64(tmp_path, capsys):
+    path = run_trace(tmp_path)
+    lines = path.read_text().strip().split("\n")
+    header = json.loads(lines[0])
+    header["seed"] = 2**64
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(path), "calm"]) == 2
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
 
 
 def test_sweep_serial(tmp_path, capsys):

@@ -128,6 +128,14 @@ def test_loss_known_value():
     assert err.epsilon == 2.5
 
 
+def test_loss_adds_left_to_right():
+    """The mean is a plain left fold on every Python version: compensated
+    summation (the builtin ``sum`` since 3.12) would give (1e16 + 2) / 3."""
+    err = loss(StateVec((1e8, 1.0, 1.0)), StateVec((0.0, 0.0, 0.0)))
+    assert err.epsilon == 1e16 / 3
+    assert err.epsilon != (1e16 + 2) / 3
+
+
 def test_loss_dimension_mismatch():
     with pytest.raises(DimensionError):
         loss(StateVec((0.0,)), StateVec((0.0, 0.0)))

@@ -10,13 +10,16 @@ compared as ``float.hex`` strings, so a sign of zero or a last-place
 difference counts.  Over the same random models, candidate generation is
 held to its budget: it estimates nothing past it, and every candidate edit
 scored as a delta to the working model's predictions is held to the model
-``apply_hypothesis`` builds.
+``apply_hypothesis`` builds.  The batch that scores and tests all of a
+trigger's edge edits at once is held to the same references, and refuses
+exactly where the per-candidate path does.
 """
 
 from __future__ import annotations
 
 import importlib
 import math
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -28,7 +31,9 @@ from hypothesis import strategies as st
 from causalloop.core import (
     ActionVec,
     CausalTuple,
+    ConfigError,
     DomainError,
+    NotEnoughDataError,
     StateVec,
     TimeIndex,
     Transition,
@@ -45,7 +50,10 @@ from causalloop.model import (
 )
 from causalloop.core import CausalLoopError
 from causalloop.reflect import (
+    CoefChange,
     DelayChange,
+    DeltaShift,
+    EdgeAdd,
     ReflectSettings,
     StructuralBreak,
     apply_hypothesis,
@@ -53,12 +61,13 @@ from causalloop.reflect import (
     reflect,
     score_hypothesis,
     _Baseline,
+    _EditBatch,
     _remap,
     _residuals,
     _update_map,
 )
 from causalloop.reflect import test_hypothesis as holdout_test
-from causalloop.world import SourceKind
+from causalloop.world import Form, SourceKind, VarRef
 
 from helpers import random_graph
 
@@ -466,3 +475,87 @@ def test_twin_delay_changes_collide():
     """After one twin's delay change, the other's onto the same tick is a
     duplicate edge: building it raises, and so does its edit."""
     assert sum(edit_outcomes(seed, None, True) for seed in range(10)) >= 10
+
+
+def answer(call):
+    """``call()`` as ``float.hex`` strings (a score, or a test's verdict and
+    two MSEs), or the class of the error it raised."""
+    try:
+        result = call()
+    except (CausalLoopError, OverflowError) as exc:
+        return type(exc)
+    if isinstance(result, float):
+        return result.hex()
+    ok, mse_m, mse_h = result
+    return ok, mse_m.hex(), mse_h.hex()
+
+
+def refusing_edits(m, rng):
+    """Edge edits the per-candidate path refuses, or may refuse: a duplicate
+    edge, a delay or coefficient no edge may have, a source out of range,
+    coefficients whose squared errors or predictions may overflow, and a
+    lag before the history's first entry on every row."""
+    e = m.graph.edges[0]
+    j = int(rng.integers(0, len(m.graph.edges)))
+    k = int(rng.integers(0, m.graph.d_state))
+    state = VarRef.state(int(rng.integers(0, m.graph.d_state)))
+    return (
+        EdgeAdd(e.source, e.target, e.delay, Form.LINEAR, 0.5),
+        EdgeAdd(VarRef.state(m.graph.d_state), 0, 1, Form.LINEAR, 0.5),
+        DelayChange(j, 0),
+        CoefChange(j, math.inf),
+        CoefChange(j, float(rng.choice([1e150, 1e200]))),
+        EdgeAdd(state, k, 5, Form.LINEAR, 1.5e308),
+        EdgeAdd(VarRef.action(0), k, len(m.history) + 1, Form.LINEAR, 0.5),
+    )
+
+
+def batch_outcomes(seed, twin, holdout):
+    """Hold every candidate's batched score and test to the per-candidate
+    path as reflect calls it (a shared kernel over the trigger's window),
+    and each value to the reference rollouts; return the classes of the
+    errors raised."""
+    m, rng = flushed_model(seed)
+    if twin:
+        m = with_twin(m)
+    ctx = m.history[-1]
+    err = loss(predict_next(m, ctx.tuple), ctx.observed)
+    generated = generate_hypotheses(m, ctx, err, 0.0, ReflectSettings(budget=1024))
+    candidates = generated + refusing_edits(m, rng)
+    rows = m.history[-m.fit_window :]
+    split = len(rows) - len(rows[-holdout:])
+    scoring, held = rows[:split], rows[split:]
+    batch = _EditBatch(_Baseline(m, _LagFeatures(m.history, rows)), candidates, split)
+    lags = _LagFeatures(m.history, rows)
+    score_base = _Baseline(m, lags, 0, split)
+    test_base = _Baseline(m, lags, split, len(rows))
+    refused = Counter()
+    for i, h in enumerate(candidates):
+        score = answer(lambda: batch.score(i))
+        assert score == answer(lambda: score_hypothesis(m, h, scoring, base=score_base)), h
+        tested = answer(lambda: batch.test(i, 0.1))
+        assert tested == answer(lambda: holdout_test(m, h, held, 0.1, base=test_base)), h
+        refused.update(r for r in (score, tested) if isinstance(r, type))
+        if scoring and not isinstance(score, type):
+            assert score == reference_score(m, h, scoring).hex(), h
+        if not isinstance(tested, type):
+            expected = reference_test(m, h, held, 0.1)
+            assert tested[1:] == (expected[0].hex(), expected[1].hex()), h
+        edge_edit = not isinstance(h, (DeltaShift, StructuralBreak))
+        if h in generated and edge_edit and not isinstance(score, type):
+            assert batch._row[i] is not None, h  # the batch settled it
+    return refused
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 10))
+def test_batch_matches_the_references(seed, twin, holdout):
+    batch_outcomes(seed, twin, holdout)
+
+
+def test_batch_refuses_as_the_per_candidate_path():
+    """Each refusal the per-candidate path makes is met on these seeds."""
+    refused = Counter()
+    for seed in range(12):
+        refused += batch_outcomes(seed, seed % 2 == 0, 1 + seed % 3)
+    assert {ConfigError, DomainError, NotEnoughDataError, OverflowError} <= set(refused)

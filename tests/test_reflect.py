@@ -385,20 +385,30 @@ def test_colliding_delay_change_is_skipped(monkeypatch):
     with pytest.raises(ConfigError):
         score_hypothesis(working, DelayChange(1, 2), working.history[-32:-8])
 
+    # Tests before the first acceptance are read from the trigger's batch,
+    # later ones call test_hypothesis: log both.
     reflect_mod = causalloop.reflect
     real_test = reflect_mod.test_hypothesis
+    real_batch_test = reflect_mod._EditBatch.test
     tested = []
 
-    def logged_test(w, h, *args, **kwargs):
+    def logged(h, call):
         try:
-            result = real_test(w, h, *args, **kwargs)
+            result = call()
         except ConfigError:
             tested.append((h, "ConfigError"))
             raise
         tested.append((h, result[0]))
         return result
 
+    def logged_test(w, h, *args, **kwargs):
+        return logged(h, lambda: real_test(w, h, *args, **kwargs))
+
+    def logged_batch_test(batch, i, rho):
+        return logged(batch.hs[i], lambda: real_batch_test(batch, i, rho))
+
     monkeypatch.setattr(reflect_mod, "test_hypothesis", logged_test)
+    monkeypatch.setattr(reflect_mod._EditBatch, "test", logged_batch_test)
     report = reflect(m, last, mismatch(m, last), tau=0.5)
     assert tested[:2] == [(DelayChange(0, 2), True), (DelayChange(1, 2), "ConfigError")]
     assert report.accepted == (DelayChange(0, 2), EdgeRemove(1))
@@ -409,6 +419,7 @@ def test_colliding_delay_change_is_skipped(monkeypatch):
         return base.lags.targets(applied.graph, applied.delta_hat)
 
     monkeypatch.setattr(reflect_mod._Baseline, "edited", built)
+    monkeypatch.setattr(reflect_mod._EditBatch, "_predict", lambda batch: None)
     assert reflect(m, last, mismatch(m, last), tau=0.5) == report
 
 

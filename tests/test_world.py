@@ -265,6 +265,18 @@ def test_graph_rejects_out_of_range_refs():
         )
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seed_outside_64_bits_rejected(seed):
+    with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
+        world_init(one_edge_scenario(), seed=seed)
+
+
+def test_largest_seed_steps():
+    w = world_init(one_edge_scenario(), seed=2**64 - 1)
+    w, obs, _ = world_step(w, ActionVec((1.0,)))
+    assert w.tick == 1 and len(obs) == 1
+
+
 def test_edge_rejects_zero_delay():
     with pytest.raises(ConfigError):
         CausalEdge(VarRef.action(0), 0, delay=0, coefficient=1.0)
