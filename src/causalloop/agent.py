@@ -17,7 +17,7 @@ reflect_enabled); replay re-runs it and demands bit-identical records.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from . import rng as _rng
@@ -94,7 +94,7 @@ def policy_action(policy: Policy, seed: int, tick: int, d_action: int) -> Action
     if d_action == 0:
         return ActionVec(())
     if isinstance(policy, RandomPolicy):
-        gen = _rng.stream(seed, _rng.STREAM_POLICY, tick)
+        gen = _rng.shared_stream(seed, _rng.STREAM_POLICY, tick)
         vals = gen.uniform(policy.low, policy.high, size=d_action)
         return ActionVec(tuple(float(v) for v in vals))
     if isinstance(policy, CyclicPolicy):
@@ -216,7 +216,15 @@ def run_episode(
             m = report.updated_model
             report_dict = report_to_dict(report)
         elif m.delta_hat != 0.0:
-            m = replace(m, delta_hat=DELTA_DECAY * m.delta_hat)
+            m = CausalModel(
+                graph=m.graph,
+                delta_hat=DELTA_DECAY * m.delta_hat,
+                history=m.history,
+                fit_window=m.fit_window,
+                sigma_lik=m.sigma_lik,
+                capacity=m.capacity,
+                delta_max=m.delta_max,
+            )
 
         fit_event: str | None = None
         if (t + 1) % sc.fit_every == 0:

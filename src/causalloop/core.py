@@ -193,13 +193,17 @@ def loss(predicted: StateVec, observed: StateVec) -> PredictionError:
 
     The errors are added left to right from 0.0, not with ``sum``: since
     Python 3.12 ``sum`` compensates float rounding, and epsilon reaches
-    traces, so it must not depend on the Python version.
+    traces, so it must not depend on the Python version.  A squared error
+    beyond the float range raises :class:`DomainError`.
     """
     if len(predicted) != len(observed):
         raise DimensionError(
             f"predicted has {len(predicted)} dims, observed has {len(observed)}"
         )
-    per_dim = tuple((p - o) ** 2 for p, o in zip(predicted.values, observed.values))
+    try:
+        per_dim = tuple((p - o) ** 2 for p, o in zip(predicted.values, observed.values))
+    except OverflowError as exc:
+        raise DomainError("a squared prediction error exceeds the float range") from exc
     total = 0.0
     for sq in per_dim:
         total += sq

@@ -17,9 +17,13 @@ the trace, so evaluation never re-runs an episode.
 
 from __future__ import annotations
 
+import functools
+import operator
 import statistics
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from .core import InputError
 from .reflect import hypothesis_to_dict
@@ -68,13 +72,28 @@ def shd(inferred: CausalGraph, truth: CausalGraph) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _total(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0.  Not ``sum``: since Python
+    3.12 it compensates float rounding, and a report must not depend on the
+    Python version (as :func:`causalloop.core.loss` adds its errors)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def rolling_rmse(epsilons: Sequence[float], window: int = RMSE_WINDOW) -> tuple[float, ...]:
-    """Trailing root-mean of the per-tick squared errors."""
-    out = []
-    for t in range(len(epsilons)):
-        chunk = epsilons[max(0, t - window + 1) : t + 1]
-        out.append((sum(chunk) / len(chunk)) ** 0.5)
-    return tuple(out)
+    """Trailing root-mean of the per-tick squared errors.
+
+    Each window is added left to right from 0.0, as :func:`_total` adds:
+    ``totals[t]`` takes the window's ticks ``t - window + 1 .. t`` in order,
+    a 0.0 for each tick before 0, one vector addition per place in the
+    window.  The root is Python's ``** 0.5``, one value at a time.
+    """
+    n = len(epsilons)
+    padded = np.concatenate([np.zeros(window - 1), epsilons])
+    totals = np.zeros(n)
+    for j in range(window):
+        totals = totals + padded[j : j + n]
+    means = totals / np.minimum(np.arange(1, n + 1), window)
+    return tuple([m**0.5 for m in means.tolist()])
 
 
 def graphs_per_tick(trace: EpisodeTrace) -> list[CausalGraph]:
@@ -209,7 +228,7 @@ def evaluate_trace(trace: EpisodeTrace, scenario: ScenarioConfig) -> EvalReport:
         seed=trace.header.seed,
         reflect_enabled=trace.header.reflect_enabled,
         length=len(trace.records),
-        mean_epsilon=sum(eps) / len(eps),
+        mean_epsilon=_total(eps) / len(eps),
         rmse=rmse,
         shd=shds,
         breaks=tuple(breaks),
@@ -255,8 +274,8 @@ def compare(
     per_break = []
     for ba, bb in zip(ra.breaks, rb.breaks):
         post = ba.at_tick
-        post_rmse_reflect = sum(ra.rmse[post:]) / max(1, len(ra.rmse) - post)
-        post_rmse_baseline = sum(rb.rmse[post:]) / max(1, len(rb.rmse) - post)
+        post_rmse_reflect = _total(ra.rmse[post:]) / max(1, len(ra.rmse) - post)
+        post_rmse_baseline = _total(rb.rmse[post:]) / max(1, len(rb.rmse) - post)
         per_break.append(
             {
                 "at_tick": ba.at_tick,

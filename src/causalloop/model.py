@@ -131,7 +131,17 @@ def append_history(m: CausalModel, tr: Transition) -> CausalModel:
     hist = m.history + (tr,)
     if len(hist) > m.capacity:
         hist = hist[-m.capacity :]
-    return replace(m, history=hist)
+    # The constructor, not ``dataclasses.replace``: this runs every tick,
+    # and CausalModel has no __post_init__ for replace to run.
+    return CausalModel(
+        graph=m.graph,
+        delta_hat=m.delta_hat,
+        history=hist,
+        fit_window=m.fit_window,
+        sigma_lik=m.sigma_lik,
+        capacity=m.capacity,
+        delta_max=m.delta_max,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +408,16 @@ class _LagFeatures:
         """Per row of ``[lo, hi)``, ``(o - p) ** 2`` added from 0.0 over
         ``targets`` (from :meth:`targets`, or a candidate edit's) in
         dimension order; None where the row is left out.  Divided by d_state
-        it is the row's :func:`causalloop.core.loss` epsilon."""
+        it is the row's :func:`causalloop.core.loss` epsilon, and a squared
+        error beyond the float range raises :class:`DomainError`, as there."""
         hi = len(self.rows) if hi is None else hi
         dead = self._dead(targets, lo, hi)
         for k, t in enumerate(targets):
             if t.sq is None:
-                t.sq = [(o[k] - p) ** 2 for o, p in zip(self._observed, t.pred)]
+                try:
+                    t.sq = [(o[k] - p) ** 2 for o, p in zip(self._observed, t.pred)]
+                except OverflowError as exc:
+                    raise DomainError("a squared prediction error exceeds the float range") from exc
         out: list[float | None] = [0.0] * (hi - lo)
         for t in targets:
             out = list(map(operator.add, out, t.sq[lo:hi]))

@@ -17,12 +17,34 @@ state (counter, key, buffer) and give the same draws; the direct form
 only skips building one generator and then advancing a copy of it.
 Ticks of ``2**64`` and more carry into the top word, as the jump does.
 
+An address is applied by setting a bit generator's whole ``.state``
+(:func:`_state`): counter ``[0, 0, tick & mask, tick >> 64]``, key
+``[seed, stream id]`` and an empty buffer (``buffer_pos`` 4,
+``has_uint32`` 0, ``uinteger`` 0).  Nothing of the generator's earlier
+state survives that, so one bit generator can be re-addressed any number
+of times.  Two entry points give the same draws for one address:
+
+* :func:`stream` builds an independent generator.  It is for callers that
+  keep a generator, or hold two at once.
+* :func:`shared_stream` re-addresses the one module-level generator of its
+  stream id and returns it; the per-tick loop uses it, because building a
+  ``Philox`` costs more than the draws a tick makes.  The generator it
+  returns is valid only until the next ``shared_stream`` call for the same
+  stream id, which re-addresses it: draw what a tick needs, then drop it.
+  Generators of different stream ids never share state.  The shared
+  generators are not locked, so episodes run one thread per process
+  (``causalloop sweep`` runs its jobs in processes); a forked process
+  re-addresses its copies before every use, so it draws what its parent
+  would.
+
 The generator identity ("philox4x64" plus a scheme version) is recorded in
 trace headers; cross-check vectors for this scheme are frozen under
 ``tests/data/rng_vectors.json``.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 import numpy as np
 
@@ -35,16 +57,51 @@ STREAM_POLICY = 2
 STREAM_SCENARIO = 3
 
 _WORD = 2**64 - 1
+_EMPTY_BUFFER = (0, 0, 0, 0)
+
+# Stream id -> the generator shared_stream re-addresses for it.
+_SHARED: dict[int, np.random.Generator] = {}
+
+
+def _state(seed: int, stream_id: int, tick: int) -> dict[str, Any]:
+    """The whole Philox state of one (seed, stream, tick) address."""
+    if seed < 0 or tick < 0:
+        raise ValueError(f"seed and tick must be non-negative, got {seed}, {tick}")
+    return {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": [0, 0, tick & _WORD, (tick >> 64) & _WORD],
+            "key": [seed, stream_id],
+        },
+        "buffer": _EMPTY_BUFFER,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def stream(seed: int, stream_id: int, tick: int = 0) -> np.random.Generator:
-    """Generator for one (seed, stream, tick) address.
+    """An independent generator for one (seed, stream, tick) address.
 
     Draws from the returned generator must happen in a fixed documented
     order; the address itself carries no draw state.
     """
-    if seed < 0 or tick < 0:
-        raise ValueError(f"seed and tick must be non-negative, got {seed}, {tick}")
-    counter = np.array([0, 0, tick & _WORD, (tick >> 64) & _WORD], dtype=np.uint64)
-    key = np.array([seed, stream_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    state = _state(seed, stream_id, tick)
+    bit_generator = np.random.Philox(0)  # a fixed seed: the state replaces it
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+def shared_stream(seed: int, stream_id: int, tick: int = 0) -> np.random.Generator:
+    """The shared generator of ``stream_id``, set to one (seed, stream,
+    tick) address; it draws what :func:`stream` would.
+
+    It is valid only until the next call for the same stream id (see the
+    module docstring).
+    """
+    state = _state(seed, stream_id, tick)
+    gen = _SHARED.get(stream_id)
+    if gen is None:
+        gen = _SHARED[stream_id] = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = state
+    return gen

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -247,7 +247,7 @@ def world_step(w: WorldState, action: ActionVec) -> tuple[WorldState, StateVec, 
     if len(action) != sc.d_action:
         raise DimensionError(f"action has {len(action)} dims, scenario wants {sc.d_action}")
 
-    gen = _rng.stream(w.seed, _rng.STREAM_WORLD, w.tick)
+    gen = _rng.shared_stream(w.seed, _rng.STREAM_WORLD, w.tick)
     delta_t = _sample_delta(sc.perturbation, w.delta, gen, sc.delta_max)
     scale = math.exp(-delta_t)
 
@@ -279,8 +279,10 @@ def world_step(w: WorldState, action: ActionVec) -> tuple[WorldState, StateVec, 
     else:
         observed = new_state
 
-    new_world = replace(
-        w,
+    # The constructor, not ``dataclasses.replace``, which costs more per tick.
+    new_world = WorldState(
+        scenario=sc,
+        seed=w.seed,
         tick=new_tick,
         current=new_state,
         pending=tuple(remaining),

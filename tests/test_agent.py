@@ -21,7 +21,7 @@ from causalloop.agent import (
 from causalloop.core import ConfigError, ReplayError
 from causalloop.model import model_from_snapshot
 from causalloop.scenario import builtin_scenarios, scenario_digest
-from causalloop.trace import record_to_dict
+from causalloop.trace import record_to_dict, trace_to_lines
 
 CALM = builtin_scenarios()["calm"]
 BREAK = builtin_scenarios()["break_demo"]
@@ -103,6 +103,15 @@ def test_different_seeds_differ():
     a = run_episode(CALM, RandomPolicy(), seed=5, length=10)
     b = run_episode(CALM, RandomPolicy(), seed=6, length=10)
     assert [r.observed.values for r in a.records] != [r.observed.values for r in b.records]
+
+
+def test_an_episode_between_two_runs_changes_nothing():
+    """Episodes A, B, then A again in one process record the same A: each
+    tick re-addresses the shared random generators, so B's draws leave no
+    trace in the second A."""
+    a = trace_to_lines(run_episode(BREAK, RandomPolicy(), seed=4, length=60))
+    run_episode(builtin_scenarios()["productivity"], RandomPolicy(), seed=9, length=45)
+    assert trace_to_lines(run_episode(BREAK, RandomPolicy(), seed=4, length=60)) == a
 
 
 def test_header_describes_episode():

@@ -187,6 +187,30 @@ def test_malformed_scenario_is_data_error(case, tmp_path, capsys):
     assert "error: invalid scenario" in capsys.readouterr().err
 
 
+def test_overflowing_prediction_error_is_data_error(tmp_path, capsys):
+    """A valid scenario whose first prediction misses by 2e200: the squared
+    error overflows a float, which ends the run with exit 2."""
+    edge = {
+        "coefficient": -2.0,
+        "delay": 1,
+        "form": "linear",
+        "source": {"index": 0, "kind": "state"},
+        "target": 0,
+    }
+    scenario = {
+        **json.loads(CALM_FILE.read_text()),
+        "d_state": 1,
+        "d_action": 1,
+        "initial_state": [1e200],
+        "graph": {"d_action": 1, "d_state": 1, "edges": [edge]},
+        "agent_graph": {"d_action": 1, "d_state": 1, "edges": [{**edge, "coefficient": 0.0}]},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--seed", "1", "--length", "3"]) == 2
+    assert "exceeds the float range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, bad", [("fit_window", 2.5), ("capacity", True), ("delta_hat", "0.1"), ("delta_max", None)]
 )
@@ -385,6 +409,17 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main([*argv, "--out", str(parallel), "--jobs", "2"]) == 0
     for name in ("seed_0.json", "seed_1.json", "summary.tsv"):
         assert (serial / name).read_text() == (parallel / name).read_text()
+
+
+def test_sweep_workers_forked_after_episodes_match_serial(tmp_path):
+    """Workers forked after this process has drawn from the shared random
+    generators record what one process does: every tick re-addresses them."""
+    run_trace(tmp_path, scenario="break_demo", seed=7, length=25)
+    argv = ["sweep", "calm", "--seeds", "0:2", "--length", "30"]
+    assert main([*argv, "--out", str(tmp_path / "parallel"), "--jobs", "2"]) == 0
+    assert main([*argv, "--out", str(tmp_path / "serial"), "--jobs", "1"]) == 0
+    for name in ("seed_0.json", "seed_1.json"):
+        assert (tmp_path / "parallel" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 class _SerialPool:

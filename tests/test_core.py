@@ -136,6 +136,13 @@ def test_loss_adds_left_to_right():
     assert err.epsilon != (1e16 + 2) / 3
 
 
+def test_loss_overflow_is_a_domain_error():
+    """A squared error beyond the float range is refused as a domain error,
+    not passed on as Python's OverflowError."""
+    with pytest.raises(DomainError):
+        loss(StateVec((1e200, 0.0)), StateVec((-1e200, 0.0)))
+
+
 def test_loss_dimension_mismatch():
     with pytest.raises(DimensionError):
         loss(StateVec((0.0,)), StateVec((0.0, 0.0)))

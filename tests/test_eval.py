@@ -126,6 +126,26 @@ def test_rolling_rmse_full_window():
     assert rolling_rmse(eps) == tuple([1.0] * 20)
 
 
+def test_rolling_rmse_adds_left_to_right():
+    """Window sums are a plain left fold on every Python version:
+    compensated summation (the builtin ``sum`` since 3.12) would give
+    ((1e16 + 2) / 3) ** 0.5."""
+    assert rolling_rmse([1e16, 1.0, 1.0], window=3)[-1] == (1e16 / 3) ** 0.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e300), max_size=60), st.integers(1, 20))
+def test_rolling_rmse_is_a_left_fold_per_window(eps, window):
+    """Against a per-window loop from 0.0, compared as ``float.hex``."""
+    expected = []
+    for t in range(len(eps)):
+        total = 0.0
+        for e in eps[max(0, t - window + 1) : t + 1]:
+            total += e
+        expected.append((total / min(t + 1, window)) ** 0.5)
+    assert [x.hex() for x in rolling_rmse(eps, window)] == [x.hex() for x in expected]
+
+
 def test_recovery_time_finds_first_dip():
     series = [5.0, 3.0, 1.0, 0.5, 2.0]
     assert recovery_time(series, break_tick=1, threshold=1.0) == 1

@@ -510,11 +510,19 @@ def refusing_edits(m, rng):
     )
 
 
+def overflowing(h):
+    """Whether ``h`` puts a finite coefficient of 1e150 or more on an edge,
+    so that its predictions or their squared errors may leave the float
+    range."""
+    c = h.new_coefficient if isinstance(h, CoefChange) else getattr(h, "coefficient", 0.0)
+    return math.isfinite(c) and abs(c) >= 1e150
+
+
 def batch_outcomes(seed, twin, holdout):
     """Hold every candidate's batched score and test to the per-candidate
     path as reflect calls it (a shared kernel over the trigger's window),
-    and each value to the reference rollouts; return the classes of the
-    errors raised."""
+    and each value to the reference rollouts; return each error raised as
+    (its class, whether the candidate is :func:`overflowing`)."""
     m, rng = flushed_model(seed)
     if twin:
         m = with_twin(m)
@@ -535,7 +543,7 @@ def batch_outcomes(seed, twin, holdout):
         assert score == answer(lambda: score_hypothesis(m, h, scoring, base=score_base)), h
         tested = answer(lambda: batch.test(i, 0.1))
         assert tested == answer(lambda: holdout_test(m, h, held, 0.1, base=test_base)), h
-        refused.update(r for r in (score, tested) if isinstance(r, type))
+        refused.update((r, overflowing(h)) for r in (score, tested) if isinstance(r, type))
         if scoring and not isinstance(score, type):
             assert score == reference_score(m, h, scoring).hex(), h
         if not isinstance(tested, type):
@@ -554,8 +562,39 @@ def test_batch_matches_the_references(seed, twin, holdout):
 
 
 def test_batch_refuses_as_the_per_candidate_path():
-    """Each refusal the per-candidate path makes is met on these seeds."""
+    """Each refusal the per-candidate path makes is met on these seeds, and
+    an edit whose predictions or squared errors overflow is refused with
+    DomainError, never with Python's OverflowError."""
     refused = Counter()
     for seed in range(12):
         refused += batch_outcomes(seed, seed % 2 == 0, 1 + seed % 3)
-    assert {ConfigError, DomainError, NotEnoughDataError, OverflowError} <= set(refused)
+    classes = {cls for cls, _ in refused}
+    assert OverflowError not in classes
+    assert {ConfigError, DomainError, NotEnoughDataError} <= classes
+    assert {cls for cls, huge in refused if huge} == {DomainError}
+
+
+def test_overflowing_squared_error_is_refused_with_domain_error():
+    """``CoefChange(j, 1e200)`` on an edge whose source is about 1 predicts
+    about 1e200, whose square leaves the float range: the batch and both
+    per-candidate functions refuse it with DomainError, which reflect skips
+    as it skips every other CausalLoopError."""
+    rng = np.random.default_rng(5)
+    graph = random_graph(rng, 2, 1, max_edges=4, max_delay=2)
+    m = CausalModel(graph=graph, fit_window=12)
+    for tr in transitions(rng, 2, 1, range(12)):
+        m = append_history(m, tr)
+    rows = m.history
+    split = 8
+    h = CoefChange(0, 1e200)
+    lags = _LagFeatures(m.history, rows)
+    batch = _EditBatch(_Baseline(m, lags), [h], split)
+    assert batch._row[0] is None  # the batch leaves it to the functions
+    for call in (
+        lambda: batch.score(0),
+        lambda: batch.test(0, 0.1),
+        lambda: score_hypothesis(m, h, rows[:split]),
+        lambda: holdout_test(m, h, rows[split:], 0.1),
+    ):
+        with pytest.raises(DomainError):
+            call()
