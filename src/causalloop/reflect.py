@@ -21,29 +21,24 @@ persistent regime change that suffix is exactly the post-change data, so
 refits are not diluted by stale rows.
 
 Each trigger builds one lagged-feature kernel (see :mod:`causalloop.model`)
-over the model's ``fit_window`` window.  The working model's per-target
-predictions and per-row squared errors are computed once and shared by
-every score and test, and each candidate is scored and tested as an edit to
-them, without building its model.  Before the first acceptance every
-CoefChange, DelayChange, EdgeRemove and EdgeAdd is scored and tested in one
-numpy batch (``_EditBatch``): one row of a (candidates x window rows) array
-per edit, holding its edited target's edge sum in graph order, whose
-squared errors are added to the working model's other targets in dimension
-order, with every sum a cumsum from a leading 0.0.  The rest go one at a
-time through ``score_hypothesis`` and ``test_hypothesis``: a DeltaShift,
-which re-predicts the unchanged graph at the new scale; a StructuralBreak,
-whose refit needs the model; an edit the batch cannot settle (it raises, or
-some squared error is not finite), so that it is refused where it always
-was; and every test after an acceptance, against the repaired model.  One
-at a time, an edge edit becomes one target's new edge list, so only that
-target is predicted again.  Either way the edit keeps the checks building
-the edited graph would make, and only a StructuralBreak and an accepted
-edit go through ``apply_hypothesis``.  ``anomalous_suffix`` reads the
-working model's errors, and a residual fit the observations minus the
-kernel's prediction from the other edges.  After an acceptance only the
-baseline is recomputed, and the kernel is rebuilt only when an accepted
-StructuralBreak has replaced the history.  Every score and holdout MSE is
-bit-identical to rolling each candidate's model out afresh.
+over the model's ``fit_window`` window, and the working model's per-target
+predictions and squared errors over it (``_Baseline``).  ``anomalous_suffix``
+reads those errors, and a residual fit the observations minus the kernel's
+prediction from the other edges.  Every candidate is then scored and tested
+as one row of a numpy batch (``_EditBatch``), never by building its model:
+the row names the targets the candidate predicts anew -- an edge edit its
+one target, a DeltaShift every target at the new scale, a StructuralBreak
+every target with its refit graph's coefficients -- and their squared
+errors replace the working model's in that row.  A StructuralBreak's refit,
+which needs the model, runs once when its row is built; only it and an
+accepted edit go through ``apply_hypothesis``.  After an acceptance the
+candidates still to test, remapped to the repaired model's edges, become
+one more batch against it, so a trigger builds at most ``max_accepts``
+batches.  The kernel is rebuilt only when an accepted StructuralBreak has
+replaced the history.  A candidate the edited graph would refuse, or whose
+predictions leave the float range, is refused by its row alone.  Every
+score and holdout MSE is bit-identical to rolling each candidate's model
+out afresh.
 """
 
 from __future__ import annotations
@@ -57,6 +52,7 @@ import numpy as np
 from .core import (
     CausalLoopError,
     ConfigError,
+    DomainError,
     NotEnoughDataError,
     NotIdentifiableError,
     PredictionError,
@@ -72,6 +68,7 @@ from .model import (
     rollout,
     _LagFeatures,
     _Target,
+    _by_target,
     _least_squares,
 )
 from .scenario import json_number, json_typed
@@ -229,23 +226,15 @@ def apply_hypothesis(m: CausalModel, h: Hypothesis) -> CausalModel:
 
 
 class _Baseline:
-    """A model's per-row errors over rows ``[lo, hi)`` of a kernel, and the
-    predictions of any edit of that model.
+    """A model's per-row errors over rows ``[lo, hi)`` of a kernel.
 
     Computed once and shared by every score or test against that model:
     ``targets[k]`` is target dimension k's predictions from ``incoming[k]``,
     its edges in graph order (``position`` gives each edge's place there),
     and ``sq`` is each row's ``(o - p) ** 2`` added over dimensions from
     0.0, None where the row is not predictable.  ``sq / d`` is the row's
-    :func:`loss` epsilon to the bit.
-
-    :meth:`edited` scores an edit as a delta to these predictions: a
-    coefficient, delay, removal or addition becomes (target, that target's
-    new edge list in graph order, scale) through :meth:`edit`, so only that
-    target is predicted again and every other target is this baseline's
-    object; a DeltaShift re-predicts the unchanged graph at the clamped
-    delta.  No graph is built, and the results equal those of
-    ``apply_hypothesis(m, h)``'s graph to the bit.
+    :func:`loss` epsilon to the bit.  :meth:`edit` states a candidate as the
+    targets it predicts anew, which is how :class:`_EditBatch` scores it.
     """
 
     def __init__(
@@ -269,26 +258,34 @@ class _Baseline:
     def over(m: CausalModel, rows: Sequence[Transition]) -> _Baseline:
         return _Baseline(m, _LagFeatures(m.history, rows))
 
-    def edit(self, h: Hypothesis) -> tuple[int, int, CausalEdge | None] | None:
-        """An edge edit as ``(k, at, new)``: target dimension k's incoming
-        edges in graph order with the one at position ``at`` replaced by
-        ``new``, or removed when ``new`` is None, or with ``new`` appended
-        when ``at`` is their number.  None for a DeltaShift, a
-        StructuralBreak and an edge index outside the graph.
+    def edit(self, h: Hypothesis) -> tuple[float, dict[int, list[CausalEdge]]]:
+        """The target dimensions ``apply_hypothesis(m, h)`` predicts anew:
+        its scale, and each such target's incoming edges in graph order.  A
+        coefficient, delay, removal or addition replaces one target's list;
+        a DeltaShift keeps every list at the clamped delta; a
+        StructuralBreak gives every target its refit graph's edges.  Every
+        other target predicts as this model's, to the bit.
 
-        Raises :class:`ConfigError` wherever building the edited graph
-        would: a new edge's delay below 1 or coefficient not finite, its
-        source or target out of range, or its (source, delay) already
-        feeding the edited target.
+        Raises :class:`ConfigError` for an edge index outside the graph,
+        and wherever building the edited graph would: a new edge's delay
+        below 1 or coefficient not finite, its source or target out of
+        range, or its (source, delay) already feeding the edited target.  A
+        StructuralBreak raises what its refit raises.
         """
-        edges = self.m.graph.edges
+        m = self.m
+        if isinstance(h, DeltaShift):
+            return math.exp(-_clamped(m, h.new_delta)), dict(enumerate(self.incoming))
+        if isinstance(h, StructuralBreak):
+            refit = apply_hypothesis(m, h)
+            return math.exp(-refit.delta_hat), dict(enumerate(_by_target(refit.graph)))
+        edges = m.graph.edges
         if isinstance(h, EdgeAdd):
             new: CausalEdge | None = CausalEdge(h.source, h.target, h.delay, h.coefficient, h.form)
-            self.m.graph.check_in_range(new)
+            m.graph.check_in_range(new)
             k = h.target
             at = len(self.incoming[k])
-        elif isinstance(h, (DeltaShift, StructuralBreak)) or not 0 <= h.edge_index < len(edges):
-            return None
+        elif not 0 <= h.edge_index < len(edges):
+            raise ConfigError(f"edge index {h.edge_index} outside a graph of {len(edges)} edges")
         else:
             old = edges[h.edge_index]
             k = old.target
@@ -299,41 +296,22 @@ class _Baseline:
                 new = CausalEdge(old.source, k, old.delay, h.new_coefficient, old.form)
             else:
                 new = CausalEdge(old.source, k, h.new_delay, old.coefficient, old.form)
-        if new is not None:
-            for i, e in enumerate(self.incoming[k]):
+        group = list(self.incoming[k])
+        if new is None:
+            del group[at]
+        else:
+            for i, e in enumerate(group):
                 if i != at and e.delay == new.delay and e.source == new.source:
                     raise ConfigError(
                         f"duplicate edge (source={new.source}, target={k}, delay={new.delay})"
                     )
-        return k, at, new
-
-    def edited(self, h: Hypothesis) -> list[_Target]:
-        """Every target dimension of ``apply_hypothesis(m, h)``, in order.
-
-        An edge edit predicts only the target :meth:`edit` names again, and
-        raises where it does; a DeltaShift re-predicts the unchanged graph,
-        and a StructuralBreak (its refit needs the model) and an edge index
-        outside the graph go through :func:`apply_hypothesis` itself.
-        """
-        m = self.m
-        if isinstance(h, DeltaShift):
-            return self.lags.targets(m.graph, _clamped(m, h.new_delta))
-        edit = self.edit(h)
-        if edit is None:
-            applied = apply_hypothesis(m, h)
-            return self.lags.targets(applied.graph, applied.delta_hat)
-        k, at, new = edit
-        group = list(self.incoming[k])
-        group[at : at + 1] = [] if new is None else [new]
-        targets = list(self.targets)
-        targets[k] = self.lags._target(k, group, self.scale)
-        return targets
+            group[at : at + 1] = [new]
+        return self.scale, {k: group}
 
     def mse(self, targets: list[_Target]) -> tuple[float, float] | None:
         """Mean loss epsilon of this model and of the one ``targets``
-        predicts (an :meth:`edited` result, or the kernel's targets of
-        another model) over the rows both predict; None when there are
-        none."""
+        predicts (the kernel's targets of another model) over the rows both
+        predict; None when there are none."""
         sq_os = self.lags.sq_errors(targets, self.lo, self.hi)
         sq_m = sq_o = 0.0
         n = 0
@@ -505,57 +483,32 @@ def _candidates(
 # ---------------------------------------------------------------------------
 
 
-def score_hypothesis(
-    m: CausalModel, h: Hypothesis, window: Sequence[Transition], base: _Baseline | None = None
-) -> float:
+def score_hypothesis(m: CausalModel, h: Hypothesis, window: Sequence[Transition]) -> float:
     """Likelihood gained by ``h`` over the current model on ``window``.
 
     Under an isotropic Gaussian observation model with stddev sigma_lik,
     the log-likelihood difference per row reduces to
     (|obs - pred_current|^2 - |obs - pred_h|^2) / (2 sigma_lik^2); rows
     either model cannot predict (unresolvable lags) are skipped for both.
-    ``base``, when given, must hold ``m``'s predictions over ``window``.
+    A batch of one (:class:`_EditBatch`), refusing as it does.
     """
     if not window:
         return 0.0
-    if base is None:
-        base = _Baseline.over(m, window)
-    sq_hs = base.lags.sq_errors(base.edited(h), base.lo, base.hi)
-    two_var = 2.0 * m.sigma_lik**2
-    total = 0.0
-    for sq_m, sq_h in zip(base.sq, sq_hs):
-        if sq_m is None or sq_h is None:
-            continue
-        total += (sq_m - sq_h) / two_var
-    return total
+    return _EditBatch(_Baseline.over(m, window), [h], len(window)).score(0)
 
 
 def test_hypothesis(
-    m: CausalModel,
-    h: Hypothesis,
-    holdout: Sequence[Transition],
-    rho: float,
-    base: _Baseline | None = None,
+    m: CausalModel, h: Hypothesis, holdout: Sequence[Transition], rho: float
 ) -> tuple[bool, float, float]:
     """Accept iff the edit cuts holdout MSE by at least the fraction rho.
 
     Returns (accepted, holdout MSE of the current model, holdout MSE under
-    the edit).  Raises :class:`NotEnoughDataError` when no holdout row is
-    predictable under both models.  ``base``, when given, must hold
-    ``m``'s predictions over ``holdout``.
+    the edit).  A batch of one (:class:`_EditBatch`), refusing as it does;
+    an empty holdout raises :class:`NotEnoughDataError`.
     """
     if not holdout:
         raise NotEnoughDataError("empty holdout")
-    if base is None:
-        base = _Baseline.over(m, holdout)
-    return _verdict(base.mse(base.edited(h)), rho)
-
-
-def _verdict(mses: tuple[float, float] | None, rho: float) -> tuple[bool, float, float]:
-    if mses is None:
-        raise NotEnoughDataError("no predictable holdout rows")
-    mse_m, mse_h = mses
-    return mse_h <= (1.0 - rho) * mse_m, mse_m, mse_h
+    return _EditBatch(_Baseline.over(m, holdout), [h], 0).test(0, rho)
 
 
 def _fold(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -566,115 +519,60 @@ def _fold(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.cumsum(out, axis=1)[:, -1]
 
 
-class _EditBatch:
-    """Every candidate of ``hs`` scored over kernel rows ``[0, split)`` and
-    tested over rows ``[split, n)`` against ``base``, a model's baseline
-    over all ``n`` rows of its kernel, as :func:`score_hypothesis` and
-    :func:`test_hypothesis` would score and test it, to the bit.
+def _add_up(slabs: np.ndarray) -> np.ndarray:
+    """``slabs[:, 0] + slabs[:, 1] + ...`` left to right from 0.0, as a
+    cumsum along axis 1 from a leading 0.0 adds them, one whole slab at a
+    time: numpy accumulates along a short middle axis several times slower."""
+    total = np.zeros(slabs.shape[:1] + slabs.shape[2:])
+    for j in range(slabs.shape[1]):
+        total = total + slabs[:, j]
+    return total
 
-    Each CoefChange, DelayChange, EdgeRemove and EdgeAdd that
-    :meth:`_Baseline.edit` turns into an edge list is one row of a
-    (candidates x rows) array: the edited target's edge sum in graph order,
-    its squared errors added to the baseline's other targets in dimension
-    order, and the score and the two holdout means summed over rows, each
-    sum a cumsum from a leading 0.0 (see :mod:`causalloop.model`).  Every
-    other candidate goes through those two functions, which refuse it where
-    they always have: a DeltaShift, a StructuralBreak, an edit that raises,
-    an edit with a non-finite squared error on some row, and every candidate
-    when the model has a non-finite prediction.  An edit with no holdout row
-    both models predict raises :class:`NotEnoughDataError` from
-    :meth:`test`, as the function does.
+
+class _EditBatch:
+    """Every candidate of ``hs`` scored over rows ``[base.lo, split)`` and
+    tested over rows ``[split, base.hi)`` of ``base``'s kernel, against
+    ``base``, the baseline of the model the candidates edit.
+
+    Each candidate is one row of a (candidates x dimensions x rows) array of
+    squared errors, which holds the baseline's except in the targets
+    :meth:`_Baseline.edit` says the candidate predicts anew.  Each of those
+    is predicted over every kernel row as its edge sum in graph order --
+    ``coefficient * feature * scale`` per edge, a lag's gap adding 0.0 --
+    added to the recorded state, and squared with ``np.float_power``.  A
+    row's squared errors are added over dimensions in order, its score and
+    two holdout means over rows, each sum left to right from 0.0 (see
+    :mod:`causalloop.model`).  A row counts where both models predict it.
+
+    A candidate is refused by its row alone, with the class and reach of
+    building its model and rolling it out:
+
+    * :class:`ConfigError`, or what a refit raises, wherever
+      :meth:`_Baseline.edit` raises;
+    * :class:`DomainError` when an edited target's finite prediction error
+      squares beyond the float range on any kernel row, or a prediction of
+      the edited model is not finite on a row it predicts in the range read;
+    * :class:`NotEnoughDataError` from :meth:`test` when no holdout row is
+      predicted by both models.
+
+    A score over an empty range is 0.0 and refuses nothing.
     """
 
     def __init__(self, base: _Baseline, hs: Sequence[Hypothesis], split: int) -> None:
         self.base = base
         self.hs = hs
         self.split = split
-        self._row: list[int | None] = [None] * len(hs)  # candidate -> batch row
-        self._score_base: _Baseline | None = None
-        self._test_base: _Baseline | None = None
-        # A model with a non-finite prediction is left to the functions.
-        if all(t.finite for t in base.targets):
-            self._predict()
-
-    def score(self, i: int) -> float:
-        """``score_hypothesis`` of candidate ``i`` over rows ``[0, split)``."""
-        r = self._row[i]
-        if r is not None:
-            return self._scores[r]
-        m, lags = self.base.m, self.base.lags
-        if self._score_base is None:
-            self._score_base = _Baseline(m, lags, 0, self.split)
-        return score_hypothesis(m, self.hs[i], lags.rows[: self.split], base=self._score_base)
-
-    def test(self, i: int, rho: float) -> tuple[bool, float, float]:
-        """``test_hypothesis`` of candidate ``i`` over rows ``[split, n)``."""
-        r = self._row[i]
-        if r is not None:
-            return _verdict(self._mses[r] if self._counts[r] else None, rho)
-        m, lags = self.base.m, self.base.lags
-        if self._test_base is None:
-            self._test_base = _Baseline(m, lags, self.split, len(lags.rows))
-        return test_hypothesis(m, self.hs[i], lags.rows[self.split :], rho, base=self._test_base)
-
-    def _predict(self) -> None:
-        base, lags, split = self.base, self.base.lags, self.split
-        n, d = len(lags.rows), base.d
-        edits, columns, gapped = self._edge_lists()
-        if not edits or n == 0:
-            return
-        width = 1 + max(len(p) for _, _, p, _ in edits)
-        place = np.array([[0, *p] + [0] * (width - 1 - len(p)) for _, _, p, _ in edits])
-        coef = np.array([[0.0, *c] + [0.0] * (width - 1 - len(c)) for _, _, _, c in edits])
-        target = np.array([k for _, k, _, _ in edits])
-        # A row counts where the model and the edit both predict it.  The
-        # edit's other targets are the model's, so it leaves out no row the
-        # model keeps but one with a gap in its edited target's columns.
-        live = np.broadcast_to([sq is not None for sq in base.sq], (len(edits), n))
-        if gapped:
-            gap = np.zeros((len(columns), n), dtype=bool)
-            for g in gapped:
-                gap[g] = [v is None for v in columns[g]]
-                columns[g] = [0.0 if v is None else v for v in columns[g]]
-            live = live & ~gap[place].any(axis=1)
-        sq_m = np.array([0.0 if sq is None else sq for sq in base.sq])
-        with np.errstate(all="ignore"):
-            terms = coef[:, :, None] * np.array(columns)[place] * base.scale
-            pred = np.array(lags._states).T[target] + np.cumsum(terms, axis=1)[:, -1]
-            sq_k = np.float_power(np.array(lags._observed).T[target] - pred, 2.0)
-            by_dim = np.zeros((len(edits), d + 1, n))
-            by_dim[:, 1:] = [t.sq for t in base.targets]
-            by_dim[np.arange(len(edits)), target + 1] = sq_k
-            sq_h = np.cumsum(by_dim, axis=1)[:, -1]
-
-            two_var = 2.0 * base.m.sigma_lik**2
-            gain = (sq_m[:split] - sq_h[:, :split]) / two_var
-            self._scores = _fold(gain, live[:, :split]).tolist()
-            held = live[:, split:]
-            counts = held.sum(axis=1)
-            mse_m = _fold(np.broadcast_to(sq_m[split:] / d, held.shape), held) / counts
-            mse_h = _fold(sq_h[:, split:] / d, held) / counts
-        self._counts = counts.tolist()
-        self._mses = list(zip(mse_m.tolist(), mse_h.tolist()))
-        for r, ((i, _, _, _), finite) in enumerate(zip(edits, np.isfinite(sq_k).all(axis=1))):
-            if finite:
-                self._row[i] = r
-
-    def _edge_lists(
-        self,
-    ) -> tuple[list[tuple[int, int, list[int], list[float]]], list[list[float | None]], list[int]]:
-        """Each edge edit that :meth:`_Baseline.edit` accepts as (candidate,
-        target, column of each edge in graph order, coefficient of each),
-        the kernel columns they read, and which of those have a gap.
-        Column 0 is all zeros: a leading 0.0 for every edge sum, and the
-        padding (coefficient 0.0) of a target with fewer edges."""
-        base, lags = self.base, self.base.lags
+        self._scores: list[float | CausalLoopError] = [0.0] * len(hs)
+        self._tests: list[tuple[float, float] | CausalLoopError] = [(0.0, 0.0)] * len(hs)
+        lags = base.lags
+        # Column 0 is all zeros: the padding (coefficient 0.0) of a target
+        # with fewer edges than the widest.
         columns: list[list[float | None]] = [[0.0] * len(lags.rows)]
-        gapped: list[int] = []
+        gapped: list[int] = []  # the places of columns with a gap
         at_column: dict[int, int] = {}  # id of a kernel column -> its place in ``columns``
 
         def place_of(e: CausalEdge) -> int:
-            col, gaps = lags.column(e.source, e.delay, e.form)
+            col, gaps, _ = lags._edge_column(e)
             p = at_column.get(id(col))
             if p is None:
                 p = at_column[id(col)] = len(columns)
@@ -683,25 +581,112 @@ class _EditBatch:
                     gapped.append(p)
             return p
 
-        places = [[place_of(e) for e in g] for g in base.incoming]
-        coefs = [[e.coefficient for e in g] for g in base.incoming]
-        edits = []
-        for i, h in enumerate(self.hs):
+        # The model's edges stay alive in ``base.incoming``, so their ids
+        # are theirs alone; an edit's new edge is looked up in the kernel.
+        known = {id(e): place_of(e) for group in base.incoming for e in group}
+        # (candidate, target, column place of each edge, coefficient of each,
+        # scale) for each target a candidate predicts anew
+        subs: list[tuple[int, int, list[int], list[float], float]] = []
+        for i, h in enumerate(hs):
             try:
-                edit = base.edit(h)
-            except CausalLoopError:
+                scale, replaced = base.edit(h)
+            except CausalLoopError as exc:
+                self._scores[i] = exc if split > base.lo else 0.0
+                self._tests[i] = exc
                 continue
-            if edit is None:
-                continue
-            k, at, new = edit
-            p, c = list(places[k]), list(coefs[k])
-            if new is None:
-                del p[at], c[at]
-            else:  # a coefficient change keeps its edge's column
-                p[at : at + 1] = [p[at] if isinstance(h, CoefChange) else place_of(new)]
-                c[at : at + 1] = [new.coefficient]
-            edits.append((i, k, p, c))
-        return edits, columns, gapped
+            for k, group in replaced.items():
+                places = [known.get(id(e)) or place_of(e) for e in group]
+                subs.append((i, k, places, [e.coefficient for e in group], scale))
+        if subs:
+            self._predict(subs, columns, gapped)
+
+    def score(self, i: int) -> float:
+        """:func:`score_hypothesis` of candidate ``i``."""
+        score = self._scores[i]
+        if isinstance(score, CausalLoopError):
+            raise score
+        return score
+
+    def test(self, i: int, rho: float) -> tuple[bool, float, float]:
+        """:func:`test_hypothesis` of candidate ``i``."""
+        mses = self._tests[i]
+        if isinstance(mses, CausalLoopError):
+            raise mses
+        return mses[1] <= (1.0 - rho) * mses[0], *mses
+
+    def _predict(self, subs: list[tuple], columns: list[list[float | None]], gapped: list[int]) -> None:
+        base, lags, count = self.base, self.base.lags, len(self.hs)
+        lo, hi, d, s = base.lo, base.hi, base.d, self.split - base.lo
+        n = len(lags.rows)
+        cand, target, places, coefs, scale = map(list, zip(*subs))
+        cand, target, scale = np.array(cand), np.array(target), np.array(scale)
+        width = max(map(len, places))
+        place = np.array([p + [0] * (width - len(p)) for p in places], dtype=int)
+        coef = np.array([c + [0.0] * (width - len(c)) for c in coefs])
+        gap = np.zeros((len(columns), n), dtype=bool)
+        for g in gapped:
+            gap[g] = [v is None for v in columns[g]]
+            columns[g] = [0.0 if v is None else v for v in columns[g]]
+        with np.errstate(all="ignore"):
+            terms = coef[:, :, None] * np.array(columns)[place] * scale[:, None, None]
+            pred = np.array(lags._states).T[target] + _add_up(terms)
+            diff = np.array(lags._observed).T[target] - pred
+            sq_k = np.float_power(diff, 2.0)
+        overflow = np.zeros(count, dtype=bool)  # a finite error squares past the float range
+        if not np.isfinite(sq_k).all():
+            overflow[cand[(np.isfinite(diff) & np.isinf(sq_k)).any(axis=1)]] = True
+
+        # Each candidate's (dimension x row) values over the range: the
+        # model's, or the candidate's in a dimension it predicts anew.
+        def per_candidate(of_model: np.ndarray, of_subs: np.ndarray) -> np.ndarray:
+            out = np.repeat(of_model[None, :, lo:hi], count, axis=0)
+            out[cand, target] = of_subs[:, lo:hi]
+            return out
+
+        sq_h = _add_up(per_candidate(np.array([t.sq for t in base.targets]), sq_k))
+        dead = np.zeros((count, hi - lo), dtype=bool)  # rows the edited model leaves out
+        if gapped:  # the model's own edges are all placed, so it has no dead row without one
+            dead_k = np.zeros((d, n), dtype=bool)
+            for k, t in enumerate(base.targets):
+                dead_k[k, list(t.dead)] = True
+            dead = per_candidate(dead_k, gap[place].any(axis=1)).any(axis=1)
+        bad = None  # rows it predicts with a prediction not finite, if any
+        finite_k = np.isfinite(pred)
+        if not (finite_k.all() and all(t.finite for t in base.targets)):
+            finite = per_candidate(np.isfinite([t.pred for t in base.targets]), finite_k)
+            bad = ~dead & ~finite.all(axis=1)
+
+        sq_m = np.array([0.0 if sq is None else sq for sq in base.sq])
+        live = np.array([sq is not None for sq in base.sq]) & ~dead
+        held = live[:, s:]
+        counts = held.sum(axis=1).tolist()
+        two_var = 2.0 * base.m.sigma_lik**2
+        with np.errstate(all="ignore"):
+            if s > 0:
+                scores = _fold((sq_m[:s] - sq_h[:, :s]) / two_var, live[:, :s]).tolist()
+            # The model's holdout mean beside each candidate's, over that candidate's rows.
+            means = _fold(
+                np.concatenate([np.broadcast_to(sq_m[s:] / d, held.shape), sq_h[:, s:] / d]),
+                np.concatenate([held, held]),
+            ) / np.tile(counts, 2)
+            mse_m, mse_h = means[:count].tolist(), means[count:].tolist()
+
+        def refused(rows: slice, found: list[int]) -> list[CausalLoopError | None]:
+            """Each candidate's refusal over ``rows``, where ``found`` of
+            them are predicted by both models (a score needs none)."""
+            nonfinite = [False] * count if bad is None else bad[:, rows].any(axis=1).tolist()
+            return [
+                DomainError("a prediction of the edited model is not finite") if bad_row
+                else DomainError("a squared prediction error exceeds the float range") if over
+                else None if rows_found else NotEnoughDataError("no predictable holdout rows")
+                for bad_row, over, rows_found in zip(nonfinite, overflow.tolist(), found)
+            ]
+
+        score_refused, test_refused = refused(slice(0, s), [1] * count), refused(slice(s, None), counts)
+        for i in dict.fromkeys(cand.tolist()):
+            if s > 0:
+                self._scores[i] = score_refused[i] or scores[i]
+            self._tests[i] = test_refused[i] or (mse_m[i], mse_h[i])
 
 
 # ---------------------------------------------------------------------------
@@ -756,50 +741,53 @@ def reflect(
 
     # One kernel serves the whole trigger: ctx is the window's last row.
     window = m.history[-m.fit_window :]
-    n = len(window)
     lags = _LagFeatures(m.history, window)
-    h_lo = n - len(window[-settings.holdout :])
+    h_lo = len(window) - len(window[-settings.holdout :])
     holdout = window[h_lo:]
 
     base = _Baseline(m, lags)
     candidates = generate_hypotheses(m, ctx, err, tau, settings, base=base)
-    batch = _EditBatch(base, candidates, h_lo)
+    batch: _EditBatch | None = _EditBatch(base, candidates, h_lo)
     ranked = sorted(
         ((i, HypothesisScore(h, batch.score(i))) for i, h in enumerate(candidates)),
         key=lambda item: (-item[1].score, _tie_key(item[1].hypothesis)),
     )
 
+    # Tests run in rank order.  An acceptance changes the working model, so
+    # the candidates still to test, remapped to its edges, become one more
+    # batch against it: at most ``max_accepts`` batches in all.
     working = m
-    test_base: _Baseline | None = None  # the working model's, once it has changed
     index_map = {i: i for i in range(len(m.graph.edges))}
+    rows = {i: i for i in range(len(candidates))}  # candidate -> its row of ``batch``
     accepted: list[Hypothesis] = []
-    for i, hs in ranked:
+    for pos, (i, hs) in enumerate(ranked):
         if len(accepted) >= settings.max_accepts:
             break
-        h = _remap(hs.hypothesis, index_map)
-        if h is None:
-            continue
+        if batch is None:
+            rest = [(j, _remap(later.hypothesis, index_map)) for j, later in ranked[pos:]]
+            rest = [(j, h) for j, h in rest if h is not None]
+            try:
+                base = _Baseline(working, lags, h_lo, len(lags.rows))
+            except CausalLoopError:
+                break  # a non-finite holdout prediction: every later test would raise on it
+            batch = _EditBatch(base, [h for _, h in rest], h_lo)
+            rows = {j: r for r, (j, _) in enumerate(rest)}
+        r = rows.get(i)
+        if r is None:
+            continue  # its edge was removed
         try:
-            if test_base is None:
-                ok, _, _ = batch.test(i, settings.rho)
-            else:
-                ok, _, _ = test_hypothesis(working, h, holdout, settings.rho, base=test_base)
+            ok, _, _ = batch.test(r, settings.rho)
         except CausalLoopError:
             continue
         if not ok:
             continue
+        h = batch.hs[r]
         working = apply_hypothesis(working, h)
         index_map = _update_map(h, index_map)
         accepted.append(hs.hypothesis)
-        try:
-            if isinstance(h, StructuralBreak):
-                test_base = _Baseline.over(working, holdout)
-            elif test_base is None:
-                test_base = _Baseline(working, lags, h_lo, n)
-            else:
-                test_base = _Baseline(working, test_base.lags, test_base.lo, test_base.hi)
-        except CausalLoopError:
-            break  # a non-finite holdout prediction: every later test would raise on it
+        batch = None
+        if isinstance(h, StructuralBreak):  # the history changed: a kernel over the holdout
+            lags, h_lo = _LagFeatures(working.history, holdout), 0
 
     return ReflectReport(
         triggered=True,

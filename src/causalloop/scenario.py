@@ -130,8 +130,12 @@ class ScenarioConfig:
             raise ConfigError("history_capacity must be >= fit_window")
         if self.budget < 1 or self.max_accepts < 1 or self.fit_every < 1 or self.k_max < 1:
             raise ConfigError("budget, max_accepts, fit_every and k_max must be >= 1")
-        if not (self.sigma_lik > 0.0 and math.isfinite(self.sigma_lik)):
-            raise ConfigError("sigma_lik must be positive")
+        try:  # every repair score divides by it
+            two_var = 2.0 * self.sigma_lik**2
+        except OverflowError:
+            two_var = math.inf
+        if not (self.sigma_lik > 0.0 and 0.0 < two_var < math.inf):
+            raise ConfigError(f"sigma_lik {self.sigma_lik!r}: 2 * sigma_lik**2 must be a positive float")
         if not 0.0 < self.rho < 1.0:
             raise ConfigError(f"rho must be in (0, 1), got {self.rho}")
         if not 0.0 < self.delta_max <= DELTA_MAX:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from types import NoneType
 from typing import Any
 
-from .core import ActionVec, InputError, StateVec
+from .core import ActionVec, DomainError, InputError, StateVec
 from .reflect import Hypothesis, ReflectReport, hypothesis_from_dict, hypothesis_to_dict
 from .rng import GENERATOR_NAME, SCHEME_VERSION
 from .scenario import atomic_write_text, json_number, json_typed
@@ -233,8 +233,13 @@ def record_from_dict(d: dict[str, Any]) -> TraceRecord:
 
 
 def trace_to_lines(trace: EpisodeTrace) -> list[str]:
+    """JSON lines; a record JSON cannot hold (an infinite score) raises DomainError naming its tick."""
     lines = [json.dumps(header_to_dict(trace.header), allow_nan=False)]
-    lines += [json.dumps(record_to_dict(r), allow_nan=False) for r in trace.records]
+    for r in trace.records:
+        try:
+            lines.append(json.dumps(record_to_dict(r), allow_nan=False))
+        except ValueError as exc:
+            raise DomainError(f"tick {r.tick}: the trace record cannot be written: {exc}") from exc
     return lines
 
 

@@ -211,6 +211,30 @@ def test_overflowing_prediction_error_is_data_error(tmp_path, capsys):
     assert "exceeds the float range" in capsys.readouterr().err
 
 
+BREAK_DEMO_FILE = CALM_FILE.with_name("break_demo.json")
+
+
+@pytest.mark.parametrize("sigma_lik", [1e-200, 1e200])
+def test_run_refuses_a_sigma_lik_whose_variance_leaves_the_float_range(
+    tmp_path, capsys, sigma_lik
+):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**json.loads(BREAK_DEMO_FILE.read_text()), "sigma_lik": sigma_lik}))
+    assert main(["run", str(path), "--seed", "1", "--length", "260"]) == 2
+    assert "sigma_lik" in capsys.readouterr().err
+
+
+def test_trace_with_an_infinite_score_is_data_error(tmp_path, capsys):
+    """At sigma_lik 1.2e-154 some candidate scores overflow to infinity,
+    which JSON cannot write: the run ends with exit 2 and writes nothing."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**json.loads(BREAK_DEMO_FILE.read_text()), "sigma_lik": 1.2e-154}))
+    out = tmp_path / "t.jsonl"
+    assert main(["run", str(path), "--seed", "1", "--length", "260", "--trace", str(out)]) == 2
+    assert "error: tick " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, bad", [("fit_window", 2.5), ("capacity", True), ("delta_hat", "0.1"), ("delta_max", None)]
 )

@@ -2,17 +2,17 @@
 
 The references below resolve every lag afresh for every row from a full
 tick map, the way rollout, scoring and testing worked before one kernel
-served a whole reflect trigger and lags were looked up by position.
-``predict_next`` is held to ``reference_rollout``'s lenient arithmetic, the
-one prediction rule, and reflect's residuals and the holdout MSE shared by
-``test_hypothesis`` and the fit gate to the same references.  Results are
-compared as ``float.hex`` strings, so a sign of zero or a last-place
-difference counts.  Over the same random models, candidate generation is
-held to its budget: it estimates nothing past it, and every candidate edit
-scored as a delta to the working model's predictions is held to the model
-``apply_hypothesis`` builds.  The batch that scores and tests all of a
-trigger's edge edits at once is held to the same references, and refuses
-exactly where the per-candidate path does.
+served a whole reflect trigger and lags were looked up by position, and
+they add every sum left to right from 0.0.  ``predict_next`` is held to
+``reference_rollout``'s lenient arithmetic, the one prediction rule, and
+reflect's residuals and the holdout MSE of the fit gate to the same
+references.  Results are compared as ``float.hex`` strings, so a sign of
+zero or a last-place difference counts.  Over the same random models,
+candidate generation is held to its budget: it estimates nothing past it.
+The batch that scores and tests every candidate is held to the references
+on a model and on a working model after an accepted edit, refusals
+included, and the whole of ``reflect`` to ``reference_reflect``, which
+ranks, tests and accepts with the references alone.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from causalloop.core import CausalLoopError
 from causalloop.reflect import (
     CoefChange,
     DelayChange,
-    DeltaShift,
     EdgeAdd,
     ReflectSettings,
     StructuralBreak,
@@ -64,6 +63,7 @@ from causalloop.reflect import (
     _EditBatch,
     _remap,
     _residuals,
+    _tie_key,
     _update_map,
 )
 from causalloop.reflect import test_hypothesis as holdout_test
@@ -72,13 +72,15 @@ from causalloop.world import Form, SourceKind, VarRef
 from helpers import random_graph
 
 
-def reference_rollout(graph, delta_hat, history, rows, lenient=False):
+def reference_rows(graph, delta_hat, history, rows):
+    """Each row's prediction from every edge whose lag is recorded, as a
+    tuple of floats, and whether every lag was."""
     by_tick = {tr.tuple.time.tick: tr.tuple for tr in history}
     scale = math.exp(-delta_hat)
     out = []
     for tr in rows:
         change = [0.0] * graph.d_state
-        ok = True
+        whole = True
         for e in graph.edges:
             tick = tr.tuple.time.tick + 1 - e.delay
             if tick < 0:
@@ -87,15 +89,25 @@ def reference_rollout(graph, delta_hat, history, rows, lenient=False):
                 tup = by_tick[tick]
                 vec = tup.action if e.source.kind is SourceKind.ACTION else tup.state
                 v = vec[e.source.index]
-            elif lenient:
-                continue
             else:
-                ok = False
-                break
+                whole = False
+                continue
             change[e.target] += e.coefficient * e.form.apply(v) * scale
-        pred = StateVec(tuple(s + c for s, c in zip(tr.tuple.state.values, change)))
-        out.append(pred if ok else None)
+        out.append((tuple(s + c for s, c in zip(tr.tuple.state.values, change)), whole))
     return out
+
+
+def reference_rollout(graph, delta_hat, history, rows, lenient=False):
+    preds = reference_rows(graph, delta_hat, history, rows)
+    return [StateVec(p) if whole or lenient else None for p, whole in preds]
+
+
+def squared_error(tr, pred):
+    """The row's squared errors added over dimensions left to right from 0.0."""
+    total = 0.0
+    for o, p in zip(tr.observed.values, pred.values):
+        total += (o - p) ** 2
+    return total
 
 
 def reference_score(m, h, window):
@@ -107,9 +119,7 @@ def reference_score(m, h, window):
     for tr, ph, pm in zip(window, preds_h, preds_m):
         if ph is None or pm is None:
             continue
-        sq_m = sum((o - p) ** 2 for o, p in zip(tr.observed.values, pm.values))
-        sq_h = sum((o - p) ** 2 for o, p in zip(tr.observed.values, ph.values))
-        total += (sq_m - sq_h) / two_var
+        total += (squared_error(tr, pm) - squared_error(tr, ph)) / two_var
     return total
 
 
@@ -402,15 +412,6 @@ def test_holdout_mse_and_fit_gate_match_reference(seed, kind, size):
     assert _fit_improves(m, other, size) == (expected[1] <= expected[0])
 
 
-def outcome(rows):
-    """``rows()`` as ``float.hex`` strings, or the class of the
-    :class:`CausalLoopError` it raised."""
-    try:
-        return hexes(rows())
-    except CausalLoopError as exc:
-        return type(exc)
-
-
 def with_twin(m):
     """``m`` with a second edge from its first edge's source to its target,
     two ticks later: one delay change of each lands both on the tick between."""
@@ -418,63 +419,44 @@ def with_twin(m):
     return replace(m, graph=replace(m.graph, edges=m.graph.edges + (replace(e, delay=e.delay + 2),)))
 
 
-def edit_outcomes(seed, pick, twin):
-    """Hold every candidate's rows by the edit path to ``sq_errors`` of the
-    model ``apply_hypothesis`` builds, read through a kernel of its own, on
-    the model and on a working model after one accepted, remapped edit (the
-    ``pick``-th, or with None the first edge's delay change onto its twin's
-    neighbour tick); return how many candidates raised."""
-    m, _ = flushed_model(seed)
-    if twin:
-        m = with_twin(m)
-    ctx = m.history[-1]
-    err = loss(predict_next(m, ctx.tuple), ctx.observed)
-    candidates = generate_hypotheses(m, ctx, err, 0.0, ReflectSettings(budget=1024))
-    rows = m.history[-m.fit_window :]
-    lags = _LagFeatures(m.history, rows)
-    raised = 0
+def reference_refusal(history, model, rows, lo, hi):
+    """DomainError when a finite prediction error of ``model`` squares
+    beyond the float range on any of ``rows`` (each prediction from every
+    recorded lag), or a prediction is not finite on a row of ``rows[lo:hi]``
+    whose lags are all recorded; else None."""
+    preds = reference_rows(model.graph, model.delta_hat, history, rows)
+    for i, (tr, (pred, whole)) in enumerate(zip(rows, preds)):
+        if whole and lo <= i < hi and not all(map(math.isfinite, pred)):
+            return DomainError
+        for o, p in zip(tr.observed.values, pred):
+            try:
+                (o - p) ** 2
+            except OverflowError:
+                return DomainError
+    return None
 
-    def check(working, hs):
-        nonlocal raised
-        base = _Baseline(working, lags)
-        for h in hs:
 
-            def built(h=h):
-                applied = apply_hypothesis(working, h)
-                fresh = _LagFeatures(m.history, rows)
-                return fresh.sq_errors(fresh.targets(applied.graph, applied.delta_hat))
-
-            expected = outcome(built)
-            assert outcome(lambda: lags.sq_errors(base.edited(h))) == expected, h
-            raised += isinstance(expected, type)
-
-    check(m, candidates)
-    edits = [h for h in candidates if not isinstance(h, StructuralBreak)]
-    if pick is None:
-        first = DelayChange(0, m.graph.edges[0].delay + 1)
-        assert first in edits
-    else:
-        first = edits[pick % len(edits)]
+def reference_answers(m, h, rows, split, rho):
+    """``h`` scored over ``rows[:split]`` and tested over ``rows[split:]``
+    against ``m`` by the references, as the batch answers it over a kernel
+    on ``rows``: ``float.hex`` strings (a score, or a verdict and two MSEs),
+    or the class it is refused with."""
     try:
-        working = apply_hypothesis(m, first)
-    except CausalLoopError:
-        return raised
-    index_map = _update_map(first, {i: i for i in range(len(m.graph.edges))})
-    remapped = [_remap(h, index_map) for h in candidates if h != first]
-    check(working, [h for h in remapped if h is not None])
-    return raised
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 2**16)), st.booleans())
-def test_edits_match_the_models_they_build(seed, pick, twin):
-    edit_outcomes(seed, pick, twin)
-
-
-def test_twin_delay_changes_collide():
-    """After one twin's delay change, the other's onto the same tick is a
-    duplicate edge: building it raises, and so does its edit."""
-    assert sum(edit_outcomes(seed, None, True) for seed in range(10)) >= 10
+        applied = apply_hypothesis(m, h)
+    except CausalLoopError as exc:
+        return (type(exc) if split else (0.0).hex()), type(exc)
+    score = (0.0).hex()
+    if split:
+        score = reference_refusal(m.history, applied, rows, 0, split)
+        score = score or reference_score(m, h, rows[:split]).hex()
+    tested = reference_refusal(m.history, applied, rows, split, len(rows))
+    if tested is None:
+        mses = reference_test(m, h, rows[split:], rho)
+        if mses is None:
+            tested = NotEnoughDataError
+        else:
+            tested = (mses[1] <= (1.0 - rho) * mses[0], mses[0].hex(), mses[1].hex())
+    return score, tested
 
 
 def answer(call):
@@ -490,8 +472,64 @@ def answer(call):
     return ok, mse_m.hex(), mse_h.hex()
 
 
+def batch_answers(working, hs, rows, split):
+    """Hold every candidate's batched score and test against ``working``,
+    over a kernel on ``rows`` of its history, to :func:`reference_answers`;
+    return each refusal as (its class, the candidate)."""
+    batch = _EditBatch(_Baseline(working, _LagFeatures(working.history, rows)), hs, split)
+    refused = []
+    for i, h in enumerate(hs):
+        got = answer(lambda: batch.score(i)), answer(lambda: batch.test(i, 0.1))
+        assert got == reference_answers(working, h, rows, split, 0.1), h
+        refused += [(r, h) for r in got if isinstance(r, type)]
+    return refused
+
+
+def edit_outcomes(seed, pick, twin):
+    """Hold every candidate's batched answers to the references on the model
+    and on a working model after one accepted, remapped edit (the
+    ``pick``-th, or with None the first edge's delay change onto its twin's
+    neighbour tick); return how many candidates building their model
+    refuses."""
+    m, _ = flushed_model(seed)
+    if twin:
+        m = with_twin(m)
+    ctx = m.history[-1]
+    err = loss(predict_next(m, ctx.tuple), ctx.observed)
+    candidates = generate_hypotheses(m, ctx, err, 0.0, ReflectSettings(budget=1024))
+    rows = m.history[-m.fit_window :]
+    split = max(0, len(rows) - 4)
+    refused = batch_answers(m, candidates, rows, split)
+    edits = [h for h in candidates if not isinstance(h, StructuralBreak)]
+    if pick is None:
+        first = DelayChange(0, m.graph.edges[0].delay + 1)
+        assert first in edits
+    else:
+        first = edits[pick % len(edits)]
+    try:
+        working = apply_hypothesis(m, first)
+    except CausalLoopError:
+        return len(refused)
+    index_map = _update_map(first, {i: i for i in range(len(m.graph.edges))})
+    remapped = [_remap(h, index_map) for h in candidates if h != first]
+    refused += batch_answers(working, [h for h in remapped if h is not None], rows, split)
+    return len({h for cls, h in refused if cls in (ConfigError, DomainError)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 2**16)), st.booleans())
+def test_edits_match_the_models_they_build(seed, pick, twin):
+    edit_outcomes(seed, pick, twin)
+
+
+def test_twin_delay_changes_collide():
+    """After one twin's delay change, the other's onto the same tick is a
+    duplicate edge: building it raises, and the batch refuses it."""
+    assert sum(edit_outcomes(seed, None, True) for seed in range(10)) >= 10
+
+
 def refusing_edits(m, rng):
-    """Edge edits the per-candidate path refuses, or may refuse: a duplicate
+    """Edge edits building their model refuses, or may refuse: a duplicate
     edge, a delay or coefficient no edge may have, a source out of range,
     coefficients whose squared errors or predictions may overflow, and a
     lag before the history's first entry on every row."""
@@ -519,10 +557,10 @@ def overflowing(h):
 
 
 def batch_outcomes(seed, twin, holdout):
-    """Hold every candidate's batched score and test to the per-candidate
-    path as reflect calls it (a shared kernel over the trigger's window),
-    and each value to the reference rollouts; return each error raised as
-    (its class, whether the candidate is :func:`overflowing`)."""
+    """Hold every candidate's batched score and test, generated or one of
+    :func:`refusing_edits`, to the references over the trigger's window;
+    return each refusal as (its class, whether the candidate is
+    :func:`overflowing`)."""
     m, rng = flushed_model(seed)
     if twin:
         m = with_twin(m)
@@ -532,27 +570,7 @@ def batch_outcomes(seed, twin, holdout):
     candidates = generated + refusing_edits(m, rng)
     rows = m.history[-m.fit_window :]
     split = len(rows) - len(rows[-holdout:])
-    scoring, held = rows[:split], rows[split:]
-    batch = _EditBatch(_Baseline(m, _LagFeatures(m.history, rows)), candidates, split)
-    lags = _LagFeatures(m.history, rows)
-    score_base = _Baseline(m, lags, 0, split)
-    test_base = _Baseline(m, lags, split, len(rows))
-    refused = Counter()
-    for i, h in enumerate(candidates):
-        score = answer(lambda: batch.score(i))
-        assert score == answer(lambda: score_hypothesis(m, h, scoring, base=score_base)), h
-        tested = answer(lambda: batch.test(i, 0.1))
-        assert tested == answer(lambda: holdout_test(m, h, held, 0.1, base=test_base)), h
-        refused.update((r, overflowing(h)) for r in (score, tested) if isinstance(r, type))
-        if scoring and not isinstance(score, type):
-            assert score == reference_score(m, h, scoring).hex(), h
-        if not isinstance(tested, type):
-            expected = reference_test(m, h, held, 0.1)
-            assert tested[1:] == (expected[0].hex(), expected[1].hex()), h
-        edge_edit = not isinstance(h, (DeltaShift, StructuralBreak))
-        if h in generated and edge_edit and not isinstance(score, type):
-            assert batch._row[i] is not None, h  # the batch settled it
-    return refused
+    return Counter((cls, overflowing(h)) for cls, h in batch_answers(m, candidates, rows, split))
 
 
 @settings(max_examples=40, deadline=None)
@@ -562,9 +580,9 @@ def test_batch_matches_the_references(seed, twin, holdout):
 
 
 def test_batch_refuses_as_the_per_candidate_path():
-    """Each refusal the per-candidate path makes is met on these seeds, and
-    an edit whose predictions or squared errors overflow is refused with
-    DomainError, never with Python's OverflowError."""
+    """Each refusal of building a candidate's model is met on these seeds,
+    and an edit whose predictions or squared errors overflow is refused
+    with DomainError, never with Python's OverflowError."""
     refused = Counter()
     for seed in range(12):
         refused += batch_outcomes(seed, seed % 2 == 0, 1 + seed % 3)
@@ -578,7 +596,8 @@ def test_overflowing_squared_error_is_refused_with_domain_error():
     """``CoefChange(j, 1e200)`` on an edge whose source is about 1 predicts
     about 1e200, whose square leaves the float range: the batch and both
     per-candidate functions refuse it with DomainError, which reflect skips
-    as it skips every other CausalLoopError."""
+    as it skips every other CausalLoopError.  The refusal is its row's
+    alone: a candidate beside it in the batch is still scored."""
     rng = np.random.default_rng(5)
     graph = random_graph(rng, 2, 1, max_edges=4, max_delay=2)
     m = CausalModel(graph=graph, fit_window=12)
@@ -588,8 +607,8 @@ def test_overflowing_squared_error_is_refused_with_domain_error():
     split = 8
     h = CoefChange(0, 1e200)
     lags = _LagFeatures(m.history, rows)
-    batch = _EditBatch(_Baseline(m, lags), [h], split)
-    assert batch._row[0] is None  # the batch leaves it to the functions
+    batch = _EditBatch(_Baseline(m, lags), [h, CoefChange(0, 0.5)], split)
+    assert math.isfinite(batch.score(1))
     for call in (
         lambda: batch.score(0),
         lambda: batch.test(0, 0.1),
@@ -598,3 +617,69 @@ def test_overflowing_squared_error_is_refused_with_domain_error():
     ):
         with pytest.raises(DomainError):
             call()
+
+
+def reference_reflect(m, ctx, err, tau, settings):
+    """:func:`reflect` by the references alone: the candidates of
+    ``generate_hypotheses`` ranked by :func:`reference_score` and
+    ``_tie_key``, then tested in that order against the working model with
+    :func:`reference_test`, each remapped to its edges, and accepted with
+    ``apply_hypothesis``; after an accepted StructuralBreak the holdout is
+    read against the flushed history.  Returns the ranked (candidate, score)
+    pairs, the accepted candidates and the updated model, or the class of
+    the refusal a score raises."""
+    if not m.history or m.history[-1] != ctx:
+        m = append_history(m, ctx)
+    window = m.history[-m.fit_window :]
+    split = len(window) - len(window[-settings.holdout :])
+    candidates = generate_hypotheses(m, ctx, err, tau, settings)
+    scores = [reference_answers(m, h, window, split, settings.rho)[0] for h in candidates]
+    refused = [s for s in scores if isinstance(s, type)]
+    if refused:
+        return refused[0]
+    ranked = sorted(
+        zip(candidates, map(float.fromhex, scores)), key=lambda c: (-c[1], _tie_key(c[0]))
+    )
+    working, rows, lo = m, window, split
+    index_map = {i: i for i in range(len(m.graph.edges))}
+    accepted = []
+    for candidate, _ in ranked:
+        if len(accepted) >= settings.max_accepts:
+            break
+        h = _remap(candidate, index_map)
+        if h is None:
+            continue
+        tested = reference_answers(working, h, rows, lo, settings.rho)[1]
+        if isinstance(tested, type) or not tested[0]:
+            continue
+        working = apply_hypothesis(working, h)
+        index_map = _update_map(h, index_map)
+        accepted.append(candidate)
+        if isinstance(h, StructuralBreak):
+            rows, lo = window[split:], 0
+        if reference_refusal(working.history, working, rows, lo, len(rows)):
+            break  # the working model's own holdout prediction is refused
+    return ranked, accepted, working
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 10), st.integers(1, 3))
+def test_reflect_matches_the_reference_loop(seed, twin, holdout, max_accepts):
+    m, _ = flushed_model(seed)
+    if twin:
+        m = with_twin(m)
+    ctx = m.history[-1]
+    err = loss(predict_next(m, ctx.tuple), ctx.observed)
+    config = ReflectSettings(holdout=holdout, max_accepts=max_accepts)
+    expected = reference_reflect(m, ctx, err, 0.0, config)
+    try:
+        report = reflect(m, ctx, err, 0.0, config)
+    except CausalLoopError as exc:
+        assert type(exc) is expected
+        return
+    ranked, accepted, working = expected
+    assert [(hs.hypothesis, hs.score.hex()) for hs in report.candidates] == [
+        (h, score.hex()) for h, score in ranked
+    ]
+    assert report.accepted == tuple(accepted)
+    assert report.updated_model == working

@@ -385,42 +385,59 @@ def test_colliding_delay_change_is_skipped(monkeypatch):
     with pytest.raises(ConfigError):
         score_hypothesis(working, DelayChange(1, 2), working.history[-32:-8])
 
-    # Tests before the first acceptance are read from the trigger's batch,
-    # later ones call test_hypothesis: log both.
+    # Every test is read from a batch: log them.
     reflect_mod = causalloop.reflect
-    real_test = reflect_mod.test_hypothesis
     real_batch_test = reflect_mod._EditBatch.test
     tested = []
 
-    def logged(h, call):
+    def logged_batch_test(batch, i, rho):
+        h = batch.hs[i]
         try:
-            result = call()
+            result = real_batch_test(batch, i, rho)
         except ConfigError:
             tested.append((h, "ConfigError"))
             raise
         tested.append((h, result[0]))
         return result
 
-    def logged_test(w, h, *args, **kwargs):
-        return logged(h, lambda: real_test(w, h, *args, **kwargs))
-
-    def logged_batch_test(batch, i, rho):
-        return logged(batch.hs[i], lambda: real_batch_test(batch, i, rho))
-
-    monkeypatch.setattr(reflect_mod, "test_hypothesis", logged_test)
     monkeypatch.setattr(reflect_mod._EditBatch, "test", logged_batch_test)
     report = reflect(m, last, mismatch(m, last), tau=0.5)
     assert tested[:2] == [(DelayChange(0, 2), True), (DelayChange(1, 2), "ConfigError")]
     assert report.accepted == (DelayChange(0, 2), EdgeRemove(1))
 
-    # The same report as when every candidate's model is built and rolled out.
-    def built(base, h):
-        applied = apply_hypothesis(base.m, h)
-        return base.lags.targets(applied.graph, applied.delta_hat)
 
-    monkeypatch.setattr(reflect_mod._Baseline, "edited", built)
-    monkeypatch.setattr(reflect_mod._EditBatch, "_predict", lambda batch: None)
-    assert reflect(m, last, mismatch(m, last), tau=0.5) == report
+def test_reflect_scores_and_tests_only_in_batches(monkeypatch):
+    """reflect never calls the per-candidate functions, and a trigger builds
+    one batch, then one more per acceptance that leaves a candidate to
+    test: at most max_accepts."""
+    reflect_mod = causalloop.reflect
+
+    def per_candidate(*args, **kwargs):
+        raise AssertionError("reflect scored or tested one candidate alone")
+
+    monkeypatch.setattr(reflect_mod, "score_hypothesis", per_candidate)
+    monkeypatch.setattr(reflect_mod, "test_hypothesis", per_candidate)
+    real_batch, real_reflect = reflect_mod._EditBatch, reflect_mod.reflect
+    batches, triggers = [], []
+
+    class CountedBatch(real_batch):
+        def __init__(self, *args):
+            batches.append(args)
+            super().__init__(*args)
+
+    def counted_reflect(*args):
+        batches.clear()
+        report = real_reflect(*args)
+        triggers.append((len(batches), len(report.accepted)))
+        return report
+
+    monkeypatch.setattr(reflect_mod, "_EditBatch", CountedBatch)
+    monkeypatch.setattr(causalloop.agent, "reflect", counted_reflect)
+    sc = causalloop.resolve_scenario("break_demo")
+    causalloop.run_episode(sc, causalloop.RandomPolicy(), seed=2, length=260)
+    assert triggers
+    assert all(1 <= built <= min(sc.max_accepts, 1 + accepted) for built, accepted in triggers)
+    assert any(built == sc.max_accepts for built, _ in triggers)
 
 
 def test_no_model_is_built_per_candidate(monkeypatch):

@@ -173,6 +173,16 @@ def test_load_refuses_an_int_too_long_to_convert(tmp_path):
         load_scenario(str(path))
 
 
+@pytest.mark.parametrize("sigma_lik", [1e-200, 1e200])
+def test_load_refuses_a_sigma_lik_whose_variance_leaves_the_float_range(tmp_path, sigma_lik):
+    """2 * sigma_lik**2 divides every repair score: 0.0 at 1e-200, and past
+    a float at 1e200."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**scenario_to_dict(tiny()), "sigma_lik": sigma_lik}))
+    with pytest.raises(InputError, match="sigma_lik"):
+        load_scenario(str(path))
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(InputError):
         load_scenario(str(tmp_path / "absent.json"))
