@@ -32,10 +32,12 @@ from .core import (
     StateVec,
     TimeIndex,
     Transition,
+    check_finite,
     loss,
 )
 from .model import (
     CausalModel,
+    _LagFeatures,
     append_history,
     fit,
     model_digest,
@@ -45,7 +47,7 @@ from .model import (
 # Not called here: perfbench/bench_layers.py wraps agent.predict and
 # agent.rollout, so both names stay importable from this module.
 from .model import predict, rollout  # noqa: F401
-from .reflect import ReflectSettings, detect_mismatch, reflect, _Baseline
+from .reflect import ReflectSettings, detect_mismatch, reflect
 from .scenario import ScenarioConfig, json_number, json_typed, scenario_digest
 from .trace import EpisodeTrace, TraceHeader, TraceRecord, record_to_dict, report_to_dict
 from .world import world_init, world_step
@@ -95,8 +97,8 @@ def policy_action(policy: Policy, seed: int, tick: int, d_action: int) -> Action
         return ActionVec(())
     if isinstance(policy, RandomPolicy):
         gen = _rng.shared_stream(seed, _rng.STREAM_POLICY, tick)
-        vals = gen.uniform(policy.low, policy.high, size=d_action)
-        return ActionVec(tuple(float(v) for v in vals))
+        vals = gen.uniform(policy.low, policy.high, size=d_action).tolist()
+        return ActionVec.checked(check_finite(tuple(vals), "action"))
     if isinstance(policy, CyclicPolicy):
         if not policy.vectors:
             raise ConfigError("cyclic policy needs at least one vector")
@@ -167,8 +169,8 @@ def initial_model(sc: ScenarioConfig) -> CausalModel:
 def _fit_improves(current: CausalModel, fitted: CausalModel, holdout_size: int) -> bool:
     """Keep a scheduled fit only if it does not predict the recent holdout
     worse than the model it would replace, or no holdout row is predictable."""
-    base = _Baseline.over(current, current.history[-holdout_size:])
-    mses = base.mse(base.lags.targets(fitted.graph, fitted.delta_hat))
+    lags = _LagFeatures(current.history, current.history[-holdout_size:])
+    mses = lags.mses([(current.graph, current.delta_hat), (fitted.graph, fitted.delta_hat)])
     return mses is None or mses[1] <= mses[0]
 
 

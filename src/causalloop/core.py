@@ -67,22 +67,38 @@ class InputError(CausalLoopError):
 # ---------------------------------------------------------------------------
 
 
+def check_finite(values: tuple[float, ...], label: str) -> tuple[float, ...]:
+    """``values`` itself; :class:`DomainError` names the first that is not finite."""
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise DomainError(f"{label} contains non-finite value {bad!r}")
+    return values
+
+
 def _as_float_tuple(values, label: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    for v in out:
-        if not math.isfinite(v):
-            raise DomainError(f"{label} contains non-finite value {v!r}")
-    return out
+    return check_finite(tuple(map(float, values)), label)
 
 
 @dataclass(frozen=True)
 class StateVec:
-    """State of the system at one tick: a finite float vector."""
+    """State of the system at one tick: a finite float vector.
+
+    The constructor converts each value with ``float()`` and checks it.
+    :meth:`checked` wraps a tuple of Python floats that its caller has just
+    checked finite (:func:`check_finite`), so no state is validated twice.
+    """
 
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _as_float_tuple(self.values, "state"))
+
+    @classmethod
+    def checked(cls, values: tuple[float, ...]) -> StateVec:
+        """A vector of ``values``, Python floats already checked finite."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "values", values)
+        return vec
 
     def __len__(self) -> int:
         return len(self.values)
@@ -99,6 +115,13 @@ class ActionVec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _as_float_tuple(self.values, "action"))
+
+    @classmethod
+    def checked(cls, values: tuple[float, ...]) -> ActionVec:
+        """A vector of ``values``, Python floats already checked finite."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "values", values)
+        return vec
 
     def __len__(self) -> int:
         return len(self.values)

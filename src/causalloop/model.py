@@ -23,32 +23,45 @@ edge lists, as the repair loop's candidate edits are -- from those
 columns, leaving out a row with an unrecorded lag.  ``rollout``, ``fit``,
 the scheduled fit's holdout gate and the repair loop's residuals, scoring
 and testing all read it; reflect acts on the mismatch the live loop
-measured with ``predict_next``.  A history is one run of consecutive ticks
-(:func:`append_history`, its only builder, refuses anything else; capacity
-trims and structural breaks keep suffixes), so lagged tick q sits
-``last - q`` places from its end.  ``predict_next`` looks its few lags up
-that way (``_TickIndex``); the kernel builds a whole column by position,
-row tick t reading history index ``len(history) - 1 - last + t + 1 - delay``.
+measured with ``predict_next``.
+
+A history is one run of consecutive ticks (:func:`append_history`
+refuses anything else; capacity trims and structural breaks keep
+suffixes), held as a :class:`History`: a ``(start, end)`` view into an
+append-only :class:`_Buffer` of transitions that later histories share.
+Appends are list appends; the buffer turns the rows appended since its
+last conversion into numpy arrays in bulk when a kernel reads them, so a
+kernel over rows of the same buffer reads each feature column as one
+slice, with no per-row loop and no per-row tick check.  A sequence of
+transitions given as a history is converted once (and refused unless it is
+one run), so there is one column path.  ``predict_next`` looks its few
+lags up by place from the end (``_TickIndex``).
 
 Traces record predictions and scores and replays compare them exactly, so
-the arithmetic is fixed, in Python loops and in the repair loop's numpy
-batch (:mod:`causalloop.reflect`) alike:
+the arithmetic is fixed, in Python loops and numpy arrays alike:
 
-* the rule above, in that order;
+* the rule above, in that order: on arrays, slot w of each target is its
+  w-th edge's ``coefficient * column``, then ``* scale`` (skipped at scale
+  1.0, since ``x * 1.0`` is ``x``), and slots add one whole array at a
+  time;
 * a squared error is Python ``(o - p) ** 2`` or, on arrays,
   ``np.float_power(o - p, 2.0)``: both call the C library's ``pow``.  That
   ``pow`` is not always correctly rounded, while numpy's ``x * x``,
   ``x ** 2`` and ``np.power`` are (or are vectorised apart from it); they
   differ on about one double in a thousand;
-* a tanh feature is ``math.tanh``; ``np.tanh`` differs on about one double
-  in four;
+* a tanh feature is ``math.tanh``, element by element, once per buffer
+  row; ``np.tanh`` differs on about one double in four.  A quadratic one
+  is ``x * x``, which numpy rounds as Python does;
 * every sum -- a target's edge effects, a row's squared errors over
   dimensions, a score or a mean over rows -- adds left to right from 0.0:
-  a Python loop or ``map(operator.add, ...)``, or ``np.cumsum`` along an
-  axis from a leading 0.0.  Never the builtin ``sum``, which compensates
-  rounding since Python 3.12, nor ``np.sum``, which adds pairwise.  A
-  masked entry adds +0.0, which equals skipping it: a sum that starts at
-  +0.0 never holds -0.0.
+  a Python loop or ``map(operator.add, ...)``, or ``np.add.accumulate``
+  along an axis from a leading 0.0.  Never the builtin ``sum``, which
+  compensates rounding since Python 3.12, nor ``np.sum``, which adds
+  pairwise;
+* a masked entry -- a column's unrecorded lag, a row left out of a mean --
+  holds or adds 0.0, which equals skipping it: a sum that starts at +0.0
+  never holds -0.0, and ``coefficient * 0.0 * scale`` is a zero.  The
+  row's mask, not its value, says that it was left out.
 
 A row's squared errors summed and divided by d_state is
 :func:`causalloop.core.loss`'s epsilon to the bit: ``p - o`` is exactly
@@ -64,10 +77,11 @@ carries transient residual scaling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -84,20 +98,183 @@ from .core import (
     StateVec,
     Transition,
     DELTA_MAX,
+    check_finite,
 )
 from .scenario import canonical_json, graph_from_dict, graph_to_dict, json_number, json_typed
 from .world import CausalEdge, CausalGraph, Form, SourceKind, VarRef
 
 
+_NO_ROWS = np.zeros(0)
+
+
+class _Buffer:
+    """The transitions of one run of ticks from ``tick0``, appended in place.
+
+    ``rows`` only grows, so every history over it stays as it was.  Their
+    values become numpy arrays in bulk, when a kernel asks for them: each
+    call converts only the rows appended since the last one.
+    """
+
+    __slots__ = ("rows", "tick0", "_done", "_values", "_tanh")
+
+    def __init__(self, rows: list[Transition]) -> None:
+        self.rows = rows
+        self.tick0 = rows[0].tuple.time.tick if rows else 0
+        self._done = 0  # rows converted so far
+        self._values: list[np.ndarray] = []
+        self._tanh: dict[tuple[bool, int], np.ndarray] = {}
+
+    def values(self, part: int) -> np.ndarray:
+        """The rows' states (``part`` 0), actions (1) or observations (2)
+        as a (variables x capacity) array whose column i is row i."""
+        n = len(self.rows)
+        if self._done < n:
+            new = self.rows[self._done :]
+            parts = [
+                np.array([tr.tuple.state.values for tr in new], dtype=float),
+                np.array([tr.tuple.action.values for tr in new], dtype=float),
+                np.array([tr.observed.values for tr in new], dtype=float),
+            ]
+            if not self._values or self._values[0].shape[1] < n:
+                grown = [np.empty((p.shape[1], max(64, 2 * n))) for p in parts]
+                for g, old in zip(grown, self._values):
+                    g[:, : self._done] = old[:, : self._done]
+                self._values = grown
+            for v, p in zip(self._values, parts):
+                v[:, self._done : n] = p.T
+            self._done = n
+        return self._values[part]
+
+    def tanh(self, action: bool, index: int) -> np.ndarray:
+        """``math.tanh`` of one source variable over the converted rows,
+        each element computed once."""
+        raw = self.values(1 if action else 0)[index]
+        have = self._tanh.get((action, index), _NO_ROWS)
+        if len(have) < self._done:
+            more = map(math.tanh, raw[len(have) : self._done].tolist())
+            have = self._tanh[(action, index)] = np.concatenate((have, np.fromiter(more, float)))
+        return have
+
+
+class History:
+    """A run of consecutive ticks' transitions, read as the tuple of them.
+
+    It is the rows ``[start, end)`` of an append-only :class:`_Buffer` that
+    other histories may share.  :meth:`appended` adds a row to the buffer in
+    place when this history ends at the buffer's end, and copies its rows
+    to a new buffer otherwise, so no history ever changes.  A slice (of
+    step 1) is a history of the same buffer: a capacity trim or a
+    structural break moves only ``start``.  A history whose start passed
+    its length copies on its next append, so a buffer holds at most about
+    twice its longest history.  Length, indexing, slicing, iteration, ``+``
+    and ``==`` answer as the tuple would; :func:`as_history` converts any
+    other sequence of transitions once.
+    """
+
+    __slots__ = ("_buf", "_start", "_end")
+
+    def __init__(self, buf: _Buffer, start: int, end: int) -> None:
+        self._buf = buf
+        self._start = start
+        self._end = end
+
+    def __len__(self) -> int:
+        return self._end - self._start
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, step = i.indices(self._end - self._start)
+            if step != 1:
+                return tuple(self)[i]
+            return History(self._buf, self._start + start, self._start + max(start, stop))
+        n = self._end - self._start
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("history index out of range")
+        return self._buf.rows[self._start + i]
+
+    def __iter__(self):
+        return iter(self._buf.rows[self._start : self._end])
+
+    def __reversed__(self):
+        return reversed(self._buf.rows[self._start : self._end])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, History):
+            if other._buf is self._buf and other._start == self._start and other._end == self._end:
+                return True
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other: object) -> tuple:
+        if isinstance(other, (tuple, History)):
+            return tuple(self) + tuple(other)
+        return NotImplemented
+
+    def __radd__(self, other: object) -> tuple:
+        if isinstance(other, tuple):
+            return other + tuple(self)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"History({tuple(self)!r})"
+
+    def appended(self, tr: Transition) -> History:
+        """This history with ``tr`` last; :class:`DomainError` unless ``tr``
+        comes one tick after the last entry (an empty history takes any)."""
+        buf, start, end = self._buf, self._start, self._end
+        if start == end:
+            return History(_Buffer([tr]), 0, 1)
+        last = buf.tick0 + end - 1
+        if tr.tuple.time.tick != last + 1:
+            raise DomainError(f"tick {tr.tuple.time.tick} cannot follow tick {last} in a history")
+        if end == len(buf.rows) and start <= end - start:
+            buf.rows.append(tr)
+            return History(buf, start, end + 1)
+        rows = buf.rows[start:end]
+        rows.append(tr)
+        return History(_Buffer(rows), 0, len(rows))
+
+
+def as_history(rows: Sequence[Transition]) -> History:
+    """``rows`` as a :class:`History`: itself if it is one, else its
+    transitions copied once.  :class:`DomainError` unless they are one run of
+    consecutive ticks."""
+    if isinstance(rows, History):
+        return rows
+    rows = list(rows)
+    for prev, tr in zip(rows, rows[1:]):
+        if tr.tuple.time.tick != prev.tuple.time.tick + 1:
+            raise DomainError(
+                f"history is not one run: tick {tr.tuple.time.tick} follows {prev.tuple.time.tick}"
+            )
+    return History(_Buffer(rows), 0, len(rows))
+
+
 @dataclass(frozen=True)
 class CausalModel:
+    """A hypothesized graph, its delta estimate, the recorded history and
+    the hyperparameters.  ``history`` is always a :class:`History`; any other
+    sequence of transitions given for it is converted once."""
+
     graph: CausalGraph
     delta_hat: float = 0.0
-    history: tuple[Transition, ...] = ()
+    history: History = History(_Buffer([]), 0, 0)
     fit_window: int = 64
     sigma_lik: float = 1.0
     capacity: int = 256
     delta_max: float = DELTA_MAX
+
+    def __post_init__(self) -> None:
+        if type(self.history) is not History:
+            object.__setattr__(self, "history", as_history(self.history))
 
 
 @dataclass(frozen=True)
@@ -125,14 +302,10 @@ def append_history(m: CausalModel, tr: Transition) -> CausalModel:
     ``tr`` must come one tick after the last entry, or :class:`DomainError`
     is raised; an empty history may start at any tick.
     """
-    last = m.history[-1].tuple.time.tick if m.history else None
-    if last is not None and tr.tuple.time.tick != last + 1:
-        raise DomainError(f"tick {tr.tuple.time.tick} cannot follow tick {last} in a history")
-    hist = m.history + (tr,)
-    if len(hist) > m.capacity:
-        hist = hist[-m.capacity :]
-    # The constructor, not ``dataclasses.replace``: this runs every tick,
-    # and CausalModel has no __post_init__ for replace to run.
+    hist = m.history.appended(tr)
+    if hist._end - hist._start > m.capacity:
+        hist = History(hist._buf, hist._end - m.capacity, hist._end)
+    # The constructor, not ``dataclasses.replace``: this runs every tick.
     return CausalModel(
         graph=m.graph,
         delta_hat=m.delta_hat,
@@ -187,43 +360,23 @@ def predict(m: CausalModel, t: CausalTuple) -> Prediction:
 
 class _TickIndex:
     """The tuples of ``history`` (and ``extra``, which wins its tick) by
-    absolute tick: in a history that is one run of ticks, tick q sits
-    ``last - q`` places from the end, and a tick outside the run is
-    unrecorded.  A lookup that lands on an entry holding another tick raises
-    :class:`DomainError`: that history was not built by :func:`append_history`.
+    absolute tick.  A history is one run of ticks (:class:`History`), so
+    tick q sits ``last - q`` places from its end, and a tick outside the run
+    is unrecorded.
     """
 
-    __slots__ = ("_history", "_extra", "_last")
+    __slots__ = ("_rows", "_tick0", "_start", "_end", "_extra")
 
     def __init__(self, history: Sequence[Transition], extra: CausalTuple | None = None) -> None:
-        self._history = history
+        h = as_history(history)
+        self._rows, self._tick0, self._start, self._end = h._buf.rows, h._buf.tick0, h._start, h._end
         self._extra = extra
-        self._last = history[-1].tuple.time.tick if history else 0
 
     def get(self, tick: int) -> CausalTuple | None:
         if self._extra is not None and tick == self._extra.time.tick:
             return self._extra
-        back = self._last - tick
-        if not 0 <= back < len(self._history):
-            return None
-        tup = self._history[-1 - back].tuple
-        if tup.time.tick != tick:
-            raise DomainError(f"history is not one run: tick {tup.time.tick} is where {tick} belongs")
-        return tup
-
-
-def _source_at(ticks: _TickIndex, ref: VarRef, tick: int) -> float | None:
-    """Value of a source variable at an absolute tick; None if unrecorded.
-
-    Ticks before episode start contribute nothing (the world's queue starts
-    empty), signalled as 0.0 rather than None.
-    """
-    if tick < 0:
-        return 0.0
-    tup = ticks.get(tick)
-    if tup is None:
-        return None
-    return (tup.action if ref.kind is SourceKind.ACTION else tup.state).values[ref.index]
+        at = tick - self._tick0  # its place in the buffer, which holds one run
+        return self._rows[at].tuple if self._start <= at < self._end else None
 
 
 def predict_next(m: CausalModel, current: CausalTuple) -> StateVec:
@@ -237,29 +390,38 @@ def predict_next(m: CausalModel, current: CausalTuple) -> StateVec:
     row out; the inaccuracy heals once fresh transitions accumulate.
     """
     ticks = _TickIndex(m.history, current)
+    now = current.time.tick
     scale = math.exp(-m.delta_hat)
     change = [0.0] * m.graph.d_state
     for e in m.graph.edges:
-        v = _source_at(ticks, e.source, current.time.tick + 1 - e.delay)
-        if v is not None:
-            change[e.target] += e.coefficient * e.form.apply(v) * scale
-    return StateVec(tuple(map(operator.add, current.state.values, change)))
+        tick = now + 1 - e.delay
+        if tick < 0:
+            v = 0.0  # the world's queue starts empty: no effect from before tick 0
+        else:
+            tup = ticks.get(tick)
+            if tup is None:
+                continue
+            v = (tup.action if e.source.kind is SourceKind.ACTION else tup.state).values[e.source.index]
+        change[e.target] += e.coefficient * e.form.apply(v) * scale
+    values = tuple(map(operator.add, current.state.values, change))
+    return StateVec.checked(check_finite(values, "state"))
 
 
 class _Target:
     """One state dimension's predictions over every row of a kernel.
 
-    ``dead`` holds the rows a strict prediction leaves out for an unrecorded
-    lag; ``sq`` is that dimension's squared errors, filled on first use.
+    ``dead`` masks the rows a strict prediction leaves out for an unrecorded
+    lag (None when there are none); ``sq`` is that dimension's squared
+    errors, filled on first use.
     """
 
     __slots__ = ("pred", "dead", "finite", "sq")
 
-    def __init__(self, pred: list[float], dead: set[int]) -> None:
+    def __init__(self, pred: np.ndarray, dead: np.ndarray | None, finite: bool) -> None:
         self.pred = pred
         self.dead = dead
-        self.finite = math.isfinite(sum(pred))
-        self.sq: list[float] | None = None
+        self.finite = finite
+        self.sq: np.ndarray | None = None
 
 
 class _LagFeatures:
@@ -267,14 +429,23 @@ class _LagFeatures:
 
     ``column(source, delay, form)`` holds ``form.apply(v)`` for each row,
     where ``v`` is the source's value at the row's tick + 1 - delay: 0.0
-    before tick 0, None where that tick is outside the history's run, and
-    otherwise read by position, as :class:`_TickIndex` reads it, from the
-    history entry ``last - (tick + 1 - delay)`` places from the end (an
-    entry holding another tick raises :class:`DomainError`).  Columns are
-    computed on first use and cached, so any number of graphs -- a working
-    model and every candidate edit of it -- are predicted from one set of
-    lag lookups.  A prediction leaves out each row where a lag it needs is
-    unrecorded; only :func:`predict_next` drops the term instead.
+    before tick 0, masked where that tick is outside the history's run, and
+    otherwise read from the history's buffer (:class:`History`).  Rows that
+    are a history of the same buffer sit at consecutive buffer positions,
+    so a column is one slice of the buffer's values, padded where it leaves
+    the history; other rows are split into runs of consecutive ticks, a
+    slice each, and their values converted once.  Columns are computed on
+    first use and cached, so any number of graphs -- a working model and
+    every candidate edit of it -- are predicted from one set of slices.  A
+    prediction leaves out each row where a lag it needs is unrecorded; only
+    :func:`predict_next` drops the term instead.
+
+    Columns, predictions and squared errors are float64 arrays with the
+    bits of the per-row Python arithmetic (see the module docstring).  A
+    masked column entry holds 0.0 and its gap mask says so: its term,
+    ``coefficient * 0.0 * scale``, is a zero, and adding a zero to a sum
+    that starts at +0.0 is exact, so every other row's sum is the one that
+    skipped it.
 
     Predictions are memoised per target dimension, keyed by the scale and
     the (column, coefficient) of each incoming edge in order.  A candidate
@@ -284,146 +455,263 @@ class _LagFeatures:
 
     def __init__(self, history: Sequence[Transition], rows: Sequence[Transition]) -> None:
         self.rows = rows
-        self._history = history
-        self._last = history[-1].tuple.time.tick if history else 0
-        self._ticks = [tr.tuple.time.tick for tr in rows]
-        self._states = [tr.tuple.state.values for tr in rows]
-        self._observed = [tr.observed.values for tr in rows]
-        self._columns: dict[tuple, tuple[list[float | None], bool]] = {}
+        h = self._history = as_history(history)
+        buf = h._buf
+        n = self._n = len(rows)
+        # (first row, end row, buffer position of the first row's own tick)
+        self._runs: list[list[int]] = []
+        if isinstance(rows, History) and rows._buf is buf and n:
+            self._runs.append([0, n, rows._start])
+            at = slice(rows._start, rows._end)
+            self._states, self._observed = buf.values(0)[:, at], buf.values(2)[:, at]
+        else:
+            for i, tr in enumerate(rows):
+                p = tr.tuple.time.tick - buf.tick0
+                run = self._runs[-1] if self._runs else None
+                if run is not None and p == run[2] + i - run[0]:
+                    run[1] = i + 1
+                else:
+                    self._runs.append([i, i + 1, p])
+            self._states = np.array([tr.tuple.state.values for tr in rows], dtype=float).T
+            self._observed = np.array([tr.observed.values for tr in rows], dtype=float).T
+        self._columns: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
         self._edge_columns: dict[int, tuple[CausalEdge, tuple]] = {}
         self._targets: dict[tuple, _Target] = {}
 
-    def column(self, source: VarRef, delay: int, form: Form) -> tuple[list[float | None], bool]:
-        """The feature column and whether it has a gap (a None entry)."""
-        # Plain values hash in C; a VarRef or a Form hashes in Python.
-        key = (source.kind is SourceKind.ACTION, source.index, delay, form.value)
+    def _row_values(self, of: np.ndarray, k: int) -> np.ndarray:
+        """Dimension ``k`` of the rows' states or observations."""
+        return of[k] if self._n else _NO_ROWS
+
+    def column(self, source: VarRef, delay: int, form: Form) -> tuple[np.ndarray, np.ndarray | None]:
+        """The feature column and its gap mask (None when it has no gap)."""
+        # Plain values hash in C; a VarRef or a Form hashes (and a Form's
+        # ``value`` reads) in Python.  Forms are singletons, so their ids key.
+        key = (source.kind is SourceKind.ACTION, source.index, delay, id(form))
         hit = self._columns.get(key)
         if hit is not None:
             return hit
-        history = self._history
-        n = len(history)
-        offset = n - self._last - delay  # row tick t reads history[offset + t]
-        action = source.kind is SourceKind.ACTION
-        index = source.index
-        apply = form.apply
-        col: list[float | None] = []
-        for tick in self._ticks:
-            lag = tick + 1 - delay
-            if lag < 0:
-                col.append(apply(0.0))
-                continue
-            pos = offset + tick
-            if not 0 <= pos < n:
-                col.append(None)
-                continue
-            tup = history[pos].tuple
-            if tup.time.tick != lag:
-                raise DomainError(
-                    f"history is not one run: tick {tup.time.tick} is where {lag} belongs"
-                )
-            col.append(apply((tup.action if action else tup.state).values[index]))
-        hit = self._columns[key] = (col, None in col)
+        h = self._history
+        buf = h._buf
+        n = self._n
+        col: np.ndarray | None = None
+        gap: np.ndarray | None = None
+        for i0, i1, p0 in self._runs:
+            a = p0 + 1 - delay - i0  # row i of this run reads buffer position a + i
+            lo = min(max(h._start - a, i0), i1)
+            hi = max(min(h._end - a, i1), lo)
+            if lo < hi:
+                if form is Form.TANH:
+                    src = buf.tanh(key[0], source.index)
+                else:
+                    src = buf.values(1 if key[0] else 0)[source.index]
+                seg = src[a + lo : a + hi]
+                if hi - lo == n:  # the whole column is one slice
+                    col = seg
+                    break
+                if col is None:
+                    col = np.zeros(n)
+                col[lo:hi] = seg
+            # Rows before ``z`` read a tick before 0: 0.0, and no gap.
+            z = min(max(-buf.tick0 - a, i0), lo)
+            if z < lo or hi < i1:
+                if gap is None:
+                    gap = np.zeros(n, dtype=bool)
+                gap[z:lo] = True
+                gap[hi:i1] = True
+        if col is None:
+            col = np.zeros(n)
+        if form is Form.QUADRATIC:
+            col = col * col
+        hit = self._columns[key] = (col, gap)
         return hit
 
     def design(
-        self, edges: Sequence[CausalEdge], target: int, scale: float = 1.0
-    ) -> tuple[list[tuple[float, ...]], list[float]]:
-        """Least-squares rows for ``target``: the features of ``edges``
-        times ``scale``, and the observed change, over every row whose lags
-        are all recorded."""
-        cols = [
-            [None if fv is None else fv * scale for fv in self.column(e.source, e.delay, e.form)[0]]
-            for e in edges
-        ]
-        x_rows: list[tuple[float, ...]] = []
-        y_rows: list[float] = []
-        for tr, feats in zip(self.rows, zip(*cols)):
-            if None in feats:
-                continue
-            x_rows.append(feats)
-            y_rows.append(tr.observed[target] - tr.tuple.state[target])
-        return x_rows, y_rows
+        self, edges: Sequence[CausalEdge], scale: float = 1.0
+    ) -> tuple[np.ndarray, list[np.ndarray | None], np.ndarray]:
+        """Least-squares inputs for ``edges``: their feature columns times
+        ``scale`` (edges x rows), each column's gap mask (None where it has
+        no gap), and every dimension's observed change (dimensions x
+        rows)."""
+        cols = [self.column(e.source, e.delay, e.form) for e in edges]
+        x = np.array([col for col, _ in cols]).reshape(len(edges), self._n)
+        if scale != 1.0:
+            x = x * scale
+        return x, [gap for _, gap in cols], self._observed - self._states
 
     def residuals(
         self, edges: list[CausalEdge], target: int, scale: float, lo: int
-    ) -> list[float | None]:
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Per row from ``lo``, ``target``'s observed value minus its strict
-        prediction from ``edges`` alone, memoised as any target's is; None
-        where a lag of one of those edges is unrecorded."""
-        t = self._target(target, edges, scale)
-        obs = self._observed
-        return [None if i in t.dead else obs[i][target] - t.pred[i] for i in range(lo, len(self.rows))]
+        prediction from ``edges`` alone, memoised as any target's is, and
+        the mask of rows where a lag of one of those edges is unrecorded
+        (None when there are none)."""
+        (t,) = self.predict([(target, edges)], scale)
+        values = self._row_values(self._observed, target)[lo:] - t.pred[lo:]
+        return values, None if t.dead is None else t.dead[lo:]
 
-    def _edge_column(self, e: CausalEdge) -> tuple[list[float | None], bool, tuple[int, float]]:
-        """The edge's column, its gap flag and its part of a target's memo key."""
+    def _edge_column(self, e: CausalEdge) -> tuple[np.ndarray, np.ndarray | None, tuple[int, float]]:
+        """The edge's column, its gap mask and its part of a target's memo key."""
         # Keyed by identity: candidate graphs share the edges they leave
         # alone, and the entry keeps its edge alive so the id stays unique.
         hit = self._edge_columns.get(id(e))
         if hit is None:
-            col, gaps = self.column(e.source, e.delay, e.form)
-            hit = self._edge_columns[id(e)] = (e, (col, gaps, (id(col), e.coefficient)))
+            col, gap = self.column(e.source, e.delay, e.form)
+            hit = self._edge_columns[id(e)] = (e, (col, gap, (id(col), e.coefficient)))
         return hit[1]
 
-    def _target(self, k: int, edges: list[CausalEdge], scale: float) -> _Target:
-        cols = [self._edge_column(e) for e in edges]
-        key = (k, scale, *[c[2] for c in cols])
-        hit = self._targets.get(key)
-        if hit is not None:
-            return hit
-        acc = [0.0] * len(self.rows)
-        dead: set[int] = set()
-        for (col, gaps, _), e in zip(cols, edges):
-            c = e.coefficient
-            if not gaps:
-                acc = [x + c * fv * scale for x, fv in zip(acc, col)]
-                continue
-            for i, fv in enumerate(col):
-                if fv is not None:
-                    acc[i] += c * fv * scale
-                else:
-                    dead.add(i)
-        pred = [s[k] + ch for s, ch in zip(self._states, acc)]
-        hit = self._targets[key] = _Target(pred, dead)
-        return hit
+    def predict(self, groups: Sequence[tuple[int, list[CausalEdge]]], scale: float) -> list[_Target]:
+        """The :class:`_Target` of each (dimension, its incoming edges in
+        graph order) at ``scale``.  Those not memoised yet are predicted
+        together: slot w of each is its w-th edge's ``coefficient * feature
+        * scale``, or 0.0 past its last edge, and the slots are added in
+        order to 0.0 and then to the recorded state."""
+        out: list[_Target | None] = []
+        todo = []
+        for k, edges in groups:
+            cols = [self._edge_column(e) for e in edges]
+            key = (k, scale, *[c[2] for c in cols])
+            hit = self._targets.get(key)
+            if hit is None:
+                todo.append((len(out), k, key, edges, cols))
+            out.append(hit)
+        if not todo:
+            return out
+        slots = [[(e.coefficient, c[0]) for e, c in zip(edges, cols)] for _, _, _, edges, cols in todo]
+        acc = _edge_sums(*_slots(slots, self._n), scale)
+        pred = np.array([self._row_values(self._states, k) for _, k, _, _, _ in todo]) + acc
+        finite = np.isfinite(pred).all(axis=1).tolist()
+        for (i, _, key, _, cols), row, ok in zip(todo, pred, finite):
+            gaps = [gap for _, gap, _ in cols if gap is not None]
+            dead = functools.reduce(operator.or_, gaps) if gaps else None
+            out[i] = self._targets[key] = _Target(row, dead, ok)
+        return out
 
     def targets(self, graph: CausalGraph, delta_hat: float) -> list[_Target]:
         """Every target dimension of ``graph`` at ``delta_hat``, in order."""
-        scale = math.exp(-delta_hat)
-        return [self._target(k, g, scale) for k, g in enumerate(_by_target(graph))]
+        return self.predict(list(enumerate(_by_target(graph))), math.exp(-delta_hat))
 
-    def _dead(self, targets: list[_Target], lo: int, hi: int) -> set[int]:
-        """The rows of ``[lo, hi)`` one of ``targets`` leaves out.  A
-        non-finite prediction on a live row raises :class:`DomainError` as
-        building a :class:`StateVec` from it would."""
-        dead = {i for t in targets for i in t.dead if lo <= i < hi}
-        if not all(t.finite for t in targets):
-            for i in range(lo, hi):
-                if i not in dead:
-                    StateVec(tuple(t.pred[i] for t in targets))  # raises if non-finite
+    def mses(
+        self, models: Sequence[tuple[CausalGraph, float]], lo: int = 0, hi: int | None = None
+    ) -> list[float] | None:
+        """The mean loss epsilon of each (graph, delta_hat) over the rows of
+        ``[lo, hi)`` that every one of them predicts, all in one batch; None
+        when there are none.  Each row's squared errors add over dimensions,
+        are divided by d_state and add over rows, each sum left to right
+        from 0.0, as :func:`causalloop.core.loss` and a mean of its epsilons
+        would.  Raises :class:`DomainError` where :meth:`sq_errors` would."""
+        hi = self._n if hi is None else hi
+        if lo >= hi:
+            return None
+        slots, gaps = [], []
+        for graph, _ in models:
+            for edges in _by_target(graph):
+                slots.append([])
+                for e in edges:
+                    col, gap = self.column(e.source, e.delay, e.form)
+                    slots[-1].append((e.coefficient, col))
+                    if gap is not None:
+                        gaps.append(gap[lo:hi])
+        d = models[0][0].d_state
+        scales = [math.exp(-delta_hat) for _, delta_hat in models]
+        scale = 1.0 if scales.count(1.0) == len(scales) else np.array([[s] for s in scales for _ in range(d)])
+        acc = _edge_sums(*_slots(slots, self._n), scale).reshape(len(models), d, self._n)
+        pred = (self._states + acc)[:, :, lo:hi]
+        live = ~functools.reduce(operator.or_, gaps) if gaps else np.ones(hi - lo, dtype=bool)
+        with np.errstate(all="ignore"):
+            diff = self._observed[:, lo:hi] - pred
+            sq = np.float_power(diff, 2.0)
+            if not np.isfinite(sq).all():  # a prediction that is not finite, or an overflow
+                bad = pred[:, :, live][~np.isfinite(pred[:, :, live])]
+                if len(bad):
+                    raise DomainError(f"state contains non-finite value {float(bad[0])!r}")
+                if (np.isinf(sq) & np.isfinite(diff)).any():
+                    raise DomainError("a squared prediction error exceeds the float range")
+            stacked = np.zeros((len(models), d + 1, hi - lo))
+            stacked[:, 1:] = sq
+            per_row = np.add.accumulate(stacked, axis=1)[:, -1] / d
+            n = np.count_nonzero(live)
+            return None if n == 0 else [total / n for total in _fold(per_row, live).tolist()]
+
+    def _dead(self, targets: list[_Target], lo: int, hi: int) -> np.ndarray:
+        """The mask of rows of ``[lo, hi)`` one of ``targets`` leaves out.
+        A non-finite prediction on a live row raises :class:`DomainError`
+        as building a :class:`StateVec` from it would."""
+        masks = [t.dead[lo:hi] for t in targets if t.dead is not None]
+        dead = functools.reduce(operator.or_, masks) if masks else np.zeros(hi - lo, dtype=bool)
+        for t in targets:
+            if not t.finite:
+                bad = t.pred[lo:hi][~dead & ~np.isfinite(t.pred[lo:hi])]
+                if len(bad):
+                    raise DomainError(f"state contains non-finite value {float(bad[0])!r}")
         return dead
 
     def sq_errors(
         self, targets: list[_Target], lo: int = 0, hi: int | None = None
-    ) -> list[float | None]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Per row of ``[lo, hi)``, ``(o - p) ** 2`` added from 0.0 over
         ``targets`` (from :meth:`targets`, or a candidate edit's) in
-        dimension order; None where the row is left out.  Divided by d_state
-        it is the row's :func:`causalloop.core.loss` epsilon, and a squared
-        error beyond the float range raises :class:`DomainError`, as there."""
-        hi = len(self.rows) if hi is None else hi
+        dimension order, and the mask of rows left out.  Divided by
+        d_state it is the row's :func:`causalloop.core.loss` epsilon, and a
+        finite error that squares beyond the float range raises
+        :class:`DomainError`, as there."""
+        hi = self._n if hi is None else hi
         dead = self._dead(targets, lo, hi)
-        for k, t in enumerate(targets):
-            if t.sq is None:
-                try:
-                    t.sq = [(o[k] - p) ** 2 for o, p in zip(self._observed, t.pred)]
-                except OverflowError as exc:
-                    raise DomainError("a squared prediction error exceeds the float range") from exc
-        out: list[float | None] = [0.0] * (hi - lo)
-        for t in targets:
-            out = list(map(operator.add, out, t.sq[lo:hi]))
-        for i in dead:
-            out[i - lo] = None
-        return out
+        todo = [k for k, t in enumerate(targets) if t.sq is None]
+        with np.errstate(all="ignore"):
+            if todo:
+                observed = np.array([self._row_values(self._observed, k) for k in todo])
+                diff = observed - np.array([targets[k].pred for k in todo])
+                sq = np.float_power(diff, 2.0)
+                if not np.isfinite(sq).all() and (np.isinf(sq) & np.isfinite(diff)).any():
+                    raise DomainError("a squared prediction error exceeds the float range")
+                for k, row in zip(todo, sq):
+                    targets[k].sq = row
+            rows = np.array([np.zeros(hi - lo)] + [t.sq[lo:hi] for t in targets])
+            return np.add.accumulate(rows)[-1], dead
+
+
+def _add_up(slabs: np.ndarray) -> np.ndarray:
+    """``slabs[:, 0] + slabs[:, 1] + ...`` left to right from 0.0, as a
+    cumsum along axis 1 from a leading 0.0 adds them, one whole slab at a
+    time: numpy accumulates along a short middle axis several times slower."""
+    if not slabs.shape[1]:
+        return np.zeros(slabs.shape[:1] + slabs.shape[2:])
+    total = slabs[:, 0] + 0.0  # the fold's first addition, 0.0 + slab 0
+    for j in range(1, slabs.shape[1]):
+        total = total + slabs[:, j]
+    return total
+
+
+def _slots(groups: list[list[tuple[float, np.ndarray]]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each group's (coefficient, column) slots, padded to the widest with
+    coefficient 0.0 over a zero column: (groups x width) coefficients and
+    (groups x width x n) columns, for :func:`_edge_sums`."""
+    width = max(map(len, groups))
+    blank = (0.0, np.zeros(n))
+    padded = [g + [blank] * (width - len(g)) for g in groups]
+    coef = np.array([[c for c, _ in g] for g in padded]).reshape(len(groups), width)
+    return coef, np.array([[col for _, col in g] for g in padded]).reshape(len(groups), width, n)
+
+
+def _edge_sums(coef: np.ndarray, cols: np.ndarray, scale) -> np.ndarray:
+    """Row i's edge terms ``coef[i, w] * cols[i, w] * scale`` added over the
+    slots w in order from 0.0 (:func:`_add_up`); ``scale`` is a float or a
+    column of one per row.  A slot past a target's last edge holds
+    coefficient 0.0 over a zero column."""
+    terms = coef[:, :, None] * cols
+    if isinstance(scale, np.ndarray):
+        terms = terms * scale[:, :, None]
+    elif scale != 1.0:  # x * 1.0 is x, to the bit
+        terms = terms * scale
+    return _add_up(terms)
+
+
+def _fold(values: np.ndarray, keep: np.ndarray | bool) -> np.ndarray:
+    """Each row of ``values`` added left to right from 0.0, skipping the
+    entries ``keep`` masks out (each adds +0.0 instead)."""
+    out = np.zeros((values.shape[0], values.shape[1] + 1))
+    np.copyto(out[:, 1:], values, where=keep)
+    return np.add.accumulate(out, axis=1)[:, -1]
 
 
 def _by_target(graph: CausalGraph) -> list[list[CausalEdge]]:
@@ -445,13 +733,14 @@ def rollout(
     Each prediction starts from the row's own recorded state and adds the
     modeled effects landing that tick, with lagged sources resolved against
     ``history``, which must be one run of consecutive ticks (see
-    :class:`_TickIndex`).  Rows whose lags are unrecorded yield None.
+    :class:`History`).  Rows whose lags are unrecorded yield None.
     """
     lags = _LagFeatures(history, rows)
     targets = lags.targets(graph, delta_hat)
-    dead = lags._dead(targets, 0, len(rows))
-    preds = zip(*(t.pred for t in targets))
-    return [None if i in dead else StateVec(p) for i, p in enumerate(preds)]
+    dead = lags._dead(targets, 0, len(rows)).tolist()
+    preds = zip(*(t.pred.tolist() for t in targets))
+    # ``_dead`` has checked every live prediction finite.
+    return [None if x else StateVec.checked(p) for x, p in zip(dead, preds)]
 
 
 # ---------------------------------------------------------------------------
@@ -486,38 +775,55 @@ def _least_squares(m: CausalModel, rows: Sequence[Transition], strict: bool) -> 
     edges = m.graph.edges
     if not edges or not rows:
         return m
-    lags = _LagFeatures(m.history, rows)
     scale = 1.0 if strict else math.exp(-m.delta_hat)
+    x_all, gaps, y_all = _LagFeatures(m.history, rows).design(edges, scale)
+    # Each column's span over every row, for the targets none of whose
+    # columns has a gap.
+    spans_all = (x_all.max(axis=1) - x_all.min(axis=1)).tolist() if strict else []
     new_coefs = [e.coefficient for e in edges]
-    for j in range(m.graph.d_state):
-        incoming = m.graph.incoming(j)
-        if not incoming:
+    incoming: list[list[int]] = [[] for _ in range(m.graph.d_state)]
+    for i, e in enumerate(edges):
+        incoming[e.target].append(i)
+    for j, places in enumerate(incoming):
+        if not places:
             continue
-        x_rows, y_rows = lags.design([e for _, e in incoming], j, scale)
-        if len(x_rows) < max(2, len(incoming)):
+        x, y = np.array([x_all[i] for i in places]).T, y_all[j]
+        masks = [gaps[i] for i in places if gaps[i] is not None]
+        if masks:
+            keep = ~functools.reduce(operator.or_, masks)
+            x, y = x[keep], y[keep]
+        if len(x) < max(2, len(places)):
             if not strict:
                 continue
             raise NotEnoughDataError(
-                f"fit for dim {j}: only {len(x_rows)} usable rows for {len(incoming)} edges"
+                f"fit for dim {j}: only {len(x)} usable rows for {len(places)} edges"
             )
-        x = np.asarray(x_rows)
         if strict:
-            spans = x.max(axis=0) - x.min(axis=0)
-            if np.any(spans == 0.0):
-                flat = int(np.argmax(spans == 0.0))
-                raise DegenerateDataError(
-                    f"fit for dim {j}: feature column {flat} is constant over the window"
-                )
-        coef, _, rank, _ = np.linalg.lstsq(x, np.asarray(y_rows), rcond=None)
+            spans = [spans_all[i] for i in places] if not masks else (x.max(axis=0) - x.min(axis=0)).tolist()
+            if 0.0 in spans:
+                flat = spans.index(0.0)
+                raise DegenerateDataError(f"fit for dim {j}: feature column {flat} is constant over the window")
+        coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
         if rank < x.shape[1]:
             if not strict:
                 continue
             raise DegenerateDataError(f"fit for dim {j}: design matrix rank {rank} < {x.shape[1]}")
-        for (edge_index, _), c in zip(incoming, coef):
-            new_coefs[edge_index] = float(c)
+        for i, c in zip(places, coef.tolist()):
+            new_coefs[i] = c
 
-    new_edges = tuple(replace(e, coefficient=c) for e, c in zip(edges, new_coefs))
-    return replace(m, graph=replace(m.graph, edges=new_edges))
+    # Constructors, not ``dataclasses.replace``: this runs every fit.
+    new_edges = tuple(
+        CausalEdge(e.source, e.target, e.delay, c, e.form) for e, c in zip(edges, new_coefs)
+    )
+    return CausalModel(
+        graph=CausalGraph(m.graph.d_state, m.graph.d_action, new_edges),
+        delta_hat=m.delta_hat,
+        history=m.history,
+        fit_window=m.fit_window,
+        sigma_lik=m.sigma_lik,
+        capacity=m.capacity,
+        delta_max=m.delta_max,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,9 @@ out afresh.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Any, Iterator, Sequence
 
@@ -67,8 +69,10 @@ from .model import (
     estimate_delta,
     rollout,
     _LagFeatures,
-    _Target,
+    _add_up,
     _by_target,
+    _edge_sums,
+    _fold,
     _least_squares,
 )
 from .scenario import json_number, json_typed
@@ -231,10 +235,11 @@ class _Baseline:
     Computed once and shared by every score or test against that model:
     ``targets[k]`` is target dimension k's predictions from ``incoming[k]``,
     its edges in graph order (``position`` gives each edge's place there),
-    and ``sq`` is each row's ``(o - p) ** 2`` added over dimensions from
-    0.0, None where the row is not predictable.  ``sq / d`` is the row's
-    :func:`loss` epsilon to the bit.  :meth:`edit` states a candidate as the
-    targets it predicts anew, which is how :class:`_EditBatch` scores it.
+    ``sq`` is each row's ``(o - p) ** 2`` added over dimensions from 0.0,
+    and ``dead`` masks the rows that are not predictable.  ``sq / d`` is
+    the row's :func:`loss` epsilon to the bit.  :meth:`edit` states a
+    candidate as the targets it predicts anew, which is how
+    :class:`_EditBatch` scores it.
     """
 
     def __init__(
@@ -251,8 +256,8 @@ class _Baseline:
         for e in m.graph.edges:
             self.position.append(len(self.incoming[e.target]))
             self.incoming[e.target].append(e)
-        self.targets = [lags._target(k, g, self.scale) for k, g in enumerate(self.incoming)]
-        self.sq = lags.sq_errors(self.targets, lo, self.hi)
+        self.targets = lags.predict(list(enumerate(self.incoming)), self.scale)
+        self.sq, self.dead = lags.sq_errors(self.targets, lo, self.hi)
 
     @staticmethod
     def over(m: CausalModel, rows: Sequence[Transition]) -> _Baseline:
@@ -308,21 +313,6 @@ class _Baseline:
             group[at : at + 1] = [new]
         return self.scale, {k: group}
 
-    def mse(self, targets: list[_Target]) -> tuple[float, float] | None:
-        """Mean loss epsilon of this model and of the one ``targets``
-        predicts (the kernel's targets of another model) over the rows both
-        predict; None when there are none."""
-        sq_os = self.lags.sq_errors(targets, self.lo, self.hi)
-        sq_m = sq_o = 0.0
-        n = 0
-        for row_m, row_o in zip(self.sq, sq_os):
-            if row_m is None or row_o is None:
-                continue
-            sq_m += row_m / self.d
-            sq_o += row_o / self.d
-            n += 1
-        return None if n == 0 else (sq_m / n, sq_o / n)
-
 
 def anomalous_suffix(m: CausalModel, floor: float, base: _Baseline | None = None) -> int:
     """Length of the maximal trailing run of history rows with error > floor.
@@ -332,20 +322,18 @@ def anomalous_suffix(m: CausalModel, floor: float, base: _Baseline | None = None
     """
     if base is None:
         base = _Baseline.over(m, m.history[-m.fit_window :])
-    count = 0
-    for sq in reversed(base.sq):
-        if sq is None or sq / base.d <= floor:
-            break
-        count += 1
-    return count
+    with np.errstate(invalid="ignore"):
+        stops = np.flatnonzero(base.dead | (base.sq / base.d <= floor))
+    return len(base.sq) - 1 - int(stops[-1]) if len(stops) else len(base.sq)
 
 
 def _residuals(
     m: CausalModel, lags: _LagFeatures, lo: int, target: int, exclude_edge: int | None
-) -> list[float | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The target's observed value minus its strict prediction from every
-    modeled edge but ``exclude_edge``, for each kernel row from ``lo``; None
-    where one of those edges' lags is unrecorded."""
+    modeled edge but ``exclude_edge``, for each kernel row from ``lo``, and
+    the mask of rows where one of those edges' lags is unrecorded (None when
+    there are none)."""
     others = [e for i, e in enumerate(m.graph.edges) if i != exclude_edge and e.target == target]
     return lags.residuals(others, target, math.exp(-m.delta_hat), lo)
 
@@ -354,26 +342,25 @@ def _residual_fit(
     m: CausalModel,
     lags: _LagFeatures,
     lo: int,
-    resid: list[float | None],
+    resid: tuple[np.ndarray, np.ndarray | None],
     source: VarRef,
     delay: int,
     form: Form,
 ) -> float | None:
     """Single-coefficient LS: how much of the residuals ``resid`` (from
     :func:`_residuals`) the given source/delay/form accounts for over the
-    kernel's rows from ``lo`` on.
+    kernel's rows from ``lo`` on.  ``sum(x * x)`` and ``sum(x * r)`` over
+    the rows where both are recorded add left to right from 0.0.
 
     Returns None when the feature carries no signal on these rows.
     """
-    scale = math.exp(-m.delta_hat)
-    sxx = 0.0
-    sxy = 0.0
-    for fv, r in zip(lags.column(source, delay, form)[0][lo:], resid):
-        if fv is None or r is None:
-            continue
-        x = fv * scale
-        sxx += x * x
-        sxy += x * r
+    r, dead = resid
+    col, gap = lags.column(source, delay, form)
+    masks = [mask for mask in (dead, None if gap is None else gap[lo:]) if mask is not None]
+    keep = ~functools.reduce(operator.or_, masks) if masks else True
+    with np.errstate(all="ignore"):
+        x = col[lo:] * math.exp(-m.delta_hat)
+        sxx, sxy = _fold(x * np.array([x, r]), keep).tolist()
     if sxx <= 1e-12:
         return None
     return sxy / sxx
@@ -428,7 +415,12 @@ def _candidates(
 
     # DeltaShift from the single worst dimension of the triggering context.
     j_star = max(range(d_state), key=lambda j: err.per_dim[j])
-    pred = rollout(m.graph, m.delta_hat, m.history, [ctx])[0]
+    rows, last = base.lags.rows, len(base.lags.rows) - 1
+    if rows and rows[last] is ctx and base.lo <= last < base.hi:
+        # The window ends with ctx, as in reflect: its prediction is in hand.
+        pred = None if base.dead[last - base.lo] else [t.pred[last].item() for t in base.targets]
+    else:
+        pred = rollout(m.graph, m.delta_hat, m.history, [ctx])[0]
     if pred is not None:
         pred_eff = pred[j_star] - ctx.tuple.state[j_star]
         obs_eff = ctx.observed[j_star] - ctx.tuple.state[j_star]
@@ -511,24 +503,6 @@ def test_hypothesis(
     return _EditBatch(_Baseline.over(m, holdout), [h], 0).test(0, rho)
 
 
-def _fold(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Each row of ``values`` added left to right from 0.0, skipping the
-    entries ``keep`` masks out (each adds +0.0 instead)."""
-    out = np.zeros((values.shape[0], values.shape[1] + 1))
-    out[:, 1:] = np.where(keep, values, 0.0)
-    return np.cumsum(out, axis=1)[:, -1]
-
-
-def _add_up(slabs: np.ndarray) -> np.ndarray:
-    """``slabs[:, 0] + slabs[:, 1] + ...`` left to right from 0.0, as a
-    cumsum along axis 1 from a leading 0.0 adds them, one whole slab at a
-    time: numpy accumulates along a short middle axis several times slower."""
-    total = np.zeros(slabs.shape[:1] + slabs.shape[2:])
-    for j in range(slabs.shape[1]):
-        total = total + slabs[:, j]
-    return total
-
-
 class _EditBatch:
     """Every candidate of ``hs`` scored over rows ``[base.lo, split)`` and
     tested over rows ``[split, base.hi)`` of ``base``'s kernel, against
@@ -550,8 +524,9 @@ class _EditBatch:
     * :class:`ConfigError`, or what a refit raises, wherever
       :meth:`_Baseline.edit` raises;
     * :class:`DomainError` when an edited target's finite prediction error
-      squares beyond the float range on any kernel row, or a prediction of
-      the edited model is not finite on a row it predicts in the range read;
+      squares beyond the float range on any kernel row, a prediction of
+      the edited model is not finite on a row it predicts in the range read,
+      or its score is not finite (a tiny ``sigma_lik`` can take it there);
     * :class:`NotEnoughDataError` from :meth:`test` when no holdout row is
       predicted by both models.
 
@@ -567,18 +542,18 @@ class _EditBatch:
         lags = base.lags
         # Column 0 is all zeros: the padding (coefficient 0.0) of a target
         # with fewer edges than the widest.
-        columns: list[list[float | None]] = [[0.0] * len(lags.rows)]
-        gapped: list[int] = []  # the places of columns with a gap
+        columns: list[np.ndarray] = [np.zeros(len(lags.rows))]
+        gaps: dict[int, np.ndarray] = {}  # the place of each column with a gap -> its mask
         at_column: dict[int, int] = {}  # id of a kernel column -> its place in ``columns``
 
         def place_of(e: CausalEdge) -> int:
-            col, gaps, _ = lags._edge_column(e)
+            col, gap, _ = lags._edge_column(e)
             p = at_column.get(id(col))
             if p is None:
                 p = at_column[id(col)] = len(columns)
                 columns.append(col)
-                if gaps:
-                    gapped.append(p)
+                if gap is not None:
+                    gaps[p] = gap
             return p
 
         # The model's edges stay alive in ``base.incoming``, so their ids
@@ -598,7 +573,7 @@ class _EditBatch:
                 places = [known.get(id(e)) or place_of(e) for e in group]
                 subs.append((i, k, places, [e.coefficient for e in group], scale))
         if subs:
-            self._predict(subs, columns, gapped)
+            self._predict(subs, columns, gaps)
 
     def score(self, i: int) -> float:
         """:func:`score_hypothesis` of candidate ``i``."""
@@ -614,7 +589,7 @@ class _EditBatch:
             raise mses
         return mses[1] <= (1.0 - rho) * mses[0], *mses
 
-    def _predict(self, subs: list[tuple], columns: list[list[float | None]], gapped: list[int]) -> None:
+    def _predict(self, subs: list[tuple], columns: list[np.ndarray], gaps: dict[int, np.ndarray]) -> None:
         base, lags, count = self.base, self.base.lags, len(self.hs)
         lo, hi, d, s = base.lo, base.hi, base.d, self.split - base.lo
         n = len(lags.rows)
@@ -623,14 +598,9 @@ class _EditBatch:
         width = max(map(len, places))
         place = np.array([p + [0] * (width - len(p)) for p in places], dtype=int)
         coef = np.array([c + [0.0] * (width - len(c)) for c in coefs])
-        gap = np.zeros((len(columns), n), dtype=bool)
-        for g in gapped:
-            gap[g] = [v is None for v in columns[g]]
-            columns[g] = [0.0 if v is None else v for v in columns[g]]
         with np.errstate(all="ignore"):
-            terms = coef[:, :, None] * np.array(columns)[place] * scale[:, None, None]
-            pred = np.array(lags._states).T[target] + _add_up(terms)
-            diff = np.array(lags._observed).T[target] - pred
+            pred = lags._states[target] + _edge_sums(coef, np.array(columns)[place], scale[:, None])
+            diff = lags._observed[target] - pred
             sq_k = np.float_power(diff, 2.0)
         overflow = np.zeros(count, dtype=bool)  # a finite error squares past the float range
         if not np.isfinite(sq_k).all():
@@ -645,19 +615,23 @@ class _EditBatch:
 
         sq_h = _add_up(per_candidate(np.array([t.sq for t in base.targets]), sq_k))
         dead = np.zeros((count, hi - lo), dtype=bool)  # rows the edited model leaves out
-        if gapped:  # the model's own edges are all placed, so it has no dead row without one
+        if gaps:  # the model's own edges are all placed, so it has no dead row without one
+            gap = np.zeros((len(columns), n), dtype=bool)
+            for p, mask in gaps.items():
+                gap[p] = mask
             dead_k = np.zeros((d, n), dtype=bool)
             for k, t in enumerate(base.targets):
-                dead_k[k, list(t.dead)] = True
+                if t.dead is not None:
+                    dead_k[k] = t.dead
             dead = per_candidate(dead_k, gap[place].any(axis=1)).any(axis=1)
         bad = None  # rows it predicts with a prediction not finite, if any
         finite_k = np.isfinite(pred)
         if not (finite_k.all() and all(t.finite for t in base.targets)):
-            finite = per_candidate(np.isfinite([t.pred for t in base.targets]), finite_k)
+            finite = per_candidate(np.isfinite(np.array([t.pred for t in base.targets])), finite_k)
             bad = ~dead & ~finite.all(axis=1)
 
-        sq_m = np.array([0.0 if sq is None else sq for sq in base.sq])
-        live = np.array([sq is not None for sq in base.sq]) & ~dead
+        sq_m = base.sq
+        live = ~base.dead & ~dead
         held = live[:, s:]
         counts = held.sum(axis=1).tolist()
         two_var = 2.0 * base.m.sigma_lik**2
@@ -685,7 +659,8 @@ class _EditBatch:
         score_refused, test_refused = refused(slice(0, s), [1] * count), refused(slice(s, None), counts)
         for i in dict.fromkeys(cand.tolist()):
             if s > 0:
-                self._scores[i] = score_refused[i] or scores[i]
+                infinite = None if math.isfinite(scores[i]) else DomainError("a candidate's score is not finite")
+                self._scores[i] = score_refused[i] or infinite or scores[i]
             self._tests[i] = test_refused[i] or (mse_m[i], mse_h[i])
 
 
@@ -748,10 +723,11 @@ def reflect(
     base = _Baseline(m, lags)
     candidates = generate_hypotheses(m, ctx, err, tau, settings, base=base)
     batch: _EditBatch | None = _EditBatch(base, candidates, h_lo)
-    ranked = sorted(
-        ((i, HypothesisScore(h, batch.score(i))) for i, h in enumerate(candidates)),
-        key=lambda item: (-item[1].score, _tie_key(item[1].hypothesis)),
-    )
+    try:
+        scored = [(i, HypothesisScore(h, batch.score(i))) for i, h in enumerate(candidates)]
+    except CausalLoopError as exc:
+        raise type(exc)(f"tick {ctx.tuple.time.tick}: {exc}") from exc
+    ranked = sorted(scored, key=lambda item: (-item[1].score, _tie_key(item[1].hypothesis)))
 
     # Tests run in rank order.  An acceptance changes the working model, so
     # the candidates still to test, remapped to its edges, become one more

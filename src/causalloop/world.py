@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -27,6 +28,7 @@ from .core import (
     DimensionError,
     DomainError,
     StateVec,
+    check_finite,
 )
 from . import rng as _rng
 
@@ -271,11 +273,12 @@ def world_step(w: WorldState, action: ActionVec) -> tuple[WorldState, StateVec, 
     for v in values:
         if not math.isfinite(v):
             raise DomainError(f"state diverged to {v!r} at tick {new_tick}")
-    new_state = StateVec(tuple(values))
+    # Each value was just checked: wrap them without a second pass.
+    new_state = StateVec.checked(tuple(values))
 
     if sc.noise_sigma > 0.0:
-        noise = gen.normal(0.0, sc.noise_sigma, size=sc.d_state)
-        observed = StateVec(tuple(v + float(n) for v, n in zip(values, noise)))
+        noise = gen.normal(0.0, sc.noise_sigma, size=sc.d_state).tolist()
+        observed = StateVec.checked(check_finite(tuple(map(operator.add, values, noise)), "state"))
     else:
         observed = new_state
 

@@ -309,3 +309,24 @@ def test_initial_model_mirrors_scenario():
     assert m.delta_hat == 0.0
     assert m.fit_window == sc.fit_window
     assert m.capacity == sc.history_capacity
+
+
+def test_each_state_is_validated_once_per_tick():
+    """The loop checks each new action, world state, observation and
+    prediction finite once: the converting constructor (``float()`` and a
+    check per element) runs a fixed number of times per episode, not per
+    tick, and every vector of a record still holds finite Python floats."""
+    import math
+    from unittest import mock
+
+    from causalloop import core
+
+    counts = []
+    for length in (20, 40):
+        with mock.patch.object(core, "_as_float_tuple", wraps=core._as_float_tuple) as spy:
+            trace = run_episode(BREAK, RandomPolicy(), seed=4, length=length, reflect_enabled=False)
+        counts.append(spy.call_count)
+        for r in trace.records:
+            for vec in (r.state, r.action, r.observed, r.predicted_next):
+                assert all(type(v) is float and math.isfinite(v) for v in vec.values)
+    assert counts[0] == counts[1]

@@ -235,6 +235,21 @@ def test_trace_with_an_infinite_score_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trace", [False, True], ids=["no-trace", "trace"])
+def test_run_with_an_infinite_score_is_data_error(tmp_path, capsys, trace):
+    """The repair batch refuses a candidate whose score is not finite, so
+    the run itself ends with exit 2, named by its tick, whether or not a
+    trace is written."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**json.loads(BREAK_DEMO_FILE.read_text()), "sigma_lik": 1.2e-154}))
+    out = tmp_path / "t.jsonl"
+    args = ["run", str(path), "--seed", "1", "--length", "260"] + (["--trace", str(out)] if trace else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tick ") and "score is not finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, bad", [("fit_window", 2.5), ("capacity", True), ("delta_hat", "0.1"), ("delta_max", None)]
 )

@@ -12,7 +12,11 @@ candidate generation is held to its budget: it estimates nothing past it.
 The batch that scores and tests every candidate is held to the references
 on a model and on a working model after an accepted edit, refusals
 included, and the whole of ``reflect`` to ``reference_reflect``, which
-ranks, tests and accepts with the references alone.
+ranks, tests and accepts with the references alone.  Histories are views
+into shared append-only buffers: built by appends, capacity trims,
+structural breaks and branches, each must read as the tuple it replaces,
+and its feature columns, design rows and rollouts must match the
+references.
 """
 
 from __future__ import annotations
@@ -42,9 +46,11 @@ from causalloop.core import (
 from causalloop.agent import _fit_improves
 from causalloop.model import (
     CausalModel,
+    History,
     _LagFeatures,
     _TickIndex,
     append_history,
+    as_history,
     predict_next,
     rollout,
 )
@@ -159,6 +165,11 @@ def bits(preds):
 
 def hexes(values):
     return [None if v is None else v.hex() for v in values]
+
+
+def masked(values, dead):
+    """A kernel's (values, dead mask) pair as the per-row list, None where dead."""
+    return [None if dead is not None and dead[i] else float(v) for i, v in enumerate(values)]
 
 
 def transitions(rng, d_state, d_action, ticks):
@@ -379,12 +390,12 @@ def test_residuals_match_reference(seed, kind):
     _Baseline(m, lags)  # the working model's predictions, as reflect memoises them
     memo = len(lags._targets)
     for j in range(m.graph.d_state):
-        got = _residuals(m, lags, lo, j, None)
+        got = masked(*_residuals(m, lags, lo, j, None))
         assert hexes(got) == hexes(reference_residuals(m, rows[lo:], j, None))
     assert len(lags._targets) == memo  # excluding no edge is the working model
     for j in range(m.graph.d_state):
         for i, _ in m.graph.incoming(j):
-            got = _residuals(m, lags, lo, j, i)
+            got = masked(*_residuals(m, lags, lo, j, i))
             assert hexes(got) == hexes(reference_residuals(m, rows[lo:], j, i))
 
 
@@ -402,8 +413,7 @@ def test_holdout_mse_and_fit_gate_match_reference(seed, kind, size):
     other = rescaled(m, rng)
     holdout = m.history[-size:]
     expected = reference_mse(m, other, holdout)
-    base = _Baseline.over(m, holdout)
-    got = base.mse(base.lags.targets(other.graph, other.delta_hat))
+    got = _LagFeatures(m.history, holdout).mses([(m.graph, m.delta_hat), (other.graph, other.delta_hat)])
     if expected is None:
         assert got is None
         assert _fit_improves(m, other, size)
@@ -619,6 +629,27 @@ def test_overflowing_squared_error_is_refused_with_domain_error():
             call()
 
 
+def test_a_score_that_is_not_finite_is_refused_with_domain_error():
+    """At a tiny sigma_lik a finite squared-error difference divided by
+    2 sigma_lik^2 leaves the float range: the batch refuses that score with
+    DomainError, its test still stands, and the candidate that changes
+    nothing still scores 0.0."""
+    rng = np.random.default_rng(5)
+    graph = random_graph(rng, 2, 1, max_edges=4, max_delay=2)
+    m = CausalModel(graph=graph, fit_window=12, sigma_lik=1.2e-154)
+    for tr in transitions(rng, 2, 1, range(12)):
+        m = append_history(m, tr)
+    rows, split = m.history, 8
+    same = CoefChange(0, graph.edges[0].coefficient)
+    batch = _EditBatch(_Baseline(m, _LagFeatures(m.history, rows)), [CoefChange(0, 0.5), same], split)
+    with pytest.raises(DomainError, match="score is not finite"):
+        batch.score(0)
+    with pytest.raises(DomainError, match="score is not finite"):
+        score_hypothesis(m, CoefChange(0, 0.5), rows[:split])
+    assert batch.test(0, 0.1)[1] > 0.0
+    assert batch.score(1) == 0.0
+
+
 def reference_reflect(m, ctx, err, tau, settings):
     """:func:`reflect` by the references alone: the candidates of
     ``generate_hypotheses`` ranked by :func:`reference_score` and
@@ -683,3 +714,140 @@ def test_reflect_matches_the_reference_loop(seed, twin, holdout, max_accepts):
     ]
     assert report.accepted == tuple(accepted)
     assert report.updated_model == working
+
+
+# ---- history views ----------------------------------------------------------
+
+
+def reference_column(history, rows, source, delay, form):
+    """The feature column resolved row by row from a tick map: ``form`` of
+    the lagged value, 0.0 before tick 0, None where the lag is unrecorded."""
+    by_tick = {tr.tuple.time.tick: tr.tuple for tr in history}
+    out = []
+    for tr in rows:
+        tick = tr.tuple.time.tick + 1 - delay
+        if tick < 0:
+            out.append(form.apply(0.0))
+        elif tick in by_tick:
+            tup = by_tick[tick]
+            vec = tup.action if source.kind is SourceKind.ACTION else tup.state
+            out.append(form.apply(vec[source.index]))
+        else:
+            out.append(None)
+    return out
+
+
+def assert_reads_as_tuple(h, ref, rng):
+    """Length, indexing, slicing, iteration, ``+`` and ``==`` as the tuple's."""
+    assert isinstance(h, History)
+    assert len(h) == len(ref) and bool(h) == bool(ref)
+    assert h == ref and ref == h and not h != ref
+    assert tuple(h) == ref and list(reversed(h)) == list(reversed(ref))
+    for i in range(-len(ref), len(ref)):
+        assert h[i] is ref[i]
+    for i in (len(ref), -len(ref) - 1):
+        with pytest.raises(IndexError):
+            h[i]
+    for _ in range(6):
+        a, b = (int(x) for x in rng.integers(-len(ref) - 2, len(ref) + 3, size=2))
+        step = int(rng.choice([1, 1, 2, -1]))
+        assert h[a:b:step] == ref[a:b:step]
+        assert tuple(h[a:b:step]) == ref[a:b:step]
+    assert h + ref[:1] == ref + ref[:1] and ref[:1] + h == ref[:1] + ref
+    assert hash(h) == hash(ref)
+
+
+def assert_kernel_matches_reference(m, ref, rng):
+    """Columns, design rows and rollout over a suffix of ``m.history``, as
+    a view of its buffer and as a plain tuple of rows, against the
+    references over ``ref``, the same transitions as a tuple."""
+    g = m.graph
+    lo = int(rng.integers(0, len(ref) + 1))
+    sources = [VarRef.action(i) for i in range(g.d_action)] + [VarRef.state(i) for i in range(g.d_state)]
+    probes = [(e.source, e.delay, e.form) for e in g.edges] + [
+        (src, int(rng.integers(1, 7)), Form(rng.choice([f.value for f in Form]))) for src in sources
+    ]
+    scale = float(rng.choice([1.0, rng.uniform(0.5, 1.5)]))
+    for rows in (m.history[lo:], ref[lo:]):
+        lags = _LagFeatures(m.history, rows)
+        for source, delay, form in probes:
+            expected = reference_column(ref, rows, source, delay, form)
+            assert hexes(masked(*lags.column(source, delay, form))) == hexes(expected)
+        x, gaps, y = lags.design(g.edges, scale)
+        for e, col, gap in zip(g.edges, x, gaps):
+            expected = reference_column(ref, rows, e.source, e.delay, e.form)
+            assert hexes(masked(col, gap)) == hexes([None if v is None else v * scale for v in expected])
+        for k in range(g.d_state if rows else 0):  # no rows, no dimensions to read
+            assert hexes(y[k]) == hexes([tr.observed[k] - tr.tuple.state[k] for tr in rows])
+        got = rollout(g, m.delta_hat, m.history, rows)
+        assert bits(got) == bits(reference_rollout(g, m.delta_hat, ref, rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans(), st.booleans())
+def test_history_views_read_as_tuples_and_match_the_references(seed, capacity, flush, branch):
+    """Appends with capacity trims, structural-break flushes and branches:
+    every history reads as the tuple a copying implementation would hold,
+    and its kernel matches the per-row references bit for bit."""
+    rng = np.random.default_rng(seed)
+    d_state, d_action = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+    graph = random_graph(rng, d_state, d_action, max_edges=6, max_delay=5)
+    m = CausalModel(graph=graph, delta_hat=float(rng.uniform(-0.5, 0.5)), capacity=capacity)
+    ref: tuple = ()
+    start = int(rng.integers(0, 5))
+    trs = transitions(rng, d_state, d_action, range(start, start + int(rng.integers(1, 40))))
+    for tr in trs:
+        if branch and ref and rng.uniform() < 0.2:
+            # A branch appends to the same history twice: the second append
+            # finds the buffer grown, copies, and neither history changes.
+            other = transitions(rng, d_state, d_action, [tr.tuple.time.tick])[0]
+            sibling = append_history(m, other)
+            assert sibling.history[-1] is other and m.history == ref
+        m = append_history(m, tr)
+        ref = (ref + (tr,))[-capacity:]
+        if branch and len(ref) > 1 and rng.uniform() < 0.2:
+            assert sibling_differs(m, ref)
+        if flush and rng.uniform() < 0.1:
+            keep = int(rng.integers(0, len(ref) + 1))
+            m = apply_hypothesis(m, StructuralBreak(keep)) if keep else replace(m, history=())
+            ref = ref[len(ref) - keep :]
+        assert_reads_as_tuple(m.history, ref, rng)
+        assert len(m.history._buf.rows) <= 2 * capacity + 1
+    assert_kernel_matches_reference(m, ref, rng)
+
+
+def sibling_differs(m, ref):
+    """Appending the last row's tick again branches: the branch holds its
+    own row, ``m`` still reads as ``ref``."""
+    again = Transition(ref[-1].tuple, ref[-1].observed)
+    base = replace(m, history=m.history[:-1])
+    branch = append_history(base, again)
+    return branch.history[-1] is again and m.history == ref and m.history[-1] is ref[-1]
+
+
+def test_a_long_episode_holds_a_bounded_buffer():
+    """A buffer copies out its live rows once its start passes the view's
+    length, so a 10,000-tick history holds O(capacity) rows."""
+    rng = np.random.default_rng(3)
+    m = CausalModel(graph=random_graph(rng, 1, 1), capacity=64)
+    for tr in transitions(rng, 1, 1, range(10_000)):
+        m = append_history(m, tr)
+        assert len(m.history._buf.rows) <= 2 * 64 + 1
+    assert [tr.tuple.time.tick for tr in m.history] == list(range(10_000 - 64, 10_000))
+
+
+@pytest.mark.parametrize("ticks", [(3, 4, 6), (3, 4, 4), (4, 3, 5)], ids=["gapped", "repeated", "unordered"])
+def test_a_hand_built_history_that_is_not_one_run_is_refused(ticks):
+    rng = np.random.default_rng(0)
+    hist = tuple(transitions(rng, 1, 1, ticks))
+    graph = random_graph(rng, 1, 1)
+    for build in (
+        lambda: as_history(hist),
+        lambda: CausalModel(graph=graph, history=hist),
+        lambda: rollout(graph, 0.0, hist, hist[-1:]),
+        lambda: _TickIndex(hist),
+    ):
+        with pytest.raises(DomainError, match="not one run"):
+            build()
+    run = tuple(transitions(rng, 1, 1, range(5, 9)))
+    assert CausalModel(graph=graph, history=run).history == run

@@ -1,12 +1,15 @@
 """Print the sha256 of every trace the benchmark's workloads record, as JSON.
 
     python3 tools/trace_digests.py --seeds 1 2 > digests.json
+    python3 tools/trace_digests.py --seeds 1 2 --against digests.json
 
 Runs every episode that ``perfbench/bench_workloads.make_inputs`` makes for
 ``repair_break``, ``steady_fit`` and ``trace_audit`` at each seed, and hashes
 the trace file's text as ``write_trace`` would write it.  Two checkouts that
-print the same output record byte-identical traces; diff the two outputs to
-see which episodes moved.  Seeds 1 and 2 give 264 traces in about 15 s.
+print the same output record byte-identical traces.  Given an earlier
+output as ``--against``, it prints each trace whose digest moved (or that
+only one side holds) and exits 1 if any did, 0 if every trace is
+byte-identical.  Seeds 1 and 2 give 264 traces in about 15 s.
 
 Run it from any directory: it imports the package from ``src/`` and the
 workloads from ``perfbench/`` beside this directory, and writes nothing.
@@ -45,12 +48,28 @@ def trace_digests(seeds: list[int]) -> dict[str, str]:
     return out
 
 
+def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """The traces whose digest differs between ``old`` and ``new``, or that
+    only one of them holds, in sorted order."""
+    return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    parser.add_argument("--against", metavar="FILE", help="an earlier output to compare with")
     args = parser.parse_args(argv)
-    print(json.dumps(trace_digests(args.seeds), indent=1))
-    return 0
+    digests = trace_digests(args.seeds)
+    if args.against is None:
+        print(json.dumps(digests, indent=1))
+        return 0
+    with open(args.against) as fh:
+        earlier = json.load(fh)
+    changed = moved(earlier, digests)
+    for key in changed:
+        print(f"moved: {key}")
+    print(f"{len(changed)} of {len(earlier.keys() | digests.keys())} traces moved")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
