@@ -35,7 +35,7 @@ kernel over rows of the same buffer reads each feature column as one
 slice, with no per-row loop and no per-row tick check.  A sequence of
 transitions given as a history is converted once (and refused unless it is
 one run), so there is one column path.  ``predict_next`` looks its few
-lags up by place from the end (``_TickIndex``).
+lags up by their place in the buffer (``_TickIndex``).
 
 Traces record predictions and scores and replays compare them exactly, so
 the arithmetic is fixed, in Python loops and numpy arrays alike:
@@ -360,9 +360,10 @@ def predict(m: CausalModel, t: CausalTuple) -> Prediction:
 
 class _TickIndex:
     """The tuples of ``history`` (and ``extra``, which wins its tick) by
-    absolute tick.  A history is one run of ticks (:class:`History`), so
-    tick q sits ``last - q`` places from its end, and a tick outside the run
-    is unrecorded.
+    absolute tick.  A history is a view into a buffer that holds one run of
+    ticks from ``tick0`` (:class:`History`), so tick q sits at buffer place
+    ``q - tick0``, with no tick to check, and a tick outside the view is
+    unrecorded.
     """
 
     __slots__ = ("_rows", "_tick0", "_start", "_end", "_extra")
