@@ -16,6 +16,7 @@ reflect_enabled); replay re-runs it and demands bit-identical records.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Any
@@ -49,7 +50,10 @@ from .model import (
 from .model import predict, rollout  # noqa: F401
 from .reflect import ReflectSettings, detect_mismatch, reflect
 from .scenario import ScenarioConfig, json_number, json_typed, scenario_digest
-from .trace import EpisodeTrace, TraceHeader, TraceRecord, record_to_dict, report_to_dict
+from .trace import EpisodeTrace, TraceHeader, TraceRecord, report_to_dict
+# Not called here: perfbench/bench_layers.py wraps agent.record_to_dict, so
+# the name stays importable from this module.
+from .trace import record_to_dict  # noqa: F401
 from .world import world_init, world_step
 
 DELTA_DECAY = 0.9  # pull-to-zero on delta_hat per calm step
@@ -66,6 +70,10 @@ class RandomPolicy:
 
     low: float = -1.0
     high: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.high - self.low) or self.high < self.low:
+            raise ConfigError(f"random policy range [{self.low!r}, {self.high!r}) is not a finite interval")
 
 
 @dataclass(frozen=True)
@@ -96,9 +104,12 @@ def policy_action(policy: Policy, seed: int, tick: int, d_action: int) -> Action
     if d_action == 0:
         return ActionVec(())
     if isinstance(policy, RandomPolicy):
+        # ``low + (high - low) * x`` over uniform doubles x in [0, 1) is what
+        # ``Generator.uniform`` computes, draw for draw, without its call cost.
         gen = _rng.shared_stream(seed, _rng.STREAM_POLICY, tick)
-        vals = gen.uniform(policy.low, policy.high, size=d_action).tolist()
-        return ActionVec.checked(check_finite(tuple(vals), "action"))
+        low, span = policy.low, policy.high - policy.low
+        vals = tuple([low + span * x for x in gen.random(d_action).tolist()])
+        return ActionVec.checked(check_finite(vals, "action"))
     if isinstance(policy, CyclicPolicy):
         if not policy.vectors:
             raise ConfigError("cyclic policy needs at least one vector")
@@ -166,11 +177,15 @@ def initial_model(sc: ScenarioConfig) -> CausalModel:
     )
 
 
-def _fit_improves(current: CausalModel, fitted: CausalModel, holdout_size: int) -> bool:
+def _fit_improves(lags: _LagFeatures, current: CausalModel, fitted: CausalModel, holdout_size: int) -> bool:
     """Keep a scheduled fit only if it does not predict the recent holdout
-    worse than the model it would replace, or no holdout row is predictable."""
-    lags = _LagFeatures(current.history, current.history[-holdout_size:])
-    mses = lags.mses([(current.graph, current.delta_hat), (fitted.graph, fitted.delta_hat)])
+    worse than the model it would replace, or no holdout row is predictable.
+
+    ``lags`` is the fit's own kernel over ``current``'s window; the holdout
+    is its last ``holdout_size`` rows (``fit_window > holdout`` is a
+    scenario rule, so they are the history's last rows too)."""
+    pair = [(current.graph, current.delta_hat), (fitted.graph, fitted.delta_hat)]
+    mses = lags.mses(pair, lo=max(0, lags._n - holdout_size))
     return mses is None or mses[1] <= mses[0]
 
 
@@ -230,9 +245,10 @@ def run_episode(
 
         fit_event: str | None = None
         if (t + 1) % sc.fit_every == 0:
+            lags = _LagFeatures(m.history, m.history[-m.fit_window :])
             try:
-                fitted = fit(m)
-                if _fit_improves(m, fitted, sc.holdout):
+                fitted = fit(m, lags)
+                if _fit_improves(lags, m, fitted, sc.holdout):
                     m = fitted
                     fit_event = "applied"
                 else:
@@ -315,6 +331,6 @@ def replay(trace: EpisodeTrace, scenario: ScenarioConfig) -> EpisodeTrace:
         artifact_version=trace.header.artifact_version,
     )
     for old, new in zip(trace.records, fresh.records):
-        if record_to_dict(old) != record_to_dict(new):
+        if old != new:
             raise ReplayError(f"replay diverged at tick {old.tick}")
     return fresh

@@ -34,8 +34,12 @@ last conversion into numpy arrays in bulk when a kernel reads them, so a
 kernel over rows of the same buffer reads each feature column as one
 slice, with no per-row loop and no per-row tick check.  A sequence of
 transitions given as a history is converted once (and refused unless it is
-one run), so there is one column path.  ``predict_next`` looks its few
-lags up by their place in the buffer (``_TickIndex``).
+one run), so there is one column path.  ``predict_next`` walks the graph's
+``plan`` (:attr:`causalloop.world.CausalGraph.plan`, one plain tuple per
+edge) and reads each of its few lags by position in the view: tick q sits
+at buffer place ``q - tick0``.  The scheduled fit builds one kernel over
+its window, and its holdout gate reads both models' errors from that
+kernel's last rows.
 
 Traces record predictions and scores and replays compare them exactly, so
 the arithmetic is fixed, in Python loops and numpy arrays alike:
@@ -162,13 +166,14 @@ class History:
     It is the rows ``[start, end)`` of an append-only :class:`_Buffer` that
     other histories may share.  :meth:`appended` adds a row to the buffer in
     place when this history ends at the buffer's end, and copies its rows
-    to a new buffer otherwise, so no history ever changes.  A slice (of
-    step 1) is a history of the same buffer: a capacity trim or a
-    structural break moves only ``start``.  A history whose start passed
-    its length copies on its next append, so a buffer holds at most about
-    twice its longest history.  Length, indexing, slicing, iteration, ``+``
-    and ``==`` answer as the tuple would; :func:`as_history` converts any
-    other sequence of transitions once.
+    to a new buffer otherwise, so no history ever changes; it trims to the
+    capacity in the same step.  A slice (of step 1) is a history of the
+    same buffer: a capacity trim or a structural break moves only
+    ``start``.  A history whose start passed its length copies on its next
+    append, so a buffer holds at most about twice its longest history.
+    Length, indexing, slicing, iteration, ``+`` and ``==`` answer as the
+    tuple would; :func:`as_history` converts any other sequence of
+    transitions once.
     """
 
     __slots__ = ("_buf", "_start", "_end")
@@ -226,21 +231,22 @@ class History:
     def __repr__(self) -> str:
         return f"History({tuple(self)!r})"
 
-    def appended(self, tr: Transition) -> History:
-        """This history with ``tr`` last; :class:`DomainError` unless ``tr``
-        comes one tick after the last entry (an empty history takes any)."""
+    def appended(self, tr: Transition, capacity: int) -> History:
+        """This history with ``tr`` last, keeping its newest ``capacity``
+        entries; :class:`DomainError` unless ``tr`` comes one tick after the
+        last entry (an empty history takes any)."""
         buf, start, end = self._buf, self._start, self._end
         if start == end:
-            return History(_Buffer([tr]), 0, 1)
+            return History(_Buffer([tr]), max(0, 1 - capacity), 1)
         last = buf.tick0 + end - 1
         if tr.tuple.time.tick != last + 1:
             raise DomainError(f"tick {tr.tuple.time.tick} cannot follow tick {last} in a history")
         if end == len(buf.rows) and start <= end - start:
             buf.rows.append(tr)
-            return History(buf, start, end + 1)
-        rows = buf.rows[start:end]
+            return History(buf, max(start, end + 1 - capacity), end + 1)
+        rows = buf.rows[max(start, end + 1 - capacity) : end]
         rows.append(tr)
-        return History(_Buffer(rows), 0, len(rows))
+        return History(_Buffer(rows), max(0, len(rows) - capacity), len(rows))
 
 
 def as_history(rows: Sequence[Transition]) -> History:
@@ -302,14 +308,11 @@ def append_history(m: CausalModel, tr: Transition) -> CausalModel:
     ``tr`` must come one tick after the last entry, or :class:`DomainError`
     is raised; an empty history may start at any tick.
     """
-    hist = m.history.appended(tr)
-    if hist._end - hist._start > m.capacity:
-        hist = History(hist._buf, hist._end - m.capacity, hist._end)
     # The constructor, not ``dataclasses.replace``: this runs every tick.
     return CausalModel(
         graph=m.graph,
         delta_hat=m.delta_hat,
-        history=hist,
+        history=m.history.appended(tr, m.capacity),
         fit_window=m.fit_window,
         sigma_lik=m.sigma_lik,
         capacity=m.capacity,
@@ -358,52 +361,42 @@ def predict(m: CausalModel, t: CausalTuple) -> Prediction:
 # ---------------------------------------------------------------------------
 
 
-class _TickIndex:
-    """The tuples of ``history`` (and ``extra``, which wins its tick) by
-    absolute tick.  A history is a view into a buffer that holds one run of
-    ticks from ``tick0`` (:class:`History`), so tick q sits at buffer place
-    ``q - tick0``, with no tick to check, and a tick outside the view is
-    unrecorded.
-    """
-
-    __slots__ = ("_rows", "_tick0", "_start", "_end", "_extra")
-
-    def __init__(self, history: Sequence[Transition], extra: CausalTuple | None = None) -> None:
-        h = as_history(history)
-        self._rows, self._tick0, self._start, self._end = h._buf.rows, h._buf.tick0, h._start, h._end
-        self._extra = extra
-
-    def get(self, tick: int) -> CausalTuple | None:
-        if self._extra is not None and tick == self._extra.time.tick:
-            return self._extra
-        at = tick - self._tick0  # its place in the buffer, which holds one run
-        return self._rows[at].tuple if self._start <= at < self._end else None
-
-
 def predict_next(m: CausalModel, current: CausalTuple) -> StateVec:
     """One-step-ahead prediction for the live loop, by the kernel's rule:
     each target's change accumulates from 0.0 in graph edge order as
     ``coefficient * feature * scale`` and is added to ``current``'s state
     once.
 
-    This is the one lenient rule: a missing lag (possible right after a
-    history flush) contributes zero, where the strict kernel leaves the
-    row out; the inaccuracy heals once fresh transitions accumulate.
+    Lags are read by position: the history is one run of ticks from its
+    buffer's ``tick0`` (:class:`History`), so tick q sits at buffer place
+    ``q - tick0`` and is recorded when that place is inside the view;
+    ``current`` wins its own tick.  This is the one lenient rule: a missing
+    lag (possible right after a history flush) contributes zero, where the
+    strict kernel leaves the row out; the inaccuracy heals once fresh
+    transitions accumulate.
     """
-    ticks = _TickIndex(m.history, current)
+    h = m.history
+    rows, tick0, start, end = h._buf.rows, h._buf.tick0, h._start, h._end
     now = current.time.tick
     scale = math.exp(-m.delta_hat)
+    linear, tanh = Form.LINEAR, Form.TANH
     change = [0.0] * m.graph.d_state
-    for e in m.graph.edges:
-        tick = now + 1 - e.delay
+    for reads_action, index, delay, target, coefficient, form in m.graph.plan:
+        tick = now + 1 - delay
         if tick < 0:
             v = 0.0  # the world's queue starts empty: no effect from before tick 0
         else:
-            tup = ticks.get(tick)
-            if tup is None:
-                continue
-            v = (tup.action if e.source.kind is SourceKind.ACTION else tup.state).values[e.source.index]
-        change[e.target] += e.coefficient * e.form.apply(v) * scale
+            if tick == now:
+                tup = current
+            else:
+                at = tick - tick0  # its place in the buffer, which holds one run
+                if not start <= at < end:
+                    continue
+                tup = rows[at].tuple
+            v = (tup.action if reads_action else tup.state).values[index]
+            if form is not linear:
+                v = math.tanh(v) if form is tanh else v * v
+        change[target] += coefficient * v * scale
     values = tuple(map(operator.add, current.state.values, change))
     return StateVec.checked(check_finite(values, "state"))
 
@@ -485,9 +478,16 @@ class _LagFeatures:
 
     def column(self, source: VarRef, delay: int, form: Form) -> tuple[np.ndarray, np.ndarray | None]:
         """The feature column and its gap mask (None when it has no gap)."""
+        return self._column(source.kind is SourceKind.ACTION, source.index, delay, form)
+
+    def _column(
+        self, reads_action: bool, index: int, delay: int, form: Form
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """:meth:`column` for the source a graph's plan entry names
+        (:attr:`causalloop.world.CausalGraph.plan`)."""
         # Plain values hash in C; a VarRef or a Form hashes (and a Form's
         # ``value`` reads) in Python.  Forms are singletons, so their ids key.
-        key = (source.kind is SourceKind.ACTION, source.index, delay, id(form))
+        key = (reads_action, index, delay, id(form))
         hit = self._columns.get(key)
         if hit is not None:
             return hit
@@ -502,9 +502,9 @@ class _LagFeatures:
             hi = max(min(h._end - a, i1), lo)
             if lo < hi:
                 if form is Form.TANH:
-                    src = buf.tanh(key[0], source.index)
+                    src = buf.tanh(reads_action, index)
                 else:
-                    src = buf.values(1 if key[0] else 0)[source.index]
+                    src = buf.values(1 if reads_action else 0)[index]
                 seg = src[a + lo : a + hi]
                 if hi - lo == n:  # the whole column is one slice
                     col = seg
@@ -603,20 +603,20 @@ class _LagFeatures:
         hi = self._n if hi is None else hi
         if lo >= hi:
             return None
+        d = models[0][0].d_state
         slots, gaps = [], []
         for graph, _ in models:
-            for edges in _by_target(graph):
-                slots.append([])
-                for e in edges:
-                    col, gap = self.column(e.source, e.delay, e.form)
-                    slots[-1].append((e.coefficient, col))
-                    if gap is not None:
-                        gaps.append(gap[lo:hi])
-        d = models[0][0].d_state
+            groups: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(d)]
+            for reads_action, index, delay, target, coefficient, form in graph.plan:
+                col, gap = self._column(reads_action, index, delay, form)
+                groups[target].append((coefficient, col[lo:hi]))
+                if gap is not None:
+                    gaps.append(gap[lo:hi])
+            slots += groups
         scales = [math.exp(-delta_hat) for _, delta_hat in models]
         scale = 1.0 if scales.count(1.0) == len(scales) else np.array([[s] for s in scales for _ in range(d)])
-        acc = _edge_sums(*_slots(slots, self._n), scale).reshape(len(models), d, self._n)
-        pred = (self._states + acc)[:, :, lo:hi]
+        acc = _edge_sums(*_slots(slots, hi - lo), scale).reshape(len(models), d, hi - lo)
+        pred = self._states[:, lo:hi] + acc
         live = ~functools.reduce(operator.or_, gaps) if gaps else np.ones(hi - lo, dtype=bool)
         with np.errstate(all="ignore"):
             diff = self._observed[:, lo:hi] - pred
@@ -749,23 +749,28 @@ def rollout(
 # ---------------------------------------------------------------------------
 
 
-def fit(m: CausalModel) -> CausalModel:
+def fit(m: CausalModel, lags: _LagFeatures | None = None) -> CausalModel:
     """Re-estimate every edge coefficient by OLS over the recent window.
 
     Structure (edges, delays, forms) and delta_hat are untouched; the
-    estimation itself treats delta_hat as zero.  Raises
-    :class:`NotEnoughDataError` on thin history and
+    estimation itself treats delta_hat as zero.  ``lags`` is the kernel
+    over the window, ``m.history[-m.fit_window:]``; a caller that reads the
+    same rows again (the scheduled fit's gate) builds it once and passes
+    it.  Raises :class:`NotEnoughDataError` on thin history and
     :class:`DegenerateDataError` when a design matrix is unusable
     (a constant feature column or rank deficiency).
     """
     need = max(m.fit_window // 4, 2 * len(m.graph.edges))
     if m.graph.edges and len(m.history) < need:
         raise NotEnoughDataError(f"fit needs >= {need} transitions, history has {len(m.history)}")
-    return _least_squares(m, m.history[-m.fit_window :], strict=True)
+    if lags is None:
+        lags = _LagFeatures(m.history, m.history[-m.fit_window :])
+    return _least_squares(m, lags, strict=True)
 
 
-def _least_squares(m: CausalModel, rows: Sequence[Transition], strict: bool) -> CausalModel:
-    """Every edge coefficient re-estimated by per-target OLS over ``rows``.
+def _least_squares(m: CausalModel, lags: _LagFeatures, strict: bool) -> CausalModel:
+    """Every edge coefficient re-estimated by per-target OLS over the rows
+    of ``lags``, a kernel over ``m``'s history.
 
     Strict (:func:`fit`): features at scale 1.0, and a target with too few
     usable rows, a constant feature column or a rank-deficient design
@@ -774,10 +779,10 @@ def _least_squares(m: CausalModel, rows: Sequence[Transition], strict: bool) -> 
     rank-deficient design keeps its coefficients.
     """
     edges = m.graph.edges
-    if not edges or not rows:
+    if not edges or not lags._n:
         return m
     scale = 1.0 if strict else math.exp(-m.delta_hat)
-    x_all, gaps, y_all = _LagFeatures(m.history, rows).design(edges, scale)
+    x_all, gaps, y_all = lags.design(edges, scale)
     # Each column's span over every row, for the targets none of whose
     # columns has a gap.
     spans_all = (x_all.max(axis=1) - x_all.min(axis=1)).tolist() if strict else []

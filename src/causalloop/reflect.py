@@ -220,8 +220,8 @@ def apply_hypothesis(m: CausalModel, h: Hypothesis) -> CausalModel:
         return replace(m, graph=replace(m.graph, edges=m.graph.edges + (new_edge,)))
     # StructuralBreak: flush stale history, then refit whatever the kept
     # suffix supports; dims the suffix cannot support keep their coefficients.
-    kept = m.history[-h.keep :] if h.keep > 0 else ()
-    return _least_squares(replace(m, history=kept), kept, strict=False)
+    flushed = replace(m, history=m.history[-h.keep :] if h.keep > 0 else ())
+    return _least_squares(flushed, _LagFeatures(flushed.history, flushed.history), strict=False)
 
 
 # ---------------------------------------------------------------------------

@@ -319,9 +319,13 @@ def scenario_from_dict(d: dict[str, Any]) -> ScenarioConfig:
         raise InputError(f"invalid scenario: {exc}") from exc
 
 
+# What ``json.dumps`` would build on every call with these options, built once.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(obj: Any) -> str:
     """Sorted-keys, compact JSON; float repr is Python's shortest round-trip."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL.encode(obj)
 
 
 def scenario_digest(sc: ScenarioConfig) -> str:

@@ -232,12 +232,17 @@ def record_from_dict(d: dict[str, Any]) -> TraceRecord:
 # ---------------------------------------------------------------------------
 
 
+# What ``json.dumps(obj, allow_nan=False)`` builds on every call, built once.
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
 def trace_to_lines(trace: EpisodeTrace) -> list[str]:
     """JSON lines; a record JSON cannot hold (an infinite score) raises DomainError naming its tick."""
-    lines = [json.dumps(header_to_dict(trace.header), allow_nan=False)]
+    encode = _ENCODER.encode
+    lines = [encode(header_to_dict(trace.header))]
     for r in trace.records:
         try:
-            lines.append(json.dumps(record_to_dict(r), allow_nan=False))
+            lines.append(encode(record_to_dict(r)))
         except ValueError as exc:
             raise DomainError(f"tick {r.tick}: the trace record cannot be written: {exc}") from exc
     return lines

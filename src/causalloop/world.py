@@ -9,6 +9,12 @@ ticks, which is how "the laws changed" is realized.  The per-tick scalar
 ``delta_t`` comes from a perturbation process the agent never sees; only
 the noisy observation and (for scoring purposes) the trace know it.
 
+The per-tick edge representation is a graph's ``plan``: one plain tuple
+per edge, ``(reads_action, source_index, delay, target, coefficient,
+form)`` in edge order, built once per graph.  ``world_step`` and the
+model's ``predict_next`` loop over it and read the vectors' values
+directly, with no attribute chain or method call per edge.
+
 ``world_step`` is pure: it returns a new :class:`WorldState` and never
 mutates its input, so stepping the same state twice gives the same result.
 All randomness is addressed by (seed, tick) -- see :mod:`causalloop.rng`.
@@ -17,6 +23,7 @@ All randomness is addressed by (seed, tick) -- see :mod:`causalloop.rng`.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -98,6 +105,10 @@ class CausalEdge:
             raise ConfigError(f"edge coefficient must be finite, got {self.coefficient!r}")
 
 
+# One edge as the per-tick loops read it (:attr:`CausalGraph.plan`).
+EdgePlan = tuple[bool, int, int, int, float, Form]
+
+
 @dataclass(frozen=True)
 class CausalGraph:
     """Edge set plus the dimensions it is defined over."""
@@ -132,6 +143,20 @@ class CausalGraph:
     def incoming(self, target: int) -> tuple[tuple[int, CausalEdge], ...]:
         """(index, edge) pairs for edges landing on ``target``."""
         return tuple((i, e) for i, e in enumerate(self.edges) if e.target == target)
+
+    @functools.cached_property
+    def plan(self) -> tuple[EdgePlan, ...]:
+        """The edges as plain tuples, in edge order, for the per-tick loops:
+        ``(reads_action, source_index, delay, target, coefficient, form)``.
+
+        Computed on first use and kept in the instance's ``__dict__``, so it
+        is not a field: equality, hashing and ``dataclasses.replace`` ignore
+        it, and a replaced graph computes its own.
+        """
+        return tuple(
+            (e.source.kind is SourceKind.ACTION, e.source.index, e.delay, e.target, e.coefficient, e.form)
+            for e in self.edges
+        )
 
 
 @dataclass(frozen=True)
@@ -253,26 +278,32 @@ def world_step(w: WorldState, action: ActionVec) -> tuple[WorldState, StateVec, 
     delta_t = _sample_delta(sc.perturbation, w.delta, gen, sc.delta_max)
     scale = math.exp(-delta_t)
 
-    graph = active_graph(sc.graph, sc.breaks, w.tick)
-    pending = list(w.pending)
-    for e in graph.edges:
-        if e.source.kind is SourceKind.ACTION:
-            v = action[e.source.index]
-        else:
-            v = w.current[e.source.index]
-        pending.append((w.tick + e.delay, e.target, e.coefficient * e.form.apply(v) * scale))
-
-    new_tick = w.tick + 1
-    values = list(w.current.values)
+    # Effects already queued land first, in queue order, then this tick's
+    # in edge order: a delay-1 effect lands at once, the rest are queued.
+    tick = w.tick
+    new_tick = tick + 1
+    states = w.current.values
+    values = list(states)
     remaining: list[PendingEffect] = []
-    for due, target, value in pending:
+    for due, target, value in w.pending:
         if due == new_tick:
             values[target] += value
         else:
             remaining.append((due, target, value))
-    for v in values:
-        if not math.isfinite(v):
-            raise DomainError(f"state diverged to {v!r} at tick {new_tick}")
+    actions = action.values
+    plan = active_graph(sc.graph, sc.breaks, tick).plan
+    linear, tanh = Form.LINEAR, Form.TANH
+    for reads_action, index, delay, target, coefficient, form in plan:
+        v = (actions if reads_action else states)[index]
+        if form is not linear:
+            v = math.tanh(v) if form is tanh else v * v
+        if delay == 1:
+            values[target] += coefficient * v * scale
+        else:
+            remaining.append((tick + delay, target, coefficient * v * scale))
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise DomainError(f"state diverged to {bad!r} at tick {new_tick}")
     # Each value was just checked: wrap them without a second pass.
     new_state = StateVec.checked(tuple(values))
 

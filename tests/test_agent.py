@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -87,6 +88,29 @@ def test_policy_dict_round_trip():
 def test_policy_fields_must_have_their_json_type(d):
     with pytest.raises(ConfigError, match=f"malformed {d['kind']} policy"):
         policy_from_dict(d)
+
+
+@pytest.mark.parametrize("low, high", [(-1.0, 1.0), (0.25, 0.5), (2.0, 2.0), (-1e300, 1e300)])
+def test_random_policy_draws_as_generator_uniform(low, high):
+    """``low + (high - low) * x`` over the stream's doubles is what
+    ``Generator.uniform`` computes: the same actions, in ``float.hex``."""
+    from causalloop import rng
+
+    for tick in range(200):
+        got = policy_action(RandomPolicy(low, high), 7, tick, 3).values
+        expected = rng.stream(7, rng.STREAM_POLICY, tick).uniform(low, high, size=3).tolist()
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+@pytest.mark.parametrize("low, high", [(-1e308, 1e308), (3.0, -2.0), (0.0, float("inf"))])
+def test_a_random_policy_range_that_is_not_a_finite_interval_is_refused(low, high):
+    """``Generator.uniform`` refused these with a raw OverflowError or
+    ValueError; the policy refuses them when it is built."""
+    with pytest.raises(ConfigError, match="not a finite interval"):
+        RandomPolicy(low, high)
+    if math.isfinite(high):
+        with pytest.raises(ConfigError, match="not a finite interval"):
+            policy_from_dict({"kind": "random", "low": low, "high": high})
 
 
 # ---- episode determinism ---------------------------------------------------
@@ -330,3 +354,19 @@ def test_each_state_is_validated_once_per_tick():
             for vec in (r.state, r.action, r.observed, r.predicted_next):
                 assert all(type(v) is float and math.isfinite(v) for v in vec.values)
     assert counts[0] == counts[1]
+
+
+def test_a_scheduled_fit_builds_one_kernel():
+    """The fit and its holdout gate read one lagged-feature kernel: a
+    fit-only episode builds one per scheduled fit, whatever its outcome."""
+    from unittest import mock
+
+    from causalloop import model
+
+    init = model._LagFeatures.__init__
+    with mock.patch.object(model._LagFeatures, "__init__", autospec=True, side_effect=init) as spy:
+        trace = run_episode(BREAK, RandomPolicy(), seed=4, length=200, reflect_enabled=False)
+    events = [r.fit_event for r in trace.records if r.fit_event is not None]
+    assert len(events) == 200 // BREAK.fit_every
+    assert "applied" in events
+    assert spy.call_count == len(events)

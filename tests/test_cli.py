@@ -128,6 +128,7 @@ MALFORMED_TRACES = {
     "record-digest-null": (2, {"model_digest": None}, READ_ALL),
     "header-policy-low-string": (0, {"policy": {"kind": "random", "low": "0.5", "high": 1.0}}, ("replay",)),
     "header-policy-high-bool": (0, {"policy": {"kind": "random", "low": -1.0, "high": True}}, ("replay",)),
+    "header-policy-range-overflow": (0, {"policy": {"kind": "random", "low": -1e308, "high": 1e308}}, ("replay",)),
     "record-per_dim-nan": (2, {"per_dim": [float("nan"), float("inf")]}, READ_ALL),
     "reflect-epsilon-string": (3, {"reflect": {**BLOCK, "epsilon": "x"}}, READ_BLOCK),
     "reflect-tau-null": (3, {"reflect": {**BLOCK, "tau": None}}, READ_BLOCK),

@@ -48,7 +48,6 @@ from causalloop.model import (
     CausalModel,
     History,
     _LagFeatures,
-    _TickIndex,
     append_history,
     as_history,
     predict_next,
@@ -359,27 +358,6 @@ def test_rollout_matches_reference_on_odd_histories(seed, kind):
     assert bits(got) == bits(reference_rollout(m.graph, m.delta_hat, m.history, rows))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(0, 12),
-    st.integers(0, 16),
-    st.lists(st.integers(-2, 30), min_size=1, max_size=24),
-    st.booleans(),
-)
-def test_tick_index_answers_as_the_tick_map(start, length, queries, with_extra):
-    """Same tuple object as the map (``extra`` wins its tick), in any query
-    order, for any run of ticks."""
-    rng = np.random.default_rng(length)
-    history = transitions(rng, 1, 1, range(start, start + length))
-    extra = transitions(rng, 1, 1, [queries[0] % 31])[0].tuple if with_extra else None
-    by_tick = {tr.tuple.time.tick: tr.tuple for tr in history}
-    if extra is not None:
-        by_tick[extra.time.tick] = extra
-    index = _TickIndex(tuple(history), extra)
-    for q in queries:
-        assert index.get(q) is by_tick.get(q), (start, length, q)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(HISTORY_KINDS))
 def test_residuals_match_reference(seed, kind):
@@ -409,17 +387,21 @@ def rescaled(m, rng):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(HISTORY_KINDS), st.integers(1, 12))
 def test_holdout_mse_and_fit_gate_match_reference(seed, kind, size):
+    """The gate reads the holdout, the window's last ``size`` rows, from the
+    fit's own kernel over the whole window."""
     m, rng = odd_model(seed, kind)
     other = rescaled(m, rng)
     holdout = m.history[-size:]
     expected = reference_mse(m, other, holdout)
-    got = _LagFeatures(m.history, holdout).mses([(m.graph, m.delta_hat), (other.graph, other.delta_hat)])
+    window = _LagFeatures(m.history, m.history[-m.fit_window :])
+    lo = max(0, window._n - size)
+    got = window.mses([(m.graph, m.delta_hat), (other.graph, other.delta_hat)], lo=lo)
     if expected is None:
         assert got is None
-        assert _fit_improves(m, other, size)
+        assert _fit_improves(window, m, other, size)
         return
     assert (got[0].hex(), got[1].hex()) == (expected[0].hex(), expected[1].hex())
-    assert _fit_improves(m, other, size) == (expected[1] <= expected[0])
+    assert _fit_improves(window, m, other, size) == (expected[1] <= expected[0])
 
 
 def with_twin(m):
@@ -845,7 +827,6 @@ def test_a_hand_built_history_that_is_not_one_run_is_refused(ticks):
         lambda: as_history(hist),
         lambda: CausalModel(graph=graph, history=hist),
         lambda: rollout(graph, 0.0, hist, hist[-1:]),
-        lambda: _TickIndex(hist),
     ):
         with pytest.raises(DomainError, match="not one run"):
             build()

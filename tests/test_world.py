@@ -17,14 +17,18 @@ from causalloop.world import (
     CausalGraph,
     Form,
     GaussianWalk,
+    NoPerturbation,
     ScheduledBreak,
     SourceKind,
     Spike,
     VarRef,
+    _sample_delta,
     active_graph,
     world_init,
     world_step,
 )
+
+from helpers import random_graph
 
 
 def one_edge_scenario(coef=2.0, delay=1, form=Form.LINEAR, **kw):
@@ -327,3 +331,77 @@ def test_stepping_matches_closed_form_sum(seed, n):
         # obs[t] is the state at tick t+1; causes k land at k+2 <= t+1 -> k <= t-1
         expected = sum(0.7 * actions[k][0] for k in range(t))
         assert obs[t].values[0] == pytest.approx(expected, abs=1e-12)
+
+
+def reference_step(w, action):
+    """One tick as a per-edge queue over ``CausalEdge`` attributes: each
+    edge's ``coefficient * form.apply(v) * scale`` is queued in edge order,
+    and the effects due next tick land in queue order.  Returns the new
+    state's values, the queue left, the observation's values and delta_t."""
+    sc = w.scenario
+    gen = clrng.stream(w.seed, clrng.STREAM_WORLD, w.tick)
+    delta_t = _sample_delta(sc.perturbation, w.delta, gen, sc.delta_max)
+    scale = math.exp(-delta_t)
+    pending = list(w.pending)
+    for e in active_graph(sc.graph, sc.breaks, w.tick).edges:
+        v = action[e.source.index] if e.source.kind is SourceKind.ACTION else w.current[e.source.index]
+        pending.append((w.tick + e.delay, e.target, e.coefficient * e.form.apply(v) * scale))
+    values = list(w.current.values)
+    remaining = []
+    for due, target, value in pending:
+        if due == w.tick + 1:
+            values[target] += value
+        else:
+            remaining.append((due, target, value))
+    observed = values
+    if sc.noise_sigma > 0.0:
+        noise = gen.normal(0.0, sc.noise_sigma, size=sc.d_state)
+        observed = [v + float(x) for v, x in zip(values, noise)]
+    return values, remaining, observed, delta_t
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+PROCESSES = {
+    "none": lambda rng: NoPerturbation(),
+    "spike": lambda rng: Spike(prob=float(rng.uniform(0.1, 0.6)), magnitude=float(rng.uniform(-1.0, 1.0))),
+    "walk": lambda rng: GaussianWalk(sigma_delta=float(rng.uniform(0.05, 0.4))),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(PROCESSES)),
+    st.booleans(),
+    st.integers(1, 40),
+)
+def test_world_step_matches_a_per_edge_reference_queue(seed, process, noisy, n):
+    """The graph's plan drives the same arithmetic, in the same order, as a
+    loop over the edges themselves: every state, queued effect, observation
+    and delta equal in ``float.hex``, across a scheduled break."""
+    rng = np.random.default_rng(seed)
+    d_state, d_action = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+    before = random_graph(rng, d_state, d_action, max_edges=8, max_delay=4)
+    after = random_graph(rng, d_state, d_action, max_edges=8, max_delay=4)
+    sc = ScenarioConfig(
+        name="plan",
+        d_state=d_state,
+        d_action=d_action,
+        initial_state=tuple(rng.uniform(-1.0, 1.0, size=d_state).tolist()),
+        graph=before,
+        breaks=(ScheduledBreak(at_tick=int(rng.integers(1, n + 1)), graph=after),),
+        perturbation=PROCESSES[process](rng),
+        noise_sigma=0.05 if noisy else 0.0,
+    )
+    w = world_init(sc, seed=int(rng.integers(0, 2**63)))
+    for _ in range(n):
+        action = ActionVec(tuple(rng.uniform(-1.0, 1.0, size=d_action).tolist()))
+        values, remaining, observed, delta_t = reference_step(w, action)
+        w, obs, got_delta = world_step(w, action)
+        assert hexes(w.current.values) == hexes(values)
+        assert [(due, k, v.hex()) for due, k, v in w.pending] == [(due, k, v.hex()) for due, k, v in remaining]
+        assert hexes(obs.values) == hexes(observed)
+        assert got_delta.hex() == delta_t.hex() and w.delta.hex() == delta_t.hex()
