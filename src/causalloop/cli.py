@@ -185,11 +185,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         bundle = render_prompt(record, record.reflect)
         print(narrate_via_llm(bundle))
         return 0
-    print(explain_transition(m, tup).text)
+    # Every explanation is built before any is printed, so a refused one
+    # (a counterfactual delta out of range) leaves no partial output.
+    texts = [explain_transition(m, tup).text]
     if args.counterfactual_delta is not None:
-        print(explain_counterfactual(m, tup, args.counterfactual_delta).text)
+        texts.append(explain_counterfactual(m, tup, args.counterfactual_delta).text)
     if record.reflect is not None:
-        print(explain_reflection(record.tick, record.reflect).text)
+        texts.append(explain_reflection(record.tick, record.reflect).text)
+    print("\n".join(texts))
     return 0
 
 

@@ -8,7 +8,9 @@ Three lenses:
   the ground-truth graph in force at each tick -- edges are keyed by
   (source, target), an edge present on one side only costs 1, and a
   shared edge costs 1 per delay difference plus 1 per coefficient sign
-  mismatch;
+  mismatch.  It is computed once per change of either graph, not per
+  tick: the agent's graph changes only at a snapshot (and not at one that
+  only moves delta_hat), the true one only at a scheduled break;
 * reflection statistics (triggers, candidates, acceptances by kind).
 
 Per-tick agent graphs come straight from the model snapshots embedded in
@@ -110,11 +112,27 @@ def graphs_per_tick(trace: EpisodeTrace) -> list[CausalGraph]:
 
 
 def shd_series(trace: EpisodeTrace, scenario: ScenarioConfig) -> tuple[int, ...]:
+    """:func:`shd` of the agent's graph against the true one at each tick.
+
+    Computed again only when the true graph is another object (a break)
+    or the agent's is another object that also compares unequal to the
+    last one.  :func:`shd` reads only edge presence, delay and coefficient
+    sign, all of which graph equality compares, so the series is the one
+    a per-tick :func:`shd` gives.
+    """
     sc = scenario.materialized()
-    return tuple(
-        shd(g, active_graph(sc.graph, sc.breaks, r.tick))
-        for g, r in zip(graphs_per_tick(trace), trace.records)
-    )
+    out: list[int] = []
+    agent: CausalGraph | None = None
+    truth: CausalGraph | None = None
+    value = 0
+    for g, r in zip(graphs_per_tick(trace), trace.records):
+        t = active_graph(sc.graph, sc.breaks, r.tick)
+        if t is not truth or (g is not agent and g != agent):
+            value = shd(g, t)
+            truth = t
+        agent = g
+        out.append(value)
+    return tuple(out)
 
 
 def recovery_time(

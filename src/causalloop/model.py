@@ -103,6 +103,7 @@ from .core import (
     Transition,
     DELTA_MAX,
     check_finite,
+    scale_factor,
 )
 from .scenario import canonical_json, graph_from_dict, graph_to_dict, json_number, json_typed
 from .world import CausalEdge, CausalGraph, Form, SourceKind, VarRef
@@ -329,12 +330,13 @@ def counterfactual(m: CausalModel, t: CausalTuple, delta_prime: float | Perturba
     """Model output at ``t`` under an alternative perturbation estimate.
 
     Horizons covered: 1 plus every distinct edge delay; the state at
-    horizon k accumulates every contribution landing at or before k.
+    horizon k accumulates every contribution landing at or before k.  A
+    delta that is not finite or lies beyond ``DELTA_MAX`` raises
+    :class:`DomainError` (:func:`scale_factor`).
     """
-    d = delta_prime.delta if isinstance(delta_prime, Perturbation) else float(delta_prime)
     if len(t.state) != m.graph.d_state or len(t.action) != m.graph.d_action:
         raise DimensionError("tuple dimensions do not match the model graph")
-    scale = math.exp(-d)
+    scale = scale_factor(delta_prime)
     contribs: list[Contribution] = []
     for i, e in enumerate(m.graph.edges):
         v = t.action[e.source.index] if e.source.kind is SourceKind.ACTION else t.state[e.source.index]
@@ -817,12 +819,8 @@ def _least_squares(m: CausalModel, lags: _LagFeatures, strict: bool) -> CausalMo
         for i, c in zip(places, coef.tolist()):
             new_coefs[i] = c
 
-    # Constructors, not ``dataclasses.replace``: this runs every fit.
-    new_edges = tuple(
-        CausalEdge(e.source, e.target, e.delay, c, e.form) for e, c in zip(edges, new_coefs)
-    )
     return CausalModel(
-        graph=CausalGraph(m.graph.d_state, m.graph.d_action, new_edges),
+        graph=m.graph.with_coefficients(new_coefs),
         delta_hat=m.delta_hat,
         history=m.history,
         fit_window=m.fit_window,

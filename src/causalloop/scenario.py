@@ -6,7 +6,9 @@ breaks, the perturbation process, observation noise, and every agent
 hyperparameter.  Configs serialize to human-editable JSON; the canonical
 form (sorted keys, compact separators, defaults materialized) defines the
 scenario digest that trace headers and the evaluator use to refuse
-mismatched inputs.
+mismatched inputs.  A materialized scenario computes its digest once and
+keeps it (:attr:`ScenarioConfig.digest`), so running, replaying and
+evaluating against one scenario object hash it once.
 
 Serialization helpers for graphs/edges live here too, shared by trace
 records and model snapshots.
@@ -14,6 +16,7 @@ records and model snapshots.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -91,8 +94,22 @@ class ScenarioConfig:
         return self.agent_graph if self.agent_graph is not None else self.graph
 
     def materialized(self) -> ScenarioConfig:
-        """Copy with every defaultable field made explicit."""
+        """Copy with every defaultable field made explicit; ``self`` if
+        every one already is."""
+        if self.tau is not None and self.agent_graph is not None:
+            return self
         return replace(self, tau=self.effective_tau(), agent_graph=self.effective_agent_graph())
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """sha256 of the canonical JSON of the materialized scenario.
+
+        Computed on first use and kept in the instance's ``__dict__``, as
+        :attr:`CausalGraph.plan` is, so it is not a field: equality, hashing
+        and ``dataclasses.replace`` ignore it, and a replaced scenario
+        computes its own.  Every field is immutable, so it cannot go stale.
+        """
+        return hashlib.sha256(canonical_json(scenario_to_dict(self)).encode()).hexdigest()
 
     # -- validation --------------------------------------------------------
 
@@ -329,7 +346,8 @@ def canonical_json(obj: Any) -> str:
 
 
 def scenario_digest(sc: ScenarioConfig) -> str:
-    return hashlib.sha256(canonical_json(scenario_to_dict(sc)).encode()).hexdigest()
+    """The digest of ``sc`` materialized, hashed once per materialized object."""
+    return sc.materialized().digest
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -61,6 +61,37 @@ class TraceRecord:
     model_digest: str
     model_snapshot: dict[str, Any] | None
 
+    @classmethod
+    def checked(
+        cls, *, tick: int, state: StateVec, action: ActionVec, delta_hat: float, true_delta: float,
+        predicted_next: StateVec, observed: StateVec, epsilon: float, per_dim: tuple[float, ...],
+        reflect: dict[str, Any] | None, fit_event: str | None, model_digest: str,
+        model_snapshot: dict[str, Any] | None,
+    ) -> TraceRecord:
+        """A record of values already of their fields' types and checked by
+        the caller: :func:`record_from_dict` checks what it reads, and an
+        episode builds checked values.  The dataclass constructor, run once
+        per tick, looks ``object.__setattr__`` up again for each of the 13
+        fields; this looks it up once.  It sets the fields one by one, not
+        through ``__dict__``, which would give every record a dict of its
+        own, nearly three times the size."""
+        record = object.__new__(cls)
+        set_ = object.__setattr__
+        set_(record, "tick", tick)
+        set_(record, "state", state)
+        set_(record, "action", action)
+        set_(record, "delta_hat", delta_hat)
+        set_(record, "true_delta", true_delta)
+        set_(record, "predicted_next", predicted_next)
+        set_(record, "observed", observed)
+        set_(record, "epsilon", epsilon)
+        set_(record, "per_dim", per_dim)
+        set_(record, "reflect", reflect)
+        set_(record, "fit_event", fit_event)
+        set_(record, "model_digest", model_digest)
+        set_(record, "model_snapshot", model_snapshot)
+        return record
+
 
 @dataclass(frozen=True)
 class EpisodeTrace:
@@ -208,7 +239,7 @@ def _finite(v: list, name: str) -> tuple[float, ...]:
 
 def record_from_dict(d: dict[str, Any]) -> TraceRecord:
     try:
-        return TraceRecord(
+        return TraceRecord.checked(
             tick=json_typed(d["tick"], int, name="tick"),
             state=StateVec(_vector(d["state"])),
             action=ActionVec(_vector(d["action"])),

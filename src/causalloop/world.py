@@ -140,6 +140,35 @@ class CausalGraph:
         if not 0 <= e.source.index < bound:
             raise ConfigError(f"edge source {e.source.kind.value}[{e.source.index}] out of range")
 
+    def with_coefficients(self, coefficients: list[float]) -> CausalGraph:
+        """This graph with edge ``i``'s coefficient ``coefficients[i]``,
+        each kept bit for bit (-0.0 included).
+
+        The structure is this graph's and was checked when it was built, so
+        only the new coefficients are: one that is not finite raises
+        :class:`ConfigError`, as :class:`CausalEdge` does.  The edges and
+        the graph are filled in field by field, without their constructors'
+        checks.
+        """
+        for c in coefficients:
+            if not math.isfinite(c):
+                raise ConfigError(f"edge coefficient must be finite, got {c!r}")
+        set_ = object.__setattr__
+        edges = []
+        for e, c in zip(self.edges, coefficients, strict=True):
+            edge = object.__new__(CausalEdge)
+            set_(edge, "source", e.source)
+            set_(edge, "target", e.target)
+            set_(edge, "delay", e.delay)
+            set_(edge, "coefficient", c)
+            set_(edge, "form", e.form)
+            edges.append(edge)
+        graph = object.__new__(CausalGraph)
+        set_(graph, "d_state", self.d_state)
+        set_(graph, "d_action", self.d_action)
+        set_(graph, "edges", tuple(edges))
+        return graph
+
     def incoming(self, target: int) -> tuple[tuple[int, CausalEdge], ...]:
         """(index, edge) pairs for edges landing on ``target``."""
         return tuple((i, e) for i, e in enumerate(self.edges) if e.target == target)

@@ -351,6 +351,16 @@ def test_explain_tick(tmp_path, capsys):
     assert main(["explain", str(path), "--tick", "99"]) == 2
 
 
+@pytest.mark.parametrize("delta", ["-1000", "1000", "inf", "-inf", "nan", "10.000000000000002"])
+def test_explain_with_a_counterfactual_delta_out_of_range_is_data_error(tmp_path, capsys, delta):
+    path = run_trace(tmp_path, scenario="break_demo", length=6)
+    capsys.readouterr()
+    assert main(["explain", str(path), "--tick", "2", f"--counterfactual-delta={delta}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "delta out of range" in err
+    assert main(["explain", str(path), "--tick", "2", "--counterfactual-delta=-10"]) == 0
+
+
 def test_explain_llm_requires_configuration(tmp_path, monkeypatch, capsys):
     path = run_trace(tmp_path)
     monkeypatch.delenv("EXPLAIN_LLM_URL", raising=False)

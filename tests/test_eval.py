@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from causalloop.agent import RandomPolicy, run_episode
 from causalloop.core import InputError
+from causalloop import evaluate
 from causalloop.evaluate import (
     compare,
     evaluate_trace,
@@ -20,11 +24,12 @@ from causalloop.evaluate import (
     report_tsv,
     rolling_rmse,
     shd,
+    shd_series,
 )
 from causalloop.explain import explain_reflection
 from causalloop.reflect import CoefChange, EdgeAdd, hypothesis_to_dict
-from causalloop.scenario import builtin_scenarios
-from causalloop.world import CausalEdge, CausalGraph, Form, VarRef
+from causalloop.scenario import ScenarioConfig, builtin_scenarios, graph_from_dict, graph_to_dict
+from causalloop.world import CausalEdge, CausalGraph, Form, ScheduledBreak, VarRef, active_graph
 
 BREAK = builtin_scenarios()["break_demo"]
 
@@ -166,6 +171,153 @@ def test_graphs_per_tick_requires_leading_snapshot():
     headless = dataclasses.replace(tr, records=tr.records[1:])
     with pytest.raises(InputError):
         graphs_per_tick(headless)
+
+
+# ---- SHD once per graph change ----------------------------------------------
+
+TEMPLATE = run_episode(BREAK, RandomPolicy(), seed=0, length=1)
+SOURCES = (A0, A1, S0)
+
+
+def trace_of(snapshots: dict[int, dict], length: int):
+    """A ``length``-tick trace whose tick ``t`` carries ``snapshots.get(t)``
+    as its model snapshot; the rest of each record is the template's."""
+    first = TEMPLATE.records[0]
+    records = tuple(dataclasses.replace(first, tick=t, model_snapshot=snapshots.get(t)) for t in range(length))
+    return dataclasses.replace(TEMPLATE, records=records)
+
+
+def per_tick_shd(trace, scenario):
+    """The reference: :func:`shd` of the forward-filled snapshot graph
+    against ``active_graph`` at every tick."""
+    out, current = [], None
+    for r in trace.records:
+        if r.model_snapshot is not None:
+            current = graph_from_dict(r.model_snapshot["graph"])
+        out.append(shd(current, active_graph(scenario.graph, scenario.breaks, r.tick)))
+    return tuple(out)
+
+
+def _edited(draw, g):
+    """``g`` after one drawn edit: none, a sign flip, a magnitude change, a
+    delay change, a removal, an addition, or a fresh graph."""
+    edges = list(g.edges)
+    kind = draw(st.sampled_from(["none", "sign", "magnitude", "delay", "remove", "add", "fresh"]))
+    if kind == "fresh":
+        return _random_single_key_graph(draw)
+    keys = {(e.source, e.target, e.delay) for e in edges}
+    if kind == "add":
+        src, tgt, delay = draw(st.sampled_from(SOURCES)), draw(st.integers(0, 2)), draw(st.integers(1, 4))
+        if (src, tgt, delay) not in keys:
+            edges.append(edge(src, tgt, delay=delay, coef=draw(st.sampled_from([-0.5, 0.0, 2.0]))))
+    elif kind != "none" and edges:
+        i = draw(st.integers(0, len(edges) - 1))
+        e = edges[i]
+        if kind == "sign":
+            edges[i] = dataclasses.replace(e, coefficient=-e.coefficient)
+        elif kind == "magnitude":
+            edges[i] = dataclasses.replace(e, coefficient=3.0 * e.coefficient)
+        elif kind == "remove":
+            del edges[i]
+        else:
+            delay = draw(st.integers(1, 4))
+            if (e.source, e.target, delay) not in keys:
+                edges[i] = dataclasses.replace(e, delay=delay)
+    return graph(*edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_shd_series_equals_a_per_tick_shd(data):
+    draw = data.draw
+    length = draw(st.integers(1, 40))
+    truth = _random_single_key_graph(draw)
+    breaks, g = [], truth
+    for at in sorted(draw(st.sets(st.integers(1, length + 3), max_size=4))):
+        g = _edited(draw, g)
+        breaks.append(ScheduledBreak(at, g))
+    sc = ScenarioConfig("shd", 3, 2, (0.0, 0.0, 0.0), truth, breaks=tuple(breaks))
+    # A snapshot at tick 0, then some at drawn ticks; one whose edit is
+    # "none" differs from the last in delta_hat only.
+    snapshots, agent = {}, _random_single_key_graph(draw)
+    for t in [0, *sorted(draw(st.sets(st.integers(1, length - 1), max_size=12)) if length > 1 else [])]:
+        agent = _edited(draw, agent) if t else agent
+        snapshots[t] = {"graph": graph_to_dict(agent), "delta_hat": draw(st.sampled_from([0.0, 0.25, -1.5]))}
+    trace = trace_of(snapshots, length)
+
+    calls = []
+    with mock.patch.object(evaluate, "shd", side_effect=lambda a, b: calls.append(1) or shd(a, b)):
+        series = shd_series(trace, sc)
+    assert series == per_tick_shd(trace, sc)
+    assert len(calls) <= len(snapshots) + len(breaks) + 1
+
+
+@pytest.mark.parametrize("reflect_enabled", [True, False], ids=["repair", "baseline"])
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_shd_runs_at_most_once_per_snapshot_or_break(name, reflect_enabled):
+    sc = builtin_scenarios()[name]
+    tr = run_episode(sc, RandomPolicy(), seed=2, length=260, reflect_enabled=reflect_enabled)
+    n_snapshots = sum(r.model_snapshot is not None for r in tr.records)
+    with mock.patch.object(evaluate, "shd", side_effect=shd) as counted:
+        rep = evaluate_trace(tr, sc)
+    assert rep.shd == per_tick_shd(tr, sc.materialized())
+    assert counted.call_count <= n_snapshots + len(sc.breaks) + 1
+    assert counted.call_count < len(tr.records)
+
+
+def test_a_snapshot_equal_to_the_last_but_malformed_is_refused():
+    tr = run_episode(BREAK, RandomPolicy(), seed=0, length=10)
+    snapshot = tr.records[0].model_snapshot
+    doctored = {**snapshot, "graph": {**snapshot["graph"], "d_state": True}}
+    assert doctored == snapshot  # True == 1 in Python
+    records = list(tr.records)
+    records[5] = dataclasses.replace(records[5], model_snapshot=doctored)
+    bad = dataclasses.replace(tr, records=tuple(records))
+    with pytest.raises(InputError, match="d_state"):
+        shd_series(bad, BREAK)
+    with pytest.raises(InputError, match="d_state"):
+        evaluate_trace(bad, BREAK)
+
+
+# Recorded before SHD was computed once per graph change: sha256 of
+# ``report_tsv`` and of ``to_dict()`` as sorted-key JSON, for RandomPolicy
+# seed 5, 300 ticks.
+PINNED_REPORTS = {
+    ("break_demo", True): (
+        "ff8797726a1128eca359bf2b990040f62060bb1edc6b459b82484e72c4b5f119",
+        "58a960edcd0ff38d58c52d0331f9f168db5a44439ab44f8db8c4ad399eeb8051",
+    ),
+    ("break_demo", False): (
+        "971d76f5cdae689aaedeac6c8b6f525833df67e589542b36c6f8119a5b59d30f",
+        "89f6e87ade5fd67e58ecd08a2b2b77b75dd8c6b91b268137bd094c66ba256f93",
+    ),
+    ("calm", True): (
+        "fe339f17a3269949cd4ac1f2b32780cc94e910de93a860cc53e06d84679dfdb4",
+        "d9ae6c5a06049cc6a22e50a8ed19b856c4c41835f7188dbe6506a0022038a9c2",
+    ),
+    ("calm", False): (
+        "fe339f17a3269949cd4ac1f2b32780cc94e910de93a860cc53e06d84679dfdb4",
+        "212f8f817502cd0a849451c14e5e57343be568c3ae7ec1a437bdf8bcd042b32a",
+    ),
+    ("productivity", True): (
+        "93f43ba6821acaff60772aa0e54f0e1cb79974b978e913edb37e706b85d24f31",
+        "31599e3d21fa5e688afa62c35e7dbe676acc047ba3558e6bba6001b7a9c30899",
+    ),
+    ("productivity", False): (
+        "7d22d2335d7c1530396c5bfc2a2356fff64a9532560cad61e6c80570017d069b",
+        "3800a3af94b478f6aca1c6c315f6407d9521a3cbeb1162c68d1c533fdf5c3778",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, reflect_enabled", sorted(PINNED_REPORTS))
+def test_reports_on_the_bundled_scenarios_are_pinned(name, reflect_enabled):
+    sc = builtin_scenarios()[name]
+    tr = run_episode(sc, RandomPolicy(), seed=5, length=300, reflect_enabled=reflect_enabled)
+    rep = evaluate_trace(tr, sc)
+    tsv = hashlib.sha256(report_tsv(rep, tr).encode()).hexdigest()
+    report = hashlib.sha256(json.dumps(rep.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert (tsv, report) == PINNED_REPORTS[name, reflect_enabled]
 
 
 # ---- full-trace reports ---------------------------------------------------

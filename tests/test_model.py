@@ -37,6 +37,7 @@ from causalloop.model import (
     predict_next,
     rollout,
 )
+from causalloop.explain import explain_counterfactual
 from causalloop.world import CausalEdge, CausalGraph, Form, VarRef
 
 
@@ -84,6 +85,18 @@ def test_predict_is_counterfactual_at_own_delta():
     m = CausalModel(graph=m.graph, delta_hat=0.7)
     t = CausalTuple(state=StateVec((0.2,)), action=ActionVec((-1.1,)), time=TimeIndex(5))
     assert predict(m, t) == counterfactual(m, t, 0.7)
+
+
+@pytest.mark.parametrize("delta", [-1000.0, 1000.0, 10.000000000000002, math.inf, -math.inf, math.nan])
+def test_counterfactual_refuses_a_delta_out_of_range(delta):
+    m = single_edge_model(2.0)
+    t = CausalTuple(state=StateVec((1.0,)), action=ActionVec((3.0,)), time=TimeIndex(0))
+    with pytest.raises(DomainError, match="delta out of range"):
+        counterfactual(m, t, delta)
+    with pytest.raises(DomainError, match="delta out of range"):
+        explain_counterfactual(m, t, delta)
+    for edge in (-10.0, 10.0, 0.5):  # the range's ends are in it
+        assert counterfactual(m, t, edge).horizon_states[1].values[0] == 1.0 + 6.0 * math.exp(-edge)
 
 
 def test_multi_horizon_accumulation():
@@ -295,6 +308,18 @@ def test_fit_rejects_collinear_features():
         m = append_history(m, row(t, (0.0,), (a, 2.0 * a), (a,)))
     with pytest.raises(DegenerateDataError):
         fit(m)
+
+
+def test_fit_keeps_the_structure_and_builds_plain_edges():
+    m = single_edge_model(999.0, fit_window=8)
+    for t, a in enumerate([1.0, 2.0, 3.0, -1.0, 0.5, 2.5]):
+        m = append_history(m, row(t, (0.0,), (a,), (-0.0 * a,)))
+    fitted = fit(m)
+    (e,) = fitted.graph.edges
+    assert type(e) is CausalEdge and type(fitted.graph) is CausalGraph
+    assert e == replace(m.graph.edges[0], coefficient=e.coefficient)
+    assert fitted.graph == CausalGraph(1, 1, (e,))
+    assert fitted.graph.plan == ((True, 0, 1, 0, e.coefficient, Form.LINEAR),)
 
 
 def test_fit_without_edges_is_identity():

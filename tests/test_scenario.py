@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -123,6 +125,42 @@ def test_digest_tracks_content():
     assert scenario_digest(tiny(noise_sigma=0.01)) != a
     assert scenario_digest(tiny(name="other")) != a
     assert scenario_digest(tiny()) == a
+
+
+def fresh_digest(sc):
+    return hashlib.sha256(canonical_json(scenario_to_dict(sc)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("sc", [tiny(), tiny(tau=0.5), *builtin_scenarios().values()], ids=lambda sc: sc.name)
+def test_the_cached_digest_is_the_canonical_sha256(sc):
+    assert scenario_digest(sc) == fresh_digest(sc)
+    m = sc.materialized()
+    assert m.digest == fresh_digest(sc)
+    assert scenario_digest(sc) == m.digest  # read back from the cache
+
+
+def test_materialized_of_a_materialized_scenario_is_itself():
+    sc = tiny()
+    m = sc.materialized()
+    assert m is not sc and m == sc.materialized()
+    assert m.materialized() is m
+    assert tiny(tau=0.5).materialized() is not tiny(tau=0.5)  # agent_graph still unset
+    for b in builtin_scenarios().values():
+        assert b.materialized() is b
+
+
+def test_a_replaced_scenario_gets_its_own_digest():
+    sc = tiny().materialized()
+    before = sc.digest
+    noisier = dataclasses.replace(sc, noise_sigma=0.25)
+    assert noisier.digest != before
+    assert noisier.digest == fresh_digest(noisier)
+    assert sc.digest == before
+    # Not a field: the cache leaves equality and hashing alone.
+    assert "digest" not in {f.name for f in dataclasses.fields(ScenarioConfig)}
+    same = dataclasses.replace(sc)
+    assert "digest" not in vars(same)
+    assert same == sc and hash(same) == hash(sc)
 
 
 def test_unknown_keys_rejected():

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 
 import pytest
 
 from causalloop.agent import RandomPolicy, run_episode
-from causalloop.core import ActionVec, InputError, StateVec
+from causalloop.core import ActionVec, DomainError, InputError, StateVec
 from causalloop.scenario import builtin_scenarios
 from causalloop.trace import (
     TRACE_FORMAT_VERSION,
@@ -47,6 +49,29 @@ def test_record_round_trip_is_bit_exact():
     assert back.state.values == rec.state.values
     assert back.true_delta == rec.true_delta
     assert back.predicted_next.values == rec.predicted_next.values
+
+
+def test_checked_record_is_the_constructors_record():
+    names = [f.name for f in dataclasses.fields(TraceRecord)]
+    assert list(inspect.signature(TraceRecord.checked).parameters) == names
+    rec = awkward_record()
+    values = {name: getattr(rec, name) for name in names}
+    checked = TraceRecord.checked(**values)
+    assert checked == rec and repr(checked) == repr(rec)
+    assert record_to_dict(checked) == record_to_dict(rec)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        checked.tick = 4
+    with pytest.raises(TypeError):
+        TraceRecord.checked(**{k: v for k, v in values.items() if k != "fit_event"})
+
+
+@pytest.mark.parametrize("field", ["state", "action", "predicted_next", "observed"])
+@pytest.mark.parametrize("text", ["[NaN]", "[1.0, Infinity]"])
+def test_record_state_elements_must_be_finite(field, text):
+    d = json.loads(json.dumps(record_to_dict(awkward_record())))
+    d[field] = json.loads(text)
+    with pytest.raises(DomainError, match="non-finite value"):
+        record_from_dict(d)
 
 
 @pytest.mark.parametrize("field", ["state", "action", "predicted_next", "observed", "per_dim"])

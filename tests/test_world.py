@@ -269,6 +269,33 @@ def test_graph_rejects_out_of_range_refs():
         )
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_with_coefficients_is_the_graph_its_constructors_build(seed, data):
+    g = random_graph(np.random.default_rng(seed), d_state=3, d_action=2)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    coefs = data.draw(st.lists(finite, min_size=len(g.edges), max_size=len(g.edges)))
+    built = CausalGraph(
+        g.d_state,
+        g.d_action,
+        tuple(CausalEdge(e.source, e.target, e.delay, c, e.form) for e, c in zip(g.edges, coefs)),
+    )
+    got = g.with_coefficients(coefs)
+    assert got == built and hash(got) == hash(built)
+    assert got.plan == built.plan
+    assert all(type(e) is CausalEdge for e in got.edges)
+    assert [math.copysign(1.0, e.coefficient) for e in got.edges] == [math.copysign(1.0, c) for c in coefs]
+    assert [e.coefficient.hex() for e in got.edges] == [float(c).hex() for c in coefs]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_with_coefficients_refuses_a_coefficient_that_is_not_finite(bad):
+    g = one_edge_scenario().graph
+    with pytest.raises(ConfigError, match="edge coefficient must be finite"):
+        g.with_coefficients([bad])
+    assert g.with_coefficients([-0.0]).edges[0].coefficient.hex() == "-0x0.0p+0"
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
 def test_seed_outside_64_bits_rejected(seed):
     with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\)"):

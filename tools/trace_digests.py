@@ -1,15 +1,22 @@
-"""Print the sha256 of every trace the benchmark's workloads record, as JSON.
+"""Print the sha256 of every trace the benchmark's workloads record, and of its evaluation, as JSON.
 
     python3 tools/trace_digests.py --seeds 1 2 > digests.json
     python3 tools/trace_digests.py --seeds 1 2 --against digests.json
 
 Runs every episode that ``perfbench/bench_workloads.make_inputs`` makes for
 ``repair_break``, ``steady_fit`` and ``trace_audit`` at each seed, and hashes
-the trace file's text as ``write_trace`` would write it.  Two checkouts that
-print the same output record byte-identical traces.  Given an earlier
-output as ``--against``, it prints each trace whose digest moved (or that
-only one side holds) and exits 1 if any did, 0 if every trace is
-byte-identical.  Seeds 1 and 2 give 264 traces in about 15 s.
+the trace file's text as ``write_trace`` would write it.  Under
+``<key>.eval`` it also hashes that trace's ``evaluate_trace`` report: its
+``report_tsv`` table followed by ``to_dict()`` as sorted-key JSON.  Two
+checkouts that print the same output record byte-identical traces and
+evaluate them to the same reports.
+
+Given an earlier output as ``--against``, it prints each trace or
+evaluation whose digest moved (or that only one side holds) and exits 1
+if any did, 0 if every one is identical.  Outputs made before the
+``.eval`` keys existed hold none; against such an output only the traces
+are compared.  Seeds 1 and 2 give 264 traces and their evaluations in
+about 6 s on a 2-core host.
 
 Run it from any directory: it imports the package from ``src/`` and the
 workloads from ``perfbench/`` beside this directory, and writes nothing.
@@ -28,28 +35,37 @@ sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 from causalloop.agent import run_episode  # noqa: E402
+from causalloop.evaluate import evaluate_trace, report_tsv  # noqa: E402
 from causalloop.trace import trace_to_lines  # noqa: E402
 
 import bench_workloads  # noqa: E402
 
 WORKLOADS = ("repair_break", "steady_fit", "trace_audit")
+EVAL = ".eval"  # suffix of an evaluation digest's key
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def trace_digests(seeds: list[int]) -> dict[str, str]:
-    """``workload/seed/index.label.mode`` -> sha256 of that trace's file text."""
+    """``workload/seed/index.label.mode`` -> sha256 of that trace's file
+    text, and ``<that key>.eval`` -> sha256 of its evaluation report."""
     out = {}
     for workload in WORKLOADS:
         for seed in seeds:
             for i, ep in enumerate(bench_workloads.make_inputs(workload, seed)):
                 trace = run_episode(ep.scenario, bench_workloads.POLICY, ep.seed, ep.length, ep.reflect)
-                text = "\n".join(trace_to_lines(trace)) + "\n"
                 mode = "repair" if ep.reflect else "baseline"
-                out[f"{workload}/{seed}/{i}.{ep.label}.{mode}"] = hashlib.sha256(text.encode()).hexdigest()
+                key = f"{workload}/{seed}/{i}.{ep.label}.{mode}"
+                out[key] = _sha256("\n".join(trace_to_lines(trace)) + "\n")
+                report = evaluate_trace(trace, ep.scenario)
+                out[key + EVAL] = _sha256(report_tsv(report, trace) + json.dumps(report.to_dict(), sort_keys=True))
     return out
 
 
 def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:
-    """The traces whose digest differs between ``old`` and ``new``, or that
+    """The keys whose digest differs between ``old`` and ``new``, or that
     only one of them holds, in sorted order."""
     return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
 
@@ -65,10 +81,16 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     with open(args.against) as fh:
         earlier = json.load(fh)
+    if not any(k.endswith(EVAL) for k in earlier):
+        print("the earlier output holds no evaluation digests: comparing traces only")
+        digests = {k: v for k, v in digests.items() if not k.endswith(EVAL)}
     changed = moved(earlier, digests)
     for key in changed:
         print(f"moved: {key}")
-    print(f"{len(changed)} of {len(earlier.keys() | digests.keys())} traces moved")
+    for what, is_eval in (("traces", False), ("evaluation digests", True)):
+        keys = [k for k in earlier.keys() | digests.keys() if k.endswith(EVAL) == is_eval]
+        n_moved = sum(k.endswith(EVAL) == is_eval for k in changed)
+        print(f"{n_moved} of {len(keys)} {what} moved")
     return 1 if changed else 0
 
 
