@@ -264,7 +264,7 @@ def run_episode(
             digest = model_digest(m)
             digest_fields = fields
         records.append(
-            TraceRecord.checked(
+            TraceRecord(
                 tick=t,
                 state=state,
                 action=action,

@@ -9,8 +9,8 @@ Three lenses:
   (source, target), an edge present on one side only costs 1, and a
   shared edge costs 1 per delay difference plus 1 per coefficient sign
   mismatch.  It is computed once per change of either graph, not per
-  tick: the agent's graph changes only at a snapshot (and not at one that
-  only moves delta_hat), the true one only at a scheduled break;
+  tick: the agent's graph changes only at a snapshot, the true one only
+  at a scheduled break;
 * reflection statistics (triggers, candidates, acceptances by kind).
 
 Per-tick agent graphs come straight from the model snapshots embedded in
@@ -114,11 +114,9 @@ def graphs_per_tick(trace: EpisodeTrace) -> list[CausalGraph]:
 def shd_series(trace: EpisodeTrace, scenario: ScenarioConfig) -> tuple[int, ...]:
     """:func:`shd` of the agent's graph against the true one at each tick.
 
-    Computed again only when the true graph is another object (a break)
-    or the agent's is another object that also compares unequal to the
-    last one.  :func:`shd` reads only edge presence, delay and coefficient
-    sign, all of which graph equality compares, so the series is the one
-    a per-tick :func:`shd` gives.
+    Computed again only when either graph is another object: the true one
+    at a break, the agent's at a snapshot.  Between those both are the same
+    objects, so the series is the one a per-tick :func:`shd` gives.
     """
     sc = scenario.materialized()
     out: list[int] = []
@@ -127,7 +125,7 @@ def shd_series(trace: EpisodeTrace, scenario: ScenarioConfig) -> tuple[int, ...]
     value = 0
     for g, r in zip(graphs_per_tick(trace), trace.records):
         t = active_graph(sc.graph, sc.breaks, r.tick)
-        if t is not truth or (g is not agent and g != agent):
+        if t is not truth or g is not agent:
             value = shd(g, t)
             truth = t
         agent = g

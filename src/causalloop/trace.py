@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from types import NoneType
 from typing import Any
 
-from .core import ActionVec, DomainError, InputError, StateVec
+from .core import DELTA_MAX, ActionVec, DomainError, InputError, StateVec
 from .reflect import Hypothesis, ReflectReport, hypothesis_from_dict, hypothesis_to_dict
 from .rng import GENERATOR_NAME, SCHEME_VERSION
 from .scenario import atomic_write_text, json_number, json_typed
@@ -45,7 +45,7 @@ class TraceHeader:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TraceRecord:
     tick: int
     state: StateVec
@@ -61,36 +61,34 @@ class TraceRecord:
     model_digest: str
     model_snapshot: dict[str, Any] | None
 
-    @classmethod
-    def checked(
-        cls, *, tick: int, state: StateVec, action: ActionVec, delta_hat: float, true_delta: float,
+    def __init__(
+        self, tick: int, state: StateVec, action: ActionVec, delta_hat: float, true_delta: float,
         predicted_next: StateVec, observed: StateVec, epsilon: float, per_dim: tuple[float, ...],
         reflect: dict[str, Any] | None, fit_event: str | None, model_digest: str,
         model_snapshot: dict[str, Any] | None,
-    ) -> TraceRecord:
-        """A record of values already of their fields' types and checked by
-        the caller: :func:`record_from_dict` checks what it reads, and an
-        episode builds checked values.  The dataclass constructor, run once
-        per tick, looks ``object.__setattr__`` up again for each of the 13
-        fields; this looks it up once.  It sets the fields one by one, not
-        through ``__dict__``, which would give every record a dict of its
-        own, nearly three times the size."""
-        record = object.__new__(cls)
+    ) -> None:
+        """Takes values already of their fields' types and checks nothing:
+        :func:`record_from_dict` checks what it reads, and an episode builds
+        checked values.  Written out because it runs once per tick: the
+        generated ``__init__`` of a frozen dataclass looks
+        ``object.__setattr__`` up again for each of the 13 fields, this looks
+        it up once.  It sets the fields one by one, not through ``__dict__``,
+        which would give every record a dict of its own, nearly three times
+        the size."""
         set_ = object.__setattr__
-        set_(record, "tick", tick)
-        set_(record, "state", state)
-        set_(record, "action", action)
-        set_(record, "delta_hat", delta_hat)
-        set_(record, "true_delta", true_delta)
-        set_(record, "predicted_next", predicted_next)
-        set_(record, "observed", observed)
-        set_(record, "epsilon", epsilon)
-        set_(record, "per_dim", per_dim)
-        set_(record, "reflect", reflect)
-        set_(record, "fit_event", fit_event)
-        set_(record, "model_digest", model_digest)
-        set_(record, "model_snapshot", model_snapshot)
-        return record
+        set_(self, "tick", tick)
+        set_(self, "state", state)
+        set_(self, "action", action)
+        set_(self, "delta_hat", delta_hat)
+        set_(self, "true_delta", true_delta)
+        set_(self, "predicted_next", predicted_next)
+        set_(self, "observed", observed)
+        set_(self, "epsilon", epsilon)
+        set_(self, "per_dim", per_dim)
+        set_(self, "reflect", reflect)
+        set_(self, "fit_event", fit_event)
+        set_(self, "model_digest", model_digest)
+        set_(self, "model_snapshot", model_snapshot)
 
 
 @dataclass(frozen=True)
@@ -237,13 +235,22 @@ def _finite(v: list, name: str) -> tuple[float, ...]:
     return out
 
 
+def _delta_hat(v: Any) -> float:
+    """The agent's delta estimate, which an episode keeps within
+    ``DELTA_MAX`` (it is a :class:`Perturbation` every tick)."""
+    d = json_number(v, name="delta_hat")
+    if abs(d) > DELTA_MAX:
+        raise ValueError(f"delta_hat is {d!r}, beyond DELTA_MAX {DELTA_MAX}")
+    return d
+
+
 def record_from_dict(d: dict[str, Any]) -> TraceRecord:
     try:
-        return TraceRecord.checked(
+        return TraceRecord(
             tick=json_typed(d["tick"], int, name="tick"),
             state=StateVec(_vector(d["state"])),
             action=ActionVec(_vector(d["action"])),
-            delta_hat=json_number(d["delta_hat"], name="delta_hat"),
+            delta_hat=_delta_hat(d["delta_hat"]),
             true_delta=json_number(d["true_delta"], name="true_delta"),
             predicted_next=StateVec(_vector(d["predicted_next"])),
             observed=StateVec(_vector(d["observed"])),

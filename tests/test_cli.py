@@ -130,6 +130,7 @@ MALFORMED_TRACES = {
     "header-policy-high-bool": (0, {"policy": {"kind": "random", "low": -1.0, "high": True}}, ("replay",)),
     "header-policy-range-overflow": (0, {"policy": {"kind": "random", "low": -1e308, "high": 1e308}}, ("replay",)),
     "record-per_dim-nan": (2, {"per_dim": [float("nan"), float("inf")]}, READ_ALL),
+    "record-delta_hat-beyond-max": (3, {"delta_hat": 11.0}, READ_ALL),
     "reflect-epsilon-string": (3, {"reflect": {**BLOCK, "epsilon": "x"}}, READ_BLOCK),
     "reflect-tau-null": (3, {"reflect": {**BLOCK, "tau": None}}, READ_BLOCK),
     "reflect-not-triggered": (3, {"reflect": {**BLOCK, "triggered": False}}, READ_BLOCK),

@@ -29,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalloop.core import (
@@ -390,6 +390,7 @@ def test_holdout_mse_and_fit_gate_match_reference(seed, kind, size):
     """The gate reads the holdout, the window's last ``size`` rows, from the
     fit's own kernel over the whole window."""
     m, rng = odd_model(seed, kind)
+    assume(size < m.fit_window)  # the gate's precondition: validate requires fit_window > holdout
     other = rescaled(m, rng)
     holdout = m.history[-size:]
     expected = reference_mse(m, other, holdout)

@@ -51,18 +51,30 @@ def test_record_round_trip_is_bit_exact():
     assert back.predicted_next.values == rec.predicted_next.values
 
 
-def test_checked_record_is_the_constructors_record():
+def test_record_constructor_takes_exactly_the_fields():
     names = [f.name for f in dataclasses.fields(TraceRecord)]
-    assert list(inspect.signature(TraceRecord.checked).parameters) == names
+    assert list(inspect.signature(TraceRecord).parameters) == names
     rec = awkward_record()
-    values = {name: getattr(rec, name) for name in names}
-    checked = TraceRecord.checked(**values)
-    assert checked == rec and repr(checked) == repr(rec)
-    assert record_to_dict(checked) == record_to_dict(rec)
+    values = [getattr(rec, name) for name in names]
+    positional = TraceRecord(*values)
+    assert positional == rec and repr(positional) == repr(rec) and hash(positional) == hash(rec)
+    assert record_to_dict(positional) == record_to_dict(rec)
+    assert dataclasses.replace(rec, tick=4) == TraceRecord(4, *values[1:])
     with pytest.raises(dataclasses.FrozenInstanceError):
-        checked.tick = 4
+        rec.tick = 4
     with pytest.raises(TypeError):
-        TraceRecord.checked(**{k: v for k, v in values.items() if k != "fit_event"})
+        TraceRecord(*values[:-1])
+
+
+@pytest.mark.parametrize("bad", [10.000000000000002, -11, 1e308])
+def test_record_delta_hat_beyond_delta_max_is_refused(bad):
+    d = json.loads(json.dumps(record_to_dict(awkward_record())))
+    d["delta_hat"] = bad
+    with pytest.raises(InputError, match="malformed trace record: delta_hat is .* beyond DELTA_MAX"):
+        record_from_dict(d)
+    for edge in (10, -10.0):  # the range's ends are in it
+        d["delta_hat"] = edge
+        assert record_from_dict(d).delta_hat == edge
 
 
 @pytest.mark.parametrize("field", ["state", "action", "predicted_next", "observed"])
