@@ -8,9 +8,11 @@ arguments accept either a file path or the name of a bundled scenario
 
 Exit codes: 0 success, 1 usage error (an unknown command or option, or an
 option value that does not parse, such as ``--jobs x`` or ``--seeds x``),
-2 data error (bad files; option values that parse but are out of range,
-such as ``--length -1``, ``--jobs -3``, an empty ``--seeds 5:2`` or a seed
-of 2**64 or more; digest mismatches; failed replays).
+2 data error (bad files, among them a trace or scenario file that is not
+UTF-8 and a trace whose record i does not hold tick i; option values that
+parse but are out of range, such as ``--length -1``, ``--jobs -3``, an empty
+``--seeds 5:2`` or a seed of 2**64 or more; digest mismatches; failed
+replays).
 """
 
 from __future__ import annotations
@@ -166,10 +168,10 @@ def _model_entering_tick(trace: EpisodeTrace, tick: int):
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
-    by_tick = {r.tick: r for r in trace.records}
-    if args.tick not in by_tick:
+    # read_trace refuses a trace whose record i does not hold tick i.
+    if not 0 <= args.tick < len(trace.records):
         raise InputError(f"trace has no record for tick {args.tick}")
-    record = by_tick[args.tick]
+    record = trace.records[args.tick]
     m = _model_entering_tick(trace, args.tick)
     # The recorded delta_hat is authoritative for prediction time.
     m = replace(m, delta_hat=record.delta_hat)

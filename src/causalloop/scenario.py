@@ -351,17 +351,33 @@ def scenario_digest(sc: ScenarioConfig) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename; readers never see a torn file."""
+    """Write ``text`` as UTF-8 via a sibling temp file and rename; readers
+    never see a torn file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_text(path: str, what: str) -> str:
+    """The text of the ``what`` file at ``path``, decoded as UTF-8 whatever
+    the locale, as :func:`atomic_write_text` writes it.  A file that cannot
+    be read or is not UTF-8 raises :class:`InputError` naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {what} file is not UTF-8: {exc}") from exc
 
 
 def save_scenario(sc: ScenarioConfig, path: str) -> None:
@@ -371,11 +387,7 @@ def save_scenario(sc: ScenarioConfig, path: str) -> None:
 
 def load_scenario(path: str) -> ScenarioConfig:
     """Parse, validate, and materialize a scenario file."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read scenario file {path}: {exc}") from exc
+    text = read_text(path, "scenario")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -12,6 +12,19 @@ changed that tick, which is what lets evaluation and explanation
 reconstruct the agent's model at any tick without re-running anything.
 Horizon predictions are not recorded: explanation recomputes them from
 the snapshot and the record's delta_hat.
+
+:func:`read_trace` decodes the file as UTF-8 and hands its non-blank lines
+to :func:`trace_from_lines`, the inverse of :func:`trace_to_lines`.  Every
+line is parsed first; then the header, then each record in one pass that
+checks each value once (:func:`record_from_dict`).  Refused, with
+:class:`InputError` unless noted: a file that cannot be read or is not
+UTF-8; a line that is not JSON; a malformed header or a format other than
+``TRACE_FORMAT_VERSION``; a record field missing or of the wrong JSON
+type, a number that is not finite, a ``delta_hat`` beyond ``DELTA_MAX``, a
+non-finite state, action, prediction or observation (:class:`DomainError`);
+and a record off its tick's line: record *i*, on line *i* + 2, must hold
+tick *i*.  A trace that stops early is read; replay holds it to the
+header's length.
 """
 
 from __future__ import annotations
@@ -19,13 +32,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import product
+from operator import itemgetter
 from types import NoneType
 from typing import Any
 
-from .core import DELTA_MAX, ActionVec, DomainError, InputError, StateVec
+from .core import DELTA_MAX, ActionVec, DomainError, InputError, StateVec, check_finite
 from .reflect import Hypothesis, ReflectReport, hypothesis_from_dict, hypothesis_to_dict
 from .rng import GENERATOR_NAME, SCHEME_VERSION
-from .scenario import atomic_write_text, json_number, json_typed
+from .scenario import atomic_write_text, json_number, json_typed, read_text
 
 TRACE_FORMAT_VERSION = 3
 
@@ -211,58 +226,108 @@ def record_to_dict(r: TraceRecord) -> dict[str, Any]:
     }
 
 
-def _vector(v: Any) -> list:
-    """A record's vector field, which JSON carries as a list of numbers.
+# A record's fields in the order the reader checks them.
+_RECORD_FIELDS = (
+    "tick", "state", "action", "delta_hat", "true_delta", "predicted_next", "observed",
+    "epsilon", "per_dim", "reflect", "fit_event", "model_digest", "model_snapshot",
+)
+_record_fields = itemgetter(*_RECORD_FIELDS)
+_FLOAT = frozenset({float})
+# The JSON types each non-numeric field may have, and every combination of
+# them for tick, reflect, fit_event, model_digest and model_snapshot.
+_FIELD_TYPES = {
+    "tick": (int,),
+    "reflect": (dict, NoneType),
+    "fit_event": (str, NoneType),
+    "model_digest": (str,),
+    "model_snapshot": (dict, NoneType),
+}
+_SCALAR_TYPES = frozenset(product(*_FIELD_TYPES.values()))
+# Each vector field and the label a non-finite element of it is refused
+# under; per_dim has none, its refusal is an InputError of its own.
+_VECTOR_LABELS = {
+    "state": "state", "action": "action", "predicted_next": "state", "observed": "state",
+    "per_dim": None,
+}
 
-    Anything else is refused: read as a vector, a string or a dict would
-    quietly yield its characters or keys, and ``float`` would turn the
-    element ``"1"`` or ``true`` into 1.0, or overflow on a huge int.
+
+def _floats_or_refusal(d: Any) -> dict[str, Any]:
+    """``d``'s fields with JSON ints made floats where a record holds floats,
+    or the first refused field, in record order, raised.
+
+    A vector field must be a list of JSON ints and finite floats and a
+    number a JSON int or finite float (:func:`json_typed`): read as a
+    vector, a string or a dict would quietly yield its characters or keys,
+    and ``float`` would turn ``"1"`` or ``true`` into 1.0 or overflow on a
+    huge int.  A non-finite element of a state, action, prediction or
+    observation is :class:`DomainError`, as its vector's constructor
+    raises; every other refusal is a KeyError, TypeError or ValueError.
     """
-    if type(v) is not list:
-        raise TypeError(f"vector field is {type(v).__name__}, not a list")
-    for x in v:
-        if type(x) is not float:  # floats, nearly every element, cost one check
-            json_typed(x, int, float, name="vector element")
-    return v
-
-
-def _finite(v: list, name: str) -> tuple[float, ...]:
-    """A vector field's elements as floats, refusing the ``NaN`` and
-    ``Infinity`` that Python's JSON parser accepts."""
-    out = tuple(map(float, v))
-    if not all(map(math.isfinite, out)):
-        raise ValueError(f"{name} element is not finite: {list(out)}")
+    out = {}
+    for name in _RECORD_FIELDS:
+        v = d[name]
+        if name in _VECTOR_LABELS:
+            if type(v) is not list:
+                raise TypeError(f"vector field is {type(v).__name__}, not a list")
+            if not _FLOAT.issuperset(map(type, v)):
+                for x in v:
+                    if type(x) is not float:  # a non-finite float is refused below
+                        json_typed(x, int, float, name="vector element")
+                v = list(map(float, v))
+            if not all(map(math.isfinite, v)):
+                if name == "per_dim":
+                    raise ValueError(f"per_dim element is not finite: {v}")
+                check_finite(v, _VECTOR_LABELS[name])
+        elif name in _FIELD_TYPES:
+            json_typed(v, *_FIELD_TYPES[name], name=name)
+        else:
+            v = json_number(v, name=name)
+            if name == "delta_hat" and abs(v) > DELTA_MAX:
+                # an episode keeps it within DELTA_MAX: it is a Perturbation every tick
+                raise ValueError(f"delta_hat is {v!r}, beyond DELTA_MAX {DELTA_MAX}")
+        out[name] = v
     return out
 
 
-def _delta_hat(v: Any) -> float:
-    """The agent's delta estimate, which an episode keeps within
-    ``DELTA_MAX`` (it is a :class:`Perturbation` every tick)."""
-    d = json_number(v, name="delta_hat")
-    if abs(d) > DELTA_MAX:
-        raise ValueError(f"delta_hat is {d!r}, beyond DELTA_MAX {DELTA_MAX}")
-    return d
+def record_from_dict(d: Any) -> TraceRecord:
+    """The record a trace line's JSON value holds, read in one pass.
 
-
-def record_from_dict(d: dict[str, Any]) -> TraceRecord:
+    Written records hold JSON floats in every numeric field, so one pass
+    checks them all at once: the five non-numeric fields' types in one set
+    lookup, every number's type and finiteness in one pass each over all of
+    them, and ``delta_hat``'s range.  Anything else, a refusal or a JSON int
+    where a float goes, takes :func:`_floats_or_refusal`, which raises the
+    first refused field in record order (:class:`InputError`, or
+    :class:`DomainError` for a non-finite state) or makes the ints floats
+    for the same pass.
+    """
     try:
-        return TraceRecord(
-            tick=json_typed(d["tick"], int, name="tick"),
-            state=StateVec(_vector(d["state"])),
-            action=ActionVec(_vector(d["action"])),
-            delta_hat=_delta_hat(d["delta_hat"]),
-            true_delta=json_number(d["true_delta"], name="true_delta"),
-            predicted_next=StateVec(_vector(d["predicted_next"])),
-            observed=StateVec(_vector(d["observed"])),
-            epsilon=json_number(d["epsilon"], name="epsilon"),
-            per_dim=_finite(_vector(d["per_dim"]), name="per_dim"),
-            reflect=json_typed(d["reflect"], dict, NoneType, name="reflect"),
-            fit_event=json_typed(d["fit_event"], str, NoneType, name="fit_event"),
-            model_digest=json_typed(d["model_digest"], str, name="model_digest"),
-            model_snapshot=json_typed(d["model_snapshot"], dict, NoneType, name="model_snapshot"),
-        )
+        (
+            tick, state, action, delta_hat, true_delta, predicted_next, observed,
+            epsilon, per_dim, reflect, fit_event, model_digest, model_snapshot,
+        ) = _record_fields(d)
+        # A list plus anything but a list is a TypeError.
+        numbers = [delta_hat, true_delta, epsilon] + state + action + predicted_next + observed + per_dim
+        if (
+            (type(tick), type(reflect), type(fit_event), type(model_digest), type(model_snapshot))
+            in _SCALAR_TYPES
+            and _FLOAT.issuperset(map(type, numbers))
+            and all(map(math.isfinite, numbers))
+            and -DELTA_MAX <= delta_hat <= DELTA_MAX
+        ):
+            return TraceRecord(
+                tick, StateVec.checked(tuple(state)), ActionVec.checked(tuple(action)),
+                delta_hat, true_delta, StateVec.checked(tuple(predicted_next)),
+                StateVec.checked(tuple(observed)), epsilon, tuple(per_dim),
+                reflect, fit_event, model_digest, model_snapshot,
+            )
+    except (KeyError, TypeError):
+        pass
+    try:
+        floats = _floats_or_refusal(d)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace record: {exc}") from exc
+    return record_from_dict(floats)  # which the pass above takes
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +335,10 @@ def record_from_dict(d: dict[str, Any]) -> TraceRecord:
 # ---------------------------------------------------------------------------
 
 
-# What ``json.dumps(obj, allow_nan=False)`` builds on every call, built once.
+# What ``json.dumps(obj, allow_nan=False)`` and ``json.loads(s)`` build or
+# look up on every call, built once.
 _ENCODER = json.JSONEncoder(allow_nan=False)
+_DECODER = json.JSONDecoder()
 
 
 def trace_to_lines(trace: EpisodeTrace) -> list[str]:
@@ -290,22 +357,38 @@ def write_trace(trace: EpisodeTrace, path: str) -> None:
     atomic_write_text(path, "\n".join(trace_to_lines(trace)) + "\n")
 
 
-def read_trace(path: str) -> EpisodeTrace:
-    try:
-        with open(path) as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise InputError(f"cannot read trace file {path}: {exc}") from exc
+def trace_from_lines(lines: list[str], source: str = "trace") -> EpisodeTrace:
+    """The trace that ``lines`` hold, the inverse of :func:`trace_to_lines`.
+
+    Every line is parsed, then the header read, then every record, and only
+    then are the ticks checked, so each refusal the readers make wins over a
+    record out of place.  Record *i* (line *i* + 2) must hold tick *i*: a
+    trace with a record dropped, repeated or moved is refused; one that
+    stops early is not.  A line that is not JSON and a record off its tick's
+    line raise :class:`InputError` naming ``source`` and the line;
+    :func:`header_from_dict` and :func:`record_from_dict` raise their own.
+    """
     if not lines:
-        raise InputError(f"{path}: empty trace file")
+        raise InputError(f"{source}: empty trace file")
+    decode = _DECODER.decode
     parsed = []
     for i, ln in enumerate(lines, start=1):
         try:
-            parsed.append(json.loads(ln))
+            parsed.append(decode(ln))
         except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
-            raise InputError(f"{path}: line {i}: {exc}") from exc
+            raise InputError(f"{source}: line {i}: {exc}") from exc
     header = header_from_dict(parsed[0])
     if header.format_version != TRACE_FORMAT_VERSION:
         raise InputError(f"unsupported trace format_version {header.format_version}")
-    records = tuple(record_from_dict(d) for d in parsed[1:])
+    records = tuple(map(record_from_dict, parsed[1:]))
+    for i, r in enumerate(records):
+        if r.tick != i:
+            raise InputError(f"{source}: line {i + 2} holds tick {r.tick}, expected {i}")
     return EpisodeTrace(header=header, records=records)
+
+
+def read_trace(path: str) -> EpisodeTrace:
+    """The trace in the UTF-8 file at ``path``; blank lines are skipped and
+    not counted in a refusal's line number."""
+    text = read_text(path, "trace")
+    return trace_from_lines([ln for ln in text.splitlines() if ln and not ln.isspace()], path)

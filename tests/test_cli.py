@@ -169,6 +169,87 @@ def test_reflect_block_baseline_is_read(tmp_path, capsys):
     assert "0 candidate repairs were scored" in capsys.readouterr().out
 
 
+def test_trace_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    path = run_trace(tmp_path, length=6)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    capsys.readouterr()
+    for argv in (["evaluate", str(path), "calm"], ["replay", str(path), "calm"], ["explain", str(path), "--tick", "2"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {path}: trace file is not UTF-8: ")
+
+
+@pytest.mark.parametrize("command", ["run", "evaluate", "replay"])
+def test_scenario_that_is_not_utf8_is_data_error(command, tmp_path, capsys):
+    trace = run_trace(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff")
+    capsys.readouterr()
+    argv = {
+        "run": ["run", str(path), "--seed", "1", "--length", "2"],
+        "evaluate": ["evaluate", str(trace), str(path)],
+        "replay": ["replay", str(trace), str(path)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: scenario file is not UTF-8: ")
+
+
+def test_files_are_written_and_read_as_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale, whose text files are ASCII, a scenario file with
+    a UTF-8 name is read, and text is written as UTF-8."""
+    env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    src = os.path.dirname(os.path.dirname(causalloop.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    scenario, written = tmp_path / "s.json", tmp_path / "w.txt"
+    scenario.write_bytes(json.dumps({**json.loads(CALM_FILE.read_text()), "name": "caf\u00e9"}, ensure_ascii=False).encode())
+    code = (
+        "import locale, sys; from causalloop.scenario import atomic_write_text, load_scenario\n"
+        "assert locale.getpreferredencoding(False).lower() in ('ascii', 'ansi_x3.4-1968')\n"
+        "atomic_write_text(sys.argv[2], load_scenario(sys.argv[1]).name)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(scenario), str(written)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert written.read_bytes() == "caf\u00e9".encode("utf-8")
+
+
+# The break_demo baseline, seed 3, 260 ticks: line n + 2 holds tick n, and
+# the break comes at tick 200.
+DAMAGED_LINES = {
+    "tick-100-deleted": (lambda ls: ls[:101] + ls[102:], "line 102 holds tick 101, expected 100"),
+    "lines-51-52-swapped": (lambda ls: ls[:50] + [ls[51], ls[50]] + ls[52:], "line 51 holds tick 50, expected 49"),
+    "tick-7-repeated": (lambda ls: ls[:10] + [ls[8]] + ls[10:], "line 11 holds tick 7, expected 9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_LINES))
+def test_record_off_its_ticks_line_is_data_error(case, tmp_path, capsys):
+    path = run_trace(tmp_path, "--no-reflect", scenario="break_demo", seed=3, length=260)
+    edit, message = DAMAGED_LINES[case]
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    for argv in (
+        ["evaluate", str(path), "break_demo"],
+        ["replay", str(path), "break_demo"],
+        ["explain", str(path), "--tick", "2"],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_trace_that_stops_early_is_read_but_does_not_replay(tmp_path, capsys):
+    path = run_trace(tmp_path, "--no-reflect", scenario="break_demo", seed=3, length=260)
+    path.write_text("\n".join(path.read_text().splitlines()[:150]) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", str(path), "break_demo"]) == 0
+    assert json.loads(capsys.readouterr().out)["length"] == 149
+    assert main(["explain", str(path), "--tick", "148"]) == 0
+    assert main(["explain", str(path), "--tick", "149"]) == 2
+    assert main(["replay", str(path), "break_demo"]) == 2
+    assert "trace has 149 records, header declares 260" in capsys.readouterr().err
+
+
 CALM_FILE = Path(__file__).parents[1] / "scenarios" / "calm.json"
 MALFORMED_SCENARIOS = {
     "d_state-string": {"d_state": "1"},

@@ -1,9 +1,11 @@
 """The input boundary under fuzzing: one field of a valid trace line or
-scenario dict replaced by an arbitrary JSON value.
+scenario dict replaced by an arbitrary JSON value, and the bytes of a
+valid trace or scenario file damaged (truncated, a byte changed, bytes
+that are not UTF-8 put in, trace lines dropped, repeated or swapped).
 
 Only :class:`CausalLoopError` subclasses may escape ``read_trace``,
-``scenario_from_dict`` and a scenario's ``validate``, and a CLI command
-that reads the refused input exits 2.
+``load_scenario``, ``scenario_from_dict`` and a scenario's ``validate``,
+and a CLI command that reads the refused input exits 2.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from causalloop.agent import RandomPolicy, run_episode
 from causalloop.cli import main
 from causalloop.core import CausalLoopError
-from causalloop.scenario import builtin_scenarios, scenario_from_dict, scenario_to_dict
+from causalloop.scenario import builtin_scenarios, load_scenario, scenario_from_dict, scenario_to_dict
 from causalloop.trace import read_trace, trace_to_lines
 from causalloop.world import ScheduledBreak, Spike
 
@@ -104,3 +106,61 @@ def test_only_causalloop_errors_escape_scenario_from_dict(path, value):
             with open(file, "w") as fh:
                 json.dump(doc, fh)
             assert main(["run", file, "--seed", "0", "--length", "2"]) == 2
+
+
+TRACE_BYTES = "".join(ln + "\n" for ln in trace_to_lines(run_episode(CALM, RandomPolicy(), seed=0, length=3))).encode()
+SCENARIO_BYTES = json.dumps(SCENARIO, indent=2).encode()
+NOT_UTF8 = [b"\xff", b"\xfe\xff", b"\xc3", b"\xc3(", b"\xed\xa0\x80", b"\xe2\x82", b"\xf4\x90\x80\x80"]
+
+
+@st.composite
+def damaged(draw, data):
+    """``data`` with one kind of damage done to it."""
+    how = draw(st.sampled_from(["truncate", "byte", "not_utf8", "drop", "repeat", "swap"]))
+    at = draw(st.integers(0, len(data) - 1))
+    if how == "truncate":
+        return data[:at]
+    if how == "byte":
+        return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1 :]
+    if how == "not_utf8":
+        return data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    lines = data.splitlines(keepends=True)
+    i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+    if how == "drop":
+        del lines[i]
+    elif how == "repeat":
+        lines.insert(i, lines[j])
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return b"".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(damaged(TRACE_BYTES))
+def test_only_causalloop_errors_escape_reading_damaged_trace_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        file = os.path.join(tmp, "t.jsonl")
+        with open(file, "wb") as fh:
+            fh.write(data)
+        try:
+            read_trace(file)
+        except CausalLoopError:
+            for argv in (["evaluate", file, "calm"], ["replay", file, "calm"], ["explain", file, "--tick", "0"]):
+                assert main(argv) == 2, argv
+        else:
+            assert main(["evaluate", file, "calm"]) in (0, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(damaged(SCENARIO_BYTES))
+def test_only_causalloop_errors_escape_loading_damaged_scenario_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        file = os.path.join(tmp, "s.json")
+        with open(file, "wb") as fh:
+            fh.write(data)
+        try:
+            load_scenario(file)
+        except CausalLoopError:
+            assert main(["run", file, "--seed", "0", "--length", "2"]) == 2
+        else:
+            assert main(["run", file, "--seed", "0", "--length", "2"]) == 0

@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import inspect
 import json
+import math
+from types import NoneType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_input_fuzz import JSON_VALUES, paths, replaced
 
 from causalloop.agent import RandomPolicy, run_episode
-from causalloop.core import ActionVec, DomainError, InputError, StateVec
-from causalloop.scenario import builtin_scenarios
+from causalloop.core import DELTA_MAX, ActionVec, CausalLoopError, DomainError, InputError, StateVec
+from causalloop.scenario import builtin_scenarios, json_number, json_typed
 from causalloop.trace import (
     TRACE_FORMAT_VERSION,
     TraceRecord,
     read_trace,
     record_from_dict,
     record_to_dict,
+    trace_from_lines,
     trace_to_lines,
     write_trace,
 )
@@ -215,3 +222,241 @@ def test_write_replaces_existing_file_atomically(tmp_path):
     assert len(back.records) == 2
     # no temp droppings left behind
     assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+
+
+# ---------------------------------------------------------------------------
+# The one-pass reader refuses exactly what the field-by-field reader it
+# replaced refused, with the same error, and reads the rest to the same bits.
+# ---------------------------------------------------------------------------
+
+
+def _reference_vector(v):
+    if type(v) is not list:
+        raise TypeError(f"vector field is {type(v).__name__}, not a list")
+    for x in v:
+        if type(x) is not float:
+            json_typed(x, int, float, name="vector element")
+    return v
+
+
+def _reference_finite(v, name):
+    out = tuple(map(float, v))
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{name} element is not finite: {list(out)}")
+    return out
+
+
+def _reference_delta_hat(v):
+    d = json_number(v, name="delta_hat")
+    if abs(d) > DELTA_MAX:
+        raise ValueError(f"delta_hat is {d!r}, beyond DELTA_MAX {DELTA_MAX}")
+    return d
+
+
+def reference_record_from_dict(d):
+    """The reader before the one-pass rewrite: each field checked and
+    converted on its own, each vector checked again by its constructor."""
+    try:
+        return TraceRecord(
+            tick=json_typed(d["tick"], int, name="tick"),
+            state=StateVec(_reference_vector(d["state"])),
+            action=ActionVec(_reference_vector(d["action"])),
+            delta_hat=_reference_delta_hat(d["delta_hat"]),
+            true_delta=json_number(d["true_delta"], name="true_delta"),
+            predicted_next=StateVec(_reference_vector(d["predicted_next"])),
+            observed=StateVec(_reference_vector(d["observed"])),
+            epsilon=json_number(d["epsilon"], name="epsilon"),
+            per_dim=_reference_finite(_reference_vector(d["per_dim"]), name="per_dim"),
+            reflect=json_typed(d["reflect"], dict, NoneType, name="reflect"),
+            fit_event=json_typed(d["fit_event"], str, NoneType, name="fit_event"),
+            model_digest=json_typed(d["model_digest"], str, name="model_digest"),
+            model_snapshot=json_typed(d["model_snapshot"], dict, NoneType, name="model_snapshot"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed trace record: {exc}") from exc
+
+
+def bits(value):
+    """``value`` with every float as its bit pattern, so -0.0 differs from 0.0."""
+    if type(value) is float:
+        return ("float", value.hex() if math.isfinite(value) else repr(value), math.copysign(1.0, value))
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    return value
+
+
+def outcome(reader, d):
+    """The record ``reader`` makes of ``d``, or its refusal's class and message."""
+    try:
+        return reader(copy.deepcopy(d))
+    except CausalLoopError as exc:
+        return type(exc), str(exc)
+
+
+def records(numbers, deltas):
+    vectors = st.lists(numbers, max_size=4)
+    return st.fixed_dictionaries(
+        {
+            "kind": st.just("record"),
+            "tick": st.integers(-5, 2**70),
+            "state": vectors,
+            "action": vectors,
+            "delta_hat": deltas,
+            "true_delta": numbers,
+            "predicted_next": vectors,
+            "observed": vectors,
+            "epsilon": numbers,
+            "per_dim": vectors,
+            "reflect": st.none() | st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2),
+            "fit_event": st.none() | st.text(max_size=8),
+            "model_digest": st.text(max_size=8),
+            "model_snapshot": st.none() | st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2),
+        }
+    )
+
+
+# Floats only, as written records hold them, or JSON ints among them.
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+RECORDS = records(FLOATS, st.floats(-DELTA_MAX, DELTA_MAX)) | records(
+    FLOATS | st.integers(-(2**70), 2**70), st.floats(-DELTA_MAX, DELTA_MAX) | st.integers(-10, 10)
+)
+
+
+# Values at the edge of what a field takes, beside arbitrary JSON values.
+EDGES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 10.000000000000002, -11.0, 11, 1e308, 10**400, -(2**1024), 2**63,
+     True, False, None, "1", "", [], {}, [1.0], [math.nan], {"0": 1.0}]
+)
+
+
+@st.composite
+def spoiled_records(draw):
+    """A record with, mostly, one field, vector element or nested value
+    replaced by an edge value, an arbitrary JSON value or a float; sometimes
+    a field dropped, the record itself replaced, or nothing changed."""
+    d = draw(RECORDS)
+    how = draw(st.sampled_from(["replace", "replace", "replace", "replace", "drop", "whole", "none"]))
+    if how == "replace":
+        elements = [(key, i) for key, v in d.items() if type(v) is list for i in range(len(v))]
+        path = draw(
+            st.sampled_from([(key,) for key in d])
+            | st.sampled_from(elements or [("tick",)])
+            | st.sampled_from(sorted(paths(d), key=repr))
+        )
+        return replaced(d, path, draw(EDGES | JSON_VALUES | st.floats()))
+    if how == "drop":
+        del d[draw(st.sampled_from(sorted(d)))]
+    if how == "whole":
+        return draw(JSON_VALUES)
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(spoiled_records())
+def test_reader_refuses_and_reads_as_the_field_by_field_reader(d):
+    got = outcome(record_from_dict, d)
+    want = outcome(reference_record_from_dict, d)
+    if isinstance(want, TraceRecord):
+        assert isinstance(got, TraceRecord), got
+        assert got == want
+        assert bits(dataclasses.astuple(got)) == bits(dataclasses.astuple(want))
+        assert [type(getattr(got, f.name)) for f in dataclasses.fields(got)] == [
+            type(getattr(want, f.name)) for f in dataclasses.fields(want)
+        ]
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "field, bad, error",
+    [
+        ("state", [1.0, float("nan")], DomainError),  # before the tick is read
+        ("state", [0, float("nan")], DomainError),  # an int beside it
+        ("per_dim", [float("inf")], InputError),
+        ("per_dim", [float("nan"), 0], InputError),
+        ("tick", "0", InputError),
+    ],
+)
+def test_the_first_refused_field_in_record_order_names_the_refusal(field, bad, error):
+    d = json.loads(json.dumps(record_to_dict(awkward_record())))
+    d[field] = bad
+    d["model_snapshot"] = 5  # refused too, but read last
+    assert outcome(record_from_dict, d) == outcome(reference_record_from_dict, d)
+    with pytest.raises(error, match=field if error is InputError else "state"):
+        record_from_dict(d)
+
+
+def test_json_ints_are_read_as_floats_where_a_record_holds_floats():
+    d = json.loads(json.dumps(record_to_dict(awkward_record())))
+    d.update(state=[1, -0.0], action=[0], per_dim=[2, 3.5], epsilon=7)
+    back = record_from_dict(d)
+    assert back.state.values == (1.0, -0.0) and math.copysign(1.0, back.state[1]) == -1.0
+    assert [type(x) for x in back.state.values + back.action.values + back.per_dim] == [float] * 5
+    assert back == reference_record_from_dict(d)
+
+
+@pytest.mark.parametrize("reflect", [False, True])
+def test_lines_read_back_to_the_trace_bit_for_bit(reflect):
+    sc = builtin_scenarios()["productivity"]
+    trace = run_episode(sc, RandomPolicy(), seed=3, length=120, reflect_enabled=reflect)
+    back = trace_from_lines(trace_to_lines(trace))
+    assert back == trace
+    assert bits([dataclasses.astuple(r) for r in back.records]) == bits(
+        [dataclasses.astuple(r) for r in trace.records]
+    )
+    assert any(r.model_snapshot is not None for r in back.records)
+    assert any(r.reflect is not None for r in back.records) == reflect
+
+
+def _calm_lines(length=6):
+    return trace_to_lines(run_episode(builtin_scenarios()["calm"], RandomPolicy(), seed=1, length=length))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ls: ls[:3] + ls[4:], "line 4 holds tick 3, expected 2"),  # tick 2 dropped
+        (lambda ls: ls[:3] + ls[2:], "line 4 holds tick 1, expected 2"),  # tick 1 twice
+        (lambda ls: ls[:2] + [ls[3], ls[2]] + ls[4:], "line 3 holds tick 2, expected 1"),  # swapped
+        (lambda ls: ls[:1] + ls[2:], "line 2 holds tick 1, expected 0"),  # tick 0 dropped
+    ],
+)
+def test_a_record_off_its_ticks_line_is_refused(edit, message):
+    with pytest.raises(InputError, match=f"^src: {message}$"):
+        trace_from_lines(edit(_calm_lines()), "src")
+
+
+def test_a_trace_that_stops_early_is_read():
+    lines = _calm_lines()
+    back = trace_from_lines(lines[:4])
+    assert [r.tick for r in back.records] == [0, 1, 2]
+    assert back.header.length == 6  # replay, not the reader, holds a trace to its length
+
+
+def test_record_errors_come_before_tick_order():
+    """Every line is read as a record before any tick is checked, so a
+    refusal the field-by-field reader made still wins over a tick out of
+    place earlier in the file."""
+    lines = _calm_lines()
+    lines[1], lines[2] = lines[2], lines[1]
+    d = json.loads(lines[5])
+    d["observed"] = [float("nan")]
+    lines[5] = json.dumps(d)
+    with pytest.raises(DomainError, match="state contains non-finite value nan"):
+        trace_from_lines(lines)
+
+
+def test_read_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes("\n".join(_calm_lines()).encode() + b"\n\xff\xfe\n")
+    with pytest.raises(InputError, match=f"^{path}: trace file is not UTF-8: "):
+        read_trace(str(path))
+
+
+def test_read_skips_blank_lines_and_reads_crlf(tmp_path):
+    lines = _calm_lines()
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(("\r\n".join(lines[:2]) + "\r\n \r\n\n" + "\n".join(lines[2:])).encode())
+    assert read_trace(str(path)) == trace_from_lines(lines)
