@@ -8,13 +8,17 @@ Three lenses:
   the ground-truth graph in force at each tick -- edges are keyed by
   (source, target), an edge present on one side only costs 1, and a
   shared edge costs 1 per delay difference plus 1 per coefficient sign
-  mismatch.  It is computed once per change of either graph, not per
-  tick: the agent's graph changes only at a snapshot, the true one only
-  at a scheduled break;
+  mismatch.  It is computed once per snapshot or break, not per tick: the
+  agent's graph is read anew only at a model snapshot (one that changes
+  only ``delta_hat`` costs one SHD too), the true one changes only at a
+  scheduled break.  Both graphs are compared as their plan tuples
+  (:attr:`causalloop.world.CausalGraph.plan`);
 * reflection statistics (triggers, candidates, acceptances by kind).
 
 Per-tick agent graphs come straight from the model snapshots embedded in
-the trace, so evaluation never re-runs an episode.
+the trace, each parsed and checked by
+:func:`causalloop.scenario.graph_from_dict`, so evaluation never re-runs
+an episode.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .core import InputError
-from .reflect import hypothesis_to_dict
+from .reflect import HYPOTHESIS_KINDS
 from .scenario import ScenarioConfig, graph_from_dict, scenario_digest
 from .trace import EpisodeTrace, reflect_block_from_dict
 from .world import CausalGraph, active_graph
@@ -46,26 +50,41 @@ def _sign(x: float) -> int:
     return (x > 0) - (x < 0)
 
 
+_delay = operator.itemgetter(0)
+
+
+def _by_key(g: CausalGraph) -> dict[tuple[bool, int, int], list[tuple[int, float]]]:
+    """``g``'s ``(delay, coefficient)`` pairs by ``(reads_action,
+    source_index, target)``, in edge order, read from its plan."""
+    groups: dict[tuple[bool, int, int], list[tuple[int, float]]] = {}
+    for reads_action, index, delay, target, coefficient, _ in g.plan:
+        groups.setdefault((reads_action, index, target), []).append((delay, coefficient))
+    return groups
+
+
 def shd(inferred: CausalGraph, truth: CausalGraph) -> int:
     """Edge-key distance; zero iff the graphs agree on presence, delay and
-    coefficient sign of every (source, target) influence."""
-    by_key_a: dict[tuple, list] = {}
-    by_key_b: dict[tuple, list] = {}
-    for e in inferred.edges:
-        by_key_a.setdefault((e.source, e.target), []).append(e)
-    for e in truth.edges:
-        by_key_b.setdefault((e.source, e.target), []).append(e)
+    coefficient sign of every (source, target) influence.
+
+    The edges of one key on both sides pair up in order of delay; each
+    unpaired edge costs 1.
+    """
+    by_key_a = _by_key(inferred)
+    by_key_b = _by_key(truth)
     total = 0
-    for key in set(by_key_a) | set(by_key_b):
-        group_a = sorted(by_key_a.get(key, []), key=lambda e: e.delay)
-        group_b = sorted(by_key_b.get(key, []), key=lambda e: e.delay)
-        shared = min(len(group_a), len(group_b))
-        for ea, eb in zip(group_a, group_b):
-            if ea.delay != eb.delay:
-                total += 1
-            if _sign(ea.coefficient) != _sign(eb.coefficient):
-                total += 1
-        total += len(group_a) - shared + len(group_b) - shared
+    for key, group_a in by_key_a.items():
+        group_b = by_key_b.get(key)
+        if group_b is None:
+            total += len(group_a)
+            continue
+        group_a.sort(key=_delay)
+        group_b.sort(key=_delay)
+        for (delay_a, coef_a), (delay_b, coef_b) in zip(group_a, group_b):
+            total += (delay_a != delay_b) + (_sign(coef_a) != _sign(coef_b))
+        total += abs(len(group_a) - len(group_b))
+    for key, group_b in by_key_b.items():
+        if key not in by_key_a:
+            total += len(group_b)
     return total
 
 
@@ -235,7 +254,7 @@ def evaluate_trace(trace: EpisodeTrace, scenario: ScenarioConfig) -> EvalReport:
         triggers += 1
         n_candidates += len(block.candidates)
         for h in block.accepted:
-            kind = hypothesis_to_dict(h)["kind"]
+            kind = HYPOTHESIS_KINDS[type(h)]
             acceptances[kind] = acceptances.get(kind, 0) + 1
 
     return EvalReport(

@@ -779,6 +779,16 @@ def reflect(
 # Serialization (used by trace records)
 # ---------------------------------------------------------------------------
 
+# The ``kind`` each edit type is written under by :func:`hypothesis_to_dict`.
+HYPOTHESIS_KINDS: dict[type, str] = {
+    DeltaShift: "delta_shift",
+    CoefChange: "coef_change",
+    DelayChange: "delay_change",
+    EdgeRemove: "edge_remove",
+    EdgeAdd: "edge_add",
+    StructuralBreak: "structural_break",
+}
+
 
 def hypothesis_to_dict(h: Hypothesis) -> dict[str, Any]:
     if isinstance(h, DeltaShift):

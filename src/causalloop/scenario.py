@@ -31,6 +31,7 @@ from .core import ConfigError, InputError, DELTA_MAX
 from .world import (
     CausalEdge,
     CausalGraph,
+    EdgePlan,
     Form,
     GaussianWalk,
     NoPerturbation,
@@ -181,18 +182,37 @@ def edge_to_dict(e: CausalEdge) -> dict[str, Any]:
     }
 
 
-def edge_from_dict(d: dict[str, Any]) -> CausalEdge:
+# Each member by its JSON value, looked up before the Enum call that a
+# value no member has (or one that is not a string) reaches to be refused.
+_READS_ACTION = {SourceKind.ACTION.value: True, SourceKind.STATE.value: False}
+_FORMS = {f.value: f for f in Form}
+
+
+def _edge_plan_from_dict(d: Any) -> EdgePlan:
+    """The edge record :func:`edge_to_dict` wrote, as a plan tuple
+    (:attr:`CausalGraph.plan`), each field read as its JSON type in record
+    order; :class:`InputError` for a malformed record, then
+    :class:`ConfigError` for a delay below 1, as :class:`CausalEdge` refuses
+    it.  Its source and target are checked with its graph's."""
     try:
         source = json_typed(d["source"], dict, name="source")
-        return CausalEdge(
-            source=VarRef(SourceKind(source["kind"]), json_typed(source["index"], int, name="index")),
-            target=json_typed(d["target"], int, name="target"),
-            delay=json_typed(d["delay"], int, name="delay"),
-            coefficient=json_number(d["coefficient"], name="coefficient"),
-            form=Form(d["form"]),
-        )
+        kind = source["kind"]
+        reads_action = _READS_ACTION.get(kind) if type(kind) is str else None
+        if reads_action is None:
+            reads_action = SourceKind(kind) is SourceKind.ACTION
+        index = json_typed(source["index"], int, name="index")
+        target = json_typed(d["target"], int, name="target")
+        delay = json_typed(d["delay"], int, name="delay")
+        coefficient = json_number(d["coefficient"], name="coefficient")
+        value = d["form"]
+        form = _FORMS.get(value) if type(value) is str else None
+        if form is None:
+            form = Form(value)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"malformed edge record: {exc}") from exc
+    if delay < 1:
+        raise ConfigError(f"edge delay must be >= 1, got {delay}")
+    return (reads_action, index, delay, target, coefficient, form)
 
 
 def graph_to_dict(g: CausalGraph) -> dict[str, Any]:
@@ -203,15 +223,19 @@ def graph_to_dict(g: CausalGraph) -> dict[str, Any]:
     }
 
 
-def graph_from_dict(d: dict[str, Any]) -> CausalGraph:
+def graph_from_dict(d: Any) -> CausalGraph:
+    """The graph record :func:`graph_to_dict` wrote.  Its edges are read
+    straight to plan tuples (:func:`_edge_plan_from_dict`), and the graph is
+    built from them with the one graph check (:meth:`CausalGraph.from_plan`).
+    A malformed record raises :class:`InputError`, a graph that the check
+    refuses :class:`ConfigError`."""
     try:
-        return CausalGraph(
-            d_state=json_typed(d["d_state"], int, name="d_state"),
-            d_action=json_typed(d["d_action"], int, name="d_action"),
-            edges=tuple(edge_from_dict(e) for e in json_typed(d["edges"], list, name="edges")),
-        )
+        d_state = json_typed(d["d_state"], int, name="d_state")
+        d_action = json_typed(d["d_action"], int, name="d_action")
+        edges = json_typed(d["edges"], list, name="edges")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph record: {exc}") from exc
+    return CausalGraph.from_plan(d_state, d_action, tuple(map(_edge_plan_from_dict, edges)))
 
 
 def perturbation_to_dict(p: PerturbationProcess) -> dict[str, Any]:

@@ -13,18 +13,18 @@ reconstruct the agent's model at any tick without re-running anything.
 Horizon predictions are not recorded: explanation recomputes them from
 the snapshot and the record's delta_hat.
 
-:func:`read_trace` decodes the file as UTF-8 and hands its non-blank lines
-to :func:`trace_from_lines`, the inverse of :func:`trace_to_lines`.  Every
-line is parsed first; then the header, then each record in one pass that
-checks each value once (:func:`record_from_dict`).  Refused, with
+:func:`read_trace` decodes the file as UTF-8 and hands its lines to
+:func:`trace_from_lines`, the inverse of :func:`trace_to_lines`, which
+skips blank lines but counts them, so a refusal names the file's line.
+Every other line is parsed first; then the header, then each record in one
+pass that checks each value once (:func:`record_from_dict`).  Refused, with
 :class:`InputError` unless noted: a file that cannot be read or is not
 UTF-8; a line that is not JSON; a malformed header or a format other than
 ``TRACE_FORMAT_VERSION``; a record field missing or of the wrong JSON
 type, a number that is not finite, a ``delta_hat`` beyond ``DELTA_MAX``, a
 non-finite state, action, prediction or observation (:class:`DomainError`);
-and a record off its tick's line: record *i*, on line *i* + 2, must hold
-tick *i*.  A trace that stops early is read; replay holds it to the
-header's length.
+and a record off its tick's line: the *i*-th record must hold tick *i*.
+A trace that stops early is read; replay holds it to the header's length.
 """
 
 from __future__ import annotations
@@ -141,6 +141,9 @@ class ReflectBlock:
     accepted: tuple[Hypothesis, ...]
 
 
+_DICT = frozenset({dict})
+
+
 def reflect_block_from_dict(tick: int, d: dict[str, Any]) -> ReflectBlock:
     """A record's reflect block as :func:`report_to_dict` writes it:
     ``triggered`` true, finite ``epsilon`` and ``tau``, a list of candidate
@@ -150,7 +153,7 @@ def reflect_block_from_dict(tick: int, d: dict[str, Any]) -> ReflectBlock:
         if d["triggered"] is not True:
             raise ValueError(f"triggered is {d['triggered']!r}, expected true")
         candidates = json_typed(d["candidates"], list, name="candidates")
-        if not all(type(c) is dict for c in candidates):
+        if not _DICT.issuperset(map(type, candidates)):
             raise TypeError("candidates are not all objects")
         accepted = json_typed(d["accepted"], list, name="accepted")
         return ReflectBlock(
@@ -360,35 +363,40 @@ def write_trace(trace: EpisodeTrace, path: str) -> None:
 def trace_from_lines(lines: list[str], source: str = "trace") -> EpisodeTrace:
     """The trace that ``lines`` hold, the inverse of :func:`trace_to_lines`.
 
-    Every line is parsed, then the header read, then every record, and only
+    Blank lines (empty or whitespace only) are skipped but counted, so a
+    refusal names the line of ``lines`` it found, counted from 1.  Every
+    other line is parsed, then the header read, then every record, and only
     then are the ticks checked, so each refusal the readers make wins over a
-    record out of place.  Record *i* (line *i* + 2) must hold tick *i*: a
-    trace with a record dropped, repeated or moved is refused; one that
-    stops early is not.  A line that is not JSON and a record off its tick's
-    line raise :class:`InputError` naming ``source`` and the line;
+    record out of place.  The *i*-th record must hold tick *i*: a trace with
+    a record dropped, repeated or moved is refused; one that stops early is
+    not.  A line that is not JSON and a record off its tick's line raise
+    :class:`InputError` naming ``source`` and the line;
     :func:`header_from_dict` and :func:`record_from_dict` raise their own.
     """
-    if not lines:
+    numbers = [n for n, ln in enumerate(lines, start=1) if ln and not ln.isspace()]
+    if not numbers:
         raise InputError(f"{source}: empty trace file")
+    if len(numbers) < len(lines):
+        lines = [lines[n - 1] for n in numbers]
     decode = _DECODER.decode
     parsed = []
-    for i, ln in enumerate(lines, start=1):
+    for n, ln in zip(numbers, lines):
         try:
             parsed.append(decode(ln))
         except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
-            raise InputError(f"{source}: line {i}: {exc}") from exc
+            raise InputError(f"{source}: line {n}: {exc}") from exc
     header = header_from_dict(parsed[0])
     if header.format_version != TRACE_FORMAT_VERSION:
         raise InputError(f"unsupported trace format_version {header.format_version}")
     records = tuple(map(record_from_dict, parsed[1:]))
     for i, r in enumerate(records):
         if r.tick != i:
-            raise InputError(f"{source}: line {i + 2} holds tick {r.tick}, expected {i}")
+            raise InputError(f"{source}: line {numbers[i + 1]} holds tick {r.tick}, expected {i}")
     return EpisodeTrace(header=header, records=records)
 
 
 def read_trace(path: str) -> EpisodeTrace:
-    """The trace in the UTF-8 file at ``path``; blank lines are skipped and
-    not counted in a refusal's line number."""
-    text = read_text(path, "trace")
-    return trace_from_lines([ln for ln in text.splitlines() if ln and not ln.isspace()], path)
+    """The trace in the UTF-8 file at ``path`` (:func:`trace_from_lines`):
+    blank lines are skipped, and a refusal names the file's line, blank
+    lines counted."""
+    return trace_from_lines(read_text(path, "trace").splitlines(), path)

@@ -13,7 +13,9 @@ The per-tick edge representation is a graph's ``plan``: one plain tuple
 per edge, ``(reads_action, source_index, delay, target, coefficient,
 form)`` in edge order, built once per graph.  ``world_step`` and the
 model's ``predict_next`` loop over it and read the vectors' values
-directly, with no attribute chain or method call per edge.
+directly, with no attribute chain or method call per edge.  The graph
+check reads it too, and a graph record is parsed straight into it
+(:meth:`CausalGraph.from_plan`).
 
 ``world_step`` is pure: it returns a new :class:`WorldState` and never
 mutates its input, so stepping the same state twice gives the same result.
@@ -109,6 +111,36 @@ class CausalEdge:
 EdgePlan = tuple[bool, int, int, int, float, Form]
 
 
+def _check_ends(d_state: int, d_action: int, reads_action: bool, index: int, target: int) -> None:
+    """Raise :class:`ConfigError` unless an edge's target and source are
+    dimensions of a ``d_state`` by ``d_action`` graph."""
+    if not 0 <= target < d_state:
+        raise ConfigError(f"edge target {target} out of range for d_state={d_state}")
+    if not 0 <= index < (d_action if reads_action else d_state):
+        kind = SourceKind.ACTION if reads_action else SourceKind.STATE
+        raise ConfigError(f"edge source {kind.value}[{index}] out of range")
+
+
+def _check_plan(d_state: int, d_action: int, plan: tuple[EdgePlan, ...]) -> None:
+    """The one graph check: raise :class:`ConfigError` unless ``d_state`` is
+    at least 1, ``d_action`` at least 0, and each edge of ``plan``, in
+    order, has its target and source among the graph's dimensions and no
+    earlier edge the same source, target and delay.  Edges are checked as
+    tuples; a refusal names the edge's :class:`VarRef`, built only then."""
+    if d_state < 1:
+        raise ConfigError(f"d_state must be >= 1, got {d_state}")
+    if d_action < 0:
+        raise ConfigError(f"d_action must be >= 0, got {d_action}")
+    seen: set[tuple[bool, int, int, int]] = set()
+    for reads_action, index, delay, target, _, _ in plan:
+        _check_ends(d_state, d_action, reads_action, index, target)
+        key = (reads_action, index, target, delay)
+        if key in seen:
+            source = VarRef(SourceKind.ACTION if reads_action else SourceKind.STATE, index)
+            raise ConfigError(f"duplicate edge (source={source}, target={target}, delay={delay})")
+        seen.add(key)
+
+
 @dataclass(frozen=True)
 class CausalGraph:
     """Edge set plus the dimensions it is defined over."""
@@ -119,26 +151,45 @@ class CausalGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(self.edges))
-        if self.d_state < 1:
-            raise ConfigError(f"d_state must be >= 1, got {self.d_state}")
-        if self.d_action < 0:
-            raise ConfigError(f"d_action must be >= 0, got {self.d_action}")
-        seen: set[tuple[VarRef, int, int]] = set()
-        for e in self.edges:
-            self.check_in_range(e)
-            key = (e.source, e.target, e.delay)
-            if key in seen:
-                raise ConfigError(f"duplicate edge (source={e.source}, target={e.target}, delay={e.delay})")
-            seen.add(key)
+        _check_plan(self.d_state, self.d_action, self.plan)
+
+    @staticmethod
+    def from_plan(d_state: int, d_action: int, plan: tuple[EdgePlan, ...]) -> CausalGraph:
+        """The graph whose edges ``plan`` holds.  Each delay must already
+        be at least 1 and each coefficient a finite float, as
+        :class:`CausalEdge` would check.
+
+        Only :func:`_check_plan` runs: the edges and the graph are filled in
+        field by field, as :meth:`with_coefficients` fills them, and
+        ``plan`` is kept as the graph's :attr:`plan`.
+        """
+        _check_plan(d_state, d_action, plan)
+        new, set_ = object.__new__, object.__setattr__
+        action, state = SourceKind.ACTION, SourceKind.STATE
+        edges = []
+        for reads_action, index, delay, target, coefficient, form in plan:
+            source = new(VarRef)
+            set_(source, "kind", action if reads_action else state)
+            set_(source, "index", index)
+            edge = new(CausalEdge)
+            set_(edge, "source", source)
+            set_(edge, "target", target)
+            set_(edge, "delay", delay)
+            set_(edge, "coefficient", coefficient)
+            set_(edge, "form", form)
+            edges.append(edge)
+        graph = new(CausalGraph)
+        set_(graph, "d_state", d_state)
+        set_(graph, "d_action", d_action)
+        set_(graph, "edges", tuple(edges))
+        set_(graph, "plan", plan)
+        return graph
 
     def check_in_range(self, e: CausalEdge) -> None:
         """Raise :class:`ConfigError` unless ``e``'s target and source are
         dimensions of this graph."""
-        if not 0 <= e.target < self.d_state:
-            raise ConfigError(f"edge target {e.target} out of range for d_state={self.d_state}")
-        bound = self.d_action if e.source.kind is SourceKind.ACTION else self.d_state
-        if not 0 <= e.source.index < bound:
-            raise ConfigError(f"edge source {e.source.kind.value}[{e.source.index}] out of range")
+        source = e.source
+        _check_ends(self.d_state, self.d_action, source.kind is SourceKind.ACTION, source.index, e.target)
 
     def with_coefficients(self, coefficients: list[float]) -> CausalGraph:
         """This graph with edge ``i``'s coefficient ``coefficients[i]``,
@@ -175,11 +226,13 @@ class CausalGraph:
 
     @functools.cached_property
     def plan(self) -> tuple[EdgePlan, ...]:
-        """The edges as plain tuples, in edge order, for the per-tick loops:
-        ``(reads_action, source_index, delay, target, coefficient, form)``.
+        """The edges as plain tuples, in edge order, for the per-tick loops,
+        the graph check and SHD: ``(reads_action, source_index, delay,
+        target, coefficient, form)``.
 
-        Computed on first use and kept in the instance's ``__dict__``, so it
-        is not a field: equality, hashing and ``dataclasses.replace`` ignore
+        Computed on first use (the constructor checks it) or stored by
+        :meth:`from_plan`, and kept in the instance's ``__dict__``, so it is
+        not a field: equality, hashing and ``dataclasses.replace`` ignore
         it, and a replaced graph computes its own.
         """
         return tuple(

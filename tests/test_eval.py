@@ -27,7 +27,16 @@ from causalloop.evaluate import (
     shd_series,
 )
 from causalloop.explain import explain_reflection
-from causalloop.reflect import CoefChange, EdgeAdd, hypothesis_to_dict
+from causalloop.reflect import (
+    HYPOTHESIS_KINDS,
+    CoefChange,
+    DelayChange,
+    DeltaShift,
+    EdgeAdd,
+    EdgeRemove,
+    StructuralBreak,
+    hypothesis_to_dict,
+)
 from causalloop.scenario import ScenarioConfig, builtin_scenarios, graph_from_dict, graph_to_dict
 from causalloop.world import CausalEdge, CausalGraph, Form, ScheduledBreak, VarRef, active_graph
 
@@ -105,6 +114,51 @@ def _random_single_key_graph(draw):
     return graph(*edges)
 
 
+def edge_shd(inferred, truth):
+    """The reference: :func:`shd` as it was written over edge objects, with
+    groups keyed by ``(VarRef, target)`` and paired by sorted delay."""
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    by_key_a, by_key_b = {}, {}
+    for e in inferred.edges:
+        by_key_a.setdefault((e.source, e.target), []).append(e)
+    for e in truth.edges:
+        by_key_b.setdefault((e.source, e.target), []).append(e)
+    total = 0
+    for key in set(by_key_a) | set(by_key_b):
+        group_a = sorted(by_key_a.get(key, []), key=lambda e: e.delay)
+        group_b = sorted(by_key_b.get(key, []), key=lambda e: e.delay)
+        shared = min(len(group_a), len(group_b))
+        for ea, eb in zip(group_a, group_b):
+            if ea.delay != eb.delay:
+                total += 1
+            if sign(ea.coefficient) != sign(eb.coefficient):
+                total += 1
+        total += len(group_a) - shared + len(group_b) - shared
+    return total
+
+
+def _random_multi_key_graph(draw):
+    """Up to four edges, each of a drawn delay, on each of a few (source,
+    target) keys, in a drawn order, with coefficients of every sign."""
+    edges = []
+    for src, tgt in [(A0, 0), (A1, 0), (S0, 0), (S0, 2)]:
+        for delay in draw(st.lists(st.integers(1, 6), max_size=4, unique=True)):
+            edges.append(edge(src, tgt, delay=delay, coef=draw(st.sampled_from([-2.0, -0.0, 0.0, 0.5]))))
+    return graph(*draw(st.permutations(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shd_equals_the_edge_object_reference(data):
+    a = _random_multi_key_graph(data.draw)
+    b = _random_multi_key_graph(data.draw)
+    assert shd(a, b) == edge_shd(a, b)
+    assert shd(a, a) == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_shd_is_a_metric_on_single_key_graphs(data):
@@ -173,7 +227,7 @@ def test_graphs_per_tick_requires_leading_snapshot():
         graphs_per_tick(headless)
 
 
-# ---- SHD once per graph change ----------------------------------------------
+# ---- SHD once per snapshot or break ------------------------------------------
 
 TEMPLATE = run_episode(BREAK, RandomPolicy(), seed=0, length=1)
 SOURCES = (A0, A1, S0)
@@ -279,7 +333,7 @@ def test_a_snapshot_equal_to_the_last_but_malformed_is_refused():
         evaluate_trace(bad, BREAK)
 
 
-# Recorded before SHD was computed once per graph change: sha256 of
+# Recorded before SHD was computed once per snapshot or break: sha256 of
 # ``report_tsv`` and of ``to_dict()`` as sorted-key JSON, for RandomPolicy
 # seed 5, 300 ticks.
 PINNED_REPORTS = {
@@ -393,6 +447,18 @@ def with_block(block, tick=3):
     records = list(tr.records)
     records[tick] = dataclasses.replace(records[tick], reflect=block)
     return dataclasses.replace(tr, records=tuple(records))
+
+
+def test_each_edit_type_is_counted_under_the_kind_it_is_written_under():
+    edits = [
+        DeltaShift(0.5),
+        CoefChange(0, 1.0),
+        DelayChange(0, 2),
+        EdgeRemove(0),
+        EdgeAdd(A0, 0, 1, Form.LINEAR, 1.0),
+        StructuralBreak(4),
+    ]
+    assert {type(h): hypothesis_to_dict(h)["kind"] for h in edits} == HYPOTHESIS_KINDS
 
 
 def test_evaluate_counts_a_read_reflect_block():

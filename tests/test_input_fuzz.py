@@ -1,11 +1,13 @@
-"""The input boundary under fuzzing: one field of a valid trace line or
-scenario dict replaced by an arbitrary JSON value, and the bytes of a
-valid trace or scenario file damaged (truncated, a byte changed, bytes
-that are not UTF-8 put in, trace lines dropped, repeated or swapped).
+"""The input boundary under fuzzing: one field of a valid trace line,
+model snapshot or scenario dict replaced by an arbitrary JSON value, and
+the bytes of a valid trace or scenario file damaged (truncated, a byte
+changed, bytes that are not UTF-8 put in, trace lines dropped, repeated or
+swapped).
 
 Only :class:`CausalLoopError` subclasses may escape ``read_trace``,
-``load_scenario``, ``scenario_from_dict`` and a scenario's ``validate``,
-and a CLI command that reads the refused input exits 2.
+``evaluate_trace``, ``model_from_snapshot``, ``load_scenario``,
+``scenario_from_dict`` and a scenario's ``validate``, and a CLI command
+that reads the refused input exits 2.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from hypothesis import strategies as st
 from causalloop.agent import RandomPolicy, run_episode
 from causalloop.cli import main
 from causalloop.core import CausalLoopError
+from causalloop.evaluate import evaluate_trace
+from causalloop.model import model_from_snapshot
 from causalloop.scenario import builtin_scenarios, load_scenario, scenario_from_dict, scenario_to_dict
-from causalloop.trace import read_trace, trace_to_lines
+from causalloop.trace import read_trace, trace_from_lines, trace_to_lines
 from causalloop.world import ScheduledBreak, Spike
 
 SCALARS = (
@@ -92,6 +96,39 @@ def test_only_causalloop_errors_escape_read_trace(path, value):
             read_trace(file)
         except CausalLoopError:
             assert main(["evaluate", file, "calm"]) == 2
+
+
+# The tick-0 record's model snapshot: the trace reader checks only that it
+# is an object, so its contents are read by evaluate and explain.
+SNAPSHOT = TRACE_LINES[1]["model_snapshot"]
+SNAPSHOT_PATHS = st.sampled_from([(key,) for key in SNAPSHOT]) | st.sampled_from(list(paths(SNAPSHOT)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SNAPSHOT_PATHS, JSON_VALUES)
+def test_only_causalloop_errors_escape_reading_a_model_snapshot(path, value):
+    lines = list(TRACE_LINES)
+    lines[1] = {**lines[1], "model_snapshot": replaced(SNAPSHOT, path, value)}
+    text = [json.dumps(ln) for ln in lines]
+    trace = trace_from_lines(text)
+    readers = {
+        "evaluate": lambda: evaluate_trace(trace, CALM),
+        "explain": lambda: model_from_snapshot(trace.records[0].model_snapshot),
+    }
+    refused = []
+    for command, read in readers.items():
+        try:
+            read()
+        except CausalLoopError:
+            refused.append(command)
+    if refused:
+        with tempfile.TemporaryDirectory() as tmp:
+            file = os.path.join(tmp, "t.jsonl")
+            with open(file, "w") as fh:
+                fh.write("\n".join(text) + "\n")
+            for command in refused:
+                argv = [command, file, "calm"] if command == "evaluate" else [command, file, "--tick", "0"]
+                assert main(argv) == 2, argv
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalloop.core import ConfigError, InputError
 from causalloop.scenario import (
     ScenarioConfig,
     builtin_scenarios,
     canonical_json,
+    graph_from_dict,
+    graph_to_dict,
     load_scenario,
     resolve_scenario,
     save_scenario,
@@ -21,7 +27,9 @@ from causalloop.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from causalloop.world import CausalEdge, CausalGraph, GaussianWalk, ScheduledBreak, Spike, VarRef
+from causalloop.world import CausalEdge, CausalGraph, GaussianWalk, ScheduledBreak, SourceKind, Spike, VarRef
+
+from helpers import random_graph
 
 
 def tiny(**kw):
@@ -183,6 +191,176 @@ def test_noise_too_large_to_derive_tau_rejected():
     del d["tau"]
     with pytest.raises(InputError, match="invalid scenario: noise_sigma 1e[+]200 squares past a float"):
         scenario_from_dict(d)
+
+
+# ---- graph records -----------------------------------------------------------
+
+# calm's graph: edge 0 is action[0] -> 0 (delay 1, linear), edge 1 is
+# state[0] -> 1 (delay 2, tanh); d_state 2, d_action 1.
+GRAPH = graph_to_dict(builtin_scenarios()["calm"].graph)
+
+
+def doctored(*edits):
+    """A copy of ``GRAPH`` with each edit applied to it in turn."""
+    d = copy.deepcopy(GRAPH)
+    for edit in edits:
+        edit(d)
+    return d
+
+
+def top(**fields):
+    return lambda d: d.update(fields)
+
+
+def edge(i, **fields):
+    return lambda d: d["edges"][i].update(fields)
+
+
+def source(i, **fields):
+    return lambda d: d["edges"][i]["source"].update(fields)
+
+
+def drop(*path):
+    def edit(d):
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+
+    return edit
+
+
+def dup(i):
+    return lambda d: d["edges"].append(copy.deepcopy(d["edges"][i]))
+
+
+EDGE = "malformed edge record: "
+GRAPH_RECORD = "malformed graph record: "
+A0 = "VarRef(kind=<SourceKind.ACTION: 'action'>, index=0)"
+HUGE = 10**400
+
+# Each malformed graph record, and the class and message it is refused
+# with: the parser's refusals in the order it checks, edge by edge in edge
+# order and every edge before the graph's dimensions, ranges and duplicates.
+MALFORMED_GRAPHS = {
+    "duplicate edge": (doctored(dup(0)), ConfigError, f"duplicate edge (source={A0}, target=0, delay=1)"),
+    "target past d_state": (doctored(edge(0, target=2)), ConfigError, "edge target 2 out of range for d_state=2"),
+    "target negative": (doctored(edge(1, target=-1)), ConfigError, "edge target -1 out of range for d_state=2"),
+    "action source out of range": (doctored(source(0, index=1)), ConfigError, "edge source action[1] out of range"),
+    "state source out of range": (doctored(source(1, index=2)), ConfigError, "edge source state[2] out of range"),
+    "state source negative": (doctored(source(1, index=-1)), ConfigError, "edge source state[-1] out of range"),
+    "delay 0": (doctored(edge(1, delay=0)), ConfigError, "edge delay must be >= 1, got 0"),
+    "delay true": (doctored(edge(0, delay=True)), InputError, EDGE + "delay is True of type bool, expected int"),
+    "delay float": (doctored(edge(0, delay=1.0)), InputError, EDGE + "delay is 1.0 of type float, expected int"),
+    "coefficient true": (
+        doctored(edge(0, coefficient=True)),
+        InputError,
+        EDGE + "coefficient is True of type bool, expected int or finite float",
+    ),
+    "coefficient string": (
+        doctored(edge(0, coefficient="0.8")),
+        InputError,
+        EDGE + "coefficient is '0.8' of type str, expected int or finite float",
+    ),
+    "coefficient past a float": (
+        doctored(edge(0, coefficient=HUGE)),
+        InputError,
+        EDGE + f"coefficient is {HUGE} of type int, expected int or finite float",
+    ),
+    "kind unknown": (doctored(source(0, kind="bogus")), InputError, EDGE + "'bogus' is not a valid SourceKind"),
+    "kind list": (doctored(source(0, kind=["action"])), InputError, EDGE + "['action'] is not a valid SourceKind"),
+    "kind dict": (doctored(source(0, kind={})), InputError, EDGE + "{} is not a valid SourceKind"),
+    "form unknown": (doctored(edge(1, form="cubic")), InputError, EDGE + "'cubic' is not a valid Form"),
+    "form list": (doctored(edge(1, form=["tanh"])), InputError, EDGE + "['tanh'] is not a valid Form"),
+    "form dict": (doctored(edge(1, form={})), InputError, EDGE + "{} is not a valid Form"),
+    "d_state 0": (doctored(top(d_state=0)), ConfigError, "d_state must be >= 1, got 0"),
+    "d_action -1": (doctored(top(d_action=-1)), ConfigError, "d_action must be >= 0, got -1"),
+    "d_state true": (
+        doctored(top(d_state=True)),
+        InputError,
+        GRAPH_RECORD + "d_state is True of type bool, expected int",
+    ),
+    "d_state 0, target out of range": (
+        doctored(top(d_state=0), edge(0, target=5)),
+        ConfigError,
+        "d_state must be >= 1, got 0",
+    ),
+    "d_state 0, delay 0": (doctored(top(d_state=0), edge(1, delay=0)), ConfigError, "edge delay must be >= 1, got 0"),
+    "d_action -1, form unknown": (
+        doctored(top(d_action=-1), edge(0, form="cubic")),
+        InputError,
+        EDGE + "'cubic' is not a valid Form",
+    ),
+    "d_action -1, duplicate edge": (doctored(top(d_action=-1), dup(1)), ConfigError, "d_action must be >= 0, got -1"),
+    "delay 0, then a bad kind": (
+        doctored(edge(0, delay=0), source(1, kind="x")),
+        ConfigError,
+        "edge delay must be >= 1, got 0",
+    ),
+    "bad kind, then delay 0": (
+        doctored(source(0, kind="x"), edge(1, delay=0)),
+        InputError,
+        EDGE + "'x' is not a valid SourceKind",
+    ),
+    "bad form and delay 0 in one edge": (
+        doctored(edge(0, delay=0, form="cubic")),
+        InputError,
+        EDGE + "'cubic' is not a valid Form",
+    ),
+    "target out of range, duplicate": (
+        doctored(dup(0), edge(2, target=9)),
+        ConfigError,
+        "edge target 9 out of range for d_state=2",
+    ),
+    "missing d_state": (doctored(drop("d_state")), InputError, GRAPH_RECORD + "'d_state'"),
+    "missing d_action": (doctored(drop("d_action")), InputError, GRAPH_RECORD + "'d_action'"),
+    "missing edges": (doctored(drop("edges")), InputError, GRAPH_RECORD + "'edges'"),
+    "missing source": (doctored(drop("edges", 0, "source")), InputError, EDGE + "'source'"),
+    "missing kind": (doctored(drop("edges", 0, "source", "kind")), InputError, EDGE + "'kind'"),
+    "missing index": (doctored(drop("edges", 1, "source", "index")), InputError, EDGE + "'index'"),
+    "missing target": (doctored(drop("edges", 0, "target")), InputError, EDGE + "'target'"),
+    "missing delay": (doctored(drop("edges", 0, "delay")), InputError, EDGE + "'delay'"),
+    "missing coefficient": (doctored(drop("edges", 1, "coefficient")), InputError, EDGE + "'coefficient'"),
+    "missing form": (doctored(drop("edges", 1, "form")), InputError, EDGE + "'form'"),
+    "graph a list": ([], InputError, GRAPH_RECORD + "list indices must be integers or slices, not str"),
+    "graph null": (None, InputError, GRAPH_RECORD + "'NoneType' object is not subscriptable"),
+    "edges an object": (doctored(top(edges={})), InputError, GRAPH_RECORD + "edges is {} of type dict, expected list"),
+    "edge a number": (doctored(top(edges=[5])), InputError, EDGE + "'int' object is not subscriptable"),
+    "edge a string": (doctored(top(edges=["edge"])), InputError, EDGE + "string indices must be integers, not 'str'"),
+    "source a string": (
+        doctored(edge(0, source="action")),
+        InputError,
+        EDGE + "source is 'action' of type str, expected dict",
+    ),
+    "source a list": (doctored(edge(0, source=[0])), InputError, EDGE + "source is [0] of type list, expected dict"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_GRAPHS))
+def test_a_malformed_graph_record_is_refused_with_its_class_and_message(case):
+    record, error, message = MALFORMED_GRAPHS[case]
+    with pytest.raises(error) as info:
+        graph_from_dict(record)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def derived_plan(g):
+    """The plan of ``g`` as its edges give it, field by field."""
+    return tuple(
+        (e.source.kind is SourceKind.ACTION, e.source.index, e.delay, e.target, e.coefficient, e.form)
+        for e in g.edges
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6), st.integers(0, 3))
+def test_a_graph_record_reads_back_to_the_graph(seed, d_state, d_action):
+    g = random_graph(np.random.default_rng(seed), d_state, d_action, max_edges=12)
+    back = graph_from_dict(json.loads(json.dumps(graph_to_dict(g))))
+    assert back == g and hash(back) == hash(g)
+    assert back.plan == derived_plan(back) == derived_plan(g) == g.plan
+    assert [type(e.coefficient) for e in back.edges] == [float] * len(g.edges)
 
 
 # ---- files -----------------------------------------------------------------

@@ -455,6 +455,30 @@ def test_read_refuses_a_file_that_is_not_utf8(tmp_path):
         read_trace(str(path))
 
 
+def _with_a_blank_line(tmp_path, lines):
+    """A file holding ``lines`` with a blank line after the first record,
+    so each later line is one further down the file than in ``lines``."""
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+    return str(path)
+
+
+def test_a_refusal_counts_blank_lines(tmp_path):
+    lines = _calm_lines(length=5)
+    lines[4] = "{bad"  # tick 3, on file line 6
+    with pytest.raises(InputError, match=r"t\.jsonl: line 6: Expecting property name"):
+        read_trace(_with_a_blank_line(tmp_path, lines))
+
+
+def test_a_record_off_its_line_is_named_by_its_file_line(tmp_path):
+    lines = _calm_lines(length=5)
+    lines[2], lines[3] = lines[3], lines[2]  # tick 2 onto file line 4
+    with pytest.raises(InputError, match=r"t\.jsonl: line 4 holds tick 2, expected 1$"):
+        read_trace(_with_a_blank_line(tmp_path, lines))
+    with pytest.raises(InputError, match="^src: line 4 holds tick 2, expected 1$"):
+        trace_from_lines(lines[:2] + [" "] + lines[2:], "src")
+
+
 def test_read_skips_blank_lines_and_reads_crlf(tmp_path):
     lines = _calm_lines()
     path = tmp_path / "t.jsonl"

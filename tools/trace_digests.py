@@ -1,4 +1,4 @@
-"""Print the sha256 of every trace the benchmark's workloads record, and of its evaluation, as JSON.
+"""Print the sha256 of every trace the benchmark's workloads record, of its evaluation and of its explanations, as JSON.
 
     python3 tools/trace_digests.py --seeds 1 2 > digests.json
     python3 tools/trace_digests.py --seeds 1 2 --against digests.json
@@ -9,16 +9,22 @@ the trace file's text as ``write_trace`` would write it.  It reads those
 lines back with ``trace_from_lines``, as ``read_trace`` reads a file, and
 exits 1 if the trace read back differs from the one recorded.  Under
 ``<key>.eval`` it hashes the read-back trace's ``evaluate_trace`` report:
-its ``report_tsv`` table followed by ``to_dict()`` as sorted-key JSON.  Two
+its ``report_tsv`` table followed by ``to_dict()`` as sorted-key JSON.
+Under ``<key>.explain`` it hashes the read-back trace's explanations: at
+each tick that carries a model snapshot, ``explain_transition`` and
+``explain_counterfactual`` (to delta 0) of the model entering that tick,
+as ``causalloop explain`` builds it, and ``explain_reflection`` of every
+reflect block, each as its kind, text and sorted-key JSON grounding.  Two
 checkouts that print the same output record byte-identical traces, read
-them back to the traces recorded and evaluate them to the same reports.
+them back to the traces recorded, and evaluate and explain them alike.
 
-Given an earlier output as ``--against``, it prints each trace or
-evaluation whose digest moved (or that only one side holds) and exits 1
+Given an earlier output as ``--against``, it prints each trace, evaluation
+or explanation digest that moved (or that only one side holds) and exits 1
 if any did or a trace read back differently, 0 if every one is identical.
-Outputs made before the ``.eval`` keys existed hold none, so against one
-every evaluation reads as moved.  Seeds 1 and 2 give 264 traces and their
-evaluations in about 7 s on a 2-core host.
+An output made before a kind of key existed holds none of that kind, so
+against one every such digest reads as moved.  Seeds 1 and 2 give 264
+traces with their evaluations and explanations in about 10 s on a 2-core
+host.
 
 Run it from any directory: it imports the package from ``src/`` and the
 workloads from ``perfbench/`` beside this directory, and writes nothing.
@@ -31,30 +37,53 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 from causalloop.agent import run_episode  # noqa: E402
+from causalloop.core import CausalTuple, Perturbation, TimeIndex  # noqa: E402
 from causalloop.evaluate import evaluate_trace, report_tsv  # noqa: E402
-from causalloop.trace import trace_from_lines, trace_to_lines  # noqa: E402
+from causalloop.explain import explain_counterfactual, explain_reflection, explain_transition  # noqa: E402
+from causalloop.model import model_from_snapshot  # noqa: E402
+from causalloop.trace import EpisodeTrace, trace_from_lines, trace_to_lines  # noqa: E402
 
 import bench_workloads  # noqa: E402
 
 WORKLOADS = ("repair_break", "steady_fit", "trace_audit")
 EVAL = ".eval"  # suffix of an evaluation digest's key
+EXPLAIN = ".explain"  # suffix of an explanation digest's key
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _explanations(trace: EpisodeTrace) -> str:
+    """Every explanation of ``trace`` that the module docstring lists, in
+    tick order, one per line."""
+    out = []
+    entering = None  # the last snapshot recorded before the tick
+    for r in trace.records:
+        snap = r.model_snapshot
+        if snap is not None:
+            m = replace(model_from_snapshot(entering if entering is not None else snap), delta_hat=r.delta_hat)
+            tup = CausalTuple(r.state, r.action, TimeIndex(r.tick), Perturbation(r.delta_hat))
+            out += [explain_transition(m, tup), explain_counterfactual(m, tup, 0.0)]
+            entering = snap
+        if r.reflect is not None:
+            out.append(explain_reflection(r.tick, r.reflect))
+    return "\n".join(f"{e.kind.value}\t{e.text}\t{json.dumps(e.grounding, sort_keys=True)}" for e in out)
+
+
 def trace_digests(seeds: list[int]) -> tuple[dict[str, str], list[str]]:
     """``workload/seed/index.label.mode`` -> sha256 of that trace's file
-    text, and ``<that key>.eval`` -> sha256 of the evaluation report of the
-    trace read back from that text; and the keys whose trace read back
-    differs from the one recorded."""
+    text, and ``<that key>.eval`` and ``<that key>.explain`` -> sha256 of
+    the evaluation report and of the explanations of the trace read back
+    from that text; and the keys whose trace read back differs from the one
+    recorded."""
     out, misread = {}, []
     for workload in WORKLOADS:
         for seed in seeds:
@@ -69,6 +98,7 @@ def trace_digests(seeds: list[int]) -> tuple[dict[str, str], list[str]]:
                     misread.append(key)
                 report = evaluate_trace(back, ep.scenario)
                 out[key + EVAL] = _sha256(report_tsv(report, back) + json.dumps(report.to_dict(), sort_keys=True))
+                out[key + EXPLAIN] = _sha256(_explanations(back))
     return out, misread
 
 
@@ -76,6 +106,11 @@ def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:
     """The keys whose digest differs between ``old`` and ``new``, or that
     only one of them holds, in sorted order."""
     return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+
+
+def _suffix(key: str) -> str:
+    """The digest kind's suffix of ``key``: EVAL, EXPLAIN, or "" for a trace."""
+    return next((sfx for sfx in (EVAL, EXPLAIN) if key.endswith(sfx)), "")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -94,11 +129,12 @@ def main(argv: list[str] | None = None) -> int:
     changed = moved(earlier, digests)
     for key in changed:
         print(f"moved: {key}")
-    for what, is_eval in (("traces", False), ("evaluation digests", True)):
-        keys = [k for k in earlier.keys() | digests.keys() if k.endswith(EVAL) == is_eval]
-        n_moved = sum(k.endswith(EVAL) == is_eval for k in changed)
+    for what, suffix in (("traces", ""), ("evaluation digests", EVAL), ("explain digests", EXPLAIN)):
+        keys = [k for k in earlier.keys() | digests.keys() if _suffix(k) == suffix]
+        n_moved = sum(_suffix(k) == suffix for k in changed)
         print(f"{n_moved} of {len(keys)} {what} moved")
-    print(f"{len(misread)} of {len(digests) // 2} traces read back differently")
+    n_traces = sum(_suffix(k) == "" for k in digests)
+    print(f"{len(misread)} of {n_traces} traces read back differently")
     return 1 if changed or misread else 0
 
 
