@@ -6,12 +6,31 @@ which proposes a bounded set of candidate edits to the model -- rescale
 delta, change a coefficient or delay, add or remove an edge, or declare
 a structural break and flush stale history.  Generation stops at the
 budget: nothing past the first ``budget`` distinct candidates, in a
-fixed order, is estimated.  Candidates are ranked by how much likelihood
-they recover over a recent scoring window, then tested in rank order
-against a reserved holdout of the most recent transitions; an edit is
-kept only if it cuts holdout MSE by at least the fraction rho.  The
-working model updates after each acceptance, so later candidates must
-beat the already-repaired model.
+fixed order, is estimated.
+
+The budget is shared.  A DeltaShift comes first and a StructuralBreak
+second, one candidate each; then the offending dimensions take turns, round
+robin, the one with the largest share of the mismatch first.  A dimension
+with edges has dozens of edits (four coefficient values, up to four delays
+and a removal per edge, two additions per missing source), so giving each
+dimension all of its edits in index order, as the first rule did, spent the
+whole budget on the first two or three dimensions of a 4- or 8-dimensional
+world: the later dimensions and the StructuralBreak, the one edit that
+answers a change in every dimension at once, were never tried, and a
+repair agent re-triggered on most ticks after a break without settling.
+Round robin gives each offending dimension at least its equal share of
+what is left, and an edit of the worst dimension leads every round.  A
+world whose edits all fit the budget (one offending dimension, as in the
+bundled scenarios) is offered the same candidates as before, which rank
+and test alike, since only their order changed.  Slots in proportion to
+each dimension's error share were the other rule considered; they need a
+rounding rule and still starve a dimension whose share is small.
+
+Candidates are ranked by how much likelihood they recover over a recent
+scoring window, then tested in rank order against a reserved holdout of
+the most recent transitions; an edit is kept only if it cuts holdout MSE
+by at least the fraction rho.  The working model updates after each
+acceptance, so later candidates must beat the already-repaired model.
 
 Candidate parameters that need estimation (a refitted coefficient, a new
 edge's coefficient, how much history a break should keep) are resolved at
@@ -402,11 +421,14 @@ def _candidates(
 ) -> Iterator[Hypothesis]:
     """Every candidate edit, repeats included, each estimated when reached.
 
-    A lone DeltaShift (when identifiable) comes first.  Each state
-    dimension whose share of the error exceeds tau / d_state then gets, in
-    index order, coefficient changes (the grid, then a residual refit),
-    delay changes, removals and linear edge additions.  A lone
-    StructuralBreak comes last.
+    A lone DeltaShift (when identifiable) comes first, then a lone
+    StructuralBreak.  Each state dimension whose share of the error exceeds
+    tau / d_state has its own run of edits: coefficient changes (the grid,
+    then a residual refit), delay changes, removals and linear edge
+    additions.  The runs are interleaved round robin, one edit of each per
+    round, the dimension with the largest ``err.per_dim`` first and ties in
+    index order; a run that is spent drops out.  See the module docstring
+    for why the budget is shared this way.
     """
     d_state = m.graph.d_state
     offending = [j for j in range(d_state) if err.per_dim[j] > tau / d_state]
@@ -433,10 +455,12 @@ def _candidates(
             if new_delta != m.delta_hat:
                 yield DeltaShift(new_delta)
 
+    yield StructuralBreak(keep=suffix)
+
     existing_triples = {(e.source, e.target, e.delay) for e in m.graph.edges}
     existing_pairs = {(e.source, e.target) for e in m.graph.edges}
 
-    for j in offending:
+    def edits(j: int) -> Iterator[Hypothesis]:
         incoming = m.graph.incoming(j)
         for edge_index, e in incoming:
             for c in (-e.coefficient, 0.5 * e.coefficient, 2.0 * e.coefficient, None):
@@ -467,7 +491,14 @@ def _candidates(
                     continue
                 yield EdgeAdd(src, j, delay, Form.LINEAR, coef)
 
-    yield StructuralBreak(keep=suffix)
+    runs = [edits(j) for j in sorted(offending, key=lambda j: (-err.per_dim[j], j))]
+    while runs:
+        for run in tuple(runs):
+            h = next(run, None)
+            if h is None:
+                runs.remove(run)
+            else:
+                yield h
 
 
 # ---------------------------------------------------------------------------

@@ -258,18 +258,48 @@ def test_delay_candidates_stay_in_range():
 
 def test_candidates_from_empty_history():
     # No recorded rows: estimates have nothing to read, so refits and new
-    # edges drop out, and the break keeps the minimum of one row.
+    # edges drop out, and the break keeps the minimum of one row.  The
+    # break comes right after the (here unidentifiable) DeltaShift, before
+    # the one offending dimension's edits.
     m = one_edge_model(coef=1.0)
     ctx = row(0, (0.0,), (1.0,), (3.0,))
     err = PredictionError(epsilon=9.0, per_dim=(9.0,))
     assert generate_hypotheses(m, ctx, err, tau=0.5) == (
+        StructuralBreak(keep=1),
         CoefChange(0, -1.0),
         CoefChange(0, 0.5),
         CoefChange(0, 2.0),
         DelayChange(0, 2),
         DelayChange(0, 3),
         EdgeRemove(0),
+    )
+
+
+def test_offending_dimensions_share_the_budget_round_robin():
+    # Three dimensions with one action edge each; dimension 0 does not
+    # offend.  Dimensions 1 and 2 tie on error and take turns in index
+    # order, one edit each per round, until the budget stops them.
+    g = CausalGraph(
+        d_state=3,
+        d_action=1,
+        edges=tuple(CausalEdge(VarRef.action(0), k, delay=1, coefficient=1.0) for k in range(3)),
+    )
+    ctx = row(0, (0.0, 0.0, 0.0), (1.0,), (3.0, 3.0, 3.0))
+    err = PredictionError(epsilon=6.0, per_dim=(0.0, 9.0, 9.0))
+    assert generate_hypotheses(CausalModel(graph=g), ctx, err, tau=0.5, settings=ReflectSettings(budget=7)) == (
         StructuralBreak(keep=1),
+        CoefChange(1, -1.0),
+        CoefChange(2, -1.0),
+        CoefChange(1, 0.5),
+        CoefChange(2, 0.5),
+        CoefChange(1, 2.0),
+        CoefChange(2, 2.0),
+    )
+    # The worst dimension leads each round.
+    err = PredictionError(epsilon=6.0, per_dim=(0.0, 4.0, 9.0))
+    assert generate_hypotheses(CausalModel(graph=g), ctx, err, tau=0.5, settings=ReflectSettings(budget=3))[1:] == (
+        CoefChange(2, -1.0),
+        CoefChange(1, -1.0),
     )
 
 
