@@ -1,0 +1,98 @@
+"""Print how the repair agent and the fit-only agent track a break on the width-scaled family.
+
+    python3 tools/width_report.py
+
+For each width d in 2, 4 and 8 at seeds s = 0, 1, 2, and for d = 16 at
+s = 0, it runs both agents (``RandomPolicy``, episode seed s) for 300
+ticks on ``width_scenario(np.random.default_rng(1000 + 17*d + s), d,
+break_at=150)`` from ``perfbench/bench_family.py``, where every action
+edge flips sign and doubles at tick 150.  One row per run:
+
+* ``final_shd``: the last tick's structural Hamming distance to the true
+  graph (``evaluate_trace``);
+* ``post_rmse``: ``compare``'s post-break RMSE, the mean 16-tick rolling
+  RMSE from the break on;
+* ``recovery``: ticks from the break until the rolling RMSE falls under
+  twice its pre-break median, ``-`` if it never does;
+* ``post_trig`` and ``last50_trig``: reflect triggers from the break on,
+  and in the last 50 ticks;
+* ``ms_tick``: wall milliseconds per tick of ``run_episode``, the one
+  number that depends on the host.
+
+It gates nothing and writes nothing.  Run it from any directory: it
+imports the package from ``src/`` and the family from ``perfbench/``
+beside this directory.  The 21 runs take about 3 s on a 2-core host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import numpy as np  # noqa: E402
+
+from causalloop.agent import RandomPolicy, run_episode  # noqa: E402
+from causalloop.evaluate import compare  # noqa: E402
+
+from bench_family import width_scenario  # noqa: E402
+
+LENGTH = 300
+BREAK_AT = 150
+LAST = 50  # the closing ticks whose triggers ``last50_trig`` counts
+RUNS = [(d, s) for d in (2, 4, 8) for s in (0, 1, 2)] + [(16, 0)]
+COLUMNS = ("d", "s", "agent", "final_shd", "post_rmse", "recovery", "post_trig", "last50_trig", "ms_tick")
+
+
+def _timed_episode(sc, seed: int, reflect_enabled: bool):
+    start = time.perf_counter()
+    trace = run_episode(sc, RandomPolicy(), seed, LENGTH, reflect_enabled)
+    return trace, (time.perf_counter() - start) * 1e3 / LENGTH
+
+
+def rows(runs: list[tuple[int, int]]) -> list[tuple]:
+    """One row of :data:`COLUMNS` per agent of each (d, s) run."""
+    out = []
+    for d, s in runs:
+        sc = width_scenario(np.random.default_rng(1000 + 17 * d + s), d, break_at=BREAK_AT)
+        repair, repair_ms = _timed_episode(sc, s, True)
+        baseline, baseline_ms = _timed_episode(sc, s, False)
+        comparison = compare(repair, baseline, sc)
+        (brk,) = comparison.deltas["breaks"]
+        for agent, trace, report, ms, recovery in (
+            ("repair", repair, comparison.reflect_report, repair_ms, brk["reflect_recovery"]),
+            ("fit-only", baseline, comparison.baseline_report, baseline_ms, brk["baseline_recovery"]),
+        ):
+            post_rmse = report.rmse[BREAK_AT:]
+            triggers = [r.tick for r in trace.records if r.reflect is not None]
+            out.append((
+                d,
+                s,
+                agent,
+                report.shd[-1],
+                f"{sum(post_rmse) / len(post_rmse):.3f}",
+                "-" if recovery is None else recovery,
+                sum(t >= BREAK_AT for t in triggers),
+                sum(t >= LENGTH - LAST for t in triggers),
+                f"{ms:.2f}",
+            ))
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.parse_args(argv)
+    table = [COLUMNS] + rows(RUNS)
+    widths = [max(len(str(row[i])) for row in table) for i in range(len(COLUMNS))]
+    for row in table:
+        print("  ".join(str(v).rjust(w) for v, w in zip(row, widths)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
