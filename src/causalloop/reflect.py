@@ -89,13 +89,12 @@ from .model import (
     rollout,
     _LagFeatures,
     _add_up,
-    _by_target,
     _edge_sums,
     _fold,
     _least_squares,
 )
 from .scenario import json_number, json_typed
-from .world import CausalEdge, Form, SourceKind, VarRef
+from .world import CausalEdge, Form, SourceKind, VarRef, _check_edge, _check_ends, _duplicate
 
 # Fraction of tau below which a row counts as "explained" when delimiting
 # the anomalous suffix.
@@ -252,13 +251,22 @@ class _Baseline:
     """A model's per-row errors over rows ``[lo, hi)`` of a kernel.
 
     Computed once and shared by every score or test against that model:
-    ``targets[k]`` is target dimension k's predictions from ``incoming[k]``,
-    its edges in graph order (``position`` gives each edge's place there),
-    ``sq`` is each row's ``(o - p) ** 2`` added over dimensions from 0.0,
-    and ``dead`` masks the rows that are not predictable.  ``sq / d`` is
-    the row's :func:`loss` epsilon to the bit.  :meth:`edit` states a
-    candidate as the targets it predicts anew, which is how
-    :class:`_EditBatch` scores it.
+    ``targets[k]`` is target dimension k's predictions from its incoming
+    edges in graph order, ``sq`` is each row's ``(o - p) ** 2`` added over
+    dimensions from 0.0, and ``dead`` masks the rows that are not
+    predictable.  ``sq / d`` is the row's :func:`loss` epsilon to the bit.
+    :meth:`edit` states a candidate as the targets it predicts anew, which
+    is how :class:`_EditBatch` scores it.
+
+    Edges are read as plan tuples (:attr:`causalloop.world.CausalGraph.plan`)
+    and edits build no :class:`CausalEdge`.  ``incoming[k]`` holds target
+    k's edges in graph order as three lists: each edge's ``(reads_action,
+    source_index, delay)`` key, its column's place and its coefficient
+    (``position`` gives each edge's place in them).  A place indexes
+    ``columns``, the kernel columns the candidates read, one per
+    ``(reads_action, source_index, delay, id(form))``, after column 0, all
+    zeros, the padding of a target with fewer edges than the widest;
+    ``gaps`` maps the place of each column with a gap to its mask.
     """
 
     def __init__(
@@ -270,67 +278,95 @@ class _Baseline:
         self.hi = len(lags.rows) if hi is None else hi
         self.d = m.graph.d_state
         self.scale = math.exp(-m.delta_hat)
-        self.incoming: list[list[CausalEdge]] = [[] for _ in range(self.d)]
-        self.position: list[int] = []  # each edge's place in its target's list
-        for e in m.graph.edges:
-            self.position.append(len(self.incoming[e.target]))
-            self.incoming[e.target].append(e)
-        self.targets = lags.predict(list(enumerate(self.incoming)), self.scale)
+        self.columns: list[np.ndarray] = [np.zeros(len(lags.rows))]
+        self.gaps: dict[int, np.ndarray] = {}
+        self._places: dict[tuple[bool, int, int, int], int] = {}
+        self.incoming: list[tuple[list[tuple[bool, int, int]], list[int], list[float]]] = [
+            ([], [], []) for _ in range(self.d)
+        ]
+        self.position: list[int] = []  # each edge's place in its target's lists
+        for reads_action, index, delay, target, coefficient, form in m.graph.plan:
+            keys, places, coefficients = self.incoming[target]
+            self.position.append(len(keys))
+            keys.append((reads_action, index, delay))
+            places.append(self.place(reads_action, index, delay, form))
+            coefficients.append(coefficient)
+        self.targets = lags.targets(m.graph, m.delta_hat)
         self.sq, self.dead = lags.sq_errors(self.targets, lo, self.hi)
 
     @staticmethod
     def over(m: CausalModel, rows: Sequence[Transition]) -> _Baseline:
         return _Baseline(m, _LagFeatures(m.history, rows))
 
-    def edit(self, h: Hypothesis) -> tuple[float, dict[int, list[CausalEdge]]]:
-        """The target dimensions ``apply_hypothesis(m, h)`` predicts anew:
-        its scale, and each such target's incoming edges in graph order.  A
-        coefficient, delay, removal or addition replaces one target's list;
-        a DeltaShift keeps every list at the clamped delta; a
-        StructuralBreak gives every target its refit graph's edges.  Every
-        other target predicts as this model's, to the bit.
+    def place(self, reads_action: bool, index: int, delay: int, form: Form) -> int:
+        """The place in ``columns`` of the kernel column of this source,
+        delay and form, added on first use."""
+        key = (reads_action, index, delay, id(form))
+        p = self._places.get(key)
+        if p is None:
+            col, gap = self.lags._column(reads_action, index, delay, form)
+            p = self._places[key] = len(self.columns)
+            self.columns.append(col)
+            if gap is not None:
+                self.gaps[p] = gap
+        return p
 
-        Raises :class:`ConfigError` for an edge index outside the graph,
-        and wherever building the edited graph would: a new edge's delay
-        below 1 or coefficient not finite, its source or target out of
-        range, or its (source, delay) already feeding the edited target.  A
-        StructuralBreak raises what its refit raises.
+    def edit(self, h: Hypothesis) -> tuple[float, list[tuple[int, list[int], list[float]]]]:
+        """The target dimensions ``apply_hypothesis(m, h)`` predicts anew:
+        its scale, and each such target with the column place and the
+        coefficient of each of its incoming edges in graph order.  A
+        coefficient, delay, removal or addition replaces one target's
+        lists; a DeltaShift keeps every target's at the clamped delta; a
+        StructuralBreak gives every target its refit graph's.  Every other
+        target predicts as this model's, to the bit.
+
+        Raises :class:`ConfigError` where building the edited graph would,
+        in the order :class:`CausalEdge` and the graph check refuse: an
+        edge index outside the graph; then a new or changed edge's delay
+        below 1 or coefficient not finite, its target or source out of
+        range, or its (source, delay) already feeding the edited target.
+        A StructuralBreak raises what its refit raises.
         """
         m = self.m
         if isinstance(h, DeltaShift):
-            return math.exp(-_clamped(m, h.new_delta)), dict(enumerate(self.incoming))
+            scale = math.exp(-_clamped(m, h.new_delta))
+            return scale, [(k, places, coefs) for k, (_, places, coefs) in enumerate(self.incoming)]
         if isinstance(h, StructuralBreak):
             refit = apply_hypothesis(m, h)
-            return math.exp(-refit.delta_hat), dict(enumerate(_by_target(refit.graph)))
-        edges = m.graph.edges
+            places: list[list[int]] = [[] for _ in range(self.d)]
+            coefs: list[list[float]] = [[] for _ in range(self.d)]
+            for reads_action, index, delay, target, coefficient, form in refit.graph.plan:
+                places[target].append(self.place(reads_action, index, delay, form))
+                coefs[target].append(coefficient)
+            return math.exp(-refit.delta_hat), list(zip(range(self.d), places, coefs))
+        graph = m.graph
         if isinstance(h, EdgeAdd):
-            new: CausalEdge | None = CausalEdge(h.source, h.target, h.delay, h.coefficient, h.form)
-            m.graph.check_in_range(new)
-            k = h.target
-            at = len(self.incoming[k])
-        elif not 0 <= h.edge_index < len(edges):
-            raise ConfigError(f"edge index {h.edge_index} outside a graph of {len(edges)} edges")
+            source = h.source
+            reads_action, index, k = source.kind is SourceKind.ACTION, source.index, h.target
+            delay, coefficient, form = h.delay, h.coefficient, h.form
+            _check_edge(delay, coefficient)
+            _check_ends(graph.d_state, graph.d_action, reads_action, index, k)
+            at = len(self.incoming[k][0])
         else:
-            old = edges[h.edge_index]
-            k = old.target
+            plan = graph.plan
+            if not 0 <= h.edge_index < len(plan):
+                raise ConfigError(f"edge index {h.edge_index} outside a graph of {len(plan)} edges")
+            reads_action, index, delay, k, coefficient, form = plan[h.edge_index]
             at = self.position[h.edge_index]
+            keys, places, coefs = self.incoming[k]
             if isinstance(h, EdgeRemove):
-                new = None
-            elif isinstance(h, CoefChange):
-                new = CausalEdge(old.source, k, old.delay, h.new_coefficient, old.form)
-            else:
-                new = CausalEdge(old.source, k, h.new_delay, old.coefficient, old.form)
-        group = list(self.incoming[k])
-        if new is None:
-            del group[at]
-        else:
-            for i, e in enumerate(group):
-                if i != at and e.delay == new.delay and e.source == new.source:
-                    raise ConfigError(
-                        f"duplicate edge (source={new.source}, target={k}, delay={new.delay})"
-                    )
-            group[at : at + 1] = [new]
-        return self.scale, {k: group}
+                return self.scale, [(k, places[:at] + places[at + 1 :], coefs[:at] + coefs[at + 1 :])]
+            if isinstance(h, CoefChange):
+                _check_edge(delay, h.new_coefficient)
+                return self.scale, [(k, places, coefs[:at] + [h.new_coefficient] + coefs[at + 1 :])]
+            delay = h.new_delay
+            _check_edge(delay, coefficient)
+        keys, places, coefs = self.incoming[k]
+        key = (reads_action, index, delay)
+        if key in keys[:at] or key in keys[at + 1 :]:
+            raise _duplicate(reads_action, index, k, delay)
+        p = self.place(reads_action, index, delay, form)
+        return self.scale, [(k, places[:at] + [p] + places[at + 1 :], coefs[:at] + [coefficient] + coefs[at + 1 :])]
 
 
 def anomalous_suffix(m: CausalModel, floor: float, base: _Baseline | None = None) -> int:
@@ -457,8 +493,10 @@ def _candidates(
 
     yield StructuralBreak(keep=suffix)
 
-    existing_triples = {(e.source, e.target, e.delay) for e in m.graph.edges}
-    existing_pairs = {(e.source, e.target) for e in m.graph.edges}
+    plan = m.graph.plan
+    existing = {(reads_action, index, target, delay) for reads_action, index, delay, target, _, _ in plan}
+    existing_pairs = {key[:3] for key in existing}
+    sources = [(True, i) for i in range(m.graph.d_action)] + [(False, i) for i in range(d_state)]
 
     def edits(j: int) -> Iterator[Hypothesis]:
         incoming = m.graph.incoming(j)
@@ -473,18 +511,16 @@ def _candidates(
             for k in (e.delay + 1, e.delay - 1, e.delay + 2, e.delay - 2):
                 if not 1 <= k <= settings.k_max or k == e.delay:
                     continue
-                if (e.source, e.target, k) in existing_triples:
+                if (*plan[edge_index][:2], j, k) in existing:
                     continue
                 yield DelayChange(edge_index, k)
         for edge_index, _ in incoming:
             yield EdgeRemove(edge_index)
-        sources = [VarRef.action(i) for i in range(m.graph.d_action)] + [
-            VarRef.state(i) for i in range(d_state)
-        ]
         resid = _residuals(m, base.lags, est_lo, j, None)
-        for src in sources:
-            if (src, j) in existing_pairs:
+        for reads_action, index in sources:
+            if (reads_action, index, j) in existing_pairs:
                 continue
+            src = VarRef(SourceKind.ACTION if reads_action else SourceKind.STATE, index)
             for delay in (1, 2):
                 coef = _residual_fit(m, base.lags, est_lo, resid, src, delay, Form.LINEAR)
                 if coef is None or not math.isfinite(coef) or coef == 0.0:
@@ -570,26 +606,6 @@ class _EditBatch:
         self.split = split
         self._scores: list[float | CausalLoopError] = [0.0] * len(hs)
         self._tests: list[tuple[float, float] | CausalLoopError] = [(0.0, 0.0)] * len(hs)
-        lags = base.lags
-        # Column 0 is all zeros: the padding (coefficient 0.0) of a target
-        # with fewer edges than the widest.
-        columns: list[np.ndarray] = [np.zeros(len(lags.rows))]
-        gaps: dict[int, np.ndarray] = {}  # the place of each column with a gap -> its mask
-        at_column: dict[int, int] = {}  # id of a kernel column -> its place in ``columns``
-
-        def place_of(e: CausalEdge) -> int:
-            col, gap, _ = lags._edge_column(e)
-            p = at_column.get(id(col))
-            if p is None:
-                p = at_column[id(col)] = len(columns)
-                columns.append(col)
-                if gap is not None:
-                    gaps[p] = gap
-            return p
-
-        # The model's edges stay alive in ``base.incoming``, so their ids
-        # are theirs alone; an edit's new edge is looked up in the kernel.
-        known = {id(e): place_of(e) for group in base.incoming for e in group}
         # (candidate, target, column place of each edge, coefficient of each,
         # scale) for each target a candidate predicts anew
         subs: list[tuple[int, int, list[int], list[float], float]] = []
@@ -600,11 +616,9 @@ class _EditBatch:
                 self._scores[i] = exc if split > base.lo else 0.0
                 self._tests[i] = exc
                 continue
-            for k, group in replaced.items():
-                places = [known.get(id(e)) or place_of(e) for e in group]
-                subs.append((i, k, places, [e.coefficient for e in group], scale))
+            subs += [(i, k, places, coefs, scale) for k, places, coefs in replaced]
         if subs:
-            self._predict(subs, columns, gaps)
+            self._predict(subs, base.columns, base.gaps)
 
     def score(self, i: int) -> float:
         """:func:`score_hypothesis` of candidate ``i``."""
@@ -687,7 +701,10 @@ class _EditBatch:
                 for bad_row, over, rows_found in zip(nonfinite, overflow.tolist(), found)
             ]
 
-        score_refused, test_refused = refused(slice(0, s), [1] * count), refused(slice(s, None), counts)
+        if bad is None and not overflow.any() and all(counts):
+            score_refused = test_refused = [None] * count
+        else:
+            score_refused, test_refused = refused(slice(0, s), [1] * count), refused(slice(s, None), counts)
         for i in dict.fromkeys(cand.tolist()):
             if s > 0:
                 infinite = None if math.isfinite(scores[i]) else DomainError("a candidate's score is not finite")

@@ -101,14 +101,20 @@ class CausalEdge:
     form: Form = Form.LINEAR
 
     def __post_init__(self) -> None:
-        if self.delay < 1:
-            raise ConfigError(f"edge delay must be >= 1, got {self.delay}")
-        if not math.isfinite(self.coefficient):
-            raise ConfigError(f"edge coefficient must be finite, got {self.coefficient!r}")
+        _check_edge(self.delay, self.coefficient)
 
 
 # One edge as the per-tick loops read it (:attr:`CausalGraph.plan`).
 EdgePlan = tuple[bool, int, int, int, float, Form]
+
+
+def _check_edge(delay: int, coefficient: float) -> None:
+    """Raise :class:`ConfigError` unless an edge's delay is at least 1 and
+    its coefficient finite, as :class:`CausalEdge` checks them."""
+    if delay < 1:
+        raise ConfigError(f"edge delay must be >= 1, got {delay}")
+    if not math.isfinite(coefficient):
+        raise ConfigError(f"edge coefficient must be finite, got {coefficient!r}")
 
 
 def _check_ends(d_state: int, d_action: int, reads_action: bool, index: int, target: int) -> None:
@@ -119,6 +125,13 @@ def _check_ends(d_state: int, d_action: int, reads_action: bool, index: int, tar
     if not 0 <= index < (d_action if reads_action else d_state):
         kind = SourceKind.ACTION if reads_action else SourceKind.STATE
         raise ConfigError(f"edge source {kind.value}[{index}] out of range")
+
+
+def _duplicate(reads_action: bool, index: int, target: int, delay: int) -> ConfigError:
+    """The refusal of a second edge with this source, target and delay,
+    naming the source's :class:`VarRef`, built only here."""
+    source = VarRef(SourceKind.ACTION if reads_action else SourceKind.STATE, index)
+    return ConfigError(f"duplicate edge (source={source}, target={target}, delay={delay})")
 
 
 def _check_plan(d_state: int, d_action: int, plan: tuple[EdgePlan, ...]) -> None:
@@ -136,8 +149,7 @@ def _check_plan(d_state: int, d_action: int, plan: tuple[EdgePlan, ...]) -> None
         _check_ends(d_state, d_action, reads_action, index, target)
         key = (reads_action, index, target, delay)
         if key in seen:
-            source = VarRef(SourceKind.ACTION if reads_action else SourceKind.STATE, index)
-            raise ConfigError(f"duplicate edge (source={source}, target={target}, delay={delay})")
+            raise _duplicate(reads_action, index, target, delay)
         seen.add(key)
 
 
@@ -184,12 +196,6 @@ class CausalGraph:
         set_(graph, "edges", tuple(edges))
         set_(graph, "plan", plan)
         return graph
-
-    def check_in_range(self, e: CausalEdge) -> None:
-        """Raise :class:`ConfigError` unless ``e``'s target and source are
-        dimensions of this graph."""
-        source = e.source
-        _check_ends(self.d_state, self.d_action, source.kind is SourceKind.ACTION, source.index, e.target)
 
     def with_coefficients(self, coefficients: list[float]) -> CausalGraph:
         """This graph with edge ``i``'s coefficient ``coefficients[i]``,

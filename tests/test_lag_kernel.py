@@ -58,6 +58,7 @@ from causalloop.reflect import (
     CoefChange,
     DelayChange,
     EdgeAdd,
+    EdgeRemove,
     ReflectSettings,
     StructuralBreak,
     apply_hypothesis,
@@ -72,7 +73,7 @@ from causalloop.reflect import (
     _update_map,
 )
 from causalloop.reflect import test_hypothesis as holdout_test
-from causalloop.world import Form, SourceKind, VarRef
+from causalloop.world import CausalEdge, CausalGraph, Form, SourceKind, VarRef
 
 from helpers import random_graph
 
@@ -610,6 +611,72 @@ def test_overflowing_squared_error_is_refused_with_domain_error():
     ):
         with pytest.raises(DomainError):
             call()
+
+
+def refusal(call):
+    """The class and message of the :class:`CausalLoopError` ``call()``
+    raises, or None."""
+    try:
+        call()
+    except CausalLoopError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+A0, S0, S1 = VarRef.action(0), VarRef.state(0), VarRef.state(1)
+# Each edit a candidate row refuses as building its graph refuses it.
+EDGE_REFUSALS = {
+    "delay-change-to-0": DelayChange(0, 0),
+    "edge-add-delay-0": EdgeAdd(S1, 0, 0, Form.LINEAR, 0.5),
+    "edge-add-delay-0-and-inf": EdgeAdd(S1, 0, 0, Form.LINEAR, math.inf),
+    "coef-change-inf": CoefChange(1, math.inf),
+    "coef-change-nan": CoefChange(2, math.nan),
+    "edge-add-nan": EdgeAdd(S1, 0, 1, Form.TANH, math.nan),
+    "edge-add-nan-target-out": EdgeAdd(S1, 2, 1, Form.LINEAR, math.nan),
+    "edge-add-target-out": EdgeAdd(S1, 2, 1, Form.LINEAR, 0.5),
+    "edge-add-target-negative": EdgeAdd(S1, -1, 1, Form.LINEAR, 0.5),
+    "edge-add-state-source-out": EdgeAdd(VarRef.state(2), 0, 1, Form.LINEAR, 0.5),
+    "edge-add-action-source-out": EdgeAdd(VarRef.action(1), 0, 1, Form.LINEAR, 0.5),
+    "edge-add-both-ends-out": EdgeAdd(VarRef.action(1), 2, 1, Form.LINEAR, 0.5),
+    "edge-add-duplicate": EdgeAdd(A0, 0, 3, Form.LINEAR, 0.5),
+    "edge-add-duplicate-other-form": EdgeAdd(S0, 1, 2, Form.LINEAR, 0.5),
+    "delay-change-onto-twin": DelayChange(0, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_REFUSALS))
+def test_candidate_rows_refuse_as_building_the_edited_graph(case):
+    """``_Baseline.edit`` builds no edge, yet refuses each edit with the
+    class and message that building the edited graph (``apply_hypothesis``:
+    :class:`CausalEdge`, then the graph check) raises."""
+    graph = CausalGraph(2, 1, (
+        CausalEdge(A0, 0, delay=1, coefficient=1.0),
+        CausalEdge(S0, 1, delay=2, coefficient=0.5, form=Form.TANH),
+        CausalEdge(A0, 0, delay=3, coefficient=-0.5),
+    ))
+    m = CausalModel(graph=graph, fit_window=12)
+    for tr in transitions(np.random.default_rng(3), 2, 1, range(12)):
+        m = append_history(m, tr)
+    h = EDGE_REFUSALS[case]
+    expected = refusal(lambda: apply_hypothesis(m, h))
+    assert expected is not None and expected[0] is ConfigError
+    base = _Baseline.over(m, m.history)
+    assert refusal(lambda: base.edit(h)) == expected
+    batch = _EditBatch(base, [h], 8)
+    assert refusal(lambda: batch.test(0, 0.1)) == refusal(lambda: batch.score(0)) == expected
+
+
+@pytest.mark.parametrize("h", [CoefChange(3, 1.0), DelayChange(-1, 2), EdgeRemove(3)], ids=repr)
+def test_candidate_rows_refuse_an_edge_index_outside_the_graph(h):
+    """An edge index outside the graph has no graph to build (Python's list
+    would raise IndexError, or wrap a negative index): the row refuses it
+    with ConfigError, before any check of the edge it names."""
+    graph = CausalGraph(1, 1, tuple(CausalEdge(A0, 0, delay=k, coefficient=1.0) for k in (1, 2, 3)))
+    m = CausalModel(graph=graph, fit_window=8)
+    for tr in transitions(np.random.default_rng(4), 1, 1, range(8)):
+        m = append_history(m, tr)
+    msg = f"edge index {h.edge_index} outside a graph of 3 edges"
+    assert refusal(lambda: _Baseline.over(m, m.history).edit(h)) == (ConfigError, msg)
 
 
 def test_a_score_that_is_not_finite_is_refused_with_domain_error():
