@@ -8,17 +8,22 @@ Three lenses:
   the ground-truth graph in force at each tick -- edges are keyed by
   (source, target), an edge present on one side only costs 1, and a
   shared edge costs 1 per delay difference plus 1 per coefficient sign
-  mismatch.  It is computed once per snapshot or break, not per tick: the
-  agent's graph is read anew only at a model snapshot (one that changes
-  only ``delta_hat`` costs one SHD too), the true one changes only at a
-  scheduled break.  Both graphs are compared as their plan tuples
-  (:attr:`causalloop.world.CausalGraph.plan`);
+  mismatch;
 * reflection statistics (triggers, candidates, acceptances by kind).
 
-Per-tick agent graphs come straight from the model snapshots embedded in
-the trace, each parsed and checked by
-:func:`causalloop.scenario.graph_from_dict`, so evaluation never re-runs
-an episode.
+The agent's graph comes straight from the model snapshots embedded in the
+trace, so evaluation never re-runs an episode.  Both graphs are compared
+as their plan tuples (:attr:`causalloop.world.CausalGraph.plan`), grouped
+by (source, target) with each group sorted by delay.  The SHD series is
+computed once per change point, not per tick: the agent's graph changes
+only at a model snapshot (one that changes only ``delta_hat`` is a change
+point too), the true one only at a scheduled break.  At each change point
+a snapshot there is read and checked once (:func:`causalloop.model.
+read_snapshot`, the check ``explain`` makes, and its graph must have the
+scenario's dimensions) and grouped, the true graph is grouped once per
+graph, and one SHD fills the ticks up to the next change point.  Every
+snapshot is read, and no edge object is built.  Per-record values are read
+with C-level ``map`` calls, with no Python loop over the records.
 """
 
 from __future__ import annotations
@@ -27,15 +32,17 @@ import functools
 import operator
 import statistics
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .core import InputError
+from .model import read_snapshot
 from .reflect import HYPOTHESIS_KINDS
-from .scenario import ScenarioConfig, graph_from_dict, scenario_digest
+from .scenario import ScenarioConfig, scenario_digest
 from .trace import EpisodeTrace, reflect_block_from_dict
-from .world import CausalGraph, active_graph
+from .world import CausalGraph, EdgePlan, active_graph
 
 RMSE_WINDOW = 16
 RECOVERY_FACTOR = 2.0  # threshold = factor * pre-break median rolling RMSE
@@ -46,20 +53,47 @@ RECOVERY_FACTOR = 2.0  # threshold = factor * pre-break median rolling RMSE
 # ---------------------------------------------------------------------------
 
 
-def _sign(x: float) -> int:
-    return (x > 0) - (x < 0)
+# A graph's ``(delay, sign of coefficient)`` pairs by ``(reads_action,
+# source_index, target)``, each group sorted by delay.
+Groups = dict[tuple[bool, int, int], list[tuple[int, int]]]
 
 
-_delay = operator.itemgetter(0)
-
-
-def _by_key(g: CausalGraph) -> dict[tuple[bool, int, int], list[tuple[int, float]]]:
-    """``g``'s ``(delay, coefficient)`` pairs by ``(reads_action,
-    source_index, target)``, in edge order, read from its plan."""
-    groups: dict[tuple[bool, int, int], list[tuple[int, float]]] = {}
-    for reads_action, index, delay, target, coefficient, _ in g.plan:
-        groups.setdefault((reads_action, index, target), []).append((delay, coefficient))
+def _groups(plan: tuple[EdgePlan, ...]) -> Groups:
+    """The :data:`Groups` of a graph's plan.  A graph has at most one edge
+    of each source, target and delay, so sorting a group's pairs sorts them
+    by delay."""
+    groups: Groups = {}
+    for reads_action, index, delay, target, coefficient, _ in plan:
+        pair = (delay, (coefficient > 0) - (coefficient < 0))
+        group = groups.get((reads_action, index, target))
+        if group is None:
+            groups[(reads_action, index, target)] = [pair]
+        else:
+            group.append(pair)
+    for group in groups.values():
+        if len(group) > 1:
+            group.sort()
     return groups
+
+
+def _distance(a: Groups, b: Groups) -> int:
+    """:func:`shd` of two graphs' :data:`Groups`: 0 at once when they are
+    equal, and only the keys whose groups differ are paired."""
+    if a == b:
+        return 0
+    total = 0
+    for key, group_a in a.items():
+        group_b = b.get(key)
+        if group_b is None:
+            total += len(group_a)
+        elif group_a != group_b:
+            for (delay_a, sign_a), (delay_b, sign_b) in zip(group_a, group_b):
+                total += (delay_a != delay_b) + (sign_a != sign_b)
+            total += abs(len(group_a) - len(group_b))
+    for key, group_b in b.items():
+        if key not in a:
+            total += len(group_b)
+    return total
 
 
 def shd(inferred: CausalGraph, truth: CausalGraph) -> int:
@@ -69,23 +103,7 @@ def shd(inferred: CausalGraph, truth: CausalGraph) -> int:
     The edges of one key on both sides pair up in order of delay; each
     unpaired edge costs 1.
     """
-    by_key_a = _by_key(inferred)
-    by_key_b = _by_key(truth)
-    total = 0
-    for key, group_a in by_key_a.items():
-        group_b = by_key_b.get(key)
-        if group_b is None:
-            total += len(group_a)
-            continue
-        group_a.sort(key=_delay)
-        group_b.sort(key=_delay)
-        for (delay_a, coef_a), (delay_b, coef_b) in zip(group_a, group_b):
-            total += (delay_a != delay_b) + (_sign(coef_a) != _sign(coef_b))
-        total += abs(len(group_a) - len(group_b))
-    for key, group_b in by_key_b.items():
-        if key not in by_key_a:
-            total += len(group_b)
-    return total
+    return _distance(_groups(inferred.plan), _groups(truth.plan))
 
 
 # ---------------------------------------------------------------------------
@@ -112,43 +130,59 @@ def rolling_rmse(epsilons: Sequence[float], window: int = RMSE_WINDOW) -> tuple[
     padded = np.concatenate([np.zeros(window - 1), epsilons])
     totals = np.zeros(n)
     for j in range(window):
-        totals = totals + padded[j : j + n]
+        np.add(totals, padded[j : j + n], out=totals)
     means = totals / np.minimum(np.arange(1, n + 1), window)
     return tuple([m**0.5 for m in means.tolist()])
 
 
-def graphs_per_tick(trace: EpisodeTrace) -> list[CausalGraph]:
-    """Agent graph at each tick, forward-filled from embedded snapshots."""
-    graphs: list[CausalGraph] = []
-    current: CausalGraph | None = None
-    for r in trace.records:
-        if r.model_snapshot is not None:
-            current = graph_from_dict(r.model_snapshot.get("graph"))
-        if current is None:
-            raise InputError(f"trace record at tick {r.tick} precedes any model snapshot")
-        graphs.append(current)
-    return graphs
+_epsilon_of = operator.attrgetter("epsilon")
+_snapshot_of = operator.attrgetter("model_snapshot")
+_reflect_of = operator.attrgetter("reflect")
+
+
+def _present(values: list[Any]) -> Iterable[int]:
+    """The indices of ``values`` that are not None, found in C."""
+    return compress(range(len(values)), map(operator.is_not, values, repeat(None)))
 
 
 def shd_series(trace: EpisodeTrace, scenario: ScenarioConfig) -> tuple[int, ...]:
     """:func:`shd` of the agent's graph against the true one at each tick.
 
-    Computed again only when either graph is another object: the true one
-    at a break, the agent's at a snapshot.  Between those both are the same
-    objects, so the series is the one a per-tick :func:`shd` gives.
+    Record i holds tick i, as :func:`causalloop.trace.read_trace` and
+    :func:`causalloop.agent.run_episode` guarantee.  The change points are
+    the records that carry a model snapshot, the first of which must be
+    record 0, and the ticks of the breaks inside the trace.  At each one a
+    snapshot there is read and checked (:func:`read_snapshot`); its graph
+    must have the scenario's dimensions (:class:`InputError` otherwise).
+    One SHD then holds until the next change point, so the series is the
+    one a per-tick :func:`shd` gives.
     """
     sc = scenario.materialized()
+    records = trace.records
+    n = len(records)
+    snapshots = list(map(_snapshot_of, records))
+    points = set(_present(snapshots))
+    if n and 0 not in points:
+        raise InputError(f"trace record at tick {records[0].tick} precedes any model snapshot")
+    points.update(b.at_tick for b in sc.breaks if 0 < b.at_tick < n)
+    starts = sorted(points)
+    truths: dict[int, Groups] = {}  # id of each true graph met -> its groups
     out: list[int] = []
-    agent: CausalGraph | None = None
-    truth: CausalGraph | None = None
-    value = 0
-    for g, r in zip(graphs_per_tick(trace), trace.records):
-        t = active_graph(sc.graph, sc.breaks, r.tick)
-        if t is not truth or g is not agent:
-            value = shd(g, t)
-            truth = t
-        agent = g
-        out.append(value)
+    for t, end in zip(starts, starts[1:] + [n]):
+        snap = snapshots[t]
+        if snap is not None:
+            (d_state, d_action, plan), _ = read_snapshot(snap)
+            if d_state != sc.d_state or d_action != sc.d_action:
+                raise InputError(
+                    f"tick {records[t].tick}: the model snapshot's graph has d_state={d_state}, "
+                    f"d_action={d_action}; the scenario has d_state={sc.d_state}, d_action={sc.d_action}"
+                )
+            agent = _groups(plan)
+        truth = active_graph(sc.graph, sc.breaks, t)
+        groups = truths.get(id(truth))
+        if groups is None:
+            groups = truths[id(truth)] = _groups(truth.plan)
+        out += [_distance(agent, groups)] * (end - t)
     return tuple(out)
 
 
@@ -228,7 +262,8 @@ def evaluate_trace(trace: EpisodeTrace, scenario: ScenarioConfig) -> EvalReport:
     if not trace.records:
         raise InputError("trace has no records")
 
-    eps = [r.epsilon for r in trace.records]
+    records = trace.records
+    eps = list(map(_epsilon_of, records))
     rmse = rolling_rmse(eps)
     shds = shd_series(trace, sc)
 
@@ -247,10 +282,9 @@ def evaluate_trace(trace: EpisodeTrace, scenario: ScenarioConfig) -> EvalReport:
     triggers = 0
     n_candidates = 0
     acceptances: dict[str, int] = {}
-    for r in trace.records:
-        if r.reflect is None:
-            continue
-        block = reflect_block_from_dict(r.tick, r.reflect)
+    reflects = list(map(_reflect_of, records))
+    for i in _present(reflects):
+        block = reflect_block_from_dict(records[i].tick, reflects[i])
         triggers += 1
         n_candidates += len(block.candidates)
         for h in block.accepted:
@@ -262,7 +296,7 @@ def evaluate_trace(trace: EpisodeTrace, scenario: ScenarioConfig) -> EvalReport:
         scenario_digest=digest,
         seed=trace.header.seed,
         reflect_enabled=trace.header.reflect_enabled,
-        length=len(trace.records),
+        length=len(records),
         mean_epsilon=_total(eps) / len(eps),
         rmse=rmse,
         shd=shds,

@@ -86,7 +86,7 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -105,8 +105,8 @@ from .core import (
     check_finite,
     scale_factor,
 )
-from .scenario import canonical_json, graph_from_dict, graph_to_dict, json_number, json_typed
-from .world import CausalEdge, CausalGraph, Form, SourceKind, VarRef
+from .scenario import canonical_json, graph_plan_from_dict, graph_to_dict, json_number, json_typed
+from .world import CausalEdge, CausalGraph, EdgePlan, Form, SourceKind, VarRef
 
 
 _NO_ROWS = np.zeros(0)
@@ -874,18 +874,61 @@ def model_snapshot(m: CausalModel) -> dict:
     }
 
 
-def model_from_snapshot(snap: dict) -> CausalModel:
+# A snapshot's scalar fields in the order they are checked, and the JSON
+# type each has as :func:`model_snapshot` writes it.
+_SNAPSHOT_SCALARS = ("delta_hat", "fit_window", "sigma_lik", "capacity", "delta_max")
+_snapshot_scalars = operator.itemgetter(*_SNAPSHOT_SCALARS)
+_WRITTEN_TYPES = (float, int, float, int, float)
+
+
+def read_snapshot(snap: Any) -> tuple[tuple[int, int, tuple[EdgePlan, ...]], tuple[float, int, float, int, float]]:
+    """The model snapshot :func:`model_snapshot` wrote, checked: its graph
+    read by :func:`causalloop.scenario.graph_plan_from_dict` as
+    ``(d_state, d_action, plan)``, then ``(delta_hat, fit_window,
+    sigma_lik, capacity, delta_max)``, each of its JSON type: an int, or
+    for a float field a JSON int or finite float, made a float.
+
+    The scalars as written (three finite floats and two ints) pass one
+    type test; anything else takes a pass over the fields in order, which
+    names the first one refused.  A missing key or a scalar of the wrong
+    type raises :class:`InputError` (``malformed model snapshot``); the
+    graph raises what its reader raises.  :func:`model_from_snapshot` and
+    :func:`causalloop.evaluate.evaluate_trace` both read snapshots so.
+    """
     try:
-        return CausalModel(
-            graph=graph_from_dict(snap["graph"]),
-            delta_hat=json_number(snap["delta_hat"], name="delta_hat"),
-            fit_window=json_typed(snap["fit_window"], int, name="fit_window"),
-            sigma_lik=json_number(snap["sigma_lik"], name="sigma_lik"),
-            capacity=json_typed(snap["capacity"], int, name="capacity"),
-            delta_max=json_number(snap["delta_max"], name="delta_max"),
+        graph = graph_plan_from_dict(snap["graph"])
+        try:
+            scalars = _snapshot_scalars(snap)
+        except KeyError:
+            scalars = None  # the pass below names the first refused field
+        if (
+            scalars is not None
+            and tuple(map(type, scalars)) == _WRITTEN_TYPES
+            and all(map(math.isfinite, scalars[::2]))
+        ):
+            return graph, scalars
+        return graph, (
+            json_number(snap["delta_hat"], name="delta_hat"),
+            json_typed(snap["fit_window"], int, name="fit_window"),
+            json_number(snap["sigma_lik"], name="sigma_lik"),
+            json_typed(snap["capacity"], int, name="capacity"),
+            json_number(snap["delta_max"], name="delta_max"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model snapshot: {exc!r}") from exc
+
+
+def model_from_snapshot(snap: Any) -> CausalModel:
+    """The model a snapshot holds (:func:`read_snapshot`), with an empty history."""
+    graph, (delta_hat, fit_window, sigma_lik, capacity, delta_max) = read_snapshot(snap)
+    return CausalModel(
+        graph=CausalGraph.from_plan(*graph),
+        delta_hat=delta_hat,
+        fit_window=fit_window,
+        sigma_lik=sigma_lik,
+        capacity=capacity,
+        delta_max=delta_max,
+    )
 
 
 def model_digest(m: CausalModel) -> str:

@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -40,6 +41,7 @@ from .world import (
     SourceKind,
     Spike,
     VarRef,
+    _check_plan,
 )
 
 FORMAT_VERSION = 1
@@ -188,12 +190,38 @@ _READS_ACTION = {SourceKind.ACTION.value: True, SourceKind.STATE.value: False}
 _FORMS = {f.value: f for f in Form}
 
 
+_edge_fields = operator.itemgetter("source", "target", "delay", "coefficient", "form")
+_source_fields = operator.itemgetter("kind", "index")
+# The JSON types of an edge record's index, target, delay and coefficient
+# as :func:`edge_to_dict` writes them.
+_WRITTEN_EDGE = (int, int, int, float)
+
+
 def _edge_plan_from_dict(d: Any) -> EdgePlan:
     """The edge record :func:`edge_to_dict` wrote, as a plan tuple
     (:attr:`CausalGraph.plan`), each field read as its JSON type in record
     order; :class:`InputError` for a malformed record, then
     :class:`ConfigError` for a delay below 1, as :class:`CausalEdge` refuses
-    it.  Its source and target are checked with its graph's."""
+    it.  Its source and target are checked with its graph's.
+
+    A record as written (a known kind and form, three ints and a finite
+    float, a delay of at least 1) passes one type test; anything else takes
+    a pass over the fields in order, which names the first one refused."""
+    try:
+        source, target, delay, coefficient, form = _edge_fields(d)
+        kind, index = _source_fields(source) if type(source) is dict else (None, None)
+        if (
+            (type(index), type(target), type(delay), type(coefficient)) == _WRITTEN_EDGE
+            and -_FLOAT_MAX <= coefficient <= _FLOAT_MAX
+            and delay >= 1
+            and type(kind) is str
+            and type(form) is str
+        ):
+            reads_action, form = _READS_ACTION.get(kind), _FORMS.get(form)
+            if reads_action is not None and form is not None:
+                return (reads_action, index, delay, target, coefficient, form)
+    except (KeyError, TypeError):
+        pass
     try:
         source = json_typed(d["source"], dict, name="source")
         kind = source["kind"]
@@ -223,19 +251,30 @@ def graph_to_dict(g: CausalGraph) -> dict[str, Any]:
     }
 
 
-def graph_from_dict(d: Any) -> CausalGraph:
-    """The graph record :func:`graph_to_dict` wrote.  Its edges are read
-    straight to plan tuples (:func:`_edge_plan_from_dict`), and the graph is
-    built from them with the one graph check (:meth:`CausalGraph.from_plan`).
+def graph_plan_from_dict(d: Any) -> tuple[int, int, tuple[EdgePlan, ...]]:
+    """The graph record :func:`graph_to_dict` wrote, read and checked as
+    ``(d_state, d_action, plan)``: its edges are read straight to plan
+    tuples (:func:`_edge_plan_from_dict`), the tuples of
+    :attr:`CausalGraph.plan`, and the one graph check runs over them once.
     A malformed record raises :class:`InputError`, a graph that the check
-    refuses :class:`ConfigError`."""
+    refuses :class:`ConfigError`.  This is the one graph-record reader:
+    scenario files, model snapshots and evaluation read graphs through it."""
     try:
         d_state = json_typed(d["d_state"], int, name="d_state")
         d_action = json_typed(d["d_action"], int, name="d_action")
         edges = json_typed(d["edges"], list, name="edges")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph record: {exc}") from exc
-    return CausalGraph.from_plan(d_state, d_action, tuple(map(_edge_plan_from_dict, edges)))
+    plan = tuple(map(_edge_plan_from_dict, edges))
+    _check_plan(d_state, d_action, plan)
+    return d_state, d_action, plan
+
+
+def graph_from_dict(d: Any) -> CausalGraph:
+    """The graph record :func:`graph_to_dict` wrote, read and checked by
+    :func:`graph_plan_from_dict` and built from its plan without a second
+    check (:meth:`CausalGraph.from_plan`)."""
+    return CausalGraph.from_plan(*graph_plan_from_dict(d))
 
 
 def perturbation_to_dict(p: PerturbationProcess) -> dict[str, Any]:

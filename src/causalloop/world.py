@@ -14,8 +14,8 @@ per edge, ``(reads_action, source_index, delay, target, coefficient,
 form)`` in edge order, built once per graph.  ``world_step`` and the
 model's ``predict_next`` loop over it and read the vectors' values
 directly, with no attribute chain or method call per edge.  The graph
-check reads it too, and a graph record is parsed straight into it
-(:meth:`CausalGraph.from_plan`).
+check reads it too, and a graph record is parsed and checked straight
+into it (:func:`causalloop.scenario.graph_plan_from_dict`).
 
 ``world_step`` is pure: it returns a new :class:`WorldState` and never
 mutates its input, so stepping the same state twice gives the same result.
@@ -146,7 +146,8 @@ def _check_plan(d_state: int, d_action: int, plan: tuple[EdgePlan, ...]) -> None
         raise ConfigError(f"d_action must be >= 0, got {d_action}")
     seen: set[tuple[bool, int, int, int]] = set()
     for reads_action, index, delay, target, _, _ in plan:
-        _check_ends(d_state, d_action, reads_action, index, target)
+        if not (0 <= target < d_state and 0 <= index < (d_action if reads_action else d_state)):
+            _check_ends(d_state, d_action, reads_action, index, target)
         key = (reads_action, index, target, delay)
         if key in seen:
             raise _duplicate(reads_action, index, target, delay)
@@ -167,15 +168,16 @@ class CausalGraph:
 
     @staticmethod
     def from_plan(d_state: int, d_action: int, plan: tuple[EdgePlan, ...]) -> CausalGraph:
-        """The graph whose edges ``plan`` holds.  Each delay must already
-        be at least 1 and each coefficient a finite float, as
-        :class:`CausalEdge` would check.
+        """The graph whose edges ``plan`` holds, which must already have
+        passed :func:`_check_plan` with these dimensions, with each delay at
+        least 1 and each coefficient a finite float, as :class:`CausalEdge`
+        would check (:func:`causalloop.scenario.graph_plan_from_dict` reads
+        a graph record so).
 
-        Only :func:`_check_plan` runs: the edges and the graph are filled in
+        Nothing is checked again: the edges and the graph are filled in
         field by field, as :meth:`with_coefficients` fills them, and
         ``plan`` is kept as the graph's :attr:`plan`.
         """
-        _check_plan(d_state, d_action, plan)
         new, set_ = object.__new__, object.__setattr__
         action, state = SourceKind.ACTION, SourceKind.STATE
         edges = []

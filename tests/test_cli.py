@@ -348,6 +348,28 @@ def test_malformed_model_snapshot_is_data_error(field, bad, tmp_path, capsys):
     assert err.startswith("error: malformed model snapshot") and f"{field} is" in err
 
 
+@pytest.mark.parametrize(
+    "doctor, message",
+    [
+        (lambda snap: snap.update(delta_hat="x"), "malformed model snapshot: TypeError(\"delta_hat is 'x' of type str"),
+        (lambda snap: snap["graph"].update(d_state=7), "tick 0: the model snapshot's graph has d_state=7"),
+    ],
+    ids=["delta_hat-string", "graph-d_state-7"],
+)
+def test_evaluate_refuses_a_snapshot_explain_refuses(doctor, message, tmp_path, capsys):
+    """``evaluate`` reads each model snapshot as ``explain`` does, and holds
+    its graph to the scenario's dimensions."""
+    path = run_trace(tmp_path)
+    lines = path.read_text().strip().split("\n")
+    record = json.loads(lines[1])
+    doctor(record["model_snapshot"])
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", str(path), "calm"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert main(["explain", str(path), "--tick", "0"]) == 2
+
+
 CALM_GRAPH = json.loads(CALM_FILE.read_text())["graph"]
 # (top-level key, edge index or None for the whole value, fields set, the
 # field the error names)

@@ -18,7 +18,6 @@ from causalloop import evaluate
 from causalloop.evaluate import (
     compare,
     evaluate_trace,
-    graphs_per_tick,
     recovery_threshold,
     recovery_time,
     report_tsv,
@@ -37,7 +36,8 @@ from causalloop.reflect import (
     StructuralBreak,
     hypothesis_to_dict,
 )
-from causalloop.scenario import ScenarioConfig, builtin_scenarios, graph_from_dict, graph_to_dict
+from causalloop.model import CausalModel, model_snapshot
+from causalloop.scenario import ScenarioConfig, builtin_scenarios, graph_from_dict
 from causalloop.world import CausalEdge, CausalGraph, Form, ScheduledBreak, VarRef, active_graph
 
 BREAK = builtin_scenarios()["break_demo"]
@@ -219,18 +219,23 @@ def test_recovery_threshold_is_twice_pre_break_median():
         recovery_threshold(series, break_tick=0)
 
 
-def test_graphs_per_tick_requires_leading_snapshot():
+def test_shd_series_requires_leading_snapshot():
     tr = run_episode(BREAK, RandomPolicy(), seed=0, length=10)
-    assert len(graphs_per_tick(tr)) == 10
+    assert len(shd_series(tr, BREAK)) == 10
     headless = dataclasses.replace(tr, records=tr.records[1:])
-    with pytest.raises(InputError):
-        graphs_per_tick(headless)
+    with pytest.raises(InputError, match="precedes any model snapshot"):
+        shd_series(headless, BREAK)
 
 
 # ---- SHD once per snapshot or break ------------------------------------------
 
 TEMPLATE = run_episode(BREAK, RandomPolicy(), seed=0, length=1)
 SOURCES = (A0, A1, S0)
+
+
+def snapshot_of(g, delta_hat=0.0):
+    """A model snapshot, every field given, of a model with graph ``g``."""
+    return model_snapshot(CausalModel(graph=g, delta_hat=delta_hat))
 
 
 def trace_of(snapshots: dict[int, dict], length: int):
@@ -296,14 +301,16 @@ def test_shd_series_equals_a_per_tick_shd(data):
     snapshots, agent = {}, _random_single_key_graph(draw)
     for t in [0, *sorted(draw(st.sets(st.integers(1, length - 1), max_size=12)) if length > 1 else [])]:
         agent = _edited(draw, agent) if t else agent
-        snapshots[t] = {"graph": graph_to_dict(agent), "delta_hat": draw(st.sampled_from([0.0, 0.25, -1.5]))}
+        snapshots[t] = snapshot_of(agent, draw(st.sampled_from([0.0, 0.25, -1.5])))
     trace = trace_of(snapshots, length)
 
-    calls = []
-    with mock.patch.object(evaluate, "shd", side_effect=lambda a, b: calls.append(1) or shd(a, b)):
+    with mock.patch.object(evaluate, "_distance", side_effect=evaluate._distance) as counted:
         series = shd_series(trace, sc)
     assert series == per_tick_shd(trace, sc)
-    assert len(calls) <= len(snapshots) + len(breaks) + 1
+    # one SHD per change point: each snapshot, and each break before the
+    # last tick (a break drawn past it is no change point)
+    inside = {b.at_tick for b in breaks if b.at_tick < length}
+    assert counted.call_count == len(snapshots.keys() | inside)
 
 
 @pytest.mark.parametrize("reflect_enabled", [True, False], ids=["repair", "baseline"])
@@ -312,7 +319,7 @@ def test_shd_runs_at_most_once_per_snapshot_or_break(name, reflect_enabled):
     sc = builtin_scenarios()[name]
     tr = run_episode(sc, RandomPolicy(), seed=2, length=260, reflect_enabled=reflect_enabled)
     n_snapshots = sum(r.model_snapshot is not None for r in tr.records)
-    with mock.patch.object(evaluate, "shd", side_effect=shd) as counted:
+    with mock.patch.object(evaluate, "_distance", side_effect=evaluate._distance) as counted:
         rep = evaluate_trace(tr, sc)
     assert rep.shd == per_tick_shd(tr, sc.materialized())
     assert counted.call_count <= n_snapshots + len(sc.breaks) + 1

@@ -105,22 +105,34 @@ SNAPSHOT_PATHS = st.sampled_from([(key,) for key in SNAPSHOT]) | st.sampled_from
 
 
 @settings(max_examples=150, deadline=None)
-@given(SNAPSHOT_PATHS, JSON_VALUES)
-def test_only_causalloop_errors_escape_reading_a_model_snapshot(path, value):
+@given(SNAPSHOT_PATHS, JSON_VALUES, st.booleans())
+def test_only_causalloop_errors_escape_reading_a_model_snapshot(path, value, later):
+    """The doctored snapshot is tick 0's, or (``later``) tick 2's, which
+    evaluate must read too.  Evaluate refuses
+    exactly what explain's snapshot reader refuses, and a snapshot graph
+    whose dimensions are not the scenario's."""
     lines = list(TRACE_LINES)
-    lines[1] = {**lines[1], "model_snapshot": replaced(SNAPSHOT, path, value)}
+    at = 3 if later else 1
+    lines[at] = {**lines[at], "model_snapshot": replaced(SNAPSHOT, path, value)}
     text = [json.dumps(ln) for ln in lines]
     trace = trace_from_lines(text)
     readers = {
         "evaluate": lambda: evaluate_trace(trace, CALM),
-        "explain": lambda: model_from_snapshot(trace.records[0].model_snapshot),
+        "explain": lambda: model_from_snapshot(trace.records[at - 1].model_snapshot),
     }
-    refused = []
-    for command, read in readers.items():
+    refused, read = [], {}
+    for command, reader in readers.items():
         try:
-            read()
+            read[command] = reader()
         except CausalLoopError:
             refused.append(command)
+    if "explain" not in refused:
+        graph = read["explain"].graph
+        assert ("evaluate" in refused) == ((graph.d_state, graph.d_action) != (CALM.d_state, CALM.d_action))
+    else:
+        assert "evaluate" in refused
+    if later and "explain" in refused:
+        refused.remove("explain")  # ``causalloop explain --tick 0`` reads tick 0's snapshot
     if refused:
         with tempfile.TemporaryDirectory() as tmp:
             file = os.path.join(tmp, "t.jsonl")

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalloop.core import ConfigError, InputError
+from causalloop.model import CausalModel, model_snapshot, read_snapshot
 from causalloop.scenario import (
     ScenarioConfig,
     builtin_scenarios,
     canonical_json,
     graph_from_dict,
+    graph_plan_from_dict,
     graph_to_dict,
     load_scenario,
     resolve_scenario,
@@ -345,6 +347,21 @@ def test_a_malformed_graph_record_is_refused_with_its_class_and_message(case):
     assert str(info.value) == message
 
 
+SNAPSHOT = model_snapshot(CausalModel(graph=builtin_scenarios()["calm"].graph))
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_GRAPHS))
+def test_the_reader_evaluate_uses_refuses_a_malformed_graph_alike(case):
+    """The one graph-record reader, alone and inside a model snapshot as
+    evaluation reads it, refuses each record as :func:`graph_from_dict`."""
+    record, error, message = MALFORMED_GRAPHS[case]
+    for read in (graph_plan_from_dict, lambda r: read_snapshot({**SNAPSHOT, "graph": r})):
+        with pytest.raises(error) as info:
+            read(record)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 def derived_plan(g):
     """The plan of ``g`` as its edges give it, field by field."""
     return tuple(
@@ -357,7 +374,9 @@ def derived_plan(g):
 @given(st.integers(0, 2**32), st.integers(1, 6), st.integers(0, 3))
 def test_a_graph_record_reads_back_to_the_graph(seed, d_state, d_action):
     g = random_graph(np.random.default_rng(seed), d_state, d_action, max_edges=12)
-    back = graph_from_dict(json.loads(json.dumps(graph_to_dict(g))))
+    record = json.loads(json.dumps(graph_to_dict(g)))
+    back = graph_from_dict(record)
+    assert graph_plan_from_dict(record) == (d_state, d_action, g.plan)
     assert back == g and hash(back) == hash(g)
     assert back.plan == derived_plan(back) == derived_plan(g) == g.plan
     assert [type(e.coefficient) for e in back.edges] == [float] * len(g.edges)
