@@ -12,17 +12,16 @@ The budget is shared.  A DeltaShift comes first and a StructuralBreak
 second, one candidate each; then the offending dimensions take turns, round
 robin, the one with the largest share of the mismatch first.  A dimension
 with edges has dozens of edits (four coefficient values, up to four delays
-and a removal per edge, two additions per missing source), so giving each
-dimension all of its edits in index order, as the first rule did, spent the
-whole budget on the first two or three dimensions of a 4- or 8-dimensional
-world: the later dimensions and the StructuralBreak, the one edit that
-answers a change in every dimension at once, were never tried, and a
-repair agent re-triggered on most ticks after a break without settling.
-Round robin gives each offending dimension at least its equal share of
-what is left, and an edit of the worst dimension leads every round.  A
-world whose edits all fit the budget (one offending dimension, as in the
-bundled scenarios) is offered the same candidates as before, which rank
-and test alike, since only their order changed.  Slots in proportion to
+and a removal per edge, two additions per missing source).  Given all of
+them in index order, the first two or three dimensions of a 4- or
+8-dimensional world fill the whole budget: the later dimensions and the
+StructuralBreak, the one edit that answers a change in every dimension at
+once, are never tried, and after a break the agent re-triggers on most
+ticks without settling.  Round robin gives each offending dimension at
+least an equal share of what is left, and an edit of the worst dimension
+leads every round.  A world whose edits all fit the budget (one offending
+dimension, as in the bundled scenarios) is offered the same candidates
+under either order, which rank and test alike.  Slots in proportion to
 each dimension's error share were the other rule considered; they need a
 rounding rule and still starve a dimension whose share is small.
 
@@ -353,15 +352,14 @@ class _Baseline:
                 raise ConfigError(f"edge index {h.edge_index} outside a graph of {len(plan)} edges")
             reads_action, index, delay, k, coefficient, form = plan[h.edge_index]
             at = self.position[h.edge_index]
-            keys, places, coefs = self.incoming[k]
-            if isinstance(h, EdgeRemove):
-                return self.scale, [(k, places[:at] + places[at + 1 :], coefs[:at] + coefs[at + 1 :])]
             if isinstance(h, CoefChange):
-                _check_edge(delay, h.new_coefficient)
-                return self.scale, [(k, places, coefs[:at] + [h.new_coefficient] + coefs[at + 1 :])]
-            delay = h.new_delay
+                coefficient = h.new_coefficient
+            elif isinstance(h, DelayChange):
+                delay = h.new_delay
             _check_edge(delay, coefficient)
         keys, places, coefs = self.incoming[k]
+        if isinstance(h, EdgeRemove):
+            return self.scale, [(k, places[:at] + places[at + 1 :], coefs[:at] + coefs[at + 1 :])]
         key = (reads_action, index, delay)
         if key in keys[:at] or key in keys[at + 1 :]:
             raise _duplicate(reads_action, index, k, delay)
