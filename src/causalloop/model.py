@@ -17,10 +17,12 @@ added to the recorded state once.  ``predict_next`` applies it to the live
 tick and is the one lenient prediction: a lag that is unrecorded drops its
 term.  Teacher-forced prediction over recorded rows applies it through one
 strict lagged-feature kernel, ``_LagFeatures``, built for a fixed
-(history, rows) pair: it caches each (source, delay, form) feature column
-over the rows and predicts any (graph, delta_hat) -- or any per-target
-edge lists, as the repair loop's candidate edits are -- from those
-columns, leaving out a row with an unrecorded lag.  ``rollout``, ``fit``,
+(history, rows) pair.  It holds one store of feature columns over the
+rows, one per (source, delay, form) at a place of its own, and names each
+edge by its plan tuple's column place and coefficient, never by an edge
+object.  Every prediction of a batch of targets -- a (graph, delta_hat),
+or the targets a repair candidate edits -- is its one edge sum,
+``sums``, leaving out a row with an unrecorded lag.  ``rollout``, ``fit``,
 the scheduled fit's holdout gate and the repair loop's residuals, scoring
 and testing all read it; reflect acts on the mismatch the live loop
 measured with ``predict_next``.
@@ -46,8 +48,9 @@ the arithmetic is fixed, in Python loops and numpy arrays alike:
 
 * the rule above, in that order: on arrays, slot w of each target is its
   w-th edge's ``coefficient * column``, then ``* scale`` (skipped at scale
-  1.0, since ``x * 1.0`` is ``x``), and slots add one whole array at a
-  time;
+  1.0, since ``x * 1.0`` is ``x``), slots past a target's last edge read
+  coefficient 0.0 over the store's all-zero column 0, and slots add one
+  whole array at a time;
 * a squared error is Python ``(o - p) ** 2`` or, on arrays,
   ``np.float_power(o - p, 2.0)``: both call the C library's ``pow``.  That
   ``pow`` is not always correctly rounded, while numpy's ``x * x``,
@@ -106,7 +109,7 @@ from .core import (
     scale_factor,
 )
 from .scenario import canonical_json, graph_plan_from_dict, graph_to_dict, json_number, json_typed
-from .world import CausalEdge, CausalGraph, EdgePlan, Form, SourceKind, VarRef
+from .world import CausalGraph, EdgePlan, Form
 
 
 _NO_ROWS = np.zeros(0)
@@ -338,9 +341,9 @@ def counterfactual(m: CausalModel, t: CausalTuple, delta_prime: float | Perturba
         raise DimensionError("tuple dimensions do not match the model graph")
     scale = scale_factor(delta_prime)
     contribs: list[Contribution] = []
-    for i, e in enumerate(m.graph.edges):
-        v = t.action[e.source.index] if e.source.kind is SourceKind.ACTION else t.state[e.source.index]
-        contribs.append(Contribution(i, e.delay, e.target, e.coefficient * e.form.apply(v) * scale))
+    for i, (reads_action, index, delay, target, coefficient, form) in enumerate(m.graph.plan):
+        v = (t.action if reads_action else t.state)[index]
+        contribs.append(Contribution(i, delay, target, coefficient * form.apply(v) * scale))
     contribs.sort(key=lambda c: (c.horizon, c.target, c.edge_index))
     horizons = sorted({1} | {c.horizon for c in contribs})
     horizon_states: dict[int, StateVec] = {}
@@ -423,18 +426,26 @@ class _Target:
 class _LagFeatures:
     """Strict lagged-feature kernel for one fixed ``(history, rows)`` pair.
 
-    ``column(source, delay, form)`` holds ``form.apply(v)`` for each row,
-    where ``v`` is the source's value at the row's tick + 1 - delay: 0.0
-    before tick 0, masked where that tick is outside the history's run, and
-    otherwise read from the history's buffer (:class:`History`).  Rows that
-    are a history of the same buffer sit at consecutive buffer positions,
-    so a column is one slice of the buffer's values, padded where it leaves
-    the history; other rows are split into runs of consecutive ticks, a
-    slice each, and their values converted once.  Columns are computed on
-    first use and cached, so any number of graphs -- a working model and
-    every candidate edit of it -- are predicted from one set of slices.  A
-    prediction leaves out each row where a lag it needs is unrecorded; only
-    :func:`predict_next` drops the term instead.
+    It holds the one store of feature columns: row p of ``columns`` is the
+    column at place p, and :meth:`place` gives a source, delay and form, as
+    a graph's plan names them (:attr:`causalloop.world.CausalGraph.plan`),
+    its place, computing the column on first use.  A column holds
+    ``form.apply(v)`` for each row, where ``v`` is the source's value at
+    the row's tick + 1 - delay: 0.0 before tick 0, masked where that tick is
+    outside the history's run, and otherwise read from the history's buffer
+    (:class:`History`); ``gaps`` maps the place of each column with a masked
+    entry to its mask.  Row 0 is all zeros: it pads a target with fewer
+    edges than the widest in a sum.  Rows that are a history of the same
+    buffer sit at consecutive buffer positions, so a column is one slice of
+    the buffer's values, padded where it leaves the history; other rows are
+    split into runs of consecutive ticks, a slice each, and their values
+    converted once.  Any number of graphs -- a working model and every
+    candidate edit of it -- are predicted from one set of columns.
+
+    A graph's edges are read by place and coefficient, target by target
+    (:meth:`incoming`), and every prediction of many targets at once is one
+    :meth:`sums`.  A prediction leaves out each row where a lag it needs is
+    unrecorded; only :func:`predict_next` drops the term instead.
 
     Columns, predictions and squared errors are float64 arrays with the
     bits of the per-row Python arithmetic (see the module docstring).  A
@@ -443,10 +454,10 @@ class _LagFeatures:
     that starts at +0.0 is exact, so every other row's sum is the one that
     skipped it.
 
-    Predictions are memoised per target dimension, keyed by the scale and
-    the (column, coefficient) of each incoming edge in order.  A candidate
-    that edits one target's edges therefore reuses every other target's
-    predictions and squared errors from the model it edits.
+    :meth:`predict` memoises each target's prediction, keyed by the scale
+    and its places and coefficients in order.  A candidate that edits one
+    target's edges therefore reuses every other target's predictions and
+    squared errors from the model it edits.
     """
 
     def __init__(self, history: Sequence[Transition], rows: Sequence[Transition]) -> None:
@@ -470,34 +481,32 @@ class _LagFeatures:
                     self._runs.append([i, i + 1, p])
             self._states = np.array([tr.tuple.state.values for tr in rows], dtype=float).T
             self._observed = np.array([tr.observed.values for tr in rows], dtype=float).T
-        self._columns: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
-        self._edge_columns: dict[int, tuple[CausalEdge, tuple]] = {}
+        self.columns = np.zeros((8, n))
+        self.gaps: dict[int, np.ndarray] = {}
+        self._places: dict[tuple[bool, int, int, int], int] = {}
         self._targets: dict[tuple, _Target] = {}
 
     def _row_values(self, of: np.ndarray, k: int) -> np.ndarray:
         """Dimension ``k`` of the rows' states or observations."""
         return of[k] if self._n else _NO_ROWS
 
-    def column(self, source: VarRef, delay: int, form: Form) -> tuple[np.ndarray, np.ndarray | None]:
-        """The feature column and its gap mask (None when it has no gap)."""
-        return self._column(source.kind is SourceKind.ACTION, source.index, delay, form)
-
-    def _column(
-        self, reads_action: bool, index: int, delay: int, form: Form
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """:meth:`column` for the source a graph's plan entry names
-        (:attr:`causalloop.world.CausalGraph.plan`)."""
-        # Plain values hash in C; a VarRef or a Form hashes (and a Form's
-        # ``value`` reads) in Python.  Forms are singletons, so their ids key.
+    def place(self, reads_action: bool, index: int, delay: int, form: Form) -> int:
+        """The place in ``columns`` of the feature column of this source,
+        delay and form, computed and added on first use."""
+        # Plain values hash in C; a Form hashes (and its ``value`` reads) in
+        # Python.  Forms are singletons, so their ids key.
         key = (reads_action, index, delay, id(form))
-        hit = self._columns.get(key)
-        if hit is not None:
-            return hit
+        p = self._places.get(key)
+        if p is not None:
+            return p
+        p = len(self._places) + 1
+        if p == len(self.columns):  # full: double it, as _Buffer.values grows
+            grown = np.zeros((2 * p, self._n))
+            grown[:p] = self.columns
+            self.columns = grown
+        col = self.columns[p]
         h = self._history
         buf = h._buf
-        n = self._n
-        col: np.ndarray | None = None
-        gap: np.ndarray | None = None
         for i0, i1, p0 in self._runs:
             a = p0 + 1 - delay - i0  # row i of this run reads buffer position a + i
             lo = min(max(h._start - a, i0), i1)
@@ -507,91 +516,100 @@ class _LagFeatures:
                     src = buf.tanh(reads_action, index)
                 else:
                     src = buf.values(1 if reads_action else 0)[index]
-                seg = src[a + lo : a + hi]
-                if hi - lo == n:  # the whole column is one slice
-                    col = seg
-                    break
-                if col is None:
-                    col = np.zeros(n)
-                col[lo:hi] = seg
+                col[lo:hi] = src[a + lo : a + hi]
             # Rows before ``z`` read a tick before 0: 0.0, and no gap.
             z = min(max(-buf.tick0 - a, i0), lo)
             if z < lo or hi < i1:
+                gap = self.gaps.get(p)
                 if gap is None:
-                    gap = np.zeros(n, dtype=bool)
+                    gap = self.gaps[p] = np.zeros(self._n, dtype=bool)
                 gap[z:lo] = True
                 gap[hi:i1] = True
-        if col is None:
-            col = np.zeros(n)
         if form is Form.QUADRATIC:
-            col = col * col
-        hit = self._columns[key] = (col, gap)
-        return hit
+            col *= col
+        self._places[key] = p
+        return p
+
+    def incoming(self, graph: CausalGraph) -> list[tuple[int, list[int], list[float]]]:
+        """Each target dimension of ``graph`` in order, with the place and
+        the coefficient of each of its incoming edges in graph order: the
+        groups :meth:`predict` and :meth:`sums` read."""
+        groups: list[tuple[int, list[int], list[float]]] = [(k, [], []) for k in range(graph.d_state)]
+        for reads_action, index, delay, target, coefficient, form in graph.plan:
+            _, places, coefficients = groups[target]
+            places.append(self.place(reads_action, index, delay, form))
+            coefficients.append(coefficient)
+        return groups
 
     def design(
-        self, edges: Sequence[CausalEdge], scale: float = 1.0
+        self, plan: Sequence[EdgePlan], scale: float = 1.0
     ) -> tuple[np.ndarray, list[np.ndarray | None], np.ndarray]:
-        """Least-squares inputs for ``edges``: their feature columns times
-        ``scale`` (edges x rows), each column's gap mask (None where it has
-        no gap), and every dimension's observed change (dimensions x
-        rows)."""
-        cols = [self.column(e.source, e.delay, e.form) for e in edges]
-        x = np.array([col for col, _ in cols]).reshape(len(edges), self._n)
+        """Least-squares inputs for the edges of a graph's ``plan``: their
+        feature columns times ``scale`` (edges x rows), each column's gap
+        mask (None where it has no gap), and every dimension's observed
+        change (dimensions x rows)."""
+        places = [self.place(reads_action, index, delay, form) for reads_action, index, delay, _, _, form in plan]
+        x = self.columns[places]
         if scale != 1.0:
             x = x * scale
-        return x, [gap for _, gap in cols], self._observed - self._states
+        return x, [self.gaps.get(p) for p in places], self._observed - self._states
 
-    def residuals(
-        self, edges: list[CausalEdge], target: int, scale: float, lo: int
+    def sums(
+        self,
+        groups: Sequence[tuple[int, list[int], list[float]]],
+        scale: float | np.ndarray,
+        lo: int = 0,
+        hi: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Per row from ``lo``, ``target``'s observed value minus its strict
-        prediction from ``edges`` alone, memoised as any target's is, and
-        the mask of rows where a lag of one of those edges is unrecorded
-        (None when there are none)."""
-        (t,) = self.predict([(target, edges)], scale)
-        values = self._row_values(self._observed, target)[lo:] - t.pred[lo:]
-        return values, None if t.dead is None else t.dead[lo:]
+        """Each ``(target, places, coefficients)`` group's strict prediction
+        over rows ``[lo, hi)`` (groups x rows), and the mask of the rows
+        where a column it reads has a gap (groups x rows; None when none
+        has).  The one edge sum: slot w of a group is its w-th edge's
+        ``coefficient * column``, then ``* scale`` -- a float, skipped at
+        1.0 since ``x * 1.0`` is ``x``, or an array of one per group -- and
+        past its last edge coefficient 0.0 over row 0.  The slots add in
+        order to 0.0 (:func:`_add_up`), then to the target's recorded
+        state."""
+        hi = self._n if hi is None else hi
+        targets, places, coefficients = zip(*groups)
+        width = max(map(len, places))
+        place = np.array([p + [0] * (width - len(p)) for p in places], dtype=int).reshape(len(groups), width)
+        coef = np.array([c + [0.0] * (width - len(c)) for c in coefficients]).reshape(len(groups), width)
+        with np.errstate(all="ignore"):
+            terms = coef[:, :, None] * self.columns[place, lo:hi]
+            if isinstance(scale, np.ndarray):
+                terms = terms * scale[:, None, None]
+            elif scale != 1.0:
+                terms = terms * scale
+            states = self._states[list(targets), lo:hi] if self._n else np.zeros((len(groups), 0))
+            pred = states + _add_up(terms)
+        dead = None
+        if self.gaps and any(p in self.gaps for ps in places for p in ps):
+            masks = np.zeros((len(self.columns), hi - lo), dtype=bool)
+            for p, gap in self.gaps.items():
+                masks[p] = gap[lo:hi]
+            dead = masks[place].any(axis=1)
+        return pred, dead
 
-    def _edge_column(self, e: CausalEdge) -> tuple[np.ndarray, np.ndarray | None, tuple[int, float]]:
-        """The edge's column, its gap mask and its part of a target's memo key."""
-        # Keyed by identity: candidate graphs share the edges they leave
-        # alone, and the entry keeps its edge alive so the id stays unique.
-        hit = self._edge_columns.get(id(e))
-        if hit is None:
-            col, gap = self.column(e.source, e.delay, e.form)
-            hit = self._edge_columns[id(e)] = (e, (col, gap, (id(col), e.coefficient)))
-        return hit[1]
-
-    def predict(self, groups: Sequence[tuple[int, list[CausalEdge]]], scale: float) -> list[_Target]:
-        """The :class:`_Target` of each (dimension, its incoming edges in
-        graph order) at ``scale``.  Those not memoised yet are predicted
-        together: slot w of each is its w-th edge's ``coefficient * feature
-        * scale``, or 0.0 past its last edge, and the slots are added in
-        order to 0.0 and then to the recorded state."""
+    def predict(self, groups: Sequence[tuple[int, list[int], list[float]]], scale: float) -> list[_Target]:
+        """The :class:`_Target` of each ``(target, places, coefficients)``
+        group at ``scale``, over every row.  Those not memoised yet are
+        predicted together, in one :meth:`sums`."""
         out: list[_Target | None] = []
         todo = []
-        for k, edges in groups:
-            cols = [self._edge_column(e) for e in edges]
-            key = (k, scale, *[c[2] for c in cols])
+        for group in groups:
+            k, places, coefficients = group
+            key = (k, scale, tuple(places), tuple(coefficients))
             hit = self._targets.get(key)
             if hit is None:
-                todo.append((len(out), k, key, edges, cols))
+                todo.append((len(out), key, group))
             out.append(hit)
-        if not todo:
-            return out
-        slots = [[(e.coefficient, c[0]) for e, c in zip(edges, cols)] for _, _, _, edges, cols in todo]
-        acc = _edge_sums(*_slots(slots, self._n), scale)
-        pred = np.array([self._row_values(self._states, k) for _, k, _, _, _ in todo]) + acc
-        finite = np.isfinite(pred).all(axis=1).tolist()
-        for (i, _, key, _, cols), row, ok in zip(todo, pred, finite):
-            gaps = [gap for _, gap, _ in cols if gap is not None]
-            dead = functools.reduce(operator.or_, gaps) if gaps else None
-            out[i] = self._targets[key] = _Target(row, dead, ok)
+        if todo:
+            pred, dead = self.sums([group for _, _, group in todo], scale)
+            finite = np.isfinite(pred).all(axis=1).tolist()
+            for j, ((i, key, _), ok) in enumerate(zip(todo, finite)):
+                out[i] = self._targets[key] = _Target(pred[j], None if dead is None else dead[j], ok)
         return out
-
-    def targets(self, graph: CausalGraph, delta_hat: float) -> list[_Target]:
-        """Every target dimension of ``graph`` at ``delta_hat``, in order."""
-        return self.predict(list(enumerate(_by_target(graph))), math.exp(-delta_hat))
 
     def mses(
         self, models: Sequence[tuple[CausalGraph, float]], lo: int = 0, hi: int | None = None
@@ -606,20 +624,12 @@ class _LagFeatures:
         if lo >= hi:
             return None
         d = models[0][0].d_state
-        slots, gaps = [], []
-        for graph, _ in models:
-            groups: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(d)]
-            for reads_action, index, delay, target, coefficient, form in graph.plan:
-                col, gap = self._column(reads_action, index, delay, form)
-                groups[target].append((coefficient, col[lo:hi]))
-                if gap is not None:
-                    gaps.append(gap[lo:hi])
-            slots += groups
+        groups = [group for graph, _ in models for group in self.incoming(graph)]
         scales = [math.exp(-delta_hat) for _, delta_hat in models]
-        scale = 1.0 if scales.count(1.0) == len(scales) else np.array([[s] for s in scales for _ in range(d)])
-        acc = _edge_sums(*_slots(slots, hi - lo), scale).reshape(len(models), d, hi - lo)
-        pred = self._states[:, lo:hi] + acc
-        live = ~functools.reduce(operator.or_, gaps) if gaps else np.ones(hi - lo, dtype=bool)
+        scale = 1.0 if scales.count(1.0) == len(scales) else np.repeat(scales, d)
+        pred, dead = self.sums(groups, scale, lo, hi)
+        pred = pred.reshape(len(models), d, hi - lo)
+        live = np.ones(hi - lo, dtype=bool) if dead is None else ~dead.any(axis=0)
         with np.errstate(all="ignore"):
             diff = self._observed[:, lo:hi] - pred
             sq = np.float_power(diff, 2.0)
@@ -685,44 +695,12 @@ def _add_up(slabs: np.ndarray) -> np.ndarray:
     return total
 
 
-def _slots(groups: list[list[tuple[float, np.ndarray]]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each group's (coefficient, column) slots, padded to the widest with
-    coefficient 0.0 over a zero column: (groups x width) coefficients and
-    (groups x width x n) columns, for :func:`_edge_sums`."""
-    width = max(map(len, groups))
-    blank = (0.0, np.zeros(n))
-    padded = [g + [blank] * (width - len(g)) for g in groups]
-    coef = np.array([[c for c, _ in g] for g in padded]).reshape(len(groups), width)
-    return coef, np.array([[col for _, col in g] for g in padded]).reshape(len(groups), width, n)
-
-
-def _edge_sums(coef: np.ndarray, cols: np.ndarray, scale) -> np.ndarray:
-    """Row i's edge terms ``coef[i, w] * cols[i, w] * scale`` added over the
-    slots w in order from 0.0 (:func:`_add_up`); ``scale`` is a float or a
-    column of one per row.  A slot past a target's last edge holds
-    coefficient 0.0 over a zero column."""
-    terms = coef[:, :, None] * cols
-    if isinstance(scale, np.ndarray):
-        terms = terms * scale[:, :, None]
-    elif scale != 1.0:  # x * 1.0 is x, to the bit
-        terms = terms * scale
-    return _add_up(terms)
-
-
 def _fold(values: np.ndarray, keep: np.ndarray | bool) -> np.ndarray:
     """Each row of ``values`` added left to right from 0.0, skipping the
     entries ``keep`` masks out (each adds +0.0 instead)."""
     out = np.zeros((values.shape[0], values.shape[1] + 1))
     np.copyto(out[:, 1:], values, where=keep)
     return np.add.accumulate(out, axis=1)[:, -1]
-
-
-def _by_target(graph: CausalGraph) -> list[list[CausalEdge]]:
-    """Each state dimension's incoming edges, in graph order."""
-    groups: list[list[CausalEdge]] = [[] for _ in range(graph.d_state)]
-    for e in graph.edges:
-        groups[e.target].append(e)
-    return groups
 
 
 def rollout(
@@ -739,7 +717,7 @@ def rollout(
     :class:`History`).  Rows whose lags are unrecorded yield None.
     """
     lags = _LagFeatures(history, rows)
-    targets = lags.targets(graph, delta_hat)
+    targets = lags.predict(lags.incoming(graph), math.exp(-delta_hat))
     dead = lags._dead(targets, 0, len(rows)).tolist()
     preds = zip(*(t.pred.tolist() for t in targets))
     # ``_dead`` has checked every live prediction finite.
@@ -780,18 +758,18 @@ def _least_squares(m: CausalModel, lags: _LagFeatures, strict: bool) -> CausalMo
     model's scale ``exp(-delta_hat)``, and a target with too few rows or a
     rank-deficient design keeps its coefficients.
     """
-    edges = m.graph.edges
-    if not edges or not lags._n:
+    plan = m.graph.plan
+    if not plan or not lags._n:
         return m
     scale = 1.0 if strict else math.exp(-m.delta_hat)
-    x_all, gaps, y_all = lags.design(edges, scale)
+    x_all, gaps, y_all = lags.design(plan, scale)
     # Each column's span over every row, for the targets none of whose
     # columns has a gap.
     spans_all = (x_all.max(axis=1) - x_all.min(axis=1)).tolist() if strict else []
-    new_coefs = [e.coefficient for e in edges]
+    new_coefs = [coefficient for _, _, _, _, coefficient, _ in plan]
     incoming: list[list[int]] = [[] for _ in range(m.graph.d_state)]
-    for i, e in enumerate(edges):
-        incoming[e.target].append(i)
+    for i, (_, _, _, target, _, _) in enumerate(plan):
+        incoming[target].append(i)
     for j, places in enumerate(incoming):
         if not places:
             continue

@@ -40,14 +40,17 @@ refits are not diluted by stale rows.
 
 Each trigger builds one lagged-feature kernel (see :mod:`causalloop.model`)
 over the model's ``fit_window`` window, and the working model's per-target
-predictions and squared errors over it (``_Baseline``).  ``anomalous_suffix``
-reads those errors, and a residual fit the observations minus the kernel's
-prediction from the other edges.  Every candidate is then scored and tested
-as one row of a numpy batch (``_EditBatch``), never by building its model:
-the row names the targets the candidate predicts anew -- an edge edit its
-one target, a DeltaShift every target at the new scale, a StructuralBreak
-every target with its refit graph's coefficients -- and their squared
-errors replace the working model's in that row.  A StructuralBreak's refit,
+predictions and squared errors over it (``_Baseline``).  Edges are named
+as the kernel names them, by the place of their column in its one store
+and their coefficient.  ``anomalous_suffix`` reads those errors, and a
+residual fit the observations minus the prediction from the other edges,
+sliced from the baseline's lists.  Every candidate is then scored and
+tested as one row of a numpy batch (``_EditBatch``), never by building its
+model: the row names the targets the candidate predicts anew -- an edge
+edit its one target, a DeltaShift every target at the new scale, a
+StructuralBreak every target with its refit graph's coefficients -- which
+the kernel's one edge sum predicts, and their squared errors replace the
+working model's in that row.  A StructuralBreak's refit,
 which needs the model, runs once when its row is built; only it and an
 accepted edit go through ``apply_hypothesis``.  After an acceptance the
 candidates still to test, remapped to the repaired model's edges, become
@@ -88,7 +91,6 @@ from .model import (
     rollout,
     _LagFeatures,
     _add_up,
-    _edge_sums,
     _fold,
     _least_squares,
 )
@@ -258,14 +260,11 @@ class _Baseline:
     is how :class:`_EditBatch` scores it.
 
     Edges are read as plan tuples (:attr:`causalloop.world.CausalGraph.plan`)
-    and edits build no :class:`CausalEdge`.  ``incoming[k]`` holds target
-    k's edges in graph order as three lists: each edge's ``(reads_action,
-    source_index, delay)`` key, its column's place and its coefficient
-    (``position`` gives each edge's place in them).  A place indexes
-    ``columns``, the kernel columns the candidates read, one per
-    ``(reads_action, source_index, delay, id(form))``, after column 0, all
-    zeros, the padding of a target with fewer edges than the widest;
-    ``gaps`` maps the place of each column with a gap to its mask.
+    and edits build no :class:`CausalEdge`.  ``incoming[k]`` is target k
+    with the place of each of its edges' columns in the kernel's store and
+    each edge's coefficient, in graph order (:meth:`_LagFeatures.incoming`);
+    ``keys[k]`` holds each of those edges' ``(reads_action, source_index,
+    delay)``, and ``position`` each edge's index in its target's lists.
     """
 
     def __init__(
@@ -277,38 +276,18 @@ class _Baseline:
         self.hi = len(lags.rows) if hi is None else hi
         self.d = m.graph.d_state
         self.scale = math.exp(-m.delta_hat)
-        self.columns: list[np.ndarray] = [np.zeros(len(lags.rows))]
-        self.gaps: dict[int, np.ndarray] = {}
-        self._places: dict[tuple[bool, int, int, int], int] = {}
-        self.incoming: list[tuple[list[tuple[bool, int, int]], list[int], list[float]]] = [
-            ([], [], []) for _ in range(self.d)
-        ]
-        self.position: list[int] = []  # each edge's place in its target's lists
-        for reads_action, index, delay, target, coefficient, form in m.graph.plan:
-            keys, places, coefficients = self.incoming[target]
-            self.position.append(len(keys))
-            keys.append((reads_action, index, delay))
-            places.append(self.place(reads_action, index, delay, form))
-            coefficients.append(coefficient)
-        self.targets = lags.targets(m.graph, m.delta_hat)
+        self.incoming = lags.incoming(m.graph)
+        self.keys: list[list[tuple[bool, int, int]]] = [[] for _ in range(self.d)]
+        self.position: list[int] = []
+        for reads_action, index, delay, target, _, _ in m.graph.plan:
+            self.position.append(len(self.keys[target]))
+            self.keys[target].append((reads_action, index, delay))
+        self.targets = lags.predict(self.incoming, self.scale)
         self.sq, self.dead = lags.sq_errors(self.targets, lo, self.hi)
 
     @staticmethod
     def over(m: CausalModel, rows: Sequence[Transition]) -> _Baseline:
         return _Baseline(m, _LagFeatures(m.history, rows))
-
-    def place(self, reads_action: bool, index: int, delay: int, form: Form) -> int:
-        """The place in ``columns`` of the kernel column of this source,
-        delay and form, added on first use."""
-        key = (reads_action, index, delay, id(form))
-        p = self._places.get(key)
-        if p is None:
-            col, gap = self.lags._column(reads_action, index, delay, form)
-            p = self._places[key] = len(self.columns)
-            self.columns.append(col)
-            if gap is not None:
-                self.gaps[p] = gap
-        return p
 
     def edit(self, h: Hypothesis) -> tuple[float, list[tuple[int, list[int], list[float]]]]:
         """The target dimensions ``apply_hypothesis(m, h)`` predicts anew:
@@ -329,15 +308,10 @@ class _Baseline:
         m = self.m
         if isinstance(h, DeltaShift):
             scale = math.exp(-_clamped(m, h.new_delta))
-            return scale, [(k, places, coefs) for k, (_, places, coefs) in enumerate(self.incoming)]
+            return scale, self.incoming
         if isinstance(h, StructuralBreak):
             refit = apply_hypothesis(m, h)
-            places: list[list[int]] = [[] for _ in range(self.d)]
-            coefs: list[list[float]] = [[] for _ in range(self.d)]
-            for reads_action, index, delay, target, coefficient, form in refit.graph.plan:
-                places[target].append(self.place(reads_action, index, delay, form))
-                coefs[target].append(coefficient)
-            return math.exp(-refit.delta_hat), list(zip(range(self.d), places, coefs))
+            return math.exp(-refit.delta_hat), self.lags.incoming(refit.graph)
         graph = m.graph
         if isinstance(h, EdgeAdd):
             source = h.source
@@ -345,7 +319,7 @@ class _Baseline:
             delay, coefficient, form = h.delay, h.coefficient, h.form
             _check_edge(delay, coefficient)
             _check_ends(graph.d_state, graph.d_action, reads_action, index, k)
-            at = len(self.incoming[k][0])
+            at = len(self.keys[k])
         else:
             plan = graph.plan
             if not 0 <= h.edge_index < len(plan):
@@ -357,13 +331,13 @@ class _Baseline:
             elif isinstance(h, DelayChange):
                 delay = h.new_delay
             _check_edge(delay, coefficient)
-        keys, places, coefs = self.incoming[k]
+        _, places, coefs = self.incoming[k]
         if isinstance(h, EdgeRemove):
             return self.scale, [(k, places[:at] + places[at + 1 :], coefs[:at] + coefs[at + 1 :])]
-        key = (reads_action, index, delay)
+        key, keys = (reads_action, index, delay), self.keys[k]
         if key in keys[:at] or key in keys[at + 1 :]:
             raise _duplicate(reads_action, index, k, delay)
-        p = self.place(reads_action, index, delay, form)
+        p = self.lags.place(reads_action, index, delay, form)
         return self.scale, [(k, places[:at] + [p] + places[at + 1 :], coefs[:at] + [coefficient] + coefs[at + 1 :])]
 
 
@@ -381,38 +355,40 @@ def anomalous_suffix(m: CausalModel, floor: float, base: _Baseline | None = None
 
 
 def _residuals(
-    m: CausalModel, lags: _LagFeatures, lo: int, target: int, exclude_edge: int | None
+    base: _Baseline, lo: int, target: int, exclude_edge: int | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The target's observed value minus its strict prediction from every
-    modeled edge but ``exclude_edge``, for each kernel row from ``lo``, and
-    the mask of rows where one of those edges' lags is unrecorded (None when
-    there are none)."""
-    others = [e for i, e in enumerate(m.graph.edges) if i != exclude_edge and e.target == target]
-    return lags.residuals(others, target, math.exp(-m.delta_hat), lo)
+    edge of ``base``'s model into it but ``exclude_edge``, for each kernel
+    row from ``lo``, and the mask of rows where one of those edges' lags is
+    unrecorded (None when there are none).  Excluding no edge is the
+    model's own prediction, memoised by the kernel."""
+    _, places, coefs = base.incoming[target]
+    if exclude_edge is not None:
+        at = base.position[exclude_edge]
+        places, coefs = places[:at] + places[at + 1 :], coefs[:at] + coefs[at + 1 :]
+    lags = base.lags
+    (t,) = lags.predict([(target, places, coefs)], base.scale)
+    values = lags._row_values(lags._observed, target)[lo:] - t.pred[lo:]
+    return values, None if t.dead is None else t.dead[lo:]
 
 
 def _residual_fit(
-    m: CausalModel,
-    lags: _LagFeatures,
-    lo: int,
-    resid: tuple[np.ndarray, np.ndarray | None],
-    source: VarRef,
-    delay: int,
-    form: Form,
+    base: _Baseline, lo: int, resid: tuple[np.ndarray, np.ndarray | None], place: int
 ) -> float | None:
     """Single-coefficient LS: how much of the residuals ``resid`` (from
-    :func:`_residuals`) the given source/delay/form accounts for over the
-    kernel's rows from ``lo`` on.  ``sum(x * x)`` and ``sum(x * r)`` over
-    the rows where both are recorded add left to right from 0.0.
+    :func:`_residuals`) the kernel column at ``place``, at ``base``'s scale,
+    accounts for over the kernel's rows from ``lo`` on.  ``sum(x * x)``
+    and ``sum(x * r)`` over the rows where both are recorded add left to
+    right from 0.0.
 
     Returns None when the feature carries no signal on these rows.
     """
     r, dead = resid
-    col, gap = lags.column(source, delay, form)
+    gap = base.lags.gaps.get(place)
     masks = [mask for mask in (dead, None if gap is None else gap[lo:]) if mask is not None]
     keep = ~functools.reduce(operator.or_, masks) if masks else True
     with np.errstate(all="ignore"):
-        x = col[lo:] * math.exp(-m.delta_hat)
+        x = base.lags.columns[place, lo:] * base.scale
         sxx, sxy = _fold(x * np.array([x, r]), keep).tolist()
     if sxx <= 1e-12:
         return None
@@ -498,11 +474,12 @@ def _candidates(
 
     def edits(j: int) -> Iterator[Hypothesis]:
         incoming = m.graph.incoming(j)
+        places = base.incoming[j][1]
         for edge_index, e in incoming:
             for c in (-e.coefficient, 0.5 * e.coefficient, 2.0 * e.coefficient, None):
                 if c is None:  # the residual refit
-                    resid = _residuals(m, base.lags, est_lo, j, edge_index)
-                    c = _residual_fit(m, base.lags, est_lo, resid, e.source, e.delay, e.form)
+                    resid = _residuals(base, est_lo, j, edge_index)
+                    c = _residual_fit(base, est_lo, resid, places[base.position[edge_index]])
                 if c is not None and math.isfinite(c) and c != e.coefficient:
                     yield CoefChange(edge_index, c)
         for edge_index, e in incoming:
@@ -514,13 +491,14 @@ def _candidates(
                 yield DelayChange(edge_index, k)
         for edge_index, _ in incoming:
             yield EdgeRemove(edge_index)
-        resid = _residuals(m, base.lags, est_lo, j, None)
+        resid = _residuals(base, est_lo, j, None)
         for reads_action, index in sources:
             if (reads_action, index, j) in existing_pairs:
                 continue
             src = VarRef(SourceKind.ACTION if reads_action else SourceKind.STATE, index)
             for delay in (1, 2):
-                coef = _residual_fit(m, base.lags, est_lo, resid, src, delay, Form.LINEAR)
+                place = base.lags.place(reads_action, index, delay, Form.LINEAR)
+                coef = _residual_fit(base, est_lo, resid, place)
                 if coef is None or not math.isfinite(coef) or coef == 0.0:
                     continue
                 yield EdgeAdd(src, j, delay, Form.LINEAR, coef)
@@ -576,9 +554,10 @@ class _EditBatch:
     Each candidate is one row of a (candidates x dimensions x rows) array of
     squared errors, which holds the baseline's except in the targets
     :meth:`_Baseline.edit` says the candidate predicts anew.  Each of those
-    is predicted over every kernel row as its edge sum in graph order --
-    ``coefficient * feature * scale`` per edge, a lag's gap adding 0.0 --
-    added to the recorded state, and squared with ``np.float_power``.  A
+    is predicted over every kernel row by the kernel's one edge sum
+    (:meth:`_LagFeatures.sums`), ``coefficient * feature * scale`` per edge
+    in graph order, a lag's gap adding 0.0, added to the recorded state,
+    and squared with ``np.float_power``.  A
     row's squared errors are added over dimensions in order, its score and
     two holdout means over rows, each sum left to right from 0.0 (see
     :mod:`causalloop.model`).  A row counts where both models predict it.
@@ -604,9 +583,11 @@ class _EditBatch:
         self.split = split
         self._scores: list[float | CausalLoopError] = [0.0] * len(hs)
         self._tests: list[tuple[float, float] | CausalLoopError] = [(0.0, 0.0)] * len(hs)
-        # (candidate, target, column place of each edge, coefficient of each,
-        # scale) for each target a candidate predicts anew
-        subs: list[tuple[int, int, list[int], list[float], float]] = []
+        # Each target a candidate predicts anew: the candidate, the (target,
+        # places, coefficients) group and the scale.
+        cand: list[int] = []
+        groups: list[tuple[int, list[int], list[float]]] = []
+        scales: list[float] = []
         for i, h in enumerate(hs):
             try:
                 scale, replaced = base.edit(h)
@@ -614,9 +595,11 @@ class _EditBatch:
                 self._scores[i] = exc if split > base.lo else 0.0
                 self._tests[i] = exc
                 continue
-            subs += [(i, k, places, coefs, scale) for k, places, coefs in replaced]
-        if subs:
-            self._predict(subs, base.columns, base.gaps)
+            cand += [i] * len(replaced)
+            groups += replaced
+            scales += [scale] * len(replaced)
+        if groups:
+            self._predict(cand, groups, scales)
 
     def score(self, i: int) -> float:
         """:func:`score_hypothesis` of candidate ``i``."""
@@ -632,17 +615,13 @@ class _EditBatch:
             raise mses
         return mses[1] <= (1.0 - rho) * mses[0], *mses
 
-    def _predict(self, subs: list[tuple], columns: list[np.ndarray], gaps: dict[int, np.ndarray]) -> None:
+    def _predict(self, cand: list[int], groups: list[tuple[int, list[int], list[float]]], scales: list[float]) -> None:
         base, lags, count = self.base, self.base.lags, len(self.hs)
         lo, hi, d, s = base.lo, base.hi, base.d, self.split - base.lo
         n = len(lags.rows)
-        cand, target, places, coefs, scale = map(list, zip(*subs))
-        cand, target, scale = np.array(cand), np.array(target), np.array(scale)
-        width = max(map(len, places))
-        place = np.array([p + [0] * (width - len(p)) for p in places], dtype=int)
-        coef = np.array([c + [0.0] * (width - len(c)) for c in coefs])
+        cand, target = np.array(cand), np.array([k for k, _, _ in groups])
+        pred, gapped = lags.sums(groups, np.array(scales))
         with np.errstate(all="ignore"):
-            pred = lags._states[target] + _edge_sums(coef, np.array(columns)[place], scale[:, None])
             diff = lags._observed[target] - pred
             sq_k = np.float_power(diff, 2.0)
         overflow = np.zeros(count, dtype=bool)  # a finite error squares past the float range
@@ -658,15 +637,11 @@ class _EditBatch:
 
         sq_h = _add_up(per_candidate(np.array([t.sq for t in base.targets]), sq_k))
         dead = np.zeros((count, hi - lo), dtype=bool)  # rows the edited model leaves out
-        if gaps:  # the model's own edges are all placed, so it has no dead row without one
-            gap = np.zeros((len(columns), n), dtype=bool)
-            for p, mask in gaps.items():
-                gap[p] = mask
-            dead_k = np.zeros((d, n), dtype=bool)
-            for k, t in enumerate(base.targets):
-                if t.dead is not None:
-                    dead_k[k] = t.dead
-            dead = per_candidate(dead_k, gap[place].any(axis=1)).any(axis=1)
+        if lags.gaps:  # every column read is in the kernel's store: no dead row without a gap
+            no_gap = np.zeros(n, dtype=bool)
+            dead_k = np.array([no_gap if t.dead is None else t.dead for t in base.targets])
+            dead_subs = np.zeros((len(groups), n), dtype=bool) if gapped is None else gapped
+            dead = per_candidate(dead_k, dead_subs).any(axis=1)
         bad = None  # rows it predicts with a prediction not finite, if any
         finite_k = np.isfinite(pred)
         if not (finite_k.all() and all(t.finite for t in base.targets)):

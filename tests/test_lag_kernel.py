@@ -50,6 +50,7 @@ from causalloop.model import (
     _LagFeatures,
     append_history,
     as_history,
+    fit,
     predict_next,
     rollout,
 )
@@ -366,15 +367,15 @@ def test_residuals_match_reference(seed, kind):
     rows = m.history[-m.fit_window :]
     lo = int(rng.integers(0, len(rows)))
     lags = _LagFeatures(m.history, rows)
-    _Baseline(m, lags)  # the working model's predictions, as reflect memoises them
+    base = _Baseline(m, lags)  # the working model's predictions, as reflect memoises them
     memo = len(lags._targets)
     for j in range(m.graph.d_state):
-        got = masked(*_residuals(m, lags, lo, j, None))
+        got = masked(*_residuals(base, lo, j, None))
         assert hexes(got) == hexes(reference_residuals(m, rows[lo:], j, None))
     assert len(lags._targets) == memo  # excluding no edge is the working model
     for j in range(m.graph.d_state):
         for i, _ in m.graph.incoming(j):
-            got = masked(*_residuals(m, lags, lo, j, i))
+            got = masked(*_residuals(base, lo, j, i))
             assert hexes(got) == hexes(reference_residuals(m, rows[lo:], j, i))
 
 
@@ -766,6 +767,53 @@ def test_reflect_matches_the_reference_loop(seed, twin, holdout, max_accepts):
     assert report.updated_model == working
 
 
+def edgeless_model(seed):
+    """A model with no edge, as repair can leave one, over a run of ticks
+    from tick 0 or later."""
+    rng = np.random.default_rng(seed)
+    d_state, d_action = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    graph = CausalGraph(d_state, d_action, ())
+    m = CausalModel(graph=graph, delta_hat=float(rng.uniform(-0.5, 0.5)), fit_window=16)
+    start = int(rng.choice([0, int(rng.integers(1, 6))]))
+    for tr in transitions(rng, d_state, d_action, range(start, start + int(rng.integers(2, 24)))):
+        m = append_history(m, tr)
+    return m, rng
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_an_edgeless_model_through_every_kernel_path(seed):
+    """Repair can remove every edge, and then every sum of the model is
+    zero slots wide (``random_graph`` always draws an edge, so no other
+    test meets it).  Rollout, also over no rows, the fit, the holdout MSEs
+    of its gate and the gate, and the score and test of an EdgeAdd and a
+    StructuralBreak hold to the references, as ``float.hex``."""
+    m, rng = edgeless_model(seed)
+    g, rows = m.graph, m.history
+    assert bits(rollout(g, m.delta_hat, m.history, rows)) == bits(reference_rollout(g, m.delta_hat, m.history, rows))
+    assert rollout(g, m.delta_hat, m.history, rows[:0]) == []
+
+    assert fit(m) == m  # nothing to fit
+    other = replace(m, delta_hat=0.0)
+    lags = _LagFeatures(m.history, m.history[-m.fit_window :])
+    size = int(rng.integers(1, min(len(rows), m.fit_window - 1) + 1))  # the gate's holdout
+    expected = reference_mse(m, other, rows[-size:])
+    got = lags.mses([(m.graph, m.delta_hat), (other.graph, other.delta_hat)], lo=max(0, lags._n - size))
+    assert hexes(got) == hexes(expected)
+    assert _fit_improves(lags, m, other, size) == (expected[1] <= expected[0])
+
+    split = int(rng.integers(1, len(rows)))
+    source = VarRef.state(int(rng.integers(0, g.d_state)))
+    for h in (
+        EdgeAdd(source, 0, int(rng.integers(1, 4)), Form.LINEAR, float(rng.uniform(-1.5, 1.5))),
+        StructuralBreak(keep=int(rng.integers(0, len(rows) + 1))),
+    ):
+        got = score_hypothesis(m, h, rows[:split])
+        assert got.hex() == reference_score(m, h, rows[:split]).hex()
+        expected = reference_test(m, h, rows[split:], 0.1)
+        _, mse_m, mse_h = holdout_test(m, h, rows[split:], 0.1)
+        assert (mse_m.hex(), mse_h.hex()) == (expected[0].hex(), expected[1].hex())
+
+
 # ---- history views ----------------------------------------------------------
 
 
@@ -810,7 +858,8 @@ def assert_reads_as_tuple(h, ref, rng):
 def assert_kernel_matches_reference(m, ref, rng):
     """Columns, design rows and rollout over a suffix of ``m.history``, as
     a view of its buffer and as a plain tuple of rows, against the
-    references over ``ref``, the same transitions as a tuple."""
+    references over ``ref``, the same transitions as a tuple.  The
+    kernel's column 0, the padding of its sums, stays all +0.0."""
     g = m.graph
     lo = int(rng.integers(0, len(ref) + 1))
     sources = [VarRef.action(i) for i in range(g.d_action)] + [VarRef.state(i) for i in range(g.d_state)]
@@ -822,8 +871,9 @@ def assert_kernel_matches_reference(m, ref, rng):
         lags = _LagFeatures(m.history, rows)
         for source, delay, form in probes:
             expected = reference_column(ref, rows, source, delay, form)
-            assert hexes(masked(*lags.column(source, delay, form))) == hexes(expected)
-        x, gaps, y = lags.design(g.edges, scale)
+            p = lags.place(source.kind is SourceKind.ACTION, source.index, delay, form)
+            assert hexes(masked(lags.columns[p], lags.gaps.get(p))) == hexes(expected)
+        x, gaps, y = lags.design(g.plan, scale)
         for e, col, gap in zip(g.edges, x, gaps):
             expected = reference_column(ref, rows, e.source, e.delay, e.form)
             assert hexes(masked(col, gap)) == hexes([None if v is None else v * scale for v in expected])
@@ -831,6 +881,7 @@ def assert_kernel_matches_reference(m, ref, rng):
             assert hexes(y[k]) == hexes([tr.observed[k] - tr.tuple.state[k] for tr in rows])
         got = rollout(g, m.delta_hat, m.history, rows)
         assert bits(got) == bits(reference_rollout(g, m.delta_hat, ref, rows))
+        assert hexes(lags.columns[0].tolist()) == [(0.0).hex()] * len(rows)
 
 
 @settings(max_examples=80, deadline=None)
