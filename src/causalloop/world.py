@@ -175,8 +175,7 @@ class CausalGraph:
         a graph record so).
 
         Nothing is checked again: the edges and the graph are filled in
-        field by field, as :meth:`with_coefficients` fills them, and
-        ``plan`` is kept as the graph's :attr:`plan`.
+        field by field, and ``plan`` is kept as the graph's :attr:`plan`.
         """
         new, set_ = object.__new__, object.__setattr__
         action, state = SourceKind.ACTION, SourceKind.STATE
@@ -205,28 +204,18 @@ class CausalGraph:
 
         The structure is this graph's and was checked when it was built, so
         only the new coefficients are: one that is not finite raises
-        :class:`ConfigError`, as :class:`CausalEdge` does.  The edges and
-        the graph are filled in field by field, without their constructors'
-        checks.
+        :class:`ConfigError`, as :class:`CausalEdge` does.  The graph is
+        :meth:`from_plan` of this graph's plan with the coefficients
+        swapped in.
         """
         for c in coefficients:
             if not math.isfinite(c):
                 raise ConfigError(f"edge coefficient must be finite, got {c!r}")
-        set_ = object.__setattr__
-        edges = []
-        for e, c in zip(self.edges, coefficients, strict=True):
-            edge = object.__new__(CausalEdge)
-            set_(edge, "source", e.source)
-            set_(edge, "target", e.target)
-            set_(edge, "delay", e.delay)
-            set_(edge, "coefficient", c)
-            set_(edge, "form", e.form)
-            edges.append(edge)
-        graph = object.__new__(CausalGraph)
-        set_(graph, "d_state", self.d_state)
-        set_(graph, "d_action", self.d_action)
-        set_(graph, "edges", tuple(edges))
-        return graph
+        plan = tuple(
+            (reads_action, index, delay, target, c, form)
+            for (reads_action, index, delay, target, _, form), c in zip(self.plan, coefficients, strict=True)
+        )
+        return CausalGraph.from_plan(self.d_state, self.d_action, plan)
 
     def incoming(self, target: int) -> tuple[tuple[int, CausalEdge], ...]:
         """(index, edge) pairs for edges landing on ``target``."""
