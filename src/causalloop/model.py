@@ -481,7 +481,7 @@ class _LagFeatures:
                     self._runs.append([i, i + 1, p])
             self._states = np.array([tr.tuple.state.values for tr in rows], dtype=float).T
             self._observed = np.array([tr.observed.values for tr in rows], dtype=float).T
-        self.columns = np.zeros((8, n))
+        self.columns = np.zeros((8, n))  # row 0 stays all zeros; place() doubles it when full
         self.gaps: dict[int, np.ndarray] = {}
         self._places: dict[tuple[bool, int, int, int], int] = {}
         self._targets: dict[tuple, _Target] = {}
