@@ -28,10 +28,8 @@ from .core import (
     ConfigError,
     DegenerateDataError,
     NotEnoughDataError,
-    Perturbation,
     ReplayError,
     StateVec,
-    TimeIndex,
     Transition,
     check_finite,
     loss,
@@ -220,11 +218,14 @@ def run_episode(
     digest_fields: tuple = ()
     for t in range(length):
         action = policy_action(policy, seed, t, sc.d_action)
-        tup = CausalTuple(state, action, TimeIndex(t), Perturbation(m.delta_hat))
+        # Each value is already checked: t counts up from 0, the model's
+        # delta is clamped to its delta_max, and the world's observation has
+        # the state's dims.
+        tup = CausalTuple.checked(state, action, t, m.delta_hat)
         pred_next = predict_next(m, tup)
         w, observed, true_delta = world_step(w, action)
         err = loss(pred_next, observed)
-        tr = Transition(tup, observed)
+        tr = Transition.checked(tup, observed)
         m = append_history(m, tr)
 
         report_dict: dict[str, Any] | None = None
@@ -233,14 +234,10 @@ def run_episode(
             m = report.updated_model
             report_dict = report_to_dict(report)
         elif m.delta_hat != 0.0:
+            # The constructor with positional arguments (the fields' order),
+            # not ``dataclasses.replace`` nor keywords, as in append_history.
             m = CausalModel(
-                graph=m.graph,
-                delta_hat=DELTA_DECAY * m.delta_hat,
-                history=m.history,
-                fit_window=m.fit_window,
-                sigma_lik=m.sigma_lik,
-                capacity=m.capacity,
-                delta_max=m.delta_max,
+                m.graph, DELTA_DECAY * m.delta_hat, m.history, m.fit_window, m.sigma_lik, m.capacity, m.delta_max
             )
 
         fit_event: str | None = None
@@ -263,21 +260,11 @@ def run_episode(
         if digest is None or not all(map(operator.is_, fields, digest_fields)):
             digest = model_digest(m)
             digest_fields = fields
+        snapshot = model_snapshot(m) if digest != prev_digest else None
         records.append(
             TraceRecord(
-                tick=t,
-                state=state,
-                action=action,
-                delta_hat=tup.delta.delta,
-                true_delta=true_delta,
-                predicted_next=pred_next,
-                observed=observed,
-                epsilon=err.epsilon,
-                per_dim=err.per_dim,
-                reflect=report_dict,
-                fit_event=fit_event,
-                model_digest=digest,
-                model_snapshot=model_snapshot(m) if digest != prev_digest else None,
+                t, state, action, tup.delta.delta, true_delta, pred_next, observed, err.epsilon, err.per_dim,
+                report_dict, fit_event, digest, snapshot,
             )
         )
         prev_digest = digest

@@ -171,6 +171,28 @@ class CausalTuple:
     time: TimeIndex
     delta: Perturbation = field(default_factory=lambda: Perturbation(0.0))
 
+    @classmethod
+    def checked(cls, state: StateVec, action: ActionVec, tick: int, delta: float) -> CausalTuple:
+        """The tuple at ``tick`` under ``delta``, with its :class:`TimeIndex`
+        and :class:`Perturbation`, built without their checks.
+
+        The caller guarantees that ``tick`` is a non-negative int and that
+        ``delta`` is finite with ``|delta| <= DELTA_MAX``.  ``delta`` still
+        passes through ``float()``, as the checked :class:`Perturbation`
+        stores it: a clamp to an int ``delta_max`` gives an int.
+        """
+        set_ = object.__setattr__
+        time = object.__new__(TimeIndex)
+        set_(time, "tick", tick)
+        pert = object.__new__(Perturbation)
+        set_(pert, "delta", float(delta))
+        tup = object.__new__(cls)
+        set_(tup, "state", state)
+        set_(tup, "action", action)
+        set_(tup, "time", time)
+        set_(tup, "delta", pert)
+        return tup
+
 
 @dataclass(frozen=True)
 class Transition:
@@ -184,6 +206,16 @@ class Transition:
             raise DimensionError(
                 f"observed has {len(self.observed)} dims, state has {len(self.tuple.state)}"
             )
+
+    @classmethod
+    def checked(cls, tup: CausalTuple, observed: StateVec) -> Transition:
+        """The transition from ``tup`` to ``observed``, built without the
+        dimension check: the caller guarantees that ``observed`` has as many
+        dims as ``tup.state``."""
+        tr = object.__new__(cls)
+        object.__setattr__(tr, "tuple", tup)
+        object.__setattr__(tr, "observed", observed)
+        return tr
 
 
 @dataclass(frozen=True)
@@ -230,4 +262,4 @@ def loss(predicted: StateVec, observed: StateVec) -> PredictionError:
     total = 0.0
     for sq in per_dim:
         total += sq
-    return PredictionError(epsilon=total / len(per_dim), per_dim=per_dim)
+    return PredictionError(total / len(per_dim), per_dim)

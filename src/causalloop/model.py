@@ -312,15 +312,12 @@ def append_history(m: CausalModel, tr: Transition) -> CausalModel:
     ``tr`` must come one tick after the last entry, or :class:`DomainError`
     is raised; an empty history may start at any tick.
     """
-    # The constructor, not ``dataclasses.replace``: this runs every tick.
+    # The constructor with positional arguments, not ``dataclasses.replace``
+    # nor keywords: this runs every tick, and a keyword call costs nearly
+    # twice as much.  The order is the fields' order.
     return CausalModel(
-        graph=m.graph,
-        delta_hat=m.delta_hat,
-        history=m.history.appended(tr, m.capacity),
-        fit_window=m.fit_window,
-        sigma_lik=m.sigma_lik,
-        capacity=m.capacity,
-        delta_max=m.delta_max,
+        m.graph, m.delta_hat, m.history.appended(tr, m.capacity), m.fit_window, m.sigma_lik, m.capacity,
+        m.delta_max,
     )
 
 
@@ -798,13 +795,8 @@ def _least_squares(m: CausalModel, lags: _LagFeatures, strict: bool) -> CausalMo
             new_coefs[i] = c
 
     return CausalModel(
-        graph=m.graph.with_coefficients(new_coefs),
-        delta_hat=m.delta_hat,
-        history=m.history,
-        fit_window=m.fit_window,
-        sigma_lik=m.sigma_lik,
-        capacity=m.capacity,
-        delta_max=m.delta_max,
+        m.graph.with_coefficients(new_coefs), m.delta_hat, m.history, m.fit_window, m.sigma_lik, m.capacity,
+        m.delta_max,
     )
 
 

@@ -370,3 +370,20 @@ def test_a_scheduled_fit_builds_one_kernel():
     assert len(events) == 200 // BREAK.fit_every
     assert "applied" in events
     assert spy.call_count == len(events)
+
+
+def test_a_delta_clamped_to_an_int_delta_max_is_recorded_as_a_float():
+    """A JSON-int ``delta_max`` stays an int, so a DeltaShift clamped to it
+    gives the model an int delta.  The tick's tuple holds it as a float, as
+    the checked ``Perturbation`` does, so the record and the trace bits are
+    those of a float delta.  ``productivity`` at seed 23 clamps within 200
+    ticks (``break_demo`` has no perturbation and never does)."""
+    from causalloop.scenario import scenario_from_dict, scenario_to_dict
+
+    doc = scenario_to_dict(builtin_scenarios()["productivity"])
+    doc["delta_max"] = 1
+    sc = scenario_from_dict(doc)
+    assert type(sc.delta_max) is int
+    trace = run_episode(sc, RandomPolicy(), seed=23, length=200)
+    assert all(type(r.delta_hat) is float for r in trace.records)
+    assert 1.0 in {abs(r.delta_hat) for r in trace.records}

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from causalloop.core import (
+    DELTA_MAX,
     ActionVec,
     CausalTuple,
     DimensionError,
@@ -110,6 +111,28 @@ def test_transition_dimension_check():
     with pytest.raises(DimensionError):
         Transition(tuple=tup, observed=StateVec((0.0,)))
     Transition(tuple=tup, observed=StateVec((0.5, 0.5)))
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+vectors = st.lists(finite, min_size=0, max_size=4).map(tuple)
+deltas = st.one_of(
+    st.floats(-DELTA_MAX, DELTA_MAX, allow_nan=False), st.integers(-int(DELTA_MAX), int(DELTA_MAX))
+)
+
+
+@given(vectors, vectors, st.integers(0, 2**70), deltas)
+def test_checked_constructors_equal_the_validating_ones(state, action, tick, delta):
+    """``CausalTuple.checked`` and ``Transition.checked`` build what the
+    validating constructors build, an int delta made a float included."""
+    s, a = StateVec(state), ActionVec(action)
+    tup = CausalTuple(s, a, TimeIndex(tick), Perturbation(delta))
+    fast = CausalTuple.checked(s, a, tick, delta)
+    assert type(fast.delta.delta) is float
+    assert (fast, hash(fast), repr(fast)) == (tup, hash(tup), repr(tup))
+    assert (fast.time, fast.delta) == (TimeIndex(tick), Perturbation(delta))
+    observed = StateVec(tuple(v + 1.0 for v in state))
+    tr, fast_tr = Transition(tup, observed), Transition.checked(fast, observed)
+    assert (fast_tr, hash(fast_tr), repr(fast_tr)) == (tr, hash(tr), repr(tr))
 
 
 # ---- loss ------------------------------------------------------------------

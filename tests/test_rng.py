@@ -119,6 +119,23 @@ def test_shared_stream_is_one_generator_per_stream_id():
     assert first + world.uniform(size=2).tolist() == expected
 
 
+def test_interleaved_shared_streams_draw_what_stream_draws():
+    """``shared_stream`` rewrites each stream id's kept state in place: one
+    interleaved run over both stream ids, two seeds and ticks on both sides
+    of 2**64 (where the counter carries into its top word) draws, at every
+    address, what a fresh ``stream`` draws, half-used buffers included."""
+    ticks = (0, 7, 2**64 - 1, 2**64, 2**64 + 3, 2**70, 5)
+    for n, (tick, seed, stream_id) in enumerate(
+        (t, s, i) for t in ticks for s in (11, 2**63 + 5) for i in (rng.STREAM_WORLD, rng.STREAM_POLICY)
+    ):
+        shared = rng.shared_stream(seed, stream_id, tick)
+        fresh = rng.stream(seed, stream_id, tick)
+        assert repr(shared.bit_generator.state) == repr(fresh.bit_generator.state)
+        draws = n % 3 + 1  # an odd number of normals leaves the buffer mid-way
+        assert shared.normal(size=draws).tolist() == fresh.normal(size=draws).tolist()
+        assert shared.random(2).tolist() == fresh.random(2).tolist()
+
+
 def test_negative_seed_or_tick_is_refused():
     for make in (rng.stream, rng.shared_stream):
         with pytest.raises(ValueError):
