@@ -11,8 +11,8 @@ option value that does not parse, such as ``--jobs x`` or ``--seeds x``),
 2 data error (bad files, among them a trace or scenario file that is not
 UTF-8 and a trace whose record i does not hold tick i; option values that
 parse but are out of range, such as ``--length -1``, ``--jobs -3``, an empty
-``--seeds 5:2`` or a seed of 2**64 or more; digest mismatches; failed
-replays).
+``--seeds 5:2`` or a seed of 2**64 or more; an output path that cannot be
+written; digest mismatches; failed replays).
 """
 
 from __future__ import annotations
@@ -227,7 +227,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     check_seed(lo)
     check_seed(hi - 1)
     resolve_scenario(args.scenario)  # fail fast before spawning workers
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {args.out}: {exc}") from exc
     payloads = [(args.scenario, seed, args.length) for seed in range(lo, hi)]
     # The pool starts every worker at once, so never more than there are seeds.
     jobs = min(args.jobs or min(4, os.cpu_count() or 1), len(payloads))

@@ -415,16 +415,20 @@ def scenario_digest(sc: ScenarioConfig) -> str:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` as UTF-8 via a sibling temp file and rename; readers
-    never see a torn file."""
+    never see a torn file.  A path that cannot be written raises
+    :class:`InputError` naming it, and leaves no temp file behind."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write {path}: {exc}") from exc
         raise
 
 

@@ -87,6 +87,38 @@ def test_evaluate_against_wrong_scenario(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["run --trace", "evaluate --out", "evaluate --tsv", "sweep --out", "run --trace onto a directory"],
+)
+def test_unwritable_output_path_is_data_error(case, tmp_path, capsys):
+    """An output path that cannot be written exits 2 naming it, with no
+    traceback, and leaves no temp file behind."""
+    trace = run_trace(tmp_path)
+    missing = tmp_path / "no_dir" / "out.txt"
+    existing_file = tmp_path / "taken"
+    existing_file.write_text("x")
+    existing_dir = tmp_path / "a_dir"
+    existing_dir.mkdir()
+    argv, path = {
+        "run --trace": (["run", "calm", "--seed", "0", "--length", "5", "--trace", str(missing)], missing),
+        "evaluate --out": (["evaluate", str(trace), "calm", "--out", str(missing)], missing),
+        "evaluate --tsv": (["evaluate", str(trace), "calm", "--tsv", str(missing)], missing),
+        "sweep --out": (["sweep", "calm", "--seeds", "0:1", "--length", "5", "--jobs", "1",
+                         "--out", str(existing_file)], existing_file),
+        "run --trace onto a directory": (
+            ["run", "calm", "--seed", "0", "--length", "5", "--trace", str(existing_dir)], existing_dir
+        ),
+    }[case]
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+    assert existing_file.read_text() == "x"
+
+
 def test_evaluate_truncated_reflect_block_is_data_error(tmp_path, capsys):
     path = run_trace(tmp_path)
     lines = path.read_text().strip().split("\n")
