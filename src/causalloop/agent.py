@@ -218,9 +218,8 @@ def run_episode(
     digest_fields: tuple = ()
     for t in range(length):
         action = policy_action(policy, seed, t, sc.d_action)
-        # Each value is already checked: t counts up from 0, the model's
-        # delta is clamped to its delta_max, and the world's observation has
-        # the state's dims.
+        # Checked already: t counts up from 0, the model's delta is clamped
+        # to its delta_max, and the world observes the state's dims.
         tup = CausalTuple.checked(state, action, t, m.delta_hat)
         pred_next = predict_next(m, tup)
         w, observed, true_delta = world_step(w, action)
@@ -260,11 +259,10 @@ def run_episode(
         if digest is None or not all(map(operator.is_, fields, digest_fields)):
             digest = model_digest(m)
             digest_fields = fields
-        snapshot = model_snapshot(m) if digest != prev_digest else None
         records.append(
             TraceRecord(
                 t, state, action, tup.delta.delta, true_delta, pred_next, observed, err.epsilon, err.per_dim,
-                report_dict, fit_event, digest, snapshot,
+                report_dict, fit_event, digest, model_snapshot(m) if digest != prev_digest else None,
             )
         )
         prev_digest = digest

@@ -178,8 +178,8 @@ class CausalTuple:
 
         The caller guarantees that ``tick`` is a non-negative int and that
         ``delta`` is finite with ``|delta| <= DELTA_MAX``.  ``delta`` still
-        passes through ``float()``, as the checked :class:`Perturbation`
-        stores it: a clamp to an int ``delta_max`` gives an int.
+        passes through ``float()``, as in :class:`Perturbation`'s own
+        constructor: a clamp to an int ``delta_max`` gives an int.
         """
         set_ = object.__setattr__
         time = object.__new__(TimeIndex)

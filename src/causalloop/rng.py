@@ -28,14 +28,11 @@ of times.  Two entry points give the same draws for one address:
   keep a generator, or hold two at once.
 * :func:`shared_stream` re-addresses the one module-level generator of its
   stream id and returns it; the per-tick loop uses it, because building a
-  ``Philox`` costs more than the draws a tick makes.  Beside each generator
-  it keeps one state dict, built once by :func:`_state`; each call writes
-  the two counter words that carry the tick and the key word that carries
-  the seed into it, then assigns it whole.  The setter copies every field
-  into the bit generator, so nothing of an earlier address or of earlier
-  draws survives: the words that differ between addresses are rewritten,
-  and the rest (the stream id, the empty buffer) are the same for every
-  address.  The generator it
+  ``Philox`` costs more than the draws a tick makes.  It keeps one state
+  dict (:func:`_state`) beside each generator; each call rewrites the two
+  counter words and the seed's key word in it, then assigns it whole.  The
+  setter copies every field, and the rest (the stream id, the empty buffer)
+  is the same for every address, so nothing earlier survives.  The generator it
   returns is valid only until the next ``shared_stream`` call for the same
   stream id, which re-addresses it: draw what a tick needs, then drop it.
   Generators of different stream ids never share state.  The shared
@@ -71,14 +68,10 @@ _EMPTY_BUFFER = (0, 0, 0, 0)
 _SHARED: dict[int, tuple[np.random.Generator, dict[str, Any]]] = {}
 
 
-def _negative(seed: int, tick: int) -> ValueError:
-    return ValueError(f"seed and tick must be non-negative, got {seed}, {tick}")
-
-
 def _state(seed: int, stream_id: int, tick: int) -> dict[str, Any]:
     """The whole Philox state of one (seed, stream, tick) address."""
     if seed < 0 or tick < 0:
-        raise _negative(seed, tick)
+        raise ValueError(f"seed and tick must be non-negative, got {seed}, {tick}")
     return {
         "bit_generator": "Philox",
         "state": {
@@ -112,13 +105,12 @@ def shared_stream(seed: int, stream_id: int, tick: int = 0) -> np.random.Generat
     module docstring).
     """
     if seed < 0 or tick < 0:
-        raise _negative(seed, tick)
+        raise ValueError(f"seed and tick must be non-negative, got {seed}, {tick}")
     shared = _SHARED.get(stream_id)
     if shared is None:
         shared = _SHARED[stream_id] = (np.random.Generator(np.random.Philox(0)), _state(0, stream_id, 0))
     gen, state = shared
-    words = state["state"]
-    words["counter"][2:] = tick & _WORD, (tick >> 64) & _WORD
-    words["key"][0] = seed
+    state["state"]["counter"][2:] = tick & _WORD, (tick >> 64) & _WORD
+    state["state"]["key"][0] = seed
     gen.bit_generator.state = state
     return gen
