@@ -375,8 +375,8 @@ def test_a_scheduled_fit_builds_one_kernel():
 def test_a_delta_clamped_to_an_int_delta_max_is_recorded_as_a_float():
     """A JSON-int ``delta_max`` stays an int, so a DeltaShift clamped to it
     gives the model an int delta.  The tick's tuple holds it as a float, as
-    the checked ``Perturbation`` does, so the record and the trace bits are
-    those of a float delta.  ``productivity`` at seed 23 clamps within 200
+    ``Perturbation``'s own constructor does, so the record and the trace
+    bits are those of a float delta.  ``productivity`` at seed 23 clamps within 200
     ticks (``break_demo`` has no perturbation and never does)."""
     from causalloop.scenario import scenario_from_dict, scenario_to_dict
 
