@@ -230,7 +230,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
-        raise InputError(f"cannot create output directory {args.out}: {exc}") from exc
+        raise InputError(f"cannot create output directory {args.out}: {exc.strerror or exc}") from exc
     payloads = [(args.scenario, seed, args.length) for seed in range(lo, hi)]
     # The pool starts every worker at once, so never more than there are seeds.
     jobs = min(args.jobs or min(4, os.cpu_count() or 1), len(payloads))

@@ -428,7 +428,7 @@ def atomic_write_text(path: str, text: str) -> None:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError):
-            raise InputError(f"cannot write {path}: {exc}") from exc
+            raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
