@@ -181,9 +181,13 @@ def _fit_improves(lags: _LagFeatures, current: CausalModel, fitted: CausalModel,
 
     ``lags`` is the fit's own kernel over ``current``'s window; the holdout
     is its last ``holdout_size`` rows (``fit_window > holdout`` is a
-    scenario rule, so they are the history's last rows too)."""
-    pair = [(current.graph, current.delta_hat), (fitted.graph, fitted.delta_hat)]
-    mses = lags.mses(pair, lo=max(0, lags._n - holdout_size))
+    scenario rule, so they are the history's last rows too).  ``fitted`` is
+    ``fit(current, lags)``: a fit changes neither structure nor delta_hat,
+    so both models are predicted at the places the fit's design resolved
+    (:meth:`_LagFeatures.layout`), each with its own coefficients, at one
+    scale, in one sum."""
+    packed = lags.layout(current.graph).packed((current.graph.plan, fitted.graph.plan))
+    mses = lags.mses(packed, math.exp(-current.delta_hat), lo=max(0, lags._n - holdout_size))
     return mses is None or mses[1] <= mses[0]
 
 
@@ -216,6 +220,7 @@ def run_episode(
     prev_digest: str | None = None
     digest: str | None = None
     digest_fields: tuple = ()
+    snapshot: dict[str, Any] | None = None
     for t in range(length):
         action = policy_action(policy, seed, t, sc.d_action)
         # Checked already: t counts up from 0, the model's delta is clamped
@@ -254,15 +259,17 @@ def run_episode(
 
         # The digest covers exactly these fields (``model_snapshot``).  Each
         # is immutable, so while every one is the very object the last
-        # digest saw, that digest still holds.
+        # digest saw, that digest still holds.  One snapshot serves the
+        # digest and the record.
         fields = (m.graph, m.delta_hat, m.fit_window, m.sigma_lik, m.capacity, m.delta_max)
         if digest is None or not all(map(operator.is_, fields, digest_fields)):
-            digest = model_digest(m)
+            snapshot = model_snapshot(m)
+            digest = model_digest(m, snapshot)
             digest_fields = fields
         records.append(
             TraceRecord(
                 t, state, action, tup.delta.delta, true_delta, pred_next, observed, err.epsilon, err.per_dim,
-                report_dict, fit_event, digest, model_snapshot(m) if digest != prev_digest else None,
+                report_dict, fit_event, digest, snapshot if digest != prev_digest else None,
             )
         )
         prev_digest = digest

@@ -39,9 +39,16 @@ transitions given as a history is converted once (and refused unless it is
 one run), so there is one column path.  ``predict_next`` walks the graph's
 ``plan`` (:attr:`causalloop.world.CausalGraph.plan`, one plain tuple per
 edge) and reads each of its few lags by position in the view: tick q sits
-at buffer place ``q - tick0``.  The scheduled fit builds one kernel over
-its window, and its holdout gate reads both models' errors from that
-kernel's last rows.
+at buffer place ``q - tick0``.
+
+The scheduled fit and its holdout gate are one pass over one design.  The
+fit builds one kernel over its window and resolves each edge's column
+place once (the kernel's ``layout`` of the graph); each target's design is
+one gather of the fitted columns, solved by its own ``lstsq``.  A fit
+changes neither structure nor delta_hat, so the gate predicts the current
+and the fitted model at those same places, each with its own
+coefficients, at one scale, in one ``sums`` over the kernel's last rows,
+and places nothing.
 
 Traces record predictions and scores and replays compare them exactly, so
 the arithmetic is fixed, in Python loops and numpy arrays alike:
@@ -402,6 +409,52 @@ def predict_next(m: CausalModel, current: CausalTuple) -> StateVec:
     return StateVec.checked(check_finite(values, "state"))
 
 
+# Groups as :meth:`_LagFeatures.sums` reads them: each group's target, and
+# its column places and coefficients (groups x widest group), padded with
+# place 0, the all-zero column, and coefficient 0.0.
+_Packed = tuple[list[int], np.ndarray, np.ndarray]
+
+
+def _pack(groups: Sequence[tuple[int, list[int], list[float]]]) -> _Packed:
+    """``(target, places, coefficients)`` groups packed for
+    :meth:`_LagFeatures.sums`."""
+    targets, places, coefficients = zip(*groups)
+    width = max(map(len, places))
+    place = np.array([p + [0] * (width - len(p)) for p in places], dtype=int).reshape(len(groups), width)
+    coef = np.array([c + [0.0] * (width - len(c)) for c in coefficients]).reshape(len(groups), width)
+    return list(targets), place, coef
+
+
+class _Layout:
+    """A graph's structure as a kernel reads it (:meth:`_LagFeatures.layout`):
+    ``places[i]`` is edge i's column place and ``members[k]`` target
+    dimension k's edge indices, in graph order."""
+
+    __slots__ = ("places", "members", "_padded")
+
+    def __init__(self, places: list[int], members: list[list[int]]) -> None:
+        self.places = places
+        self.members = members
+        self._padded: tuple[np.ndarray, np.ndarray] | None = None
+
+    def packed(self, plans: Sequence[tuple[EdgePlan, ...]]) -> _Packed:
+        """Every target dimension of each plan of this structure, one plan
+        after another, packed for :meth:`_LagFeatures.sums`.  The places
+        and edge indices, target by target and padded (with edge index
+        ``len(plan)``), are built on first use; each plan's coefficients,
+        0.0 appended, are taken at those indices."""
+        if self._padded is None:
+            members, pad = self.members, len(self.places)
+            width = max(map(len, members))
+            index = np.array([idx + [pad] * (width - len(idx)) for idx in members], dtype=int)
+            index = index.reshape(len(members), width)
+            self._padded = np.array(self.places + [0], dtype=int)[index], index
+        place, index = self._padded
+        coefficients = np.array([[edge[4] for edge in plan] + [0.0] for plan in plans])
+        coef = coefficients[:, index].reshape(len(plans) * len(index), index.shape[1])
+        return list(range(len(index))) * len(plans), np.concatenate([place] * len(plans)), coef
+
+
 class _Target:
     """One state dimension's predictions over every row of a kernel.
 
@@ -439,9 +492,10 @@ class _LagFeatures:
     candidate edit of it -- are predicted from one set of columns.
 
     A graph's edges are read by place and coefficient, target by target
-    (:meth:`incoming`), and every prediction of many targets at once is one
-    :meth:`sums`.  A prediction leaves out each row where a lag it needs is
-    unrecorded; only :func:`predict_next` drops the term instead.
+    (:meth:`layout`, :meth:`incoming`), and every prediction of many
+    targets at once is one :meth:`sums`.  A prediction leaves out each row
+    where a lag it needs is unrecorded; only :func:`predict_next` drops the
+    term instead.
 
     Columns, predictions and squared errors are float64 arrays with the
     bits of the per-row Python arithmetic (see the module docstring).  A
@@ -481,6 +535,8 @@ class _LagFeatures:
         self.gaps: dict[int, np.ndarray] = {}
         self._places: dict[tuple[bool, int, int, int], int] = {}
         self._targets: dict[tuple, _Target] = {}
+        self._layout_plan: tuple[EdgePlan, ...] | None = None
+        self._layout: _Layout
 
     def _row_values(self, of: np.ndarray, k: int) -> np.ndarray:
         """Dimension ``k`` of the rows' states or observations."""
@@ -526,61 +582,66 @@ class _LagFeatures:
         self._places[key] = p
         return p
 
+    def layout(self, graph: CausalGraph) -> _Layout:
+        """The :class:`_Layout` of ``graph``'s structure in this kernel.
+        Kept for the last plan asked for, so a fit and its holdout gate
+        (the fitted graph shares the structure) resolve each place once."""
+        plan = graph.plan
+        if plan is not self._layout_plan:
+            place = self.place
+            places = [place(reads_action, index, delay, form) for reads_action, index, delay, _, _, form in plan]
+            members: list[list[int]] = [[] for _ in range(graph.d_state)]
+            for i, edge in enumerate(plan):
+                members[edge[3]].append(i)
+            self._layout_plan, self._layout = plan, _Layout(places, members)
+        return self._layout
+
     def incoming(self, graph: CausalGraph) -> list[tuple[int, list[int], list[float]]]:
         """Each target dimension of ``graph`` in order, with the place and
-        the coefficient of each of its incoming edges in graph order: the
-        groups :meth:`predict` and :meth:`sums` read."""
-        groups: list[tuple[int, list[int], list[float]]] = [(k, [], []) for k in range(graph.d_state)]
-        for reads_action, index, delay, target, coefficient, form in graph.plan:
-            _, places, coefficients = groups[target]
-            places.append(self.place(reads_action, index, delay, form))
-            coefficients.append(coefficient)
-        return groups
+        the coefficient of each of its incoming edges in graph order, from
+        its :meth:`layout`: the groups :meth:`predict` reads."""
+        plan, layout = graph.plan, self.layout(graph)
+        places = layout.places
+        return [(k, [places[i] for i in idx], [plan[i][4] for i in idx]) for k, idx in enumerate(layout.members)]
 
     def design(
-        self, plan: Sequence[EdgePlan], scale: float = 1.0
+        self, graph: CausalGraph, scale: float = 1.0
     ) -> tuple[np.ndarray, list[np.ndarray | None], np.ndarray]:
-        """Least-squares inputs for the edges of a graph's ``plan``: their
-        feature columns times ``scale`` (edges x rows), each column's gap
-        mask (None where it has no gap), and every dimension's observed
-        change (dimensions x rows)."""
-        places = [self.place(reads_action, index, delay, form) for reads_action, index, delay, _, _, form in plan]
+        """Least-squares inputs for the edges of ``graph``, at the places of
+        its :meth:`layout`: their feature columns times ``scale`` (edges x
+        rows), each column's gap mask (None where it has no gap), and every
+        dimension's observed change (dimensions x rows)."""
+        places = self.layout(graph).places
         x = self.columns[places]
         if scale != 1.0:
             x = x * scale
         return x, [self.gaps.get(p) for p in places], self._observed - self._states
 
     def sums(
-        self,
-        groups: Sequence[tuple[int, list[int], list[float]]],
-        scale: float | np.ndarray,
-        lo: int = 0,
-        hi: int | None = None,
+        self, packed: _Packed, scale: float | np.ndarray, lo: int = 0, hi: int | None = None
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Each ``(target, places, coefficients)`` group's strict prediction
-        over rows ``[lo, hi)`` (groups x rows), and the mask of the rows
-        where a column it reads has a gap (groups x rows; None when none
-        has).  The one edge sum: slot w of a group is its w-th edge's
-        ``coefficient * column``, then ``* scale`` -- a float, skipped at
-        1.0 since ``x * 1.0`` is ``x``, or an array of one per group -- and
-        past its last edge coefficient 0.0 over row 0.  The slots add in
-        order to 0.0 (:func:`_add_up`), then to the target's recorded
-        state."""
+        """Each packed group's strict prediction over rows ``[lo, hi)``
+        (groups x rows), and the mask of the rows where a column it reads
+        has a gap (groups x rows; None when none has).  ``packed`` is
+        :func:`_pack` of ``(target, places, coefficients)`` groups, or
+        :meth:`_Layout.packed`.  The one edge sum: slot w of a group is its
+        w-th edge's ``coefficient * column``, then ``* scale`` -- a float,
+        skipped at 1.0 since ``x * 1.0`` is ``x``, or an array of one per
+        group -- and past its last edge coefficient 0.0 over row 0.  The
+        slots add in order to 0.0 (:func:`_add_up`), then to the target's
+        recorded state."""
         hi = self._n if hi is None else hi
-        targets, places, coefficients = zip(*groups)
-        width = max(map(len, places))
-        place = np.array([p + [0] * (width - len(p)) for p in places], dtype=int).reshape(len(groups), width)
-        coef = np.array([c + [0.0] * (width - len(c)) for c in coefficients]).reshape(len(groups), width)
+        targets, place, coef = packed
         with np.errstate(all="ignore"):
             terms = coef[:, :, None] * self.columns[place, lo:hi]
             if isinstance(scale, np.ndarray):
                 terms = terms * scale[:, None, None]
             elif scale != 1.0:
                 terms = terms * scale
-            states = self._states[list(targets), lo:hi] if self._n else np.zeros((len(groups), 0))
+            states = self._states[targets, lo:hi] if self._n else np.zeros((len(targets), 0))
             pred = states + _add_up(terms)
         dead = None
-        if self.gaps and any(p in self.gaps for ps in places for p in ps):
+        if self.gaps and not self.gaps.keys().isdisjoint(place.ravel().tolist()):
             masks = np.zeros((len(self.columns), hi - lo), dtype=bool)
             for p, gap in self.gaps.items():
                 masks[p] = gap[lo:hi]
@@ -601,44 +662,45 @@ class _LagFeatures:
                 todo.append((len(out), key, group))
             out.append(hit)
         if todo:
-            pred, dead = self.sums([group for _, _, group in todo], scale)
+            pred, dead = self.sums(_pack([group for _, _, group in todo]), scale)
             finite = np.isfinite(pred).all(axis=1).tolist()
             for j, ((i, key, _), ok) in enumerate(zip(todo, finite)):
                 out[i] = self._targets[key] = _Target(pred[j], None if dead is None else dead[j], ok)
         return out
 
     def mses(
-        self, models: Sequence[tuple[CausalGraph, float]], lo: int = 0, hi: int | None = None
+        self, packed: _Packed, scale: float | np.ndarray, lo: int = 0, hi: int | None = None
     ) -> list[float] | None:
-        """The mean loss epsilon of each (graph, delta_hat) over the rows of
-        ``[lo, hi)`` that every one of them predicts, all in one batch; None
-        when there are none.  Each row's squared errors add over dimensions,
-        are divided by d_state and add over rows, each sum left to right
-        from 0.0, as :func:`causalloop.core.loss` and a mean of its epsilons
-        would.  Raises :class:`DomainError` where :meth:`sq_errors` would."""
+        """The mean loss epsilon of each model over the rows of ``[lo, hi)``
+        that every one of them predicts, all in one :meth:`sums`; None when
+        there are none.  ``packed`` holds each model's groups for every
+        target dimension in order, one model after another, and ``scale``
+        is as :meth:`sums` takes it.  Each row's squared errors add over
+        dimensions, are divided by d_state and add over rows, each sum left
+        to right from 0.0, as :func:`causalloop.core.loss` and a mean of
+        its epsilons would.  Raises :class:`DomainError` where
+        :meth:`sq_errors` would."""
         hi = self._n if hi is None else hi
         if lo >= hi:
             return None
-        d = models[0][0].d_state
-        groups = [group for graph, _ in models for group in self.incoming(graph)]
-        scales = [math.exp(-delta_hat) for _, delta_hat in models]
-        scale = 1.0 if scales.count(1.0) == len(scales) else np.repeat(scales, d)
-        pred, dead = self.sums(groups, scale, lo, hi)
-        pred = pred.reshape(len(models), d, hi - lo)
-        live = np.ones(hi - lo, dtype=bool) if dead is None else ~dead.any(axis=0)
+        d = len(self._observed)
+        pred, dead = self.sums(packed, scale, lo, hi)
+        pred = pred.reshape(len(pred) // d, d, hi - lo)
+        live = True if dead is None else ~dead.any(axis=0)  # the rows every model predicts
         with np.errstate(all="ignore"):
             diff = self._observed[:, lo:hi] - pred
             sq = np.float_power(diff, 2.0)
             if not np.isfinite(sq).all():  # a prediction that is not finite, or an overflow
-                bad = pred[:, :, live][~np.isfinite(pred[:, :, live])]
+                read = pred if dead is None else pred[:, :, live]
+                bad = read[~np.isfinite(read)]
                 if len(bad):
                     raise DomainError(f"state contains non-finite value {float(bad[0])!r}")
                 if (np.isinf(sq) & np.isfinite(diff)).any():
                     raise DomainError("a squared prediction error exceeds the float range")
-            stacked = np.zeros((len(models), d + 1, hi - lo))
+            stacked = np.zeros((len(pred), d + 1, hi - lo))
             stacked[:, 1:] = sq
             per_row = np.add.accumulate(stacked, axis=1)[:, -1] / d
-            n = np.count_nonzero(live)
+            n = hi - lo if dead is None else np.count_nonzero(live)
             return None if n == 0 else [total / n for total in _fold(per_row, live).tolist()]
 
     def _dead(self, targets: list[_Target], lo: int, hi: int) -> np.ndarray:
@@ -731,13 +793,15 @@ def fit(m: CausalModel, lags: _LagFeatures | None = None) -> CausalModel:
     Structure (edges, delays, forms) and delta_hat are untouched; the
     estimation itself treats delta_hat as zero.  ``lags`` is the kernel
     over the window, ``m.history[-m.fit_window:]``; a caller that reads the
-    same rows again (the scheduled fit's gate) builds it once and passes
-    it.  Raises :class:`NotEnoughDataError` on thin history and
-    :class:`DegenerateDataError` when a design matrix is unusable
-    (a constant feature column or rank deficiency).
+    same rows again (the scheduled fit's gate) builds it once, passes it,
+    and reads the places the fit resolved there
+    (:meth:`_LagFeatures.layout`).  Raises :class:`NotEnoughDataError` on
+    thin history and :class:`DegenerateDataError` when a design matrix is
+    unusable (a constant feature column or rank deficiency).
     """
-    need = max(m.fit_window // 4, 2 * len(m.graph.edges))
-    if m.graph.edges and len(m.history) < need:
+    edges = len(m.graph.plan)
+    need = max(m.fit_window // 4, 2 * edges)
+    if edges and len(m.history) < need:
         raise NotEnoughDataError(f"fit needs >= {need} transitions, history has {len(m.history)}")
     if lags is None:
         lags = _LagFeatures(m.history, m.history[-m.fit_window :])
@@ -748,40 +812,40 @@ def _least_squares(m: CausalModel, lags: _LagFeatures, strict: bool) -> CausalMo
     """Every edge coefficient re-estimated by per-target OLS over the rows
     of ``lags``, a kernel over ``m``'s history.
 
-    Strict (:func:`fit`): features at scale 1.0, and a target with too few
-    usable rows, a constant feature column or a rank-deficient design
-    raises.  Best-effort (a structural break's refit): features at the
-    model's scale ``exp(-delta_hat)``, and a target with too few rows or a
-    rank-deficient design keeps its coefficients.
+    Each edge's column is placed once (:meth:`_LagFeatures.layout`), and
+    each target's design is one gather of those columns, solved by its own
+    ``lstsq``.  Strict (:func:`fit`): features at scale 1.0, and a target
+    with too few usable rows, a constant feature column or a
+    rank-deficient design raises.  Best-effort (a structural break's
+    refit): features at the model's scale ``exp(-delta_hat)``, and a target
+    with too few rows or a rank-deficient design keeps its coefficients.
     """
-    plan = m.graph.plan
+    graph = m.graph
+    plan = graph.plan
     if not plan or not lags._n:
         return m
     scale = 1.0 if strict else math.exp(-m.delta_hat)
-    x_all, gaps, y_all = lags.design(plan, scale)
+    x_all, gaps, y_all = lags.design(graph, scale)
     # Each column's span over every row, for the targets none of whose
     # columns has a gap.
     spans_all = (x_all.max(axis=1) - x_all.min(axis=1)).tolist() if strict else []
     new_coefs = [coefficient for _, _, _, _, coefficient, _ in plan]
-    incoming: list[list[int]] = [[] for _ in range(m.graph.d_state)]
-    for i, (_, _, _, target, _, _) in enumerate(plan):
-        incoming[target].append(i)
-    for j, places in enumerate(incoming):
-        if not places:
+    for j, members in enumerate(lags.layout(graph).members):
+        if not members:
             continue
-        x, y = np.array([x_all[i] for i in places]).T, y_all[j]
-        masks = [gaps[i] for i in places if gaps[i] is not None]
+        x, y = x_all[members].T, y_all[j]
+        masks = [gaps[i] for i in members if gaps[i] is not None]
         if masks:
             keep = ~functools.reduce(operator.or_, masks)
             x, y = x[keep], y[keep]
-        if len(x) < max(2, len(places)):
+        if len(x) < max(2, len(members)):
             if not strict:
                 continue
             raise NotEnoughDataError(
-                f"fit for dim {j}: only {len(x)} usable rows for {len(places)} edges"
+                f"fit for dim {j}: only {len(x)} usable rows for {len(members)} edges"
             )
         if strict:
-            spans = [spans_all[i] for i in places] if not masks else (x.max(axis=0) - x.min(axis=0)).tolist()
+            spans = [spans_all[i] for i in members] if not masks else (x.max(axis=0) - x.min(axis=0)).tolist()
             if 0.0 in spans:
                 flat = spans.index(0.0)
                 raise DegenerateDataError(f"fit for dim {j}: feature column {flat} is constant over the window")
@@ -790,11 +854,11 @@ def _least_squares(m: CausalModel, lags: _LagFeatures, strict: bool) -> CausalMo
             if not strict:
                 continue
             raise DegenerateDataError(f"fit for dim {j}: design matrix rank {rank} < {x.shape[1]}")
-        for i, c in zip(places, coef.tolist()):
+        for i, c in zip(members, coef.tolist()):
             new_coefs[i] = c
 
     return CausalModel(
-        m.graph.with_coefficients(new_coefs), m.delta_hat, m.history, m.fit_window, m.sigma_lik, m.capacity,
+        graph.with_coefficients(new_coefs), m.delta_hat, m.history, m.fit_window, m.sigma_lik, m.capacity,
         m.delta_max,
     )
 
@@ -900,5 +964,10 @@ def model_from_snapshot(snap: Any) -> CausalModel:
     )
 
 
-def model_digest(m: CausalModel) -> str:
-    return hashlib.sha256(canonical_json(model_snapshot(m)).encode()).hexdigest()[:16]
+def model_digest(m: CausalModel, snapshot: dict | None = None) -> str:
+    """The first 16 hex digits of the sha256 of the model's snapshot as
+    canonical JSON.  ``snapshot``, when given, must be
+    :func:`model_snapshot` of ``m``, which is then not built again."""
+    if snapshot is None:
+        snapshot = model_snapshot(m)
+    return hashlib.sha256(canonical_json(snapshot).encode()).hexdigest()[:16]

@@ -93,9 +93,10 @@ from .model import (
     _add_up,
     _fold,
     _least_squares,
+    _pack,
 )
 from .scenario import json_number, json_typed
-from .world import CausalEdge, Form, SourceKind, VarRef, _check_edge, _check_ends, _duplicate
+from .world import CausalGraph, Form, SourceKind, VarRef, _check_edge, _check_ends, _check_plan, _duplicate
 
 # Fraction of tau below which a row counts as "explained" when delimiting
 # the anomalous suffix.
@@ -218,29 +219,34 @@ def _clamped(m: CausalModel, delta: float) -> float:
 
 
 def apply_hypothesis(m: CausalModel, h: Hypothesis) -> CausalModel:
-    """A copy of ``m`` with the edit applied; the input is untouched."""
+    """A copy of ``m`` with the edit applied; the input is untouched.  An
+    edge edit checks the plan it edits as building the graph from edges would."""
     if isinstance(h, DeltaShift):
         return replace(m, delta_hat=_clamped(m, h.new_delta))
-    if isinstance(h, CoefChange):
-        edges = list(m.graph.edges)
-        edges[h.edge_index] = replace(edges[h.edge_index], coefficient=h.new_coefficient)
-        return replace(m, graph=replace(m.graph, edges=tuple(edges)))
-    if isinstance(h, DelayChange):
-        edges = list(m.graph.edges)
-        edges[h.edge_index] = replace(edges[h.edge_index], delay=h.new_delay)
-        return replace(m, graph=replace(m.graph, edges=tuple(edges)))
+    if isinstance(h, StructuralBreak):
+        # Flush stale history, then refit whatever the kept suffix supports;
+        # dims the suffix cannot support keep their coefficients.
+        flushed = replace(m, history=m.history[-h.keep :] if h.keep > 0 else ())
+        return _least_squares(flushed, _LagFeatures(flushed.history, flushed.history), strict=False)
+    graph = m.graph
     if isinstance(h, EdgeRemove):
-        edges = tuple(e for i, e in enumerate(m.graph.edges) if i != h.edge_index)
-        return replace(m, graph=replace(m.graph, edges=edges))
-    if isinstance(h, EdgeAdd):
-        new_edge = CausalEdge(
-            source=h.source, target=h.target, delay=h.delay, coefficient=h.coefficient, form=h.form
-        )
-        return replace(m, graph=replace(m.graph, edges=m.graph.edges + (new_edge,)))
-    # StructuralBreak: flush stale history, then refit whatever the kept
-    # suffix supports; dims the suffix cannot support keep their coefficients.
-    flushed = replace(m, history=m.history[-h.keep :] if h.keep > 0 else ())
-    return _least_squares(flushed, _LagFeatures(flushed.history, flushed.history), strict=False)
+        plan = tuple(edge for i, edge in enumerate(graph.plan) if i != h.edge_index)
+    elif isinstance(h, EdgeAdd):
+        _check_edge(h.delay, h.coefficient)
+        edge = (h.source.kind is SourceKind.ACTION, h.source.index, h.delay, h.target, h.coefficient, h.form)
+        plan = graph.plan + (edge,)
+    else:
+        edges = list(graph.plan)
+        reads_action, index, delay, target, coefficient, form = edges[h.edge_index]
+        if isinstance(h, CoefChange):
+            coefficient = h.new_coefficient
+        else:
+            delay = h.new_delay
+        _check_edge(delay, coefficient)
+        edges[h.edge_index] = (reads_action, index, delay, target, coefficient, form)
+        plan = tuple(edges)
+    _check_plan(graph.d_state, graph.d_action, plan)
+    return replace(m, graph=CausalGraph.from_plan(graph.d_state, graph.d_action, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +265,13 @@ class _Baseline:
     :meth:`edit` states a candidate as the targets it predicts anew, which
     is how :class:`_EditBatch` scores it.
 
-    Edges are read as plan tuples (:attr:`causalloop.world.CausalGraph.plan`)
-    and edits build no :class:`CausalEdge`.  ``incoming[k]`` is target k
-    with the place of each of its edges' columns in the kernel's store and
-    each edge's coefficient, in graph order (:meth:`_LagFeatures.incoming`);
-    ``keys[k]`` holds each of those edges' ``(reads_action, source_index,
-    delay)``, and ``position`` each edge's index in its target's lists.
+    Edges are read as plan tuples (:attr:`causalloop.world.CausalGraph.plan`).
+    ``members[k]`` is the index of each edge into target k, in graph order
+    (:meth:`_LagFeatures.layout`); ``incoming[k]`` is target k with the
+    place of each of those edges' columns in the kernel's store and each
+    edge's coefficient (:meth:`_LagFeatures.incoming`); ``keys[k]`` holds
+    each of those edges' ``(reads_action, source_index, delay)``, and
+    ``position`` each edge's index in its target's lists.
     """
 
     def __init__(
@@ -276,6 +283,7 @@ class _Baseline:
         self.hi = len(lags.rows) if hi is None else hi
         self.d = m.graph.d_state
         self.scale = math.exp(-m.delta_hat)
+        self.members = lags.layout(m.graph).members
         self.incoming = lags.incoming(m.graph)
         self.keys: list[list[tuple[bool, int, int]]] = [[] for _ in range(self.d)]
         self.position: list[int] = []
@@ -299,10 +307,10 @@ class _Baseline:
         target predicts as this model's, to the bit.
 
         Raises :class:`ConfigError` where building the edited graph would,
-        in the order :class:`CausalEdge` and the graph check refuse: an
-        edge index outside the graph; then a new or changed edge's delay
-        below 1 or coefficient not finite, its target or source out of
-        range, or its (source, delay) already feeding the edited target.
+        in the order :func:`apply_hypothesis` refuses: an edge index
+        outside the graph; then a new or changed edge's delay below 1 or
+        coefficient not finite, its target or source out of range, or its
+        (source, delay) already feeding the edited target.
         A StructuralBreak raises what its refit raises.
         """
         m = self.m
@@ -473,23 +481,25 @@ def _candidates(
     sources = [(True, i) for i in range(m.graph.d_action)] + [(False, i) for i in range(d_state)]
 
     def edits(j: int) -> Iterator[Hypothesis]:
-        incoming = m.graph.incoming(j)
+        members = base.members[j]
         places = base.incoming[j][1]
-        for edge_index, e in incoming:
-            for c in (-e.coefficient, 0.5 * e.coefficient, 2.0 * e.coefficient, None):
+        for at, edge_index in enumerate(members):
+            coefficient = plan[edge_index][4]
+            for c in (-coefficient, 0.5 * coefficient, 2.0 * coefficient, None):
                 if c is None:  # the residual refit
                     resid = _residuals(base, est_lo, j, edge_index)
-                    c = _residual_fit(base, est_lo, resid, places[base.position[edge_index]])
-                if c is not None and math.isfinite(c) and c != e.coefficient:
+                    c = _residual_fit(base, est_lo, resid, places[at])
+                if c is not None and math.isfinite(c) and c != coefficient:
                     yield CoefChange(edge_index, c)
-        for edge_index, e in incoming:
-            for k in (e.delay + 1, e.delay - 1, e.delay + 2, e.delay - 2):
-                if not 1 <= k <= settings.k_max or k == e.delay:
+        for edge_index in members:
+            reads_action, index, delay = plan[edge_index][:3]
+            for k in (delay + 1, delay - 1, delay + 2, delay - 2):
+                if not 1 <= k <= settings.k_max or k == delay:
                     continue
-                if (*plan[edge_index][:2], j, k) in existing:
+                if (reads_action, index, j, k) in existing:
                     continue
                 yield DelayChange(edge_index, k)
-        for edge_index, _ in incoming:
+        for edge_index in members:
             yield EdgeRemove(edge_index)
         resid = _residuals(base, est_lo, j, None)
         for reads_action, index in sources:
@@ -620,7 +630,7 @@ class _EditBatch:
         lo, hi, d, s = base.lo, base.hi, base.d, self.split - base.lo
         n = len(lags.rows)
         cand, target = np.array(cand), np.array([k for k, _, _ in groups])
-        pred, gapped = lags.sums(groups, np.array(scales))
+        pred, gapped = lags.sums(_pack(groups), np.array(scales))
         with np.errstate(all="ignore"):
             diff = lags._observed[target] - pred
             sq_k = np.float_power(diff, 2.0)
@@ -754,7 +764,7 @@ def reflect(
     # the candidates still to test, remapped to its edges, become one more
     # batch against it: at most ``max_accepts`` batches in all.
     working = m
-    index_map = {i: i for i in range(len(m.graph.edges))}
+    index_map = {i: i for i in range(len(m.graph.plan))}
     rows = {i: i for i in range(len(candidates))}  # candidate -> its row of ``batch``
     accepted: list[Hypothesis] = []
     for pos, (i, hs) in enumerate(ranked):

@@ -107,10 +107,10 @@ class ScenarioConfig:
     def digest(self) -> str:
         """sha256 of the canonical JSON of the materialized scenario.
 
-        Computed on first use and kept in the instance's ``__dict__``, as
-        :attr:`CausalGraph.plan` is, so it is not a field: equality, hashing
-        and ``dataclasses.replace`` ignore it, and a replaced scenario
-        computes its own.  Every field is immutable, so it cannot go stale.
+        Computed on first use and kept in the instance's ``__dict__``, so it
+        is not a field: equality, hashing and ``dataclasses.replace`` ignore
+        it, and a replaced scenario computes its own.  Every field is
+        immutable, so it cannot go stale.
         """
         return hashlib.sha256(canonical_json(scenario_to_dict(self)).encode()).hexdigest()
 
@@ -128,10 +128,10 @@ class ScenarioConfig:
         for label, g in self._graphs():
             if g.d_state != self.d_state or g.d_action != self.d_action:
                 raise ConfigError(f"{label} dimensions differ from the scenario's")
-            for e in g.edges:
-                if e.delay > self.history_capacity:
+            for _, _, delay, _, _, _ in g.plan:
+                if delay > self.history_capacity:
                     raise ConfigError(
-                        f"{label} edge delay {e.delay} exceeds history_capacity {self.history_capacity}"
+                        f"{label} edge delay {delay} exceeds history_capacity {self.history_capacity}"
                     )
         prev = 0
         for b in self.breaks:
@@ -174,31 +174,23 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def edge_to_dict(e: CausalEdge) -> dict[str, Any]:
-    return {
-        "source": {"kind": e.source.kind.value, "index": e.source.index},
-        "target": e.target,
-        "delay": e.delay,
-        "coefficient": e.coefficient,
-        "form": e.form.value,
-    }
-
-
 # Each member by its JSON value, looked up before the Enum call that a
 # value no member has (or one that is not a string) reaches to be refused.
 _READS_ACTION = {SourceKind.ACTION.value: True, SourceKind.STATE.value: False}
 _FORMS = {f.value: f for f in Form}
+# A plan tuple's ``reads_action`` as the JSON value of its source's kind.
+_KIND_VALUES = (SourceKind.STATE.value, SourceKind.ACTION.value)
 
 
 _edge_fields = operator.itemgetter("source", "target", "delay", "coefficient", "form")
 _source_fields = operator.itemgetter("kind", "index")
 # The JSON types of an edge record's index, target, delay and coefficient
-# as :func:`edge_to_dict` writes them.
+# as :func:`graph_to_dict` writes them.
 _WRITTEN_EDGE = (int, int, int, float)
 
 
 def _edge_plan_from_dict(d: Any) -> EdgePlan:
-    """The edge record :func:`edge_to_dict` wrote, as a plan tuple
+    """An edge record :func:`graph_to_dict` wrote, as a plan tuple
     (:attr:`CausalGraph.plan`), each field read as its JSON type in record
     order; :class:`InputError` for a malformed record, then
     :class:`ConfigError` for a delay below 1, as :class:`CausalEdge` refuses
@@ -244,10 +236,20 @@ def _edge_plan_from_dict(d: Any) -> EdgePlan:
 
 
 def graph_to_dict(g: CausalGraph) -> dict[str, Any]:
+    """The graph's record, each edge written from its plan tuple."""
     return {
         "d_state": g.d_state,
         "d_action": g.d_action,
-        "edges": [edge_to_dict(e) for e in g.edges],
+        "edges": [
+            {
+                "source": {"kind": _KIND_VALUES[reads_action], "index": index},
+                "target": target,
+                "delay": delay,
+                "coefficient": coefficient,
+                "form": form._value_,
+            }
+            for reads_action, index, delay, target, coefficient, form in g.plan
+        ],
     }
 
 

@@ -9,13 +9,16 @@ ticks, which is how "the laws changed" is realized.  The per-tick scalar
 ``delta_t`` comes from a perturbation process the agent never sees; only
 the noisy observation and (for scoring purposes) the trace know it.
 
-The per-tick edge representation is a graph's ``plan``: one plain tuple
-per edge, ``(reads_action, source_index, delay, target, coefficient,
-form)`` in edge order, built once per graph.  ``world_step`` and the
-model's ``predict_next`` loop over it and read the vectors' values
-directly, with no attribute chain or method call per edge.  The graph
-check reads it too, and a graph record is parsed and checked straight
-into it (:func:`causalloop.scenario.graph_plan_from_dict`).
+A graph is its ``plan``: one plain tuple per edge, ``(reads_action,
+source_index, delay, target, coefficient, form)`` in edge order, with its
+two dimensions.  ``world_step`` and the model's ``predict_next`` loop over
+it and read the vectors' values directly, with no attribute chain or
+method call per edge.  The graph check, equality, serialization, the fit
+and repair read it too, and a graph record is parsed and checked straight
+into it (:func:`causalloop.scenario.graph_plan_from_dict`).  Edge objects
+(:class:`CausalEdge`, :class:`VarRef`) are the public way to state a graph
+and to read one back (:attr:`CausalGraph.edges`); no per-tick path builds
+them.
 
 ``world_step`` is pure: it returns a new :class:`WorldState` and never
 mutates its input, so stepping the same state twice gives the same result.
@@ -25,11 +28,10 @@ All randomness is addressed by (seed, tick) -- see :mod:`causalloop.rng`.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable
 
 from .core import (
     ActionVec,
@@ -154,49 +156,55 @@ def _check_plan(d_state: int, d_action: int, plan: tuple[EdgePlan, ...]) -> None
         seen.add(key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CausalGraph:
-    """Edge set plus the dimensions it is defined over."""
+    """Edge set plus the dimensions it is defined over, held as its plan:
+    one :data:`EdgePlan` tuple per edge, in edge order.
+
+    ``CausalGraph(d_state, d_action, edges)`` takes :class:`CausalEdge`
+    objects and runs the one graph check; ``dataclasses.replace(g,
+    edges=...)`` builds through it.  :attr:`edges` gives the edges back,
+    built on each read.  Equality and the hash are those of ``(d_state,
+    d_action, plan)``, which compare as the edges would, ``-0.0 == 0.0``
+    included.
+    """
 
     d_state: int
     d_action: int
-    edges: tuple[CausalEdge, ...]
+    plan: tuple[EdgePlan, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(self.edges))
-        _check_plan(self.d_state, self.d_action, self.plan)
+    def __init__(self, d_state: int, d_action: int, edges: Iterable[CausalEdge]) -> None:
+        plan = tuple(
+            (e.source.kind is SourceKind.ACTION, e.source.index, e.delay, e.target, e.coefficient, e.form)
+            for e in edges
+        )
+        _check_plan(d_state, d_action, plan)
+        object.__setattr__(self, "d_state", d_state)
+        object.__setattr__(self, "d_action", d_action)
+        object.__setattr__(self, "plan", plan)
 
     @staticmethod
     def from_plan(d_state: int, d_action: int, plan: tuple[EdgePlan, ...]) -> CausalGraph:
-        """The graph whose edges ``plan`` holds, which must already have
-        passed :func:`_check_plan` with these dimensions, with each delay at
-        least 1 and each coefficient a finite float, as :class:`CausalEdge`
+        """The graph of ``plan``, which must already have passed
+        :func:`_check_plan` with these dimensions, with each delay at least
+        1 and each coefficient a finite number, as :class:`CausalEdge`
         would check (:func:`causalloop.scenario.graph_plan_from_dict` reads
-        a graph record so).
-
-        Nothing is checked again: the edges and the graph are filled in
-        field by field, and ``plan`` is kept as the graph's :attr:`plan`.
-        """
-        new, set_ = object.__new__, object.__setattr__
-        action, state = SourceKind.ACTION, SourceKind.STATE
-        edges = []
-        for reads_action, index, delay, target, coefficient, form in plan:
-            source = new(VarRef)
-            set_(source, "kind", action if reads_action else state)
-            set_(source, "index", index)
-            edge = new(CausalEdge)
-            set_(edge, "source", source)
-            set_(edge, "target", target)
-            set_(edge, "delay", delay)
-            set_(edge, "coefficient", coefficient)
-            set_(edge, "form", form)
-            edges.append(edge)
-        graph = new(CausalGraph)
-        set_(graph, "d_state", d_state)
-        set_(graph, "d_action", d_action)
-        set_(graph, "edges", tuple(edges))
-        set_(graph, "plan", plan)
+        a graph record so).  Nothing is checked again."""
+        graph = object.__new__(CausalGraph)
+        object.__setattr__(graph, "d_state", d_state)
+        object.__setattr__(graph, "d_action", d_action)
+        object.__setattr__(graph, "plan", plan)
         return graph
+
+    @property
+    def edges(self) -> tuple[CausalEdge, ...]:
+        """The edges as :class:`CausalEdge` objects, built from the plan on
+        each read, for the public API; no per-tick path reads them."""
+        action, state = SourceKind.ACTION, SourceKind.STATE
+        return tuple(
+            CausalEdge(VarRef(action if reads_action else state, index), target, delay, coefficient, form)
+            for reads_action, index, delay, target, coefficient, form in self.plan
+        )
 
     def with_coefficients(self, coefficients: list[float]) -> CausalGraph:
         """This graph with edge ``i``'s coefficient ``coefficients[i]``,
@@ -204,9 +212,7 @@ class CausalGraph:
 
         The structure is this graph's and was checked when it was built, so
         only the new coefficients are: one that is not finite raises
-        :class:`ConfigError`, as :class:`CausalEdge` does.  The graph is
-        :meth:`from_plan` of this graph's plan with the coefficients
-        swapped in.
+        :class:`ConfigError`, as :class:`CausalEdge` does.
         """
         for c in coefficients:
             if not math.isfinite(c):
@@ -216,26 +222,6 @@ class CausalGraph:
             for (reads_action, index, delay, target, _, form), c in zip(self.plan, coefficients, strict=True)
         )
         return CausalGraph.from_plan(self.d_state, self.d_action, plan)
-
-    def incoming(self, target: int) -> tuple[tuple[int, CausalEdge], ...]:
-        """(index, edge) pairs for edges landing on ``target``."""
-        return tuple((i, e) for i, e in enumerate(self.edges) if e.target == target)
-
-    @functools.cached_property
-    def plan(self) -> tuple[EdgePlan, ...]:
-        """The edges as plain tuples, in edge order, for the per-tick loops,
-        the graph check and SHD: ``(reads_action, source_index, delay,
-        target, coefficient, form)``.
-
-        Computed on first use (the constructor checks it) or stored by
-        :meth:`from_plan`, and kept in the instance's ``__dict__``, so it is
-        not a field: equality, hashing and ``dataclasses.replace`` ignore
-        it, and a replaced graph computes its own.
-        """
-        return tuple(
-            (e.source.kind is SourceKind.ACTION, e.source.index, e.delay, e.target, e.coefficient, e.form)
-            for e in self.edges
-        )
 
 
 @dataclass(frozen=True)

@@ -181,10 +181,15 @@ def test_snapshot_reconstructs_digest():
 @pytest.mark.parametrize("reflect_enabled", [False, True])
 def test_digest_computed_only_when_the_model_may_have_changed(monkeypatch, reflect_enabled):
     import causalloop.agent as agent_mod
+    import causalloop.model as model_mod
 
-    calls = []
-    real = agent_mod.model_digest
-    monkeypatch.setattr(agent_mod, "model_digest", lambda m: calls.append(m) or real(m))
+    calls, snapshots = [], []
+    real, real_snapshot = agent_mod.model_digest, model_mod.model_snapshot
+    monkeypatch.setattr(agent_mod, "model_digest", lambda m, *snapshot: calls.append(m) or real(m, *snapshot))
+    # Counted under both names: ``model_digest`` builds one itself when it
+    # is not handed one.
+    for module in (agent_mod, model_mod):
+        monkeypatch.setattr(module, "model_snapshot", lambda m: snapshots.append(m) or real_snapshot(m))
     tr = run_episode(BREAK, RandomPolicy(), seed=0, length=260, reflect_enabled=reflect_enabled)
     distinct = len({r.model_digest for r in tr.records})
     assert distinct > 1
@@ -193,6 +198,7 @@ def test_digest_computed_only_when_the_model_may_have_changed(monkeypatch, refle
         applied = sum(r.fit_event == "applied" for r in tr.records)
         assert len(calls) == 1 + applied
     assert distinct <= len(calls) < len(tr.records)
+    assert snapshots == calls  # one snapshot per digest, of the model digested
     snap = None
     for r in tr.records:
         snap = r.model_snapshot or snap
@@ -370,6 +376,42 @@ def test_a_scheduled_fit_builds_one_kernel():
     assert len(events) == 200 // BREAK.fit_every
     assert "applied" in events
     assert spy.call_count == len(events)
+
+
+@pytest.mark.parametrize("sc", [CALM, BREAK], ids=["calm", "break_demo"])
+def test_a_scheduled_fit_places_each_column_once(monkeypatch, sc):
+    """The scheduled fit and its gate are reached through ``agent``'s
+    names.  The fit places each edge's column at most once, and the gate
+    reads the places the fit resolved: no ``place`` call from the fit's
+    return to the gate's verdict."""
+    import causalloop.agent as agent_mod
+    from causalloop import model
+
+    placed, fits, gates = [], [], []
+    place, real_fit, real_gate = model._LagFeatures.place, agent_mod.fit, agent_mod._fit_improves
+    monkeypatch.setattr(model._LagFeatures, "place", lambda self, *key: placed.append(key) or place(self, *key))
+
+    def fit(m, lags):
+        before = len(placed)
+        try:
+            return real_fit(m, lags)
+        finally:
+            fits.append((len(placed) - before, len(m.graph.plan)))
+
+    def gate(*args):
+        before = len(placed)
+        verdict = real_gate(*args)
+        gates.append(len(placed) - before)
+        return verdict
+
+    monkeypatch.setattr(agent_mod, "fit", fit)
+    monkeypatch.setattr(agent_mod, "_fit_improves", gate)
+    trace = run_episode(sc, RandomPolicy(), seed=4, length=200, reflect_enabled=False)
+    events = [r.fit_event for r in trace.records if r.fit_event is not None]
+    assert len(fits) == len(events) == 200 // sc.fit_every
+    assert all(calls <= edges for calls, edges in fits)
+    assert len(gates) == events.count("applied") + events.count("rejected") > 0
+    assert gates == [0] * len(gates)
 
 
 def test_a_delta_clamped_to_an_int_delta_max_is_recorded_as_a_float():

@@ -48,6 +48,7 @@ from causalloop.model import (
     CausalModel,
     History,
     _LagFeatures,
+    _pack,
     append_history,
     as_history,
     fit,
@@ -374,23 +375,38 @@ def test_residuals_match_reference(seed, kind):
         assert hexes(got) == hexes(reference_residuals(m, rows[lo:], j, None))
     assert len(lags._targets) == memo  # excluding no edge is the working model
     for j in range(m.graph.d_state):
-        for i, _ in m.graph.incoming(j):
+        for i in base.members[j]:
             got = masked(*_residuals(base, lo, j, i))
             assert hexes(got) == hexes(reference_residuals(m, rows[lo:], j, i))
 
 
 def rescaled(m, rng):
-    """``m`` with every coefficient and delta_hat moved, as a fit would."""
+    """``m`` with every coefficient and delta_hat moved."""
     edges = tuple(replace(e, coefficient=e.coefficient * rng.uniform(0.5, 1.5)) for e in m.graph.edges)
     delta_hat = float(rng.choice([0.0, m.delta_hat]))
     return replace(m, graph=replace(m.graph, edges=edges), delta_hat=delta_hat)
+
+
+def kernel_mses(lags, models, lo):
+    """``lags.mses`` of each model in ``models``: its groups by
+    ``incoming``, one model after another, each group at its model's scale."""
+    groups = [group for m in models for group in lags.incoming(m.graph)]
+    scale = np.repeat([math.exp(-m.delta_hat) for m in models], models[0].graph.d_state)
+    return lags.mses(_pack(groups), scale, lo=lo)
+
+
+def gate_verdict(expected):
+    """The verdict a fit gate owes, from the reference holdout MSEs."""
+    return expected is None or expected[1] <= expected[0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(HISTORY_KINDS), st.integers(1, 12))
 def test_holdout_mse_and_fit_gate_match_reference(seed, kind, size):
     """The gate reads the holdout, the window's last ``size`` rows, from the
-    fit's own kernel over the whole window."""
+    fit's own kernel over the whole window.  The MSEs of two models are
+    held to the reference at any two delta_hat; the gate takes a fit's
+    result, which keeps delta_hat, and owes the reference's verdict."""
     m, rng = odd_model(seed, kind)
     assume(size < m.fit_window)  # the gate's precondition: validate requires fit_window > holdout
     other = rescaled(m, rng)
@@ -398,13 +414,40 @@ def test_holdout_mse_and_fit_gate_match_reference(seed, kind, size):
     expected = reference_mse(m, other, holdout)
     window = _LagFeatures(m.history, m.history[-m.fit_window :])
     lo = max(0, window._n - size)
-    got = window.mses([(m.graph, m.delta_hat), (other.graph, other.delta_hat)], lo=lo)
+    got = kernel_mses(window, [m, other], lo)
     if expected is None:
         assert got is None
-        assert _fit_improves(window, m, other, size)
-        return
-    assert (got[0].hex(), got[1].hex()) == (expected[0].hex(), expected[1].hex())
-    assert _fit_improves(window, m, other, size) == (expected[1] <= expected[0])
+    else:
+        assert (got[0].hex(), got[1].hex()) == (expected[0].hex(), expected[1].hex())
+    fitted = replace(other, delta_hat=m.delta_hat)
+    assert _fit_improves(window, m, fitted, size) == gate_verdict(reference_mse(m, fitted, holdout))
+
+
+def fit_model(seed):
+    """A model whose history, one run of ticks from 0 or later, is long
+    enough for a fit over its ``fit_window`` window."""
+    rng = np.random.default_rng(seed)
+    d_state, d_action = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+    graph = random_graph(rng, d_state, d_action, max_edges=8, max_delay=5)
+    m = CausalModel(graph=graph, delta_hat=float(rng.choice([0.0, rng.uniform(-0.5, 0.5)])), fit_window=24)
+    start = int(rng.choice([0, int(rng.integers(1, 40))]))
+    for tr in transitions(rng, d_state, d_action, range(start, start + int(rng.integers(24, 48)))):
+        m = append_history(m, tr)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_the_fit_gate_on_the_scheduled_fit_path_matches_reference(seed, size):
+    """As ``run_episode`` runs them: the fit over the window's kernel, then
+    the gate on that kernel and the fit's result.  The gate places no
+    column, and its verdict is the reference holdout MSEs' one."""
+    m = fit_model(seed)
+    window = _LagFeatures(m.history, m.history[-m.fit_window :])
+    fitted = fit(m, window)
+    with mock.patch.object(_LagFeatures, "place", side_effect=AssertionError("the gate placed a column")):
+        verdict = _fit_improves(window, m, fitted, size)
+    assert verdict == gate_verdict(reference_mse(m, fitted, m.history[-size:]))
 
 
 def with_twin(m):
@@ -797,9 +840,10 @@ def test_an_edgeless_model_through_every_kernel_path(seed):
     lags = _LagFeatures(m.history, m.history[-m.fit_window :])
     size = int(rng.integers(1, min(len(rows), m.fit_window - 1) + 1))  # the gate's holdout
     expected = reference_mse(m, other, rows[-size:])
-    got = lags.mses([(m.graph, m.delta_hat), (other.graph, other.delta_hat)], lo=max(0, lags._n - size))
+    got = kernel_mses(lags, [m, other], max(0, lags._n - size))
     assert hexes(got) == hexes(expected)
-    assert _fit_improves(lags, m, other, size) == (expected[1] <= expected[0])
+    fitted = fit(m, lags)
+    assert _fit_improves(lags, m, fitted, size) == gate_verdict(reference_mse(m, fitted, rows[-size:]))
 
     split = int(rng.integers(1, len(rows)))
     source = VarRef.state(int(rng.integers(0, g.d_state)))
@@ -873,7 +917,7 @@ def assert_kernel_matches_reference(m, ref, rng):
             expected = reference_column(ref, rows, source, delay, form)
             p = lags.place(source.kind is SourceKind.ACTION, source.index, delay, form)
             assert hexes(masked(lags.columns[p], lags.gaps.get(p))) == hexes(expected)
-        x, gaps, y = lags.design(g.plan, scale)
+        x, gaps, y = lags.design(g, scale)
         for e, col, gap in zip(g.edges, x, gaps):
             expected = reference_column(ref, rows, e.source, e.delay, e.form)
             assert hexes(masked(col, gap)) == hexes([None if v is None else v * scale for v in expected])

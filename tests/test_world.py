@@ -296,6 +296,72 @@ def test_with_coefficients_refuses_a_coefficient_that_is_not_finite(bad):
     assert g.with_coefficients([-0.0]).edges[0].coefficient.hex() == "-0x0.0p+0"
 
 
+def reference_graph_dict(g):
+    """A graph's record written from its edge objects, as the writer did
+    before a graph held only its plan."""
+    return {
+        "d_state": g.d_state,
+        "d_action": g.d_action,
+        "edges": [
+            {
+                "source": {"kind": e.source.kind.value, "index": e.source.index},
+                "target": e.target,
+                "delay": e.delay,
+                "coefficient": e.coefficient,
+                "form": e.form.value,
+            }
+            for e in g.edges
+        ],
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 3), st.data())
+def test_every_construction_of_a_graph_is_one_graph(seed, d_state, d_action, data):
+    """A graph built from its edges, from its plan, through
+    ``dataclasses.replace`` and through ``with_coefficients`` is one graph:
+    equal, of equal hash, with the same edges back, pickling to itself, and
+    writing the record its edge objects write.  A -0.0 coefficient equals
+    0.0 and keeps its sign; a coefficient that is not finite is refused."""
+    import dataclasses
+    import pickle
+
+    from causalloop.scenario import canonical_json, graph_to_dict
+
+    g = random_graph(np.random.default_rng(seed), d_state, d_action, max_edges=12)
+    edges = g.edges
+    assert all(type(e) is CausalEdge for e in edges)
+    zeros = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=len(edges), max_size=len(edges)))
+    signed = tuple(CausalEdge(e.source, e.target, e.delay, z, e.form) for e, z in zip(edges, zeros))
+    unsigned = tuple(dataclasses.replace(e, coefficient=0.0) for e in edges)
+    for built, coefficients in ((edges, [e.coefficient for e in edges]), (signed, zeros)):
+        graphs = [
+            CausalGraph(d_state, d_action, built),
+            CausalGraph(d_state=d_state, d_action=d_action, edges=list(built)),
+            CausalGraph.from_plan(d_state, d_action, CausalGraph(d_state, d_action, built).plan),
+            dataclasses.replace(g, edges=built),
+            g.with_coefficients(coefficients),
+            pickle.loads(pickle.dumps(CausalGraph(d_state, d_action, built))),
+        ]
+        for other in graphs:
+            assert other == graphs[0] and hash(other) == hash(graphs[0])
+            assert other.edges == built
+            assert [math.copysign(1.0, e.coefficient) for e in other.edges] == [
+                math.copysign(1.0, c) for c in coefficients
+            ]
+            assert canonical_json(graph_to_dict(other)) == canonical_json(reference_graph_dict(other))
+            assert list(graph_to_dict(other)) == list(reference_graph_dict(other))
+    zeroed, signed_graph = CausalGraph(d_state, d_action, unsigned), CausalGraph(d_state, d_action, signed)
+    assert signed_graph == zeroed and hash(signed_graph) == hash(zeroed) and zeroed != g
+    assert g != CausalGraph(d_state + 1, d_action, edges)
+    for bad in (math.nan, math.inf, -math.inf):
+        at = data.draw(st.integers(0, len(edges) - 1))
+        coefficients = [e.coefficient for e in edges]
+        coefficients[at] = bad
+        with pytest.raises(ConfigError, match=f"edge coefficient must be finite, got {bad!r}"):
+            g.with_coefficients(coefficients)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
 def test_seed_outside_64_bits_rejected(seed):
     with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
