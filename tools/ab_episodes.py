@@ -1,6 +1,7 @@
 """Time the benchmark's episodes under two checkouts, side by side in one process.
 
     python3 tools/ab_episodes.py PARENT CHANGE --workload steady_fit --seeds 1 2 --rounds 4
+    python3 tools/ab_episodes.py PARENT CHANGE --groups width16h break_demo --rounds 8
 
 ``PARENT`` and ``CHANGE`` are checkout directories.  Each side's
 ``causalloop`` and ``bench_workloads`` are imported with that side's
@@ -11,14 +12,19 @@ only the module globals they keep.)  Each side builds its own inputs (``bench_wo
 side's policy and scenario objects fail the other side's ``isinstance``
 checks.
 
-Each round runs every episode of the workload on both sides, the side
-that goes first flipping from round to round, and each episode keeps its
-best time per side.  For each seed it prints both sides' ticks/s (all
-ticks over the sum of the best times), their ratio (change over parent),
-how many episodes got faster, and the same ratio for each episode group
-(the label before its last dot: ``break_demo``, ``width16h`` ...).
-Running both sides in one process, interleaved, cancels most of a
-machine's drift in speed, which separate benchmark runs pay for in spread.
+Each round runs every episode of the workload on both sides, back to
+back, the side that goes first flipping from episode to episode and from
+round to round, and each episode keeps its best time per side.  For each
+seed it prints both sides' ticks/s (all ticks over the sum of the best
+times), their ratio (change over parent) and how many episodes got
+faster; then, for each episode group (the label before its last dot:
+``break_demo``, ``width16h`` ...), the ratio of its summed best times,
+the median of its episodes' ratios (parent time over change time) and how
+many of them got faster.  ``--groups`` times only the episodes of the
+named groups.  Running both sides in one process, each episode's two
+runs side by side, cancels most of a machine's drift in speed, which
+separate benchmark runs pay for in spread; alternating whole rounds
+instead leaves a drift within a round on one side.
 
 It writes nothing and gates nothing; ``tools/ab_episodes.py . .`` reads
 about 1.00.
@@ -29,6 +35,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import os
+import statistics
 import sys
 import time
 from collections import defaultdict
@@ -56,48 +63,54 @@ class Side:
             if (getattr(sys.modules[name], "__file__", None) or "").startswith(tuple(p + os.sep for p in paths)):
                 del sys.modules[name]
 
-    def best_times(self, episodes: list, best: list[float]) -> None:
-        """Run every episode once; lower ``best[i]`` to episode i's time."""
-        run_episode, policy = self.bench.agent_mod.run_episode, self.bench.POLICY
-        for i, ep in enumerate(episodes):
-            start = time.perf_counter()
-            run_episode(ep.scenario, policy, ep.seed, ep.length, ep.reflect)
-            best[i] = min(best[i], time.perf_counter() - start)
+    def time_episode(self, ep) -> float:
+        """Run one episode; its wall time in seconds."""
+        start = time.perf_counter()
+        self.bench.agent_mod.run_episode(ep.scenario, self.bench.POLICY, ep.seed, ep.length, ep.reflect)
+        return time.perf_counter() - start
 
 
 def _group(label: str) -> str:
     return label.rsplit(".", 1)[0]
 
 
-def compare_seed(parent: Side, change: Side, workload: str, seed: int, rounds: int) -> str:
+def compare_seed(
+    parent: Side, change: Side, workload: str, seed: int, rounds: int, groups: list[str] | None = None
+) -> str:
     """One seed's report: ticks/s per side, their ratio, the episodes that
-    got faster, and the ratio per episode group."""
+    got faster, and per episode group its ratio, its median episode ratio
+    and its episodes that got faster.  ``groups``, when given, names the
+    only groups timed."""
     inputs = [parent.bench.make_inputs(workload, seed), change.bench.make_inputs(workload, seed)]
-    labels = [ep.label for ep in inputs[0]]
-    if labels != [ep.label for ep in inputs[1]]:
+    if [ep.label for ep in inputs[0]] != [ep.label for ep in inputs[1]]:
         raise SystemExit(f"seed {seed}: the two checkouts make different {workload} inputs")
+    if groups is not None:
+        inputs = [[ep for ep in side if _group(ep.label) in groups] for side in inputs]
+        if not inputs[0]:
+            raise SystemExit(f"seed {seed}: no {workload} episode is in the groups {' '.join(groups)}")
+    labels = [ep.label for ep in inputs[0]]
     ticks = [ep.length for ep in inputs[0]]
     best = [[float("inf")] * len(labels) for _ in range(2)]
     sides = [parent, change]
     for r in range(rounds):
-        for k in ((0, 1) if r % 2 == 0 else (1, 0)):
-            sides[k].best_times(inputs[k], best[k])
+        for i in range(len(labels)):
+            for k in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
+                best[k][i] = min(best[k][i], sides[k].time_episode(inputs[k][i]))
 
-    group_ticks: dict[str, int] = defaultdict(int)
-    group_time: list[dict[str, float]] = [defaultdict(float), defaultdict(float)]
+    members: dict[str, list[int]] = defaultdict(list)
     for i, label in enumerate(labels):
-        group_ticks[_group(label)] += ticks[i]
-        for k in range(2):
-            group_time[k][_group(label)] += best[k][i]
+        members[_group(label)].append(i)
     rate = [sum(ticks) / sum(best[k]) for k in range(2)]
-    faster = sum(c < p for p, c in zip(best[0], best[1]))
+    faster = [c < p for p, c in zip(best[0], best[1])]
     lines = [
         f"seed {seed}: parent {rate[0]:.0f} ticks/s, change {rate[1]:.0f} ticks/s, "
-        f"ratio {rate[1] / rate[0]:.3f}, {faster} of {len(labels)} episodes faster"
+        f"ratio {rate[1] / rate[0]:.3f}, {sum(faster)} of {len(labels)} episodes faster"
     ]
-    for group in group_ticks:
-        ratio = group_time[0][group] / group_time[1][group]
-        lines.append(f"  {group}: {ratio:.3f}")
+    for group, idx in members.items():
+        ratio = sum(best[0][i] for i in idx) / sum(best[1][i] for i in idx)
+        median = statistics.median(best[0][i] / best[1][i] for i in idx)
+        won = sum(faster[i] for i in idx)
+        lines.append(f"  {group}: {ratio:.3f}, median episode {median:.3f}, {won} of {len(idx)} faster")
     return "\n".join(lines)
 
 
@@ -108,12 +121,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", choices=WORKLOADS, default="steady_fit")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--rounds", type=int, default=4, help="runs of each episode per side; the best counts")
+    parser.add_argument("--groups", nargs="+", metavar="GROUP", help="time only these episode groups")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     parent, change = Side(args.parent), Side(args.change)
     for seed in args.seeds:
-        print(compare_seed(parent, change, args.workload, seed, args.rounds), flush=True)
+        print(compare_seed(parent, change, args.workload, seed, args.rounds, args.groups), flush=True)
     return 0
 
 
