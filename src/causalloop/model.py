@@ -535,7 +535,7 @@ class _LagFeatures:
         self.gaps: dict[int, np.ndarray] = {}
         self._places: dict[tuple[bool, int, int, int], int] = {}
         self._targets: dict[tuple, _Target] = {}
-        self._layout_plan: tuple[EdgePlan, ...] | None = None
+        self._layout_of: CausalGraph | None = None
         self._layout: _Layout
 
     def _row_values(self, of: np.ndarray, k: int) -> np.ndarray:
@@ -584,16 +584,15 @@ class _LagFeatures:
 
     def layout(self, graph: CausalGraph) -> _Layout:
         """The :class:`_Layout` of ``graph``'s structure in this kernel.
-        Kept for the last plan asked for, so a fit and its holdout gate
+        Kept for the last graph asked for, so a fit and its holdout gate
         (the fitted graph shares the structure) resolve each place once."""
-        plan = graph.plan
-        if plan is not self._layout_plan:
-            place = self.place
+        if graph is not self._layout_of:
+            place, plan = self.place, graph.plan
             places = [place(reads_action, index, delay, form) for reads_action, index, delay, _, _, form in plan]
             members: list[list[int]] = [[] for _ in range(graph.d_state)]
             for i, edge in enumerate(plan):
                 members[edge[3]].append(i)
-            self._layout_plan, self._layout = plan, _Layout(places, members)
+            self._layout_of, self._layout = graph, _Layout(places, members)
         return self._layout
 
     def incoming(self, graph: CausalGraph) -> list[tuple[int, list[int], list[float]]]:
