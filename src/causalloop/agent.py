@@ -37,6 +37,7 @@ from .core import (
 from .model import (
     CausalModel,
     _LagFeatures,
+    _fit_kernel,
     append_history,
     fit,
     model_digest,
@@ -246,8 +247,8 @@ def run_episode(
 
         fit_event: str | None = None
         if (t + 1) % sc.fit_every == 0:
-            lags = _LagFeatures(m.history, m.history[-m.fit_window :])
             try:
+                lags = _fit_kernel(m)
                 fitted = fit(m, lags)
                 if _fit_improves(lags, m, fitted, sc.holdout):
                     m = fitted

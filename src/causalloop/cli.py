@@ -222,6 +222,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError(f"--seeds wants lo:hi, got {args.seeds!r}") from exc
     if hi <= lo:
         raise InputError(f"--seeds {args.seeds} is empty: hi must exceed lo")
+    if args.length < 1:
+        raise InputError(f"--length must be >= 1, got {args.length}")
     if args.jobs < 0:
         raise InputError(f"--jobs must be >= 0, got {args.jobs}")
     check_seed(lo)

@@ -23,9 +23,11 @@ edge by its plan tuple's column place and coefficient, never by an edge
 object.  Every prediction of a batch of targets -- a (graph, delta_hat),
 or the targets a repair candidate edits -- is its one edge sum,
 ``sums``, leaving out a row with an unrecorded lag.  ``rollout``, ``fit``,
-the scheduled fit's holdout gate and the repair loop's residuals, scoring
-and testing all read it; reflect acts on the mismatch the live loop
-measured with ``predict_next``.
+the scheduled fit's holdout gate and the repair loop's baseline,
+residuals, scoring and testing all read it; reflect acts on the mismatch
+the live loop measured with ``predict_next``.  Their errors take one
+path: ``_squares`` squares them, and ``_refuse`` raises the kernel's two
+refusals.
 
 A history is one run of consecutive ticks (:func:`append_history`
 refuses anything else; capacity trims and structural breaks keep
@@ -455,23 +457,6 @@ class _Layout:
         return list(range(len(index))) * len(plans), np.concatenate([place] * len(plans)), coef
 
 
-class _Target:
-    """One state dimension's predictions over every row of a kernel.
-
-    ``dead`` masks the rows a strict prediction leaves out for an unrecorded
-    lag (None when there are none); ``sq`` is that dimension's squared
-    errors, filled on first use.
-    """
-
-    __slots__ = ("pred", "dead", "finite", "sq")
-
-    def __init__(self, pred: np.ndarray, dead: np.ndarray | None, finite: bool) -> None:
-        self.pred = pred
-        self.dead = dead
-        self.finite = finite
-        self.sq: np.ndarray | None = None
-
-
 class _LagFeatures:
     """Strict lagged-feature kernel for one fixed ``(history, rows)`` pair.
 
@@ -504,10 +489,9 @@ class _LagFeatures:
     that starts at +0.0 is exact, so every other row's sum is the one that
     skipped it.
 
-    :meth:`predict` memoises each target's prediction, keyed by the scale
-    and its places and coefficients in order.  A candidate that edits one
-    target's edges therefore reuses every other target's predictions and
-    squared errors from the model it edits.
+    The kernel holds columns, never predictions: each caller keeps the
+    arrays its :meth:`sums` returns, squares their errors with
+    :func:`_squares` and refuses with :func:`_refuse`.
     """
 
     def __init__(self, history: Sequence[Transition], rows: Sequence[Transition]) -> None:
@@ -534,13 +518,8 @@ class _LagFeatures:
         self.columns = np.zeros((8, n))  # row 0 stays all zeros; place() doubles it when full
         self.gaps: dict[int, np.ndarray] = {}
         self._places: dict[tuple[bool, int, int, int], int] = {}
-        self._targets: dict[tuple, _Target] = {}
         self._layout_of: CausalGraph | None = None
         self._layout: _Layout
-
-    def _row_values(self, of: np.ndarray, k: int) -> np.ndarray:
-        """Dimension ``k`` of the rows' states or observations."""
-        return of[k] if self._n else _NO_ROWS
 
     def place(self, reads_action: bool, index: int, delay: int, form: Form) -> int:
         """The place in ``columns`` of the feature column of this source,
@@ -598,7 +577,7 @@ class _LagFeatures:
     def incoming(self, graph: CausalGraph) -> list[tuple[int, list[int], list[float]]]:
         """Each target dimension of ``graph`` in order, with the place and
         the coefficient of each of its incoming edges in graph order, from
-        its :meth:`layout`: the groups :meth:`predict` reads."""
+        its :meth:`layout`: groups as :func:`_pack` takes them."""
         plan, layout = graph.plan, self.layout(graph)
         places = layout.places
         return [(k, [places[i] for i in idx], [plan[i][4] for i in idx]) for k, idx in enumerate(layout.members)]
@@ -639,33 +618,12 @@ class _LagFeatures:
                 terms = terms * scale
             states = self._states[targets, lo:hi] if self._n else np.zeros((len(targets), 0))
             pred = states + _add_up(terms)
-        dead = None
         if self.gaps and not self.gaps.keys().isdisjoint(place.ravel().tolist()):
             masks = np.zeros((len(self.columns), hi - lo), dtype=bool)
             for p, gap in self.gaps.items():
                 masks[p] = gap[lo:hi]
-            dead = masks[place].any(axis=1)
-        return pred, dead
-
-    def predict(self, groups: Sequence[tuple[int, list[int], list[float]]], scale: float) -> list[_Target]:
-        """The :class:`_Target` of each ``(target, places, coefficients)``
-        group at ``scale``, over every row.  Those not memoised yet are
-        predicted together, in one :meth:`sums`."""
-        out: list[_Target | None] = []
-        todo = []
-        for group in groups:
-            k, places, coefficients = group
-            key = (k, scale, tuple(places), tuple(coefficients))
-            hit = self._targets.get(key)
-            if hit is None:
-                todo.append((len(out), key, group))
-            out.append(hit)
-        if todo:
-            pred, dead = self.sums(_pack([group for _, _, group in todo]), scale)
-            finite = np.isfinite(pred).all(axis=1).tolist()
-            for j, ((i, key, _), ok) in enumerate(zip(todo, finite)):
-                out[i] = self._targets[key] = _Target(pred[j], None if dead is None else dead[j], ok)
-        return out
+            return pred, masks[place].any(axis=1)
+        return pred, None
 
     def mses(
         self, packed: _Packed, scale: float | np.ndarray, lo: int = 0, hi: int | None = None
@@ -677,8 +635,8 @@ class _LagFeatures:
         is as :meth:`sums` takes it.  Each row's squared errors add over
         dimensions, are divided by d_state and add over rows, each sum left
         to right from 0.0, as :func:`causalloop.core.loss` and a mean of
-        its epsilons would.  Raises :class:`DomainError` where
-        :meth:`sq_errors` would."""
+        its epsilons would.  Raises :class:`DomainError` as :func:`_refuse`
+        does, reading the rows every model predicts."""
         hi = self._n if hi is None else hi
         if lo >= hi:
             return None
@@ -687,57 +645,14 @@ class _LagFeatures:
         pred = pred.reshape(len(pred) // d, d, hi - lo)
         live = True if dead is None else ~dead.any(axis=0)  # the rows every model predicts
         with np.errstate(all="ignore"):
-            diff = self._observed[:, lo:hi] - pred
-            sq = np.float_power(diff, 2.0)
-            if not np.isfinite(sq).all():  # a prediction that is not finite, or an overflow
-                read = pred if dead is None else pred[:, :, live]
-                bad = read[~np.isfinite(read)]
-                if len(bad):
-                    raise DomainError(f"state contains non-finite value {float(bad[0])!r}")
-                if (np.isinf(sq) & np.isfinite(diff)).any():
-                    raise DomainError("a squared prediction error exceeds the float range")
+            sq, overflow = _squares(self._observed[:, lo:hi], pred)
+            if overflow is not None:
+                _refuse(pred, live, overflow)
             stacked = np.zeros((len(pred), d + 1, hi - lo))
             stacked[:, 1:] = sq
             per_row = np.add.accumulate(stacked, axis=1)[:, -1] / d
             n = hi - lo if dead is None else np.count_nonzero(live)
             return None if n == 0 else [total / n for total in _fold(per_row, live).tolist()]
-
-    def _dead(self, targets: list[_Target], lo: int, hi: int) -> np.ndarray:
-        """The mask of rows of ``[lo, hi)`` one of ``targets`` leaves out.
-        A non-finite prediction on a live row raises :class:`DomainError`
-        as building a :class:`StateVec` from it would."""
-        masks = [t.dead[lo:hi] for t in targets if t.dead is not None]
-        dead = functools.reduce(operator.or_, masks) if masks else np.zeros(hi - lo, dtype=bool)
-        for t in targets:
-            if not t.finite:
-                bad = t.pred[lo:hi][~dead & ~np.isfinite(t.pred[lo:hi])]
-                if len(bad):
-                    raise DomainError(f"state contains non-finite value {float(bad[0])!r}")
-        return dead
-
-    def sq_errors(
-        self, targets: list[_Target], lo: int = 0, hi: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of ``[lo, hi)``, ``(o - p) ** 2`` added from 0.0 over
-        ``targets`` (from :meth:`targets`, or a candidate edit's) in
-        dimension order, and the mask of rows left out.  Divided by
-        d_state it is the row's :func:`causalloop.core.loss` epsilon, and a
-        finite error that squares beyond the float range raises
-        :class:`DomainError`, as there."""
-        hi = self._n if hi is None else hi
-        dead = self._dead(targets, lo, hi)
-        todo = [k for k, t in enumerate(targets) if t.sq is None]
-        with np.errstate(all="ignore"):
-            if todo:
-                observed = np.array([self._row_values(self._observed, k) for k in todo])
-                diff = observed - np.array([targets[k].pred for k in todo])
-                sq = np.float_power(diff, 2.0)
-                if not np.isfinite(sq).all() and (np.isinf(sq) & np.isfinite(diff)).any():
-                    raise DomainError("a squared prediction error exceeds the float range")
-                for k, row in zip(todo, sq):
-                    targets[k].sq = row
-            rows = np.array([np.zeros(hi - lo)] + [t.sq[lo:hi] for t in targets])
-            return np.add.accumulate(rows)[-1], dead
 
 
 def _add_up(slabs: np.ndarray) -> np.ndarray:
@@ -760,6 +675,31 @@ def _fold(values: np.ndarray, keep: np.ndarray | bool) -> np.ndarray:
     return np.add.accumulate(out, axis=1)[:, -1]
 
 
+def _squares(observed: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each prediction's squared error, ``np.float_power(o - p, 2.0)``, and
+    the mask of the finite errors whose square leaves the float range;
+    None when every square is finite, so every prediction is too.  Called
+    under ``np.errstate(all="ignore")``, as the caller's sums are."""
+    diff = observed - pred
+    sq = np.float_power(diff, 2.0)
+    if np.isfinite(sq).all():
+        return sq, None
+    return sq, np.isinf(sq) & np.isfinite(diff)
+
+
+def _refuse(pred: np.ndarray, read: np.ndarray | bool, overflow: np.ndarray | None = None) -> None:
+    """The kernel's two refusals, each a :class:`DomainError`, in this
+    order: a prediction that is not finite on a row ``read`` masks (the
+    first in group, then row order), as building a :class:`StateVec` of
+    it would refuse it; then any error ``overflow`` (from :func:`_squares`)
+    masks, whose square Python's ``(o - p) ** 2`` would overflow."""
+    bad = pred[read & ~np.isfinite(pred)]
+    if len(bad):
+        raise DomainError(f"state contains non-finite value {float(bad[0])!r}")
+    if overflow is not None and overflow.any():
+        raise DomainError("a squared prediction error exceeds the float range")
+
+
 def rollout(
     graph: CausalGraph,
     delta_hat: float,
@@ -774,11 +714,10 @@ def rollout(
     :class:`History`).  Rows whose lags are unrecorded yield None.
     """
     lags = _LagFeatures(history, rows)
-    targets = lags.predict(lags.incoming(graph), math.exp(-delta_hat))
-    dead = lags._dead(targets, 0, len(rows)).tolist()
-    preds = zip(*(t.pred.tolist() for t in targets))
-    # ``_dead`` has checked every live prediction finite.
-    return [None if x else StateVec.checked(p) for x, p in zip(dead, preds)]
+    pred, dead = lags.sums(lags.layout(graph).packed((graph.plan,)), math.exp(-delta_hat))
+    dead = np.zeros(len(rows), dtype=bool) if dead is None else dead.any(axis=0)
+    _refuse(pred, ~dead)  # every prediction of a live row is finite
+    return [None if x else StateVec.checked(p) for x, p in zip(dead.tolist(), zip(*pred.tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -791,20 +730,26 @@ def fit(m: CausalModel, lags: _LagFeatures | None = None) -> CausalModel:
 
     Structure (edges, delays, forms) and delta_hat are untouched; the
     estimation itself treats delta_hat as zero.  ``lags`` is the kernel
-    over the window, ``m.history[-m.fit_window:]``; a caller that reads the
+    over the window, :func:`_fit_kernel` of ``m``; a caller that reads the
     same rows again (the scheduled fit's gate) builds it once, passes it,
     and reads the places the fit resolved there
     (:meth:`_LagFeatures.layout`).  Raises :class:`NotEnoughDataError` on
     thin history and :class:`DegenerateDataError` when a design matrix is
     unusable (a constant feature column or rank deficiency).
     """
+    return _least_squares(m, _fit_kernel(m) if lags is None else lags, strict=True)
+
+
+def _fit_kernel(m: CausalModel) -> _LagFeatures:
+    """The kernel :func:`fit` reads, over the window
+    ``m.history[-m.fit_window:]``, built only once the history holds the
+    rows a fit needs, ``max(fit_window // 4, 2 * edges)`` (a graph without
+    edges needs none); :class:`NotEnoughDataError` before."""
     edges = len(m.graph.plan)
     need = max(m.fit_window // 4, 2 * edges)
     if edges and len(m.history) < need:
         raise NotEnoughDataError(f"fit needs >= {need} transitions, history has {len(m.history)}")
-    if lags is None:
-        lags = _LagFeatures(m.history, m.history[-m.fit_window :])
-    return _least_squares(m, lags, strict=True)
+    return _LagFeatures(m.history, m.history[-m.fit_window :])
 
 
 def _least_squares(m: CausalModel, lags: _LagFeatures, strict: bool) -> CausalModel:

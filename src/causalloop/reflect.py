@@ -39,18 +39,19 @@ persistent regime change that suffix is exactly the post-change data, so
 refits are not diluted by stale rows.
 
 Each trigger builds one lagged-feature kernel (see :mod:`causalloop.model`)
-over the model's ``fit_window`` window, and the working model's per-target
-predictions and squared errors over it (``_Baseline``).  Edges are named
-as the kernel names them, by the place of their column in its one store
-and their coefficient.  ``anomalous_suffix`` reads those errors, and a
-residual fit the observations minus the prediction from the other edges,
-sliced from the baseline's lists.  Every candidate is then scored and
+over the model's ``fit_window`` window, and the working model's
+predictions and squared errors over it in one edge sum (``_Baseline``).
+Edges are named as the kernel names them, by the place of their column
+in its one store and their coefficient.  ``anomalous_suffix`` reads
+those errors, and a residual fit the observations minus the prediction
+from the other edges, the baseline's own when none is left out.  Every
+candidate is then scored and
 tested as one row of a numpy batch (``_EditBatch``), never by building its
 model: the row names the targets the candidate predicts anew -- an edge
 edit its one target, a DeltaShift every target at the new scale, a
 StructuralBreak every target with its refit graph's coefficients -- which
 the kernel's one edge sum predicts, and their squared errors replace the
-working model's in that row.  A StructuralBreak's refit,
+baseline's in that row.  A StructuralBreak's refit,
 which needs the model, runs once when its row is built; only it and an
 accepted edit go through ``apply_hypothesis``.  After an acceptance the
 candidates still to test, remapped to the repaired model's edges, become
@@ -64,9 +65,7 @@ out afresh.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Any, Iterator, Sequence
 
@@ -94,6 +93,8 @@ from .model import (
     _fold,
     _least_squares,
     _pack,
+    _refuse,
+    _squares,
 )
 from .scenario import json_number, json_typed
 from .world import CausalGraph, Form, SourceKind, VarRef, _check_edge, _check_ends, _check_plan, _duplicate
@@ -255,13 +256,18 @@ def apply_hypothesis(m: CausalModel, h: Hypothesis) -> CausalModel:
 
 
 class _Baseline:
-    """A model's per-row errors over rows ``[lo, hi)`` of a kernel.
+    """A model's predictions and errors over a kernel, for rows ``[lo, hi)``.
 
-    Computed once and shared by every score or test against that model:
-    ``targets[k]`` is target dimension k's predictions from its incoming
-    edges in graph order, ``sq`` is each row's ``(o - p) ** 2`` added over
-    dimensions from 0.0, and ``dead`` masks the rows that are not
-    predictable.  ``sq / d`` is the row's :func:`loss` epsilon to the bit.
+    Computed once, in one :meth:`_LagFeatures.sums` of every target, and
+    shared by every score or test against that model.  As (d_state x
+    rows) arrays over every kernel row: ``pred``, ``observed``, the
+    squared errors ``sq`` and ``dead``, the mask of a target's rows with
+    an unrecorded lag; ``finite`` says whether every prediction is.  Over
+    ``[lo, hi)``: ``row_sq``, each row's ``sq`` added over dimensions from
+    0.0 (``row_sq / d`` is its :func:`loss` epsilon to the bit), and
+    ``row_dead``, the rows some target leaves out.  It refuses as
+    :func:`causalloop.model._refuse` does, reading the rows of ``[lo, hi)``
+    it predicts; an error that overflows refuses on any row.
     :meth:`edit` states a candidate as the targets it predicts anew, which
     is how :class:`_EditBatch` scores it.
 
@@ -280,18 +286,27 @@ class _Baseline:
         self.m = m
         self.lags = lags
         self.lo = lo
-        self.hi = len(lags.rows) if hi is None else hi
+        self.hi = hi = len(lags.rows) if hi is None else hi
         self.d = m.graph.d_state
         self.scale = math.exp(-m.delta_hat)
-        self.members = lags.layout(m.graph).members
+        layout = lags.layout(m.graph)
+        self.members = layout.members
         self.incoming = lags.incoming(m.graph)
         self.keys: list[list[tuple[bool, int, int]]] = [[] for _ in range(self.d)]
         self.position: list[int] = []
         for reads_action, index, delay, target, _, _ in m.graph.plan:
             self.position.append(len(self.keys[target]))
             self.keys[target].append((reads_action, index, delay))
-        self.targets = lags.predict(self.incoming, self.scale)
-        self.sq, self.dead = lags.sq_errors(self.targets, lo, self.hi)
+        self.pred, dead = lags.sums(layout.packed((m.graph.plan,)), self.scale)
+        self.dead = np.zeros(self.pred.shape, dtype=bool) if dead is None else dead
+        self.observed = np.broadcast_to(lags._observed, self.pred.shape)  # (d_state x 0) with no rows
+        with np.errstate(all="ignore"):
+            self.sq, overflow = _squares(self.observed, self.pred)
+        self.row_dead = self.dead[:, lo:hi].any(axis=0)
+        self.finite = overflow is None
+        if not self.finite:
+            _refuse(self.pred[:, lo:hi], ~self.row_dead, overflow)
+        self.row_sq = _add_up(self.sq[None, :, lo:hi])[0]
 
     @staticmethod
     def over(m: CausalModel, rows: Sequence[Transition]) -> _Baseline:
@@ -358,30 +373,31 @@ def anomalous_suffix(m: CausalModel, floor: float, base: _Baseline | None = None
     if base is None:
         base = _Baseline.over(m, m.history[-m.fit_window :])
     with np.errstate(invalid="ignore"):
-        stops = np.flatnonzero(base.dead | (base.sq / base.d <= floor))
-    return len(base.sq) - 1 - int(stops[-1]) if len(stops) else len(base.sq)
+        stops = np.flatnonzero(base.row_dead | (base.row_sq / base.d <= floor))
+    return len(base.row_sq) - 1 - int(stops[-1]) if len(stops) else len(base.row_sq)
 
 
 def _residuals(
     base: _Baseline, lo: int, target: int, exclude_edge: int | None
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The target's observed value minus its strict prediction from every
     edge of ``base``'s model into it but ``exclude_edge``, for each kernel
     row from ``lo``, and the mask of rows where one of those edges' lags is
-    unrecorded (None when there are none).  Excluding no edge is the
-    model's own prediction, memoised by the kernel."""
-    _, places, coefs = base.incoming[target]
-    if exclude_edge is not None:
+    unrecorded.  Excluding no edge reads the baseline's own row; excluding
+    one predicts the rest in one :meth:`_LagFeatures.sums`."""
+    if exclude_edge is None:
+        pred, dead = base.pred[target, lo:], base.dead[target, lo:]
+    else:
+        _, places, coefs = base.incoming[target]
         at = base.position[exclude_edge]
-        places, coefs = places[:at] + places[at + 1 :], coefs[:at] + coefs[at + 1 :]
-    lags = base.lags
-    (t,) = lags.predict([(target, places, coefs)], base.scale)
-    values = lags._row_values(lags._observed, target)[lo:] - t.pred[lo:]
-    return values, None if t.dead is None else t.dead[lo:]
+        group = (target, places[:at] + places[at + 1 :], coefs[:at] + coefs[at + 1 :])
+        (pred,), dead = base.lags.sums(_pack([group]), base.scale, lo)
+        dead = np.zeros(len(pred), dtype=bool) if dead is None else dead[0]
+    return base.observed[target, lo:] - pred, dead
 
 
 def _residual_fit(
-    base: _Baseline, lo: int, resid: tuple[np.ndarray, np.ndarray | None], place: int
+    base: _Baseline, lo: int, resid: tuple[np.ndarray, np.ndarray], place: int
 ) -> float | None:
     """Single-coefficient LS: how much of the residuals ``resid`` (from
     :func:`_residuals`) the kernel column at ``place``, at ``base``'s scale,
@@ -393,8 +409,7 @@ def _residual_fit(
     """
     r, dead = resid
     gap = base.lags.gaps.get(place)
-    masks = [mask for mask in (dead, None if gap is None else gap[lo:]) if mask is not None]
-    keep = ~functools.reduce(operator.or_, masks) if masks else True
+    keep = ~dead if gap is None else ~(dead | gap[lo:])
     with np.errstate(all="ignore"):
         x = base.lags.columns[place, lo:] * base.scale
         sxx, sxy = _fold(x * np.array([x, r]), keep).tolist()
@@ -455,10 +470,9 @@ def _candidates(
 
     # DeltaShift from the single worst dimension of the triggering context.
     j_star = max(range(d_state), key=lambda j: err.per_dim[j])
-    rows, last = base.lags.rows, len(base.lags.rows) - 1
-    if rows and rows[last] is ctx and base.lo <= last < base.hi:
+    if base.lags.rows and base.lags.rows[-1] is ctx:
         # The window ends with ctx, as in reflect: its prediction is in hand.
-        pred = None if base.dead[last - base.lo] else [t.pred[last].item() for t in base.targets]
+        pred = None if base.dead[:, -1].any() else base.pred[:, -1].tolist()
     else:
         pred = rollout(m.graph, m.delta_hat, m.history, [ctx])[0]
     if pred is not None:
@@ -628,15 +642,13 @@ class _EditBatch:
     def _predict(self, cand: list[int], groups: list[tuple[int, list[int], list[float]]], scales: list[float]) -> None:
         base, lags, count = self.base, self.base.lags, len(self.hs)
         lo, hi, d, s = base.lo, base.hi, base.d, self.split - base.lo
-        n = len(lags.rows)
         cand, target = np.array(cand), np.array([k for k, _, _ in groups])
         pred, gapped = lags.sums(_pack(groups), np.array(scales))
         with np.errstate(all="ignore"):
-            diff = lags._observed[target] - pred
-            sq_k = np.float_power(diff, 2.0)
+            sq_k, over_k = _squares(lags._observed[target], pred)
         overflow = np.zeros(count, dtype=bool)  # a finite error squares past the float range
-        if not np.isfinite(sq_k).all():
-            overflow[cand[(np.isfinite(diff) & np.isinf(sq_k)).any(axis=1)]] = True
+        if over_k is not None:
+            overflow[cand[over_k.any(axis=1)]] = True
 
         # Each candidate's (dimension x row) values over the range: the
         # model's, or the candidate's in a dimension it predicts anew.
@@ -645,21 +657,17 @@ class _EditBatch:
             out[cand, target] = of_subs[:, lo:hi]
             return out
 
-        sq_h = _add_up(per_candidate(np.array([t.sq for t in base.targets]), sq_k))
+        sq_h = _add_up(per_candidate(base.sq, sq_k))
         dead = np.zeros((count, hi - lo), dtype=bool)  # rows the edited model leaves out
         if lags.gaps:  # every column read is in the kernel's store: no dead row without a gap
-            no_gap = np.zeros(n, dtype=bool)
-            dead_k = np.array([no_gap if t.dead is None else t.dead for t in base.targets])
-            dead_subs = np.zeros((len(groups), n), dtype=bool) if gapped is None else gapped
-            dead = per_candidate(dead_k, dead_subs).any(axis=1)
+            dead = per_candidate(base.dead, np.zeros(pred.shape, dtype=bool) if gapped is None else gapped).any(axis=1)
         bad = None  # rows it predicts with a prediction not finite, if any
-        finite_k = np.isfinite(pred)
-        if not (finite_k.all() and all(t.finite for t in base.targets)):
-            finite = per_candidate(np.isfinite(np.array([t.pred for t in base.targets])), finite_k)
+        if over_k is not None or not base.finite:
+            finite = per_candidate(np.isfinite(base.pred), np.isfinite(pred))
             bad = ~dead & ~finite.all(axis=1)
 
-        sq_m = base.sq
-        live = ~base.dead & ~dead
+        sq_m = base.row_sq
+        live = ~base.row_dead & ~dead
         held = live[:, s:]
         counts = held.sum(axis=1).tolist()
         two_var = 2.0 * base.m.sigma_lik**2

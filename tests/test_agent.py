@@ -378,6 +378,26 @@ def test_a_scheduled_fit_builds_one_kernel():
     assert spy.call_count == len(events)
 
 
+def test_a_fit_that_lacks_rows_builds_no_kernel():
+    """A scheduled fit checks the history's length before it builds its
+    kernel.  Fitting every 4 ticks, ``break_demo``'s fits at ticks 4, 8
+    and 12 lack the 16 rows a fit needs and are skipped: a fit-only episode
+    builds one kernel per fit that reaches its design, and none for those."""
+    from unittest import mock
+
+    from causalloop import model
+
+    sc = dataclasses.replace(BREAK, fit_every=4)
+    init, design = model._LagFeatures.__init__, model._LagFeatures.design
+    with mock.patch.object(model._LagFeatures, "__init__", autospec=True, side_effect=init) as built, \
+            mock.patch.object(model._LagFeatures, "design", autospec=True, side_effect=design) as designed:
+        trace = run_episode(sc, RandomPolicy(), seed=4, length=40, reflect_enabled=False)
+    events = [r.fit_event for r in trace.records if r.fit_event is not None]
+    assert events[:3] == ["skipped: NotEnoughDataError"] * 3
+    assert len(events) == 10
+    assert built.call_count == designed.call_count == 7
+
+
 @pytest.mark.parametrize("sc", [CALM, BREAK], ids=["calm", "break_demo"])
 def test_a_scheduled_fit_places_each_column_once(monkeypatch, sc):
     """The scheduled fit and its gate are reached through ``agent``'s

@@ -549,6 +549,16 @@ def test_sweep_refuses_seeds_outside_64_bits(tmp_path, monkeypatch, seeds, capsy
     assert _SerialPool.created == [] and not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_refuses_a_length_below_1_before_making_its_out_directory(tmp_path, monkeypatch, jobs, capsys):
+    monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr("causalloop.cli.ProcessPoolExecutor", _SerialPool)
+    out = tmp_path / "sw"
+    assert main(["sweep", "calm", "--seeds", "0:2", "--length", "0", "--jobs", jobs, "--out", str(out)]) == 2
+    assert "--length must be >= 1, got 0" in capsys.readouterr().err
+    assert _SerialPool.created == [] and not out.exists()
+
+
 def test_run_refuses_a_seed_of_2_to_the_64(capsys):
     assert main(["run", "break_demo", "--seed", str(2**64), "--length", "3"]) == 2
     assert "seed must be in [0, 2**64)" in capsys.readouterr().err

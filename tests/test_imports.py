@@ -7,6 +7,12 @@ is loaded anywhere in the module, where it is listed in ``__all__``, or
 where a string annotation (``"ScenarioConfig"``) names it.  An import that
 exists for a reader outside the module stays, but only on a line marked
 ``# noqa: F401`` under a comment that names that reader's file.
+
+It also keeps the rule of no private code that nothing runs: every
+module-level function and class of the package whose name starts with
+``_`` must be read by some module of the package or of ``tools/``, by
+name or as an attribute (``model._pack``).  A read from a test does not
+count.
 """
 
 from __future__ import annotations
@@ -114,3 +120,61 @@ def test_an_unread_import_is_found():
     read = read_names(tree)
     unused = [name for name, lineno in imported(tree) if name not in read and not kept_for_a_reader(lines, lineno)]
     assert unused == ["Any", "re"]
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Each module-level function and class named with a leading ``_``
+    (a dunder such as ``__getattr__`` is not private), with its line."""
+    return [
+        (node.name, node.lineno)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def unread_definitions(package: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """Each private definition of the ``package`` modules (path to tree)
+    that none of ``readers`` reads by name (:func:`read_names`) or as an
+    attribute."""
+    read: set[str] = set()
+    for tree in readers:
+        read |= read_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [
+        f"{path}:{lineno}: {name}"
+        for path, tree in package.items()
+        for name, lineno in private_definitions(tree)
+        if name not in read
+    ]
+
+
+def test_every_private_definition_is_read():
+    trees = {}
+    for path in MODULES:
+        with open(os.path.join(ROOT, path), encoding="utf-8") as f:
+            trees[path] = ast.parse(f.read())
+    package = {path: tree for path, tree in trees.items() if path.startswith(DIRS[0] + os.sep)}
+    unread = unread_definitions(package, list(trees.values()))
+    assert not unread, "defined but never read outside the tests: " + ", ".join(unread)
+
+
+def test_an_unread_private_definition_is_found():
+    """The check itself: a private function or class read by name in its
+    own module, through an import or as an attribute from a reader is not
+    caught; one never read, or read only by a test, is, and a dunder is
+    never private."""
+    package = {
+        "a.py": ast.parse(
+            "def _used():\n    return 1\n"
+            "def _unread():\n    return 2\n"
+            "class _Spied:\n    pass\n"
+            "def __getattr__(name):\n    raise AttributeError(name)\n"
+            "def public():\n    return _used()\n"
+        ),
+        "b.py": ast.parse("class _Tooled:\n    pass\ndef _imported():\n    pass\n"),
+    }
+    tool = ast.parse("import b\nfrom b import _imported\nb._Tooled()\n_imported()\n")
+    # Only a test reads ``a._Spied``, and a test is not a reader.
+    assert unread_definitions(package, [*package.values(), tool]) == ["a.py:3: _unread", "a.py:5: _Spied"]

@@ -368,12 +368,12 @@ def test_residuals_match_reference(seed, kind):
     rows = m.history[-m.fit_window :]
     lo = int(rng.integers(0, len(rows)))
     lags = _LagFeatures(m.history, rows)
-    base = _Baseline(m, lags)  # the working model's predictions, as reflect memoises them
-    memo = len(lags._targets)
-    for j in range(m.graph.d_state):
-        got = masked(*_residuals(base, lo, j, None))
-        assert hexes(got) == hexes(reference_residuals(m, rows[lo:], j, None))
-    assert len(lags._targets) == memo  # excluding no edge is the working model
+    base = _Baseline(m, lags)  # the working model's predictions, as reflect holds them
+    # Excluding no edge reads the baseline's own row: no sum.
+    with mock.patch.object(_LagFeatures, "sums", side_effect=AssertionError("a residual made a sum")):
+        for j in range(m.graph.d_state):
+            got = masked(*_residuals(base, lo, j, None))
+            assert hexes(got) == hexes(reference_residuals(m, rows[lo:], j, None))
     for j in range(m.graph.d_state):
         for i in base.members[j]:
             got = masked(*_residuals(base, lo, j, i))
@@ -742,6 +742,40 @@ def test_a_score_that_is_not_finite_is_refused_with_domain_error():
         score_hypothesis(m, CoefChange(0, 0.5), rows[:split])
     assert batch.test(0, 0.1)[1] > 0.0
     assert batch.score(1) == 0.0
+
+
+def one_edge_model(coefficient, actions):
+    """A 1-dim model whose one edge reads each tick's own action, with
+    ``actions`` recorded from tick 0 and every state and observation 0.0."""
+    graph = CausalGraph(1, 1, (CausalEdge(A0, 0, delay=1, coefficient=coefficient),))
+    m = CausalModel(graph=graph, fit_window=len(actions))
+    for t, a in enumerate(actions):
+        tup = CausalTuple(StateVec((0.0,)), ActionVec((a,)), TimeIndex(t))
+        m = append_history(m, Transition(tup, StateVec((0.0,))))
+    return m
+
+
+def test_rollout_the_holdout_mses_and_a_baseline_refuse_alike():
+    """The kernel's two refusals, in order: a prediction that is not finite
+    on a row that is read (here the last row's, 1e308 * 2.0), then a finite
+    error whose square leaves the float range (here every row's, 1e200).
+    ``rollout``, the holdout MSEs of the fit gate and a repair baseline
+    raise each with the same class and message; rollout squares no error.
+    A baseline of the first rows reads no prediction of the last, but an
+    error that overflows anywhere refuses it."""
+    inf = one_edge_model(1e308, [1e-200] * 7 + [2.0])
+    huge = one_edge_model(1e200, [1.0] * 8)
+    not_finite = (DomainError, "state contains non-finite value inf")
+    overflow = (DomainError, "a squared prediction error exceeds the float range")
+    for m, expected in ((inf, not_finite), (huge, overflow)):
+        lags = _LagFeatures(m.history, m.history)
+        assert refusal(lambda: kernel_mses(lags, [m, m], 0)) == expected
+        assert refusal(lambda: _Baseline(m, lags)) == expected
+    assert refusal(lambda: rollout(inf.graph, 0.0, inf.history, inf.history)) == not_finite
+    assert [p.values for p in rollout(huge.graph, 0.0, huge.history, huge.history)] == [(1e200,)] * 8
+    base = _Baseline(inf, _LagFeatures(inf.history, inf.history), 0, 7)
+    assert not base.finite and len(base.row_sq) == 7 and np.isfinite(base.row_sq).all()
+    assert refusal(lambda: _Baseline(huge, _LagFeatures(huge.history, huge.history), 7, 8)) == overflow
 
 
 def reference_reflect(m, ctx, err, tau, settings):
