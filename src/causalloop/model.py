@@ -85,7 +85,8 @@ A row's squared errors summed and divided by d_state is
 same double.
 
 Coefficient fitting is plain per-dimension ordinary least squares on
-lagged features (numpy.linalg.lstsq), one path for the scheduled fit and a
+lagged features (numpy.linalg.lstsq), one path and one rule (a target the
+window cannot fit keeps its coefficients) for the scheduled fit and a
 structural break's refit.  The scheduled fit deliberately treats delta_hat
 as zero, so coefficients own persistent scale and delta_hat only ever
 carries transient residual scaling.
@@ -103,6 +104,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .core import (
+    CausalLoopError,
     CausalTuple,
     DegenerateDataError,
     DimensionError,
@@ -733,11 +735,14 @@ def fit(m: CausalModel, lags: _LagFeatures | None = None) -> CausalModel:
     over the window, :func:`_fit_kernel` of ``m``; a caller that reads the
     same rows again (the scheduled fit's gate) builds it once, passes it,
     and reads the places the fit resolved there
-    (:meth:`_LagFeatures.layout`).  Raises :class:`NotEnoughDataError` on
-    thin history and :class:`DegenerateDataError` when a design matrix is
-    unusable (a constant feature column or rank deficiency).
+    (:meth:`_LagFeatures.layout`).  A target the window cannot fit keeps
+    its coefficients (:func:`_least_squares`).  Raises :class:`NotEnoughDataError`
+    on thin history, and the first target's refusal when none can be fitted.
     """
-    return _least_squares(m, _fit_kernel(m) if lags is None else lags, strict=True)
+    fitted, refusals = _least_squares(m, _fit_kernel(m) if lags is None else lags, 1.0)
+    if refusals and len(refusals) == len({edge[3] for edge in m.graph.plan}):
+        raise refusals[0]
+    return fitted
 
 
 def _fit_kernel(m: CausalModel) -> _LagFeatures:
@@ -752,28 +757,28 @@ def _fit_kernel(m: CausalModel) -> _LagFeatures:
     return _LagFeatures(m.history, m.history[-m.fit_window :])
 
 
-def _least_squares(m: CausalModel, lags: _LagFeatures, strict: bool) -> CausalModel:
+def _least_squares(m: CausalModel, lags: _LagFeatures, scale: float) -> tuple[CausalModel, list[CausalLoopError]]:
     """Every edge coefficient re-estimated by per-target OLS over the rows
-    of ``lags``, a kernel over ``m``'s history.
+    of ``lags``, a kernel over ``m``'s history, with features times
+    ``scale``; and the refusal of each target it could not fit, in order.
 
     Each edge's column is placed once (:meth:`_LagFeatures.layout`), and
     each target's design is one gather of those columns, solved by its own
-    ``lstsq``.  Strict (:func:`fit`): features at scale 1.0, and a target
-    with too few usable rows, a constant feature column or a
-    rank-deficient design raises.  Best-effort (a structural break's
-    refit): features at the model's scale ``exp(-delta_hat)``, and a target
-    with too few rows or a rank-deficient design keeps its coefficients.
+    ``lstsq``.  One rule: a target with too few usable rows, a constant
+    feature column or a rank-deficient design keeps its coefficients.
+    :func:`fit` passes scale 1.0, a structural break's refit the model's
+    ``exp(-delta_hat)``.
     """
     graph = m.graph
     plan = graph.plan
     if not plan or not lags._n:
-        return m
-    scale = 1.0 if strict else math.exp(-m.delta_hat)
+        return m, []
     x_all, gaps, y_all = lags.design(graph, scale)
     # Each column's span over every row, for the targets none of whose
     # columns has a gap.
-    spans_all = (x_all.max(axis=1) - x_all.min(axis=1)).tolist() if strict else []
+    spans_all = (x_all.max(axis=1) - x_all.min(axis=1)).tolist()
     new_coefs = [coefficient for _, _, _, _, coefficient, _ in plan]
+    refusals: list[CausalLoopError] = []
     for j, members in enumerate(lags.layout(graph).members):
         if not members:
             continue
@@ -783,28 +788,24 @@ def _least_squares(m: CausalModel, lags: _LagFeatures, strict: bool) -> CausalMo
             keep = ~functools.reduce(operator.or_, masks)
             x, y = x[keep], y[keep]
         if len(x) < max(2, len(members)):
-            if not strict:
-                continue
-            raise NotEnoughDataError(
-                f"fit for dim {j}: only {len(x)} usable rows for {len(members)} edges"
-            )
-        if strict:
-            spans = [spans_all[i] for i in members] if not masks else (x.max(axis=0) - x.min(axis=0)).tolist()
-            if 0.0 in spans:
-                flat = spans.index(0.0)
-                raise DegenerateDataError(f"fit for dim {j}: feature column {flat} is constant over the window")
+            refusals.append(NotEnoughDataError(f"fit for dim {j}: only {len(x)} usable rows for {len(members)} edges"))
+            continue
+        spans = [spans_all[i] for i in members] if not masks else (x.max(axis=0) - x.min(axis=0)).tolist()
+        if 0.0 in spans:
+            flat = spans.index(0.0)
+            refusals.append(DegenerateDataError(f"fit for dim {j}: feature column {flat} is constant over the window"))
+            continue
         coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
         if rank < x.shape[1]:
-            if not strict:
-                continue
-            raise DegenerateDataError(f"fit for dim {j}: design matrix rank {rank} < {x.shape[1]}")
+            refusals.append(DegenerateDataError(f"fit for dim {j}: design matrix rank {rank} < {x.shape[1]}"))
+            continue
         for i, c in zip(members, coef.tolist()):
             new_coefs[i] = c
 
     return CausalModel(
         graph.with_coefficients(new_coefs), m.delta_hat, m.history, m.fit_window, m.sigma_lik, m.capacity,
         m.delta_max,
-    )
+    ), refusals
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ def detect_mismatch(err: PredictionError, tau: float) -> bool:
 
 
 def _clamped(m: CausalModel, delta: float) -> float:
-    return max(-m.delta_max, min(m.delta_max, delta))
+    return float(max(-m.delta_max, min(m.delta_max, delta)))
 
 
 def apply_hypothesis(m: CausalModel, h: Hypothesis) -> CausalModel:
@@ -225,10 +225,9 @@ def apply_hypothesis(m: CausalModel, h: Hypothesis) -> CausalModel:
     if isinstance(h, DeltaShift):
         return replace(m, delta_hat=_clamped(m, h.new_delta))
     if isinstance(h, StructuralBreak):
-        # Flush stale history, then refit whatever the kept suffix supports;
-        # dims the suffix cannot support keep their coefficients.
+        # Flush stale history, then refit what the kept suffix supports.
         flushed = replace(m, history=m.history[-h.keep :] if h.keep > 0 else ())
-        return _least_squares(flushed, _LagFeatures(flushed.history, flushed.history), strict=False)
+        return _least_squares(flushed, _LagFeatures(flushed.history, flushed.history), math.exp(-m.delta_hat))[0]
     graph = m.graph
     if isinstance(h, EdgeRemove):
         plan = tuple(edge for i, edge in enumerate(graph.plan) if i != h.edge_index)

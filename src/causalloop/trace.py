@@ -42,7 +42,7 @@ from .reflect import Hypothesis, ReflectReport, hypothesis_from_dict, hypothesis
 from .rng import GENERATOR_NAME, SCHEME_VERSION
 from .scenario import atomic_write_text, json_number, json_typed, read_text
 
-TRACE_FORMAT_VERSION = 4
+TRACE_FORMAT_VERSION = 5
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -21,8 +22,9 @@ from causalloop.agent import (
 )
 from causalloop.core import ConfigError, ReplayError
 from causalloop.model import model_from_snapshot
-from causalloop.scenario import builtin_scenarios, scenario_digest
+from causalloop.scenario import ScenarioConfig, builtin_scenarios, scenario_digest
 from causalloop.trace import record_to_dict, trace_to_lines
+from causalloop.world import CausalEdge, CausalGraph, VarRef
 
 CALM = builtin_scenarios()["calm"]
 BREAK = builtin_scenarios()["break_demo"]
@@ -288,6 +290,24 @@ def test_fit_events_on_schedule():
             assert r.fit_event is None
 
 
+def test_a_held_action_leaves_its_target_unfit_and_fits_the_rest():
+    """Action 1 is held at 0.5, so target 1's only feature column is
+    constant over every window.  That target keeps its coefficient and
+    every scheduled fit still refits target 0."""
+    g = CausalGraph(2, 2, (
+        CausalEdge(VarRef.action(0), 0, delay=1, coefficient=0.8),
+        CausalEdge(VarRef.action(1), 1, delay=1, coefficient=1.0),
+    ))
+    sc = ScenarioConfig(name="held", d_state=2, d_action=2, initial_state=(0.0, 0.0), graph=g, noise_sigma=0.05)
+    policy = CyclicPolicy(((1.0, 0.5), (-0.5, 0.5), (0.25, 0.5)))
+    trace = run_episode(sc, policy, seed=5, length=96, reflect_enabled=False)
+    assert [r.fit_event for r in trace.records if r.fit_event is not None] == ["applied"] * 6
+    snapshots = [r.model_snapshot for r in trace.records if r.model_snapshot is not None]
+    assert len(snapshots) == 7
+    assert {s["graph"]["edges"][1]["coefficient"] for s in snapshots} == {1.0}
+    assert len({s["graph"]["edges"][0]["coefficient"] for s in snapshots}) == 7
+
+
 # ---- replay ----------------------------------------------------------------
 
 
@@ -435,11 +455,11 @@ def test_a_scheduled_fit_places_each_column_once(monkeypatch, sc):
 
 
 def test_a_delta_clamped_to_an_int_delta_max_is_recorded_as_a_float():
-    """A JSON-int ``delta_max`` stays an int, so a DeltaShift clamped to it
-    gives the model an int delta.  The tick's tuple holds it as a float, as
-    ``Perturbation``'s own constructor does, so the record and the trace
-    bits are those of a float delta.  ``productivity`` at seed 23 clamps within 200
-    ticks (``break_demo`` has no perturbation and never does)."""
+    """A JSON-int ``delta_max`` stays an int, but a delta clamped to it is a
+    float: the record's (the tick's tuple holds it as ``Perturbation``'s own
+    constructor does), each model snapshot's and each DeltaShift's.
+    ``productivity`` at seed 23 clamps within 200 ticks (``break_demo`` has
+    no perturbation and never does)."""
     from causalloop.scenario import scenario_from_dict, scenario_to_dict
 
     doc = scenario_to_dict(builtin_scenarios()["productivity"])
@@ -449,3 +469,16 @@ def test_a_delta_clamped_to_an_int_delta_max_is_recorded_as_a_float():
     trace = run_episode(sc, RandomPolicy(), seed=23, length=200)
     assert all(type(r.delta_hat) is float for r in trace.records)
     assert 1.0 in {abs(r.delta_hat) for r in trace.records}
+    # The clamp itself gives a float, so the written snapshots and DeltaShift
+    # candidates hold JSON floats too, and snapshots keep the fast reader.
+    records = [json.loads(line) for line in trace_to_lines(trace)[1:]]
+    snapshots = [r["model_snapshot"]["delta_hat"] for r in records if r["model_snapshot"]]
+    shifts = [
+        h["new_delta"]
+        for r in records
+        if r["reflect"]
+        for h in [c["hypothesis"] for c in r["reflect"]["candidates"]] + r["reflect"]["accepted"]
+        if h["kind"] == "delta_shift"
+    ]
+    assert 1.0 in map(abs, snapshots) and 1.0 in map(abs, shifts)
+    assert all(type(v) is float for v in snapshots + shifts)

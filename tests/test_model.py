@@ -310,6 +310,42 @@ def test_fit_rejects_collinear_features():
         fit(m)
 
 
+def test_a_target_the_window_cannot_fit_keeps_its_coefficients():
+    """One rule: a target with a constant or a collinear feature column
+    keeps its coefficients bit for bit, the other target is fitted as it
+    would be alone, and fit raises only when no target can be fitted."""
+    # Action 1 is held at 0.5; action 2 is twice action 0.
+    actions = [(a, 0.5, 2.0 * a) for a in (1.0, -2.0, 0.5, 3.0, -1.0, 2.0, 0.25, -0.75)]
+    fitted = CausalEdge(VarRef.action(0), 0, delay=1, coefficient=0.3)
+    constant = (CausalEdge(VarRef.action(1), 1, delay=1, coefficient=0.7),)
+    collinear = (
+        CausalEdge(VarRef.action(0), 1, delay=1, coefficient=0.7),
+        CausalEdge(VarRef.action(2), 1, delay=1, coefficient=-0.1),
+    )
+
+    def fed(edges):
+        m = CausalModel(graph=CausalGraph(2, 3, edges), fit_window=8)
+        s = (0.0, 0.0)
+        for t, a in enumerate(actions):
+            nxt = (s[0] + 1.5 * a[0] + 0.01 * t * t, s[1] + a[0] - a[1])
+            m = append_history(m, row(t, s, a, nxt))
+            s = nxt
+        return m
+
+    (alone,) = fit(fed((fitted,))).graph.plan
+    assert alone[4] != 0.3
+    for refused in (constant, collinear):
+        m = fed((fitted,) + refused)
+        with pytest.raises(DegenerateDataError):
+            fit(fed(refused))
+        out = fit(m).graph.plan
+        assert out[0][4].hex() == alone[4].hex()
+        assert [e[4].hex() for e in out[1:]] == [e[4].hex() for e in m.graph.plan[1:]]
+    both = fed((CausalEdge(VarRef.action(1), 0, delay=1, coefficient=0.3),) + collinear)
+    with pytest.raises(DegenerateDataError, match="fit for dim 0: feature column 0 is constant"):
+        fit(both)
+
+
 def test_fit_keeps_the_structure_and_builds_plain_edges():
     m = single_edge_model(999.0, fit_window=8)
     for t, a in enumerate([1.0, 2.0, 3.0, -1.0, 0.5, 2.5]):

@@ -135,14 +135,13 @@ def test_structural_break_flushes_and_refits():
 
 
 def test_structural_break_refit_is_best_effort():
-    # The refit runs at the model's scale, fits a constant feature column
-    # that fit() refuses, and leaves a coefficient alone when the kept
-    # suffix is too short to estimate it.
+    # The refit follows fit()'s one rule: a constant feature column keeps
+    # its coefficient, as does one the kept suffix is too short to estimate.
     m = one_edge_model(coef=1.0, fit_window=16, delta_hat=math.log(2.0))
     m, _ = feed_effect_rows(m, [lambda a: 3.0 * a] * 6, [1.0] * 6)
     with pytest.raises(DegenerateDataError):
         fit(m)
-    assert apply_hypothesis(m, StructuralBreak(keep=4)).graph.edges[0].coefficient == pytest.approx(6.0)
+    assert apply_hypothesis(m, StructuralBreak(keep=4)).graph.edges[0].coefficient == 1.0
     assert apply_hypothesis(m, StructuralBreak(keep=1)).graph.edges[0].coefficient == 1.0
     # Collinear features: both coefficients stay where fit() would refuse.
     g = CausalGraph(
@@ -160,6 +159,15 @@ def test_structural_break_refit_is_best_effort():
         fit(m)
     out = apply_hypothesis(m, StructuralBreak(keep=4))
     assert [e.coefficient for e in out.graph.edges] == [1.0, 0.5]
+
+
+def test_structural_break_refit_runs_at_the_model_scale():
+    # Effects of 3a under delta_hat = ln 2 (scale 1/2) refit to 6, where
+    # fit(), at scale 1.0, gives 3.
+    m = one_edge_model(coef=1.0, fit_window=16, delta_hat=math.log(2.0))
+    m, _ = feed_effect_rows(m, [lambda a: 3.0 * a] * 6, [1.0, -2.0, 0.5, 3.0, -1.0, 2.0])
+    assert fit(m).graph.edges[0].coefficient == pytest.approx(3.0)
+    assert apply_hypothesis(m, StructuralBreak(keep=4)).graph.edges[0].coefficient == pytest.approx(6.0)
 
 
 def test_anomalous_suffix_counts_trailing_misses():

@@ -203,8 +203,9 @@ def test_read_rejects_unknown_format_version(tmp_path):
     head = json.loads(lines[0])
     path = tmp_path / "t.jsonl"
     # 1: records that still carry the horizon map; 2: predictions that sum
-    # edge effects onto the state one by one
-    for version in (1, 2, 99):
+    # edge effects onto the state one by one; 4: a scheduled fit skipped
+    # whole when any one target could not be fitted
+    for version in (1, 2, 4, 99):
         head["format_version"] = version
         lines[0] = json.dumps(head)
         path.write_text("\n".join(lines) + "\n")

@@ -26,8 +26,23 @@ runs side by side, cancels most of a machine's drift in speed, which
 separate benchmark runs pay for in spread; alternating whole rounds
 instead leaves a drift within a round on one side.
 
-It writes nothing and gates nothing; ``tools/ab_episodes.py . .`` reads
-about 1.00.
+It writes nothing and gates nothing.  Its resolution is the spread of a
+self-comparison, ``tools/ab_episodes.py . .``, whose per-seed ratios (seeds
+1 and 2, two or three runs each) read on a shared 2-core host:
+
+* ``--rounds 4``: 0.989-1.008 on ``steady_fit`` (0.981 in an earlier
+  run), 0.995-1.064 on ``repair_break``;
+* ``--rounds 8``: 0.971-1.042 on ``steady_fit``;
+* ``--rounds 16``: 0.992-1.004 on ``steady_fit``, 0.995-1.004 on
+  ``repair_break``.
+
+So a gate of at least 0.98 per seed needs ``--rounds 16`` at the least:
+at 4 or 8 rounds an unchanged tree can fail it.  Even at 16, a busy host
+can move a seed's ratio by 2% (two trees with the same fit path read
+0.980 and 1.017 on ``steady_fit`` in one run), so run both orders,
+``PARENT CHANGE`` and ``CHANGE PARENT``, before reading such a gate.  Two
+seeds at 16 rounds take about 1.5 minutes on ``steady_fit`` and 3 on
+``repair_break``.
 """
 
 from __future__ import annotations

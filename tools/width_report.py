@@ -19,9 +19,21 @@ edge flips sign and doubles at tick 150.  One row per run:
 * ``ms_tick``: wall milliseconds per tick of ``run_episode``, the one
   number that depends on the host.
 
+A second table holds long fit-only runs: for d = 8 and 16, 3,000 ticks of
+``width_scenario(np.random.default_rng(99), d)`` (no break) at episode
+seed 3.  The family's states are undamped, so these runs drift until
+tanh columns saturate and some targets' windows cannot be fitted.  One
+row per run:
+
+* ``applied``, ``rejected`` and ``skipped``: the scheduled fits' outcomes,
+  ``skipped`` split by the refusal's class;
+* ``tail_rmse``: the mean 16-tick rolling RMSE over the last 1,000 ticks
+  (``evaluate_trace``);
+* ``ms_tick``: as above.
+
 It gates nothing and writes nothing.  Run it from any directory: it
 imports the package from ``src/`` and the family from ``perfbench/``
-beside this directory.  The 21 runs take about 3 s on a 2-core host.
+beside this directory.  Its 22 episodes take about 2 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import numpy as np  # noqa: E402
 
 from causalloop.agent import RandomPolicy, run_episode  # noqa: E402
-from causalloop.evaluate import compare  # noqa: E402
+from causalloop.evaluate import compare, evaluate_trace  # noqa: E402
 
 from bench_family import width_scenario  # noqa: E402
 
@@ -48,11 +60,16 @@ LAST = 50  # the closing ticks whose triggers ``last50_trig`` counts
 RUNS = [(d, s) for d in (2, 4, 8) for s in (0, 1, 2)] + [(16, 0)]
 COLUMNS = ("d", "s", "agent", "final_shd", "post_rmse", "recovery", "post_trig", "last50_trig", "ms_tick")
 
+LONG_LENGTH = 3000
+LONG_TAIL = 1000  # the closing ticks whose rolling RMSE ``tail_rmse`` averages
+LONG_RUNS = [(8, 3), (16, 3)]
+LONG_COLUMNS = ("d", "s", "ticks", "applied", "rejected", "skipped", "tail_rmse", "ms_tick")
 
-def _timed_episode(sc, seed: int, reflect_enabled: bool):
+
+def _timed_episode(sc, seed: int, reflect_enabled: bool, length: int = LENGTH):
     start = time.perf_counter()
-    trace = run_episode(sc, RandomPolicy(), seed, LENGTH, reflect_enabled)
-    return trace, (time.perf_counter() - start) * 1e3 / LENGTH
+    trace = run_episode(sc, RandomPolicy(), seed, length, reflect_enabled)
+    return trace, (time.perf_counter() - start) * 1e3 / length
 
 
 def rows(runs: list[tuple[int, int]]) -> list[tuple]:
@@ -84,13 +101,41 @@ def rows(runs: list[tuple[int, int]]) -> list[tuple]:
     return out
 
 
+def long_rows(runs: list[tuple[int, int]]) -> list[tuple]:
+    """One row of :data:`LONG_COLUMNS` per long fit-only (d, s) run."""
+    out = []
+    for d, s in runs:
+        sc = width_scenario(np.random.default_rng(99), d)
+        trace, ms = _timed_episode(sc, s, False, LONG_LENGTH)
+        events = [r.fit_event for r in trace.records if r.fit_event is not None]
+        skipped = sorted({e.removeprefix("skipped: ") for e in events if e.startswith("skipped: ")})
+        tail = evaluate_trace(trace, sc).rmse[-LONG_TAIL:]
+        out.append((
+            d,
+            s,
+            LONG_LENGTH,
+            events.count("applied"),
+            events.count("rejected"),
+            " ".join(f"{events.count('skipped: ' + name)} {name}" for name in skipped) or "0",
+            f"{sum(tail) / len(tail):.5f}",
+            f"{ms:.2f}",
+        ))
+    return out
+
+
+def _print_table(columns: tuple[str, ...], body: list[tuple]) -> None:
+    table = [columns] + body
+    widths = [max(len(str(row[i])) for row in table) for i in range(len(columns))]
+    for row in table:
+        print("  ".join(str(v).rjust(w) for v, w in zip(row, widths)))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.parse_args(argv)
-    table = [COLUMNS] + rows(RUNS)
-    widths = [max(len(str(row[i])) for row in table) for i in range(len(COLUMNS))]
-    for row in table:
-        print("  ".join(str(v).rjust(w) for v, w in zip(row, widths)))
+    _print_table(COLUMNS, rows(RUNS))
+    print()
+    _print_table(LONG_COLUMNS, long_rows(LONG_RUNS))
     return 0
 
 
