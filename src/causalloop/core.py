@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar, TypeVar
 
 # Hard cap on |delta|; exp(10) ~ 22026 is already far beyond anything a
 # desk-scale scenario should produce.
@@ -79,22 +80,27 @@ def _as_float_tuple(values, label: str) -> tuple[float, ...]:
     return check_finite(tuple(map(float, values)), label)
 
 
+_V = TypeVar("_V", bound="_Vec")
+
+
 @dataclass(frozen=True)
-class StateVec:
-    """State of the system at one tick: a finite float vector.
+class _Vec:
+    """A finite float vector, refused under its class's ``_label``.
 
     The constructor converts each value with ``float()`` and checks it.
     :meth:`checked` wraps a tuple of Python floats that its caller has just
-    checked finite (:func:`check_finite`), so no state is validated twice.
+    checked finite (:func:`check_finite`), so no vector is validated twice.
+    Equality is per class: a state never equals an action.
     """
 
     values: tuple[float, ...]
+    _label: ClassVar[str]  # set by each subclass
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_float_tuple(self.values, "state"))
+        object.__setattr__(self, "values", _as_float_tuple(self.values, self._label))
 
     @classmethod
-    def checked(cls, values: tuple[float, ...]) -> StateVec:
+    def checked(cls: type[_V], values: tuple[float, ...]) -> _V:
         """A vector of ``values``, Python floats already checked finite."""
         vec = object.__new__(cls)
         object.__setattr__(vec, "values", values)
@@ -107,27 +113,16 @@ class StateVec:
         return self.values[i]
 
 
-@dataclass(frozen=True)
-class ActionVec:
+class StateVec(_Vec):
+    """State of the system at one tick: a finite float vector."""
+
+    _label = "state"
+
+
+class ActionVec(_Vec):
     """Action applied at one tick: a finite float vector."""
 
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_float_tuple(self.values, "action"))
-
-    @classmethod
-    def checked(cls, values: tuple[float, ...]) -> ActionVec:
-        """A vector of ``values``, Python floats already checked finite."""
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "values", values)
-        return vec
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
+    _label = "action"
 
 
 @dataclass(frozen=True)

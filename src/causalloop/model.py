@@ -34,11 +34,12 @@ refuses anything else; capacity trims and structural breaks keep
 suffixes), held as a :class:`History`: a ``(start, end)`` view into an
 append-only :class:`_Buffer` of transitions that later histories share.
 Appends are list appends; the buffer turns the rows appended since its
-last conversion into numpy arrays in bulk when a kernel reads them, so a
-kernel over rows of the same buffer reads each feature column as one
-slice, with no per-row loop and no per-row tick check.  A sequence of
-transitions given as a history is converted once (and refused unless it is
-one run), so there is one column path.  ``predict_next`` walks the graph's
+last conversion into numpy arrays in bulk when a kernel reads them.  A
+kernel's rows, like a history, are one run: any other sequence of
+transitions given for either is converted once, and refused unless it is
+one run.  So a kernel reads each feature column, and its rows' states and
+observations, as one slice of a buffer, with no per-row loop and no
+per-row tick check.  ``predict_next`` walks the graph's
 ``plan`` (:attr:`causalloop.world.CausalGraph.plan`, one plain tuple per
 edge) and reads each of its few lags by position in the view: tick q sits
 at buffer place ``q - tick0``.
@@ -471,12 +472,12 @@ class _LagFeatures:
     outside the history's run, and otherwise read from the history's buffer
     (:class:`History`); ``gaps`` maps the place of each column with a masked
     entry to its mask.  Row 0 is all zeros: it pads a target with fewer
-    edges than the widest in a sum.  Rows that are a history of the same
-    buffer sit at consecutive buffer positions, so a column is one slice of
-    the buffer's values, padded where it leaves the history; other rows are
-    split into runs of consecutive ticks, a slice each, and their values
-    converted once.  Any number of graphs -- a working model and every
-    candidate edit of it -- are predicted from one set of columns.
+    edges than the widest in a sum.  The rows, like the history, are one
+    run of consecutive ticks (:func:`as_history`), so a column is one slice
+    of the history's buffer, padded where it leaves the history, and the
+    rows' states and observations are slices of their own buffer.  Any
+    number of graphs -- a working model and every candidate edit of it --
+    are predicted from one set of columns.
 
     A graph's edges are read by place and coefficient, target by target
     (:meth:`layout`, :meth:`incoming`), and every prediction of many
@@ -497,26 +498,17 @@ class _LagFeatures:
     """
 
     def __init__(self, history: Sequence[Transition], rows: Sequence[Transition]) -> None:
-        self.rows = rows
+        rows = self.rows = as_history(rows)
         h = self._history = as_history(history)
-        buf = h._buf
         n = self._n = len(rows)
-        # (first row, end row, buffer position of the first row's own tick)
-        self._runs: list[list[int]] = []
-        if isinstance(rows, History) and rows._buf is buf and n:
-            self._runs.append([0, n, rows._start])
+        # The place of row 0's tick in the history's buffer: row i reads
+        # the buffer position of its own tick, ``_at + i``.
+        self._at = rows[0].tuple.time.tick - h._buf.tick0 if n else 0
+        if n:
             at = slice(rows._start, rows._end)
-            self._states, self._observed = buf.values(0)[:, at], buf.values(2)[:, at]
-        else:
-            for i, tr in enumerate(rows):
-                p = tr.tuple.time.tick - buf.tick0
-                run = self._runs[-1] if self._runs else None
-                if run is not None and p == run[2] + i - run[0]:
-                    run[1] = i + 1
-                else:
-                    self._runs.append([i, i + 1, p])
-            self._states = np.array([tr.tuple.state.values for tr in rows], dtype=float).T
-            self._observed = np.array([tr.observed.values for tr in rows], dtype=float).T
+            self._states, self._observed = rows._buf.values(0)[:, at], rows._buf.values(2)[:, at]
+        else:  # an empty buffer has no width
+            self._states = self._observed = _NO_ROWS
         self.columns = np.zeros((8, n))  # row 0 stays all zeros; place() doubles it when full
         self.gaps: dict[int, np.ndarray] = {}
         self._places: dict[tuple[bool, int, int, int], int] = {}
@@ -532,32 +524,30 @@ class _LagFeatures:
         p = self._places.get(key)
         if p is not None:
             return p
+        n = self._n
         p = len(self._places) + 1
         if p == len(self.columns):  # full: double it, as _Buffer.values grows
-            grown = np.zeros((2 * p, self._n))
+            grown = np.zeros((2 * p, n))
             grown[:p] = self.columns
             self.columns = grown
         col = self.columns[p]
         h = self._history
         buf = h._buf
-        for i0, i1, p0 in self._runs:
-            a = p0 + 1 - delay - i0  # row i of this run reads buffer position a + i
-            lo = min(max(h._start - a, i0), i1)
-            hi = max(min(h._end - a, i1), lo)
-            if lo < hi:
-                if form is Form.TANH:
-                    src = buf.tanh(reads_action, index)
-                else:
-                    src = buf.values(1 if reads_action else 0)[index]
-                col[lo:hi] = src[a + lo : a + hi]
-            # Rows before ``z`` read a tick before 0: 0.0, and no gap.
-            z = min(max(-buf.tick0 - a, i0), lo)
-            if z < lo or hi < i1:
-                gap = self.gaps.get(p)
-                if gap is None:
-                    gap = self.gaps[p] = np.zeros(self._n, dtype=bool)
-                gap[z:lo] = True
-                gap[hi:i1] = True
+        a = self._at + 1 - delay  # row i reads buffer position a + i
+        lo = min(max(h._start - a, 0), n)
+        hi = max(min(h._end - a, n), lo)
+        if lo < hi:
+            if form is Form.TANH:
+                src = buf.tanh(reads_action, index)
+            else:
+                src = buf.values(1 if reads_action else 0)[index]
+            col[lo:hi] = src[a + lo : a + hi]
+        # Rows before ``z`` read a tick before 0: 0.0, and no gap.
+        z = min(max(-buf.tick0 - a, 0), lo)
+        if z < lo or hi < n:
+            gap = self.gaps[p] = np.zeros(n, dtype=bool)
+            gap[z:lo] = True
+            gap[hi:] = True
         if form is Form.QUADRATIC:
             col *= col
         self._places[key] = p
@@ -818,7 +808,8 @@ def estimate_delta(m: CausalModel, predicted_effect: float, observed_effect: flo
 
     Only the ratio is informative, so both effects must be nonzero and
     share a sign; otherwise the perturbation is not identifiable from this
-    pair.  The result is clamped to the model's delta range.
+    pair.  The result is clamped to the model's delta range; a ratio that
+    underflows to 0.0 reads as ``log = -inf``, clamped to ``-delta_max``.
     """
     if predicted_effect == 0.0:
         raise NotIdentifiableError("predicted effect is zero; delta is not identifiable")
@@ -826,7 +817,8 @@ def estimate_delta(m: CausalModel, predicted_effect: float, observed_effect: flo
         raise NotIdentifiableError(
             "predicted and observed effects must be nonzero with matching signs"
         )
-    d = math.log(predicted_effect / observed_effect)
+    ratio = predicted_effect / observed_effect
+    d = math.log(ratio) if ratio else -math.inf
     d = max(-m.delta_max, min(m.delta_max, d))
     return Perturbation(d)
 

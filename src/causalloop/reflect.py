@@ -57,10 +57,13 @@ accepted edit go through ``apply_hypothesis``.  After an acceptance the
 candidates still to test, remapped to the repaired model's edges, become
 one more batch against it, so a trigger builds at most ``max_accepts``
 batches.  The kernel is rebuilt only when an accepted StructuralBreak has
-replaced the history.  A candidate the edited graph would refuse, or whose
-predictions leave the float range, is refused by its row alone.  Every
-score and holdout MSE is bit-identical to rolling each candidate's model
-out afresh.
+replaced the history.  An edge edit has one rule, ``_edited_edge``: the
+plan index it acts on, the edge it puts there and its refusals.  The
+batch's rows and ``apply_hypothesis`` both take it from there, so each
+refuses what the other does.  A candidate the edited graph would refuse,
+or whose predictions leave the float range, is refused by its row alone.
+Every score and holdout MSE is bit-identical to rolling each candidate's
+model out afresh.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ from .model import (
     _squares,
 )
 from .scenario import json_number, json_typed
-from .world import CausalGraph, Form, SourceKind, VarRef, _check_edge, _check_ends, _check_plan, _duplicate
+from .world import CausalGraph, EdgePlan, Form, SourceKind, VarRef, _check_edge, _check_ends, _duplicate
 
 # Fraction of tau below which a row counts as "explained" when delimiting
 # the anomalous suffix.
@@ -219,9 +222,53 @@ def _clamped(m: CausalModel, delta: float) -> float:
     return float(max(-m.delta_max, min(m.delta_max, delta)))
 
 
+def _edge_keys(plan: tuple[EdgePlan, ...]) -> set[tuple[bool, int, int, int]]:
+    """Each edge's ``(reads_action, source_index, target, delay)``, the
+    key no two edges of a graph share."""
+    return {(reads_action, index, target, delay) for reads_action, index, delay, target, _, _ in plan}
+
+
+def _edited_edge(
+    graph: CausalGraph, h: CoefChange | DelayChange | EdgeRemove | EdgeAdd, keys: set[tuple[bool, int, int, int]]
+) -> tuple[int, EdgePlan | None]:
+    """The edge edit rule: the plan index ``h`` acts on (``len(plan)`` for
+    an EdgeAdd) and the edge it puts there, None for an EdgeRemove.
+    ``keys`` is :func:`_edge_keys` of the graph's plan.
+
+    Raises :class:`ConfigError` where building the edited graph would, in
+    this order: an edge index outside the graph (a negative one too); a
+    delay below 1 or a coefficient that is not finite; a source or target
+    outside the graph's dimensions; a (source, delay) that another edge
+    already feeds into the same target.
+    """
+    plan = graph.plan
+    if isinstance(h, EdgeAdd):
+        i = len(plan)
+        edge = (h.source.kind is SourceKind.ACTION, h.source.index, h.delay, h.target, h.coefficient, h.form)
+    else:
+        i = h.edge_index
+        if not 0 <= i < len(plan):
+            raise ConfigError(f"edge index {i} outside a graph of {len(plan)} edges")
+        if isinstance(h, EdgeRemove):
+            return i, None
+        reads_action, index, delay, target, coefficient, form = plan[i]
+        if isinstance(h, CoefChange):
+            coefficient = h.new_coefficient
+        else:
+            delay = h.new_delay
+        edge = (reads_action, index, delay, target, coefficient, form)
+    reads_action, index, delay, target, coefficient, _ = edge
+    _check_edge(delay, coefficient)
+    _check_ends(graph.d_state, graph.d_action, reads_action, index, target)
+    key = (reads_action, index, target, delay)
+    if key in keys and (i == len(plan) or delay != plan[i][2]):
+        raise _duplicate(reads_action, index, target, delay)
+    return i, edge
+
+
 def apply_hypothesis(m: CausalModel, h: Hypothesis) -> CausalModel:
     """A copy of ``m`` with the edit applied; the input is untouched.  An
-    edge edit checks the plan it edits as building the graph from edges would."""
+    edge edit follows :func:`_edited_edge`, refusals included."""
     if isinstance(h, DeltaShift):
         return replace(m, delta_hat=_clamped(m, h.new_delta))
     if isinstance(h, StructuralBreak):
@@ -229,23 +276,9 @@ def apply_hypothesis(m: CausalModel, h: Hypothesis) -> CausalModel:
         flushed = replace(m, history=m.history[-h.keep :] if h.keep > 0 else ())
         return _least_squares(flushed, _LagFeatures(flushed.history, flushed.history), math.exp(-m.delta_hat))[0]
     graph = m.graph
-    if isinstance(h, EdgeRemove):
-        plan = tuple(edge for i, edge in enumerate(graph.plan) if i != h.edge_index)
-    elif isinstance(h, EdgeAdd):
-        _check_edge(h.delay, h.coefficient)
-        edge = (h.source.kind is SourceKind.ACTION, h.source.index, h.delay, h.target, h.coefficient, h.form)
-        plan = graph.plan + (edge,)
-    else:
-        edges = list(graph.plan)
-        reads_action, index, delay, target, coefficient, form = edges[h.edge_index]
-        if isinstance(h, CoefChange):
-            coefficient = h.new_coefficient
-        else:
-            delay = h.new_delay
-        _check_edge(delay, coefficient)
-        edges[h.edge_index] = (reads_action, index, delay, target, coefficient, form)
-        plan = tuple(edges)
-    _check_plan(graph.d_state, graph.d_action, plan)
+    plan = graph.plan
+    i, edge = _edited_edge(graph, h, _edge_keys(plan))
+    plan = plan[:i] + (() if edge is None else (edge,)) + plan[i + 1 :]
     return replace(m, graph=CausalGraph.from_plan(graph.d_state, graph.d_action, plan))
 
 
@@ -274,9 +307,8 @@ class _Baseline:
     ``members[k]`` is the index of each edge into target k, in graph order
     (:meth:`_LagFeatures.layout`); ``incoming[k]`` is target k with the
     place of each of those edges' columns in the kernel's store and each
-    edge's coefficient (:meth:`_LagFeatures.incoming`); ``keys[k]`` holds
-    each of those edges' ``(reads_action, source_index, delay)``, and
-    ``position`` each edge's index in its target's lists.
+    edge's coefficient (:meth:`_LagFeatures.incoming`); ``keys`` holds
+    every edge's key (:func:`_edge_keys`).
     """
 
     def __init__(
@@ -291,11 +323,7 @@ class _Baseline:
         layout = lags.layout(m.graph)
         self.members = layout.members
         self.incoming = lags.incoming(m.graph)
-        self.keys: list[list[tuple[bool, int, int]]] = [[] for _ in range(self.d)]
-        self.position: list[int] = []
-        for reads_action, index, delay, target, _, _ in m.graph.plan:
-            self.position.append(len(self.keys[target]))
-            self.keys[target].append((reads_action, index, delay))
+        self.keys = _edge_keys(m.graph.plan)
         self.pred, dead = lags.sums(layout.packed((m.graph.plan,)), self.scale)
         self.dead = np.zeros(self.pred.shape, dtype=bool) if dead is None else dead
         self.observed = np.broadcast_to(lags._observed, self.pred.shape)  # (d_state x 0) with no rows
@@ -314,18 +342,13 @@ class _Baseline:
     def edit(self, h: Hypothesis) -> tuple[float, list[tuple[int, list[int], list[float]]]]:
         """The target dimensions ``apply_hypothesis(m, h)`` predicts anew:
         its scale, and each such target with the column place and the
-        coefficient of each of its incoming edges in graph order.  A
-        coefficient, delay, removal or addition replaces one target's
-        lists; a DeltaShift keeps every target's at the clamped delta; a
-        StructuralBreak gives every target its refit graph's.  Every other
-        target predicts as this model's, to the bit.
-
-        Raises :class:`ConfigError` where building the edited graph would,
-        in the order :func:`apply_hypothesis` refuses: an edge index
-        outside the graph; then a new or changed edge's delay below 1 or
-        coefficient not finite, its target or source out of range, or its
-        (source, delay) already feeding the edited target.
-        A StructuralBreak raises what its refit raises.
+        coefficient of each of its incoming edges in graph order.  An edge
+        edit replaces its target's lists with the edge of the edit rule,
+        :func:`_edited_edge`, and raises its :class:`ConfigError` refusals;
+        a DeltaShift keeps every target's at the clamped delta; a
+        StructuralBreak gives every target its refit graph's, and raises
+        what its refit raises.  Every other target predicts as this
+        model's, to the bit.
         """
         m = self.m
         if isinstance(h, DeltaShift):
@@ -334,31 +357,13 @@ class _Baseline:
         if isinstance(h, StructuralBreak):
             refit = apply_hypothesis(m, h)
             return math.exp(-refit.delta_hat), self.lags.incoming(refit.graph)
-        graph = m.graph
-        if isinstance(h, EdgeAdd):
-            source = h.source
-            reads_action, index, k = source.kind is SourceKind.ACTION, source.index, h.target
-            delay, coefficient, form = h.delay, h.coefficient, h.form
-            _check_edge(delay, coefficient)
-            _check_ends(graph.d_state, graph.d_action, reads_action, index, k)
-            at = len(self.keys[k])
-        else:
-            plan = graph.plan
-            if not 0 <= h.edge_index < len(plan):
-                raise ConfigError(f"edge index {h.edge_index} outside a graph of {len(plan)} edges")
-            reads_action, index, delay, k, coefficient, form = plan[h.edge_index]
-            at = self.position[h.edge_index]
-            if isinstance(h, CoefChange):
-                coefficient = h.new_coefficient
-            elif isinstance(h, DelayChange):
-                delay = h.new_delay
-            _check_edge(delay, coefficient)
+        i, edge = _edited_edge(m.graph, h, self.keys)
+        k = m.graph.plan[i][3] if edge is None else edge[3]
         _, places, coefs = self.incoming[k]
-        if isinstance(h, EdgeRemove):
+        at = self.members[k].index(i) if i < len(m.graph.plan) else len(places)  # its place in k's lists
+        if edge is None:
             return self.scale, [(k, places[:at] + places[at + 1 :], coefs[:at] + coefs[at + 1 :])]
-        key, keys = (reads_action, index, delay), self.keys[k]
-        if key in keys[:at] or key in keys[at + 1 :]:
-            raise _duplicate(reads_action, index, k, delay)
+        reads_action, index, delay, _, coefficient, form = edge
         p = self.lags.place(reads_action, index, delay, form)
         return self.scale, [(k, places[:at] + [p] + places[at + 1 :], coefs[:at] + [coefficient] + coefs[at + 1 :])]
 
@@ -388,7 +393,7 @@ def _residuals(
         pred, dead = base.pred[target, lo:], base.dead[target, lo:]
     else:
         _, places, coefs = base.incoming[target]
-        at = base.position[exclude_edge]
+        at = base.members[target].index(exclude_edge)
         group = (target, places[:at] + places[at + 1 :], coefs[:at] + coefs[at + 1 :])
         (pred,), dead = base.lags.sums(_pack([group]), base.scale, lo)
         dead = np.zeros(len(pred), dtype=bool) if dead is None else dead[0]
@@ -489,8 +494,7 @@ def _candidates(
     yield StructuralBreak(keep=suffix)
 
     plan = m.graph.plan
-    existing = {(reads_action, index, target, delay) for reads_action, index, delay, target, _, _ in plan}
-    existing_pairs = {key[:3] for key in existing}
+    existing_pairs = {key[:3] for key in base.keys}
     sources = [(True, i) for i in range(m.graph.d_action)] + [(False, i) for i in range(d_state)]
 
     def edits(j: int) -> Iterator[Hypothesis]:
@@ -509,7 +513,7 @@ def _candidates(
             for k in (delay + 1, delay - 1, delay + 2, delay - 2):
                 if not 1 <= k <= settings.k_max or k == delay:
                     continue
-                if (reads_action, index, j, k) in existing:
+                if (reads_action, index, j, k) in base.keys:
                     continue
                 yield DelayChange(edge_index, k)
         for edge_index in members:

@@ -329,6 +329,21 @@ def test_overflowing_prediction_error_is_data_error(tmp_path, capsys):
 BREAK_DEMO_FILE = CALM_FILE.with_name("break_demo.json")
 
 
+def test_run_survives_a_delta_ratio_that_underflows(tmp_path):
+    """break_demo without its break, a world coefficient of 1000, an agent
+    coefficient of 1e-322 and no noise: the first trigger's predicted over
+    observed effect underflows to 0.0, which the DeltaShift estimate reads
+    as the lower clamp, and the valid scenario runs to exit 0."""
+    scenario = json.loads(BREAK_DEMO_FILE.read_text())
+    scenario["breaks"] = []
+    scenario["noise_sigma"] = 0.0
+    scenario["graph"]["edges"][0]["coefficient"] = 1000.0
+    scenario["agent_graph"]["edges"][0]["coefficient"] = 1e-322
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--seed", "1", "--length", "20"]) == 0
+
+
 @pytest.mark.parametrize("sigma_lik", [1e-200, 1e200])
 def test_run_refuses_a_sigma_lik_whose_variance_leaves_the_float_range(
     tmp_path, capsys, sigma_lik

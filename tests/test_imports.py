@@ -75,17 +75,22 @@ def read_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def comment_above(lines: list[str], lineno: int) -> list[str]:
+    """The comment lines right above line ``lineno``, nearest first."""
+    out = []
+    above = lineno - 2
+    while above >= 0 and lines[above].lstrip().startswith("#"):
+        out.append(lines[above])
+        above -= 1
+    return out
+
+
 def kept_for_a_reader(lines: list[str], lineno: int) -> bool:
     """Whether the import at ``lineno`` is marked ``# noqa: F401`` and the
     comment above it names the file that reads the name."""
     if "# noqa: F401" not in lines[lineno - 1]:
         return False
-    above = lineno - 2
-    while above >= 0 and lines[above].lstrip().startswith("#"):
-        if READER.search(lines[above]):
-            return True
-        above -= 1
-    return False
+    return any(READER.search(line) for line in comment_above(lines, lineno))
 
 
 @pytest.mark.parametrize("path", MODULES)
@@ -178,3 +183,61 @@ def test_an_unread_private_definition_is_found():
     tool = ast.parse("import b\nfrom b import _imported\nb._Tooled()\n_imported()\n")
     # Only a test reads ``a._Spied``, and a test is not a reader.
     assert unread_definitions(package, [*package.values(), tool]) == ["a.py:3: _unread", "a.py:5: _Spied"]
+
+
+BENCH_LAYERS = "perfbench/bench_layers.py"
+
+
+def wrapped_sites(tree: ast.Module) -> set[tuple[str, str]]:
+    """Each ``(module, attribute)`` an entry of the module-level ``SITES``
+    wraps, the module named by its ``<module>_mod`` alias."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "SITES" for t in node.targets):
+            return {(site.elts[0].id.removesuffix("_mod"), site.elts[1].value) for site in node.value.elts}
+    return set()
+
+
+def unwrapped_imports(module: str, source: str, wrapped: set[tuple[str, str]]) -> list[str]:
+    """Each name ``module`` imports only for :data:`BENCH_LAYERS` (kept for
+    a reader whose comment names that file) that no site of ``wrapped``
+    wraps in ``module``."""
+    lines = source.splitlines()
+    return [
+        f"{module}:{lineno}: {name}"
+        for name, lineno in imported(ast.parse(source))
+        if kept_for_a_reader(lines, lineno)
+        and any(BENCH_LAYERS in line for line in comment_above(lines, lineno))
+        and (module, name) not in wrapped
+    ]
+
+
+def test_every_import_kept_for_the_benchmark_is_wrapped():
+    """An import the package keeps only so that the benchmark can wrap it
+    (``agent``'s ``predict``, ``rollout`` and ``record_to_dict``,
+    ``reflect``'s ``loss``) is wrapped by an entry of ``SITES`` in that
+    module: a benchmark change that drops a site must drop its import."""
+    with open(os.path.join(ROOT, *BENCH_LAYERS.split("/")), encoding="utf-8") as f:
+        wrapped = wrapped_sites(ast.parse(f.read()))
+    stale = []
+    for path in MODULES:
+        if path.startswith(DIRS[0] + os.sep):
+            with open(os.path.join(ROOT, path), encoding="utf-8") as f:
+                stale += unwrapped_imports(os.path.basename(path)[:-3], f.read(), wrapped)
+    assert not stale, "kept for perfbench/bench_layers.py, which no longer wraps it: " + ", ".join(stale)
+
+
+def test_an_import_the_benchmark_no_longer_wraps_is_found():
+    """The check itself: of two names kept for the benchmark, the one no
+    site wraps is caught; a name kept for another reader is not."""
+    sites = ast.parse(
+        "import causalloop.agent as agent_mod\n"
+        "SITES = (\n    (agent_mod, 'predict', 'model.predict', None),\n)\n"
+    )
+    source = (
+        "# Not called here: perfbench/bench_layers.py wraps both.\n"
+        "from .model import predict, rollout  # noqa: F401\n"
+        "# Not called here: tools/other.py reads it.\n"
+        "from .core import loss  # noqa: F401\n"
+    )
+    assert wrapped_sites(sites) == {("agent", "predict")}
+    assert unwrapped_imports("agent", source, wrapped_sites(sites)) == ["agent:2: rollout"]

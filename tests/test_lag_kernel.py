@@ -523,12 +523,22 @@ def batch_answers(working, hs, rows, split):
     return refused
 
 
-def edit_outcomes(seed, pick, twin):
+def outside_edits(m, outside):
+    """A coefficient change, a delay change and a removal of the edge at an
+    index ``outside`` places past ``m``'s last edge, and at one ``outside``
+    places below index 0; none with ``outside`` None."""
+    if outside is None:
+        return []
+    n = len(m.graph.plan)
+    return [h for i in (n + outside, -1 - outside) for h in (CoefChange(i, 9.0), DelayChange(i, 3), EdgeRemove(i))]
+
+
+def edit_outcomes(seed, pick, twin, outside=None):
     """Hold every candidate's batched answers to the references on the model
     and on a working model after one accepted, remapped edit (the
     ``pick``-th, or with None the first edge's delay change onto its twin's
-    neighbour tick); return how many candidates building their model
-    refuses."""
+    neighbour tick), with :func:`outside_edits` of each model among them;
+    return how many candidates building their model refuses."""
     m, _ = flushed_model(seed)
     if twin:
         m = with_twin(m)
@@ -537,7 +547,7 @@ def edit_outcomes(seed, pick, twin):
     candidates = generate_hypotheses(m, ctx, err, 0.0, ReflectSettings(budget=1024))
     rows = m.history[-m.fit_window :]
     split = max(0, len(rows) - 4)
-    refused = batch_answers(m, candidates, rows, split)
+    refused = batch_answers(m, list(candidates) + outside_edits(m, outside), rows, split)
     edits = [h for h in candidates if not isinstance(h, StructuralBreak)]
     if pick is None:
         first = DelayChange(0, m.graph.edges[0].delay + 1)
@@ -550,14 +560,20 @@ def edit_outcomes(seed, pick, twin):
         return len(refused)
     index_map = _update_map(first, {i: i for i in range(len(m.graph.edges))})
     remapped = [_remap(h, index_map) for h in candidates if h != first]
-    refused += batch_answers(working, [h for h in remapped if h is not None], rows, split)
+    remapped = [h for h in remapped if h is not None] + outside_edits(working, outside)
+    refused += batch_answers(working, remapped, rows, split)
     return len({h for cls, h in refused if cls in (ConfigError, DomainError)})
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 2**16)), st.booleans())
-def test_edits_match_the_models_they_build(seed, pick, twin):
-    edit_outcomes(seed, pick, twin)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.none(), st.integers(0, 2**16)),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+def test_edits_match_the_models_they_build(seed, pick, twin, outside):
+    edit_outcomes(seed, pick, twin, outside)
 
 
 def test_twin_delay_changes_collide():
@@ -995,6 +1011,31 @@ def test_history_views_read_as_tuples_and_match_the_references(seed, capacity, f
     assert_kernel_matches_reference(m, ref, rng)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_rows_given_as_a_list_read_as_the_history_slice_they_copy(seed):
+    """Rows given as a list copy of a history slice are converted once into
+    a buffer of their own; the kernel over them holds the slice's columns,
+    gap masks and sums, compared as ``float.hex``."""
+    m, rng = flushed_model(seed)
+    lo = int(rng.integers(0, len(m.history)))
+    hi = int(rng.integers(lo, len(m.history) + 1))
+    g = m.graph
+    sources = [(True, i) for i in range(g.d_action)] + [(False, i) for i in range(g.d_state)]
+    probes = [(a, i, d, f) for a, i in sources for d in (1, 2, 5) for f in Form]
+    kernels = [_LagFeatures(m.history, rows) for rows in (m.history[lo:hi], list(m.history[lo:hi]))]
+    for reads_action, index, delay, form in probes:
+        places = [lags.place(reads_action, index, delay, form) for lags in kernels]
+        columns = [hexes(lags.columns[p].tolist()) for lags, p in zip(kernels, places)]
+        gaps = [None if lags.gaps.get(p) is None else lags.gaps[p].tolist() for lags, p in zip(kernels, places)]
+        assert places[0] == places[1] and columns[0] == columns[1] and gaps[0] == gaps[1]
+    sums = []
+    for lags in kernels:
+        pred, dead = lags.sums(lags.layout(g).packed((g.plan,)), math.exp(-m.delta_hat))
+        sums.append((hexes(pred.ravel().tolist()), None if dead is None else dead.tolist()))
+    assert sums[0] == sums[1]
+
+
 def sibling_differs(m, ref):
     """Appending the last row's tick again branches: the branch holds its
     own row, ``m`` still reads as ``ref``."""
@@ -1017,15 +1058,20 @@ def test_a_long_episode_holds_a_bounded_buffer():
 
 @pytest.mark.parametrize("ticks", [(3, 4, 6), (3, 4, 4), (4, 3, 5)], ids=["gapped", "repeated", "unordered"])
 def test_a_hand_built_history_that_is_not_one_run_is_refused(ticks):
+    """A history, and a kernel's rows like it, must be one run of
+    consecutive ticks: ``ticks`` as either is refused."""
     rng = np.random.default_rng(0)
     hist = tuple(transitions(rng, 1, 1, ticks))
     graph = random_graph(rng, 1, 1)
+    run = tuple(transitions(rng, 1, 1, range(0, 9)))
+    rows = [run[t] for t in ticks]
     for build in (
         lambda: as_history(hist),
         lambda: CausalModel(graph=graph, history=hist),
         lambda: rollout(graph, 0.0, hist, hist[-1:]),
+        lambda: _LagFeatures(run, rows),
+        lambda: rollout(graph, 0.0, run, rows),
     ):
         with pytest.raises(DomainError, match="not one run"):
             build()
-    run = tuple(transitions(rng, 1, 1, range(5, 9)))
     assert CausalModel(graph=graph, history=run).history == run

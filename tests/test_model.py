@@ -20,6 +20,7 @@ from causalloop.core import (
     DegenerateDataError,
     NotEnoughDataError,
     NotIdentifiableError,
+    Perturbation,
     StateVec,
     TimeIndex,
     Transition,
@@ -383,9 +384,15 @@ def test_estimate_delta_round_trips_scale():
 
 
 def test_estimate_delta_clamps():
+    """A ratio too small for a double underflows to 0.0, whose log is
+    -inf: the clamp takes it to -delta_max, as it takes an overflow to
+    +delta_max."""
     m = single_edge_model(1.0)
     assert estimate_delta(m, 1.0, 1e-30).delta == 10.0
     assert estimate_delta(m, 1e-30, 1.0).delta == -10.0
+    assert estimate_delta(m, 1e-300, 1e300) == Perturbation(-10.0)
+    assert estimate_delta(m, -1e-300, -1e300) == Perturbation(-10.0)
+    assert estimate_delta(m, 1e300, 1e-300) == Perturbation(10.0)
 
 
 def test_estimate_delta_unidentifiable_cases():

@@ -114,6 +114,32 @@ def test_apply_each_kind():
     assert m.graph.edges[0].coefficient == 2.0 and m.delta_hat == 0.0
 
 
+@pytest.mark.parametrize("at_end", [True, False], ids=["len-plan", "minus-1"])
+@pytest.mark.parametrize("kind", ["coef", "delay", "remove"])
+def test_an_edit_of_an_edge_outside_the_graph_is_refused_as_the_batch_refuses_it(kind, at_end):
+    """``apply_hypothesis`` and the batch take an edge edit from one rule:
+    an index past the last edge or below 0 is refused by both, with the
+    same ConfigError and message."""
+    g = CausalGraph(
+        d_state=1,
+        d_action=1,
+        edges=(
+            CausalEdge(VarRef.action(0), 0, delay=1, coefficient=1.0),
+            CausalEdge(VarRef.state(0), 0, delay=1, coefficient=0.5),
+        ),
+    )
+    m, _ = feed_effect_rows(CausalModel(graph=g), [lambda a: a] * 8, [1.0, -0.5, 2.0, 0.7, -1.2, 0.4, 1.0, -0.8])
+    i = 2 if at_end else -1
+    h = {"coef": CoefChange(i, 9.0), "delay": DelayChange(i, 3), "remove": EdgeRemove(i)}[kind]
+    message = f"edge index {i} outside a graph of 2 edges"
+    with pytest.raises(ConfigError, match=message):
+        apply_hypothesis(m, h)
+    with pytest.raises(ConfigError, match=message):
+        score_hypothesis(m, h, m.history)
+    with pytest.raises(ConfigError, match=message):
+        holdout_test(m, h, m.history[-4:], 0.1)
+
+
 def test_apply_delta_shift_clamps():
     m = one_edge_model()
     assert apply_hypothesis(m, DeltaShift(99.0)).delta_hat == 10.0
