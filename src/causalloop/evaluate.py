@@ -39,7 +39,6 @@ import numpy as np
 
 from .core import InputError
 from .model import read_snapshot
-from .reflect import HYPOTHESIS_KINDS
 from .scenario import ScenarioConfig, scenario_digest
 from .trace import EpisodeTrace, reflect_block_from_dict
 from .world import CausalGraph, EdgePlan, active_graph
@@ -288,8 +287,7 @@ def evaluate_trace(trace: EpisodeTrace, scenario: ScenarioConfig) -> EvalReport:
         triggers += 1
         n_candidates += len(block.candidates)
         for h in block.accepted:
-            kind = HYPOTHESIS_KINDS[type(h)]
-            acceptances[kind] = acceptances.get(kind, 0) + 1
+            acceptances[h.kind] = acceptances.get(h.kind, 0) + 1
 
     return EvalReport(
         scenario_name=sc.name,

@@ -26,7 +26,7 @@ from typing import Any
 
 from .core import CausalTuple, ConfigError, InputError, Perturbation
 from .model import CausalModel, counterfactual, predict
-from .reflect import hypothesis_to_dict
+from .reflect import CoefChange, DelayChange, DeltaShift, EdgeAdd, EdgeRemove, StructuralBreak, hypothesis_to_dict
 from .scenario import canonical_json
 from .trace import TraceRecord, record_to_dict, reflect_block_from_dict
 
@@ -183,19 +183,16 @@ def explain_counterfactual(
 
 
 _HYPOTHESIS_PHRASES = {
-    "delta_shift": lambda h: f"the perturbation estimate was set to {fmt(h['new_delta'])}",
-    "coef_change": lambda h: (
-        f"edge {h['edge_index']} took coefficient {fmt(h['new_coefficient'])}"
+    DeltaShift: lambda h: f"the perturbation estimate was set to {fmt(h.new_delta)}",
+    CoefChange: lambda h: f"edge {h.edge_index} took coefficient {fmt(h.new_coefficient)}",
+    DelayChange: lambda h: f"edge {h.edge_index} took delay {h.new_delay}",
+    EdgeRemove: lambda h: f"edge {h.edge_index} was removed",
+    EdgeAdd: lambda h: (
+        f"a {h.source.kind.value}[{h.source.index}] link to state dimension "
+        f"{h.target} was added with delay {h.delay} and coefficient {fmt(h.coefficient)}"
     ),
-    "delay_change": lambda h: f"edge {h['edge_index']} took delay {h['new_delay']}",
-    "edge_remove": lambda h: f"edge {h['edge_index']} was removed",
-    "edge_add": lambda h: (
-        f"a {h['source']['kind']}[{h['source']['index']}] link to state dimension "
-        f"{h['target']} was added with delay {h['delay']} and coefficient "
-        f"{fmt(h['coefficient'])}"
-    ),
-    "structural_break": lambda h: (
-        f"a structural break was declared, keeping the last {h['keep']} transitions"
+    StructuralBreak: lambda h: (
+        f"a structural break was declared, keeping the last {h.keep} transitions"
     ),
 }
 
@@ -207,20 +204,20 @@ def explain_reflection(tick: int, report: dict[str, Any]) -> Explanation:
     which raises :class:`InputError` for a malformed one.
     """
     block = reflect_block_from_dict(tick, report)
-    accepted = [hypothesis_to_dict(h) for h in block.accepted]
+    accepted = block.accepted
     parts = [
         f"At tick {tick}, prediction error {fmt(block.epsilon)} exceeded the threshold "
         f"{fmt(block.tau)}; {len(block.candidates)} candidate repairs were scored and "
         f"{len(accepted)} accepted."
     ]
-    parts += [f"Accepted: {_HYPOTHESIS_PHRASES[h['kind']](h)}." for h in accepted]
+    parts += [f"Accepted: {_HYPOTHESIS_PHRASES[type(h)](h)}." for h in accepted]
     grounding = {
         "tick": tick,
         "epsilon": block.epsilon,
         "tau": block.tau,
         "candidates": len(block.candidates),
         "accepted_count": len(accepted),
-        "accepted": accepted,
+        "accepted": [hypothesis_to_dict(h) for h in accepted],
     }
     return Explanation(ExplanationKind.REFLECTION_SUMMARY, " ".join(parts), grounding)
 

@@ -6,7 +6,10 @@ which proposes a bounded set of candidate edits to the model -- rescale
 delta, change a coefficient or delay, add or remove an edge, or declare
 a structural break and flush stale history.  Generation stops at the
 budget: nothing past the first ``budget`` distinct candidates, in a
-fixed order, is estimated.
+fixed order, is estimated.  Each edit is one class, which states its kind
+once: ``kind``, the record kind a trace writes it under, and ``rank``, its
+place on score ties; :func:`hypothesis_to_dict` and
+:func:`hypothesis_from_dict` walk its fields in declaration order.
 
 The budget is shared.  A DeltaShift comes first and a StructuralBreak
 second, one candidate each; then the offending dimensions take turns, round
@@ -69,8 +72,9 @@ model out afresh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Iterator, Sequence
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
+from typing import Any, ClassVar, Iterator, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -112,25 +116,39 @@ SUFFIX_FLOOR_FRACTION = 0.25
 # ---------------------------------------------------------------------------
 
 
+# ``rank`` orders acceptance on score ties: parameter edits before
+# structural ones, and the decay-stable coefficient edit before the
+# transient delta edit -- accepting a decaying delta for a persistent
+# discrepancy would only re-trigger once the pull-to-zero erodes it.
+
+
 @dataclass(frozen=True)
 class DeltaShift:
+    kind: ClassVar[str] = "delta_shift"
+    rank: ClassVar[int] = 1
     new_delta: float
 
 
 @dataclass(frozen=True)
 class CoefChange:
+    kind: ClassVar[str] = "coef_change"
+    rank: ClassVar[int] = 0
     edge_index: int
     new_coefficient: float
 
 
 @dataclass(frozen=True)
 class DelayChange:
+    kind: ClassVar[str] = "delay_change"
+    rank: ClassVar[int] = 2
     edge_index: int
     new_delay: int
 
 
 @dataclass(frozen=True)
 class EdgeAdd:
+    kind: ClassVar[str] = "edge_add"
+    rank: ClassVar[int] = 4
     source: VarRef
     target: int
     delay: int
@@ -140,42 +158,58 @@ class EdgeAdd:
 
 @dataclass(frozen=True)
 class EdgeRemove:
+    kind: ClassVar[str] = "edge_remove"
+    rank: ClassVar[int] = 3
     edge_index: int
 
 
 @dataclass(frozen=True)
 class StructuralBreak:
+    kind: ClassVar[str] = "structural_break"
+    rank: ClassVar[int] = 5
     keep: int  # trailing transitions retained after the history flush
 
 
 Hypothesis = DeltaShift | CoefChange | DelayChange | EdgeAdd | EdgeRemove | StructuralBreak
 
-# Acceptance order on score ties: parameter edits before structural ones,
-# and the decay-stable coefficient edit before the transient delta edit --
-# accepting a decaying delta for a persistent discrepancy would only
-# re-trigger once the pull-to-zero erodes it.
-_KIND_RANK = {
-    CoefChange: 0,
-    DeltaShift: 1,
-    DelayChange: 2,
-    EdgeRemove: 3,
-    EdgeAdd: 4,
-    StructuralBreak: 5,
+
+def _read_source(v: Any, name: str) -> VarRef:
+    source = json_typed(v, dict, name=name)
+    return VarRef(SourceKind(source["kind"]), json_typed(source["index"], int, name="index"))
+
+
+# How a field of each annotated type is written to its JSON value (None:
+# as it is) and read back from it.
+_CODECS = {
+    float: (None, json_number),
+    int: (None, lambda v, name: json_typed(v, int, name=name)),
+    VarRef: (lambda v: {"kind": v.kind.value, "index": v.index}, _read_source),
+    Form: (lambda v: v.value, lambda v, name: Form(v)),
+}
+
+# Each edit class's fields in declaration order, with their codecs.  A
+# dataclass's ``__init__`` sets its fields in that order, so an edit's
+# ``__dict__`` holds them in that order too, as :func:`hypothesis_to_dict`
+# reads them.
+_FIELDS = {
+    cls: tuple((f.name, *_CODECS[get_type_hints(cls)[f.name]]) for f in fields(cls))
+    for cls in get_args(Hypothesis)
+}
+
+# The edit class of each record kind, and the kind of each edit class.
+_BY_KIND = {cls.kind: cls for cls in _FIELDS}
+HYPOTHESIS_KINDS: dict[type, str] = {cls: cls.kind for cls in _FIELDS}
+
+
+# Each edit class's tie key: its rank, then its fields in declaration
+# order; an EdgeAdd's target, source (ordered as ``VarRef.sort_key``) and delay.
+_TIE_KEYS = {cls: attrgetter("rank", *(name for name, _, _ in f)) for cls, f in _FIELDS.items()} | {
+    EdgeAdd: attrgetter("rank", "target", "source.kind.value", "source.index", "delay")
 }
 
 
 def _tie_key(h: Hypothesis) -> tuple:
-    if isinstance(h, DeltaShift):
-        return (_KIND_RANK[DeltaShift], h.new_delta)
-    if isinstance(h, CoefChange):
-        return (_KIND_RANK[CoefChange], h.edge_index, h.new_coefficient)
-    if isinstance(h, DelayChange):
-        return (_KIND_RANK[DelayChange], h.edge_index, h.new_delay)
-    if isinstance(h, EdgeRemove):
-        return (_KIND_RANK[EdgeRemove], h.edge_index)
-    if isinstance(h, EdgeAdd):
-        return (_KIND_RANK[EdgeAdd], h.target, *h.source.sort_key(), h.delay)
-    return (_KIND_RANK[StructuralBreak], h.keep)
+    return _TIE_KEYS[type(h)](h)
 
 
 @dataclass(frozen=True)
@@ -821,66 +855,21 @@ def reflect(
 # Serialization (used by trace records)
 # ---------------------------------------------------------------------------
 
-# The ``kind`` each edit type is written under by :func:`hypothesis_to_dict`.
-HYPOTHESIS_KINDS: dict[type, str] = {
-    DeltaShift: "delta_shift",
-    CoefChange: "coef_change",
-    DelayChange: "delay_change",
-    EdgeRemove: "edge_remove",
-    EdgeAdd: "edge_add",
-    StructuralBreak: "structural_break",
-}
-
 
 def hypothesis_to_dict(h: Hypothesis) -> dict[str, Any]:
-    if isinstance(h, DeltaShift):
-        return {"kind": "delta_shift", "new_delta": h.new_delta}
-    if isinstance(h, CoefChange):
-        return {"kind": "coef_change", "edge_index": h.edge_index, "new_coefficient": h.new_coefficient}
-    if isinstance(h, DelayChange):
-        return {"kind": "delay_change", "edge_index": h.edge_index, "new_delay": h.new_delay}
-    if isinstance(h, EdgeRemove):
-        return {"kind": "edge_remove", "edge_index": h.edge_index}
-    if isinstance(h, EdgeAdd):
-        return {
-            "kind": "edge_add",
-            "source": {"kind": h.source.kind.value, "index": h.source.index},
-            "target": h.target,
-            "delay": h.delay,
-            "form": h.form.value,
-            "coefficient": h.coefficient,
-        }
-    return {"kind": "structural_break", "keep": h.keep}
+    """``kind``, then each field in declaration order as its JSON value."""
+    d = {"kind": h.kind, **h.__dict__}
+    for name, write, _ in _FIELDS[type(h)]:
+        if write is not None:
+            d[name] = write(d[name])
+    return d
 
 
 def hypothesis_from_dict(d: Any) -> Hypothesis:
     """The edit :func:`hypothesis_to_dict` wrote, each field read as its JSON
     type; TypeError, KeyError or ValueError for anything else."""
     kind = json_typed(d, dict, name="edit")["kind"]
-
-    def integer(key: str) -> int:
-        return json_typed(d[key], int, name=key)
-
-    def number(key: str) -> float:
-        return json_number(d[key], name=key)
-
-    if kind == "delta_shift":
-        return DeltaShift(number("new_delta"))
-    if kind == "coef_change":
-        return CoefChange(integer("edge_index"), number("new_coefficient"))
-    if kind == "delay_change":
-        return DelayChange(integer("edge_index"), integer("new_delay"))
-    if kind == "edge_remove":
-        return EdgeRemove(integer("edge_index"))
-    if kind == "edge_add":
-        source = json_typed(d["source"], dict, name="source")
-        return EdgeAdd(
-            VarRef(SourceKind(source["kind"]), json_typed(source["index"], int, name="index")),
-            integer("target"),
-            integer("delay"),
-            Form(d["form"]),
-            number("coefficient"),
-        )
-    if kind == "structural_break":
-        return StructuralBreak(integer("keep"))
-    raise ValueError(f"unknown edit kind {kind!r}")
+    cls = _BY_KIND.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise ValueError(f"unknown edit kind {kind!r}")
+    return cls(*[read(d[name], name) for name, _, read in _FIELDS[cls]])
