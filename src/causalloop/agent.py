@@ -204,8 +204,7 @@ def run_episode(
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
     sc = scenario.materialized()
-    sc.validate()
-    w = world_init(sc, seed)
+    w = world_init(sc, seed)  # validates the scenario first
     m = initial_model(sc)
     settings = ReflectSettings(
         budget=sc.budget,

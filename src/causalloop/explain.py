@@ -1,12 +1,15 @@
 """Deterministic explanations whose every number is checkable.
 
 The template backend turns a model application into fixed-format prose:
-one sentence per predicted contribution, an optional counterfactual
-contrast, and a short summary of a repair event.  Each explanation carries
-a ``grounding`` dict holding every quantity the text mentions; the
-anti-hallucination contract is that every numeral extracted from the text
-appears among the grounded values, formatted the same way (six
-significant digits, trailing zeros trimmed).
+one sentence per predicted contribution, naming the edge's source
+variable; an optional counterfactual contrast, naming the delta asked
+for; and a short summary of a repair event, which phrases each accepted
+edit from its class (the edit objects the reflect block reader returns,
+never their records).  Each explanation carries a ``grounding`` dict
+holding every quantity the text mentions; the anti-hallucination contract
+is that every numeral extracted from the text appears among the grounded
+values, formatted the same way (six significant digits, trailing zeros
+trimmed).
 
 An LLM may optionally render the same facts as free text, but only
 through :func:`narrate_via_llm`, which is inert unless the
@@ -71,9 +74,7 @@ def extract_numerals(text: str) -> list[str]:
 
 
 def _collect(value: Any, into: set[str]) -> None:
-    if isinstance(value, bool):
-        return
-    if isinstance(value, (int, float)):
+    if isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)):
         into.add(fmt(value))
         into.add(str(value))
     elif isinstance(value, (list, tuple)):
@@ -82,7 +83,7 @@ def _collect(value: Any, into: set[str]) -> None:
     elif isinstance(value, dict):
         for v in value.values():
             _collect(v, into)
-    elif hasattr(value, "values") and not isinstance(value, str):
+    elif not isinstance(value, str) and hasattr(value, "values"):
         _collect(value.values, into)
 
 
@@ -116,23 +117,26 @@ def is_grounded(expl: Explanation) -> bool:
 
 
 def explain_transition(m: CausalModel, t: CausalTuple) -> Explanation:
-    """One sentence per modeled contribution of this action/state point."""
+    """One sentence per modeled contribution of this action/state point,
+    naming the edge's source variable."""
     pred = predict(m, t)
     scale = math.exp(-m.delta_hat)
     tick = t.time.tick
-    action_s = fmt_vec(t.action)
+    scaled = f"scaled by perturbation factor e^-{fmt(m.delta_hat)} = {fmt(scale)}."
     sentences = []
     contribs = []
     for c in pred.contributions:
+        kind, index = c.source.kind.value, c.source.index
         sentences.append(
-            f"At tick {tick}, action {action_s} is predicted to change state dimension "
-            f"{c.target} by {fmt(c.value)} after a delay of {c.horizon} ticks, scaled by "
-            f"perturbation factor e^-{fmt(m.delta_hat)} = {fmt(scale)}."
+            f"At tick {tick}, {kind}[{index}] is predicted to change state dimension "
+            f"{c.target} by {fmt(c.value)} after a delay of {c.horizon} ticks, {scaled}"
         )
-        contribs.append({"target": c.target, "delay": c.horizon, "effect": c.value})
+        contribs.append(
+            {"source": kind, "source_index": index, "target": c.target, "delay": c.horizon, "effect": c.value}
+        )
     if not sentences:
         sentences.append(
-            f"At tick {tick}, action {action_s} has no modeled causal effect; "
+            f"At tick {tick}, action {fmt_vec(t.action)} has no modeled causal effect; "
             "the state is predicted to persist."
         )
     grounding = {
@@ -152,7 +156,8 @@ def explain_counterfactual(
     """Contrast the factual prediction with one under an alternative delta.
 
     The contrast is drawn at the farthest modeled horizon, where every
-    contribution has landed.
+    contribution has landed.  A delta of 0 reads as the perturbation not
+    having occurred; any other names both deltas.
     """
     d_prime = delta_prime.delta if isinstance(delta_prime, Perturbation) else float(delta_prime)
     factual = predict(m, t)
@@ -160,16 +165,16 @@ def explain_counterfactual(
     horizon = max(factual.horizon_states)
     s_factual = factual.horizon_states[horizon]
     s_contrary = contrary.horizon_states[horizon]
+    if d_prime == 0.0:
+        had = f"Had perturbation δ={fmt(m.delta_hat)} not occurred"
+    else:
+        had = f"Had the perturbation been δ'={fmt(d_prime)} instead of δ={fmt(m.delta_hat)}"
     if s_contrary == s_factual:
-        text = (
-            f"Had perturbation δ={fmt(m.delta_hat)} not occurred, the model predicts "
-            f"no difference: state {fmt_vec(s_factual)} either way."
-        )
+        text = f"{had}, the model predicts no difference: state {fmt_vec(s_factual)} either way."
     else:
         text = (
-            f"Had perturbation δ={fmt(m.delta_hat)} not occurred, the model predicts "
-            f"the system would have transitioned to state {fmt_vec(s_contrary)} "
-            f"instead of {fmt_vec(s_factual)}."
+            f"{had}, the model predicts the system would have transitioned to state "
+            f"{fmt_vec(s_contrary)} instead of {fmt_vec(s_factual)}."
         )
     grounding = {
         "tick": t.time.tick,

@@ -121,7 +121,7 @@ from .core import (
     scale_factor,
 )
 from .scenario import canonical_json, graph_plan_from_dict, graph_to_dict, json_number, json_typed
-from .world import CausalGraph, EdgePlan, Form
+from .world import CausalGraph, EdgePlan, Form, SourceKind, VarRef
 
 
 _NO_ROWS = np.zeros(0)
@@ -301,10 +301,12 @@ class CausalModel:
 
 @dataclass(frozen=True)
 class Contribution:
-    """One edge's predicted additive effect, landing ``horizon`` ticks out."""
+    """One edge's predicted additive effect on ``target``, landing
+    ``horizon`` ticks out, from the value of its ``source`` at the tick."""
 
     edge_index: int
     horizon: int
+    source: VarRef
     target: int
     value: float
 
@@ -337,6 +339,13 @@ def append_history(m: CausalModel, tr: Transition) -> CausalModel:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _source(reads_action: bool, index: int) -> VarRef:
+    """The variable an edge reads, one shared object per variable: building
+    a frozen VarRef costs about as much as the rest of a contribution."""
+    return VarRef(SourceKind.ACTION if reads_action else SourceKind.STATE, index)
+
+
 def counterfactual(m: CausalModel, t: CausalTuple, delta_prime: float | Perturbation) -> Prediction:
     """Model output at ``t`` under an alternative perturbation estimate.
 
@@ -351,8 +360,9 @@ def counterfactual(m: CausalModel, t: CausalTuple, delta_prime: float | Perturba
     contribs: list[Contribution] = []
     for i, (reads_action, index, delay, target, coefficient, form) in enumerate(m.graph.plan):
         v = (t.action if reads_action else t.state)[index]
-        contribs.append(Contribution(i, delay, target, coefficient * form.apply(v) * scale))
-    contribs.sort(key=lambda c: (c.horizon, c.target, c.edge_index))
+        effect = coefficient * form.apply(v) * scale
+        contribs.append(Contribution(i, delay, _source(reads_action, index), target, effect))
+    contribs.sort(key=operator.attrgetter("horizon", "target", "edge_index"))
     horizons = sorted({1} | {c.horizon for c in contribs})
     horizon_states: dict[int, StateVec] = {}
     for k in horizons:
@@ -360,7 +370,7 @@ def counterfactual(m: CausalModel, t: CausalTuple, delta_prime: float | Perturba
         for c in contribs:
             if c.horizon <= k:
                 values[c.target] += c.value
-        horizon_states[k] = StateVec(tuple(values))
+        horizon_states[k] = StateVec.checked(check_finite(tuple(values), "state"))
     return Prediction(tuple=t, horizon_states=horizon_states, contributions=tuple(contribs))
 
 

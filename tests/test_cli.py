@@ -493,11 +493,11 @@ def test_explain_tick(tmp_path, capsys):
     capsys.readouterr()
     assert main(["explain", str(path), "--tick", "2"]) == 0
     out = capsys.readouterr().out
-    assert "At tick 2, action [" in out
+    assert "At tick 2, action[0] is predicted to change state dimension 0" in out
     assert "perturbation factor e^-" in out
 
     assert main(["explain", str(path), "--tick", "2", "--counterfactual-delta", "0.5"]) == 0
-    assert "Had perturbation δ=" in capsys.readouterr().out
+    assert "Had the perturbation been δ'=0.5 instead of δ=" in capsys.readouterr().out
 
     assert main(["explain", str(path), "--tick", "99"]) == 2
 

@@ -489,6 +489,8 @@ MALFORMED_BLOCKS = {
     "edge_add-delay-float": {"accepted": [{**EDGE_ADD, "delay": 2.0}]},
     "coef_change-index-string": {"accepted": [{**hypothesis_to_dict(CoefChange(0, 1.0)), "edge_index": "0"}]},
     "unknown-kind": {"accepted": [{"kind": "rewire"}]},
+    "kind-list": {"accepted": [{**EDGE_ADD, "kind": ["edge_add"]}]},
+    "kind-object": {"accepted": [{**EDGE_ADD, "kind": {"edge_add": 1}}]},
     "edit-number": {"accepted": [5]},
 }
 

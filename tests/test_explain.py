@@ -9,7 +9,9 @@ from __future__ import annotations
 import http.server
 import json
 import math
+import re
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from causalloop.explain import (
     narrate_via_llm,
     render_prompt,
 )
-from causalloop.model import CausalModel
+from causalloop.model import CausalModel, model_from_snapshot
 from causalloop.reflect import (
     CoefChange,
     DelayChange,
@@ -116,7 +118,7 @@ def test_transition_sentence_exact():
     e = explain_transition(m, tup((0.0,), (1.0,), tick=5))
     assert e.kind is ExplanationKind.CAUSAL
     assert e.text == (
-        "At tick 5, action [1] is predicted to change state dimension 0 by 3 "
+        "At tick 5, action[0] is predicted to change state dimension 0 by 3 "
         "after a delay of 1 ticks, scaled by perturbation factor e^-0 = 1."
     )
     assert is_grounded(e)
@@ -126,10 +128,74 @@ def test_transition_sentence_with_perturbation():
     m = one_edge_model(coef=2.0, delay=2, delta_hat=math.log(4.0))
     e = explain_transition(m, tup((0.0,), (1.0,)))
     assert e.text == (
-        "At tick 0, action [1] is predicted to change state dimension 0 by 0.5 "
+        "At tick 0, action[0] is predicted to change state dimension 0 by 0.5 "
         "after a delay of 2 ticks, scaled by perturbation factor e^-1.38629 = 0.25."
     )
     assert is_grounded(e)
+
+
+def test_transition_names_a_state_source():
+    g = CausalGraph(
+        d_state=2,
+        d_action=1,
+        edges=(CausalEdge(VarRef.state(0), 1, delay=2, coefficient=0.5, form=Form.TANH),),
+    )
+    e = explain_transition(CausalModel(graph=g), tup((1.0, 0.0), (0.9,), tick=10))
+    assert e.text == (
+        f"At tick 10, state[0] is predicted to change state dimension 1 by {fmt(0.5 * math.tanh(1.0))} "
+        "after a delay of 2 ticks, scaled by perturbation factor e^-0 = 1."
+    )
+    assert e.grounding["contributions"] == [
+        {"source": "state", "source_index": 0, "target": 1, "delay": 2, "effect": 0.5 * math.tanh(1.0)}
+    ]
+    assert is_grounded(e)
+
+
+# One contribution sentence: its source, its target and its delay.
+CONTRIBUTION = re.compile(
+    r"At tick \d+, (action|state)\[(\d+)\] is predicted to change state dimension (\d+) "
+    r"by \S+ after a delay of (\d+) ticks"
+)
+
+
+def assert_attributed(m, t):
+    """Every source a sentence names is an edge source of ``m``'s plan: the
+    sentences name each edge once, by its source, target and delay."""
+    e = explain_transition(m, t)
+    named = [
+        (kind == "action", int(index), int(delay), int(target))
+        for kind, index, target, delay in CONTRIBUTION.findall(e.text)
+    ]
+    assert sorted(named) == sorted(edge[:4] for edge in m.graph.plan)
+    sources = {(reads_action, index) for reads_action, index, *_ in m.graph.plan}
+    assert {(kind == "action", int(i)) for kind, i in re.findall(r"\b(action|state)\[(\d+)\]", e.text)} <= sources
+    assert is_grounded(e)
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_every_source_a_sentence_names_is_an_edge_source_of_the_model(name):
+    trace = run_episode(builtin_scenarios()[name], RandomPolicy(), seed=3, length=120)
+    snapshot = trace.records[0].model_snapshot
+    for r in trace.records:
+        m = replace(model_from_snapshot(snapshot), delta_hat=r.delta_hat)
+        assert_attributed(m, CausalTuple(r.state, r.action, TimeIndex(r.tick), Perturbation(r.delta_hat)))
+        if r.model_snapshot is not None:
+            snapshot = r.model_snapshot
+
+
+def test_a_four_dimensional_graph_attributes_each_state_edge_to_its_source():
+    edges = (
+        CausalEdge(VarRef.state(0), 1, delay=1, coefficient=0.3, form=Form.TANH),
+        CausalEdge(VarRef.state(1), 2, delay=2, coefficient=-0.4),
+        CausalEdge(VarRef.state(3), 0, delay=1, coefficient=0.2, form=Form.QUADRATIC),
+        CausalEdge(VarRef.state(2), 2, delay=3, coefficient=0.1, form=Form.TANH),
+        CausalEdge(VarRef.action(1), 3, delay=2, coefficient=1.5),
+        CausalEdge(VarRef.action(0), 1, delay=1, coefficient=-0.7),
+    )
+    m = CausalModel(graph=CausalGraph(d_state=4, d_action=2, edges=edges), delta_hat=0.4)
+    rng = np.random.default_rng(44)
+    for tick in range(40):
+        assert_attributed(m, tup(rng.uniform(-3.0, 3.0, size=4), rng.uniform(-1.0, 1.0, size=2), tick=tick))
 
 
 def test_transition_without_edges_reports_persistence():
@@ -160,11 +226,24 @@ def test_counterfactual_no_difference():
     m = one_edge_model(coef=1.0, delay=1, delta_hat=0.25)
     e = explain_counterfactual(m, tup((0.0,), (4.0,)), Perturbation(0.25))
     assert e.text == (
-        "Had perturbation δ=0.25 not occurred, the model predicts no difference: "
+        "Had the perturbation been δ'=0.25 instead of δ=0.25, the model predicts no difference: "
         f"state [{fmt(4.0 * math.exp(-0.25))}] either way."
     )
     assert "either way." in e.text
     assert is_grounded(e)
+
+
+def test_counterfactual_names_the_delta_it_was_asked_for():
+    m = one_edge_model(coef=1.0, delay=1, delta_hat=math.log(2.0))
+    e = explain_counterfactual(m, tup((0.0,), (4.0,)), -math.log(2.0))
+    assert e.text == (
+        "Had the perturbation been δ'=-0.693147 instead of δ=0.693147, the model predicts "
+        "the system would have transitioned to state [8] instead of [2]."
+    )
+    assert is_grounded(e)
+    assert explain_counterfactual(m, tup((0.0,), (4.0,)), -0.0).text.startswith(
+        "Had perturbation δ=0.693147 not occurred,"
+    )
 
 
 def test_counterfactual_uses_farthest_horizon():

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import types
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -27,12 +28,14 @@ from causalloop.core import (
     loss,
 )
 from causalloop.model import CausalModel, append_history, fit, predict_next
+from causalloop.explain import _HYPOTHESIS_PHRASES, explain_reflection, is_grounded
 from causalloop.reflect import (
     CoefChange,
     DelayChange,
     DeltaShift,
     EdgeAdd,
     EdgeRemove,
+    Hypothesis,
     ReflectSettings,
     StructuralBreak,
     anomalous_suffix,
@@ -571,3 +574,31 @@ def test_ctx_is_the_last_entry_or_the_tick_after_it():
 )
 def test_hypothesis_from_dict_reads_what_to_dict_writes(h):
     assert hypothesis_from_dict(json.loads(json.dumps(hypothesis_to_dict(h)))) == h
+
+
+def test_every_edit_class_states_its_kind_rank_phrase_and_record():
+    """Each member of the Hypothesis union has a distinct record kind, a
+    phrase in explain, a round trip through the writer and the reader, and
+    a tie rank in the acceptance order on score ties."""
+    samples = {
+        DeltaShift: DeltaShift(-0.25),
+        CoefChange: CoefChange(3, 1.5),
+        DelayChange: DelayChange(1, 4),
+        EdgeRemove: EdgeRemove(0),
+        EdgeAdd: EdgeAdd(VarRef.action(1), 2, 3, Form.QUADRATIC, -0.5),
+        StructuralBreak: StructuralBreak(keep=6),
+    }
+    members = get_args(Hypothesis)
+    assert set(samples) == set(members) == set(_HYPOTHESIS_PHRASES)
+    assert len({cls.kind for cls in members}) == len(members)
+    for cls, h in samples.items():
+        d = json.loads(json.dumps(hypothesis_to_dict(h)))
+        assert d["kind"] == cls.kind
+        assert hypothesis_from_dict(d) == h
+        report = {"triggered": True, "epsilon": 1.0, "tau": 0.5, "candidates": [], "accepted": [d]}
+        e = explain_reflection(7, report)
+        assert e.text.endswith(f" Accepted: {_HYPOTHESIS_PHRASES[cls](h)}.")
+        assert is_grounded(e)
+    ranked = sorted(members, key=lambda cls: cls.rank)
+    assert ranked == [CoefChange, DeltaShift, DelayChange, EdgeRemove, EdgeAdd, StructuralBreak]
+    assert [cls.rank for cls in ranked] == list(range(len(members)))

@@ -19,9 +19,12 @@ seed it prints both sides' ticks/s (all ticks over the sum of the best
 times), their ratio (change over parent) and how many episodes got
 faster; then, for each episode group (the label before its last dot:
 ``break_demo``, ``width16h`` ...), the ratio of its summed best times,
-the median of its episodes' ratios (parent time over change time) and how
-many of them got faster.  ``--groups`` times only the episodes of the
-named groups.  Running both sides in one process, each episode's two
+the median of its episodes' ratios (parent time over change time), how
+many of them got faster, and the quartiles of its paired round ratios:
+each round's parent time over change time of each of its episodes.  A
+group whose quartiles straddle 1.000 has not moved beyond the round to
+round noise, whatever its ratio reads.  ``--groups`` times only the
+episodes of the named groups.  Running both sides in one process, each episode's two
 runs side by side, cancels most of a machine's drift in speed, which
 separate benchmark runs pay for in spread; alternating whole rounds
 instead leaves a drift within a round on one side.
@@ -89,13 +92,18 @@ def _group(label: str) -> str:
     return label.rsplit(".", 1)[0]
 
 
+def _quartiles(xs: list[float]) -> list[float]:
+    """The lower quartile, the median and the upper quartile of ``xs``."""
+    return statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+
+
 def compare_seed(
     parent: Side, change: Side, workload: str, seed: int, rounds: int, groups: list[str] | None = None
 ) -> str:
     """One seed's report: ticks/s per side, their ratio, the episodes that
-    got faster, and per episode group its ratio, its median episode ratio
-    and its episodes that got faster.  ``groups``, when given, names the
-    only groups timed."""
+    got faster, and per episode group its ratio, its median episode ratio,
+    its episodes that got faster and its round ratio quartiles.
+    ``groups``, when given, names the only groups timed."""
     inputs = [parent.bench.make_inputs(workload, seed), change.bench.make_inputs(workload, seed)]
     if [ep.label for ep in inputs[0]] != [ep.label for ep in inputs[1]]:
         raise SystemExit(f"seed {seed}: the two checkouts make different {workload} inputs")
@@ -106,11 +114,15 @@ def compare_seed(
     labels = [ep.label for ep in inputs[0]]
     ticks = [ep.length for ep in inputs[0]]
     best = [[float("inf")] * len(labels) for _ in range(2)]
+    paired: list[list[float]] = [[] for _ in labels]  # each round's parent time over change time
     sides = [parent, change]
     for r in range(rounds):
         for i in range(len(labels)):
+            took = [0.0, 0.0]
             for k in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
-                best[k][i] = min(best[k][i], sides[k].time_episode(inputs[k][i]))
+                took[k] = sides[k].time_episode(inputs[k][i])
+                best[k][i] = min(best[k][i], took[k])
+            paired[i].append(took[0] / took[1])
 
     members: dict[str, list[int]] = defaultdict(list)
     for i, label in enumerate(labels):
@@ -125,7 +137,11 @@ def compare_seed(
         ratio = sum(best[0][i] for i in idx) / sum(best[1][i] for i in idx)
         median = statistics.median(best[0][i] / best[1][i] for i in idx)
         won = sum(faster[i] for i in idx)
-        lines.append(f"  {group}: {ratio:.3f}, median episode {median:.3f}, {won} of {len(idx)} faster")
+        rounds_q = "/".join(f"{q:.3f}" for q in _quartiles([x for i in idx for x in paired[i]]))
+        lines.append(
+            f"  {group}: {ratio:.3f}, median episode {median:.3f}, {won} of {len(idx)} faster, "
+            f"round ratio quartiles {rounds_q}"
+        )
     return "\n".join(lines)
 
 
