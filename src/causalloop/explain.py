@@ -28,10 +28,11 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import CausalTuple, ConfigError, InputError, Perturbation
-from .model import CausalModel, counterfactual, predict
+from .model import CausalModel, _farthest
 from .reflect import CoefChange, DelayChange, DeltaShift, EdgeAdd, EdgeRemove, StructuralBreak, hypothesis_to_dict
 from .scenario import canonical_json
 from .trace import TraceRecord, record_to_dict, reflect_block_from_dict
+from .world import SourceKind
 
 ENV_LLM_URL = "EXPLAIN_LLM_URL"
 ENV_LLM_KEY = "EXPLAIN_LLM_KEY"
@@ -119,21 +120,19 @@ def is_grounded(expl: Explanation) -> bool:
 def explain_transition(m: CausalModel, t: CausalTuple) -> Explanation:
     """One sentence per modeled contribution of this action/state point,
     naming the edge's source variable."""
-    pred = predict(m, t)
+    effects, _, _ = _farthest(m, t, m.delta_hat)
     scale = math.exp(-m.delta_hat)
     tick = t.time.tick
     scaled = f"scaled by perturbation factor e^-{fmt(m.delta_hat)} = {fmt(scale)}."
     sentences = []
     contribs = []
-    for c in pred.contributions:
-        kind, index = c.source.kind.value, c.source.index
+    for delay, target, _, reads_action, index, value in effects:
+        kind = (SourceKind.ACTION if reads_action else SourceKind.STATE).value
         sentences.append(
             f"At tick {tick}, {kind}[{index}] is predicted to change state dimension "
-            f"{c.target} by {fmt(c.value)} after a delay of {c.horizon} ticks, {scaled}"
+            f"{target} by {fmt(value)} after a delay of {delay} ticks, {scaled}"
         )
-        contribs.append(
-            {"source": kind, "source_index": index, "target": c.target, "delay": c.horizon, "effect": c.value}
-        )
+        contribs.append({"source": kind, "source_index": index, "target": target, "delay": delay, "effect": value})
     if not sentences:
         sentences.append(
             f"At tick {tick}, action {fmt_vec(t.action)} has no modeled causal effect; "
@@ -160,11 +159,8 @@ def explain_counterfactual(
     having occurred; any other names both deltas.
     """
     d_prime = delta_prime.delta if isinstance(delta_prime, Perturbation) else float(delta_prime)
-    factual = predict(m, t)
-    contrary = counterfactual(m, t, d_prime)
-    horizon = max(factual.horizon_states)
-    s_factual = factual.horizon_states[horizon]
-    s_contrary = contrary.horizon_states[horizon]
+    _, horizon, s_factual = _farthest(m, t, m.delta_hat)
+    _, _, s_contrary = _farthest(m, t, d_prime)
     if d_prime == 0.0:
         had = f"Had perturbation δ={fmt(m.delta_hat)} not occurred"
     else:

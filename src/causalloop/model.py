@@ -46,8 +46,9 @@ at buffer place ``q - tick0``.
 
 The scheduled fit and its holdout gate are one pass over one design.  The
 fit builds one kernel over its window and resolves each edge's column
-place once (the kernel's ``layout`` of the graph); each target's design is
-one gather of the fitted columns, solved by its own ``lstsq``.  A fit
+place once (the kernel's ``layout`` of the graph); every target's design
+is one gather of the fitted columns, and the targets whose designs share
+a shape are solved in one stacked ``lstsq`` call (:func:`_solve`).  A fit
 changes neither structure nor delta_hat, so the gate predicts the current
 and the fitted model at those same places, each with its own
 coefficients, at one scale, in one ``sums`` over the kernel's last rows,
@@ -86,11 +87,13 @@ A row's squared errors summed and divided by d_state is
 same double.
 
 Coefficient fitting is plain per-dimension ordinary least squares on
-lagged features (numpy.linalg.lstsq), one path and one rule (a target the
-window cannot fit keeps its coefficients) for the scheduled fit and a
-structural break's refit.  The scheduled fit deliberately treats delta_hat
-as zero, so coefficients own persistent scale and delta_hat only ever
-carries transient residual scaling.
+lagged features, one path and one rule (a target the window cannot fit
+keeps its coefficients) for the scheduled fit and a structural break's
+refit.  Each target gets the bits ``numpy.linalg.lstsq`` gives it alone:
+the stacked gufunc that function wraps solves each design of a stack with
+the same LAPACK call and ``rcond``.  The scheduled fit deliberately
+treats delta_hat as zero, so coefficients own persistent scale and
+delta_hat only ever carries transient residual scaling.
 """
 
 from __future__ import annotations
@@ -103,6 +106,8 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import lstsq as _lstsq
 
 from .core import (
     CausalLoopError,
@@ -125,6 +130,28 @@ from .world import CausalGraph, EdgePlan, Form, SourceKind, VarRef
 
 
 _NO_ROWS = np.zeros(0)
+_coefficient = operator.itemgetter(4)  # an edge plan's coefficient
+_EPS = float(np.finfo(float).eps)
+
+
+def _svd_failed(err: str, flag: int) -> None:
+    """The refusal ``np.linalg.lstsq`` raises when its SVD does not converge."""
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _solve(stacks: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each stack of designs of one shape and their observations
+    ((designs x rows x edges), (designs x rows)), each design's
+    least-squares solution and rank ((designs x edges), (designs,)), as
+    ``np.linalg.lstsq`` gives them one design at a time: one call of the
+    gufunc it wraps per stack, LAPACK's ``gelsd`` with the same ``rcond``,
+    ``eps * max(rows, edges)``, under the same error state, so a design
+    that is not finite raises the same :class:`LinAlgError`."""
+    if not stacks:
+        return []
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        solved = [_lstsq(x, y[:, :, None], _EPS * max(x.shape[1:]), signature="ddd->ddid") for x, y in stacks]
+    return [(coef[:, :, 0], ranks) for coef, _, ranks, _ in solved]
 
 
 class _Buffer:
@@ -346,6 +373,39 @@ def _source(reads_action: bool, index: int) -> VarRef:
     return VarRef(SourceKind.ACTION if reads_action else SourceKind.STATE, index)
 
 
+# An edge's effect at a point: (horizon, target, edge index, reads_action,
+# source index, value), as :func:`_effects` lists them.
+_Effect = tuple[int, int, int, bool, int, float]
+
+
+def _effects(m: CausalModel, t: CausalTuple, delta: float | Perturbation) -> list[_Effect]:
+    """Each edge's effect at ``t`` under ``delta``, in the order of
+    :func:`counterfactual`'s contributions: by horizon, target and edge
+    index.  Refuses as it does (:class:`DimensionError`, and
+    :func:`scale_factor`'s :class:`DomainError`)."""
+    if len(t.state) != m.graph.d_state or len(t.action) != m.graph.d_action:
+        raise DimensionError("tuple dimensions do not match the model graph")
+    scale = scale_factor(delta)
+    effects = []
+    for i, (reads_action, index, delay, target, coefficient, form) in enumerate(m.graph.plan):
+        v = (t.action if reads_action else t.state)[index]
+        effects.append((delay, target, i, reads_action, index, coefficient * form.apply(v) * scale))
+    effects.sort()  # the edge index, unique, settles every tie
+    return effects
+
+
+def _landed(t: CausalTuple, effects: list[_Effect], horizon: int) -> StateVec:
+    """``t``'s state plus every effect landing at or before ``horizon``,
+    added in order; :class:`DomainError` names the first value that is not
+    finite."""
+    values = list(t.state.values)
+    for delay, target, _, _, _, value in effects:
+        if delay > horizon:
+            break
+        values[target] += value
+    return StateVec.checked(check_finite(tuple(values), "state"))
+
+
 def counterfactual(m: CausalModel, t: CausalTuple, delta_prime: float | Perturbation) -> Prediction:
     """Model output at ``t`` under an alternative perturbation estimate.
 
@@ -354,24 +414,28 @@ def counterfactual(m: CausalModel, t: CausalTuple, delta_prime: float | Perturba
     delta that is not finite or lies beyond ``DELTA_MAX`` raises
     :class:`DomainError` (:func:`scale_factor`).
     """
-    if len(t.state) != m.graph.d_state or len(t.action) != m.graph.d_action:
-        raise DimensionError("tuple dimensions do not match the model graph")
-    scale = scale_factor(delta_prime)
-    contribs: list[Contribution] = []
-    for i, (reads_action, index, delay, target, coefficient, form) in enumerate(m.graph.plan):
-        v = (t.action if reads_action else t.state)[index]
-        effect = coefficient * form.apply(v) * scale
-        contribs.append(Contribution(i, delay, _source(reads_action, index), target, effect))
-    contribs.sort(key=operator.attrgetter("horizon", "target", "edge_index"))
-    horizons = sorted({1} | {c.horizon for c in contribs})
-    horizon_states: dict[int, StateVec] = {}
-    for k in horizons:
-        values = list(t.state.values)
-        for c in contribs:
-            if c.horizon <= k:
-                values[c.target] += c.value
-        horizon_states[k] = StateVec.checked(check_finite(tuple(values), "state"))
-    return Prediction(tuple=t, horizon_states=horizon_states, contributions=tuple(contribs))
+    effects = _effects(m, t, delta_prime)
+    horizon_states = {k: _landed(t, effects, k) for k in sorted({1} | {e[0] for e in effects})}
+    contributions = tuple(Contribution(i, k, _source(a, index), target, v) for k, target, i, a, index, v in effects)
+    return Prediction(tuple=t, horizon_states=horizon_states, contributions=contributions)
+
+
+def _farthest(m: CausalModel, t: CausalTuple, delta: float | Perturbation) -> tuple[list[_Effect], int, StateVec]:
+    """:func:`counterfactual`'s effects, its farthest horizon and its state
+    there, with no other horizon's state formed, and its refusals.
+
+    A horizon's sum for a target adds a prefix of the farthest one's terms,
+    in the same order, and a sum that is not finite stays so; so the
+    farthest state is finite exactly when every horizon's is.  When it is
+    not, :func:`counterfactual` raises the refusal of the first horizon.
+    """
+    effects = _effects(m, t, delta)
+    horizon = max(1, effects[-1][0]) if effects else 1
+    try:
+        return effects, horizon, _landed(t, effects, horizon)
+    except DomainError:
+        counterfactual(m, t, delta)
+        raise
 
 
 def predict(m: CausalModel, t: CausalTuple) -> Prediction:
@@ -452,20 +516,26 @@ class _Layout:
         self.members = members
         self._padded: tuple[np.ndarray, np.ndarray] | None = None
 
-    def packed(self, plans: Sequence[tuple[EdgePlan, ...]]) -> _Packed:
-        """Every target dimension of each plan of this structure, one plan
-        after another, packed for :meth:`_LagFeatures.sums`.  The places
-        and edge indices, target by target and padded (with edge index
-        ``len(plan)``), are built on first use; each plan's coefficients,
-        0.0 appended, are taken at those indices."""
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each target dimension's column places and edge indices in graph
+        order (dimensions x widest target), padded with place 0, the
+        all-zero column, and edge index ``len(places)``; built on first
+        use."""
         if self._padded is None:
             members, pad = self.members, len(self.places)
             width = max(map(len, members))
             index = np.array([idx + [pad] * (width - len(idx)) for idx in members], dtype=int)
             index = index.reshape(len(members), width)
             self._padded = np.array(self.places + [0], dtype=int)[index], index
-        place, index = self._padded
-        coefficients = np.array([[edge[4] for edge in plan] + [0.0] for plan in plans])
+        return self._padded
+
+    def packed(self, plans: Sequence[tuple[EdgePlan, ...]]) -> _Packed:
+        """Every target dimension of each plan of this structure, one plan
+        after another, packed for :meth:`_LagFeatures.sums`: the
+        :meth:`padded` places, and each plan's coefficients, 0.0 appended,
+        taken at the padded edge indices."""
+        place, index = self.padded()
+        coefficients = np.array([(*map(_coefficient, plan), 0.0) for plan in plans])
         coef = coefficients[:, index].reshape(len(plans) * len(index), index.shape[1])
         return list(range(len(index))) * len(plans), np.concatenate([place] * len(plans)), coef
 
@@ -584,18 +654,31 @@ class _LagFeatures:
         places = layout.places
         return [(k, [places[i] for i in idx], [plan[i][4] for i in idx]) for k, idx in enumerate(layout.members)]
 
-    def design(
-        self, graph: CausalGraph, scale: float = 1.0
-    ) -> tuple[np.ndarray, list[np.ndarray | None], np.ndarray]:
-        """Least-squares inputs for the edges of ``graph``, at the places of
-        its :meth:`layout`: their feature columns times ``scale`` (edges x
-        rows), each column's gap mask (None where it has no gap), and every
-        dimension's observed change (dimensions x rows)."""
-        places = self.layout(graph).places
-        x = self.columns[places]
+    def design(self, place: np.ndarray, scale: float) -> np.ndarray:
+        """Least-squares inputs for each target dimension of ``place``, a
+        graph's :meth:`_Layout.padded` places, as one (dimensions x (widest
+        + 1) x rows) array: slot w of dimension k is the column of its w-th
+        edge times ``scale`` (the all-zero column 0 past its last edge), and
+        the last slot is its observed change."""
+        width = place.shape[1]
+        z = np.empty((len(place), width + 1, self._n))
+        z[:, :width] = self.columns[place]
         if scale != 1.0:
-            x = x * scale
-        return x, [self.gaps.get(p) for p in places], self._observed - self._states
+            z[:, :width] *= scale
+        np.subtract(self._observed, self._states, out=z[:, width])
+        return z
+
+    def dead(self, place: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray | None:
+        """For each group of column places (a row of ``place``), the mask of
+        the rows ``[lo, hi)`` where a column it reads has a gap (groups x
+        rows); None when none has."""
+        if not self.gaps or self.gaps.keys().isdisjoint(place.ravel().tolist()):
+            return None
+        hi = self._n if hi is None else hi
+        masks = np.zeros((len(self.columns), hi - lo), dtype=bool)
+        for p, gap in self.gaps.items():
+            masks[p] = gap[lo:hi]
+        return masks[place].any(axis=1)
 
     def sums(
         self, packed: _Packed, scale: float | np.ndarray, lo: int = 0, hi: int | None = None
@@ -620,12 +703,7 @@ class _LagFeatures:
                 terms = terms * scale
             states = self._states[targets, lo:hi] if self._n else np.zeros((len(targets), 0))
             pred = states + _add_up(terms)
-        if self.gaps and not self.gaps.keys().isdisjoint(place.ravel().tolist()):
-            masks = np.zeros((len(self.columns), hi - lo), dtype=bool)
-            for p, gap in self.gaps.items():
-                masks[p] = gap[lo:hi]
-            return pred, masks[place].any(axis=1)
-        return pred, None
+        return pred, self.dead(place, lo, hi)
 
     def mses(
         self, packed: _Packed, scale: float | np.ndarray, lo: int = 0, hi: int | None = None
@@ -762,46 +840,74 @@ def _least_squares(m: CausalModel, lags: _LagFeatures, scale: float) -> tuple[Ca
     of ``lags``, a kernel over ``m``'s history, with features times
     ``scale``; and the refusal of each target it could not fit, in order.
 
-    Each edge's column is placed once (:meth:`_LagFeatures.layout`), and
-    each target's design is one gather of those columns, solved by its own
-    ``lstsq``.  One rule: a target with too few usable rows, a constant
-    feature column or a rank-deficient design keeps its coefficients.
+    Each edge's column is placed once (:meth:`_LagFeatures.layout`).  Every
+    target is prepared first, in array operations over all of them: the
+    gap masks give each its usable rows and, once any target has enough,
+    one :meth:`_LagFeatures.design` gathers each target's columns and
+    observed change, and one max and one min give every column's span over
+    its usable rows.  Then the targets are grouped by design shape (usable
+    rows x edges), and each group is one :func:`_solve`, which gives each
+    target the bits of its own ``np.linalg.lstsq``.  One rule: a target
+    with too few usable rows, a constant feature column or a rank-deficient
+    design keeps its coefficients.  Refusals come in target order.
     :func:`fit` passes scale 1.0, a structural break's refit the model's
     ``exp(-delta_hat)``.
     """
     graph = m.graph
     plan = graph.plan
-    if not plan or not lags._n:
+    n = lags._n
+    if not plan or not n:
         return m, []
-    x_all, gaps, y_all = lags.design(graph, scale)
-    # Each column's span over every row, for the targets none of whose
-    # columns has a gap.
-    spans_all = (x_all.max(axis=1) - x_all.min(axis=1)).tolist()
-    new_coefs = [coefficient for _, _, _, _, coefficient, _ in plan]
-    refusals: list[CausalLoopError] = []
-    for j, members in enumerate(lags.layout(graph).members):
+    layout = lags.layout(graph)
+    place, _ = layout.padded()
+    dead = lags.dead(place)
+    if dead is None:
+        live = [n] * len(place)
+    else:
+        keep = ~dead
+        live = keep.sum(axis=1).tolist()
+    refused: dict[int, CausalLoopError] = {}
+    enough = []  # the targets with edges and enough usable rows for them
+    for j, members in enumerate(layout.members):
         if not members:
             continue
-        x, y = x_all[members].T, y_all[j]
-        masks = [gaps[i] for i in members if gaps[i] is not None]
-        if masks:
-            keep = ~functools.reduce(operator.or_, masks)
-            x, y = x[keep], y[keep]
-        if len(x) < max(2, len(members)):
-            refusals.append(NotEnoughDataError(f"fit for dim {j}: only {len(x)} usable rows for {len(members)} edges"))
-            continue
-        spans = [spans_all[i] for i in members] if not masks else (x.max(axis=0) - x.min(axis=0)).tolist()
-        if 0.0 in spans:
-            flat = spans.index(0.0)
-            refusals.append(DegenerateDataError(f"fit for dim {j}: feature column {flat} is constant over the window"))
-            continue
-        coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-        if rank < x.shape[1]:
-            refusals.append(DegenerateDataError(f"fit for dim {j}: design matrix rank {rank} < {x.shape[1]}"))
-            continue
-        for i, c in zip(members, coef.tolist()):
-            new_coefs[i] = c
+        if live[j] < max(2, len(members)):
+            refused[j] = NotEnoughDataError(f"fit for dim {j}: only {live[j]} usable rows for {len(members)} edges")
+        else:
+            enough.append(j)
+    shapes: dict[tuple[int, int], list[int]] = {}  # (rows, edges) -> the targets of that design shape
+    if enough:
+        z = lags.design(place, scale)
+        x = z[:, :-1]
+        if dead is None:
+            spans = (x.max(axis=2) - x.min(axis=2)).tolist()
+        else:  # over the usable rows only
+            k = keep[:, None]
+            spans = (x.max(axis=2, where=k, initial=-math.inf) - x.min(axis=2, where=k, initial=math.inf)).tolist()
+        for j in enough:
+            width = len(layout.members[j])
+            if 0.0 in spans[j][:width]:
+                flat = spans[j].index(0.0)
+                refused[j] = DegenerateDataError(f"fit for dim {j}: feature column {flat} is constant over the window")
+            else:
+                shapes.setdefault((live[j], width), []).append(j)
+    stacks = []
+    for (usable, width), targets in shapes.items():
+        zs = (z if len(targets) == len(z) else z[targets]).transpose(0, 2, 1)  # (targets x rows x slots)
+        if usable < n:
+            zs = zs[keep[targets]].reshape(len(targets), usable, -1)
+        stacks.append((zs[:, :, :width], zs[:, :, -1]))
+    new_coefs = list(map(_coefficient, plan))
+    for targets, (coef, ranks) in zip(shapes.values(), _solve(stacks)):
+        width = coef.shape[1]
+        for j, c, rank in zip(targets, coef.tolist(), ranks.tolist()):
+            if rank < width:
+                refused[j] = DegenerateDataError(f"fit for dim {j}: design matrix rank {rank} < {width}")
+                continue
+            for i, v in zip(layout.members[j], c):
+                new_coefs[i] = v
 
+    refusals = [refused[j] for j in sorted(refused)]
     return CausalModel(
         graph.with_coefficients(new_coefs), m.delta_hat, m.history, m.fit_window, m.sigma_lik, m.capacity,
         m.delta_max,

@@ -17,7 +17,16 @@ import numpy as np
 import pytest
 
 from causalloop.agent import RandomPolicy, run_episode
-from causalloop.core import ActionVec, CausalTuple, ConfigError, InputError, Perturbation, StateVec, TimeIndex
+from causalloop.core import (
+    ActionVec,
+    CausalTuple,
+    ConfigError,
+    DomainError,
+    InputError,
+    Perturbation,
+    StateVec,
+    TimeIndex,
+)
 from causalloop.explain import (
     INSTRUCTION,
     SYSTEM_PREAMBLE,
@@ -35,7 +44,7 @@ from causalloop.explain import (
     narrate_via_llm,
     render_prompt,
 )
-from causalloop.model import CausalModel, model_from_snapshot
+from causalloop.model import CausalModel, counterfactual, model_from_snapshot, predict
 from causalloop.reflect import (
     CoefChange,
     DelayChange,
@@ -260,6 +269,40 @@ def test_counterfactual_uses_farthest_horizon():
     assert e.grounding["horizon"] == 3
     # at horizon 3 both edges have landed: 11 raw vs 5.5 damped
     assert "state [11] instead of [5.5]" in e.text
+
+
+def refusal(fn):
+    with pytest.raises(DomainError) as info:
+        fn()
+    return str(info.value)
+
+
+def test_a_state_that_is_not_finite_is_refused_as_predict_refuses_it():
+    """Explain forms only the farthest horizon's state, yet refuses as
+    predict and counterfactual do: with the first non-finite value of the
+    first horizon that has one, here inf at horizon 1, where the farthest
+    state, inf + -inf, holds nan."""
+    g = CausalGraph(
+        d_state=1,
+        d_action=1,
+        edges=(
+            CausalEdge(VarRef.action(0), 0, delay=1, coefficient=1e300),
+            CausalEdge(VarRef.action(0), 0, delay=2, coefficient=-1e300),
+        ),
+    )
+    m = CausalModel(graph=g)
+    t = tup((0.0,), (1e10,))
+    assert refusal(lambda: predict(m, t)) == "state contains non-finite value inf"
+    assert refusal(lambda: explain_transition(m, t)) == "state contains non-finite value inf"
+    assert refusal(lambda: explain_counterfactual(m, t, 0.0)) == "state contains non-finite value inf"
+    # Only the counterfactual's state leaves the float range: 1e308 * e.
+    m = one_edge_model(coef=1e300)
+    t = tup((0.0,), (1e8,))
+    assert predict(m, t).horizon_states[1].values == (1e308,)
+    assert explain_transition(m, t).grounding["contributions"][0]["effect"] == 1e308
+    want = refusal(lambda: counterfactual(m, t, -1.0))
+    assert want == "state contains non-finite value inf"
+    assert refusal(lambda: explain_counterfactual(m, t, -1.0)) == want
 
 
 # ---- reflection template --------------------------------------------------

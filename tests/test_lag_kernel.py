@@ -967,12 +967,20 @@ def assert_kernel_matches_reference(m, ref, rng):
             expected = reference_column(ref, rows, source, delay, form)
             p = lags.place(source.kind is SourceKind.ACTION, source.index, delay, form)
             assert hexes(masked(lags.columns[p], lags.gaps.get(p))) == hexes(expected)
-        x, gaps, y = lags.design(g, scale)
-        for e, col, gap in zip(g.edges, x, gaps):
-            expected = reference_column(ref, rows, e.source, e.delay, e.form)
-            assert hexes(masked(col, gap)) == hexes([None if v is None else v * scale for v in expected])
-        for k in range(g.d_state if rows else 0):  # no rows, no dimensions to read
-            assert hexes(y[k]) == hexes([tr.observed[k] - tr.tuple.state[k] for tr in rows])
+        layout = lags.layout(g)
+        place, _ = layout.padded()
+        z, dead = (lags.design(place, scale), lags.dead(place)) if rows else (None, None)  # no rows, no dimensions
+        for k, members in enumerate(layout.members if rows else ()):
+            edges = [g.edges[i] for i in members]
+            expected = [reference_column(ref, rows, e.source, e.delay, e.form) for e in edges]
+            for w, column in enumerate(expected):
+                got = masked(z[k, w], lags.gaps.get(int(place[k, w])))
+                assert hexes(got) == hexes([None if v is None else v * scale for v in column])
+            padding = z[k, len(members) : -1].ravel().tolist()  # slots past the last edge read column 0
+            assert hexes(padding) == [(0.0).hex()] * len(padding)
+            unread = [any(column[r] is None for column in expected) for r in range(len(rows))]
+            assert (dead[k].tolist() if dead is not None else [False] * len(rows)) == unread
+            assert hexes(z[k, -1]) == hexes([tr.observed[k] - tr.tuple.state[k] for tr in rows])
         got = rollout(g, m.delta_hat, m.history, rows)
         assert bits(got) == bits(reference_rollout(g, m.delta_hat, ref, rows))
         assert hexes(lags.columns[0].tolist()) == [(0.0).hex()] * len(rows)

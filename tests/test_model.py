@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalloop.core import (
     ActionVec,
@@ -27,6 +29,9 @@ from causalloop.core import (
 )
 from causalloop.model import (
     CausalModel,
+    _LagFeatures,
+    _least_squares,
+    _solve,
     append_history,
     counterfactual,
     estimate_delta,
@@ -363,6 +368,177 @@ def test_fit_without_edges_is_identity():
     g = CausalGraph(d_state=1, d_action=0, edges=())
     m = CausalModel(graph=g)
     assert fit(m) is m
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_stacked_solve_returns_each_designs_own_lstsq_bits_and_rank(seed):
+    """One gufunc call over a stack of designs of one shape returns, for
+    each, the coefficients and rank ``np.linalg.lstsq`` returns for it
+    alone: 1-3 columns, 3-80 rows, column scales 1e-3 to 1e3, some stacks
+    rank-deficient or with a constant column."""
+    rng = np.random.default_rng(seed)
+    k, rows, cols = int(rng.integers(1, 7)), int(rng.integers(3, 81)), int(rng.integers(1, 4))
+    x = rng.uniform(-1.0, 1.0, size=(k, rows, cols)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1, cols))
+    kind = int(rng.integers(0, 3))
+    if kind == 1 and cols > 1:
+        x[:, :, -1] = 2.0 * x[:, :, 0]
+    elif kind == 2:
+        x[:, :, int(rng.integers(cols))] = 0.5
+    y = rng.uniform(-1.0, 1.0, size=(k, rows)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    # As the fit passes them: strided views of one (designs x rows x slots) array.
+    z = np.concatenate((x, y[:, :, None]), axis=2)
+    ((coef, ranks),) = _solve([(z[:, :, :cols], z[:, :, -1])])
+    for i in range(k):
+        want, _, rank, _ = np.linalg.lstsq(x[i], y[i], rcond=None)
+        assert hexes(coef[i]) == hexes(want)
+        assert int(ranks[i]) == int(rank)
+    if kind == 1 and cols > 1:
+        assert (ranks < cols).all()
+
+
+def reference_least_squares(m, lags, scale):
+    """Every target solved alone by ``np.linalg.lstsq``, its columns read one
+    edge at a time from the kernel's store and times ``scale``, less each
+    row where one of them has a gap: the coefficients, and each refusal as
+    (class, message) in target order.  A target with fewer than
+    ``max(2, edges)`` rows, a constant column or a rank below its edges
+    keeps its coefficients."""
+    plan = m.graph.plan
+    coefs = [edge[4] for edge in plan]
+    refusals = []
+    n = len(lags.rows)
+    for j in range(m.graph.d_state if n else 0):
+        members = [i for i, edge in enumerate(plan) if edge[3] == j]
+        if not members:
+            continue
+        places = [lags.place(plan[i][0], plan[i][1], plan[i][2], plan[i][5]) for i in members]
+        x = np.array([lags.columns[p] * scale if scale != 1.0 else lags.columns[p] for p in places]).T
+        y = np.array([tr.observed[j] - tr.tuple.state[j] for tr in lags.rows])
+        keep = ~np.array([lags.gaps.get(p, np.zeros(n, dtype=bool)) for p in places]).any(axis=0)
+        x, y = x[keep], y[keep]
+        if len(x) < max(2, len(members)):
+            message = f"fit for dim {j}: only {len(x)} usable rows for {len(members)} edges"
+            refusals.append((NotEnoughDataError, message))
+            continue
+        flat = (x.max(axis=0) - x.min(axis=0)) == 0.0
+        if flat.any():
+            message = f"fit for dim {j}: feature column {int(np.argmax(flat))} is constant over the window"
+            refusals.append((DegenerateDataError, message))
+            continue
+        coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+        if rank < len(members):
+            refusals.append((DegenerateDataError, f"fit for dim {j}: design matrix rank {rank} < {len(members)}"))
+            continue
+        for i, c in zip(members, coef.tolist()):
+            coefs[i] = c
+    return coefs, refusals
+
+
+def refused(refusals):
+    return [(type(e), str(e)) for e in refusals]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_least_squares_keeps_each_targets_own_lstsq_bits(seed):
+    """The fit's stacked solves against every target solved alone, over
+    gapped windows (a history that starts after tick 0 leaves the first
+    rows' longer lags unrecorded), variable scales 1e-3 to 1e3, an action
+    held constant or twice another (a rank-deficient design where both
+    feed one target at one delay), and feature scales other than 1."""
+    rng = np.random.default_rng(seed)
+    d_state, d_action = int(rng.integers(1, 5)), 3
+    sources = [(index, delay) for index in range(d_action) for delay in (1, 2)] + [(0, 3)]
+    edges = []
+    for target in range(d_state):
+        for k in rng.choice(len(sources), size=int(rng.integers(0, 4)), replace=False):
+            index, delay = sources[int(k)]
+            form = Form(rng.choice(["linear", "linear", "quadratic", "tanh"]))
+            coef = float(rng.uniform(-1.0, 1.0))
+            edges.append(CausalEdge(VarRef.action(index), target, delay=delay, coefficient=coef, form=form))
+    order = rng.permutation(len(edges))
+    graph = CausalGraph(d_state=d_state, d_action=d_action, edges=tuple(edges[int(i)] for i in order))
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=d_action)
+    held = int(rng.integers(0, 3))  # action 1: free, held constant, or twice action 0
+    start, length = int(rng.integers(0, 4)), int(rng.integers(3, 8 if rng.uniform() < 0.3 else 81))
+    window = length if rng.uniform() < 0.6 else int(rng.integers(3, length + 1))
+    m = CausalModel(graph=graph, fit_window=window)
+    for t in range(start, start + length):
+        a = rng.uniform(-1.0, 1.0, size=d_action) * scales
+        if held == 1:
+            a[1] = 0.5 * scales[1]
+        elif held == 2:
+            a[1] = 2.0 * a[0]
+        s = rng.uniform(-1.0, 1.0, size=d_state)
+        m = append_history(m, row(t, s, a, s + rng.uniform(-1.0, 1.0, size=d_state) * 10.0 ** rng.uniform(-3, 3)))
+    scale = 1.0 if rng.uniform() < 0.5 else math.exp(-float(rng.uniform(-1.0, 1.0)))
+    lags = _LagFeatures(m.history, m.history[-m.fit_window :])
+    fitted, refusals = _least_squares(m, lags, scale)
+    coefs, want = reference_least_squares(m, lags, scale)
+    assert hexes(edge[4] for edge in fitted.graph.plan) == hexes(coefs)
+    assert refused(refusals) == want
+
+
+def test_refusals_keep_target_order_and_messages_whatever_the_edge_order():
+    """Five targets, their edges listed out of target order: dims 0 and 4
+    are fitted as each would be alone; dim 1 has a constant second
+    column, dim 2 a collinear design, dim 3 one usable row.  The refusals
+    come in target order with the per-target messages, and each refused
+    target keeps its coefficients bit for bit."""
+    a = VarRef.action
+    edges = (
+        CausalEdge(a(0), 3, delay=10, coefficient=0.9),
+        CausalEdge(a(2), 4, delay=2, coefficient=-0.3),
+        CausalEdge(a(2), 2, delay=1, coefficient=0.4),
+        CausalEdge(a(0), 0, delay=1, coefficient=0.3),
+        CausalEdge(a(0), 1, delay=2, coefficient=-0.2),
+        CausalEdge(a(1), 1, delay=1, coefficient=0.6),
+        CausalEdge(a(0), 2, delay=1, coefficient=0.7),
+        CausalEdge(a(0), 4, delay=1, coefficient=0.1),
+    )
+    m = CausalModel(graph=CausalGraph(5, 3, edges), fit_window=10)
+    rng = np.random.default_rng(5)
+    for t in range(20, 30):  # after tick 0: dim 3's lag of 10 is recorded only for tick 29
+        a0 = float(rng.uniform(-1.0, 1.0))
+        s = rng.uniform(-1.0, 1.0, size=5)
+        m = append_history(m, row(t, s, (a0, 0.5, 2.0 * a0), s + rng.uniform(-1.0, 1.0, size=5)))
+    lags = _LagFeatures(m.history, m.history)
+    fitted, refusals = _least_squares(m, lags, 1.0)
+    assert refused(refusals) == [
+        (DegenerateDataError, "fit for dim 1: feature column 1 is constant over the window"),
+        (DegenerateDataError, "fit for dim 2: design matrix rank 1 < 2"),
+        (NotEnoughDataError, "fit for dim 3: only 1 usable rows for 1 edges"),
+    ]
+    coefs, want = reference_least_squares(m, lags, 1.0)
+    assert refused(refusals) == want
+    got = [edge[4] for edge in fitted.graph.plan]
+    assert hexes(got) == hexes(coefs)
+    assert [got[i] == edges[i].coefficient for i in range(len(edges))] == [
+        True, False, True, False, True, True, True, False,
+    ]
+    assert fit(m, lags).graph.plan == fitted.graph.plan
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_design_that_is_not_finite_still_raises_linalgerror():
+    """A quadratic feature of a finite action can overflow to inf; the
+    stacked solve raises what ``np.linalg.lstsq`` raises for it."""
+    m = single_edge_model(1.0, form=Form.QUADRATIC, fit_window=8)
+    for t, a in enumerate([1.0, 2.0, 1e200, -1.0, 0.5, 3.0, -2.0, 1.5]):
+        m = append_history(m, row(t, (0.0,), (a,), (a,)))
+    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge in Linear Least Squares$"):
+        fit(m)
+    x = np.array([[1.0, 2.0], [np.inf, 1.0], [3.0, 4.0]])
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.lstsq(x, np.ones(3), rcond=None)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        _solve([(x[None], np.ones((1, 3)))])
+    assert str(got.value) == str(want.value)
 
 
 # ---- delta inversion ------------------------------------------------------
