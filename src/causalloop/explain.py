@@ -29,8 +29,17 @@ from typing import Any
 
 from .core import CausalTuple, ConfigError, InputError, Perturbation
 from .model import CausalModel, _farthest
-from .reflect import CoefChange, DelayChange, DeltaShift, EdgeAdd, EdgeRemove, StructuralBreak, hypothesis_to_dict
-from .scenario import canonical_json
+from .reflect import (
+    CoefChange,
+    DelayChange,
+    DeltaShift,
+    EdgeAdd,
+    EdgeRemove,
+    StructuralBreak,
+    hypothesis_from_row,
+    hypothesis_to_dict,
+)
+from .scenario import canonical_json, json_number
 from .trace import TraceRecord, record_to_dict, reflect_block_from_dict
 from .world import SourceKind
 
@@ -248,10 +257,32 @@ class PromptBundle:
         return f"{self.system_preamble}\n\nFACTS:\n{canonical_json(self.facts)}\n\n{self.instruction}"
 
 
+def _labelled(tick: int, report: dict[str, Any]) -> dict[str, Any]:
+    """``report`` with each candidate and accepted row as its edit's
+    labelled object (:func:`causalloop.reflect.hypothesis_to_dict`), a
+    candidate's with its ``score``, so the facts name every entry.  Read
+    by :func:`causalloop.trace.reflect_block_from_dict`, then each
+    candidate by :func:`causalloop.reflect.hypothesis_from_row`; a
+    malformed report raises :class:`InputError` naming the tick."""
+    block = reflect_block_from_dict(tick, report)
+    try:
+        candidates = [
+            {**hypothesis_to_dict(hypothesis_from_row(row[:-1])), "score": json_number(row[-1], name="score")}
+            for row in block.candidates
+        ]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"tick {tick}: malformed reflect block ({type(exc).__name__}: {exc})") from exc
+    return {**report, "candidates": candidates, "accepted": list(map(hypothesis_to_dict, block.accepted))}
+
+
 def render_prompt(record: TraceRecord, report: dict[str, Any] | None = None) -> PromptBundle:
+    """The facts of ``record``, and of ``report`` when given, with every
+    reflect block's rows labelled (:func:`_labelled`)."""
     facts: dict[str, Any] = {"record": record_to_dict(record)}
+    if record.reflect is not None:
+        facts["record"]["reflect"] = _labelled(record.tick, record.reflect)
     if report is not None:
-        facts["report"] = report
+        facts["report"] = _labelled(record.tick, report)
     return PromptBundle(system_preamble=SYSTEM_PREAMBLE, facts=facts, instruction=INSTRUCTION)
 
 

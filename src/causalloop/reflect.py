@@ -8,8 +8,10 @@ a structural break and flush stale history.  Generation stops at the
 budget: nothing past the first ``budget`` distinct candidates, in a
 fixed order, is estimated.  Each edit is one class, which states its kind
 once: ``kind``, the record kind a trace writes it under, and ``rank``, its
-place on score ties; :func:`hypothesis_to_dict` and
-:func:`hypothesis_from_dict` walk its fields in declaration order.
+place on score ties; :func:`hypothesis_to_row` and
+:func:`hypothesis_from_row`, the trace's one codec for edits, walk its
+fields in declaration order, as :func:`hypothesis_to_dict`, the labelled
+view, does.
 
 The budget is shared.  A DeltaShift comes first and a StructuralBreak
 second, one candidate each; then the offending dimensions take turns, round
@@ -173,28 +175,47 @@ class StructuralBreak:
 Hypothesis = DeltaShift | CoefChange | DelayChange | EdgeAdd | EdgeRemove | StructuralBreak
 
 
-def _read_source(v: Any, name: str) -> VarRef:
-    source = json_typed(v, dict, name=name)
-    return VarRef(SourceKind(source["kind"]), json_typed(source["index"], int, name="index"))
+def _read_int(v: Any, name: str) -> int:
+    return json_typed(v, int, name=name)
 
 
-# How a field of each annotated type is written to its JSON value (None:
-# as it is) and read back from it.
+def _read_source(v: list[Any], name: str) -> VarRef:
+    kind, index = v
+    return VarRef(SourceKind(kind), _read_int(index, f"{name} index"))
+
+
+# How a field of each annotated type is written in a row and read back from
+# it: the labels of its entries in the labelled view (None: one entry, under
+# the field's name), its writer of those entries (None: the value as it is)
+# and its reader.
 _CODECS = {
-    float: (None, json_number),
-    int: (None, lambda v, name: json_typed(v, int, name=name)),
-    VarRef: (lambda v: {"kind": v.kind.value, "index": v.index}, _read_source),
-    Form: (lambda v: v.value, lambda v, name: Form(v)),
+    float: (None, None, json_number),
+    int: (None, None, _read_int),
+    VarRef: (("kind", "index"), lambda v: (v.kind.value, v.index), _read_source),
+    Form: (None, lambda v: (v.value,), lambda v, name: Form(v)),
 }
 
-# Each edit class's fields in declaration order, with their codecs.  A
-# dataclass's ``__init__`` sets its fields in that order, so an edit's
-# ``__dict__`` holds them in that order too, as :func:`hypothesis_to_dict`
+
+def _row_fields(cls: type) -> tuple[tuple[str, int | slice, tuple[str, ...] | None, Any, Any], ...]:
+    """Each field of ``cls`` in declaration order: its name, its place in
+    the row (an index, or a slice for a field of several entries) and its
+    codec.  Entry 0 is the kind."""
+    out, at = [], 1
+    for f in fields(cls):
+        labels, write, read = _CODECS[get_type_hints(cls)[f.name]]
+        width = 1 if labels is None else len(labels)
+        out.append((f.name, at if labels is None else slice(at, at + width), labels, write, read))
+        at += width
+    return tuple(out)
+
+
+# Each edit class's fields with their places and codecs.  A dataclass's
+# ``__init__`` sets its fields in declaration order, so an edit's
+# ``__dict__`` holds them in that order too, as :func:`hypothesis_to_row`
 # reads them.
-_FIELDS = {
-    cls: tuple((f.name, *_CODECS[get_type_hints(cls)[f.name]]) for f in fields(cls))
-    for cls in get_args(Hypothesis)
-}
+_FIELDS = {cls: _row_fields(cls) for cls in get_args(Hypothesis)}
+# The length of each edit class's row.
+_WIDTHS = {cls: 1 + sum(1 if f[2] is None else len(f[2]) for f in fs) for cls, fs in _FIELDS.items()}
 
 # The edit class of each record kind, and the kind of each edit class.
 _BY_KIND = {cls.kind: cls for cls in _FIELDS}
@@ -203,7 +224,7 @@ HYPOTHESIS_KINDS: dict[type, str] = {cls: cls.kind for cls in _FIELDS}
 
 # Each edit class's tie key: its rank, then its fields in declaration
 # order; an EdgeAdd's target, source (ordered as ``VarRef.sort_key``) and delay.
-_TIE_KEYS = {cls: attrgetter("rank", *(name for name, _, _ in f)) for cls, f in _FIELDS.items()} | {
+_TIE_KEYS = {cls: attrgetter("rank", *(name for name, *_ in f)) for cls, f in _FIELDS.items()} | {
     EdgeAdd: attrgetter("rank", "target", "source.kind.value", "source.index", "delay")
 }
 
@@ -856,20 +877,37 @@ def reflect(
 # ---------------------------------------------------------------------------
 
 
-def hypothesis_to_dict(h: Hypothesis) -> dict[str, Any]:
-    """``kind``, then each field in declaration order as its JSON value."""
-    d = {"kind": h.kind, **h.__dict__}
-    for name, write, _ in _FIELDS[type(h)]:
-        if write is not None:
-            d[name] = write(d[name])
-    return d
+def hypothesis_to_row(h: Hypothesis) -> list[Any]:
+    """``kind``, then each field's JSON entries in declaration order: an
+    EdgeAdd's source as two, its kind and its index."""
+    row = [h.kind]
+    for (_, _, _, write, _), v in zip(_FIELDS[type(h)], h.__dict__.values()):
+        row += (v,) if write is None else write(v)
+    return row
 
 
-def hypothesis_from_dict(d: Any) -> Hypothesis:
-    """The edit :func:`hypothesis_to_dict` wrote, each field read as its JSON
-    type; TypeError, KeyError or ValueError for anything else."""
-    kind = json_typed(d, dict, name="edit")["kind"]
+def hypothesis_from_row(row: Any) -> Hypothesis:
+    """The edit :func:`hypothesis_to_row` wrote: a non-empty array of a
+    known kind's length, each entry read as its JSON type; TypeError or
+    ValueError for anything else."""
+    if type(row) is not list or not row:
+        what = "an empty array" if type(row) is list else f"a JSON {type(row).__name__}"
+        raise TypeError(f"edit row is {what}, expected an array that starts with its kind")
+    kind = row[0]
     cls = _BY_KIND.get(kind) if type(kind) is str else None
     if cls is None:
         raise ValueError(f"unknown edit kind {kind!r}")
-    return cls(*[read(d[name], name) for name, _, read in _FIELDS[cls]])
+    if len(row) != _WIDTHS[cls]:
+        raise ValueError(f"{kind} row has {len(row)} entries, expected {_WIDTHS[cls]}")
+    return cls(*[read(row[at], name) for name, at, _, _, read in _FIELDS[cls]])
+
+
+def hypothesis_to_dict(h: Hypothesis) -> dict[str, Any]:
+    """The labelled view of :func:`hypothesis_to_row`: ``kind``, then each
+    field under its name, an EdgeAdd's source as an object of its kind and
+    index.  Explain's grounding and the LLM facts hold it; no trace does."""
+    row = hypothesis_to_row(h)
+    d = {"kind": row[0]}
+    for name, at, labels, _, _ in _FIELDS[type(h)]:
+        d[name] = row[at] if labels is None else dict(zip(labels, row[at]))
+    return d

@@ -13,6 +13,23 @@ reconstruct the agent's model at any tick without re-running anything.
 Horizon predictions are not recorded: explanation recomputes them from
 the snapshot and the record's delta_hat.
 
+A report's edits are flat rows, written and read by
+:func:`causalloop.reflect.hypothesis_to_row` and
+:func:`causalloop.reflect.hypothesis_from_row`: the kind, then each field
+in its class's declaration order.  An accepted edit is its row; a
+candidate is its row with its score appended.  The rows of each kind::
+
+    ["delta_shift", new_delta]
+    ["coef_change", edge_index, new_coefficient]
+    ["delay_change", edge_index, new_delay]
+    ["edge_add", source_kind, source_index, target, delay, form, coefficient]
+    ["edge_remove", edge_index]
+    ["structural_break", keep]
+
+``source_kind`` is ``"action"`` or ``"state"`` and ``form`` one of
+``"linear"``, ``"tanh"`` and ``"quadratic"``; indices, delays and ``keep``
+are JSON ints, the rest finite numbers.
+
 :func:`read_trace` decodes the file as UTF-8 and hands its lines to
 :func:`trace_from_lines`, the inverse of :func:`trace_to_lines`, which
 skips blank lines but counts them, so a refusal names the file's line.
@@ -25,6 +42,8 @@ type, a number that is not finite, a ``delta_hat`` beyond ``DELTA_MAX``, a
 non-finite state, action, prediction or observation (:class:`DomainError`);
 and a record off its tick's line: the *i*-th record must hold tick *i*.
 A trace that stops early is read; replay holds it to the header's length.
+A record's reflect block is read only when evaluate or explain reads it
+(:func:`reflect_block_from_dict`).
 """
 
 from __future__ import annotations
@@ -38,11 +57,11 @@ from types import NoneType
 from typing import Any
 
 from .core import DELTA_MAX, ActionVec, DomainError, InputError, StateVec, check_finite
-from .reflect import Hypothesis, ReflectReport, hypothesis_from_dict, hypothesis_to_dict
+from .reflect import HYPOTHESIS_KINDS, Hypothesis, ReflectReport, hypothesis_from_row, hypothesis_to_row
 from .rng import GENERATOR_NAME, SCHEME_VERSION
 from .scenario import atomic_write_text, json_number, json_typed, read_text
 
-TRACE_FORMAT_VERSION = 5
+TRACE_FORMAT_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -123,11 +142,8 @@ def report_to_dict(r: ReflectReport) -> dict[str, Any]:
         "triggered": r.triggered,
         "epsilon": r.epsilon,
         "tau": r.tau,
-        "candidates": [
-            {"hypothesis": hypothesis_to_dict(hs.hypothesis), "score": hs.score}
-            for hs in r.candidates
-        ],
-        "accepted": [hypothesis_to_dict(h) for h in r.accepted],
+        "candidates": [hypothesis_to_row(hs.hypothesis) + [hs.score] for hs in r.candidates],
+        "accepted": [hypothesis_to_row(h) for h in r.accepted],
     }
 
 
@@ -137,30 +153,39 @@ class ReflectBlock:
 
     epsilon: float
     tau: float
-    candidates: list[dict[str, Any]]  # contents not read yet
+    candidates: list[list[Any]]  # rows: only each one's kind is read yet
     accepted: tuple[Hypothesis, ...]
 
 
-_DICT = frozenset({dict})
+_LIST = frozenset({list})
+_KINDS = frozenset(HYPOTHESIS_KINDS.values())
 
 
 def reflect_block_from_dict(tick: int, d: dict[str, Any]) -> ReflectBlock:
     """A record's reflect block as :func:`report_to_dict` writes it:
     ``triggered`` true, finite ``epsilon`` and ``tau``, a list of candidate
-    objects and each accepted edit read by :func:`hypothesis_from_dict`.
-    Anything else raises :class:`InputError` naming the tick."""
+    rows, each an array that starts with a known edit kind, and each
+    accepted row read by :func:`hypothesis_from_row`.  Anything else raises
+    :class:`InputError` naming the tick.  A candidate's entries past its
+    kind are not read: evaluate and explain read only how many there are."""
     try:
         if d["triggered"] is not True:
             raise ValueError(f"triggered is {d['triggered']!r}, expected true")
         candidates = json_typed(d["candidates"], list, name="candidates")
-        if not _DICT.issuperset(map(type, candidates)):
-            raise TypeError("candidates are not all objects")
+        if not (_LIST.issuperset(map(type, candidates)) and all(candidates)):
+            raise TypeError("candidates are not all non-empty arrays")
+        try:
+            known = _KINDS.issuperset(map(itemgetter(0), candidates))
+        except TypeError:  # a first entry that is a list or an object
+            known = False
+        if not known:
+            raise ValueError("a candidate row does not start with a known edit kind")
         accepted = json_typed(d["accepted"], list, name="accepted")
         return ReflectBlock(
             epsilon=json_number(d["epsilon"], name="epsilon"),
             tau=json_number(d["tau"], name="tau"),
             candidates=candidates,
-            accepted=tuple(map(hypothesis_from_dict, accepted)),
+            accepted=tuple(map(hypothesis_from_row, accepted)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         msg = f"tick {tick}: malformed reflect block ({type(exc).__name__}: {exc})"
@@ -387,7 +412,10 @@ def trace_from_lines(lines: list[str], source: str = "trace") -> EpisodeTrace:
             raise InputError(f"{source}: line {n}: {exc}") from exc
     header = header_from_dict(parsed[0])
     if header.format_version != TRACE_FORMAT_VERSION:
-        raise InputError(f"unsupported trace format_version {header.format_version}")
+        raise InputError(
+            f"unsupported trace format_version {header.format_version}"
+            f" (this reader reads format {TRACE_FORMAT_VERSION})"
+        )
     records = tuple(map(record_from_dict, parsed[1:]))
     for i, r in enumerate(records):
         if r.tick != i:

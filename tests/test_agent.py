@@ -474,11 +474,11 @@ def test_a_delta_clamped_to_an_int_delta_max_is_recorded_as_a_float():
     records = [json.loads(line) for line in trace_to_lines(trace)[1:]]
     snapshots = [r["model_snapshot"]["delta_hat"] for r in records if r["model_snapshot"]]
     shifts = [
-        h["new_delta"]
+        row[1]
         for r in records
         if r["reflect"]
-        for h in [c["hypothesis"] for c in r["reflect"]["candidates"]] + r["reflect"]["accepted"]
-        if h["kind"] == "delta_shift"
+        for row in r["reflect"]["candidates"] + r["reflect"]["accepted"]
+        if row[0] == "delta_shift"
     ]
     assert 1.0 in map(abs, snapshots) and 1.0 in map(abs, shifts)
     assert all(type(v) is float for v in snapshots + shifts)

@@ -144,7 +144,13 @@ def test_explain_truncated_reflect_block_is_data_error(tmp_path, capsys):
 # (line, fields set on it or None for the line ``[]``, commands that read them)
 READ_ALL = ("evaluate", "replay", "explain")
 READ_BLOCK = ("evaluate", "explain")  # the reflect block of tick 2 (line 3)
-BLOCK = {"triggered": True, "epsilon": 0.5, "tau": 0.1, "candidates": [], "accepted": []}
+BLOCK = {
+    "triggered": True,
+    "epsilon": 0.5,
+    "tau": 0.1,
+    "candidates": [["edge_remove", 0, 0.5]],
+    "accepted": [["edge_remove", 0]],
+}
 MALFORMED_TRACES = {
     "header-seed-string": (0, {"seed": "x"}, READ_ALL),
     "header-length-null": (0, {"length": None}, READ_ALL),
@@ -167,7 +173,33 @@ MALFORMED_TRACES = {
     "reflect-tau-null": (3, {"reflect": {**BLOCK, "tau": None}}, READ_BLOCK),
     "reflect-not-triggered": (3, {"reflect": {**BLOCK, "triggered": False}}, READ_BLOCK),
     "reflect-candidate-number": (3, {"reflect": {**BLOCK, "candidates": [5]}}, READ_BLOCK),
-    "reflect-bare-edge_add": (3, {"reflect": {**BLOCK, "accepted": [{"kind": "edge_add"}]}}, READ_BLOCK),
+    "reflect-bare-edge_add": (3, {"reflect": {**BLOCK, "accepted": [["edge_add"]]}}, READ_BLOCK),
+}
+# Rows a reflect block cannot hold: evaluate and explain read each
+# candidate's kind and every accepted row in full.
+MALFORMED_ROWS = {
+    "candidate-object": ("candidates", {"hypothesis": {"kind": "edge_remove", "edge_index": 0}, "score": 0.5}),
+    "candidate-empty": ("candidates", []),
+    "candidate-unknown-kind": ("candidates", ["rewire", 0.5]),
+    "candidate-kind-list": ("candidates", [["edge_remove"], 0, 0.5]),
+    "accepted-object": ("accepted", {"kind": "edge_remove", "edge_index": 0}),
+    "accepted-string": ("accepted", "edge_remove"),
+    "accepted-empty": ("accepted", []),
+    "accepted-unknown-kind": ("accepted", ["rewire", 0]),
+    "accepted-too-long": ("accepted", ["edge_remove", 0, 0.5]),
+    "accepted-too-short": ("accepted", ["coef_change", 0]),
+    "accepted-index-bool": ("accepted", ["edge_remove", True]),
+    "accepted-index-string": ("accepted", ["coef_change", "0", 1.0]),
+    "accepted-index-float": ("accepted", ["edge_remove", 0.0]),
+    "accepted-delay-float": ("accepted", ["delay_change", 0, 2.0]),
+    "accepted-source-index-bool": ("accepted", ["edge_add", "state", False, 0, 1, "linear", 0.5]),
+    "accepted-source-kind": ("accepted", ["edge_add", "bogus", 0, 0, 1, "linear", 0.5]),
+    "accepted-coefficient-nan": ("accepted", ["coef_change", 0, float("nan")]),
+    "accepted-coefficient-inf": ("accepted", ["edge_add", "action", 0, 0, 1, "linear", float("inf")]),
+}
+MALFORMED_TRACES |= {
+    f"reflect-{case}": (3, {"reflect": {**BLOCK, key: [row]}}, READ_BLOCK)
+    for case, (key, row) in MALFORMED_ROWS.items()
 }
 
 
@@ -198,7 +230,36 @@ def test_reflect_block_baseline_is_read(tmp_path, capsys):
     assert main(["evaluate", str(path), "calm"]) == 0
     assert json.loads(capsys.readouterr().out)["reflect_triggers"] == 1
     assert main(["explain", str(path), "--tick", "2"]) == 0
-    assert "0 candidate repairs were scored" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "1 candidate repairs were scored and 1 accepted. Accepted: edge 0 was removed." in out
+
+
+def test_explain_llm_refuses_a_candidate_row_it_cannot_label(tmp_path, monkeypatch, capsys):
+    """The facts label every candidate row, so ``--llm`` reads each in full:
+    a row short of its score exits 2 before anything is sent."""
+    path = run_trace(tmp_path, length=6)
+    lines = path.read_text().strip().split("\n")
+    lines[3] = json.dumps({**json.loads(lines[3]), "reflect": {**BLOCK, "candidates": [["edge_remove", 0]]}})
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setenv("EXPLAIN_LLM_URL", "http://example.invalid/narrate")
+    sent = []
+    monkeypatch.setattr("causalloop.explain._post_json", lambda *a, **k: sent.append(a) or (200, b'{"text": "x"}'))
+    capsys.readouterr()
+    assert main(["explain", str(path), "--tick", "2", "--llm"]) == 2
+    assert "error: tick 2: malformed reflect block" in capsys.readouterr().err and not sent
+    lines[3] = json.dumps({**json.loads(lines[3]), "reflect": BLOCK})
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["explain", str(path), "--tick", "2", "--llm"]) == 0 and len(sent) == 1
+
+
+def test_a_format_5_trace_is_refused_naming_the_format_read(tmp_path, capsys):
+    path = run_trace(tmp_path)
+    lines = path.read_text().strip().split("\n")
+    lines[0] = json.dumps({**json.loads(lines[0]), "format_version": 5})
+    path.write_text("\n".join(lines) + "\n")
+    for argv in (["evaluate", str(path), "calm"], ["replay", str(path), "calm"], ["explain", str(path), "--tick", "1"]):
+        assert main(argv) == 2
+        assert "unsupported trace format_version 5 (this reader reads format 6)" in capsys.readouterr().err
 
 
 def test_trace_that_is_not_utf8_is_data_error(tmp_path, capsys):

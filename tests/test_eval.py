@@ -35,6 +35,7 @@ from causalloop.reflect import (
     EdgeRemove,
     StructuralBreak,
     hypothesis_to_dict,
+    hypothesis_to_row,
 )
 from causalloop.model import CausalModel, model_snapshot
 from causalloop.scenario import ScenarioConfig, builtin_scenarios, graph_from_dict
@@ -436,13 +437,15 @@ def test_compare_reflect_vs_baseline():
 
 # ---- reflect blocks -------------------------------------------------------
 
-EDGE_ADD = hypothesis_to_dict(EdgeAdd(VarRef.action(1), 2, 2, Form.LINEAR, 0.25))
+ACCEPTED = [EdgeAdd(VarRef.action(1), 2, 2, Form.LINEAR, 0.25), CoefChange(0, -1.0)]
+EDGE_ADD = hypothesis_to_row(ACCEPTED[0])  # ["edge_add", "action", 1, 2, 2, "linear", 0.25]
 BLOCK = {
     "triggered": True,
     "epsilon": 0.5,
     "tau": 0.1,
-    "candidates": [{"hypothesis": EDGE_ADD, "score": 1.5}, {}],
-    "accepted": [EDGE_ADD, hypothesis_to_dict(CoefChange(0, -1.0))],
+    # Only a candidate's kind is read: evaluate and explain count them.
+    "candidates": [EDGE_ADD + [1.5], ["edge_remove"]],
+    "accepted": list(map(hypothesis_to_row, ACCEPTED)),
 }
 
 
@@ -465,14 +468,14 @@ def test_each_edit_type_is_counted_under_the_kind_it_is_written_under():
         EdgeAdd(A0, 0, 1, Form.LINEAR, 1.0),
         StructuralBreak(4),
     ]
-    assert {type(h): hypothesis_to_dict(h)["kind"] for h in edits} == HYPOTHESIS_KINDS
+    assert {type(h): hypothesis_to_row(h)[0] for h in edits} == HYPOTHESIS_KINDS
 
 
 def test_evaluate_counts_a_read_reflect_block():
     rep = evaluate_trace(with_block(BLOCK), BREAK)
     assert (rep.reflect_triggers, rep.candidates_scored) == (1, 2)
     assert rep.acceptances == {"edge_add": 1, "coef_change": 1}
-    assert explain_reflection(3, BLOCK).grounding["accepted"] == BLOCK["accepted"]
+    assert explain_reflection(3, BLOCK).grounding["accepted"] == list(map(hypothesis_to_dict, ACCEPTED))
 
 
 MALFORMED_BLOCKS = {
@@ -483,14 +486,31 @@ MALFORMED_BLOCKS = {
     "triggered-one": {"triggered": 1},
     "candidates-object": {"candidates": {}},
     "candidate-number": {"candidates": [5]},
-    "accepted-object": {"accepted": EDGE_ADD},
-    "bare-edge_add": {"accepted": [{"kind": "edge_add"}]},
-    "edge_add-source-kind": {"accepted": [{**EDGE_ADD, "source": {"kind": "bogus", "index": 0}}]},
-    "edge_add-delay-float": {"accepted": [{**EDGE_ADD, "delay": 2.0}]},
-    "coef_change-index-string": {"accepted": [{**hypothesis_to_dict(CoefChange(0, 1.0)), "edge_index": "0"}]},
-    "unknown-kind": {"accepted": [{"kind": "rewire"}]},
-    "kind-list": {"accepted": [{**EDGE_ADD, "kind": ["edge_add"]}]},
-    "kind-object": {"accepted": [{**EDGE_ADD, "kind": {"edge_add": 1}}]},
+    "candidate-object": {"candidates": [{"hypothesis": hypothesis_to_dict(ACCEPTED[0]), "score": 1.5}]},
+    "candidate-empty": {"candidates": [EDGE_ADD, []]},
+    "candidate-unknown-kind": {"candidates": [["rewire", 1.5]]},
+    "candidate-kind-list": {"candidates": [[["edge_add"], 1.5]]},
+    "candidate-kind-number": {"candidates": [[5, 1.5]]},
+    "accepted-object": {"accepted": {"edge_add": EDGE_ADD}},
+    "accepted-format-5-object": {"accepted": [hypothesis_to_dict(CoefChange(0, 1.0))]},
+    "accepted-empty": {"accepted": [[]]},
+    "bare-edge_add": {"accepted": [["edge_add"]]},
+    "edge_add-short": {"accepted": [EDGE_ADD[:-1]]},
+    "edge_add-with-score": {"accepted": [EDGE_ADD + [1.5]]},
+    "edge_add-source-kind": {"accepted": [["edge_add", "bogus", *EDGE_ADD[2:]]]},
+    "edge_add-source-index-bool": {"accepted": [[*EDGE_ADD[:2], True, *EDGE_ADD[3:]]]},
+    "edge_add-delay-float": {"accepted": [[*EDGE_ADD[:4], 2.0, *EDGE_ADD[5:]]]},
+    "edge_add-form": {"accepted": [[*EDGE_ADD[:5], "cubic", EDGE_ADD[6]]]},
+    "edge_add-coefficient-inf": {"accepted": [[*EDGE_ADD[:6], math.inf]]},
+    "coef_change-index-string": {"accepted": [["coef_change", "0", 1.0]]},
+    "coef_change-nan": {"accepted": [["coef_change", 0, math.nan]]},
+    "delay_change-delay-float": {"accepted": [["delay_change", 0, 2.5]]},
+    "edge_remove-index-bool": {"accepted": [["edge_remove", False]]},
+    "structural_break-keep-float": {"accepted": [["structural_break", 8.0]]},
+    "delta_shift-string": {"accepted": [["delta_shift", "0.5"]]},
+    "unknown-kind": {"accepted": [["rewire"]]},
+    "kind-list": {"accepted": [[["edge_add"], *EDGE_ADD[1:]]]},
+    "kind-object": {"accepted": [[{"edge_add": 1}, *EDGE_ADD[1:]]]},
     "edit-number": {"accepted": [5]},
 }
 

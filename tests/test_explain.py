@@ -6,6 +6,7 @@ faithfulness audit) treat these strings as a stable output format.
 
 from __future__ import annotations
 
+import dataclasses
 import http.server
 import json
 import math
@@ -53,6 +54,7 @@ from causalloop.reflect import (
     EdgeRemove,
     StructuralBreak,
     hypothesis_to_dict,
+    hypothesis_to_row,
 )
 from causalloop.scenario import builtin_scenarios, canonical_json
 from causalloop.world import CausalEdge, CausalGraph, Form, VarRef
@@ -313,10 +315,10 @@ def test_reflection_summary_exact():
         "triggered": True,
         "epsilon": 0.5,
         "tau": 0.04,
-        "candidates": [{} for _ in range(7)],
+        "candidates": [hypothesis_to_row(StructuralBreak(keep=i)) + [0.1 * i] for i in range(7)],
         "accepted": [
-            hypothesis_to_dict(CoefChange(edge_index=0, new_coefficient=2.5)),
-            hypothesis_to_dict(StructuralBreak(keep=12)),
+            hypothesis_to_row(CoefChange(edge_index=0, new_coefficient=2.5)),
+            hypothesis_to_row(StructuralBreak(keep=12)),
         ],
     }
     e = explain_reflection(200, report)
@@ -332,14 +334,14 @@ def test_reflection_summary_exact():
 
 def test_reflection_summary_phrases_cover_every_kind():
     accepted = [
-        hypothesis_to_dict(DeltaShift(new_delta=0.3)),
-        hypothesis_to_dict(CoefChange(edge_index=0, new_coefficient=-1.5)),
-        hypothesis_to_dict(DelayChange(edge_index=0, new_delay=3)),
-        hypothesis_to_dict(EdgeRemove(edge_index=1)),
-        hypothesis_to_dict(
+        hypothesis_to_row(DeltaShift(new_delta=0.3)),
+        hypothesis_to_row(CoefChange(edge_index=0, new_coefficient=-1.5)),
+        hypothesis_to_row(DelayChange(edge_index=0, new_delay=3)),
+        hypothesis_to_row(EdgeRemove(edge_index=1)),
+        hypothesis_to_row(
             EdgeAdd(source=VarRef.action(0), target=1, delay=2, coefficient=0.7, form=Form.LINEAR)
         ),
-        hypothesis_to_dict(StructuralBreak(keep=8)),
+        hypothesis_to_row(StructuralBreak(keep=8)),
     ]
     report = {"triggered": True, "epsilon": 1.0, "tau": 0.5, "candidates": [], "accepted": accepted}
     e = explain_reflection(10, report)
@@ -381,7 +383,25 @@ def record():
     return trace.records[0]
 
 
+FACTS_EDITS = [
+    EdgeAdd(source=VarRef.state(1), target=0, delay=2, form=Form.LINEAR, coefficient=0.7),
+    CoefChange(edge_index=0, new_coefficient=-1.5),
+    StructuralBreak(keep=8),
+]
+FACTS_BLOCK = {
+    "triggered": True,
+    "epsilon": 0.5,
+    "tau": 0.1,
+    "candidates": [hypothesis_to_row(h) + [score] for h, score in zip(FACTS_EDITS, (2.5, 1.0, -0.25))],
+    "accepted": [hypothesis_to_row(FACTS_EDITS[1])],
+}
+
+
 def test_render_prompt_flattens_facts(record):
+    """The facts are the record, and the report when given.  The trace's
+    rows become labelled objects there: each candidate its edit's kind and
+    field names with its score, each accepted edit the same without one,
+    in the record and in the report."""
     bundle = render_prompt(record)
     flat = bundle.flatten()
     assert flat.startswith(SYSTEM_PREAMBLE)
@@ -389,8 +409,44 @@ def test_render_prompt_flattens_facts(record):
     assert "FACTS:" in flat
     assert canonical_json(bundle.facts) in flat
     assert set(bundle.facts) == {"record"}
-    with_report = render_prompt(record, report={"epsilon": 1.0})
+    assert bundle.facts["record"]["reflect"] is None
+
+    record = dataclasses.replace(record, reflect=FACTS_BLOCK)
+    with_report = render_prompt(record, record.reflect)
     assert set(with_report.facts) == {"record", "report"}
+    labelled = {
+        "triggered": True,
+        "epsilon": 0.5,
+        "tau": 0.1,
+        "candidates": [
+            {
+                "kind": "edge_add",
+                "source": {"kind": "state", "index": 1},
+                "target": 0,
+                "delay": 2,
+                "form": "linear",
+                "coefficient": 0.7,
+                "score": 2.5,
+            },
+            {"kind": "coef_change", "edge_index": 0, "new_coefficient": -1.5, "score": 1.0},
+            {"kind": "structural_break", "keep": 8, "score": -0.25},
+        ],
+        "accepted": [{"kind": "coef_change", "edge_index": 0, "new_coefficient": -1.5}],
+    }
+    assert with_report.facts["report"] == with_report.facts["record"]["reflect"] == labelled
+    assert canonical_json(with_report.facts) in with_report.flatten()
+    assert record.reflect == FACTS_BLOCK  # the record itself keeps its rows
+
+
+@pytest.mark.parametrize(
+    "candidate",
+    [["coef_change", 0, -1.5], ["edge_add", "state", 1, 0, 2, "linear", 0.7], ["coef_change", 0, -1.5, "x"]],
+    ids=["no-score", "edge_add-no-score", "score-string"],
+)
+def test_render_prompt_refuses_a_candidate_row_it_cannot_label(record, candidate):
+    record = dataclasses.replace(record, reflect={**FACTS_BLOCK, "candidates": [candidate]})
+    with pytest.raises(InputError, match=f"tick {record.tick}: malformed reflect block"):
+        render_prompt(record, record.reflect)
 
 
 def test_llm_unconfigured(monkeypatch, record):

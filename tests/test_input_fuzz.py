@@ -7,7 +7,9 @@ swapped).
 Only :class:`CausalLoopError` subclasses may escape ``read_trace``,
 ``evaluate_trace``, ``model_from_snapshot``, ``load_scenario``,
 ``scenario_from_dict`` and a scenario's ``validate``, and a CLI command
-that reads the refused input exits 2.
+that reads the refused input exits 2.  A reflect block, with a row of
+every edit kind among its candidates and accepted edits, is refused only
+with :class:`InputError`, by evaluate and explain alike.
 """
 
 from __future__ import annotations
@@ -22,12 +24,22 @@ from hypothesis import strategies as st
 
 from causalloop.agent import RandomPolicy, run_episode
 from causalloop.cli import main
-from causalloop.core import CausalLoopError
+from causalloop.core import CausalLoopError, InputError
 from causalloop.evaluate import evaluate_trace
+from causalloop.explain import explain_reflection
 from causalloop.model import model_from_snapshot
+from causalloop.reflect import (
+    CoefChange,
+    DelayChange,
+    DeltaShift,
+    EdgeAdd,
+    EdgeRemove,
+    StructuralBreak,
+    hypothesis_to_row,
+)
 from causalloop.scenario import builtin_scenarios, load_scenario, scenario_from_dict, scenario_to_dict
 from causalloop.trace import read_trace, trace_from_lines, trace_to_lines
-from causalloop.world import ScheduledBreak, Spike
+from causalloop.world import Form, ScheduledBreak, Spike, VarRef
 
 SCALARS = (
     st.none()
@@ -141,6 +153,67 @@ def test_only_causalloop_errors_escape_reading_a_model_snapshot(path, value, lat
             for command in refused:
                 argv = [command, file, "calm"] if command == "evaluate" else [command, file, "--tick", "0"]
                 assert main(argv) == 2, argv
+
+
+# A reflect block with a row of every edit kind, set on tick 1's record: the
+# trace reader checks only that it is an object, so evaluate and explain
+# read its contents.
+EDITS = [
+    DeltaShift(0.25),
+    CoefChange(0, -1.5),
+    DelayChange(0, 2),
+    EdgeRemove(0),
+    EdgeAdd(VarRef.state(0), 0, 2, Form.LINEAR, 0.5),
+    StructuralBreak(4),
+]
+BLOCK = {
+    "triggered": True,
+    "epsilon": 0.5,
+    "tau": 0.1,
+    "candidates": [hypothesis_to_row(h) + [1.0 - i] for i, h in enumerate(EDITS)],
+    "accepted": list(map(hypothesis_to_row, EDITS)),
+}
+BLOCK_PATHS = st.sampled_from([(key,) for key in BLOCK]) | st.sampled_from(list(paths(BLOCK)))
+
+
+def test_the_reflect_block_the_fuzzer_spoils_is_read(tmp_path, capsys):
+    lines = list(TRACE_LINES)
+    lines[2] = {**lines[2], "reflect": BLOCK}
+    file = tmp_path / "t.jsonl"
+    file.write_text("\n".join(map(json.dumps, lines)) + "\n")
+    assert main(["evaluate", str(file), "calm"]) == 0
+    assert main(["explain", str(file), "--tick", "1"]) == 0
+    assert "6 candidate repairs were scored and 6 accepted" in capsys.readouterr().out
+
+
+@settings(max_examples=200, deadline=None)
+@given(BLOCK_PATHS, JSON_VALUES)
+def test_only_input_errors_escape_reading_a_reflect_block(path, value):
+    """Evaluate and explain read a reflect block through one reader, so
+    they refuse the same blocks, each with InputError, and the CLI exits 2
+    for each refused one."""
+    lines = list(TRACE_LINES)
+    lines[2] = {**lines[2], "reflect": replaced(BLOCK, path, value)}
+    text = [json.dumps(ln) for ln in lines]
+    trace = trace_from_lines(text)
+    readers = {
+        "evaluate": lambda: evaluate_trace(trace, CALM),
+        "explain": lambda: explain_reflection(1, trace.records[1].reflect),
+    }
+    refused = []
+    for command, reader in readers.items():
+        try:
+            reader()
+        except InputError:
+            refused.append(command)
+    assert refused in ([], list(readers))
+    if refused:
+        with tempfile.TemporaryDirectory() as tmp:
+            file = os.path.join(tmp, "t.jsonl")
+            with open(file, "w") as fh:
+                fh.write("\n".join(text) + "\n")
+            assert main(["evaluate", file, "calm"]) == 2
+            assert main(["explain", file, "--tick", "1"]) == 2
 
 
 @settings(max_examples=150, deadline=None)

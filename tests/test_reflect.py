@@ -13,6 +13,8 @@ from typing import get_args
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import causalloop
 from causalloop.core import (
@@ -42,13 +44,14 @@ from causalloop.reflect import (
     apply_hypothesis,
     detect_mismatch,
     generate_hypotheses,
-    hypothesis_from_dict,
+    hypothesis_from_row,
     hypothesis_to_dict,
+    hypothesis_to_row,
     reflect,
     score_hypothesis,
 )
 from causalloop.reflect import test_hypothesis as holdout_test
-from causalloop.world import CausalEdge, CausalGraph, Form, VarRef
+from causalloop.world import CausalEdge, CausalGraph, Form, SourceKind, VarRef
 
 
 def row(tick, state, action, observed):
@@ -521,10 +524,8 @@ def test_no_model_is_built_per_candidate(monkeypatch):
     monkeypatch.setattr(reflect_mod, "apply_hypothesis", counted)
     sc = causalloop.resolve_scenario("break_demo")
     trace = causalloop.run_episode(sc, causalloop.RandomPolicy(), seed=2, length=260)
-    accepted = [
-        h["kind"] for r in trace.records if r.reflect is not None for h in r.reflect["accepted"]
-    ]
-    edits = [h for h in accepted if h != "structural_break"]
+    kinds = [row[0] for r in trace.records if r.reflect is not None for row in r.reflect["accepted"]]
+    edits = [kind for kind in kinds if kind != StructuralBreak.kind]
     assert len(edits) >= 5
     assert len([h for h in built if not isinstance(h, StructuralBreak)]) == len(edits)
 
@@ -561,24 +562,46 @@ def test_ctx_is_the_last_entry_or_the_tick_after_it():
         reflect(m, skip, mismatch(m, skip), tau=0.5)
 
 
-@pytest.mark.parametrize(
-    "h",
-    [
-        DeltaShift(0.3),
-        CoefChange(1, -1.5),
-        DelayChange(0, 3),
-        EdgeRemove(2),
-        EdgeAdd(VarRef.state(1), 0, 2, Form.LINEAR, 0.7),
-        StructuralBreak(keep=8),
-    ],
-)
-def test_hypothesis_from_dict_reads_what_to_dict_writes(h):
-    assert hypothesis_from_dict(json.loads(json.dumps(hypothesis_to_dict(h)))) == h
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**53), 2**53).map(float)
+INTS = st.integers(-(2**63), 2**63)
+# Every edit of one kind, in its class's field order.
+EDITS = {
+    DeltaShift: st.builds(DeltaShift, FLOATS),
+    CoefChange: st.builds(CoefChange, INTS, FLOATS),
+    DelayChange: st.builds(DelayChange, INTS, INTS),
+    EdgeRemove: st.builds(EdgeRemove, INTS),
+    EdgeAdd: st.builds(
+        EdgeAdd, st.builds(VarRef, st.sampled_from(SourceKind), INTS), INTS, INTS, st.sampled_from(Form), FLOATS
+    ),
+    StructuralBreak: st.builds(StructuralBreak, INTS),
+}
+
+
+@pytest.mark.parametrize("cls", list(EDITS), ids=[cls.kind for cls in EDITS])
+@given(data=st.data())
+def test_every_edit_kind_reads_back_from_its_row(cls, data):
+    """The row is the kind, then each field's entries in declaration order
+    (an EdgeAdd's source as its kind and index), and the labelled view
+    names each entry of it; the row reader gives the edit back, every float
+    to the bit."""
+    h = data.draw(EDITS[cls])
+    row = hypothesis_to_row(h)
+    text = json.dumps(row, allow_nan=False)
+    back = hypothesis_from_row(json.loads(text))
+    assert back == h and json.dumps(hypothesis_to_row(back)) == text
+    entries = [
+        e for v in h.__dict__.values() for e in ((v.kind.value, v.index) if isinstance(v, VarRef) else (v,))
+    ]
+    assert row == [cls.kind] + [e.value if isinstance(e, Form) else e for e in entries]
+    labelled = hypothesis_to_dict(h)
+    assert list(labelled) == ["kind", *h.__dict__]
+    flat = [e for v in labelled.values() for e in (v.values() if isinstance(v, dict) else (v,))]
+    assert flat == row
 
 
 def test_every_edit_class_states_its_kind_rank_phrase_and_record():
     """Each member of the Hypothesis union has a distinct record kind, a
-    phrase in explain, a round trip through the writer and the reader, and
+    phrase in explain, a round trip through the row writer and reader, and
     a tie rank in the acceptance order on score ties."""
     samples = {
         DeltaShift: DeltaShift(-0.25),
@@ -592,10 +615,10 @@ def test_every_edit_class_states_its_kind_rank_phrase_and_record():
     assert set(samples) == set(members) == set(_HYPOTHESIS_PHRASES)
     assert len({cls.kind for cls in members}) == len(members)
     for cls, h in samples.items():
-        d = json.loads(json.dumps(hypothesis_to_dict(h)))
-        assert d["kind"] == cls.kind
-        assert hypothesis_from_dict(d) == h
-        report = {"triggered": True, "epsilon": 1.0, "tau": 0.5, "candidates": [], "accepted": [d]}
+        row = json.loads(json.dumps(hypothesis_to_row(h)))
+        assert row[0] == hypothesis_to_dict(h)["kind"] == cls.kind
+        assert hypothesis_from_row(row) == h
+        report = {"triggered": True, "epsilon": 1.0, "tau": 0.5, "candidates": [], "accepted": [row]}
         e = explain_reflection(7, report)
         assert e.text.endswith(f" Accepted: {_HYPOTHESIS_PHRASES[cls](h)}.")
         assert is_grounded(e)

@@ -7,7 +7,9 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 from types import NoneType
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from hypothesis import strategies as st
 from test_input_fuzz import JSON_VALUES, paths, replaced
 
 from causalloop.agent import RandomPolicy, run_episode
+import causalloop.trace as trace_mod
 from causalloop.core import DELTA_MAX, ActionVec, CausalLoopError, DomainError, InputError, StateVec
+from causalloop.reflect import Hypothesis
 from causalloop.scenario import builtin_scenarios, json_number, json_typed
 from causalloop.trace import (
     TRACE_FORMAT_VERSION,
@@ -204,13 +208,42 @@ def test_read_rejects_unknown_format_version(tmp_path):
     path = tmp_path / "t.jsonl"
     # 1: records that still carry the horizon map; 2: predictions that sum
     # edge effects onto the state one by one; 4: a scheduled fit skipped
-    # whole when any one target could not be fitted
-    for version in (1, 2, 4, 99):
+    # whole when any one target could not be fitted; 5: candidates and
+    # accepted edits written as objects
+    for version in (1, 2, 4, 5, 99):
         head["format_version"] = version
         lines[0] = json.dumps(head)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InputError, match=f"format_version {version}"):
+        with pytest.raises(InputError, match=f"format_version {version} "):
             read_trace(str(path))
+
+
+def test_the_module_docstring_states_each_edit_kinds_row():
+    """The row schema in the docstring is the codec's: each kind, then its
+    fields in declaration order, an EdgeAdd's source as kind and index."""
+    rows = [re.findall(r"\w+", line) for line in trace_mod.__doc__.splitlines() if line.startswith('    ["')]
+    stated = {kind: names for kind, *names in rows}
+    written = {
+        cls.kind: [
+            entry
+            for f in dataclasses.fields(cls)
+            for entry in (["source_kind", "source_index"] if f.name == "source" else [f.name])
+        ]
+        for cls in get_args(Hypothesis)
+    }
+    assert len(rows) == len(stated) == len(written) and stated == written
+
+
+def test_a_refused_format_names_the_one_this_reader_reads():
+    trace = run_episode(builtin_scenarios()["calm"], RandomPolicy(), seed=1, length=2)
+    lines = trace_to_lines(trace)
+    lines[0] = json.dumps({**json.loads(lines[0]), "format_version": TRACE_FORMAT_VERSION - 1})
+    with pytest.raises(InputError) as exc_info:
+        trace_from_lines(lines)
+    assert str(exc_info.value) == (
+        f"unsupported trace format_version {TRACE_FORMAT_VERSION - 1} "
+        f"(this reader reads format {TRACE_FORMAT_VERSION})"
+    )
 
 
 def test_write_replaces_existing_file_atomically(tmp_path):

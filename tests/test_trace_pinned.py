@@ -27,8 +27,15 @@ a structural break's refit share one least-squares rule (a target the
 window cannot fit keeps its coefficients, and a fit is refused only when
 no target can be fitted) and a clamped delta is always a float: none of
 the five has such a target or clamp, so each, with the header's
-``format_version`` set back to 4, is exactly its format-4 bytes.  A speed
-change must leave them alone.  If they ever need to move, the trace
+``format_version`` set back to 4, is exactly its format-4 bytes.  All five
+were re-pinned for format 6, which writes each repair candidate as one
+flat row, ``[kind, *fields in declaration order, score]`` (an EdgeAdd's
+source as its kind and its index), and each accepted edit as the same row
+without the score, in place of two nested objects that named every key:
+each one's format-5 bytes, with every candidate and accepted object
+rewritten as its row and the header's ``format_version`` set to 6, are
+exactly its format-6 bytes; the fit-only runs, which have no reflect
+block, moved only in the header.  A speed change must leave them alone.  If they ever need to move, the trace
 format moved: bump ``TRACE_FORMAT_VERSION`` and say so in CHANGES.md.
 """
 
@@ -75,16 +82,16 @@ def _wide4() -> ScenarioConfig:
 
 
 PINNED = {
-    "break_demo": (240, "1c8baad15d718425b88ced384a976b18b0bcebe300faf70845b812edea0761c3"),
-    "productivity": (160, "3d6458b12a2403d3316b79924293709c54f04acd5c7bfdb6b1c8b4c79742b9a1"),
-    "wide4": (60, "1b943d45d3014b716b54e60fce877af0411591f5a22ff72bc19f32b4a63a24c1"),
+    "break_demo": (240, "513a05edb1640bd36cb99da2f387bec07e339183b70ad5d230fe59ccc18c8f17"),
+    "productivity": (160, "94016c42ef45c20488fb5d4ae1bcec735eb5cb3d488b0b54518dc7235a745463"),
+    "wide4": (60, "643d8d635e2965bebe588c93e7039f54f59957646525b5e1b0e7d6a0f0a6d1c5"),
 }
 
 # Fit-only (``reflect_enabled=False``): the model changes only at applied
 # scheduled fits, so most ticks reuse the previous tick's digest.
 PINNED_FIT_ONLY = {
-    "break_demo": (300, "3d917096cd184ec7d0a137075d5832e36f59212e3beb5423a3a80d00d51ad285"),
-    "wide4": (120, "6cbfc0819f7afc876e3425b872eba71b574f6de4d3a4e87850e78810b8bea16e"),
+    "break_demo": (300, "ecdef5120357e25f3d2a1749a79c87fac1cecbab17e895c037160ce1f5ec1091"),
+    "wide4": (120, "210193567b9571456f2b626dea15e94b83753d019035291b09271592a20d59d5"),
 }
 
 
@@ -93,7 +100,7 @@ def _scenario(name: str) -> ScenarioConfig:
 
 
 def test_format_version_is_pinned():
-    assert TRACE_FORMAT_VERSION == 5
+    assert TRACE_FORMAT_VERSION == 6
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
