@@ -906,8 +906,9 @@ def hypothesis_to_dict(h: Hypothesis) -> dict[str, Any]:
     """The labelled view of :func:`hypothesis_to_row`: ``kind``, then each
     field under its name, an EdgeAdd's source as an object of its kind and
     index.  Explain's grounding and the LLM facts hold it; no trace does."""
-    row = hypothesis_to_row(h)
-    d = {"kind": row[0]}
-    for name, at, labels, _, _ in _FIELDS[type(h)]:
-        d[name] = row[at] if labels is None else dict(zip(labels, row[at]))
+    d = {"kind": h.kind, **h.__dict__}
+    for name, _, labels, write, _ in _FIELDS[type(h)]:
+        if write is not None:
+            entries = write(d[name])
+            d[name] = entries[0] if labels is None else dict(zip(labels, entries))
     return d

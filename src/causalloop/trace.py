@@ -157,7 +157,6 @@ class ReflectBlock:
     accepted: tuple[Hypothesis, ...]
 
 
-_LIST = frozenset({list})
 _KINDS = frozenset(HYPOTHESIS_KINDS.values())
 
 
@@ -172,14 +171,14 @@ def reflect_block_from_dict(tick: int, d: dict[str, Any]) -> ReflectBlock:
         if d["triggered"] is not True:
             raise ValueError(f"triggered is {d['triggered']!r}, expected true")
         candidates = json_typed(d["candidates"], list, name="candidates")
-        if not (_LIST.issuperset(map(type, candidates)) and all(candidates)):
-            raise TypeError("candidates are not all non-empty arrays")
         try:
+            # Entry 0 of anything but a non-empty array is not a kind: a
+            # string's is one character, an object has no key 0.
             known = _KINDS.issuperset(map(itemgetter(0), candidates))
-        except TypeError:  # a first entry that is a list or an object
+        except (IndexError, KeyError, TypeError):
             known = False
         if not known:
-            raise ValueError("a candidate row does not start with a known edit kind")
+            raise ValueError("a candidate is not an array that starts with a known edit kind")
         accepted = json_typed(d["accepted"], list, name="accepted")
         return ReflectBlock(
             epsilon=json_number(d["epsilon"], name="epsilon"),
