@@ -184,7 +184,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.llm:
         if not llm_configured():
             raise InputError("--llm requested but EXPLAIN_LLM_URL is not set")
-        bundle = render_prompt(record, record.reflect)
+        bundle = render_prompt(record)
         print(narrate_via_llm(bundle))
         return 0
     # Every explanation is built before any is printed, so a refused one

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import CausalTuple, ConfigError, InputError, Perturbation
-from .model import CausalModel, _farthest
+from .model import CausalModel, counterfactual
 from .reflect import (
     CoefChange,
     DelayChange,
@@ -129,7 +129,7 @@ def is_grounded(expl: Explanation) -> bool:
 def explain_transition(m: CausalModel, t: CausalTuple) -> Explanation:
     """One sentence per modeled contribution of this action/state point,
     naming the edge's source variable."""
-    effects, _, _ = _farthest(m, t, m.delta_hat)
+    effects = counterfactual(m, t, m.delta_hat).contributions
     scale = math.exp(-m.delta_hat)
     tick = t.time.tick
     scaled = f"scaled by perturbation factor e^-{fmt(m.delta_hat)} = {fmt(scale)}."
@@ -168,8 +168,8 @@ def explain_counterfactual(
     having occurred; any other names both deltas.
     """
     d_prime = delta_prime.delta if isinstance(delta_prime, Perturbation) else float(delta_prime)
-    _, horizon, s_factual = _farthest(m, t, m.delta_hat)
-    _, _, s_contrary = _farthest(m, t, d_prime)
+    _, _, horizon, s_factual = counterfactual(m, t, m.delta_hat)
+    s_contrary = counterfactual(m, t, d_prime).state
     if d_prime == 0.0:
         had = f"Had perturbation δ={fmt(m.delta_hat)} not occurred"
     else:
@@ -275,14 +275,12 @@ def _labelled(tick: int, report: dict[str, Any]) -> dict[str, Any]:
     return {**report, "candidates": candidates, "accepted": list(map(hypothesis_to_dict, block.accepted))}
 
 
-def render_prompt(record: TraceRecord, report: dict[str, Any] | None = None) -> PromptBundle:
-    """The facts of ``record``, and of ``report`` when given, with every
-    reflect block's rows labelled (:func:`_labelled`)."""
+def render_prompt(record: TraceRecord) -> PromptBundle:
+    """The facts of ``record``, with its reflect block's rows labelled
+    (:func:`_labelled`)."""
     facts: dict[str, Any] = {"record": record_to_dict(record)}
     if record.reflect is not None:
         facts["record"]["reflect"] = _labelled(record.tick, record.reflect)
-    if report is not None:
-        facts["report"] = _labelled(record.tick, report)
     return PromptBundle(system_preamble=SYSTEM_PREAMBLE, facts=facts, instruction=INSTRUCTION)
 
 

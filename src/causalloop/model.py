@@ -1,14 +1,16 @@
 """The agent's predictive model: a hypothesized graph plus a delta estimate.
 
 The model mirrors the world's additive per-edge semantics.  Applied to one
-(state, action, time, delta) point it yields per-horizon predictions; to
-predict what the *next observation* will be inside an episode it resolves
-each edge's source value at the lagged cause tick from recorded history,
-exactly as the world's delayed-effect queue would.  With the true graph,
-delta_hat = 0 and no noise, those one-step predictions reproduce the world
-up to rounding (the world adds each landing effect to the state in queue
-order, the model sums a target's effects first) -- the oracle-equivalence
-tests lean on that, at 1e-9.
+(state, action, time, delta) point, :func:`counterfactual` is the causal
+function: each edge's delayed contribution, and the state once the
+farthest of them has landed.  To predict what the *next observation*
+will be inside an episode, the model resolves each edge's source value at
+the lagged cause tick from recorded history, exactly as the world's
+delayed-effect queue would.  With the true graph, delta_hat = 0 and no
+noise, those one-step predictions reproduce the world up to rounding (the
+world adds each landing effect to the state in queue order, the model sums
+a target's effects first) -- the oracle-equivalence tests lean on that, at
+1e-9.
 
 Every lag-resolved prediction follows one rule: each target's change
 accumulates from 0.0 in graph edge order, each term computed as
@@ -98,12 +100,11 @@ delta_hat only ever carries transient residual scaling.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -126,7 +127,7 @@ from .core import (
     scale_factor,
 )
 from .scenario import canonical_json, graph_plan_from_dict, graph_to_dict, json_number, json_typed
-from .world import CausalGraph, EdgePlan, Form, SourceKind, VarRef
+from .world import CausalGraph, EdgePlan, Form
 
 
 _NO_ROWS = np.zeros(0)
@@ -326,25 +327,30 @@ class CausalModel:
             object.__setattr__(self, "history", as_history(self.history))
 
 
-@dataclass(frozen=True)
-class Contribution:
-    """One edge's predicted additive effect on ``target``, landing
-    ``horizon`` ticks out, from the value of its ``source`` at the tick."""
-
-    edge_index: int
-    horizon: int
-    source: VarRef
-    target: int
-    value: float
+# Each edge's effect at a point: (horizon, target, edge index, reads_action,
+# source index, value).  Named here, since ``Prediction.tuple`` hides the
+# builtin inside that class.
+_Effects = tuple[tuple[int, int, int, bool, int, float], ...]
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Single application of the model to one evaluation point."""
+class Prediction(NamedTuple):
+    """The causal function applied at one point (:func:`counterfactual`).
+    A named tuple, not a frozen dataclass: a tuple builds in a fraction of
+    the time.
+
+    ``contributions`` holds each edge's effect, sorted by horizon, target
+    and edge index; ``horizon`` is the farthest, 1 for a graph with no
+    edge; ``state`` is the state there, once every effect has landed."""
 
     tuple: CausalTuple
-    horizon_states: dict[int, StateVec]
-    contributions: tuple[Contribution, ...]
+    contributions: _Effects
+    horizon: int
+    state: StateVec
+
+
+# A Prediction built straight from its fields' tuple, skipping the named
+# tuple's Python-level ``__new__``: explain builds three per tick it explains.
+_prediction = tuple.__new__
 
 
 def append_history(m: CausalModel, tr: Transition) -> CausalModel:
@@ -366,80 +372,35 @@ def append_history(m: CausalModel, tr: Transition) -> CausalModel:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _source(reads_action: bool, index: int) -> VarRef:
-    """The variable an edge reads, one shared object per variable: building
-    a frozen VarRef costs about as much as the rest of a contribution."""
-    return VarRef(SourceKind.ACTION if reads_action else SourceKind.STATE, index)
+def counterfactual(m: CausalModel, t: CausalTuple, delta_prime: float | Perturbation) -> Prediction:
+    """The causal function at ``t`` under the perturbation ``delta_prime``.
 
-
-# An edge's effect at a point: (horizon, target, edge index, reads_action,
-# source index, value), as :func:`_effects` lists them.
-_Effect = tuple[int, int, int, bool, int, float]
-
-
-def _effects(m: CausalModel, t: CausalTuple, delta: float | Perturbation) -> list[_Effect]:
-    """Each edge's effect at ``t`` under ``delta``, in the order of
-    :func:`counterfactual`'s contributions: by horizon, target and edge
-    index.  Refuses as it does (:class:`DimensionError`, and
-    :func:`scale_factor`'s :class:`DomainError`)."""
+    Each edge contributes ``coefficient * form(source value) *
+    e^-delta'``, landing its delay ticks out.  The state returned is
+    ``t``'s state plus every contribution, added in the contributions'
+    order: by horizon, target and edge index.  Raises
+    :class:`DimensionError` for a tuple whose dimensions are not the
+    graph's, :class:`DomainError` for a delta that is not finite or lies
+    beyond ``DELTA_MAX`` (:func:`scale_factor`), and :class:`DomainError`
+    naming the first value of that state that is not finite.
+    """
     if len(t.state) != m.graph.d_state or len(t.action) != m.graph.d_action:
         raise DimensionError("tuple dimensions do not match the model graph")
-    scale = scale_factor(delta)
+    scale = scale_factor(delta_prime)
     effects = []
     for i, (reads_action, index, delay, target, coefficient, form) in enumerate(m.graph.plan):
         v = (t.action if reads_action else t.state)[index]
         effects.append((delay, target, i, reads_action, index, coefficient * form.apply(v) * scale))
     effects.sort()  # the edge index, unique, settles every tie
-    return effects
-
-
-def _landed(t: CausalTuple, effects: list[_Effect], horizon: int) -> StateVec:
-    """``t``'s state plus every effect landing at or before ``horizon``,
-    added in order; :class:`DomainError` names the first value that is not
-    finite."""
     values = list(t.state.values)
-    for delay, target, _, _, _, value in effects:
-        if delay > horizon:
-            break
+    for _, target, _, _, _, value in effects:
         values[target] += value
-    return StateVec.checked(check_finite(tuple(values), "state"))
-
-
-def counterfactual(m: CausalModel, t: CausalTuple, delta_prime: float | Perturbation) -> Prediction:
-    """Model output at ``t`` under an alternative perturbation estimate.
-
-    Horizons covered: 1 plus every distinct edge delay; the state at
-    horizon k accumulates every contribution landing at or before k.  A
-    delta that is not finite or lies beyond ``DELTA_MAX`` raises
-    :class:`DomainError` (:func:`scale_factor`).
-    """
-    effects = _effects(m, t, delta_prime)
-    horizon_states = {k: _landed(t, effects, k) for k in sorted({1} | {e[0] for e in effects})}
-    contributions = tuple(Contribution(i, k, _source(a, index), target, v) for k, target, i, a, index, v in effects)
-    return Prediction(tuple=t, horizon_states=horizon_states, contributions=contributions)
-
-
-def _farthest(m: CausalModel, t: CausalTuple, delta: float | Perturbation) -> tuple[list[_Effect], int, StateVec]:
-    """:func:`counterfactual`'s effects, its farthest horizon and its state
-    there, with no other horizon's state formed, and its refusals.
-
-    A horizon's sum for a target adds a prefix of the farthest one's terms,
-    in the same order, and a sum that is not finite stays so; so the
-    farthest state is finite exactly when every horizon's is.  When it is
-    not, :func:`counterfactual` raises the refusal of the first horizon.
-    """
-    effects = _effects(m, t, delta)
-    horizon = max(1, effects[-1][0]) if effects else 1
-    try:
-        return effects, horizon, _landed(t, effects, horizon)
-    except DomainError:
-        counterfactual(m, t, delta)
-        raise
+    state = StateVec.checked(check_finite(tuple(values), "state"))
+    return _prediction(Prediction, (t, tuple(effects), effects[-1][0] if effects else 1, state))
 
 
 def predict(m: CausalModel, t: CausalTuple) -> Prediction:
-    """Model output at ``t`` under the model's own delta_hat."""
+    """The causal function at ``t`` under the model's own delta_hat."""
     return counterfactual(m, t, m.delta_hat)
 
 

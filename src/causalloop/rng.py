@@ -58,7 +58,6 @@ SCHEME_VERSION = 1
 # Stream ids; distinct consumers never share a key.
 STREAM_WORLD = 1
 STREAM_POLICY = 2
-STREAM_SCENARIO = 3
 
 _WORD = 2**64 - 1
 _EMPTY_BUFFER = (0, 0, 0, 0)

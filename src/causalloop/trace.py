@@ -10,8 +10,9 @@ Records carry the one-step prediction, the full reflect report (every
 candidate and its score) and a model snapshot whenever the model's digest
 changed that tick, which is what lets evaluation and explanation
 reconstruct the agent's model at any tick without re-running anything.
-Horizon predictions are not recorded: explanation recomputes them from
-the snapshot and the record's delta_hat.
+The causal function's contributions and farthest state at a tick are not
+recorded: explanation recomputes them (:func:`causalloop.model.counterfactual`)
+from the snapshot and the record's delta_hat.
 
 A report's edits are flat rows, written and read by
 :func:`causalloop.reflect.hypothesis_to_row` and

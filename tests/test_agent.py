@@ -211,10 +211,10 @@ def test_digest_computed_only_when_the_model_may_have_changed(monkeypatch, refle
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("run_episode must not build a horizon map")
+    raise AssertionError("run_episode must not apply the causal function at a point")
 
 
-def test_run_episode_builds_no_horizon_map(monkeypatch):
+def test_run_episode_applies_no_counterfactual(monkeypatch):
     import causalloop.agent as agent_mod
     import causalloop.model as model_mod
 
@@ -225,8 +225,9 @@ def test_run_episode_builds_no_horizon_map(monkeypatch):
     assert not any("predicted" in record_to_dict(r) for r in tr.records)
 
 
-def test_trace_rebuilds_every_horizon_map(monkeypatch, tmp_path):
-    """The map the live model would have given each tick is the one
+def test_trace_rebuilds_every_prediction(monkeypatch, tmp_path):
+    """The prediction the live model would have given each tick -- every
+    contribution, the farthest horizon and the state there -- is the one
     explain recomputes from the written trace: the snapshot entering the
     tick with the record's delta_hat."""
     import causalloop.agent as agent_mod
@@ -235,15 +236,19 @@ def test_trace_rebuilds_every_horizon_map(monkeypatch, tmp_path):
     from causalloop.model import predict
     from causalloop.trace import read_trace, write_trace
 
+    def hexes(p):
+        contributions = [(*c[:5], c[5].hex()) for c in p.contributions]
+        return contributions, p.horizon, [v.hex() for v in p.state.values]
+
     live = {}
     real = agent_mod.predict_next
 
     def capture(m, tup):
-        live[tup.time.tick] = predict(m, tup).horizon_states
+        live[tup.time.tick] = hexes(predict(m, tup))
         return real(m, tup)
 
     monkeypatch.setattr(agent_mod, "predict_next", capture)
-    # productivity's 24-tick delays give every map a second horizon.
+    # productivity's 24-tick delays put every farthest horizon past 1.
     sc = builtin_scenarios()["productivity"]
     tr = run_episode(sc, RandomPolicy(), seed=7, length=160, reflect_enabled=True)
     assert sum(r.model_snapshot is not None for r in tr.records) > 1
@@ -251,15 +256,12 @@ def test_trace_rebuilds_every_horizon_map(monkeypatch, tmp_path):
     write_trace(tr, str(path))
     back = read_trace(str(path))
     assert len(live) == len(back.records) == 160
-    assert all(len(h) > 1 for h in live.values())
-
-    def hexes(horizons):
-        return {k: [v.hex() for v in s.values] for k, s in horizons.items()}
+    assert all(horizon > 1 for _, horizon, _ in live.values())
 
     for r in back.records:
         m = dataclasses.replace(_model_entering_tick(back, r.tick), delta_hat=r.delta_hat)
         tup = CausalTuple(r.state, r.action, TimeIndex(r.tick), Perturbation(r.delta_hat))
-        assert hexes(predict(m, tup).horizon_states) == hexes(live[r.tick]), f"tick {r.tick}"
+        assert hexes(predict(m, tup)) == live[r.tick], f"tick {r.tick}"
 
 
 def test_baseline_never_reflects():

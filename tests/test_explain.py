@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from causalloop.agent import RandomPolicy, run_episode
+from causalloop.cli import main
 from causalloop.core import (
     ActionVec,
     CausalTuple,
@@ -280,10 +281,9 @@ def refusal(fn):
 
 
 def test_a_state_that_is_not_finite_is_refused_as_predict_refuses_it():
-    """Explain forms only the farthest horizon's state, yet refuses as
-    predict and counterfactual do: with the first non-finite value of the
-    first horizon that has one, here inf at horizon 1, where the farthest
-    state, inf + -inf, holds nan."""
+    """Explain refuses a point whose farthest state is not finite as
+    predict and counterfactual do, naming that state's first non-finite
+    value: here inf + -inf, nan, though horizon 1 alone would hold inf."""
     g = CausalGraph(
         d_state=1,
         d_action=1,
@@ -294,13 +294,13 @@ def test_a_state_that_is_not_finite_is_refused_as_predict_refuses_it():
     )
     m = CausalModel(graph=g)
     t = tup((0.0,), (1e10,))
-    assert refusal(lambda: predict(m, t)) == "state contains non-finite value inf"
-    assert refusal(lambda: explain_transition(m, t)) == "state contains non-finite value inf"
-    assert refusal(lambda: explain_counterfactual(m, t, 0.0)) == "state contains non-finite value inf"
+    assert refusal(lambda: predict(m, t)) == "state contains non-finite value nan"
+    assert refusal(lambda: explain_transition(m, t)) == "state contains non-finite value nan"
+    assert refusal(lambda: explain_counterfactual(m, t, 0.0)) == "state contains non-finite value nan"
     # Only the counterfactual's state leaves the float range: 1e308 * e.
     m = one_edge_model(coef=1e300)
     t = tup((0.0,), (1e8,))
-    assert predict(m, t).horizon_states[1].values == (1e308,)
+    assert predict(m, t).state.values == (1e308,)
     assert explain_transition(m, t).grounding["contributions"][0]["effect"] == 1e308
     want = refusal(lambda: counterfactual(m, t, -1.0))
     assert want == "state contains non-finite value inf"
@@ -397,11 +397,32 @@ FACTS_BLOCK = {
 }
 
 
+LABELLED_BLOCK = {
+    "triggered": True,
+    "epsilon": 0.5,
+    "tau": 0.1,
+    "candidates": [
+        {
+            "kind": "edge_add",
+            "source": {"kind": "state", "index": 1},
+            "target": 0,
+            "delay": 2,
+            "form": "linear",
+            "coefficient": 0.7,
+            "score": 2.5,
+        },
+        {"kind": "coef_change", "edge_index": 0, "new_coefficient": -1.5, "score": 1.0},
+        {"kind": "structural_break", "keep": 8, "score": -0.25},
+    ],
+    "accepted": [{"kind": "coef_change", "edge_index": 0, "new_coefficient": -1.5}],
+}
+
+
 def test_render_prompt_flattens_facts(record):
-    """The facts are the record, and the report when given.  The trace's
-    rows become labelled objects there: each candidate its edit's kind and
-    field names with its score, each accepted edit the same without one,
-    in the record and in the report."""
+    """The facts are the record.  The trace's rows become labelled objects
+    there, in the record's one reflect block: each candidate its edit's
+    kind and field names with its score, each accepted edit the same
+    without one."""
     bundle = render_prompt(record)
     flat = bundle.flatten()
     assert flat.startswith(SYSTEM_PREAMBLE)
@@ -412,29 +433,12 @@ def test_render_prompt_flattens_facts(record):
     assert bundle.facts["record"]["reflect"] is None
 
     record = dataclasses.replace(record, reflect=FACTS_BLOCK)
-    with_report = render_prompt(record, record.reflect)
-    assert set(with_report.facts) == {"record", "report"}
-    labelled = {
-        "triggered": True,
-        "epsilon": 0.5,
-        "tau": 0.1,
-        "candidates": [
-            {
-                "kind": "edge_add",
-                "source": {"kind": "state", "index": 1},
-                "target": 0,
-                "delay": 2,
-                "form": "linear",
-                "coefficient": 0.7,
-                "score": 2.5,
-            },
-            {"kind": "coef_change", "edge_index": 0, "new_coefficient": -1.5, "score": 1.0},
-            {"kind": "structural_break", "keep": 8, "score": -0.25},
-        ],
-        "accepted": [{"kind": "coef_change", "edge_index": 0, "new_coefficient": -1.5}],
-    }
-    assert with_report.facts["report"] == with_report.facts["record"]["reflect"] == labelled
-    assert canonical_json(with_report.facts) in with_report.flatten()
+    with_block = render_prompt(record)
+    assert set(with_block.facts) == {"record"}
+    assert with_block.facts["record"]["reflect"] == LABELLED_BLOCK
+    flat = with_block.flatten()
+    assert canonical_json(with_block.facts) in flat
+    assert flat.count(canonical_json(LABELLED_BLOCK)) == flat.count('"candidates"') == 1
     assert record.reflect == FACTS_BLOCK  # the record itself keeps its rows
 
 
@@ -446,7 +450,7 @@ def test_render_prompt_flattens_facts(record):
 def test_render_prompt_refuses_a_candidate_row_it_cannot_label(record, candidate):
     record = dataclasses.replace(record, reflect={**FACTS_BLOCK, "candidates": [candidate]})
     with pytest.raises(InputError, match=f"tick {record.tick}: malformed reflect block"):
-        render_prompt(record, record.reflect)
+        render_prompt(record)
 
 
 def test_llm_unconfigured(monkeypatch, record):
@@ -508,8 +512,10 @@ def test_llm_rejects_bad_responses(monkeypatch, record, response):
         narrate_via_llm(render_prompt(record))
 
 
-def test_post_json_over_http(monkeypatch, record):
-    """The stdlib POST against a local server: body, headers, status."""
+def test_post_json_over_http(monkeypatch, record, tmp_path, capsys):
+    """The stdlib POST against a local server: body, headers, status.  Then
+    ``causalloop explain --llm`` against it, at a tick with a reflect
+    block: the prompt it posts names each candidate row once."""
     seen = {}
 
     class Handler(http.server.BaseHTTPRequestHandler):
@@ -536,6 +542,20 @@ def test_post_json_over_http(monkeypatch, record):
         monkeypatch.setenv("EXPLAIN_LLM_URL", base + "/down")
         with pytest.raises(InputError, match="status 503"):
             narrate_via_llm(bundle)
+
+        path = tmp_path / "t.jsonl"
+        assert main(["run", "calm", "--seed", "0", "--length", "4", "--trace", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        lines[3] = json.dumps({**json.loads(lines[3]), "reflect": FACTS_BLOCK})  # tick 2
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setenv("EXPLAIN_LLM_URL", base + "/ok")
+        capsys.readouterr()
+        assert main(["explain", str(path), "--tick", "2", "--llm"]) == 0
+        assert capsys.readouterr().out == "over the wire\n"
+        prompt = seen["json"]["prompt"]
+        for row in LABELLED_BLOCK["candidates"]:
+            assert prompt.count(canonical_json(row)) == 1, row
+        assert prompt.count('"candidates"') == 1
     finally:
         server.shutdown()
         server.server_close()

@@ -46,6 +46,8 @@ from causalloop.model import (
 from causalloop.explain import explain_counterfactual
 from causalloop.world import CausalEdge, CausalGraph, Form, VarRef
 
+from helpers import random_graph
+
 
 def row(tick, state, action, observed):
     return Transition(
@@ -74,16 +76,16 @@ def test_predict_known_values():
     m = single_edge_model(2.0)
     t = CausalTuple(state=StateVec((1.0,)), action=ActionVec((3.0,)), time=TimeIndex(0))
     p = predict(m, t)
-    assert p.horizon_states == {1: StateVec((7.0,))}
-    (c,) = p.contributions
-    assert (c.edge_index, c.horizon, c.target, c.value) == (0, 1, 0, 6.0)
+    assert p == (t, ((1, 0, 0, True, 0, 6.0),), 1, StateVec((7.0,)))
+    assert (p.tuple, p.horizon, p.state) == (t, 1, StateVec((7.0,)))
 
 
 def test_counterfactual_rescales_contribution():
     m = single_edge_model(2.0)
     t = CausalTuple(state=StateVec((1.0,)), action=ActionVec((3.0,)), time=TimeIndex(0))
     p = counterfactual(m, t, math.log(2.0))
-    assert p.horizon_states[1].values[0] == pytest.approx(4.0, abs=1e-12)
+    assert p.contributions[0][-1] == pytest.approx(3.0, abs=1e-12)
+    assert p.state.values[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_predict_is_counterfactual_at_own_delta():
@@ -102,7 +104,7 @@ def test_counterfactual_refuses_a_delta_out_of_range(delta):
     with pytest.raises(DomainError, match="delta out of range"):
         explain_counterfactual(m, t, delta)
     for edge in (-10.0, 10.0, 0.5):  # the range's ends are in it
-        assert counterfactual(m, t, edge).horizon_states[1].values[0] == 1.0 + 6.0 * math.exp(-edge)
+        assert counterfactual(m, t, edge).state.values[0] == 1.0 + 6.0 * math.exp(-edge)
 
 
 def test_multi_horizon_accumulation():
@@ -110,16 +112,58 @@ def test_multi_horizon_accumulation():
         d_state=1,
         d_action=1,
         edges=(
-            CausalEdge(VarRef.action(0), 0, delay=1, coefficient=1.0),
             CausalEdge(VarRef.action(0), 0, delay=3, coefficient=10.0),
+            CausalEdge(VarRef.action(0), 0, delay=1, coefficient=1.0),
         ),
     )
     m = CausalModel(graph=g)
     t = CausalTuple(state=StateVec((0.0,)), action=ActionVec((1.0,)), time=TimeIndex(0))
     p = predict(m, t)
-    assert sorted(p.horizon_states) == [1, 3]
-    assert p.horizon_states[1].values == (1.0,)
-    assert p.horizon_states[3].values == (11.0,)
+    assert [(k, i, v) for k, _, i, _, _, v in p.contributions] == [(1, 1, 1.0), (3, 0, 10.0)]
+    assert p.horizon == 3
+    assert p.state.values == (11.0,)
+
+
+def test_a_graph_with_no_edge_predicts_the_state_at_horizon_1():
+    m = CausalModel(graph=CausalGraph(d_state=2, d_action=1, edges=()))
+    t = CausalTuple(state=StateVec((0.5, -2.0)), action=ActionVec((1.0,)), time=TimeIndex(3))
+    assert predict(m, t) == (t, (), 1, t.state)
+
+
+FORMS = {Form.LINEAR: lambda x: x, Form.TANH: math.tanh, Form.QUADRATIC: lambda x: x * x}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_the_causal_function_is_the_state_plus_every_contribution(seed):
+    """Against a closed form over random graphs of mixed forms and delays,
+    to the bit: each contribution is its edge's ``coefficient *
+    form(source) * e^-delta'`` at the edge's delay, the horizon is the
+    largest delay, and the state is the tuple's plus every contribution,
+    added in (horizon, target, edge) order."""
+    rng = np.random.default_rng(seed)
+    d_state, d_action = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+    graph = random_graph(rng, d_state, d_action, max_edges=8, max_delay=6)
+    m = CausalModel(graph=graph, delta_hat=float(rng.uniform(-3.0, 3.0)))
+    t = CausalTuple(
+        state=StateVec(tuple(rng.uniform(-5.0, 5.0, size=d_state))),
+        action=ActionVec(tuple(rng.uniform(-2.0, 2.0, size=d_action))),
+        time=TimeIndex(int(rng.integers(0, 500))),
+    )
+    delta = float(rng.uniform(-3.0, 3.0))
+    want = []
+    for i, e in enumerate(graph.edges):
+        reads_action = e.source == VarRef.action(e.source.index)
+        v = (t.action if reads_action else t.state)[e.source.index]
+        value = e.coefficient * FORMS[e.form](v) * math.exp(-delta)
+        want.append((e.delay, e.target, i, reads_action, e.source.index, value))
+    want.sort(key=lambda c: c[:3])
+    state = list(t.state.values)
+    for _, target, _, _, _, value in want:
+        state[target] += value
+    p = counterfactual(m, t, delta)
+    assert p == (t, tuple(want), max(e.delay for e in graph.edges), StateVec(tuple(state)))
+    assert predict(m, t) == counterfactual(m, t, m.delta_hat)
 
 
 def test_predict_checks_dimensions():

@@ -31,9 +31,26 @@ row per run:
   (``evaluate_trace``);
 * ``ms_tick``: as above.
 
+A third table asks whether repair undoes one fault in a model otherwise
+true.  For d in 2, 4 and 8 at seeds s = 0, 1, 2, both agents run 300
+ticks of ``width_scenario(np.random.default_rng(3000 + 17*d + s), d)``
+(no break) at episode seed s, starting from the true graph with one
+fault (:data:`FAULTS`) on its first action edge or its first state edge:
+
+* ``action coef x0.5``: the action edge's coefficient halved;
+* ``action delay +1`` and ``state delay +1``: that edge's delay one longer;
+* ``action edge missing`` and ``state edge missing``: that edge dropped;
+* ``spurious edge``: an edge the world lacks, action[0] to the action
+  edge's target + 1, delay 2, coefficient 0.5;
+* ``state tanh->linear``: the state edge read linearly, which ``shd``
+  does not see.
+
+One row per fault and run: the final SHD of each agent, and the repair
+agent's reflect triggers (the fit-only agent never reflects).
+
 It gates nothing and writes nothing.  Run it from any directory: it
 imports the package from ``src/`` and the family from ``perfbench/``
-beside this directory.  Its 22 episodes take about 2 s on a 2-core host.
+beside this directory.  Its 148 episodes take about 4 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -42,6 +59,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
@@ -51,6 +69,7 @@ import numpy as np  # noqa: E402
 
 from causalloop.agent import RandomPolicy, run_episode  # noqa: E402
 from causalloop.evaluate import compare, evaluate_trace  # noqa: E402
+from causalloop.world import CausalEdge, CausalGraph, Form, SourceKind, VarRef  # noqa: E402
 
 from bench_family import width_scenario  # noqa: E402
 
@@ -64,6 +83,18 @@ LONG_LENGTH = 3000
 LONG_TAIL = 1000  # the closing ticks whose rolling RMSE ``tail_rmse`` averages
 LONG_RUNS = [(8, 3), (16, 3)]
 LONG_COLUMNS = ("d", "s", "ticks", "applied", "rejected", "skipped", "tail_rmse", "ms_tick")
+
+FAULT_RUNS = [(d, s) for d in (2, 4, 8) for s in (0, 1, 2)]
+FAULTS = (
+    "action coef x0.5",
+    "action delay +1",
+    "state delay +1",
+    "action edge missing",
+    "state edge missing",
+    "spurious edge",
+    "state tanh->linear",
+)
+FAULT_COLUMNS = ("fault", "d", "s", "repair_shd", "fit_only_shd", "triggers")
 
 
 def _timed_episode(sc, seed: int, reflect_enabled: bool, length: int = LENGTH):
@@ -123,6 +154,51 @@ def long_rows(runs: list[tuple[int, int]]) -> list[tuple]:
     return out
 
 
+def faulted_edges(graph: CausalGraph) -> dict[str, tuple[CausalEdge, ...]]:
+    """Each of :data:`FAULTS`, in order, with ``graph``'s edges carrying it."""
+    edges = graph.edges
+    a = next(i for i, e in enumerate(edges) if e.source.kind is SourceKind.ACTION)
+    s = next(i for i, e in enumerate(edges) if e.source.kind is SourceKind.STATE)
+
+    def edited(i: int, **fields) -> tuple[CausalEdge, ...]:
+        return edges[:i] + (replace(edges[i], **fields),) + edges[i + 1 :]
+
+    spurious = CausalEdge(VarRef.action(0), (edges[a].target + 1) % graph.d_state, delay=2, coefficient=0.5)
+    return dict(zip(FAULTS, (
+        edited(a, coefficient=0.5 * edges[a].coefficient),
+        edited(a, delay=edges[a].delay + 1),
+        edited(s, delay=edges[s].delay + 1),
+        edges[:a] + edges[a + 1 :],
+        edges[:s] + edges[s + 1 :],
+        edges + (spurious,),
+        edited(s, form=Form.LINEAR),
+    )))
+
+
+def fault_rows(runs: list[tuple[int, int]], faults: tuple[str, ...] = FAULTS) -> list[tuple]:
+    """One row of :data:`FAULT_COLUMNS` per fault of ``faults``, in that
+    order, and per (d, s) run."""
+    starts = []
+    for d, s in runs:
+        sc = width_scenario(np.random.default_rng(3000 + 17 * d + s), d)
+        starts.append((d, s, sc, faulted_edges(sc.graph)))
+    out = []
+    for fault in faults:
+        for d, s, sc, faulted in starts:
+            start = replace(sc, agent_graph=CausalGraph(d, sc.d_action, faulted[fault]))
+            repair = run_episode(start, RandomPolicy(), s, LENGTH, True)
+            baseline = run_episode(start, RandomPolicy(), s, LENGTH, False)
+            out.append((
+                fault,
+                d,
+                s,
+                evaluate_trace(repair, start).shd[-1],
+                evaluate_trace(baseline, start).shd[-1],
+                sum(r.reflect is not None for r in repair.records),
+            ))
+    return out
+
+
 def _print_table(columns: tuple[str, ...], body: list[tuple]) -> None:
     table = [columns] + body
     widths = [max(len(str(row[i])) for row in table) for i in range(len(columns))]
@@ -136,6 +212,8 @@ def main(argv: list[str] | None = None) -> int:
     _print_table(COLUMNS, rows(RUNS))
     print()
     _print_table(LONG_COLUMNS, long_rows(LONG_RUNS))
+    print()
+    _print_table(FAULT_COLUMNS, fault_rows(FAULT_RUNS))
     return 0
 
 
