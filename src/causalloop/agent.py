@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, ClassVar, get_args
 
 from . import rng as _rng
 from .core import (
@@ -48,7 +48,8 @@ from .model import (
 # agent.rollout, so both names stay importable from this module.
 from .model import predict, rollout  # noqa: F401
 from .reflect import ReflectSettings, detect_mismatch, reflect
-from .scenario import ScenarioConfig, json_number, json_typed, scenario_digest
+from .scenario import ScenarioConfig, read_fields, scenario_digest
+from .scenario import tagged_to_dict as policy_to_dict
 from .trace import EpisodeTrace, TraceHeader, TraceRecord, report_to_dict
 # Not called here: perfbench/bench_layers.py wraps agent.record_to_dict, so
 # the name stays importable from this module.
@@ -63,10 +64,15 @@ DELTA_DECAY = 0.9  # pull-to-zero on delta_hat per calm step
 # ---------------------------------------------------------------------------
 
 
+# Each policy class states its ``kind``, the record kind a trace header
+# writes it under (:func:`policy_to_dict`), once.
+
+
 @dataclass(frozen=True)
 class RandomPolicy:
     """Uniform actions in [low, high), one fresh draw per tick."""
 
+    kind: ClassVar[str] = "random"
     low: float = -1.0
     high: float = 1.0
 
@@ -79,6 +85,7 @@ class RandomPolicy:
 class CyclicPolicy:
     """Repeats a fixed list of action vectors."""
 
+    kind: ClassVar[str] = "cyclic"
     vectors: tuple[tuple[float, ...], ...]
 
 
@@ -86,6 +93,7 @@ class CyclicPolicy:
 class ProbePolicy:
     """One-hot excitation, cycling through action dimensions."""
 
+    kind: ClassVar[str] = "probe"
     magnitude: float = 1.0
 
 
@@ -93,6 +101,7 @@ class ProbePolicy:
 class ScriptedPolicy:
     """Explicit per-tick actions; the episode must not outrun the script."""
 
+    kind: ClassVar[str] = "scripted"
     actions: tuple[tuple[float, ...], ...]
 
 
@@ -128,36 +137,22 @@ def policy_action(policy: Policy, seed: int, tick: int, d_action: int) -> Action
     return ActionVec(tuple(vec))
 
 
-def policy_to_dict(policy: Policy) -> dict[str, Any]:
-    if isinstance(policy, RandomPolicy):
-        return {"kind": "random", "low": policy.low, "high": policy.high}
-    if isinstance(policy, CyclicPolicy):
-        return {"kind": "cyclic", "vectors": [list(v) for v in policy.vectors]}
-    if isinstance(policy, ProbePolicy):
-        return {"kind": "probe", "magnitude": policy.magnitude}
-    return {"kind": "scripted", "actions": [list(v) for v in policy.actions]}
+# Each policy class by its kind.
+_POLICIES = {cls.kind: cls for cls in get_args(Policy)}
 
 
 def policy_from_dict(d: dict[str, Any]) -> Policy:
-    def vectors(key: str) -> tuple[tuple[float, ...], ...]:
-        return tuple(
-            tuple(json_number(x, name=f"{key} element") for x in json_typed(v, list, name=key))
-            for v in json_typed(d[key], list, name=key)
-        )
-
+    """The policy :func:`policy_to_dict` wrote: its class by ``kind``, its
+    fields by :func:`causalloop.scenario.read_fields`; :class:`ConfigError`
+    for an unknown kind or a malformed field."""
     kind = d.get("kind")
+    cls = _POLICIES.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise ConfigError(f"unknown policy kind {kind!r}")
     try:
-        if kind == "random":
-            return RandomPolicy(json_number(d["low"], name="low"), json_number(d["high"], name="high"))
-        if kind == "cyclic":
-            return CyclicPolicy(vectors=vectors("vectors"))
-        if kind == "probe":
-            return ProbePolicy(magnitude=json_number(d["magnitude"], name="magnitude"))
-        if kind == "scripted":
-            return ScriptedPolicy(actions=vectors("actions"))
+        return cls(**read_fields(cls, d))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {kind} policy: {exc!r}") from exc
-    raise ConfigError(f"unknown policy kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

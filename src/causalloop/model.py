@@ -126,7 +126,7 @@ from .core import (
     check_finite,
     scale_factor,
 )
-from .scenario import canonical_json, graph_plan_from_dict, graph_to_dict, json_number, json_typed
+from .scenario import canonical_json, graph_plan_from_dict, graph_to_dict, read_fields
 from .world import CausalGraph, EdgePlan, Form
 
 
@@ -629,22 +629,19 @@ class _LagFeatures:
         np.subtract(self._observed, self._states, out=z[:, width])
         return z
 
-    def dead(self, place: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray | None:
+    def dead(self, place: np.ndarray, lo: int = 0) -> np.ndarray | None:
         """For each group of column places (a row of ``place``), the mask of
-        the rows ``[lo, hi)`` where a column it reads has a gap (groups x
+        the rows from ``lo`` where a column it reads has a gap (groups x
         rows); None when none has."""
         if not self.gaps or self.gaps.keys().isdisjoint(place.ravel().tolist()):
             return None
-        hi = self._n if hi is None else hi
-        masks = np.zeros((len(self.columns), hi - lo), dtype=bool)
+        masks = np.zeros((len(self.columns), self._n - lo), dtype=bool)
         for p, gap in self.gaps.items():
-            masks[p] = gap[lo:hi]
+            masks[p] = gap[lo:]
         return masks[place].any(axis=1)
 
-    def sums(
-        self, packed: _Packed, scale: float | np.ndarray, lo: int = 0, hi: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Each packed group's strict prediction over rows ``[lo, hi)``
+    def sums(self, packed: _Packed, scale: float | np.ndarray, lo: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+        """Each packed group's strict prediction over the rows from ``lo``
         (groups x rows), and the mask of the rows where a column it reads
         has a gap (groups x rows; None when none has).  ``packed`` is
         :func:`_pack` of ``(target, places, coefficients)`` groups, or
@@ -654,22 +651,19 @@ class _LagFeatures:
         group -- and past its last edge coefficient 0.0 over row 0.  The
         slots add in order to 0.0 (:func:`_add_up`), then to the target's
         recorded state."""
-        hi = self._n if hi is None else hi
         targets, place, coef = packed
         with np.errstate(all="ignore"):
-            terms = coef[:, :, None] * self.columns[place, lo:hi]
+            terms = coef[:, :, None] * self.columns[place, lo:]
             if isinstance(scale, np.ndarray):
                 terms = terms * scale[:, None, None]
             elif scale != 1.0:
                 terms = terms * scale
-            states = self._states[targets, lo:hi] if self._n else np.zeros((len(targets), 0))
+            states = self._states[targets, lo:] if self._n else np.zeros((len(targets), 0))
             pred = states + _add_up(terms)
-        return pred, self.dead(place, lo, hi)
+        return pred, self.dead(place, lo)
 
-    def mses(
-        self, packed: _Packed, scale: float | np.ndarray, lo: int = 0, hi: int | None = None
-    ) -> list[float] | None:
-        """The mean loss epsilon of each model over the rows of ``[lo, hi)``
+    def mses(self, packed: _Packed, scale: float | np.ndarray, lo: int = 0) -> list[float] | None:
+        """The mean loss epsilon of each model over the rows from ``lo``
         that every one of them predicts, all in one :meth:`sums`; None when
         there are none.  ``packed`` holds each model's groups for every
         target dimension in order, one model after another, and ``scale``
@@ -678,21 +672,21 @@ class _LagFeatures:
         to right from 0.0, as :func:`causalloop.core.loss` and a mean of
         its epsilons would.  Raises :class:`DomainError` as :func:`_refuse`
         does, reading the rows every model predicts."""
-        hi = self._n if hi is None else hi
-        if lo >= hi:
+        rows = self._n - lo
+        if rows <= 0:
             return None
         d = len(self._observed)
-        pred, dead = self.sums(packed, scale, lo, hi)
-        pred = pred.reshape(len(pred) // d, d, hi - lo)
+        pred, dead = self.sums(packed, scale, lo)
+        pred = pred.reshape(len(pred) // d, d, rows)
         live = True if dead is None else ~dead.any(axis=0)  # the rows every model predicts
         with np.errstate(all="ignore"):
-            sq, overflow = _squares(self._observed[:, lo:hi], pred)
+            sq, overflow = _squares(self._observed[:, lo:], pred)
             if overflow is not None:
                 _refuse(pred, live, overflow)
-            stacked = np.zeros((len(pred), d + 1, hi - lo))
+            stacked = np.zeros((len(pred), d + 1, rows))
             stacked[:, 1:] = sq
             per_row = np.add.accumulate(stacked, axis=1)[:, -1] / d
-            n = hi - lo if dead is None else np.count_nonzero(live)
+            n = rows if dead is None else np.count_nonzero(live)
             return None if n == 0 else [total / n for total in _fold(per_row, live).tolist()]
 
 
@@ -936,10 +930,11 @@ def read_snapshot(snap: Any) -> tuple[tuple[int, int, tuple[EdgePlan, ...]], tup
     for a float field a JSON int or finite float, made a float.
 
     The scalars as written (three finite floats and two ints) pass one
-    type test; anything else takes a pass over the fields in order, which
-    names the first one refused.  A missing key or a scalar of the wrong
-    type raises :class:`InputError` (``malformed model snapshot``); the
-    graph raises what its reader raises.  :func:`model_from_snapshot` and
+    type test; anything else is read as :class:`CausalModel`'s fields by
+    :func:`causalloop.scenario.read_fields`, which names the first one
+    refused.  A missing key or a scalar of the wrong type raises
+    :class:`InputError` (``malformed model snapshot``); the graph raises
+    what its reader raises.  :func:`model_from_snapshot` and
     :func:`causalloop.evaluate.evaluate_trace` both read snapshots so.
     """
     try:
@@ -954,13 +949,7 @@ def read_snapshot(snap: Any) -> tuple[tuple[int, int, tuple[EdgePlan, ...]], tup
             and all(map(math.isfinite, scalars[::2]))
         ):
             return graph, scalars
-        return graph, (
-            json_number(snap["delta_hat"], name="delta_hat"),
-            json_typed(snap["fit_window"], int, name="fit_window"),
-            json_number(snap["sigma_lik"], name="sigma_lik"),
-            json_typed(snap["capacity"], int, name="capacity"),
-            json_number(snap["delta_max"], name="delta_max"),
-        )
+        return graph, tuple(read_fields(CausalModel, snap, _SNAPSHOT_SCALARS).values())
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model snapshot: {exc!r}") from exc
 

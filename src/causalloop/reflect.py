@@ -343,18 +343,18 @@ def apply_hypothesis(m: CausalModel, h: Hypothesis) -> CausalModel:
 
 
 class _Baseline:
-    """A model's predictions and errors over a kernel, for rows ``[lo, hi)``.
+    """A model's predictions and errors over a kernel, for the rows from ``lo``.
 
     Computed once, in one :meth:`_LagFeatures.sums` of every target, and
     shared by every score or test against that model.  As (d_state x
     rows) arrays over every kernel row: ``pred``, ``observed``, the
     squared errors ``sq`` and ``dead``, the mask of a target's rows with
-    an unrecorded lag; ``finite`` says whether every prediction is.  Over
-    ``[lo, hi)``: ``row_sq``, each row's ``sq`` added over dimensions from
+    an unrecorded lag; ``finite`` says whether every prediction is.  From
+    row ``lo``: ``row_sq``, each row's ``sq`` added over dimensions from
     0.0 (``row_sq / d`` is its :func:`loss` epsilon to the bit), and
     ``row_dead``, the rows some target leaves out.  It refuses as
-    :func:`causalloop.model._refuse` does, reading the rows of ``[lo, hi)``
-    it predicts; an error that overflows refuses on any row.
+    :func:`causalloop.model._refuse` does, reading the rows from ``lo`` it
+    predicts; an error that overflows refuses on any row.
     :meth:`edit` states a candidate as the targets it predicts anew, which
     is how :class:`_EditBatch` scores it.
 
@@ -366,13 +366,10 @@ class _Baseline:
     every edge's key (:func:`_edge_keys`).
     """
 
-    def __init__(
-        self, m: CausalModel, lags: _LagFeatures, lo: int = 0, hi: int | None = None
-    ) -> None:
+    def __init__(self, m: CausalModel, lags: _LagFeatures, lo: int = 0) -> None:
         self.m = m
         self.lags = lags
         self.lo = lo
-        self.hi = hi = len(lags.rows) if hi is None else hi
         self.d = m.graph.d_state
         self.scale = math.exp(-m.delta_hat)
         layout = lags.layout(m.graph)
@@ -384,11 +381,11 @@ class _Baseline:
         self.observed = np.broadcast_to(lags._observed, self.pred.shape)  # (d_state x 0) with no rows
         with np.errstate(all="ignore"):
             self.sq, overflow = _squares(self.observed, self.pred)
-        self.row_dead = self.dead[:, lo:hi].any(axis=0)
+        self.row_dead = self.dead[:, lo:].any(axis=0)
         self.finite = overflow is None
         if not self.finite:
-            _refuse(self.pred[:, lo:hi], ~self.row_dead, overflow)
-        self.row_sq = _add_up(self.sq[None, :, lo:hi])[0]
+            _refuse(self.pred[:, lo:], ~self.row_dead, overflow)
+        self.row_sq = _add_up(self.sq[None, :, lo:])[0]
 
     @staticmethod
     def over(m: CausalModel, rows: Sequence[Transition]) -> _Baseline:
@@ -630,7 +627,7 @@ def test_hypothesis(
 
 class _EditBatch:
     """Every candidate of ``hs`` scored over rows ``[base.lo, split)`` and
-    tested over rows ``[split, base.hi)`` of ``base``'s kernel, against
+    tested over the rows from ``split`` of ``base``'s kernel, against
     ``base``, the baseline of the model the candidates edit.
 
     Each candidate is one row of a (candidates x dimensions x rows) array of
@@ -699,7 +696,7 @@ class _EditBatch:
 
     def _predict(self, cand: list[int], groups: list[tuple[int, list[int], list[float]]], scales: list[float]) -> None:
         base, lags, count = self.base, self.base.lags, len(self.hs)
-        lo, hi, d, s = base.lo, base.hi, base.d, self.split - base.lo
+        lo, d, s = base.lo, base.d, self.split - base.lo
         cand, target = np.array(cand), np.array([k for k, _, _ in groups])
         pred, gapped = lags.sums(_pack(groups), np.array(scales))
         with np.errstate(all="ignore"):
@@ -711,12 +708,12 @@ class _EditBatch:
         # Each candidate's (dimension x row) values over the range: the
         # model's, or the candidate's in a dimension it predicts anew.
         def per_candidate(of_model: np.ndarray, of_subs: np.ndarray) -> np.ndarray:
-            out = np.repeat(of_model[None, :, lo:hi], count, axis=0)
-            out[cand, target] = of_subs[:, lo:hi]
+            out = np.repeat(of_model[None, :, lo:], count, axis=0)
+            out[cand, target] = of_subs[:, lo:]
             return out
 
         sq_h = _add_up(per_candidate(base.sq, sq_k))
-        dead = np.zeros((count, hi - lo), dtype=bool)  # rows the edited model leaves out
+        dead = np.zeros((count, lags._n - lo), dtype=bool)  # rows the edited model leaves out
         if lags.gaps:  # every column read is in the kernel's store: no dead row without a gap
             dead = per_candidate(base.dead, np.zeros(pred.shape, dtype=bool) if gapped is None else gapped).any(axis=1)
         bad = None  # rows it predicts with a prediction not finite, if any
@@ -840,7 +837,7 @@ def reflect(
             rest = [(j, _remap(later.hypothesis, index_map)) for j, later in ranked[pos:]]
             rest = [(j, h) for j, h in rest if h is not None]
             try:
-                base = _Baseline(working, lags, h_lo, len(lags.rows))
+                base = _Baseline(working, lags, h_lo)
             except CausalLoopError:
                 break  # a non-finite holdout prediction: every later test would raise on it
             batch = _EditBatch(base, [h for _, h in rest], h_lo)

@@ -11,11 +11,19 @@ keeps it (:attr:`ScenarioConfig.digest`), so running, replaying and
 evaluating against one scenario object hash it once.
 
 Serialization helpers for graphs/edges live here too, shared by trace
-records and model snapshots.
+records and model snapshots, and the one JSON field reader,
+:func:`read_fields`: it reads a dataclass's fields from a JSON object, each
+by the reader for its annotation, so a field's annotation is the one
+statement of its JSON type.  Scenario files, trace headers and records,
+model snapshots, edge records, perturbation processes and policies are read
+through it.  A perturbation process or a policy states its ``kind`` once,
+on its class, and is written as that kind and its fields
+(:func:`tagged_to_dict`) and read back by it.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import hashlib
 import json
@@ -24,17 +32,16 @@ import operator
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
-from types import NoneType
-from typing import Any
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from types import NoneType, UnionType
+from typing import Any, Callable, Collection, get_args, get_origin, get_type_hints
 
-from .core import ConfigError, InputError, DELTA_MAX
+from .core import ActionVec, ConfigError, InputError, DELTA_MAX, StateVec
 from .world import (
     CausalEdge,
     CausalGraph,
     EdgePlan,
     Form,
-    GaussianWalk,
     NoPerturbation,
     PerturbationProcess,
     ScheduledBreak,
@@ -42,6 +49,7 @@ from .world import (
     Spike,
     VarRef,
     _check_plan,
+    _edge_plan,
 )
 
 FORMAT_VERSION = 1
@@ -76,8 +84,13 @@ class ScenarioConfig:
     delta_max: float = DELTA_MAX
 
     def __post_init__(self) -> None:
+        # Floats as floats, so that a config equal to another has its digest.
         object.__setattr__(self, "initial_state", tuple(float(v) for v in self.initial_state))
         object.__setattr__(self, "breaks", tuple(self.breaks))
+        for name in ("noise_sigma", "sigma_lik", "rho", "delta_max"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if self.tau is not None:
+            object.__setattr__(self, "tau", float(self.tau))
 
     # -- derived -----------------------------------------------------------
 
@@ -191,14 +204,14 @@ _WRITTEN_EDGE = (int, int, int, float)
 
 def _edge_plan_from_dict(d: Any) -> EdgePlan:
     """An edge record :func:`graph_to_dict` wrote, as a plan tuple
-    (:attr:`CausalGraph.plan`), each field read as its JSON type in record
-    order; :class:`InputError` for a malformed record, then
-    :class:`ConfigError` for a delay below 1, as :class:`CausalEdge` refuses
-    it.  Its source and target are checked with its graph's.
+    (:attr:`CausalGraph.plan`): :class:`InputError` for a malformed record,
+    then :class:`ConfigError` for a delay below 1, as :class:`CausalEdge`
+    refuses it.  Its source and target are checked with its graph's.
 
     A record as written (a known kind and form, three ints and a finite
-    float, a delay of at least 1) passes one type test; anything else takes
-    a pass over the fields in order, which names the first one refused."""
+    float, a delay of at least 1) passes one type test; anything else is
+    read as a :class:`CausalEdge` by :func:`read_fields`, which names the
+    first field refused in record order."""
     try:
         source, target, delay, coefficient, form = _edge_fields(d)
         kind, index = _source_fields(source) if type(source) is dict else (None, None)
@@ -215,24 +228,10 @@ def _edge_plan_from_dict(d: Any) -> EdgePlan:
     except (KeyError, TypeError):
         pass
     try:
-        source = json_typed(d["source"], dict, name="source")
-        kind = source["kind"]
-        reads_action = _READS_ACTION.get(kind) if type(kind) is str else None
-        if reads_action is None:
-            reads_action = SourceKind(kind) is SourceKind.ACTION
-        index = json_typed(source["index"], int, name="index")
-        target = json_typed(d["target"], int, name="target")
-        delay = json_typed(d["delay"], int, name="delay")
-        coefficient = json_number(d["coefficient"], name="coefficient")
-        value = d["form"]
-        form = _FORMS.get(value) if type(value) is str else None
-        if form is None:
-            form = Form(value)
+        edge = read_fields(CausalEdge, d)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"malformed edge record: {exc}") from exc
-    if delay < 1:
-        raise ConfigError(f"edge delay must be >= 1, got {delay}")
-    return (reads_action, index, delay, target, coefficient, form)
+    return _edge_plan(CausalEdge(**edge))
 
 
 def graph_to_dict(g: CausalGraph) -> dict[str, Any]:
@@ -279,48 +278,29 @@ def graph_from_dict(d: Any) -> CausalGraph:
     return CausalGraph.from_plan(*graph_plan_from_dict(d))
 
 
-def perturbation_to_dict(p: PerturbationProcess) -> dict[str, Any]:
-    if isinstance(p, NoPerturbation):
-        return {"kind": "none"}
-    if isinstance(p, GaussianWalk):
-        return {"kind": "gaussian_walk", "sigma_delta": p.sigma_delta}
-    return {"kind": "spike", "prob": p.prob, "magnitude": p.magnitude}
+def _json_value(v: Any) -> Any:
+    return [_json_value(x) for x in v] if type(v) is tuple else v
+
+
+def tagged_to_dict(x: Any) -> dict[str, Any]:
+    """The record of a perturbation process or a policy: its class's
+    ``kind``, then each field in declaration order, a tuple as an array."""
+    return {"kind": x.kind, **{f.name: _json_value(getattr(x, f.name)) for f in fields(x)}}
+
+
+# Each perturbation process class by its kind.
+_PERTURBATIONS = {cls.kind: cls for cls in get_args(PerturbationProcess)}
 
 
 def perturbation_from_dict(d: dict[str, Any]) -> PerturbationProcess:
+    """The process :func:`tagged_to_dict` wrote: its class by ``kind``
+    (:class:`InputError` for an unknown one), its fields by
+    :func:`read_fields`."""
     kind = d.get("kind")
-    if kind == "none":
-        return NoPerturbation()
-    if kind == "gaussian_walk":
-        return GaussianWalk(sigma_delta=json_number(d["sigma_delta"], name="sigma_delta"))
-    if kind == "spike":
-        return Spike(
-            prob=json_number(d["prob"], name="prob"),
-            magnitude=json_number(d["magnitude"], name="magnitude"),
-        )
-    raise InputError(f"unknown perturbation kind {kind!r}")
-
-
-# Each scalar field and the JSON types it may hold (null: derive tau on load).
-_SCALAR_FIELDS: dict[str, tuple[type, ...]] = {
-    "name": (str,),
-    "d_state": (int,),
-    "d_action": (int,),
-    "perturbation_label": (str,),
-    "noise_sigma": (int, float),
-    "tick_label": (str,),
-    "tau": (int, float, NoneType),
-    "fit_window": (int,),
-    "history_capacity": (int,),
-    "holdout": (int,),
-    "budget": (int,),
-    "max_accepts": (int,),
-    "fit_every": (int,),
-    "sigma_lik": (int, float),
-    "rho": (int, float),
-    "k_max": (int,),
-    "delta_max": (int, float),
-}
+    cls = _PERTURBATIONS.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise InputError(f"unknown perturbation kind {kind!r}")
+    return cls(**read_fields(cls, d))
 
 
 def json_typed(v: Any, *types: type, name: str = "value") -> Any:
@@ -341,32 +321,137 @@ def json_number(v: Any, name: str = "value") -> float:
     return float(json_typed(v, int, float, name=name))
 
 
+# ---------------------------------------------------------------------------
+# The one JSON field reader
+# ---------------------------------------------------------------------------
+
+
+# The JSON types a field of each plain annotation takes; a float field takes
+# a JSON int too, read as a float.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), bool: (bool,), dict: (dict,), NoneType: (NoneType,)}
+
+# How a field is read: ``reader(value, name)`` is the field's value, or a
+# refusal that names it.
+_Reader = Callable[[Any, str], Any]
+
+
+def json_types(t: Any) -> tuple[type, ...] | None:
+    """The JSON types a field annotated ``t`` takes, if ``t`` is a plain
+    JSON type (``dict[...]`` as ``dict``) or a union of them, such as
+    ``float | None``; None otherwise."""
+    types: tuple[type, ...] = ()
+    for a in get_args(t) if isinstance(t, UnionType) else (t,):
+        a = get_origin(a) or a
+        if a not in _JSON_TYPES:
+            return None
+        types += _JSON_TYPES[a]
+    return types
+
+
+def _typed(types: tuple[type, ...]) -> _Reader:
+    if float not in types:
+        return lambda v, name: json_typed(v, *types, name=name)
+
+    def read(v: Any, name: str) -> Any:
+        v = json_typed(v, *types, name=name)
+        return float(v) if type(v) is int else v
+
+    return read
+
+
+def _vector(cls: type) -> _Reader:
+    """An array of JSON ints and floats, then ``cls``'s own constructor,
+    which refuses an element that is not finite (:class:`DomainError`)."""
+
+    def read(v: Any, name: str) -> Any:
+        item = f"{name} element"
+        return cls(tuple([x if type(x) is float else json_number(x, item) for x in json_typed(v, list, name=name)]))
+
+    return read
+
+
+def _reader(t: Any) -> _Reader:
+    """The reader of a field annotated ``t``."""
+    types = json_types(t)
+    if types is not None:
+        return _typed(types)
+    args = get_args(t)
+    if get_origin(t) is tuple:  # tuple[X, ...]: an array of X
+        item = _reader(args[0])
+        return lambda v, name: tuple([item(x, f"{name} element") for x in json_typed(v, list, name=name)])
+    if isinstance(t, UnionType) and NoneType in args:  # X | None
+        (x,) = (a for a in args if a is not NoneType)
+        some = _reader(x)
+        return lambda v, name: None if v is None else some(v, name)
+    if t in (StateVec, ActionVec):
+        return _vector(t)
+    if t is CausalGraph:
+        return lambda v, name: graph_from_dict(v)
+    if t == PerturbationProcess:
+        return lambda v, name: perturbation_from_dict(json_typed(v, dict, name=name))
+    if isinstance(t, type) and issubclass(t, enum.Enum):  # Form, SourceKind: by value
+        return lambda v, name: t(v)
+    if is_dataclass(t):  # VarRef, ScheduledBreak: an object of its fields
+        return lambda v, name: t(**read_fields(t, json_typed(v, dict, name=name)))
+
+    def unreadable(v: Any, name: str) -> Any:
+        raise NotImplementedError(f"{name}: no JSON reader for {t!r}")
+
+    return unreadable
+
+
+@functools.cache
+def _field_readers(cls: type) -> tuple[tuple[str, _Reader], ...]:
+    hints = get_type_hints(cls)
+    return tuple((f.name, _reader(hints[f.name])) for f in fields(cls) if f.init)
+
+
+def read_fields(cls: type, d: Any, names: Collection[str] | None = None) -> dict[str, Any]:
+    """The init fields of the dataclass ``cls`` (those in ``names``, if
+    given) read from the JSON object ``d`` in declaration order, each by the
+    reader for its annotation, built once per class.
+
+    ``int``, ``str``, ``bool`` and ``dict[...]`` take that JSON type
+    exactly, ``float`` a JSON int (read as a float) or a finite float
+    (:func:`json_typed`); ``X | None`` takes null or an X, ``tuple[X, ...]``
+    an array of X; a :class:`StateVec` or :class:`ActionVec` an array of
+    JSON ints and floats, then its constructor; an enum its value; a
+    :class:`CausalGraph` its record (:func:`graph_from_dict`); a
+    perturbation process its tagged record (:func:`perturbation_from_dict`);
+    any other dataclass, such as :class:`VarRef` and
+    :class:`ScheduledBreak`, an object of its own fields.  A missing key
+    raises KeyError, a value of the wrong JSON type TypeError naming the
+    field (``<name> element`` inside an array), an unknown enum value
+    ValueError; a nested record raises what its reader raises, and a
+    vector's constructor :class:`DomainError`.  Callers wrap these in their
+    own refusal."""
+    out = {}
+    for name, read in _field_readers(cls):
+        if names is None or name in names:
+            out[name] = read(d[name], name)
+    return out
+
+
 def scenario_to_dict(sc: ScenarioConfig) -> dict[str, Any]:
     """Fully explicit dict form (defaults materialized)."""
     sc = sc.materialized()
-    out: dict[str, Any] = {"format_version": FORMAT_VERSION}
-    for name in _SCALAR_FIELDS:
-        out[name] = getattr(sc, name)
+    out: dict[str, Any] = {"format_version": FORMAT_VERSION, **{f.name: getattr(sc, f.name) for f in fields(sc)}}
     out["initial_state"] = list(sc.initial_state)
     out["graph"] = graph_to_dict(sc.graph)
     out["breaks"] = [{"at_tick": b.at_tick, "graph": graph_to_dict(b.graph)} for b in sc.breaks]
-    out["perturbation"] = perturbation_to_dict(sc.perturbation)
+    out["perturbation"] = tagged_to_dict(sc.perturbation)
     out["agent_graph"] = graph_to_dict(sc.agent_graph)  # materialized, never None
     return out
 
 
 _REQUIRED_KEYS = {"name", "d_state", "d_action", "initial_state", "graph"}
-_KNOWN_KEYS = set(_SCALAR_FIELDS) | {
-    "format_version",
-    "initial_state",
-    "graph",
-    "breaks",
-    "perturbation",
-    "agent_graph",
-}
+_KNOWN_KEYS = {f.name for f in fields(ScenarioConfig)} | {"format_version"}
 
 
 def scenario_from_dict(d: dict[str, Any]) -> ScenarioConfig:
+    """The scenario :func:`scenario_to_dict` wrote, each field present read
+    by :func:`read_fields` in declaration order, then materialized; a field
+    left out takes its default."""
     if not isinstance(d, dict):
         raise InputError(f"scenario must be an object, got {type(d).__name__}")
     unknown = set(d) - _KNOWN_KEYS
@@ -379,22 +464,8 @@ def scenario_from_dict(d: dict[str, Any]) -> ScenarioConfig:
     if version != FORMAT_VERSION:
         raise InputError(f"unsupported scenario format_version {version!r}")
     try:
-        kwargs = {k: json_typed(d[k], *t, name=k) for k, t in _SCALAR_FIELDS.items() if k in d}
-        kwargs["initial_state"] = [
-            json_typed(v, int, float, name="initial_state element")
-            for v in json_typed(d["initial_state"], list, name="initial_state")
-        ]
-        kwargs["graph"] = graph_from_dict(d["graph"])
-        kwargs["breaks"] = [
-            ScheduledBreak(json_typed(b["at_tick"], int, name="at_tick"), graph_from_dict(b["graph"]))
-            for b in json_typed(d.get("breaks", []), list, name="breaks")
-        ]
-        if "perturbation" in d:
-            perturbation = json_typed(d["perturbation"], dict, name="perturbation")
-            kwargs["perturbation"] = perturbation_from_dict(perturbation)
-        if d.get("agent_graph") is not None:
-            kwargs["agent_graph"] = graph_from_dict(d["agent_graph"])
-        return ScenarioConfig(**kwargs).materialized()  # overflows if noise_sigma squares past a float
+        # materialized() overflows if noise_sigma squares past a float
+        return ScenarioConfig(**read_fields(ScenarioConfig, d, d.keys())).materialized()
     except KeyError as exc:
         raise InputError(f"invalid scenario: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -43,6 +43,11 @@ type, a number that is not finite, a ``delta_hat`` beyond ``DELTA_MAX``, a
 non-finite state, action, prediction or observation (:class:`DomainError`);
 and a record off its tick's line: the *i*-th record must hold tick *i*.
 A trace that stops early is read; replay holds it to the header's length.
+A header or record field of the wrong JSON type is refused in the words of
+:func:`causalloop.scenario.read_fields`, which scenario files, model
+snapshots, edge records and policies share: ``<field> is <value> of type
+<type>, expected <types>``, or ``<field> element is ...`` for an element of
+an array, such as a state's or ``per_dim``'s.
 A record's reflect block is read only when evaluate or explain reads it
 (:func:`reflect_block_from_dict`).
 """
@@ -51,16 +56,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from operator import itemgetter
-from types import NoneType
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, get_type_hints
 
-from .core import DELTA_MAX, ActionVec, DomainError, InputError, StateVec, check_finite
+from .core import DELTA_MAX, ActionVec, DomainError, InputError, StateVec
 from .reflect import HYPOTHESIS_KINDS, Hypothesis, ReflectReport, hypothesis_from_row, hypothesis_to_row
 from .rng import GENERATOR_NAME, SCHEME_VERSION
-from .scenario import atomic_write_text, json_number, json_typed, read_text
+from .scenario import atomic_write_text, json_number, json_types, json_typed, read_fields, read_text
 
 TRACE_FORMAT_VERSION = 6
 
@@ -219,17 +223,7 @@ def header_from_dict(d: Any) -> TraceHeader:
     try:
         if d["kind"] != "header":
             raise InputError(f"first trace line has kind {d['kind']!r}, expected 'header'")
-        return TraceHeader(
-            scenario_digest=json_typed(d["scenario_digest"], str, name="scenario_digest"),
-            scenario_name=json_typed(d["scenario_name"], str, name="scenario_name"),
-            seed=json_typed(d["seed"], int, name="seed"),
-            length=json_typed(d["length"], int, name="length"),
-            policy=json_typed(d["policy"], dict, name="policy"),
-            reflect_enabled=json_typed(d["reflect_enabled"], bool, name="reflect_enabled"),
-            artifact_version=json_typed(d["artifact_version"], str, name="artifact_version"),
-            format_version=json_typed(d["format_version"], int, name="format_version"),
-            generator=json_typed(d["generator"], dict, name="generator"),
-        )
+        return TraceHeader(**read_fields(TraceHeader, d))
     except KeyError as exc:
         raise InputError(f"trace header missing key {exc}") from exc
     except TypeError as exc:
@@ -255,67 +249,18 @@ def record_to_dict(r: TraceRecord) -> dict[str, Any]:
     }
 
 
-# A record's fields in the order the reader checks them.
-_RECORD_FIELDS = (
-    "tick", "state", "action", "delta_hat", "true_delta", "predicted_next", "observed",
-    "epsilon", "per_dim", "reflect", "fit_event", "model_digest", "model_snapshot",
-)
+# A record's fields in the order the reader checks them: up to delta_hat,
+# whose range is checked before the rest are read, and the rest.
+_RECORD_FIELDS = tuple(f.name for f in fields(TraceRecord))
+_HEAD, _TAIL = _RECORD_FIELDS[:4], _RECORD_FIELDS[4:]
 _record_fields = itemgetter(*_RECORD_FIELDS)
 _FLOAT = frozenset({float})
-# The JSON types each non-numeric field may have, and every combination of
-# them for tick, reflect, fit_event, model_digest and model_snapshot.
-_FIELD_TYPES = {
-    "tick": (int,),
-    "reflect": (dict, NoneType),
-    "fit_event": (str, NoneType),
-    "model_digest": (str,),
-    "model_snapshot": (dict, NoneType),
-}
-_SCALAR_TYPES = frozenset(product(*_FIELD_TYPES.values()))
-# Each vector field and the label a non-finite element of it is refused
-# under; per_dim has none, its refusal is an InputError of its own.
-_VECTOR_LABELS = {
-    "state": "state", "action": "action", "predicted_next": "state", "observed": "state",
-    "per_dim": None,
-}
-
-
-def _floats_or_refusal(d: Any) -> dict[str, Any]:
-    """``d``'s fields with JSON ints made floats where a record holds floats,
-    or the first refused field, in record order, raised.
-
-    A vector field must be a list of JSON ints and finite floats and a
-    number a JSON int or finite float (:func:`json_typed`): read as a
-    vector, a string or a dict would quietly yield its characters or keys,
-    and ``float`` would turn ``"1"`` or ``true`` into 1.0 or overflow on a
-    huge int.  A non-finite element of a state, action, prediction or
-    observation is :class:`DomainError`, as its vector's constructor
-    raises; every other refusal is a KeyError, TypeError or ValueError.
-    """
-    out = {}
-    for name in _RECORD_FIELDS:
-        v = d[name]
-        if name in _VECTOR_LABELS:
-            if type(v) is not list:
-                raise TypeError(f"vector field is {type(v).__name__}, not a list")
-            if not _FLOAT.issuperset(map(type, v)):
-                for x in v:
-                    if type(x) is not float:  # a non-finite float is refused below
-                        json_typed(x, int, float, name="vector element")
-                v = list(map(float, v))
-            if not all(map(math.isfinite, v)):
-                if name == "per_dim":
-                    raise ValueError(f"per_dim element is not finite: {v}")
-                check_finite(v, _VECTOR_LABELS[name])
-        elif name in _FIELD_TYPES:
-            json_typed(v, *_FIELD_TYPES[name], name=name)
-        else:
-            v = json_number(v, name=name)
-            if name == "delta_hat" and abs(v) > DELTA_MAX:
-                # an episode keeps it within DELTA_MAX: it is a Perturbation every tick
-                raise ValueError(f"delta_hat is {v!r}, beyond DELTA_MAX {DELTA_MAX}")
-        out[name] = v
-    return out
+# Every combination of the JSON types that tick, reflect, fit_event,
+# model_digest and model_snapshot may have.
+_hints = get_type_hints(TraceRecord)
+_SCALAR_TYPES = frozenset(
+    product(*(json_types(_hints[name]) for name in ("tick", "reflect", "fit_event", "model_digest", "model_snapshot")))
+)
 
 
 def record_from_dict(d: Any) -> TraceRecord:
@@ -325,10 +270,11 @@ def record_from_dict(d: Any) -> TraceRecord:
     checks them all at once: the five non-numeric fields' types in one set
     lookup, every number's type and finiteness in one pass each over all of
     them, and ``delta_hat``'s range.  Anything else, a refusal or a JSON int
-    where a float goes, takes :func:`_floats_or_refusal`, which raises the
-    first refused field in record order (:class:`InputError`, or
-    :class:`DomainError` for a non-finite state) or makes the ints floats
-    for the same pass.
+    where a float goes, is read field by field in record order by
+    :func:`read_fields`, ``delta_hat``'s range checked in its place: the
+    first field refused names the refusal (:class:`InputError`, or
+    :class:`DomainError` for a non-finite state or action), and JSON ints
+    are read as floats.
     """
     try:
         (
@@ -353,10 +299,13 @@ def record_from_dict(d: Any) -> TraceRecord:
     except (KeyError, TypeError):
         pass
     try:
-        floats = _floats_or_refusal(d)
+        head = read_fields(TraceRecord, d, _HEAD)
+        if abs(head["delta_hat"]) > DELTA_MAX:
+            # an episode keeps it within DELTA_MAX: it is a Perturbation every tick
+            raise ValueError(f"delta_hat is {head['delta_hat']!r}, beyond DELTA_MAX {DELTA_MAX}")
+        return TraceRecord(**head, **read_fields(TraceRecord, d, _TAIL))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace record: {exc}") from exc
-    return record_from_dict(floats)  # which the pass above takes
 
 
 # ---------------------------------------------------------------------------

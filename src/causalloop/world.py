@@ -31,7 +31,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, ClassVar, Iterable
 
 from .core import (
     ActionVec,
@@ -104,10 +104,15 @@ class CausalEdge:
 
     def __post_init__(self) -> None:
         _check_edge(self.delay, self.coefficient)
+        object.__setattr__(self, "coefficient", float(self.coefficient))
 
 
 # One edge as the per-tick loops read it (:attr:`CausalGraph.plan`).
 EdgePlan = tuple[bool, int, int, int, float, Form]
+
+
+def _edge_plan(e: CausalEdge) -> EdgePlan:
+    return (e.source.kind is SourceKind.ACTION, e.source.index, e.delay, e.target, e.coefficient, e.form)
 
 
 def _check_edge(delay: int, coefficient: float) -> None:
@@ -174,10 +179,7 @@ class CausalGraph:
     plan: tuple[EdgePlan, ...] = field(init=False)
 
     def __init__(self, d_state: int, d_action: int, edges: Iterable[CausalEdge]) -> None:
-        plan = tuple(
-            (e.source.kind is SourceKind.ACTION, e.source.index, e.delay, e.target, e.coefficient, e.form)
-            for e in edges
-        )
+        plan = tuple(map(_edge_plan, edges))
         _check_plan(d_state, d_action, plan)
         object.__setattr__(self, "d_state", d_state)
         object.__setattr__(self, "d_action", d_action)
@@ -248,28 +250,41 @@ def active_graph(initial: CausalGraph, breaks: tuple[ScheduledBreak, ...], tick:
 # ---------------------------------------------------------------------------
 
 
+# Each process class states its ``kind``, the record kind a scenario writes
+# it under (:func:`causalloop.scenario.tagged_to_dict`), once.
+
+
 @dataclass(frozen=True)
 class NoPerturbation:
     """delta_t = 0 forever."""
+
+    kind: ClassVar[str] = "none"
 
 
 @dataclass(frozen=True)
 class GaussianWalk:
     """delta_t follows a clamped random walk with step stddev ``sigma_delta``."""
 
+    kind: ClassVar[str] = "gaussian_walk"
     sigma_delta: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sigma_delta", float(self.sigma_delta))
 
 
 @dataclass(frozen=True)
 class Spike:
     """delta_t = ``magnitude`` with probability ``prob``, else 0; memoryless."""
 
+    kind: ClassVar[str] = "spike"
     prob: float
     magnitude: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.prob <= 1.0:
             raise ConfigError(f"spike prob must be in [0, 1], got {self.prob}")
+        object.__setattr__(self, "prob", float(self.prob))
+        object.__setattr__(self, "magnitude", float(self.magnitude))
 
 
 PerturbationProcess = NoPerturbation | GaussianWalk | Spike

@@ -456,18 +456,23 @@ def test_a_scheduled_fit_places_each_column_once(monkeypatch, sc):
     assert gates == [0] * len(gates)
 
 
-def test_a_delta_clamped_to_an_int_delta_max_is_recorded_as_a_float():
-    """A JSON-int ``delta_max`` stays an int, but a delta clamped to it is a
-    float: the record's (the tick's tuple holds it as ``Perturbation``'s own
+def test_a_delta_clamped_to_an_int_delta_max_is_recorded_as_a_float(monkeypatch):
+    """A directly built model's int ``delta_max`` stays an int (a scenario
+    stores its own as a float), but a delta clamped to it is a float: the
+    record's (the tick's tuple holds it as ``Perturbation``'s own
     constructor does), each model snapshot's and each DeltaShift's.
     ``productivity`` at seed 23 clamps within 200 ticks (``break_demo`` has
     no perturbation and never does)."""
-    from causalloop.scenario import scenario_from_dict, scenario_to_dict
+    import causalloop.agent
 
-    doc = scenario_to_dict(builtin_scenarios()["productivity"])
-    doc["delta_max"] = 1
-    sc = scenario_from_dict(doc)
-    assert type(sc.delta_max) is int
+    sc = dataclasses.replace(builtin_scenarios()["productivity"], delta_max=1)
+    assert type(sc.delta_max) is float
+
+    def int_delta_max_model(scenario):
+        return dataclasses.replace(initial_model(scenario), delta_max=1)
+
+    assert type(int_delta_max_model(sc).delta_max) is int
+    monkeypatch.setattr(causalloop.agent, "initial_model", int_delta_max_model)
     trace = run_episode(sc, RandomPolicy(), seed=23, length=200)
     assert all(type(r.delta_hat) is float for r in trace.records)
     assert 1.0 in {abs(r.delta_hat) for r in trace.records}

@@ -6,8 +6,10 @@ swapped).
 
 Only :class:`CausalLoopError` subclasses may escape ``read_trace``,
 ``evaluate_trace``, ``model_from_snapshot``, ``load_scenario``,
-``scenario_from_dict`` and a scenario's ``validate``, and a CLI command
-that reads the refused input exits 2.  A reflect block, with a row of
+``scenario_from_dict`` and a scenario's ``validate``, only
+:class:`ConfigError` may escape ``policy_from_dict``, which reads a trace
+header's policy for replay, and a CLI command that reads the refused input
+exits 2.  A reflect block, with a row of
 every edit kind among its candidates and accepted edits, is refused only
 with :class:`InputError`, by evaluate and explain alike.
 """
@@ -19,12 +21,20 @@ import os
 import tempfile
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causalloop.agent import RandomPolicy, run_episode
+from causalloop.agent import (
+    CyclicPolicy,
+    ProbePolicy,
+    RandomPolicy,
+    ScriptedPolicy,
+    policy_from_dict,
+    policy_to_dict,
+    run_episode,
+)
 from causalloop.cli import main
-from causalloop.core import CausalLoopError, InputError
+from causalloop.core import CausalLoopError, ConfigError, InputError
 from causalloop.evaluate import evaluate_trace
 from causalloop.explain import explain_reflection
 from causalloop.model import model_from_snapshot
@@ -228,6 +238,44 @@ def test_only_causalloop_errors_escape_scenario_from_dict(path, value):
             with open(file, "w") as fh:
                 json.dump(doc, fh)
             assert main(["run", file, "--seed", "0", "--length", "2"]) == 2
+
+
+# A trace header's policy of every kind: only replay reads it.
+POLICIES = [
+    policy_to_dict(p)
+    for p in (RandomPolicy(-0.5, 0.5), CyclicPolicy(((1.0,), (-1.0,))), ProbePolicy(2.0), ScriptedPolicy(((0.5,),) * 3))
+]
+
+
+@st.composite
+def damaged_policies(draw):
+    """A policy of one kind with its kind or one other place replaced by an
+    arbitrary JSON value, often another kind's name or a value of another
+    kind's field."""
+    policy = draw(st.sampled_from(POLICIES))
+    path = draw(st.just(("kind",)) | st.sampled_from(list(paths(policy))))
+    other = draw(st.sampled_from(POLICIES))
+    return replaced(policy, path, draw(JSON_VALUES | st.sampled_from(list(other.values()))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(damaged_policies())
+@example({"kind": ["random"], "low": -1.0, "high": 1.0})
+@example({"kind": {"random": 1}, "low": -1.0, "high": 1.0})
+@example({"kind": 1, "magnitude": 1.0})
+def test_only_config_errors_escape_reading_a_header_policy(policy):
+    lines = [{**TRACE_LINES[0], "policy": policy}] + TRACE_LINES[1:]
+    try:
+        policy_from_dict(policy)
+    except ConfigError:
+        refused = True
+    else:
+        refused = False
+    with tempfile.TemporaryDirectory() as tmp:
+        file = os.path.join(tmp, "t.jsonl")
+        with open(file, "w") as fh:
+            fh.write("\n".join(json.dumps(ln) for ln in lines) + "\n")
+        assert main(["replay", file, "calm"]) in ((2,) if refused else (0, 2))
 
 
 TRACE_BYTES = "".join(ln + "\n" for ln in trace_to_lines(run_episode(CALM, RandomPolicy(), seed=0, length=3))).encode()

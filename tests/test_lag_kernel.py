@@ -777,8 +777,8 @@ def test_rollout_the_holdout_mses_and_a_baseline_refuse_alike():
     error whose square leaves the float range (here every row's, 1e200).
     ``rollout``, the holdout MSEs of the fit gate and a repair baseline
     raise each with the same class and message; rollout squares no error.
-    A baseline of the first rows reads no prediction of the last, but an
-    error that overflows anywhere refuses it."""
+    A baseline from a later row reads no prediction of an earlier one, but
+    an error that overflows anywhere refuses it."""
     inf = one_edge_model(1e308, [1e-200] * 7 + [2.0])
     huge = one_edge_model(1e200, [1.0] * 8)
     not_finite = (DomainError, "state contains non-finite value inf")
@@ -789,9 +789,10 @@ def test_rollout_the_holdout_mses_and_a_baseline_refuse_alike():
         assert refusal(lambda: _Baseline(m, lags)) == expected
     assert refusal(lambda: rollout(inf.graph, 0.0, inf.history, inf.history)) == not_finite
     assert [p.values for p in rollout(huge.graph, 0.0, huge.history, huge.history)] == [(1e200,)] * 8
-    base = _Baseline(inf, _LagFeatures(inf.history, inf.history), 0, 7)
+    first = one_edge_model(1e308, [2.0] + [1e-200] * 7)  # row 0's prediction is not finite
+    base = _Baseline(first, _LagFeatures(first.history, first.history), 1)
     assert not base.finite and len(base.row_sq) == 7 and np.isfinite(base.row_sq).all()
-    assert refusal(lambda: _Baseline(huge, _LagFeatures(huge.history, huge.history), 7, 8)) == overflow
+    assert refusal(lambda: _Baseline(huge, _LagFeatures(huge.history, huge.history), 7)) == overflow
 
 
 def reference_reflect(m, ctx, err, tau, settings):

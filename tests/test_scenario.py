@@ -173,6 +173,34 @@ def test_a_replaced_scenario_gets_its_own_digest():
     assert same == sc and hash(same) == hash(sc)
 
 
+def test_an_int_twin_is_equal_has_the_digest_and_replays():
+    """A float field given an int is stored as a float, in Python and from
+    JSON, so a scenario equal to calm has calm's digest and a trace of it
+    replays against calm."""
+    from causalloop.agent import RandomPolicy, replay, run_episode
+
+    calm = builtin_scenarios()["calm"]
+    twin = dataclasses.replace(calm, sigma_lik=1, delta_max=10)
+    assert twin == calm and twin.digest == calm.digest
+    assert replay(run_episode(twin, RandomPolicy(), seed=3, length=20), calm).records
+    doc = json.loads(json.dumps(scenario_to_dict(calm)))
+    doc.update(sigma_lik=1, delta_max=10)
+    from_json = scenario_from_dict(doc)
+    assert from_json == calm and from_json.digest == calm.digest
+    assert (type(from_json.sigma_lik), type(from_json.delta_max)) == (float, float)
+
+
+def test_float_fields_are_stored_as_floats():
+    sc = tiny(noise_sigma=0, tau=1, sigma_lik=2, rho=0, delta_max=5)
+    assert [type(getattr(sc, f)) for f in ("noise_sigma", "tau", "sigma_lik", "rho", "delta_max")] == [float] * 5
+    assert tiny().tau is None
+    edge = CausalEdge(VarRef.action(0), 0, delay=1, coefficient=2)
+    assert type(edge.coefficient) is float
+    assert type(CausalGraph(1, 1, (edge,)).plan[0][4]) is float
+    assert [type(v) for v in (GaussianWalk(1).sigma_delta, Spike(1, -2).prob, Spike(1, -2).magnitude)] == [float] * 3
+    assert scenario_digest(tiny(perturbation=Spike(1, -2))) == scenario_digest(tiny(perturbation=Spike(1.0, -2.0)))
+
+
 def test_unknown_keys_rejected():
     d = scenario_to_dict(tiny())
     d["surprise"] = 1
@@ -450,4 +478,5 @@ def test_bundled_scenario_files_match_builtins():
     assert files == sorted(builtins)
     for name, sc in builtins.items():
         from_file = load_scenario(str(root / f"{name}.json"))
-        assert scenario_digest(from_file) == scenario_digest(sc)
+        assert from_file == sc, name
+        assert scenario_digest(from_file) == scenario_digest(sc), name

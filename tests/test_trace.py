@@ -110,7 +110,10 @@ def test_record_vectors_must_be_lists(field, bad):
 def test_record_per_dim_elements_must_be_finite(text):
     d = json.loads(json.dumps(record_to_dict(awkward_record())))
     d["per_dim"] = json.loads(text)  # Python's JSON parser accepts NaN and Infinity
-    with pytest.raises(InputError, match="malformed trace record: per_dim element is not finite"):
+    with pytest.raises(
+        InputError,
+        match=r"malformed trace record: per_dim element is (nan|-?inf) of type float, expected int or finite float",
+    ):
         record_from_dict(d)
 
 
@@ -264,20 +267,15 @@ def test_write_replaces_existing_file_atomically(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _reference_vector(v):
-    if type(v) is not list:
-        raise TypeError(f"vector field is {type(v).__name__}, not a list")
-    for x in v:
+def _reference_vector(v, name):
+    for x in json_typed(v, list, name=name):
         if type(x) is not float:
-            json_typed(x, int, float, name="vector element")
+            json_typed(x, int, float, name=f"{name} element")
     return v
 
 
-def _reference_finite(v, name):
-    out = tuple(map(float, v))
-    if not all(map(math.isfinite, out)):
-        raise ValueError(f"{name} element is not finite: {list(out)}")
-    return out
+def _reference_per_dim(v):
+    return tuple(json_number(x, name="per_dim element") for x in json_typed(v, list, name="per_dim"))
 
 
 def _reference_delta_hat(v):
@@ -293,14 +291,14 @@ def reference_record_from_dict(d):
     try:
         return TraceRecord(
             tick=json_typed(d["tick"], int, name="tick"),
-            state=StateVec(_reference_vector(d["state"])),
-            action=ActionVec(_reference_vector(d["action"])),
+            state=StateVec(_reference_vector(d["state"], "state")),
+            action=ActionVec(_reference_vector(d["action"], "action")),
             delta_hat=_reference_delta_hat(d["delta_hat"]),
             true_delta=json_number(d["true_delta"], name="true_delta"),
-            predicted_next=StateVec(_reference_vector(d["predicted_next"])),
-            observed=StateVec(_reference_vector(d["observed"])),
+            predicted_next=StateVec(_reference_vector(d["predicted_next"], "predicted_next")),
+            observed=StateVec(_reference_vector(d["observed"], "observed")),
             epsilon=json_number(d["epsilon"], name="epsilon"),
-            per_dim=_reference_finite(_reference_vector(d["per_dim"]), name="per_dim"),
+            per_dim=_reference_per_dim(d["per_dim"]),
             reflect=json_typed(d["reflect"], dict, NoneType, name="reflect"),
             fit_event=json_typed(d["fit_event"], str, NoneType, name="fit_event"),
             model_digest=json_typed(d["model_digest"], str, name="model_digest"),
