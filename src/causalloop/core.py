@@ -242,19 +242,22 @@ def loss(predicted: StateVec, observed: StateVec) -> PredictionError:
     """Per-dimension squared error and its mean.
 
     The errors are added left to right from 0.0, not with ``sum``: since
-    Python 3.12 ``sum`` compensates float rounding, and epsilon reaches
-    traces, so it must not depend on the Python version.  A squared error
-    beyond the float range raises :class:`DomainError`.
+    Python 3.12 ``sum`` compensates float rounding, and traces do not write
+    epsilon but rebuild it with this function, so it must not depend on the
+    Python version.  Vectors of different lengths or of no dimensions raise
+    :class:`DimensionError`; a squared error or their sum beyond the float
+    range raises :class:`DomainError`, so a loss is always finite.
     """
-    if len(predicted) != len(observed):
-        raise DimensionError(
-            f"predicted has {len(predicted)} dims, observed has {len(observed)}"
-        )
+    p, o = predicted.values, observed.values
+    if len(p) != len(o) or not p:
+        raise DimensionError(f"predicted has {len(p)} dims, observed has {len(o)}")
     try:
-        per_dim = tuple((p - o) ** 2 for p, o in zip(predicted.values, observed.values))
+        per_dim = tuple([(a - b) ** 2 for a, b in zip(p, o)])
     except OverflowError as exc:
         raise DomainError("a squared prediction error exceeds the float range") from exc
     total = 0.0
     for sq in per_dim:
         total += sq
+    if not math.isfinite(total):  # a difference that overflowed to inf, or the sum
+        raise DomainError("a squared prediction error exceeds the float range")
     return PredictionError(total / len(per_dim), per_dim)

@@ -6,13 +6,20 @@ record.  Floats serialize via Python's shortest-round-trip repr, so a
 parsed trace compares equal to the in-memory original and replay can
 demand bit-identity rather than tolerances.
 
-Records carry the one-step prediction, the full reflect report (every
-candidate and its score) and a model snapshot whenever the model's digest
-changed that tick, which is what lets evaluation and explanation
-reconstruct the agent's model at any tick without re-running anything.
-The causal function's contributions and farthest state at a tick are not
-recorded: explanation recomputes them (:func:`causalloop.model.counterfactual`)
-from the snapshot and the record's delta_hat.
+A record line holds only what cannot be derived from the trace: the state,
+action, delta estimate and true delta, the one-step prediction (only a
+model re-run could rebuild it) and the observation, the full reflect report
+(every candidate and its score), the fit event, and a model snapshot
+whenever the model's digest changed that tick, with that digest just
+before it.  The reader rebuilds the rest, so a record read back equals the
+one recorded: ``epsilon`` and ``per_dim`` by :func:`causalloop.core.loss`
+of the prediction and the observation, and ``model_digest`` of a record
+without a snapshot as the last snapshot's, carried forward.  The snapshots
+are what let evaluation and explanation reconstruct the agent's model at
+any tick without re-running anything.  The causal function's contributions
+and farthest state at a tick are not recorded: explanation recomputes them
+(:func:`causalloop.model.counterfactual`) from the snapshot and the
+record's delta_hat.
 
 A report's edits are flat rows, written and read by
 :func:`causalloop.reflect.hypothesis_to_row` and
@@ -41,13 +48,16 @@ UTF-8; a line that is not JSON; a malformed header or a format other than
 ``TRACE_FORMAT_VERSION``; a record field missing or of the wrong JSON
 type, a number that is not finite, a ``delta_hat`` beyond ``DELTA_MAX``, a
 non-finite state, action, prediction or observation (:class:`DomainError`);
-and a record off its tick's line: the *i*-th record must hold tick *i*.
-A trace that stops early is read; replay holds it to the header's length.
-A header or record field of the wrong JSON type is refused in the words of
-:func:`causalloop.scenario.read_fields`, which scenario files, model
-snapshots, edge records and policies share: ``<field> is <value> of type
-<type>, expected <types>``, or ``<field> element is ...`` for an element of
-an array, such as a state's or ``per_dim``'s.
+a record that holds a value the reader rebuilds; a snapshot without a
+string digest, a first record without a snapshot, and a prediction and
+observation of different lengths or whose squared error overflows, each
+naming its tick; and a record off its tick's line: the *i*-th record must
+hold tick *i*.  A trace that stops early is read; replay holds it to the
+header's length.  A header or record field of the wrong JSON type is
+refused in the words of :func:`causalloop.scenario.read_fields`, which
+scenario files, model snapshots, edge records and policies share:
+``<field> is <value> of type <type>, expected <types>``, or ``<field>
+element is ...`` for an element of an array, such as a state's.
 A record's reflect block is read only when evaluate or explain reads it
 (:func:`reflect_block_from_dict`).
 """
@@ -56,17 +66,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
 from typing import Any, NamedTuple, get_type_hints
 
-from .core import DELTA_MAX, ActionVec, DomainError, InputError, StateVec
+from .core import DELTA_MAX, ActionVec, DimensionError, DomainError, InputError, StateVec, loss
 from .reflect import HYPOTHESIS_KINDS, Hypothesis, ReflectReport, hypothesis_from_row, hypothesis_to_row
 from .rng import GENERATOR_NAME, SCHEME_VERSION
 from .scenario import atomic_write_text, json_number, json_types, json_typed, read_fields, read_text
 
-TRACE_FORMAT_VERSION = 6
+TRACE_FORMAT_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,13 @@ class TraceHeader:
 
 @dataclass(frozen=True, init=False)
 class TraceRecord:
+    """One tick of an episode.  ``epsilon`` and ``per_dim`` are
+    :func:`causalloop.core.loss` of ``predicted_next`` against ``observed``,
+    and ``model_digest`` is the digest of the model leaving the tick, whose
+    ``model_snapshot`` is recorded only at a tick where the digest changed.
+    A trace line writes neither loss field, and the digest only beside a
+    snapshot: the reader rebuilds them (:func:`record_from_dict`)."""
+
     tick: int
     state: StateVec
     action: ActionVec
@@ -231,7 +248,11 @@ def header_from_dict(d: Any) -> TraceHeader:
 
 
 def record_to_dict(r: TraceRecord) -> dict[str, Any]:
-    return {
+    """The record as a trace line holds it: every field in declaration
+    order but ``epsilon`` and ``per_dim``, which the reader rebuilds, and
+    ``model_digest`` only just before a ``model_snapshot``, since the digest
+    changes only at a record that carries one."""
+    d = {
         "kind": "record",
         "tick": r.tick,
         "state": list(r.state.values),
@@ -240,72 +261,116 @@ def record_to_dict(r: TraceRecord) -> dict[str, Any]:
         "true_delta": r.true_delta,
         "predicted_next": list(r.predicted_next.values),
         "observed": list(r.observed.values),
-        "epsilon": r.epsilon,
-        "per_dim": list(r.per_dim),
         "reflect": r.reflect,
         "fit_event": r.fit_event,
-        "model_digest": r.model_digest,
-        "model_snapshot": r.model_snapshot,
     }
+    if r.model_snapshot is not None:
+        d["model_digest"] = r.model_digest
+    d["model_snapshot"] = r.model_snapshot
+    return d
 
 
-# A record's fields in the order the reader checks them: up to delta_hat,
-# whose range is checked before the rest are read, and the rest.
-_RECORD_FIELDS = tuple(f.name for f in fields(TraceRecord))
-_HEAD, _TAIL = _RECORD_FIELDS[:4], _RECORD_FIELDS[4:]
-_record_fields = itemgetter(*_RECORD_FIELDS)
+# The fields a record line holds in the order the reader checks them: up to
+# delta_hat, whose range is checked before the rest are read, and the rest.
+# The model digest is read after them, and only beside a snapshot.
+_WRITTEN = ("tick", "state", "action", "delta_hat", "true_delta", "predicted_next", "observed", "reflect",
+            "fit_event", "model_snapshot")
+_HEAD, _TAIL, _DIGEST = _WRITTEN[:4], _WRITTEN[4:], ("model_digest",)
+_written = itemgetter(*_WRITTEN)
 _FLOAT = frozenset({float})
-# Every combination of the JSON types that tick, reflect, fit_event,
-# model_digest and model_snapshot may have.
+# Every combination of the JSON types that tick, reflect, fit_event and
+# model_snapshot may have.
 _hints = get_type_hints(TraceRecord)
 _SCALAR_TYPES = frozenset(
-    product(*(json_types(_hints[name]) for name in ("tick", "reflect", "fit_event", "model_digest", "model_snapshot")))
+    product(*(json_types(_hints[name]) for name in ("tick", "reflect", "fit_event", "model_snapshot")))
 )
 
 
-def record_from_dict(d: Any) -> TraceRecord:
+def _refuse_rebuilt_keys(d: Any) -> None:
+    """ValueError if the record ``d`` holds a value the reader rebuilds:
+    ``epsilon`` or ``per_dim``, or ``model_digest`` without a snapshot.  A
+    record that states one could contradict the value rebuilt."""
+    if type(d) is not dict:
+        return
+    for name in ("epsilon", "per_dim"):
+        if name in d:
+            raise ValueError(f"{name} is {d[name]!r}, but a record does not hold it: it is rebuilt from"
+                             " predicted_next and observed")
+    if "model_digest" in d and d.get("model_snapshot") is None:
+        raise ValueError(f"model_digest is {d['model_digest']!r} on a record without a model snapshot:"
+                         " it is written only beside one")
+
+
+def record_from_dict(d: Any, digest: str = "") -> TraceRecord:
     """The record a trace line's JSON value holds, read in one pass.
 
+    The line holds what :func:`record_to_dict` writes.  ``epsilon`` and
+    ``per_dim`` are rebuilt by :func:`causalloop.core.loss` from the checked
+    ``predicted_next`` and ``observed``.  ``model_digest`` is the line's own
+    beside a snapshot, else ``digest``: the last snapshot's, carried forward
+    by :func:`trace_from_lines`, which refuses a first record without a
+    snapshot, the one record that has no digest to take.
+
     Written records hold JSON floats in every numeric field, so one pass
-    checks them all at once: the five non-numeric fields' types in one set
+    checks them all at once: the four non-numeric fields' types in one set
     lookup, every number's type and finiteness in one pass each over all of
     them, and ``delta_hat``'s range.  Anything else, a refusal or a JSON int
     where a float goes, is read field by field in record order by
     :func:`read_fields`, ``delta_hat``'s range checked in its place: the
     first field refused names the refusal (:class:`InputError`, or
     :class:`DomainError` for a non-finite state or action), and JSON ints
-    are read as floats.
+    are read as floats.  Before any field, a record that holds ``epsilon``,
+    ``per_dim``, or ``model_digest`` without a snapshot is refused; after
+    them, with :class:`InputError` naming the tick: a snapshot with no
+    digest or one that is not a string, and a ``predicted_next`` and
+    ``observed`` whose loss cannot be rebuilt (of different lengths, or a
+    squared error beyond the float range).
     """
     try:
-        (
-            tick, state, action, delta_hat, true_delta, predicted_next, observed,
-            epsilon, per_dim, reflect, fit_event, model_digest, model_snapshot,
-        ) = _record_fields(d)
+        tick, state, action, delta_hat, true_delta, predicted_next, observed, reflect, fit_event, snapshot = (
+            _written(d)
+        )
+        if snapshot is not None:
+            model_digest = d["model_digest"]
+        else:
+            model_digest = None if "model_digest" in d else digest
         # A list plus anything but a list is a TypeError.
-        numbers = [delta_hat, true_delta, epsilon] + state + action + predicted_next + observed + per_dim
+        numbers = [delta_hat, true_delta] + state + action + predicted_next + observed
         if (
-            (type(tick), type(reflect), type(fit_event), type(model_digest), type(model_snapshot))
-            in _SCALAR_TYPES
+            (type(tick), type(reflect), type(fit_event), type(snapshot)) in _SCALAR_TYPES
+            and type(model_digest) is str
             and _FLOAT.issuperset(map(type, numbers))
             and all(map(math.isfinite, numbers))
             and -DELTA_MAX <= delta_hat <= DELTA_MAX
+            and "epsilon" not in d
+            and "per_dim" not in d
         ):
+            predicted, obs = StateVec.checked(tuple(predicted_next)), StateVec.checked(tuple(observed))
+            err = loss(predicted, obs)
             return TraceRecord(
-                tick, StateVec.checked(tuple(state)), ActionVec.checked(tuple(action)),
-                delta_hat, true_delta, StateVec.checked(tuple(predicted_next)),
-                StateVec.checked(tuple(observed)), epsilon, tuple(per_dim),
-                reflect, fit_event, model_digest, model_snapshot,
+                tick, StateVec.checked(tuple(state)), ActionVec.checked(tuple(action)), delta_hat, true_delta,
+                predicted, obs, err.epsilon, err.per_dim, reflect, fit_event, model_digest, snapshot,
             )
-    except (KeyError, TypeError):
+    except (KeyError, TypeError, DimensionError, DomainError):
         pass
     try:
+        _refuse_rebuilt_keys(d)
         head = read_fields(TraceRecord, d, _HEAD)
         if abs(head["delta_hat"]) > DELTA_MAX:
             # an episode keeps it within DELTA_MAX: it is a Perturbation every tick
             raise ValueError(f"delta_hat is {head['delta_hat']!r}, beyond DELTA_MAX {DELTA_MAX}")
-        return TraceRecord(**head, **read_fields(TraceRecord, d, _TAIL))
+        tail = read_fields(TraceRecord, d, _TAIL)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace record: {exc}") from exc
+    try:
+        if tail["model_snapshot"] is not None:
+            if "model_digest" not in d:
+                raise ValueError("a model snapshot without a model_digest")
+            digest = read_fields(TraceRecord, d, _DIGEST)["model_digest"]
+        err = loss(tail["predicted_next"], tail["observed"])
+    except (TypeError, ValueError, DimensionError, DomainError) as exc:
+        raise InputError(f"tick {head['tick']}: malformed trace record: {exc}") from exc
+    return TraceRecord(**head, **tail, epsilon=err.epsilon, per_dim=err.per_dim, model_digest=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +409,9 @@ def trace_from_lines(lines: list[str], source: str = "trace") -> EpisodeTrace:
     then are the ticks checked, so each refusal the readers make wins over a
     record out of place.  The *i*-th record must hold tick *i*: a trace with
     a record dropped, repeated or moved is refused; one that stops early is
-    not.  A line that is not JSON and a record off its tick's line raise
+    not.  The first record must carry a model snapshot, whose digest each
+    later record without one takes.  A line that is not JSON, a record off
+    its tick's line and a first record without a snapshot raise
     :class:`InputError` naming ``source`` and the line;
     :func:`header_from_dict` and :func:`record_from_dict` raise their own.
     """
@@ -366,11 +433,18 @@ def trace_from_lines(lines: list[str], source: str = "trace") -> EpisodeTrace:
             f"unsupported trace format_version {header.format_version}"
             f" (this reader reads format {TRACE_FORMAT_VERSION})"
         )
-    records = tuple(map(record_from_dict, parsed[1:]))
+    records = []
+    digest = ""  # the last snapshot's, carried forward: none before the first, which must carry one
+    for d in parsed[1:]:
+        r = record_from_dict(d, digest)
+        records.append(r)
+        digest = r.model_digest
     for i, r in enumerate(records):
         if r.tick != i:
             raise InputError(f"{source}: line {numbers[i + 1]} holds tick {r.tick}, expected {i}")
-    return EpisodeTrace(header=header, records=records)
+    if records and records[0].model_snapshot is None:
+        raise InputError(f"{source}: line {numbers[1]}: the first record carries no model snapshot, so no digest")
+    return EpisodeTrace(header=header, records=tuple(records))
 
 
 def read_trace(path: str) -> EpisodeTrace:

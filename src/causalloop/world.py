@@ -269,7 +269,10 @@ class GaussianWalk:
     sigma_delta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_delta", float(self.sigma_delta))
+        if not 0.0 <= self.sigma_delta < math.inf:
+            raise ConfigError(f"gaussian_walk sigma_delta must be finite and >= 0, got {self.sigma_delta}")
+        # + 0.0: numpy refuses a scale of -0.0 as negative
+        object.__setattr__(self, "sigma_delta", float(self.sigma_delta) + 0.0)
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,9 @@ def test_explain_truncated_reflect_block_is_data_error(tmp_path, capsys):
     assert "error: tick 1: malformed reflect block" in capsys.readouterr().err
 
 
-# (line, fields set on it or None for the line ``[]``, commands that read them)
+# (line, fields set on it or None for the line ``[]``, commands that read them);
+# a field set to ABSENT is deleted
+ABSENT = object()
 READ_ALL = ("evaluate", "replay", "explain")
 READ_BLOCK = ("evaluate", "explain")  # the reflect block of tick 2 (line 3)
 BLOCK = {
@@ -161,13 +163,19 @@ MALFORMED_TRACES = {
     "record-snapshot-number": (1, {"model_snapshot": 5}, READ_ALL),
     "record-snapshot-empty": (1, {"model_snapshot": {}}, READ_ALL),
     "record-tick-string": (2, {"tick": "1"}, READ_ALL),
-    "record-epsilon-string": (2, {"epsilon": "0.5"}, READ_ALL),
+    "record-epsilon-string": (2, {"epsilon": "0.5"}, READ_ALL),  # a record holds no epsilon
+    "record-first-bare": (1, {"model_snapshot": None, "model_digest": ABSENT}, READ_ALL),
+    "record-first-digest-no-snapshot": (1, {"model_snapshot": None}, READ_ALL),
+    "record-snapshot-no-digest": (1, {"model_digest": ABSENT}, READ_ALL),
+    "record-digest-beside-no-snapshot": (2, {"model_digest": "abcd"}, READ_ALL),
+    "record-predicted-too-long": (2, {"predicted_next": [0.0, 0.0, 0.0]}, READ_ALL),
+    "record-loss-overflow": (2, {"predicted_next": [1e200, 0.0], "observed": [-1e200, 0.0]}, READ_ALL),
     "record-fit_event-number": (2, {"fit_event": 5}, READ_ALL),
-    "record-digest-null": (2, {"model_digest": None}, READ_ALL),
+    "record-digest-null": (1, {"model_digest": None}, READ_ALL),  # beside tick 0's snapshot
     "header-policy-low-string": (0, {"policy": {"kind": "random", "low": "0.5", "high": 1.0}}, ("replay",)),
     "header-policy-high-bool": (0, {"policy": {"kind": "random", "low": -1.0, "high": True}}, ("replay",)),
     "header-policy-range-overflow": (0, {"policy": {"kind": "random", "low": -1e308, "high": 1e308}}, ("replay",)),
-    "record-per_dim-nan": (2, {"per_dim": [float("nan"), float("inf")]}, READ_ALL),
+    "record-per_dim-nan": (2, {"per_dim": [float("nan"), float("inf")]}, READ_ALL),  # a record holds no per_dim
     "record-delta_hat-beyond-max": (3, {"delta_hat": 11.0}, READ_ALL),
     "reflect-epsilon-string": (3, {"reflect": {**BLOCK, "epsilon": "x"}}, READ_BLOCK),
     "reflect-tau-null": (3, {"reflect": {**BLOCK, "tau": None}}, READ_BLOCK),
@@ -208,7 +216,11 @@ def test_malformed_trace_is_data_error(case, tmp_path, capsys):
     line, fields, commands = MALFORMED_TRACES[case]
     path = run_trace(tmp_path, length=6)
     lines = path.read_text().strip().split("\n")
-    lines[line] = "[]" if fields is None else json.dumps({**json.loads(lines[line]), **fields})
+    if fields is None:
+        lines[line] = "[]"
+    else:
+        doctored = {**json.loads(lines[line]), **fields}
+        lines[line] = json.dumps({k: v for k, v in doctored.items() if v is not ABSENT})
     path.write_text("\n".join(lines) + "\n")
     argv = {
         "evaluate": ["evaluate", str(path), "calm"],
@@ -259,7 +271,7 @@ def test_a_format_5_trace_is_refused_naming_the_format_read(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     for argv in (["evaluate", str(path), "calm"], ["replay", str(path), "calm"], ["explain", str(path), "--tick", "1"]):
         assert main(argv) == 2
-        assert "unsupported trace format_version 5 (this reader reads format 6)" in capsys.readouterr().err
+        assert "unsupported trace format_version 5 (this reader reads format 7)" in capsys.readouterr().err
 
 
 def test_trace_that_is_not_utf8_is_data_error(tmp_path, capsys):
@@ -361,6 +373,17 @@ def test_malformed_scenario_is_data_error(case, tmp_path, capsys):
     path.write_text(json.dumps({**json.loads(CALM_FILE.read_text()), **MALFORMED_SCENARIOS[case]}))
     assert main(["run", str(path), "--seed", "0", "--length", "3"]) == 2
     assert "error: invalid scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma_delta", [-1.0, -5e-324])
+def test_a_negative_walk_step_is_data_error(tmp_path, capsys, sigma_delta):
+    """numpy's normal draw refuses a negative scale with a bare ValueError,
+    so the scenario reader refuses the walk before the run starts."""
+    path = tmp_path / "walk.json"
+    walk = {"kind": "gaussian_walk", "sigma_delta": sigma_delta}
+    path.write_text(json.dumps({**json.loads(CALM_FILE.read_text()), "perturbation": walk}))
+    assert main(["run", str(path), "--seed", "0", "--length", "3"]) == 2
+    assert "error: gaussian_walk sigma_delta must be finite and >= 0, got -" in capsys.readouterr().err
 
 
 def test_overflowing_prediction_error_is_data_error(tmp_path, capsys):
@@ -542,7 +565,7 @@ def test_replay_verifies_and_detects_tampering(tmp_path, capsys):
 
     lines = path.read_text().strip().split("\n")
     doctored = json.loads(lines[3])
-    doctored["epsilon"] = doctored["epsilon"] + 0.125
+    doctored["predicted_next"][0] += 0.125  # and so the epsilon it rebuilds
     lines[3] = json.dumps(doctored)
     path.write_text("\n".join(lines) + "\n")
     assert main(["replay", str(path), "calm"]) == 2

@@ -170,6 +170,25 @@ def test_loss_dimension_mismatch():
         loss(StateVec((0.0,)), StateVec((0.0, 0.0)))
 
 
+@pytest.mark.parametrize(
+    "predicted, observed",
+    [((1e308, 0.0), (-1e308, 0.0)), ((1.3e154, 1.3e154), (0.0, 0.0))],
+    ids=["difference", "sum"],
+)
+def test_a_loss_is_finite_or_a_domain_error(predicted, observed):
+    """A difference beyond the float range squares to inf without an
+    OverflowError, and two finite squared errors can sum to inf: each is
+    refused as a squared error beyond the float range, so a loss is always
+    finite."""
+    with pytest.raises(DomainError, match="^a squared prediction error exceeds the float range$"):
+        loss(StateVec(predicted), StateVec(observed))
+
+
+def test_a_loss_of_no_dimensions_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="^predicted has 0 dims, observed has 0$"):
+        loss(StateVec(()), StateVec(()))
+
+
 @given(
     st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=6),
     st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=6),

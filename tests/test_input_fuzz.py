@@ -34,7 +34,7 @@ from causalloop.agent import (
     run_episode,
 )
 from causalloop.cli import main
-from causalloop.core import CausalLoopError, ConfigError, InputError
+from causalloop.core import CausalLoopError, ConfigError, DomainError, InputError
 from causalloop.evaluate import evaluate_trace
 from causalloop.explain import explain_reflection
 from causalloop.model import model_from_snapshot
@@ -130,12 +130,13 @@ SNAPSHOT_PATHS = st.sampled_from([(key,) for key in SNAPSHOT]) | st.sampled_from
 @given(SNAPSHOT_PATHS, JSON_VALUES, st.booleans())
 def test_only_causalloop_errors_escape_reading_a_model_snapshot(path, value, later):
     """The doctored snapshot is tick 0's, or (``later``) tick 2's, which
-    evaluate must read too.  Evaluate refuses
-    exactly what explain's snapshot reader refuses, and a snapshot graph
-    whose dimensions are not the scenario's."""
+    evaluate must read too; tick 2 takes tick 0's digest beside it.
+    Evaluate refuses exactly what explain's snapshot reader refuses, and a
+    snapshot graph whose dimensions are not the scenario's."""
     lines = list(TRACE_LINES)
     at = 3 if later else 1
-    lines[at] = {**lines[at], "model_snapshot": replaced(SNAPSHOT, path, value)}
+    digest = TRACE_LINES[1]["model_digest"]
+    lines[at] = {**lines[at], "model_digest": digest, "model_snapshot": replaced(SNAPSHOT, path, value)}
     text = [json.dumps(ln) for ln in lines]
     trace = trace_from_lines(text)
     readers = {
@@ -334,3 +335,115 @@ def test_only_causalloop_errors_escape_loading_damaged_scenario_bytes(data):
             assert main(["run", file, "--seed", "0", "--length", "2"]) == 2
         else:
             assert main(["run", file, "--seed", "0", "--length", "2"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Trace format 7: the refusals of what the reader rebuilds.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def format_7_damage(draw):
+    """``TRACE_LINES`` with one record's snapshot, digest, rebuilt values or
+    loss inputs damaged: a snapshot dropped with its digest, a digest dropped
+    or set to any JSON value, ``epsilon`` or ``per_dim`` written, a
+    prediction or observation of another length, or one whose squared error
+    is near or beyond the float range."""
+    lines = json.loads(json.dumps(TRACE_LINES))
+    d = lines[draw(st.integers(1, len(lines) - 1))]
+    how = draw(st.sampled_from(["bare", "drop_digest", "digest", "rebuilt", "length", "overflow"]))
+    if how == "bare":
+        d.pop("model_digest", None)
+        d["model_snapshot"] = None
+    elif how == "drop_digest":
+        d.pop("model_digest", None)
+    elif how == "digest":
+        d["model_digest"] = draw(JSON_VALUES)
+    elif how == "rebuilt":
+        d[draw(st.sampled_from(["epsilon", "per_dim"]))] = draw(JSON_VALUES)
+    elif how == "length":
+        d[draw(st.sampled_from(["predicted_next", "observed"]))] = draw(st.lists(st.floats(-1e3, 1e3), max_size=4))
+    else:
+        big = draw(st.floats(1e150, 1e308))
+        d["predicted_next"], d["observed"] = [big, draw(st.floats(-1e308, 1e308))], [-big, 0.0]
+    return lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(format_7_damage())
+def test_only_input_and_domain_errors_escape_reading_what_format_7_rebuilds(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        file = os.path.join(tmp, "t.jsonl")
+        with open(file, "w") as fh:
+            fh.write("\n".join(json.dumps(ln) for ln in lines) + "\n")
+        try:
+            read_trace(file)
+        except (InputError, DomainError):
+            for argv in (["evaluate", file, "calm"], ["replay", file, "calm"], ["explain", file, "--tick", "0"]):
+                assert main(argv) == 2, argv
+        else:
+            assert main(["evaluate", file, "calm"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Every accepted scenario runs: damaged numeric fields and perturbations of
+# the bundled scenarios that the reader and ``validate`` accept.
+# ---------------------------------------------------------------------------
+
+
+BUNDLED = [json.loads(json.dumps(scenario_to_dict(sc))) for sc in builtin_scenarios().values()]
+NUMBERS = (
+    st.sampled_from([0, 1, -1, 2, 0.0, -0.0, -0.5, 0.5, 1e-300, -1e-9, 3.0, 10.0, 11.0, 1e6, 1e300, -1e300, 2**31])
+    | st.floats(-1e3, 1e3)
+    | st.integers(-5, 300)
+)
+PERTURBATIONS = (
+    st.just({"kind": "none"})
+    | st.builds(lambda s: {"kind": "gaussian_walk", "sigma_delta": s}, NUMBERS | st.floats())
+    | st.builds(lambda p, m: {"kind": "spike", "prob": p, "magnitude": m}, st.floats(0, 1) | NUMBERS, NUMBERS)
+)
+
+
+def _numeric_paths(doc):
+    def value(path):
+        node = doc
+        for key in path:
+            node = node[key]
+        return node
+
+    # Dimensions and the format are left alone: a change to one is refused.
+    return [p for p in paths(doc) if type(value(p)) in (int, float) and p[-1] not in _FIXED]
+
+
+_FIXED = {"format_version", "d_state", "d_action"}
+
+
+@st.composite
+def damaged_scenarios(draw):
+    """A bundled scenario with up to two numeric fields replaced, and
+    sometimes its perturbation, each by a number at the edge of a range."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(BUNDLED))))
+    for _ in range(draw(st.integers(0, 2))):
+        doc = replaced(doc, draw(st.sampled_from(_numeric_paths(doc))), draw(NUMBERS))
+    if draw(st.booleans()):
+        doc["perturbation"] = draw(PERTURBATIONS)
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(damaged_scenarios(), st.integers(0, 2**16))
+@example({**BUNDLED[0], "perturbation": {"kind": "gaussian_walk", "sigma_delta": -1.0}}, 0)
+def test_only_causalloop_errors_escape_running_an_accepted_scenario(doc, seed):
+    """A scenario that ``scenario_from_dict`` and ``validate`` accept runs a
+    short episode with and without reflect, then ``evaluate_trace``, and
+    only a :class:`CausalLoopError` may end it."""
+    try:
+        sc = scenario_from_dict(doc)
+        sc.validate()
+    except CausalLoopError:
+        return
+    for reflect in (False, True):
+        try:
+            evaluate_trace(run_episode(sc, RandomPolicy(), seed, 30, reflect), sc)
+        except CausalLoopError:
+            pass

@@ -18,9 +18,11 @@ from test_input_fuzz import JSON_VALUES, paths, replaced
 
 from causalloop.agent import RandomPolicy, run_episode
 import causalloop.trace as trace_mod
-from causalloop.core import DELTA_MAX, ActionVec, CausalLoopError, DomainError, InputError, StateVec
+from causalloop.core import DELTA_MAX, ActionVec, CausalLoopError, DimensionError, DomainError, InputError, StateVec, loss
 from causalloop.reflect import Hypothesis
 from causalloop.scenario import builtin_scenarios, json_number, json_typed
+from helpers import random_scenario
+
 from causalloop.trace import (
     TRACE_FORMAT_VERSION,
     TraceRecord,
@@ -34,21 +36,25 @@ from causalloop.trace import (
 
 
 def awkward_record():
-    # values chosen for ugly binary representations
+    # values chosen for ugly binary representations; a snapshot, so the
+    # record gives its own digest
+    predicted_next = StateVec((0.30000000000000004, 0.2857142857142857))
+    observed = StateVec((-0.0, 3.141592653589793))
+    err = loss(predicted_next, observed)
     return TraceRecord(
         tick=3,
         state=StateVec((0.1, 1.0 / 3.0)),
         action=ActionVec((1e-17,)),
         delta_hat=0.30000000000000004,
         true_delta=-2.2250738585072014e-308,
-        predicted_next=StateVec((0.30000000000000004, 0.2857142857142857)),
-        observed=StateVec((-0.0, 3.141592653589793)),
-        epsilon=1.2345678901234567e-5,
-        per_dim=(1e-300, 2.4691357802469134e-5),
+        predicted_next=predicted_next,
+        observed=observed,
+        epsilon=err.epsilon,
+        per_dim=err.per_dim,
         reflect=None,
         fit_event=None,
         model_digest="abcd",
-        model_snapshot=None,
+        model_snapshot={"delta_hat": 0.30000000000000004},
     )
 
 
@@ -56,6 +62,7 @@ def test_record_round_trip_is_bit_exact():
     rec = awkward_record()
     line = json.dumps(record_to_dict(rec))
     back = record_from_dict(json.loads(line))
+    assert back == rec
     assert record_to_dict(back) == record_to_dict(rec)
     assert back.state.values == rec.state.values
     assert back.true_delta == rec.true_delta
@@ -65,7 +72,7 @@ def test_record_round_trip_is_bit_exact():
 def test_record_constructor_takes_exactly_the_fields():
     names = [f.name for f in dataclasses.fields(TraceRecord)]
     assert list(inspect.signature(TraceRecord).parameters) == names
-    rec = awkward_record()
+    rec = dataclasses.replace(awkward_record(), model_snapshot=None)  # a snapshot, a dict, does not hash
     values = [getattr(rec, name) for name in names]
     positional = TraceRecord(*values)
     assert positional == rec and repr(positional) == repr(rec) and hash(positional) == hash(rec)
@@ -97,6 +104,7 @@ def test_record_state_elements_must_be_finite(field, text):
         record_from_dict(d)
 
 
+# A record holds no per_dim: one that holds any is refused.
 @pytest.mark.parametrize("field", ["state", "action", "predicted_next", "observed", "per_dim"])
 @pytest.mark.parametrize("bad", ["12", {"0": 1.0}, 3.0, ["1"], [True], [None], [10**400]])
 def test_record_vectors_must_be_lists(field, bad):
@@ -108,11 +116,21 @@ def test_record_vectors_must_be_lists(field, bad):
 
 @pytest.mark.parametrize("text", ["[NaN, Infinity]", "[1e-300, -Infinity]", "[NaN]"])
 def test_record_per_dim_elements_must_be_finite(text):
+    """A record does not hold per_dim: one that does is refused whatever its
+    elements, and the per_dim rebuilt from the prediction is finite, or the
+    record is refused naming its tick."""
     d = json.loads(json.dumps(record_to_dict(awkward_record())))
     d["per_dim"] = json.loads(text)  # Python's JSON parser accepts NaN and Infinity
     with pytest.raises(
         InputError,
-        match=r"malformed trace record: per_dim element is (nan|-?inf) of type float, expected int or finite float",
+        match=r"^malformed trace record: per_dim is \[.*(nan|inf)\], but a record does not hold it: it is rebuilt",
+    ):
+        record_from_dict(d)
+    del d["per_dim"]
+    d["observed"] = [-1e200, 0.0]
+    d["predicted_next"] = [1e200, 0.0]
+    with pytest.raises(
+        InputError, match=r"^tick 3: malformed trace record: a squared prediction error exceeds the float range$"
     ):
         record_from_dict(d)
 
@@ -144,10 +162,10 @@ def test_record_scalars_must_have_their_json_type(field, bad):
 
 def test_record_numbers_may_be_json_ints():
     d = json.loads(json.dumps(record_to_dict(awkward_record())))
-    d.update(delta_hat=0, true_delta=-1, epsilon=2, fit_event="applied")
+    d.update(delta_hat=0, true_delta=-1, predicted_next=[2, 3], observed=[0, 3], fit_event="applied")
     back = record_from_dict(d)
-    assert (back.delta_hat, back.true_delta, back.epsilon) == (0.0, -1.0, 2.0)
-    assert type(back.epsilon) is float
+    assert (back.delta_hat, back.true_delta, back.epsilon, back.per_dim) == (0.0, -1.0, 2.0, (4.0, 0.0))
+    assert [type(x) for x in (back.delta_hat, back.true_delta, back.epsilon, *back.per_dim)] == [float] * 5
     assert back.fit_event == "applied"
 
 
@@ -212,8 +230,9 @@ def test_read_rejects_unknown_format_version(tmp_path):
     # 1: records that still carry the horizon map; 2: predictions that sum
     # edge effects onto the state one by one; 4: a scheduled fit skipped
     # whole when any one target could not be fitted; 5: candidates and
-    # accepted edits written as objects
-    for version in (1, 2, 4, 5, 99):
+    # accepted edits written as objects; 6: records that write per_dim,
+    # epsilon and a model digest on every record
+    for version in (1, 2, 4, 5, 6, 99):
         head["format_version"] = version
         lines[0] = json.dumps(head)
         path.write_text("\n".join(lines) + "\n")
@@ -274,10 +293,6 @@ def _reference_vector(v, name):
     return v
 
 
-def _reference_per_dim(v):
-    return tuple(json_number(x, name="per_dim element") for x in json_typed(v, list, name="per_dim"))
-
-
 def _reference_delta_hat(v):
     d = json_number(v, name="delta_hat")
     if abs(d) > DELTA_MAX:
@@ -285,27 +300,47 @@ def _reference_delta_hat(v):
     return d
 
 
-def reference_record_from_dict(d):
+def reference_record_from_dict(d, digest=""):
     """The reader before the one-pass rewrite: each field checked and
-    converted on its own, each vector checked again by its constructor."""
+    converted on its own, each vector checked again by its constructor;
+    then the digest, and the loss rebuilt by ``core.loss``."""
     try:
-        return TraceRecord(
-            tick=json_typed(d["tick"], int, name="tick"),
-            state=StateVec(_reference_vector(d["state"], "state")),
-            action=ActionVec(_reference_vector(d["action"], "action")),
-            delta_hat=_reference_delta_hat(d["delta_hat"]),
-            true_delta=json_number(d["true_delta"], name="true_delta"),
-            predicted_next=StateVec(_reference_vector(d["predicted_next"], "predicted_next")),
-            observed=StateVec(_reference_vector(d["observed"], "observed")),
-            epsilon=json_number(d["epsilon"], name="epsilon"),
-            per_dim=_reference_per_dim(d["per_dim"]),
-            reflect=json_typed(d["reflect"], dict, NoneType, name="reflect"),
-            fit_event=json_typed(d["fit_event"], str, NoneType, name="fit_event"),
-            model_digest=json_typed(d["model_digest"], str, name="model_digest"),
-            model_snapshot=json_typed(d["model_snapshot"], dict, NoneType, name="model_snapshot"),
-        )
+        if isinstance(d, dict):
+            for name in ("epsilon", "per_dim"):
+                if name in d:
+                    raise ValueError(
+                        f"{name} is {d[name]!r}, but a record does not hold it: it is rebuilt from"
+                        " predicted_next and observed"
+                    )
+            if "model_digest" in d and d.get("model_snapshot") is None:
+                raise ValueError(
+                    f"model_digest is {d['model_digest']!r} on a record without a model snapshot:"
+                    " it is written only beside one"
+                )
+        tick = json_typed(d["tick"], int, name="tick")
+        state = StateVec(_reference_vector(d["state"], "state"))
+        action = ActionVec(_reference_vector(d["action"], "action"))
+        delta_hat = _reference_delta_hat(d["delta_hat"])
+        true_delta = json_number(d["true_delta"], name="true_delta")
+        predicted_next = StateVec(_reference_vector(d["predicted_next"], "predicted_next"))
+        observed = StateVec(_reference_vector(d["observed"], "observed"))
+        reflect = json_typed(d["reflect"], dict, NoneType, name="reflect")
+        fit_event = json_typed(d["fit_event"], str, NoneType, name="fit_event")
+        model_snapshot = json_typed(d["model_snapshot"], dict, NoneType, name="model_snapshot")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace record: {exc}") from exc
+    try:
+        if model_snapshot is not None:
+            if "model_digest" not in d:
+                raise ValueError("a model snapshot without a model_digest")
+            digest = json_typed(d["model_digest"], str, name="model_digest")
+        err = loss(predicted_next, observed)
+    except (TypeError, ValueError, DimensionError, DomainError) as exc:
+        raise InputError(f"tick {tick}: malformed trace record: {exc}") from exc
+    return TraceRecord(
+        tick, state, action, delta_hat, true_delta, predicted_next, observed, err.epsilon, err.per_dim,
+        reflect, fit_event, digest, model_snapshot,
+    )
 
 
 def bits(value):
@@ -327,26 +362,33 @@ def outcome(reader, d):
         return type(exc), str(exc)
 
 
-def records(numbers, deltas):
+@st.composite
+def records(draw, numbers, deltas):
+    """A record as format 7 writes it: a prediction and an observation of
+    one length, mostly, and a digest only beside a snapshot."""
     vectors = st.lists(numbers, max_size=4)
-    return st.fixed_dictionaries(
-        {
-            "kind": st.just("record"),
-            "tick": st.integers(-5, 2**70),
-            "state": vectors,
-            "action": vectors,
-            "delta_hat": deltas,
-            "true_delta": numbers,
-            "predicted_next": vectors,
-            "observed": vectors,
-            "epsilon": numbers,
-            "per_dim": vectors,
-            "reflect": st.none() | st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2),
-            "fit_event": st.none() | st.text(max_size=8),
-            "model_digest": st.text(max_size=8),
-            "model_snapshot": st.none() | st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2),
-        }
+    size = draw(st.integers(0, 4))
+    outcomes = st.lists(numbers, min_size=size, max_size=size) | vectors
+    d = draw(
+        st.fixed_dictionaries(
+            {
+                "kind": st.just("record"),
+                "tick": st.integers(-5, 2**70),
+                "state": vectors,
+                "action": vectors,
+                "delta_hat": deltas,
+                "true_delta": numbers,
+                "predicted_next": outcomes,
+                "observed": outcomes,
+                "reflect": st.none() | st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2),
+                "fit_event": st.none() | st.text(max_size=8),
+                "model_snapshot": st.none() | st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2),
+            }
+        )
     )
+    if d["model_snapshot"] is not None:
+        d["model_digest"] = draw(st.text(max_size=8))
+    return d
 
 
 # Floats only, as written records hold them, or JSON ints among them.
@@ -367,9 +409,12 @@ EDGES = st.sampled_from(
 def spoiled_records(draw):
     """A record with, mostly, one field, vector element or nested value
     replaced by an edge value, an arbitrary JSON value or a float; sometimes
-    a field dropped, the record itself replaced, or nothing changed."""
+    a field dropped, a field the reader rebuilds added, the record itself
+    replaced, or nothing changed."""
     d = draw(RECORDS)
-    how = draw(st.sampled_from(["replace", "replace", "replace", "replace", "drop", "whole", "none"]))
+    how = draw(st.sampled_from(["replace", "replace", "replace", "replace", "drop", "add", "whole", "none"]))
+    if how == "add":
+        d[draw(st.sampled_from(["epsilon", "per_dim", "model_digest"]))] = draw(EDGES | JSON_VALUES | st.floats())
     if how == "replace":
         elements = [(key, i) for key, v in d.items() if type(v) is list for i in range(len(v))]
         path = draw(
@@ -386,10 +431,11 @@ def spoiled_records(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(spoiled_records())
-def test_reader_refuses_and_reads_as_the_field_by_field_reader(d):
-    got = outcome(record_from_dict, d)
-    want = outcome(reference_record_from_dict, d)
+@given(spoiled_records(), st.text(max_size=8))
+def test_reader_refuses_and_reads_as_the_field_by_field_reader(d, digest):
+    """``digest`` is the one carried forward from the records before."""
+    got = outcome(lambda d: record_from_dict(d, digest), d)
+    want = outcome(lambda d: reference_record_from_dict(d, digest), d)
     if isinstance(want, TraceRecord):
         assert isinstance(got, TraceRecord), got
         assert got == want
@@ -422,9 +468,10 @@ def test_the_first_refused_field_in_record_order_names_the_refusal(field, bad, e
 
 def test_json_ints_are_read_as_floats_where_a_record_holds_floats():
     d = json.loads(json.dumps(record_to_dict(awkward_record())))
-    d.update(state=[1, -0.0], action=[0], per_dim=[2, 3.5], epsilon=7)
+    d.update(state=[1, -0.0], action=[0], predicted_next=[2, 3.5], observed=[0, -1])
     back = record_from_dict(d)
     assert back.state.values == (1.0, -0.0) and math.copysign(1.0, back.state[1]) == -1.0
+    assert (back.epsilon, back.per_dim) == (12.125, (4.0, 20.25))
     assert [type(x) for x in back.state.values + back.action.values + back.per_dim] == [float] * 5
     assert back == reference_record_from_dict(d)
 
@@ -516,3 +563,113 @@ def test_read_skips_blank_lines_and_reads_crlf(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_bytes(("\r\n".join(lines[:2]) + "\r\n \r\n\n" + "\n".join(lines[2:])).encode())
     assert read_trace(str(path)) == trace_from_lines(lines)
+
+
+# ---------------------------------------------------------------------------
+# Format 7: what a record does not write, the reader rebuilds.
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["calm", "break_demo", "productivity", "random"]), st.booleans(), st.integers(0, 2**16))
+def test_read_back_loss_and_digest_are_the_loops(name, reflect, seed):
+    """Fit-only and repair runs, on the bundled scenarios and on a random
+    graph of up to four dimensions: every record read back has, in
+    ``float.hex``, the epsilon and per_dim of ``core.loss`` of its own
+    prediction and observation and of the loop, and the loop's digest."""
+    sc = random_scenario(seed, noise_sigma=0.05) if name == "random" else builtin_scenarios()[name]
+    trace = run_episode(sc, RandomPolicy(), seed=seed, length=80, reflect_enabled=reflect)
+    back = trace_from_lines(trace_to_lines(trace))
+    assert back == trace
+    for r, held in zip(back.records, trace.records, strict=True):
+        err = loss(r.predicted_next, r.observed)
+        for rebuilt in (err, held):
+            assert r.epsilon.hex() == rebuilt.epsilon.hex(), r.tick
+            assert [x.hex() for x in r.per_dim] == [x.hex() for x in rebuilt.per_dim], r.tick
+        assert r.model_digest == held.model_digest, r.tick
+
+
+def test_a_record_without_a_snapshot_takes_the_last_snapshots_digest():
+    sc = builtin_scenarios()["break_demo"]
+    trace = run_episode(sc, RandomPolicy(), seed=7, length=120, reflect_enabled=False)
+    lines = trace_to_lines(trace)
+    written = [json.loads(ln) for ln in lines[1:]]
+    assert [("model_digest" in d) for d in written] == [d["model_snapshot"] is not None for d in written]
+    assert 2 <= sum(d["model_snapshot"] is not None for d in written) < len(written) // 2
+    last = None
+    for d, r in zip(written, trace_from_lines(lines).records, strict=True):
+        last = d.get("model_digest", last)
+        assert r.model_digest == last
+        assert not {"epsilon", "per_dim"} & d.keys()
+
+
+def _lines_with(edit):
+    """A calm trace's lines as JSON values, one of them edited by ``edit``."""
+    lines = [json.loads(ln) for ln in _calm_lines()]
+    edit(lines)
+    return [json.dumps(ln) for ln in lines]
+
+
+def _bare(d):
+    """``d`` without its snapshot and digest."""
+    d.pop("model_digest")
+    d["model_snapshot"] = None
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ls: _bare(ls[1]), "src: line 2: the first record carries no model snapshot, so no digest"),
+        (lambda ls: ls[1].pop("model_digest"), "tick 0: malformed trace record: a model snapshot without a model_digest"),
+        (lambda ls: ls[1].update(model_digest=None),
+         "tick 0: malformed trace record: model_digest is None of type NoneType, expected str"),
+        (lambda ls: ls[1].update(model_digest=12),
+         "tick 0: malformed trace record: model_digest is 12 of type int, expected str"),
+        (lambda ls: ls[2].update(predicted_next=[0.5, 0.5, 0.5]),
+         "tick 1: malformed trace record: predicted has 3 dims, observed has 2"),
+        (lambda ls: ls[2].update(predicted_next=[], observed=[]),
+         "tick 1: malformed trace record: predicted has 0 dims, observed has 0"),
+        (lambda ls: ls[2].update(predicted_next=[1e200, 0.0], observed=[-1e200, 0.0]),
+         "tick 1: malformed trace record: a squared prediction error exceeds the float range"),
+        (lambda ls: ls[2].update(predicted_next=[1e308, 0.0], observed=[-1e308, 0.0]),
+         "tick 1: malformed trace record: a squared prediction error exceeds the float range"),
+        (lambda ls: ls[2].update(predicted_next=[1.3e154, 1.3e154], observed=[0.0, 0.0]),
+         "tick 1: malformed trace record: a squared prediction error exceeds the float range"),
+        (lambda ls: ls[2].update(epsilon=0.5),
+         "malformed trace record: epsilon is 0.5, but a record does not hold it: it is rebuilt"),
+        (lambda ls: ls[2].update(per_dim=[0.5]),
+         "malformed trace record: per_dim is \\[0.5\\], but a record does not hold it: it is rebuilt"),
+        (lambda ls: ls[2].update(model_digest="abcd"),
+         "malformed trace record: model_digest is 'abcd' on a record without a model snapshot"),
+    ],
+    ids=["first-bare", "snapshot-no-digest", "digest-null", "digest-int", "lengths", "no-dims", "overflow",
+         "difference-overflow",
+         "sum-overflow", "epsilon", "per_dim", "digest-no-snapshot"],
+)
+def test_each_format_7_refusal(edit, message):
+    lines = _lines_with(edit)
+    assert json.loads(_calm_lines()[2])["model_snapshot"] is None  # tick 1 takes tick 0's digest
+    with pytest.raises(InputError, match=f"^{message}"):
+        trace_from_lines(lines, "src")
+
+
+def test_a_bare_first_record_is_refused_after_the_ticks():
+    """A trace whose tick 0 was dropped is refused for that, not for the
+    snapshot tick 0 held."""
+    lines = _calm_lines()
+    with pytest.raises(InputError, match="^src: line 2 holds tick 1, expected 0$"):
+        trace_from_lines(lines[:1] + lines[2:], "src")
+
+
+def test_a_format_6_trace_is_refused_naming_format_7():
+    """Format 6 wrote per_dim and epsilon on every record and every record's
+    digest."""
+    trace = run_episode(builtin_scenarios()["calm"], RandomPolicy(), seed=1, length=3)
+    lines = [json.dumps({**json.loads(trace_to_lines(trace)[0]), "format_version": 6})]
+    for r in trace.records:
+        d = {k: v for k, v in record_to_dict(r).items() if k not in ("model_digest", "model_snapshot")}
+        lines.append(json.dumps({**d, "epsilon": r.epsilon, "per_dim": list(r.per_dim),
+                                 "model_digest": r.model_digest, "model_snapshot": r.model_snapshot}))
+    with pytest.raises(InputError) as exc_info:
+        trace_from_lines(lines)
+    assert str(exc_info.value) == "unsupported trace format_version 6 (this reader reads format 7)"

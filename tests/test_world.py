@@ -210,6 +210,15 @@ def test_walk_is_clamped():
     assert any(abs(d) == 10.0 for d in deltas)
 
 
+@pytest.mark.parametrize("sigma", [-1.0, -5e-324, math.nan, math.inf])
+def test_walk_step_must_be_finite_and_non_negative(sigma):
+    with pytest.raises(ConfigError, match="gaussian_walk sigma_delta must be finite and >= 0"):
+        GaussianWalk(sigma_delta=sigma)
+    assert GaussianWalk(sigma_delta=0).sigma_delta == 0.0
+    # numpy refuses a scale of -0.0, so the walk holds +0.0
+    assert math.copysign(1.0, GaussianWalk(sigma_delta=-0.0).sigma_delta) == 1.0
+
+
 def test_same_seed_reproduces_episode():
     sc = one_edge_scenario(noise_sigma=0.1, perturbation=GaussianWalk(0.2))
     a = drive(sc, seed=3, actions=[(0.5,)] * 6)

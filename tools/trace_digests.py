@@ -18,6 +18,12 @@ reflect block, each as its kind, text and sorted-key JSON grounding.  Two
 checkouts that print the same output record byte-identical traces, read
 them back to the traces recorded, and evaluate and explain them alike.
 
+It also prints to stderr, for each workload and seed, the bytes per tick of
+its traces: the UTF-8 bytes of every trace file's text over every record,
+as ``perfbench`` counts ``trace_bytes_per_tick``.  Stdout is the same JSON
+either way, so an output made before this line existed still serves as
+``--against``.
+
 Given an earlier output as ``--against``, it prints each trace, evaluation
 or explanation digest that moved (or that only one side holds) and exits 1
 if any did or a trace read back differently, 0 if every one is identical.
@@ -78,28 +84,32 @@ def _explanations(trace: EpisodeTrace) -> str:
     return "\n".join(f"{e.kind.value}\t{e.text}\t{json.dumps(e.grounding, sort_keys=True)}" for e in out)
 
 
-def trace_digests(seeds: list[int]) -> tuple[dict[str, str], list[str]]:
+def trace_digests(seeds: list[int]) -> tuple[dict[str, str], list[str], dict[str, float]]:
     """``workload/seed/index.label.mode`` -> sha256 of that trace's file
     text, and ``<that key>.eval`` and ``<that key>.explain`` -> sha256 of
     the evaluation report and of the explanations of the trace read back
-    from that text; and the keys whose trace read back differs from the one
-    recorded."""
-    out, misread = {}, []
+    from that text; the keys whose trace read back differs from the one
+    recorded; and ``workload/seed`` -> the bytes per tick of its traces."""
+    out, misread, per_tick = {}, [], {}
     for workload in WORKLOADS:
         for seed in seeds:
+            nbytes = ticks = 0
             for i, ep in enumerate(bench_workloads.make_inputs(workload, seed)):
                 trace = run_episode(ep.scenario, bench_workloads.POLICY, ep.seed, ep.length, ep.reflect)
                 mode = "repair" if ep.reflect else "baseline"
                 key = f"{workload}/{seed}/{i}.{ep.label}.{mode}"
                 lines = trace_to_lines(trace)
-                out[key] = _sha256("\n".join(lines) + "\n")
+                text = ("\n".join(lines) + "\n").encode()
+                nbytes, ticks = nbytes + len(text), ticks + len(trace.records)
+                out[key] = hashlib.sha256(text).hexdigest()
                 back = trace_from_lines(lines, key)
                 if back != trace:
                     misread.append(key)
                 report = evaluate_trace(back, ep.scenario)
                 out[key + EVAL] = _sha256(report_tsv(report, back) + json.dumps(report.to_dict(), sort_keys=True))
                 out[key + EXPLAIN] = _sha256(_explanations(back))
-    return out, misread
+            per_tick[f"{workload}/{seed}"] = nbytes / ticks
+    return out, misread, per_tick
 
 
 def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:
@@ -118,7 +128,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--against", metavar="FILE", help="an earlier output to compare with")
     args = parser.parse_args(argv)
-    digests, misread = trace_digests(args.seeds)
+    digests, misread, per_tick = trace_digests(args.seeds)
+    for key, value in per_tick.items():
+        print(f"bytes per tick: {key}: {value:.1f}", file=sys.stderr)
     for key in misread:
         print(f"read back differs: {key}", file=sys.stderr)
     if args.against is None:
