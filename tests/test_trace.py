@@ -14,15 +14,23 @@ from typing import get_args
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import random_scenario
 from test_input_fuzz import JSON_VALUES, paths, replaced
 
 from causalloop.agent import RandomPolicy, run_episode
 import causalloop.trace as trace_mod
-from causalloop.core import DELTA_MAX, ActionVec, CausalLoopError, DimensionError, DomainError, InputError, StateVec, loss
+from causalloop.core import (
+    DELTA_MAX,
+    ActionVec,
+    CausalLoopError,
+    DimensionError,
+    DomainError,
+    InputError,
+    StateVec,
+    loss,
+)
 from causalloop.reflect import Hypothesis
 from causalloop.scenario import builtin_scenarios, json_number, json_typed
-from helpers import random_scenario
-
 from causalloop.trace import (
     TRACE_FORMAT_VERSION,
     TraceRecord,
@@ -620,7 +628,8 @@ def _bare(d):
     "edit, message",
     [
         (lambda ls: _bare(ls[1]), "src: line 2: the first record carries no model snapshot, so no digest"),
-        (lambda ls: ls[1].pop("model_digest"), "tick 0: malformed trace record: a model snapshot without a model_digest"),
+        (lambda ls: ls[1].pop("model_digest"),
+         "tick 0: malformed trace record: a model snapshot without a model_digest"),
         (lambda ls: ls[1].update(model_digest=None),
          "tick 0: malformed trace record: model_digest is None of type NoneType, expected str"),
         (lambda ls: ls[1].update(model_digest=12),
