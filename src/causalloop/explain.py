@@ -24,10 +24,10 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
-from .core import CausalTuple, ConfigError, InputError, Perturbation
+from .core import ActionVec, CausalTuple, ConfigError, InputError, Perturbation, StateVec
 from .model import CausalModel, counterfactual
 from .reflect import (
     CoefChange,
@@ -40,7 +40,7 @@ from .reflect import (
     hypothesis_to_dict,
 )
 from .scenario import canonical_json, json_number
-from .trace import TraceRecord, record_to_dict, reflect_block_from_dict
+from .trace import TraceRecord, reflect_block_from_dict
 from .world import SourceKind
 
 ENV_LLM_URL = "EXPLAIN_LLM_URL"
@@ -275,10 +275,22 @@ def _labelled(tick: int, report: dict[str, Any]) -> dict[str, Any]:
     return {**report, "candidates": candidates, "accepted": list(map(hypothesis_to_dict, block.accepted))}
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(TraceRecord))
+
+
+def _fact(value: Any) -> Any:
+    """A record field's value as a fact: a vector or tuple as a list."""
+    if isinstance(value, (StateVec, ActionVec)):
+        return list(value.values)
+    return list(value) if type(value) is tuple else value
+
+
 def render_prompt(record: TraceRecord) -> PromptBundle:
-    """The facts of ``record``, with its reflect block's rows labelled
-    (:func:`_labelled`)."""
-    facts: dict[str, Any] = {"record": record_to_dict(record)}
+    """The facts of ``record``: every field by name, in declaration order,
+    with its reflect block's rows labelled (:func:`_labelled`).  Built from
+    the record, not from its trace line, which leaves out what the reader
+    rebuilds, such as a later tick's state and delta estimate."""
+    facts: dict[str, Any] = {"record": {name: _fact(getattr(record, name)) for name in _RECORD_FIELDS}}
     if record.reflect is not None:
         facts["record"]["reflect"] = _labelled(record.tick, record.reflect)
     return PromptBundle(system_preamble=SYSTEM_PREAMBLE, facts=facts, instruction=INSTRUCTION)

@@ -6,17 +6,21 @@ record.  Floats serialize via Python's shortest-round-trip repr, so a
 parsed trace compares equal to the in-memory original and replay can
 demand bit-identity rather than tolerances.
 
-A record line holds only what cannot be derived from the trace: the state,
-action, delta estimate and true delta, the one-step prediction (only a
-model re-run could rebuild it) and the observation, the full reflect report
-(every candidate and its score), the fit event, and a model snapshot
-whenever the model's digest changed that tick, with that digest just
-before it.  The reader rebuilds the rest, so a record read back equals the
-one recorded: ``epsilon`` and ``per_dim`` by :func:`causalloop.core.loss`
-of the prediction and the observation, and ``model_digest`` of a record
-without a snapshot as the last snapshot's, carried forward.  The snapshots
-are what let evaluation and explanation reconstruct the agent's model at
-any tick without re-running anything.  The causal function's contributions
+A record line holds only what cannot be derived from the trace: its kind
+and tick, the action and true delta, the one-step prediction (only a model
+re-run could rebuild it) and the observation; at tick 0 only, the state
+and delta estimate; and only when not null, the full reflect report (every
+candidate and its score), the fit event, and a model snapshot whenever the
+model's digest changed that tick, with that digest just before it.  The
+reader rebuilds the rest, so a record read back equals the one recorded:
+``epsilon`` and ``per_dim`` by :func:`causalloop.core.loss` of the
+prediction and the observation; a later record's ``state`` as the previous
+record's ``observed`` (the agent acts on what it last observed) and its
+``delta_hat`` as the last snapshot's (the model entering a tick is the one
+leaving the tick before); ``model_digest`` of a record without a snapshot
+as the last snapshot's; and a field left out as None.  The snapshots are
+what let evaluation and explanation reconstruct the agent's model at any
+tick without re-running anything.  The causal function's contributions
 and farthest state at a tick are not recorded: explanation recomputes them
 (:func:`causalloop.model.counterfactual`) from the snapshot and the
 record's delta_hat.
@@ -42,17 +46,22 @@ are JSON ints, the rest finite numbers.
 :func:`trace_from_lines`, the inverse of :func:`trace_to_lines`, which
 skips blank lines but counts them, so a refusal names the file's line.
 Every other line is parsed first; then the header, then each record in one
-pass that checks each value once (:func:`record_from_dict`).  Refused, with
+pass that checks each value once (:func:`record_from_dict`), carrying the
+record before and the last snapshot forward.  Refused, with
 :class:`InputError` unless noted: a file that cannot be read or is not
 UTF-8; a line that is not JSON; a malformed header or a format other than
 ``TRACE_FORMAT_VERSION``; a record field missing or of the wrong JSON
-type, a number that is not finite, a ``delta_hat`` beyond ``DELTA_MAX``, a
-non-finite state, action, prediction or observation (:class:`DomainError`);
-a record that holds a value the reader rebuilds; a snapshot without a
-string digest, a first record without a snapshot, and a prediction and
-observation of different lengths or whose squared error overflows, each
-naming its tick; and a record off its tick's line: the *i*-th record must
-hold tick *i*.  A trace that stops early is read; replay holds it to the
+type, an optional field written as null, a number that is not finite, a
+``delta_hat`` beyond ``DELTA_MAX``, a non-finite state, action, prediction
+or observation (:class:`DomainError`); a record that holds a value the
+reader rebuilds; a tick-0 record without its state or delta estimate, a
+later one with either, a snapshot delta estimate a later record takes that
+is no finite number within ``DELTA_MAX``, a snapshot without a string
+digest, and a prediction and observation of different lengths or whose
+squared error overflows, each naming its tick; a first record without a
+snapshot; and a record off its tick's line: the *i*-th record must hold
+tick *i*.  A record refusal names the line, as ``<source>: line <n>:
+malformed trace record: ...``.  A trace that stops early is read; replay holds it to the
 header's length.  A header or record field of the wrong JSON type is
 refused in the words of :func:`causalloop.scenario.read_fields`, which
 scenario files, model snapshots, edge records and policies share:
@@ -76,7 +85,7 @@ from .reflect import HYPOTHESIS_KINDS, Hypothesis, ReflectReport, hypothesis_fro
 from .rng import GENERATOR_NAME, SCHEME_VERSION
 from .scenario import atomic_write_text, json_number, json_types, json_typed, read_fields, read_text
 
-TRACE_FORMAT_VERSION = 7
+TRACE_FORMAT_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -96,12 +105,16 @@ class TraceHeader:
 
 @dataclass(frozen=True, init=False)
 class TraceRecord:
-    """One tick of an episode.  ``epsilon`` and ``per_dim`` are
-    :func:`causalloop.core.loss` of ``predicted_next`` against ``observed``,
-    and ``model_digest`` is the digest of the model leaving the tick, whose
-    ``model_snapshot`` is recorded only at a tick where the digest changed.
-    A trace line writes neither loss field, and the digest only beside a
-    snapshot: the reader rebuilds them (:func:`record_from_dict`)."""
+    """One tick of an episode.  ``state`` is the previous tick's
+    ``observed`` (the scenario's initial state at tick 0) and ``delta_hat``
+    the delta estimate of the model entering the tick, the last snapshot's.
+    ``epsilon`` and ``per_dim`` are :func:`causalloop.core.loss` of
+    ``predicted_next`` against ``observed``, and ``model_digest`` is the
+    digest of the model leaving the tick, whose ``model_snapshot`` is
+    recorded only at a tick where the digest changed.  A trace line writes
+    the state and delta estimate only at tick 0, neither loss field, the
+    digest only beside a snapshot and no null field: the reader rebuilds
+    them (:func:`record_from_dict`)."""
 
     tick: int
     state: StateVec
@@ -248,129 +261,225 @@ def header_from_dict(d: Any) -> TraceHeader:
 
 
 def record_to_dict(r: TraceRecord) -> dict[str, Any]:
-    """The record as a trace line holds it: every field in declaration
-    order but ``epsilon`` and ``per_dim``, which the reader rebuilds, and
-    ``model_digest`` only just before a ``model_snapshot``, since the digest
-    changes only at a record that carries one."""
-    d = {
-        "kind": "record",
-        "tick": r.tick,
-        "state": list(r.state.values),
-        "action": list(r.action.values),
-        "delta_hat": r.delta_hat,
-        "true_delta": r.true_delta,
-        "predicted_next": list(r.predicted_next.values),
-        "observed": list(r.observed.values),
-        "reflect": r.reflect,
-        "fit_event": r.fit_event,
-    }
+    """The record as a trace line holds it: its fields in declaration order
+    but what the reader rebuilds.  ``state`` and ``delta_hat`` are written
+    only at tick 0: a later record's state is the previous record's
+    observation, and its delta estimate the last snapshot's.  ``epsilon``
+    and ``per_dim`` are never written; ``reflect`` and ``fit_event`` only
+    when not null; ``model_digest`` only just before a ``model_snapshot``,
+    which is written only at a tick where the digest changed."""
+    if r.tick == 0:
+        d = {
+            "kind": "record",
+            "tick": 0,
+            "state": list(r.state.values),
+            "action": list(r.action.values),
+            "delta_hat": r.delta_hat,
+            "true_delta": r.true_delta,
+            "predicted_next": list(r.predicted_next.values),
+            "observed": list(r.observed.values),
+        }
+    else:
+        d = {
+            "kind": "record",
+            "tick": r.tick,
+            "action": list(r.action.values),
+            "true_delta": r.true_delta,
+            "predicted_next": list(r.predicted_next.values),
+            "observed": list(r.observed.values),
+        }
+    if r.reflect is not None:
+        d["reflect"] = r.reflect
+    if r.fit_event is not None:
+        d["fit_event"] = r.fit_event
     if r.model_snapshot is not None:
         d["model_digest"] = r.model_digest
-    d["model_snapshot"] = r.model_snapshot
+        d["model_snapshot"] = r.model_snapshot
     return d
 
 
-# The fields a record line holds in the order the reader checks them: up to
-# delta_hat, whose range is checked before the rest are read, and the rest.
-# The model digest is read after them, and only beside a snapshot.
-_WRITTEN = ("tick", "state", "action", "delta_hat", "true_delta", "predicted_next", "observed", "reflect",
-            "fit_event", "model_snapshot")
-_HEAD, _TAIL, _DIGEST = _WRITTEN[:4], _WRITTEN[4:], ("model_digest",)
-_written = itemgetter(*_WRITTEN)
+# The keys every record line holds, those only tick 0's holds (with what a
+# later record takes in their place), and those a line holds only when not
+# null.
+_required = itemgetter("kind", "tick", "action", "true_delta", "predicted_next", "observed")
+_TAKEN = {
+    "state": "a later record's state is the previous record's observed",
+    "delta_hat": "a later record's delta_hat is the last model snapshot's",
+}
+_first = itemgetter(*_TAKEN)
+_OPTIONAL = ("reflect", "fit_event", "model_snapshot")
 _FLOAT = frozenset({float})
 # Every combination of the JSON types that tick, reflect, fit_event and
 # model_snapshot may have.
 _hints = get_type_hints(TraceRecord)
-_SCALAR_TYPES = frozenset(
-    product(*(json_types(_hints[name]) for name in ("tick", "reflect", "fit_event", "model_snapshot")))
-)
+_SCALAR_TYPES = frozenset(product(*(json_types(_hints[name]) for name in ("tick", *_OPTIONAL))))
 
 
-def _refuse_rebuilt_keys(d: Any) -> None:
-    """ValueError if the record ``d`` holds a value the reader rebuilds:
-    ``epsilon`` or ``per_dim``, or ``model_digest`` without a snapshot.  A
-    record that states one could contradict the value rebuilt."""
+def _refuse_keys(d: Any) -> None:
+    """ValueError if the record ``d`` holds a value the reader rebuilds
+    (``epsilon`` or ``per_dim``, or ``model_digest`` without a snapshot) or
+    an optional field as null, which a record leaves out.  A record that
+    states a rebuilt value could contradict the value rebuilt."""
     if type(d) is not dict:
         return
     for name in ("epsilon", "per_dim"):
         if name in d:
             raise ValueError(f"{name} is {d[name]!r}, but a record does not hold it: it is rebuilt from"
                              " predicted_next and observed")
-    if "model_digest" in d and d.get("model_snapshot") is None:
+    for name in _OPTIONAL:
+        if name in d and d[name] is None:
+            raise ValueError(f"{name} is null: a record leaves a null field out")
+    if "model_digest" in d and "model_snapshot" not in d:
         raise ValueError(f"model_digest is {d['model_digest']!r} on a record without a model snapshot:"
                          " it is written only beside one")
 
 
-def record_from_dict(d: Any, digest: str = "") -> TraceRecord:
+def _refuse_first_keys(d: dict[str, Any], tick: int) -> None:
+    """ValueError if tick 0's record ``d`` lacks ``state`` or ``delta_hat``,
+    or a later one holds either."""
+    for name, taken in _TAKEN.items():
+        if tick == 0 and name not in d:
+            raise ValueError(f"tick 0: the first record holds no {name}")
+        if tick != 0 and name in d:
+            raise ValueError(f"tick {tick}: {name} is {d[name]!r}, but only the first record holds it: {taken}")
+
+
+def _within_delta_max(value: float, name: str) -> float:
+    if abs(value) > DELTA_MAX:
+        # an episode keeps it within DELTA_MAX: it is a Perturbation every tick
+        raise ValueError(f"{name} is {value!r}, beyond DELTA_MAX {DELTA_MAX}")
+    return value
+
+
+def _carried_delta_hat(tick: int, snapshot: dict[str, Any] | None) -> float | None:
+    """The delta estimate a later record takes: the last snapshot's, read as
+    :func:`causalloop.model.read_snapshot` reads it, within DELTA_MAX; None
+    when no snapshot came before, which :func:`trace_from_lines` refuses."""
+    if snapshot is None:
+        return None
+    name = "the last model snapshot's delta_hat"
+    try:
+        value = snapshot["delta_hat"]
+    except KeyError as exc:
+        raise ValueError(f"tick {tick}: the last model snapshot holds no delta_hat") from exc
+    try:
+        return _within_delta_max(json_number(value, name=name), name)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"tick {tick}: {exc}") from exc
+
+
+def record_from_dict(
+    d: Any, previous: TraceRecord | None = None, snapshot: dict[str, Any] | None = None
+) -> TraceRecord:
     """The record a trace line's JSON value holds, read in one pass.
 
-    The line holds what :func:`record_to_dict` writes.  ``epsilon`` and
-    ``per_dim`` are rebuilt by :func:`causalloop.core.loss` from the checked
-    ``predicted_next`` and ``observed``.  ``model_digest`` is the line's own
-    beside a snapshot, else ``digest``: the last snapshot's, carried forward
-    by :func:`trace_from_lines`, which refuses a first record without a
-    snapshot, the one record that has no digest to take.
+    The line holds what :func:`record_to_dict` writes; the reader rebuilds
+    the rest, so the record equals the one written.  ``epsilon`` and
+    ``per_dim`` are :func:`causalloop.core.loss` of the checked
+    ``predicted_next`` and ``observed``.  A record without a snapshot takes
+    ``previous``'s ``model_digest``.  A record of a tick other than 0 takes
+    ``previous``'s ``observed`` itself as its ``state``, and as its
+    ``delta_hat`` the one of ``snapshot``, the last model snapshot, read as
+    :func:`causalloop.model.read_snapshot` reads it and held within
+    ``DELTA_MAX`` as a written one is.  :func:`trace_from_lines` carries
+    both forward.  Where there is none to take (the defaults, as for the
+    first line), a record takes None, or ``""`` as its digest:
+    :func:`trace_from_lines` refuses such a trace after its ticks, as its
+    first record is off tick 0 or carries no snapshot.
 
     Written records hold JSON floats in every numeric field, so one pass
-    checks them all at once: the four non-numeric fields' types in one set
-    lookup, every number's type and finiteness in one pass each over all of
-    them, and ``delta_hat``'s range.  Anything else, a refusal or a JSON int
-    where a float goes, is read field by field in record order by
-    :func:`read_fields`, ``delta_hat``'s range checked in its place: the
-    first field refused names the refusal (:class:`InputError`, or
-    :class:`DomainError` for a non-finite state or action), and JSON ints
-    are read as floats.  Before any field, a record that holds ``epsilon``,
-    ``per_dim``, or ``model_digest`` without a snapshot is refused; after
-    them, with :class:`InputError` naming the tick: a snapshot with no
+    checks them all at once: the keys by their count, the four non-numeric
+    fields' types in one set lookup, every number's type and finiteness in
+    one pass each over all of them, and ``delta_hat``'s range.  Anything
+    else, a refusal or a JSON int where a float goes, is read field by
+    field in record order by :func:`read_fields`, ``delta_hat``'s range
+    checked in its place: the first field refused names the refusal
+    (:class:`InputError`, or :class:`DomainError` for a non-finite state or
+    action), and JSON ints are read as floats.  Every refusal says
+    ``malformed trace record: ...``.  Before any field, a record that holds
+    ``epsilon``, ``per_dim``, ``model_digest`` without a snapshot, or a
+    null ``reflect``, ``fit_event`` or ``model_snapshot`` is refused; after
+    the tick, with :class:`InputError` naming it, a tick-0 record without
+    ``state`` or ``delta_hat`` and a later one with either; in
+    ``delta_hat``'s place, a snapshot delta estimate that is no finite
+    number within ``DELTA_MAX``; after the fields, a snapshot with no
     digest or one that is not a string, and a ``predicted_next`` and
     ``observed`` whose loss cannot be rebuilt (of different lengths, or a
     squared error beyond the float range).
     """
     try:
-        tick, state, action, delta_hat, true_delta, predicted_next, observed, reflect, fit_event, snapshot = (
-            _written(d)
-        )
-        if snapshot is not None:
-            model_digest = d["model_digest"]
+        _, tick, action, true_delta, predicted_next, observed = _required(d)
+        get = d.get
+        reflect, fit_event, model_snapshot = get("reflect"), get("fit_event"), get("model_snapshot")
+        # Every key the record must hold is read, so a count that matches
+        # leaves room for no other key and for no null optional one.
+        size = 6 + (reflect is not None) + (fit_event is not None)
+        if model_snapshot is None:
+            model_digest = previous.model_digest
         else:
-            model_digest = None if "model_digest" in d else digest
+            model_digest = d["model_digest"]
+            size += 2
         # A list plus anything but a list is a TypeError.
-        numbers = [delta_hat, true_delta] + state + action + predicted_next + observed
+        if tick == 0:
+            state, delta_hat = _first(d)
+            numbers = [delta_hat, true_delta] + state + action + predicted_next + observed
+            size += 2
+        else:
+            state, delta_hat = previous.observed, snapshot["delta_hat"]
+            numbers = [delta_hat, true_delta] + action + predicted_next + observed
         if (
-            (type(tick), type(reflect), type(fit_event), type(snapshot)) in _SCALAR_TYPES
+            len(d) == size
+            and (type(tick), type(reflect), type(fit_event), type(model_snapshot)) in _SCALAR_TYPES
             and type(model_digest) is str
             and _FLOAT.issuperset(map(type, numbers))
             and all(map(math.isfinite, numbers))
             and -DELTA_MAX <= delta_hat <= DELTA_MAX
-            and "epsilon" not in d
-            and "per_dim" not in d
         ):
             predicted, obs = StateVec.checked(tuple(predicted_next)), StateVec.checked(tuple(observed))
+            if tick == 0:
+                state = StateVec.checked(tuple(state))
             err = loss(predicted, obs)
             return TraceRecord(
-                tick, StateVec.checked(tuple(state)), ActionVec.checked(tuple(action)), delta_hat, true_delta,
-                predicted, obs, err.epsilon, err.per_dim, reflect, fit_event, model_digest, snapshot,
+                tick, state, ActionVec.checked(tuple(action)), delta_hat, true_delta, predicted, obs,
+                err.epsilon, err.per_dim, reflect, fit_event, model_digest, model_snapshot,
             )
-    except (KeyError, TypeError, DimensionError, DomainError):
+    except (AttributeError, KeyError, TypeError, DimensionError, DomainError):
         pass
+    return _record_by_field(d, previous, snapshot)
+
+
+def _record_by_field(d: Any, previous: TraceRecord | None, snapshot: dict[str, Any] | None) -> TraceRecord:
+    """:func:`record_from_dict` for a line its one pass did not take: each
+    field read and checked on its own, in record order."""
     try:
-        _refuse_rebuilt_keys(d)
-        head = read_fields(TraceRecord, d, _HEAD)
-        if abs(head["delta_hat"]) > DELTA_MAX:
-            # an episode keeps it within DELTA_MAX: it is a Perturbation every tick
-            raise ValueError(f"delta_hat is {head['delta_hat']!r}, beyond DELTA_MAX {DELTA_MAX}")
-        tail = read_fields(TraceRecord, d, _TAIL)
+        _refuse_keys(d)
+        tick = read_fields(TraceRecord, d, ("tick",))["tick"]
+        _refuse_first_keys(d, tick)
+        if tick == 0:
+            fields = read_fields(TraceRecord, d, ("state", "action", "delta_hat"))
+            _within_delta_max(fields["delta_hat"], "delta_hat")
+        else:
+            fields = read_fields(TraceRecord, d, ("action",))
+            fields["state"] = None if previous is None else previous.observed
+            fields["delta_hat"] = _carried_delta_hat(tick, snapshot)
+        fields |= read_fields(TraceRecord, d, ("true_delta", "predicted_next", "observed"))
+        fields |= dict.fromkeys(_OPTIONAL)
+        fields |= read_fields(TraceRecord, d, [name for name in _OPTIONAL if name in d])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace record: {exc}") from exc
+    except DomainError as exc:
+        raise DomainError(f"malformed trace record: {exc}") from exc
     try:
-        if tail["model_snapshot"] is not None:
-            if "model_digest" not in d:
-                raise ValueError("a model snapshot without a model_digest")
-            digest = read_fields(TraceRecord, d, _DIGEST)["model_digest"]
-        err = loss(tail["predicted_next"], tail["observed"])
+        if fields["model_snapshot"] is None:
+            digest = "" if previous is None else previous.model_digest
+        elif "model_digest" not in d:
+            raise ValueError("a model snapshot without a model_digest")
+        else:
+            digest = read_fields(TraceRecord, d, ("model_digest",))["model_digest"]
+        err = loss(fields["predicted_next"], fields["observed"])
     except (TypeError, ValueError, DimensionError, DomainError) as exc:
-        raise InputError(f"tick {head['tick']}: malformed trace record: {exc}") from exc
-    return TraceRecord(**head, **tail, epsilon=err.epsilon, per_dim=err.per_dim, model_digest=digest)
+        raise InputError(f"malformed trace record: tick {tick}: {exc}") from exc
+    return TraceRecord(tick=tick, **fields, epsilon=err.epsilon, per_dim=err.per_dim, model_digest=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +518,15 @@ def trace_from_lines(lines: list[str], source: str = "trace") -> EpisodeTrace:
     then are the ticks checked, so each refusal the readers make wins over a
     record out of place.  The *i*-th record must hold tick *i*: a trace with
     a record dropped, repeated or moved is refused; one that stops early is
-    not.  The first record must carry a model snapshot, whose digest each
-    later record without one takes.  A line that is not JSON, a record off
-    its tick's line and a first record without a snapshot raise
-    :class:`InputError` naming ``source`` and the line;
-    :func:`header_from_dict` and :func:`record_from_dict` raise their own.
+    not.  Each record is read with the record before it and the last model
+    snapshot, which give a later record its state, its delta estimate and,
+    without a snapshot of its own, its digest (:func:`record_from_dict`);
+    so the first record must carry a snapshot, and the tick check is what
+    keeps a record from taking another's state.  A line that is not JSON, a
+    record off its tick's line and a first record without a snapshot raise
+    :class:`InputError` naming ``source`` and the line; a record refused by
+    :func:`record_from_dict` raises its class with ``source`` and the line
+    before its message; :func:`header_from_dict` raises its own.
     """
     numbers = [n for n, ln in enumerate(lines, start=1) if ln and not ln.isspace()]
     if not numbers:
@@ -433,12 +546,16 @@ def trace_from_lines(lines: list[str], source: str = "trace") -> EpisodeTrace:
             f"unsupported trace format_version {header.format_version}"
             f" (this reader reads format {TRACE_FORMAT_VERSION})"
         )
-    records = []
-    digest = ""  # the last snapshot's, carried forward: none before the first, which must carry one
-    for d in parsed[1:]:
-        r = record_from_dict(d, digest)
-        records.append(r)
-        digest = r.model_digest
+    records: list[TraceRecord] = []
+    previous = snapshot = None  # carried forward: the record before and the last snapshot
+    try:
+        for d in parsed[1:]:
+            previous = record_from_dict(d, previous, snapshot)
+            records.append(previous)
+            if previous.model_snapshot is not None:
+                snapshot = previous.model_snapshot
+    except (InputError, DomainError) as exc:
+        raise type(exc)(f"{source}: line {numbers[len(records) + 1]}: {exc}") from exc
     for i, r in enumerate(records):
         if r.tick != i:
             raise InputError(f"{source}: line {numbers[i + 1]} holds tick {r.tick}, expected {i}")

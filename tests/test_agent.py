@@ -479,11 +479,11 @@ def test_a_delta_clamped_to_an_int_delta_max_is_recorded_as_a_float(monkeypatch)
     # The clamp itself gives a float, so the written snapshots and DeltaShift
     # candidates hold JSON floats too, and snapshots keep the fast reader.
     records = [json.loads(line) for line in trace_to_lines(trace)[1:]]
-    snapshots = [r["model_snapshot"]["delta_hat"] for r in records if r["model_snapshot"]]
+    snapshots = [r["model_snapshot"]["delta_hat"] for r in records if "model_snapshot" in r]
     shifts = [
         row[1]
         for r in records
-        if r["reflect"]
+        if "reflect" in r
         for row in r["reflect"]["candidates"] + r["reflect"]["accepted"]
         if row[0] == "delta_shift"
     ]

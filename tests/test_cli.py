@@ -164,8 +164,8 @@ MALFORMED_TRACES = {
     "record-snapshot-empty": (1, {"model_snapshot": {}}, READ_ALL),
     "record-tick-string": (2, {"tick": "1"}, READ_ALL),
     "record-epsilon-string": (2, {"epsilon": "0.5"}, READ_ALL),  # a record holds no epsilon
-    "record-first-bare": (1, {"model_snapshot": None, "model_digest": ABSENT}, READ_ALL),
-    "record-first-digest-no-snapshot": (1, {"model_snapshot": None}, READ_ALL),
+    "record-first-bare": (1, {"model_snapshot": ABSENT, "model_digest": ABSENT}, READ_ALL),
+    "record-first-digest-no-snapshot": (1, {"model_snapshot": ABSENT}, READ_ALL),
     "record-snapshot-no-digest": (1, {"model_digest": ABSENT}, READ_ALL),
     "record-digest-beside-no-snapshot": (2, {"model_digest": "abcd"}, READ_ALL),
     "record-predicted-too-long": (2, {"predicted_next": [0.0, 0.0, 0.0]}, READ_ALL),
@@ -176,7 +176,14 @@ MALFORMED_TRACES = {
     "header-policy-high-bool": (0, {"policy": {"kind": "random", "low": -1.0, "high": True}}, ("replay",)),
     "header-policy-range-overflow": (0, {"policy": {"kind": "random", "low": -1e308, "high": 1e308}}, ("replay",)),
     "record-per_dim-nan": (2, {"per_dim": [float("nan"), float("inf")]}, READ_ALL),  # a record holds no per_dim
-    "record-delta_hat-beyond-max": (3, {"delta_hat": 11.0}, READ_ALL),
+    "record-delta_hat-beyond-max": (1, {"delta_hat": 11.0}, READ_ALL),  # only tick 0 writes it
+    "record-first-no-state": (1, {"state": ABSENT}, READ_ALL),
+    "record-first-no-delta_hat": (1, {"delta_hat": ABSENT}, READ_ALL),
+    "record-later-state": (2, {"state": [0.0]}, READ_ALL),
+    "record-later-delta_hat": (3, {"delta_hat": 0.0}, READ_ALL),
+    "record-reflect-null": (2, {"reflect": None}, READ_ALL),
+    "record-fit_event-null": (2, {"fit_event": None}, READ_ALL),
+    "record-snapshot-null": (1, {"model_snapshot": None}, READ_ALL),
     "reflect-epsilon-string": (3, {"reflect": {**BLOCK, "epsilon": "x"}}, READ_BLOCK),
     "reflect-tau-null": (3, {"reflect": {**BLOCK, "tau": None}}, READ_BLOCK),
     "reflect-not-triggered": (3, {"reflect": {**BLOCK, "triggered": False}}, READ_BLOCK),
@@ -271,7 +278,7 @@ def test_a_format_5_trace_is_refused_naming_the_format_read(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     for argv in (["evaluate", str(path), "calm"], ["replay", str(path), "calm"], ["explain", str(path), "--tick", "1"]):
         assert main(argv) == 2
-        assert "unsupported trace format_version 5 (this reader reads format 7)" in capsys.readouterr().err
+        assert "unsupported trace format_version 5 (this reader reads format 8)" in capsys.readouterr().err
 
 
 def test_trace_that_is_not_utf8_is_data_error(tmp_path, capsys):
@@ -476,16 +483,21 @@ def test_malformed_model_snapshot_is_data_error(field, bad, tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert main(["explain", str(path), "--tick", "2"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: malformed model snapshot") and f"{field} is" in err
+    # Ticks 1 and after take tick 0's snapshot delta_hat, so the trace reader reads it first.
+    refusal = f"{path}: line 3: malformed trace record: tick 1: the last" if field == "delta_hat" else "malformed"
+    assert err.startswith(f"error: {refusal} model snapshot") and f"{field} is" in err
 
 
 @pytest.mark.parametrize(
     "doctor, message",
     [
-        (lambda snap: snap.update(delta_hat="x"), "malformed model snapshot: TypeError(\"delta_hat is 'x' of type str"),
+        # Ticks 1 and after take tick 0's snapshot delta_hat: the trace reader reads it first.
+        (lambda snap: snap.update(delta_hat="x"),
+         "line 3: malformed trace record: tick 1: the last model snapshot's delta_hat is 'x' of type str"),
+        (lambda snap: snap.update(sigma_lik="x"), "malformed model snapshot: TypeError(\"sigma_lik is 'x' of type str"),
         (lambda snap: snap["graph"].update(d_state=7), "tick 0: the model snapshot's graph has d_state=7"),
     ],
-    ids=["delta_hat-string", "graph-d_state-7"],
+    ids=["delta_hat-string", "sigma_lik-string", "graph-d_state-7"],
 )
 def test_evaluate_refuses_a_snapshot_explain_refuses(doctor, message, tmp_path, capsys):
     """``evaluate`` reads each model snapshot as ``explain`` does, and holds
@@ -497,8 +509,26 @@ def test_evaluate_refuses_a_snapshot_explain_refuses(doctor, message, tmp_path, 
     lines[1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     assert main(["evaluate", str(path), "calm"]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}" if message.startswith("line") else f"error: {message}")
     assert main(["explain", str(path), "--tick", "0"]) == 2
+
+
+@pytest.mark.parametrize("bad", [11.0, float("nan"), None])
+def test_a_snapshot_delta_a_later_record_cannot_take_is_data_error(bad, tmp_path, capsys):
+    """Ticks 1 and after take their delta_hat from tick 0's snapshot: one
+    beyond DELTA_MAX, not finite or not a number is refused at tick 1's line."""
+    path = run_trace(tmp_path, length=6)
+    lines = path.read_text().strip().split("\n")
+    record = json.loads(lines[1])
+    record["model_snapshot"]["delta_hat"] = bad
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for argv in (["evaluate", str(path), "calm"], ["replay", str(path), "calm"], ["explain", str(path), "--tick", "2"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 3: malformed trace record: tick 1: the last model snapshot's")
 
 
 CALM_GRAPH = json.loads(CALM_FILE.read_text())["graph"]

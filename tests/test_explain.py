@@ -58,6 +58,7 @@ from causalloop.reflect import (
     hypothesis_to_row,
 )
 from causalloop.scenario import builtin_scenarios, canonical_json
+from causalloop.trace import TraceRecord, trace_from_lines, trace_to_lines
 from causalloop.world import CausalEdge, CausalGraph, Form, VarRef
 
 from helpers import random_graph
@@ -440,6 +441,23 @@ def test_render_prompt_flattens_facts(record):
     assert canonical_json(with_block.facts) in flat
     assert flat.count(canonical_json(LABELLED_BLOCK)) == flat.count('"candidates"') == 1
     assert record.reflect == FACTS_BLOCK  # the record itself keeps its rows
+
+
+def test_render_prompt_states_every_field_of_a_later_record():
+    """A trace line after tick 0 writes neither the state nor the delta
+    estimate, so the facts come from the record read back: every field by
+    name, in declaration order, vectors as lists.  Ticks 5 and 47 of this
+    run; the loop's delta estimate is nonzero from tick 46 on."""
+    sc = builtin_scenarios()["productivity"]
+    trace = trace_from_lines(trace_to_lines(run_episode(sc, RandomPolicy(), seed=1, length=60)))
+    assert trace.records[47].delta_hat != 0.0
+    for tick in (5, 47):
+        record = trace.records[tick]
+        facts = render_prompt(record).facts["record"]
+        assert list(facts) == [f.name for f in dataclasses.fields(TraceRecord)]
+        assert facts["state"] == list(record.state.values) == list(trace.records[tick - 1].observed.values)
+        assert facts["delta_hat"] == record.delta_hat
+        assert facts["per_dim"] == list(record.per_dim) and facts["model_digest"] == record.model_digest
 
 
 @pytest.mark.parametrize(

@@ -132,13 +132,25 @@ def test_only_causalloop_errors_escape_reading_a_model_snapshot(path, value, lat
     """The doctored snapshot is tick 0's, or (``later``) tick 2's, which
     evaluate must read too; tick 2 takes tick 0's digest beside it.
     Evaluate refuses exactly what explain's snapshot reader refuses, and a
-    snapshot graph whose dimensions are not the scenario's."""
+    snapshot graph whose dimensions are not the scenario's.  Ticks 1 and 2
+    take tick 0's delta_hat, so the trace reader refuses one they cannot
+    take; no record takes tick 2's."""
     lines = list(TRACE_LINES)
     at = 3 if later else 1
     digest = TRACE_LINES[1]["model_digest"]
     lines[at] = {**lines[at], "model_digest": digest, "model_snapshot": replaced(SNAPSHOT, path, value)}
     text = [json.dumps(ln) for ln in lines]
-    trace = trace_from_lines(text)
+    try:
+        trace = trace_from_lines(text)
+    except InputError as exc:
+        assert not later and path == ("delta_hat",) and "the last model snapshot's delta_hat" in str(exc)
+        with tempfile.TemporaryDirectory() as tmp:
+            file = os.path.join(tmp, "t.jsonl")
+            with open(file, "w") as fh:
+                fh.write("\n".join(text) + "\n")
+            for argv in (["evaluate", file, "calm"], ["explain", file, "--tick", "0"]):
+                assert main(argv) == 2, argv
+        return
     readers = {
         "evaluate": lambda: evaluate_trace(trace, CALM),
         "explain": lambda: model_from_snapshot(trace.records[at - 1].model_snapshot),
@@ -354,7 +366,7 @@ def format_7_damage(draw):
     how = draw(st.sampled_from(["bare", "drop_digest", "digest", "rebuilt", "length", "overflow"]))
     if how == "bare":
         d.pop("model_digest", None)
-        d["model_snapshot"] = None
+        d.pop("model_snapshot", None)
     elif how == "drop_digest":
         d.pop("model_digest", None)
     elif how == "digest":
@@ -372,6 +384,47 @@ def format_7_damage(draw):
 @settings(max_examples=100, deadline=None)
 @given(format_7_damage())
 def test_only_input_and_domain_errors_escape_reading_what_format_7_rebuilds(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        file = os.path.join(tmp, "t.jsonl")
+        with open(file, "w") as fh:
+            fh.write("\n".join(json.dumps(ln) for ln in lines) + "\n")
+        try:
+            read_trace(file)
+        except (InputError, DomainError):
+            for argv in (["evaluate", file, "calm"], ["replay", file, "calm"], ["explain", file, "--tick", "0"]):
+                assert main(argv) == 2, argv
+        else:
+            assert main(["evaluate", file, "calm"]) == 0
+
+
+@st.composite
+def format_8_damage(draw):
+    """``TRACE_LINES`` with one record's taken or left-out fields damaged: a
+    state or delta estimate dropped from tick 0 or written on a later
+    record, a null optional field written, or tick 0's snapshot delta
+    estimate, which ticks 1 and 2 take, dropped or replaced."""
+    lines = json.loads(json.dumps(TRACE_LINES))
+    i = draw(st.integers(1, len(lines) - 1))
+    d = lines[i]
+    how = draw(st.sampled_from(["drop_first", "add_later", "null", "snapshot_delta"]))
+    if how == "drop_first":
+        del lines[1][draw(st.sampled_from(["state", "delta_hat"]))]
+    elif how == "add_later":
+        d[draw(st.sampled_from(["state", "delta_hat"]))] = draw(JSON_VALUES | st.floats(-11.0, 11.0))
+    elif how == "null":
+        d[draw(st.sampled_from(["reflect", "fit_event", "model_snapshot"]))] = None
+    elif draw(st.booleans()):
+        del lines[1]["model_snapshot"]["delta_hat"]
+    else:
+        lines[1]["model_snapshot"]["delta_hat"] = draw(
+            JSON_VALUES | st.floats() | st.sampled_from([10.0, -10.000000000000002, 11, 10**400, True])
+        )
+    return lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(format_8_damage())
+def test_only_input_and_domain_errors_escape_reading_what_format_8_rebuilds(lines):
     with tempfile.TemporaryDirectory() as tmp:
         file = os.path.join(tmp, "t.jsonl")
         with open(file, "w") as fh:

@@ -12,7 +12,7 @@ from types import NoneType
 from typing import get_args
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import random_scenario
 from test_input_fuzz import JSON_VALUES, paths, replaced
@@ -44,13 +44,14 @@ from causalloop.trace import (
 
 
 def awkward_record():
-    # values chosen for ugly binary representations; a snapshot, so the
-    # record gives its own digest
+    # values chosen for ugly binary representations; tick 0, the one record
+    # that writes its state and delta estimate; a snapshot, so the record
+    # gives its own digest
     predicted_next = StateVec((0.30000000000000004, 0.2857142857142857))
     observed = StateVec((-0.0, 3.141592653589793))
     err = loss(predicted_next, observed)
     return TraceRecord(
-        tick=3,
+        tick=0,
         state=StateVec((0.1, 1.0 / 3.0)),
         action=ActionVec((1e-17,)),
         delta_hat=0.30000000000000004,
@@ -75,6 +76,12 @@ def test_record_round_trip_is_bit_exact():
     assert back.state.values == rec.state.values
     assert back.true_delta == rec.true_delta
     assert back.predicted_next.values == rec.predicted_next.values
+    # A later record takes the previous record's observation and the last
+    # snapshot's delta estimate.
+    later = dataclasses.replace(rec, tick=4, state=rec.observed, model_snapshot=None)
+    assert set(record_to_dict(later)) == {"kind", "tick", "action", "true_delta", "predicted_next", "observed"}
+    back = record_from_dict(json.loads(json.dumps(record_to_dict(later))), rec, rec.model_snapshot)
+    assert back == later and back.state is rec.observed
 
 
 def test_record_constructor_takes_exactly_the_fields():
@@ -138,7 +145,7 @@ def test_record_per_dim_elements_must_be_finite(text):
     d["observed"] = [-1e200, 0.0]
     d["predicted_next"] = [1e200, 0.0]
     with pytest.raises(
-        InputError, match=r"^tick 3: malformed trace record: a squared prediction error exceeds the float range$"
+        InputError, match=r"^malformed trace record: tick 0: a squared prediction error exceeds the float range$"
     ):
         record_from_dict(d)
 
@@ -164,7 +171,8 @@ def test_record_per_dim_elements_must_be_finite(text):
 def test_record_scalars_must_have_their_json_type(field, bad):
     d = json.loads(json.dumps(record_to_dict(awkward_record())))
     d[field] = bad
-    with pytest.raises(InputError, match=f"malformed trace record: {field} is"):
+    at = "tick 0: " if field == "model_digest" else ""  # read after the fields, naming the tick
+    with pytest.raises(InputError, match=f"malformed trace record: {at}{field} is"):
         record_from_dict(d)
 
 
@@ -239,8 +247,9 @@ def test_read_rejects_unknown_format_version(tmp_path):
     # edge effects onto the state one by one; 4: a scheduled fit skipped
     # whole when any one target could not be fitted; 5: candidates and
     # accepted edits written as objects; 6: records that write per_dim,
-    # epsilon and a model digest on every record
-    for version in (1, 2, 4, 5, 6, 99):
+    # epsilon and a model digest on every record; 7: records that write
+    # every state, delta estimate and null field
+    for version in (1, 2, 4, 5, 6, 7, 99):
         head["format_version"] = version
         lines[0] = json.dumps(head)
         path.write_text("\n".join(lines) + "\n")
@@ -308,10 +317,32 @@ def _reference_delta_hat(v):
     return d
 
 
-def reference_record_from_dict(d, digest=""):
-    """The reader before the one-pass rewrite: each field checked and
-    converted on its own, each vector checked again by its constructor;
-    then the digest, and the loss rebuilt by ``core.loss``."""
+def _reference_carried_delta_hat(tick, snapshot):
+    name = "the last model snapshot's delta_hat"
+    try:
+        v = snapshot["delta_hat"]
+    except KeyError as exc:
+        raise ValueError(f"tick {tick}: the last model snapshot holds no delta_hat") from exc
+    try:
+        d = json_number(v, name=name)
+    except TypeError as exc:
+        raise ValueError(f"tick {tick}: {exc}") from exc
+    if abs(d) > DELTA_MAX:
+        raise ValueError(f"tick {tick}: {name} is {d!r}, beyond DELTA_MAX {DELTA_MAX}")
+    return d
+
+
+TAKEN = {
+    "state": "a later record's state is the previous record's observed",
+    "delta_hat": "a later record's delta_hat is the last model snapshot's",
+}
+
+
+def reference_record_from_dict(d, previous=None, snapshot=None):
+    """The reader field by field: each field checked and converted on its
+    own, each vector checked again by its constructor; a later record's
+    state and delta estimate taken from ``previous`` and ``snapshot``; then
+    the digest, and the loss rebuilt by ``core.loss``."""
     try:
         if isinstance(d, dict):
             for name in ("epsilon", "per_dim"):
@@ -320,31 +351,50 @@ def reference_record_from_dict(d, digest=""):
                         f"{name} is {d[name]!r}, but a record does not hold it: it is rebuilt from"
                         " predicted_next and observed"
                     )
-            if "model_digest" in d and d.get("model_snapshot") is None:
+            for name in ("reflect", "fit_event", "model_snapshot"):
+                if name in d and d[name] is None:
+                    raise ValueError(f"{name} is null: a record leaves a null field out")
+            if "model_digest" in d and "model_snapshot" not in d:
                 raise ValueError(
                     f"model_digest is {d['model_digest']!r} on a record without a model snapshot:"
                     " it is written only beside one"
                 )
         tick = json_typed(d["tick"], int, name="tick")
-        state = StateVec(_reference_vector(d["state"], "state"))
-        action = ActionVec(_reference_vector(d["action"], "action"))
-        delta_hat = _reference_delta_hat(d["delta_hat"])
+        for name, taken in TAKEN.items():
+            if tick == 0 and name not in d:
+                raise ValueError(f"tick 0: the first record holds no {name}")
+            if tick != 0 and name in d:
+                raise ValueError(f"tick {tick}: {name} is {d[name]!r}, but only the first record holds it: {taken}")
+        if tick == 0:
+            state = StateVec(_reference_vector(d["state"], "state"))
+            action = ActionVec(_reference_vector(d["action"], "action"))
+            delta_hat = _reference_delta_hat(d["delta_hat"])
+        else:
+            state = None if previous is None else previous.observed
+            action = ActionVec(_reference_vector(d["action"], "action"))
+            delta_hat = None if snapshot is None else _reference_carried_delta_hat(tick, snapshot)
         true_delta = json_number(d["true_delta"], name="true_delta")
         predicted_next = StateVec(_reference_vector(d["predicted_next"], "predicted_next"))
         observed = StateVec(_reference_vector(d["observed"], "observed"))
-        reflect = json_typed(d["reflect"], dict, NoneType, name="reflect")
-        fit_event = json_typed(d["fit_event"], str, NoneType, name="fit_event")
-        model_snapshot = json_typed(d["model_snapshot"], dict, NoneType, name="model_snapshot")
+        reflect = json_typed(d["reflect"], dict, NoneType, name="reflect") if "reflect" in d else None
+        fit_event = json_typed(d["fit_event"], str, NoneType, name="fit_event") if "fit_event" in d else None
+        model_snapshot = (
+            json_typed(d["model_snapshot"], dict, NoneType, name="model_snapshot") if "model_snapshot" in d else None
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace record: {exc}") from exc
+    except DomainError as exc:
+        raise DomainError(f"malformed trace record: {exc}") from exc
     try:
         if model_snapshot is not None:
             if "model_digest" not in d:
                 raise ValueError("a model snapshot without a model_digest")
             digest = json_typed(d["model_digest"], str, name="model_digest")
+        else:
+            digest = "" if previous is None else previous.model_digest
         err = loss(predicted_next, observed)
     except (TypeError, ValueError, DimensionError, DomainError) as exc:
-        raise InputError(f"tick {tick}: malformed trace record: {exc}") from exc
+        raise InputError(f"malformed trace record: tick {tick}: {exc}") from exc
     return TraceRecord(
         tick, state, action, delta_hat, true_delta, predicted_next, observed, err.epsilon, err.per_dim,
         reflect, fit_event, digest, model_snapshot,
@@ -372,37 +422,38 @@ def outcome(reader, d):
 
 @st.composite
 def records(draw, numbers, deltas):
-    """A record as format 7 writes it: a prediction and an observation of
-    one length, mostly, and a digest only beside a snapshot."""
+    """A record as format 8 writes it: state and delta estimate at tick 0
+    only, null fields left out, a prediction and an observation of one
+    length, mostly, and a digest only beside a snapshot."""
     vectors = st.lists(numbers, max_size=4)
     size = draw(st.integers(0, 4))
     outcomes = st.lists(numbers, min_size=size, max_size=size) | vectors
-    d = draw(
-        st.fixed_dictionaries(
-            {
-                "kind": st.just("record"),
-                "tick": st.integers(-5, 2**70),
-                "state": vectors,
-                "action": vectors,
-                "delta_hat": deltas,
-                "true_delta": numbers,
-                "predicted_next": outcomes,
-                "observed": outcomes,
-                "reflect": st.none() | st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2),
-                "fit_event": st.none() | st.text(max_size=8),
-                "model_snapshot": st.none() | st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2),
-            }
-        )
-    )
-    if d["model_snapshot"] is not None:
-        d["model_digest"] = draw(st.text(max_size=8))
+    tick = draw(st.just(0) | st.integers(-5, 2**70))
+    d = {"kind": "record", "tick": tick}
+    if tick == 0:
+        d["state"] = draw(vectors)
+    d["action"] = draw(vectors)
+    if tick == 0:
+        d["delta_hat"] = draw(deltas)
+    d |= draw(st.fixed_dictionaries({"true_delta": numbers, "predicted_next": outcomes, "observed": outcomes}))
+    optional = {
+        "reflect": st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2),
+        "fit_event": st.text(max_size=8),
+        "model_snapshot": st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2),
+    }
+    for name, values in optional.items():
+        if draw(st.booleans()):
+            if name == "model_snapshot":
+                d["model_digest"] = draw(st.text(max_size=8))
+            d[name] = draw(values)
     return d
 
 
 # Floats only, as written records hold them, or JSON ints among them.
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-RECORDS = records(FLOATS, st.floats(-DELTA_MAX, DELTA_MAX)) | records(
-    FLOATS | st.integers(-(2**70), 2**70), st.floats(-DELTA_MAX, DELTA_MAX) | st.integers(-10, 10)
+DELTAS = st.floats(-DELTA_MAX, DELTA_MAX)
+RECORDS = records(FLOATS, DELTAS) | records(
+    FLOATS | st.integers(-(2**70), 2**70), DELTAS | st.integers(-10, 10)
 )
 
 
@@ -411,18 +462,33 @@ EDGES = st.sampled_from(
     [math.nan, math.inf, -math.inf, 10.000000000000002, -11.0, 11, 1e308, 10**400, -(2**1024), 2**63,
      True, False, None, "1", "", [], {}, [1.0], [math.nan], {"0": 1.0}]
 )
+# What trace_from_lines carries to a record: the record before, or none
+# (the first line), and the last snapshot, or none before the first.
+PREVIOUS = st.none() | st.builds(
+    lambda observed, digest: dataclasses.replace(awkward_record(), observed=StateVec(tuple(observed)),
+                                                 model_digest=digest),
+    st.lists(FLOATS, max_size=4),
+    st.text(max_size=8),
+)
+SNAPSHOTS = (
+    st.none()
+    | st.builds(lambda v: {"delta_hat": v}, DELTAS | st.integers(-10, 10) | EDGES | JSON_VALUES | st.floats())
+    | st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2)
+)
 
 
 @st.composite
 def spoiled_records(draw):
     """A record with, mostly, one field, vector element or nested value
     replaced by an edge value, an arbitrary JSON value or a float; sometimes
-    a field dropped, a field the reader rebuilds added, the record itself
-    replaced, or nothing changed."""
+    a field dropped, a field the reader rebuilds or a null optional field
+    added, the record itself replaced, or nothing changed."""
     d = draw(RECORDS)
     how = draw(st.sampled_from(["replace", "replace", "replace", "replace", "drop", "add", "whole", "none"]))
     if how == "add":
-        d[draw(st.sampled_from(["epsilon", "per_dim", "model_digest"]))] = draw(EDGES | JSON_VALUES | st.floats())
+        name = draw(st.sampled_from(["epsilon", "per_dim", "model_digest", "state", "delta_hat", "reflect",
+                                     "fit_event", "model_snapshot"]))
+        d[name] = draw(st.none() | EDGES | JSON_VALUES | st.floats())
     if how == "replace":
         elements = [(key, i) for key, v in d.items() if type(v) is list for i in range(len(v))]
         path = draw(
@@ -439,11 +505,11 @@ def spoiled_records(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(spoiled_records(), st.text(max_size=8))
-def test_reader_refuses_and_reads_as_the_field_by_field_reader(d, digest):
-    """``digest`` is the one carried forward from the records before."""
-    got = outcome(lambda d: record_from_dict(d, digest), d)
-    want = outcome(lambda d: reference_record_from_dict(d, digest), d)
+@given(spoiled_records(), PREVIOUS, SNAPSHOTS)
+def test_reader_refuses_and_reads_as_the_field_by_field_reader(d, previous, snapshot):
+    """``previous`` and ``snapshot`` are what the records before carry forward."""
+    got = outcome(lambda d: record_from_dict(d, previous, snapshot), d)
+    want = outcome(lambda d: reference_record_from_dict(d, previous, snapshot), d)
     if isinstance(want, TraceRecord):
         assert isinstance(got, TraceRecord), got
         assert got == want
@@ -451,6 +517,7 @@ def test_reader_refuses_and_reads_as_the_field_by_field_reader(d, digest):
         assert [type(getattr(got, f.name)) for f in dataclasses.fields(got)] == [
             type(getattr(want, f.name)) for f in dataclasses.fields(want)
         ]
+        assert got.state is want.state or got.tick == 0
     else:
         assert got == want
 
@@ -574,7 +641,7 @@ def test_read_skips_blank_lines_and_reads_crlf(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Format 7: what a record does not write, the reader rebuilds.
+# Formats 7 and 8: what a record does not write, the reader rebuilds.
 # ---------------------------------------------------------------------------
 
 
@@ -602,8 +669,8 @@ def test_a_record_without_a_snapshot_takes_the_last_snapshots_digest():
     trace = run_episode(sc, RandomPolicy(), seed=7, length=120, reflect_enabled=False)
     lines = trace_to_lines(trace)
     written = [json.loads(ln) for ln in lines[1:]]
-    assert [("model_digest" in d) for d in written] == [d["model_snapshot"] is not None for d in written]
-    assert 2 <= sum(d["model_snapshot"] is not None for d in written) < len(written) // 2
+    assert [("model_digest" in d) for d in written] == [("model_snapshot" in d) for d in written]
+    assert 2 <= sum("model_snapshot" in d for d in written) < len(written) // 2
     last = None
     for d, r in zip(written, trace_from_lines(lines).records, strict=True):
         last = d.get("model_digest", last)
@@ -621,7 +688,7 @@ def _lines_with(edit):
 def _bare(d):
     """``d`` without its snapshot and digest."""
     d.pop("model_digest")
-    d["model_snapshot"] = None
+    d.pop("model_snapshot")
 
 
 @pytest.mark.parametrize(
@@ -629,27 +696,27 @@ def _bare(d):
     [
         (lambda ls: _bare(ls[1]), "src: line 2: the first record carries no model snapshot, so no digest"),
         (lambda ls: ls[1].pop("model_digest"),
-         "tick 0: malformed trace record: a model snapshot without a model_digest"),
+         "src: line 2: malformed trace record: tick 0: a model snapshot without a model_digest"),
         (lambda ls: ls[1].update(model_digest=None),
-         "tick 0: malformed trace record: model_digest is None of type NoneType, expected str"),
+         "src: line 2: malformed trace record: tick 0: model_digest is None of type NoneType, expected str"),
         (lambda ls: ls[1].update(model_digest=12),
-         "tick 0: malformed trace record: model_digest is 12 of type int, expected str"),
+         "src: line 2: malformed trace record: tick 0: model_digest is 12 of type int, expected str"),
         (lambda ls: ls[2].update(predicted_next=[0.5, 0.5, 0.5]),
-         "tick 1: malformed trace record: predicted has 3 dims, observed has 2"),
+         "src: line 3: malformed trace record: tick 1: predicted has 3 dims, observed has 2"),
         (lambda ls: ls[2].update(predicted_next=[], observed=[]),
-         "tick 1: malformed trace record: predicted has 0 dims, observed has 0"),
+         "src: line 3: malformed trace record: tick 1: predicted has 0 dims, observed has 0"),
         (lambda ls: ls[2].update(predicted_next=[1e200, 0.0], observed=[-1e200, 0.0]),
-         "tick 1: malformed trace record: a squared prediction error exceeds the float range"),
+         "src: line 3: malformed trace record: tick 1: a squared prediction error exceeds the float range"),
         (lambda ls: ls[2].update(predicted_next=[1e308, 0.0], observed=[-1e308, 0.0]),
-         "tick 1: malformed trace record: a squared prediction error exceeds the float range"),
+         "src: line 3: malformed trace record: tick 1: a squared prediction error exceeds the float range"),
         (lambda ls: ls[2].update(predicted_next=[1.3e154, 1.3e154], observed=[0.0, 0.0]),
-         "tick 1: malformed trace record: a squared prediction error exceeds the float range"),
+         "src: line 3: malformed trace record: tick 1: a squared prediction error exceeds the float range"),
         (lambda ls: ls[2].update(epsilon=0.5),
-         "malformed trace record: epsilon is 0.5, but a record does not hold it: it is rebuilt"),
+         "src: line 3: malformed trace record: epsilon is 0.5, but a record does not hold it: it is rebuilt"),
         (lambda ls: ls[2].update(per_dim=[0.5]),
-         "malformed trace record: per_dim is \\[0.5\\], but a record does not hold it: it is rebuilt"),
+         "src: line 3: malformed trace record: per_dim is \\[0.5\\], but a record does not hold it: it is rebuilt"),
         (lambda ls: ls[2].update(model_digest="abcd"),
-         "malformed trace record: model_digest is 'abcd' on a record without a model snapshot"),
+         "src: line 3: malformed trace record: model_digest is 'abcd' on a record without a model snapshot"),
     ],
     ids=["first-bare", "snapshot-no-digest", "digest-null", "digest-int", "lengths", "no-dims", "overflow",
          "difference-overflow",
@@ -657,7 +724,7 @@ def _bare(d):
 )
 def test_each_format_7_refusal(edit, message):
     lines = _lines_with(edit)
-    assert json.loads(_calm_lines()[2])["model_snapshot"] is None  # tick 1 takes tick 0's digest
+    assert "model_snapshot" not in json.loads(_calm_lines()[2])  # tick 1 takes tick 0's digest
     with pytest.raises(InputError, match=f"^{message}"):
         trace_from_lines(lines, "src")
 
@@ -670,15 +737,129 @@ def test_a_bare_first_record_is_refused_after_the_ticks():
         trace_from_lines(lines[:1] + lines[2:], "src")
 
 
-def test_a_format_6_trace_is_refused_naming_format_7():
-    """Format 6 wrote per_dim and epsilon on every record and every record's
-    digest."""
+def test_a_format_7_trace_is_refused_naming_format_8():
+    """Format 7 wrote every record's state and delta estimate and its null
+    fields."""
     trace = run_episode(builtin_scenarios()["calm"], RandomPolicy(), seed=1, length=3)
-    lines = [json.dumps({**json.loads(trace_to_lines(trace)[0]), "format_version": 6})]
+    lines = [json.dumps({**json.loads(trace_to_lines(trace)[0]), "format_version": 7})]
     for r in trace.records:
-        d = {k: v for k, v in record_to_dict(r).items() if k not in ("model_digest", "model_snapshot")}
-        lines.append(json.dumps({**d, "epsilon": r.epsilon, "per_dim": list(r.per_dim),
-                                 "model_digest": r.model_digest, "model_snapshot": r.model_snapshot}))
+        d = {"kind": "record", "tick": r.tick, "state": list(r.state.values), "action": list(r.action.values),
+             "delta_hat": r.delta_hat, "true_delta": r.true_delta, "predicted_next": list(r.predicted_next.values),
+             "observed": list(r.observed.values), "reflect": r.reflect, "fit_event": r.fit_event}
+        if r.model_snapshot is not None:
+            d["model_digest"] = r.model_digest
+        lines.append(json.dumps({**d, "model_snapshot": r.model_snapshot}))
     with pytest.raises(InputError) as exc_info:
         trace_from_lines(lines)
-    assert str(exc_info.value) == "unsupported trace format_version 6 (this reader reads format 7)"
+    assert str(exc_info.value) == "unsupported trace format_version 7 (this reader reads format 8)"
+
+
+# ---------------------------------------------------------------------------
+# Format 8: a later record takes its state and delta estimate.
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["calm", "break_demo", "productivity", "random"]), st.booleans(), st.integers(0, 2**16))
+@example("productivity", True, 1)  # a nonzero delta estimate from tick 46 on
+def test_a_later_record_holds_the_last_observation_and_snapshot_delta(name, reflect, seed):
+    """The loop's two rules that format 8 rests on, in the trace recorded
+    and in the one read back: each record after the first has as its state
+    the previous record's observation itself, and, in ``float.hex``, the
+    delta estimate of the last snapshot at or before the previous record."""
+    sc = random_scenario(seed, noise_sigma=0.05) if name == "random" else builtin_scenarios()[name]
+    trace = run_episode(sc, RandomPolicy(), seed=seed, length=80, reflect_enabled=reflect)
+    back = trace_from_lines(trace_to_lines(trace))
+    assert back == trace
+    for records in (trace.records, back.records):
+        snapshot = records[0].model_snapshot
+        for previous, r in zip(records, records[1:]):
+            assert r.state is previous.observed, r.tick
+            assert r.delta_hat.hex() == snapshot["delta_hat"].hex(), r.tick
+            if r.model_snapshot is not None:
+                snapshot = r.model_snapshot
+
+
+def test_only_tick_0_writes_its_state_and_delta_and_no_record_writes_null():
+    trace = run_episode(builtin_scenarios()["productivity"], RandomPolicy(), seed=1, length=60)
+    written = [json.loads(ln) for ln in trace_to_lines(trace)[1:]]
+    assert [("state" in d, "delta_hat" in d) for d in written] == [(d["tick"] == 0,) * 2 for d in written]
+    assert not any(v is None for d in written for v in d.values())
+    assert any("fit_event" in d for d in written) and any("reflect" in d for d in written)
+    keys = ["kind", "tick", "state", "action", "delta_hat", "true_delta", "predicted_next", "observed", "reflect",
+            "fit_event", "model_digest", "model_snapshot"]
+    for d in written:
+        assert list(d) == [k for k in keys if k in d]
+
+
+def _snapshot_delta(value):
+    """An edit that sets tick 0's snapshot delta estimate, which ticks 1 and
+    after take, to ``value``."""
+    return lambda ls: ls[1]["model_snapshot"].update(delta_hat=value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ls: ls[1].pop("state"), "src: line 2: malformed trace record: tick 0: the first record holds no state$"),
+        (lambda ls: ls[1].pop("delta_hat"),
+         "src: line 2: malformed trace record: tick 0: the first record holds no delta_hat$"),
+        (lambda ls: ls[2].update(state=ls[1]["observed"]),
+         r"src: line 3: malformed trace record: tick 1: state is \[.*\], but only the first record holds it:"
+         " a later record's state is the previous record's observed$"),
+        (lambda ls: ls[3].update(delta_hat=0.0),
+         "src: line 4: malformed trace record: tick 2: delta_hat is 0.0, but only the first record holds it:"
+         " a later record's delta_hat is the last model snapshot's$"),
+        (lambda ls: ls[2].update(reflect=None),
+         "src: line 3: malformed trace record: reflect is null: a record leaves a null field out$"),
+        (lambda ls: ls[2].update(fit_event=None),
+         "src: line 3: malformed trace record: fit_event is null: a record leaves a null field out$"),
+        (lambda ls: ls[1].update(model_snapshot=None),
+         "src: line 2: malformed trace record: model_snapshot is null: a record leaves a null field out$"),
+        (lambda ls: ls[1]["model_snapshot"].pop("delta_hat"),
+         "src: line 3: malformed trace record: tick 1: the last model snapshot holds no delta_hat$"),
+        (_snapshot_delta("0.0"),
+         "src: line 3: malformed trace record: tick 1: the last model snapshot's delta_hat is '0.0' of type str,"
+         " expected int or finite float$"),
+        (_snapshot_delta(float("nan")),
+         "src: line 3: malformed trace record: tick 1: the last model snapshot's delta_hat is nan of type float"),
+        (_snapshot_delta(10**400), "src: line 3: malformed trace record: tick 1: the last model snapshot's delta_hat"
+         " is 1000*0 of type int, expected int or finite float$"),
+        (_snapshot_delta(-10.000000000000002),
+         "src: line 3: malformed trace record: tick 1: the last model snapshot's delta_hat is -10.000000000000002,"
+         " beyond DELTA_MAX 10.0$"),
+        (_snapshot_delta(True),
+         "src: line 3: malformed trace record: tick 1: the last model snapshot's delta_hat is True of type bool"),
+    ],
+    ids=["first-no-state", "first-no-delta_hat", "later-state", "later-delta_hat", "reflect-null", "fit_event-null",
+         "snapshot-null", "snapshot-no-delta_hat", "snapshot-delta_hat-string", "snapshot-delta_hat-nan",
+         "snapshot-delta_hat-huge-int", "snapshot-delta_hat-beyond", "snapshot-delta_hat-bool"],
+)
+def test_each_format_8_refusal(edit, message):
+    with pytest.raises(InputError, match=f"^{message}"):
+        trace_from_lines(_lines_with(edit), "src")
+
+
+def test_a_snapshot_delta_is_read_as_the_snapshot_reader_reads_it():
+    """A JSON int is taken as a float; the range's ends are in it; and the
+    last record's snapshot, which no record takes, is not read here."""
+    lines = _calm_lines(length=3)
+    for value in (0, -10, 10.0):
+        back = trace_from_lines(_lines_with(_snapshot_delta(value)))
+        assert [type(r.delta_hat) for r in back.records] == [float] * 6
+        assert [r.delta_hat for r in back.records[1:]] == [float(value)] * 5
+    d = json.loads(lines[3])
+    lines[3] = json.dumps({**d, "model_digest": "abcd", "model_snapshot": {"delta_hat": "x"}})
+    assert trace_from_lines(lines).records[2].model_snapshot == {"delta_hat": "x"}
+
+
+def test_a_record_refused_is_named_by_its_file_line(tmp_path):
+    """Every record refusal names the file's line, blank lines counted."""
+    lines = _calm_lines(length=5)
+    d = json.loads(lines[3])
+    lines[3] = json.dumps({**d, "fit_event": 5})  # tick 2, on file line 5
+    with pytest.raises(InputError, match=r"t\.jsonl: line 5: malformed trace record: fit_event is 5 of type int"):
+        read_trace(_with_a_blank_line(tmp_path, lines))
+    lines[3] = json.dumps({**d, "action": [float("nan")]})
+    with pytest.raises(DomainError, match=r"t\.jsonl: line 5: malformed trace record: action contains non-finite"):
+        read_trace(_with_a_blank_line(tmp_path, lines))

@@ -44,8 +44,16 @@ snapshot's digest forward).  Each one's format-6 bytes, with ``per_dim``
 and ``epsilon`` deleted from every record, ``model_digest`` deleted from
 every record without a snapshot and the header's ``format_version`` set
 to 7, are exactly its format-7 bytes; so are those of all 264 traces of
-``tools/trace_digests.py --seeds 1 2``.  A speed change must leave them
-alone.  If they ever need to move, the trace format moved: bump
+``tools/trace_digests.py --seeds 1 2``.  All five were re-pinned for
+format 8, where a record after tick 0 writes neither ``state`` (the reader
+takes the previous record's ``observed``) nor ``delta_hat`` (it takes the
+last snapshot's), and no record writes a null ``reflect``, ``fit_event``
+or ``model_snapshot``.  Each one's format-7 bytes, with ``state`` and
+``delta_hat`` deleted from every record after tick 0, each null
+``reflect``, ``fit_event`` and ``model_snapshot`` deleted, and the
+header's ``format_version`` set to 8, are exactly its format-8 bytes; so
+are those of all 264 traces of ``tools/trace_digests.py --seeds 1 2``.  A
+speed change must leave them alone.  If they ever need to move, the trace format moved: bump
 ``TRACE_FORMAT_VERSION`` and say so in CHANGES.md.
 """
 
@@ -92,16 +100,16 @@ def _wide4() -> ScenarioConfig:
 
 
 PINNED = {
-    "break_demo": (240, "3101c4ceab35b4b3438c814fca36be54bb6f0ea3a5eb81d2e3bc9511b65efd36"),
-    "productivity": (160, "f402d923686b4afd963b645a4e7dd93bef9dd2dd846a18daaa876b39c4007f6a"),
-    "wide4": (60, "6a4f1699f18624c2bd7d9155403c8c0b55a0774363d91d81b6588e7a6b0d97d6"),
+    "break_demo": (240, "b9a478d1fc45d7320b265deb1202b9fbbc271e687954197e031c4216d150431f"),
+    "productivity": (160, "64fc4b2cee7b9e5b62ff6e2d1eaacf34f66d5b7787ada62bd0587034e01970d6"),
+    "wide4": (60, "5db34754da0da0642e5b4d8ed79812dada83b7689c8f90862335a74178380cb3"),
 }
 
 # Fit-only (``reflect_enabled=False``): the model changes only at applied
 # scheduled fits, so most ticks reuse the previous tick's digest.
 PINNED_FIT_ONLY = {
-    "break_demo": (300, "86b7870b18acb7167b64e02d673aea68d391f752b5bf331ad55d010d6bbd797d"),
-    "wide4": (120, "a65777bc5a3521859dbbd1052c322f80732bdc39cb5bfb0f30ab8228cb02e2b3"),
+    "break_demo": (300, "1cd780e394bea51930b5f99b7e271c0347e4ab0b68e1a4850f5c52c5ad92e1c5"),
+    "wide4": (120, "acd0e486578c74605c2c4355f504c9e0861092eac9889033da45f309e8a0a28e"),
 }
 
 
@@ -110,7 +118,7 @@ def _scenario(name: str) -> ScenarioConfig:
 
 
 def test_format_version_is_pinned():
-    assert TRACE_FORMAT_VERSION == 7
+    assert TRACE_FORMAT_VERSION == 8
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

@@ -20,9 +20,13 @@ them back to the traces recorded, and evaluate and explain them alike.
 
 It also prints to stderr, for each workload and seed, the bytes per tick of
 its traces: the UTF-8 bytes of every trace file's text over every record,
-as ``perfbench`` counts ``trace_bytes_per_tick``.  Stdout is the same JSON
-either way, so an output made before this line existed still serves as
-``--against``.
+as ``perfbench`` counts ``trace_bytes_per_tick``.  A second line splits
+that figure by record key: each key's bytes are its name, its value and
+the separator after it (``"key": value, ``, the last key's ``, `` taking
+the place of the braces), then ``newline`` (one byte per record) and
+``header`` (the header line), so the parts add up to the figure.  Stdout
+is the same JSON either way, so an output made before these lines existed
+still serves as ``--against``.
 
 Given an earlier output as ``--against``, it prints each trace, evaluation
 or explanation digest that moved (or that only one side holds) and exits 1
@@ -54,7 +58,7 @@ from causalloop.core import CausalTuple, Perturbation, TimeIndex  # noqa: E402
 from causalloop.evaluate import evaluate_trace, report_tsv  # noqa: E402
 from causalloop.explain import explain_counterfactual, explain_reflection, explain_transition  # noqa: E402
 from causalloop.model import model_from_snapshot  # noqa: E402
-from causalloop.trace import EpisodeTrace, trace_from_lines, trace_to_lines  # noqa: E402
+from causalloop.trace import EpisodeTrace, record_to_dict, trace_from_lines, trace_to_lines  # noqa: E402
 
 import bench_workloads  # noqa: E402
 
@@ -84,16 +88,34 @@ def _explanations(trace: EpisodeTrace) -> str:
     return "\n".join(f"{e.kind.value}\t{e.text}\t{json.dumps(e.grounding, sort_keys=True)}" for e in out)
 
 
-def trace_digests(seeds: list[int]) -> tuple[dict[str, str], list[str], dict[str, float]]:
+_ENCODE = json.JSONEncoder(allow_nan=False).encode  # as trace_to_lines encodes a line
+
+
+def _key_bytes(trace: EpisodeTrace, lines: list[str], sizes: dict[str, int]) -> None:
+    """Add to ``sizes`` the bytes each record key of ``trace`` takes in its
+    file text, whose ``lines`` ``trace_to_lines`` made: the key, its value
+    and the ``, `` after it; then one newline per record and the header
+    line with its newline."""
+    for r in trace.records:
+        for key, value in record_to_dict(r).items():
+            sizes[key] = sizes.get(key, 0) + len(_ENCODE(key).encode()) + 2 + len(_ENCODE(value).encode()) + 2
+    sizes["newline"] = sizes.get("newline", 0) + len(trace.records)
+    sizes["header"] = sizes.get("header", 0) + len(lines[0].encode()) + 1
+
+
+def trace_digests(seeds: list[int]) -> tuple[dict[str, str], list[str], dict[str, float], dict[str, dict[str, float]]]:
     """``workload/seed/index.label.mode`` -> sha256 of that trace's file
     text, and ``<that key>.eval`` and ``<that key>.explain`` -> sha256 of
     the evaluation report and of the explanations of the trace read back
     from that text; the keys whose trace read back differs from the one
-    recorded; and ``workload/seed`` -> the bytes per tick of its traces."""
-    out, misread, per_tick = {}, [], {}
+    recorded; ``workload/seed`` -> the bytes per tick of its traces; and
+    ``workload/seed`` -> those bytes per tick split by record key
+    (:func:`_key_bytes`)."""
+    out, misread, per_tick, per_key = {}, [], {}, {}
     for workload in WORKLOADS:
         for seed in seeds:
             nbytes = ticks = 0
+            sizes: dict[str, int] = {}
             for i, ep in enumerate(bench_workloads.make_inputs(workload, seed)):
                 trace = run_episode(ep.scenario, bench_workloads.POLICY, ep.seed, ep.length, ep.reflect)
                 mode = "repair" if ep.reflect else "baseline"
@@ -101,6 +123,7 @@ def trace_digests(seeds: list[int]) -> tuple[dict[str, str], list[str], dict[str
                 lines = trace_to_lines(trace)
                 text = ("\n".join(lines) + "\n").encode()
                 nbytes, ticks = nbytes + len(text), ticks + len(trace.records)
+                _key_bytes(trace, lines, sizes)
                 out[key] = hashlib.sha256(text).hexdigest()
                 back = trace_from_lines(lines, key)
                 if back != trace:
@@ -109,7 +132,8 @@ def trace_digests(seeds: list[int]) -> tuple[dict[str, str], list[str], dict[str
                 out[key + EVAL] = _sha256(report_tsv(report, back) + json.dumps(report.to_dict(), sort_keys=True))
                 out[key + EXPLAIN] = _sha256(_explanations(back))
             per_tick[f"{workload}/{seed}"] = nbytes / ticks
-    return out, misread, per_tick
+            per_key[f"{workload}/{seed}"] = {key: n / ticks for key, n in sizes.items()}
+    return out, misread, per_tick, per_key
 
 
 def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:
@@ -128,9 +152,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--against", metavar="FILE", help="an earlier output to compare with")
     args = parser.parse_args(argv)
-    digests, misread, per_tick = trace_digests(args.seeds)
+    digests, misread, per_tick, per_key = trace_digests(args.seeds)
     for key, value in per_tick.items():
         print(f"bytes per tick: {key}: {value:.1f}", file=sys.stderr)
+        parts = ", ".join(f"{name} {n:.1f}" for name, n in per_key[key].items())
+        print(f"bytes per tick by key: {key}: {parts}", file=sys.stderr)
     for key in misread:
         print(f"read back differs: {key}", file=sys.stderr)
     if args.against is None:
