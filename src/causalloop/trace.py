@@ -61,12 +61,13 @@ digest, and a prediction and observation of different lengths or whose
 squared error overflows, each naming its tick; a first record without a
 snapshot; and a record off its tick's line: the *i*-th record must hold
 tick *i*.  A record refusal names the line, as ``<source>: line <n>:
-malformed trace record: ...``.  A trace that stops early is read; replay holds it to the
-header's length.  A header or record field of the wrong JSON type is
-refused in the words of :func:`causalloop.scenario.read_fields`, which
-scenario files, model snapshots, edge records and policies share:
-``<field> is <value> of type <type>, expected <types>``, or ``<field>
-element is ...`` for an element of an array, such as a state's.
+malformed trace record: ...``.  A trace that stops early is read; replay
+holds it to the header's length.  A header or record field of the wrong
+JSON type is refused in the words of
+:func:`causalloop.scenario.read_fields`, which scenario files, model
+snapshots, edge records and policies share: ``<field> is <value> of type
+<type>, expected <types>``, or ``<field> element is ...`` for an element
+of an array, such as a state's.
 A record's reflect block is read only when evaluate or explain reads it
 (:func:`reflect_block_from_dict`).
 """

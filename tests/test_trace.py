@@ -801,7 +801,8 @@ def _snapshot_delta(value):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda ls: ls[1].pop("state"), "src: line 2: malformed trace record: tick 0: the first record holds no state$"),
+        (lambda ls: ls[1].pop("state"),
+         "src: line 2: malformed trace record: tick 0: the first record holds no state$"),
         (lambda ls: ls[1].pop("delta_hat"),
          "src: line 2: malformed trace record: tick 0: the first record holds no delta_hat$"),
         (lambda ls: ls[2].update(state=ls[1]["observed"]),
