@@ -162,7 +162,7 @@ def policy_from_dict(d: dict[str, Any]) -> Policy:
 
 def initial_model(sc: ScenarioConfig) -> CausalModel:
     return CausalModel(
-        graph=sc.effective_agent_graph(),
+        graph=sc.agent_graph,
         delta_hat=0.0,
         fit_window=sc.fit_window,
         sigma_lik=sc.sigma_lik,
@@ -198,26 +198,25 @@ def run_episode(
     """Run one fully deterministic episode and return its trace."""
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
-    sc = scenario.materialized()
-    w = world_init(sc, seed)  # validates the scenario first
-    m = initial_model(sc)
+    w = world_init(scenario, seed)
+    m = initial_model(scenario)
     settings = ReflectSettings(
-        budget=sc.budget,
-        max_accepts=sc.max_accepts,
-        holdout=sc.holdout,
-        rho=sc.rho,
-        k_max=sc.k_max,
+        budget=scenario.budget,
+        max_accepts=scenario.max_accepts,
+        holdout=scenario.holdout,
+        rho=scenario.rho,
+        k_max=scenario.k_max,
     )
-    tau = sc.effective_tau()
+    tau = scenario.tau
 
     records: list[TraceRecord] = []
-    state = StateVec(sc.initial_state)
+    state = StateVec(scenario.initial_state)
     prev_digest: str | None = None
     digest: str | None = None
     digest_fields: tuple = ()
     snapshot: dict[str, Any] | None = None
     for t in range(length):
-        action = policy_action(policy, seed, t, sc.d_action)
+        action = policy_action(policy, seed, t, scenario.d_action)
         # Checked already: t counts up from 0, the model's delta is clamped
         # to its delta_max, and the world observes the state's dims.
         tup = CausalTuple.checked(state, action, t, m.delta_hat)
@@ -240,11 +239,11 @@ def run_episode(
             )
 
         fit_event: str | None = None
-        if (t + 1) % sc.fit_every == 0:
+        if (t + 1) % scenario.fit_every == 0:
             try:
                 lags = _fit_kernel(m)
                 fitted = fit(m, lags)
-                if _fit_improves(lags, m, fitted, sc.holdout):
+                if _fit_improves(lags, m, fitted, scenario.holdout):
                     m = fitted
                     fit_event = "applied"
                 else:
@@ -271,8 +270,8 @@ def run_episode(
         state = observed
 
     header = TraceHeader(
-        scenario_digest=scenario_digest(sc),
-        scenario_name=sc.name,
+        scenario_digest=scenario_digest(scenario),
+        scenario_name=scenario.name,
         seed=seed,
         length=length,
         policy=policy_to_dict(policy),
@@ -293,8 +292,7 @@ def replay(trace: EpisodeTrace, scenario: ScenarioConfig) -> EpisodeTrace:
     Returns the freshly computed trace on success; raises
     :class:`ReplayError` naming the first divergent tick otherwise.
     """
-    sc = scenario.materialized()
-    digest = scenario_digest(sc)
+    digest = scenario_digest(scenario)
     if trace.header.scenario_digest != digest:
         raise ReplayError(
             f"scenario digest mismatch: trace has {trace.header.scenario_digest[:12]}..., "
@@ -310,7 +308,7 @@ def replay(trace: EpisodeTrace, scenario: ScenarioConfig) -> EpisodeTrace:
             f"trace has {len(trace.records)} records, header declares {trace.header.length}"
         )
     fresh = run_episode(
-        sc,
+        scenario,
         policy_from_dict(trace.header.policy),
         trace.header.seed,
         trace.header.length,

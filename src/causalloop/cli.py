@@ -22,24 +22,23 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from typing import Any
 
 from . import __version__
 from .agent import Policy, ProbePolicy, RandomPolicy, replay, run_episode
-from .core import CausalLoopError, CausalTuple, InputError, Perturbation, ReplayError, TimeIndex
+from .core import CausalLoopError, InputError, ReplayError
 from .evaluate import compare, evaluate_trace, report_tsv
 from .explain import (
     explain_counterfactual,
     explain_reflection,
     explain_transition,
     llm_configured,
+    model_entering_tick,
     narrate_via_llm,
     render_prompt,
 )
-from .model import model_from_snapshot
 from .scenario import atomic_write_text, resolve_scenario
-from .trace import EpisodeTrace, read_trace, write_trace
+from .trace import read_trace, write_trace
 from .world import check_seed
 
 
@@ -151,36 +150,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _model_entering_tick(trace: EpisodeTrace, tick: int):
-    """The agent's model as it stood when the tick's prediction was made."""
-    snap = None
-    for r in trace.records:
-        if r.tick >= tick and snap is not None:
-            break
-        if r.model_snapshot is not None:
-            snap = r.model_snapshot
-        if r.tick >= tick:
-            break
-    if snap is None:
-        raise InputError("trace carries no model snapshot")
-    return model_from_snapshot(snap)
-
-
 def _cmd_explain(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
     # read_trace refuses a trace whose record i does not hold tick i.
-    if not 0 <= args.tick < len(trace.records):
-        raise InputError(f"trace has no record for tick {args.tick}")
+    m, tup = model_entering_tick(trace, args.tick)
     record = trace.records[args.tick]
-    m = _model_entering_tick(trace, args.tick)
-    # The recorded delta_hat is authoritative for prediction time.
-    m = replace(m, delta_hat=record.delta_hat)
-    tup = CausalTuple(
-        state=record.state,
-        action=record.action,
-        time=TimeIndex(record.tick),
-        delta=Perturbation(record.delta_hat),
-    )
     if args.llm:
         if not llm_configured():
             raise InputError("--llm requested but EXPLAIN_LLM_URL is not set")

@@ -156,14 +156,13 @@ def shd_series(trace: EpisodeTrace, scenario: ScenarioConfig) -> tuple[int, ...]
     One SHD then holds until the next change point, so the series is the
     one a per-tick :func:`shd` gives.
     """
-    sc = scenario.materialized()
     records = trace.records
     n = len(records)
     snapshots = list(map(_snapshot_of, records))
     points = set(_present(snapshots))
     if n and 0 not in points:
         raise InputError(f"trace record at tick {records[0].tick} precedes any model snapshot")
-    points.update(b.at_tick for b in sc.breaks if 0 < b.at_tick < n)
+    points.update(b.at_tick for b in scenario.breaks if 0 < b.at_tick < n)
     starts = sorted(points)
     truths: dict[int, Groups] = {}  # id of each true graph met -> its groups
     out: list[int] = []
@@ -171,13 +170,13 @@ def shd_series(trace: EpisodeTrace, scenario: ScenarioConfig) -> tuple[int, ...]
         snap = snapshots[t]
         if snap is not None:
             (d_state, d_action, plan), _ = read_snapshot(snap)
-            if d_state != sc.d_state or d_action != sc.d_action:
+            if d_state != scenario.d_state or d_action != scenario.d_action:
                 raise InputError(
                     f"tick {records[t].tick}: the model snapshot's graph has d_state={d_state}, "
-                    f"d_action={d_action}; the scenario has d_state={sc.d_state}, d_action={sc.d_action}"
+                    f"d_action={d_action}; the scenario has d_state={scenario.d_state}, d_action={scenario.d_action}"
                 )
             agent = _groups(plan)
-        truth = active_graph(sc.graph, sc.breaks, t)
+        truth = active_graph(scenario.graph, scenario.breaks, t)
         groups = truths.get(id(truth))
         if groups is None:
             groups = truths[id(truth)] = _groups(truth.plan)
@@ -251,8 +250,7 @@ class EvalReport:
 
 
 def evaluate_trace(trace: EpisodeTrace, scenario: ScenarioConfig) -> EvalReport:
-    sc = scenario.materialized()
-    digest = scenario_digest(sc)
+    digest = scenario_digest(scenario)
     if trace.header.scenario_digest != digest:
         raise InputError(
             "trace does not belong to this scenario "
@@ -264,10 +262,10 @@ def evaluate_trace(trace: EpisodeTrace, scenario: ScenarioConfig) -> EvalReport:
     records = trace.records
     eps = list(map(_epsilon_of, records))
     rmse = rolling_rmse(eps)
-    shds = shd_series(trace, sc)
+    shds = shd_series(trace, scenario)
 
     breaks = []
-    for b in sc.breaks:
+    for b in scenario.breaks:
         if 0 < b.at_tick < len(rmse):
             threshold = recovery_threshold(rmse, b.at_tick)
             breaks.append(
@@ -290,7 +288,7 @@ def evaluate_trace(trace: EpisodeTrace, scenario: ScenarioConfig) -> EvalReport:
             acceptances[h.kind] = acceptances.get(h.kind, 0) + 1
 
     return EvalReport(
-        scenario_name=sc.name,
+        scenario_name=scenario.name,
         scenario_digest=digest,
         seed=trace.header.seed,
         reflect_enabled=trace.header.reflect_enabled,
@@ -306,10 +304,13 @@ def evaluate_trace(trace: EpisodeTrace, scenario: ScenarioConfig) -> EvalReport:
 
 
 def report_tsv(report: EvalReport, trace: EpisodeTrace) -> str:
-    """Per-tick table: tick, epsilon, rolling RMSE, SHD, trigger flag."""
+    """Per-tick table: tick, epsilon, rolling RMSE, SHD, trigger flag.
+
+    ``report`` is :func:`evaluate_trace` of ``trace``, which refuses a
+    reflect block not marked triggered, so a record triggered if it holds one."""
     lines = ["tick\tepsilon\trmse\tshd\ttriggered\tfit_event"]
     for r, rm, sh in zip(trace.records, report.rmse, report.shd):
-        triggered = int(bool(r.reflect and r.reflect.get("triggered")))
+        triggered = int(r.reflect is not None)
         lines.append(f"{r.tick}\t{r.epsilon!r}\t{rm!r}\t{sh}\t{triggered}\t{r.fit_event or ''}")
     return "\n".join(lines) + "\n"
 

@@ -24,11 +24,11 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
-from .core import ActionVec, CausalTuple, ConfigError, InputError, Perturbation, StateVec
-from .model import CausalModel, counterfactual
+from .core import ActionVec, CausalTuple, ConfigError, InputError, Perturbation, StateVec, TimeIndex
+from .model import CausalModel, counterfactual, model_from_snapshot
 from .reflect import (
     CoefChange,
     DelayChange,
@@ -40,7 +40,7 @@ from .reflect import (
     hypothesis_to_dict,
 )
 from .scenario import canonical_json, json_number
-from .trace import TraceRecord, reflect_block_from_dict
+from .trace import EpisodeTrace, TraceRecord, reflect_block_from_dict
 from .world import SourceKind
 
 ENV_LLM_URL = "EXPLAIN_LLM_URL"
@@ -230,6 +230,29 @@ def explain_reflection(tick: int, report: dict[str, Any]) -> Explanation:
         "accepted": [hypothesis_to_dict(h) for h in accepted],
     }
     return Explanation(ExplanationKind.REFLECTION_SUMMARY, " ".join(parts), grounding)
+
+
+def model_entering_tick(trace: EpisodeTrace, tick: int) -> tuple[CausalModel, CausalTuple]:
+    """The agent's model as it stood when ``tick``'s prediction was made,
+    and the causal tuple it predicted at; what the transition and
+    counterfactual explanations of the tick read.
+
+    Record i holds tick i, as a trace read or run holds them.  The model is
+    the last snapshot recorded before the tick (tick 0 takes its own) with
+    the record's ``delta_hat``, which is authoritative at prediction time;
+    the tuple is the record's state, action, tick and ``delta_hat``.  A tick
+    the trace has no record for, or no snapshot to take, raises
+    :class:`InputError`."""
+    records = trace.records
+    if not 0 <= tick < len(records):
+        raise InputError(f"trace has no record for tick {tick}")
+    r = records[tick]
+    before = (records[i].model_snapshot for i in range(tick - 1, -1, -1))
+    snapshot = next((s for s in before if s is not None), r.model_snapshot)
+    if snapshot is None:
+        raise InputError("trace carries no model snapshot")
+    m = replace(model_from_snapshot(snapshot), delta_hat=r.delta_hat)
+    return m, CausalTuple(r.state, r.action, TimeIndex(r.tick), Perturbation(r.delta_hat))
 
 
 # ---------------------------------------------------------------------------

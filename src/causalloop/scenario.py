@@ -4,11 +4,14 @@ A scenario pins everything that defines a run except the seed and the
 policy: dimensions, initial state, the causal graph and its scheduled
 breaks, the perturbation process, observation noise, and every agent
 hyperparameter.  Configs serialize to human-editable JSON; the canonical
-form (sorted keys, compact separators, defaults materialized) defines the
+form (sorted keys, compact separators, defaults resolved) defines the
 scenario digest that trace headers and the evaluator use to refuse
-mismatched inputs.  A materialized scenario computes its digest once and
-keeps it (:attr:`ScenarioConfig.digest`), so running, replaying and
-evaluating against one scenario object hash it once.
+mismatched inputs.  A scenario is whole when built: its constructor
+resolves the defaulted ``tau`` and ``agent_graph`` and runs every
+scenario check, as :class:`CausalGraph` checks its plan, so no consumer
+resolves or checks one again.  A scenario computes its
+digest once and keeps it (:attr:`ScenarioConfig.digest`), so running,
+replaying and evaluating against one scenario object hash it once.
 
 Serialization helpers for graphs/edges live here too, shared by trace
 records and model snapshots, and the one JSON field reader,
@@ -32,7 +35,7 @@ import operator
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from types import NoneType, UnionType
 from typing import Any, Callable, Collection, get_args, get_origin, get_type_hints
 
@@ -68,8 +71,8 @@ class ScenarioConfig:
     perturbation_label: str = ""
     noise_sigma: float = 0.0
     tick_label: str = "tick"
-    # Agent-side knobs.  agent_graph None means "start from the scenario's
-    # initial graph"; tau None means "derive from noise_sigma on load".
+    # Agent-side knobs.  Built with agent_graph None, a scenario holds its
+    # initial graph there; with tau None, default_tau().
     agent_graph: CausalGraph | None = None
     tau: float | None = None
     fit_window: int = 64
@@ -84,52 +87,20 @@ class ScenarioConfig:
     delta_max: float = DELTA_MAX
 
     def __post_init__(self) -> None:
+        """Resolve and check the scenario, once: each later reader takes it
+        as built.  ``tau`` None becomes :meth:`default_tau`, ``agent_graph``
+        None the initial graph; a scenario any check refuses raises
+        :class:`ConfigError`, and a ``noise_sigma`` whose square leaves the
+        float range, with ``tau`` None, OverflowError."""
         # Floats as floats, so that a config equal to another has its digest.
         object.__setattr__(self, "initial_state", tuple(float(v) for v in self.initial_state))
         object.__setattr__(self, "breaks", tuple(self.breaks))
         for name in ("noise_sigma", "sigma_lik", "rho", "delta_max"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.tau is not None:
-            object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", self.default_tau() if self.tau is None else float(self.tau))
+        if self.agent_graph is None:
+            object.__setattr__(self, "agent_graph", self.graph)
 
-    # -- derived -----------------------------------------------------------
-
-    def default_tau(self) -> float:
-        """Mismatch threshold when none is configured: generous enough that
-        observation noise alone almost never trips it."""
-        try:
-            return 4.0 * (self.noise_sigma**2 + 0.01)
-        except OverflowError:
-            msg = f"noise_sigma {self.noise_sigma!r} squares past a float, so tau cannot be derived"
-            raise OverflowError(msg) from None
-
-    def effective_tau(self) -> float:
-        return self.tau if self.tau is not None else self.default_tau()
-
-    def effective_agent_graph(self) -> CausalGraph:
-        return self.agent_graph if self.agent_graph is not None else self.graph
-
-    def materialized(self) -> ScenarioConfig:
-        """Copy with every defaultable field made explicit; ``self`` if
-        every one already is."""
-        if self.tau is not None and self.agent_graph is not None:
-            return self
-        return replace(self, tau=self.effective_tau(), agent_graph=self.effective_agent_graph())
-
-    @functools.cached_property
-    def digest(self) -> str:
-        """sha256 of the canonical JSON of the materialized scenario.
-
-        Computed on first use and kept in the instance's ``__dict__``, so it
-        is not a field: equality, hashing and ``dataclasses.replace`` ignore
-        it, and a replaced scenario computes its own.  Every field is
-        immutable, so it cannot go stale.
-        """
-        return hashlib.sha256(canonical_json(scenario_to_dict(self)).encode()).hexdigest()
-
-    # -- validation --------------------------------------------------------
-
-    def validate(self) -> None:
         if self.d_state < 1:
             raise ConfigError(f"d_state must be >= 1, got {self.d_state}")
         if self.d_action < 0:
@@ -138,7 +109,8 @@ class ScenarioConfig:
             raise ConfigError(
                 f"initial_state has {len(self.initial_state)} dims, d_state is {self.d_state}"
             )
-        for label, g in self._graphs():
+        breaks = [(f"break@{b.at_tick} graph", b.graph) for b in self.breaks]
+        for label, g in [("graph", self.graph), *breaks, ("agent_graph", self.agent_graph)]:
             if g.d_state != self.d_state or g.d_action != self.d_action:
                 raise ConfigError(f"{label} dimensions differ from the scenario's")
             for _, _, delay, _, _, _ in g.plan:
@@ -153,7 +125,7 @@ class ScenarioConfig:
             prev = b.at_tick
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if self.tau is not None and not (math.isfinite(self.tau) and self.tau > 0.0):
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.holdout < 1:
             raise ConfigError("holdout must be >= 1")
@@ -174,12 +146,36 @@ class ScenarioConfig:
         if not 0.0 < self.delta_max <= DELTA_MAX:
             raise ConfigError(f"delta_max must be in (0, {DELTA_MAX}], got {self.delta_max}")
 
-    def _graphs(self) -> list[tuple[str, CausalGraph]]:
-        out = [("graph", self.graph)]
-        out += [(f"break@{b.at_tick} graph", b.graph) for b in self.breaks]
-        if self.agent_graph is not None:
-            out.append(("agent_graph", self.agent_graph))
-        return out
+    def default_tau(self) -> float:
+        """Mismatch threshold when none is configured: generous enough that
+        observation noise alone almost never trips it."""
+        try:
+            return 4.0 * (self.noise_sigma**2 + 0.01)
+        except OverflowError:
+            msg = f"noise_sigma {self.noise_sigma!r} squares past a float, so tau cannot be derived"
+            raise OverflowError(msg) from None
+
+    # Kept because perfbench calls them: bench_family.py materialized(),
+    # bench_runner.py validate().  A built scenario is whole, so neither has
+    # anything left to do.
+
+    def materialized(self) -> ScenarioConfig:
+        """``self``: a scenario is resolved when built."""
+        return self
+
+    def validate(self) -> None:
+        """Nothing: a scenario is checked when built."""
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """sha256 of the canonical JSON of the scenario.
+
+        Computed on first use and kept in the instance's ``__dict__``, so it
+        is not a field: equality, hashing and ``dataclasses.replace`` ignore
+        it, and a replaced scenario computes its own.  Every field is
+        immutable, so it cannot go stale.
+        """
+        return hashlib.sha256(canonical_json(scenario_to_dict(self)).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +429,13 @@ def read_fields(cls: type, d: Any, names: Collection[str] | None = None) -> dict
 
 
 def scenario_to_dict(sc: ScenarioConfig) -> dict[str, Any]:
-    """Fully explicit dict form (defaults materialized)."""
-    sc = sc.materialized()
+    """Fully explicit dict form, ``tau`` and ``agent_graph`` as resolved."""
     out: dict[str, Any] = {"format_version": FORMAT_VERSION, **{f.name: getattr(sc, f.name) for f in fields(sc)}}
     out["initial_state"] = list(sc.initial_state)
     out["graph"] = graph_to_dict(sc.graph)
     out["breaks"] = [{"at_tick": b.at_tick, "graph": graph_to_dict(b.graph)} for b in sc.breaks]
     out["perturbation"] = tagged_to_dict(sc.perturbation)
-    out["agent_graph"] = graph_to_dict(sc.agent_graph)  # materialized, never None
+    out["agent_graph"] = graph_to_dict(sc.agent_graph)
     return out
 
 
@@ -450,8 +445,8 @@ _KNOWN_KEYS = {f.name for f in fields(ScenarioConfig)} | {"format_version"}
 
 def scenario_from_dict(d: dict[str, Any]) -> ScenarioConfig:
     """The scenario :func:`scenario_to_dict` wrote, each field present read
-    by :func:`read_fields` in declaration order, then materialized; a field
-    left out takes its default."""
+    by :func:`read_fields` in declaration order; a field left out takes its
+    default.  A scenario its constructor refuses raises :class:`ConfigError`."""
     if not isinstance(d, dict):
         raise InputError(f"scenario must be an object, got {type(d).__name__}")
     unknown = set(d) - _KNOWN_KEYS
@@ -464,8 +459,8 @@ def scenario_from_dict(d: dict[str, Any]) -> ScenarioConfig:
     if version != FORMAT_VERSION:
         raise InputError(f"unsupported scenario format_version {version!r}")
     try:
-        # materialized() overflows if noise_sigma squares past a float
-        return ScenarioConfig(**read_fields(ScenarioConfig, d, d.keys())).materialized()
+        # default_tau() overflows if noise_sigma squares past a float
+        return ScenarioConfig(**read_fields(ScenarioConfig, d, d.keys()))
     except KeyError as exc:
         raise InputError(f"invalid scenario: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -482,8 +477,8 @@ def canonical_json(obj: Any) -> str:
 
 
 def scenario_digest(sc: ScenarioConfig) -> str:
-    """The digest of ``sc`` materialized, hashed once per materialized object."""
-    return sc.materialized().digest
+    """The digest of ``sc``, hashed once per scenario object."""
+    return sc.digest
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -521,12 +516,12 @@ def read_text(path: str, what: str) -> str:
 
 
 def save_scenario(sc: ScenarioConfig, path: str) -> None:
-    sc.validate()
     atomic_write_text(path, json.dumps(scenario_to_dict(sc), indent=2, sort_keys=True) + "\n")
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    """Parse, validate, and materialize a scenario file."""
+    """The scenario in a file; every refusal of its contents as a
+    scenario names the file."""
     text = read_text(path, "scenario")
     try:
         data = json.loads(text)
@@ -534,12 +529,10 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise InputError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an int too long to convert
         raise InputError(f"{path}: {exc}") from exc
-    sc = scenario_from_dict(data)
     try:
-        sc.validate()
+        return scenario_from_dict(data)
     except ConfigError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return sc
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +565,7 @@ def _productivity() -> ScenarioConfig:
         noise_sigma=0.02,
         tick_label="1 tick = 1 hour",
         k_max=32,
-    ).materialized()
+    )
 
 
 def _break_demo() -> ScenarioConfig:
@@ -595,7 +588,7 @@ def _break_demo() -> ScenarioConfig:
         graph=before,
         breaks=(ScheduledBreak(at_tick=200, graph=after),),
         noise_sigma=0.05,
-    ).materialized()
+    )
 
 
 def _calm() -> ScenarioConfig:
@@ -615,7 +608,7 @@ def _calm() -> ScenarioConfig:
         initial_state=(0.0, 0.0),
         graph=graph,
         noise_sigma=0.01,
-    ).materialized()
+    )
 
 
 def builtin_scenarios() -> dict[str, ScenarioConfig]:

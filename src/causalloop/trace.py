@@ -302,13 +302,15 @@ def record_to_dict(r: TraceRecord) -> dict[str, Any]:
 # The keys every record line holds, those only tick 0's holds (with what a
 # later record takes in their place), and those a line holds only when not
 # null.
-_required = itemgetter("kind", "tick", "action", "true_delta", "predicted_next", "observed")
+_REQUIRED = ("kind", "tick", "action", "true_delta", "predicted_next", "observed")
+_required = itemgetter(*_REQUIRED)
 _TAKEN = {
     "state": "a later record's state is the previous record's observed",
     "delta_hat": "a later record's delta_hat is the last model snapshot's",
 }
 _first = itemgetter(*_TAKEN)
 _OPTIONAL = ("reflect", "fit_event", "model_snapshot")
+_WRITTEN = frozenset((*_REQUIRED, *_TAKEN, *_OPTIONAL, "model_digest"))
 _FLOAT = frozenset({float})
 # Every combination of the JSON types that tick, reflect, fit_event and
 # model_snapshot may have.
@@ -317,16 +319,23 @@ _SCALAR_TYPES = frozenset(product(*(json_types(_hints[name]) for name in ("tick"
 
 
 def _refuse_keys(d: Any) -> None:
-    """ValueError if the record ``d`` holds a value the reader rebuilds
-    (``epsilon`` or ``per_dim``, or ``model_digest`` without a snapshot) or
-    an optional field as null, which a record leaves out.  A record that
-    states a rebuilt value could contradict the value rebuilt."""
+    """KeyError if the record ``d`` holds no ``kind``, ValueError if one
+    other than ``"record"``, a value the reader rebuilds (``epsilon`` or
+    ``per_dim``, or ``model_digest`` without a snapshot), any other key
+    :func:`record_to_dict` never writes, or an optional field as null,
+    which a record leaves out.  A record that states a rebuilt value could
+    contradict the value rebuilt."""
     if type(d) is not dict:
         return
+    if d["kind"] != "record":
+        raise ValueError(f"kind is {d['kind']!r}, expected 'record'")
     for name in ("epsilon", "per_dim"):
         if name in d:
             raise ValueError(f"{name} is {d[name]!r}, but a record does not hold it: it is rebuilt from"
                              " predicted_next and observed")
+    for name in d:
+        if name not in _WRITTEN:
+            raise ValueError(f"unknown key {name!r}")
     for name in _OPTIONAL:
         if name in d and d[name] is None:
             raise ValueError(f"{name} is null: a record leaves a null field out")
@@ -389,27 +398,28 @@ def record_from_dict(
     first record is off tick 0 or carries no snapshot.
 
     Written records hold JSON floats in every numeric field, so one pass
-    checks them all at once: the keys by their count, the four non-numeric
-    fields' types in one set lookup, every number's type and finiteness in
-    one pass each over all of them, and ``delta_hat``'s range.  Anything
-    else, a refusal or a JSON int where a float goes, is read field by
-    field in record order by :func:`read_fields`, ``delta_hat``'s range
+    checks them all at once: the keys by their count, the kind, the four
+    non-numeric fields' types in one set lookup, every number's type and
+    finiteness in one pass each over all of them, and ``delta_hat``'s range.
+    Anything else, a refusal or a JSON int where a float goes, is read field
+    by field in record order by :func:`read_fields`, ``delta_hat``'s range
     checked in its place: the first field refused names the refusal
     (:class:`InputError`, or :class:`DomainError` for a non-finite state or
     action), and JSON ints are read as floats.  Every refusal says
-    ``malformed trace record: ...``.  Before any field, a record that holds
-    ``epsilon``, ``per_dim``, ``model_digest`` without a snapshot, or a
-    null ``reflect``, ``fit_event`` or ``model_snapshot`` is refused; after
-    the tick, with :class:`InputError` naming it, a tick-0 record without
-    ``state`` or ``delta_hat`` and a later one with either; in
-    ``delta_hat``'s place, a snapshot delta estimate that is no finite
-    number within ``DELTA_MAX``; after the fields, a snapshot with no
-    digest or one that is not a string, and a ``predicted_next`` and
-    ``observed`` whose loss cannot be rebuilt (of different lengths, or a
-    squared error beyond the float range).
+    ``malformed trace record: ...``.  Before any field, a record whose
+    ``kind`` is missing or not ``"record"``, or that holds ``epsilon``,
+    ``per_dim``, another key :func:`record_to_dict` never writes,
+    ``model_digest`` without a snapshot, or a null ``reflect``,
+    ``fit_event`` or ``model_snapshot`` is refused; after the tick, with
+    :class:`InputError` naming it, a tick-0 record without ``state`` or
+    ``delta_hat`` and a later one with either; in ``delta_hat``'s place, a
+    snapshot delta estimate that is no finite number within ``DELTA_MAX``;
+    after the fields, a snapshot with no digest or one that is not a string,
+    and a ``predicted_next`` and ``observed`` whose loss cannot be rebuilt
+    (of different lengths, or a squared error beyond the float range).
     """
     try:
-        _, tick, action, true_delta, predicted_next, observed = _required(d)
+        kind, tick, action, true_delta, predicted_next, observed = _required(d)
         get = d.get
         reflect, fit_event, model_snapshot = get("reflect"), get("fit_event"), get("model_snapshot")
         # Every key the record must hold is read, so a count that matches
@@ -430,6 +440,7 @@ def record_from_dict(
             numbers = [delta_hat, true_delta] + action + predicted_next + observed
         if (
             len(d) == size
+            and kind == "record"
             and (type(tick), type(reflect), type(fit_event), type(model_snapshot)) in _SCALAR_TYPES
             and type(model_digest) is str
             and _FLOAT.issuperset(map(type, numbers))

@@ -334,8 +334,8 @@ def check_seed(seed: int) -> None:
 
 
 def world_init(scenario: "ScenarioConfig", seed: int) -> WorldState:
-    """Validated initial world at tick 0."""
-    scenario.validate()
+    """Initial world at tick 0 of a scenario, which was checked when built,
+    under a checked seed."""
     check_seed(seed)
     return WorldState(
         scenario=scenario,

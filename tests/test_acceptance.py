@@ -24,11 +24,9 @@ from causalloop.agent import (
     replay,
     run_episode,
 )
-from causalloop.cli import _model_entering_tick
 from causalloop.core import (
     ActionVec,
     CausalTuple,
-    Perturbation,
     StateVec,
     TimeIndex,
     Transition,
@@ -41,6 +39,7 @@ from causalloop.explain import (
     explain_reflection,
     explain_transition,
     is_grounded,
+    model_entering_tick,
 )
 from causalloop.model import CausalModel, append_history, estimate_delta, rollout
 from causalloop.reflect import (
@@ -561,8 +560,7 @@ def test_criterion_8_explanation_grounding():
     checked = 0
     ok = True
     for r in trace.records:
-        m = replace(_model_entering_tick(trace, r.tick), delta_hat=r.delta_hat)
-        tup = CausalTuple(r.state, r.action, TimeIndex(r.tick), Perturbation(r.delta_hat))
+        m, tup = model_entering_tick(trace, r.tick)
         ok &= is_grounded(explain_transition(m, tup))
         ok &= is_grounded(explain_counterfactual(m, tup, 0.0))
         checked += 2
@@ -586,7 +584,7 @@ def test_criterion_8_explanation_grounding():
 def test_criterion_9_delta_inversion():
     start = time.perf_counter()
     tol = 1e-9
-    m = initial_model(builtin_scenarios()["calm"].materialized())
+    m = initial_model(builtin_scenarios()["calm"])
     rng = np.random.default_rng(9)
     worst = 0.0
     for _ in range(1000):

@@ -143,7 +143,7 @@ def test_an_episode_between_two_runs_changes_nothing():
 def test_header_describes_episode():
     tr = run_episode(CALM, RandomPolicy(), seed=2, length=8, reflect_enabled=False)
     assert tr.header.scenario_name == "calm"
-    assert tr.header.scenario_digest == scenario_digest(CALM.materialized())
+    assert tr.header.scenario_digest == scenario_digest(CALM)
     assert tr.header.seed == 2
     assert tr.header.length == 8 == len(tr.records)
     assert tr.header.reflect_enabled is False
@@ -231,8 +231,7 @@ def test_trace_rebuilds_every_prediction(monkeypatch, tmp_path):
     explain recomputes from the written trace: the snapshot entering the
     tick with the record's delta_hat."""
     import causalloop.agent as agent_mod
-    from causalloop.cli import _model_entering_tick
-    from causalloop.core import CausalTuple, Perturbation, TimeIndex
+    from causalloop.explain import model_entering_tick
     from causalloop.model import predict
     from causalloop.trace import read_trace, write_trace
 
@@ -259,8 +258,7 @@ def test_trace_rebuilds_every_prediction(monkeypatch, tmp_path):
     assert all(horizon > 1 for _, horizon, _ in live.values())
 
     for r in back.records:
-        m = dataclasses.replace(_model_entering_tick(back, r.tick), delta_hat=r.delta_hat)
-        tup = CausalTuple(r.state, r.action, TimeIndex(r.tick), Perturbation(r.delta_hat))
+        m, tup = model_entering_tick(back, r.tick)
         assert hexes(predict(m, tup)) == live[r.tick], f"tick {r.tick}"
 
 
@@ -355,7 +353,7 @@ def test_replay_rejects_foreign_generator():
 
 
 def test_initial_model_mirrors_scenario():
-    sc = BREAK.materialized()
+    sc = BREAK
     m = initial_model(sc)
     assert m.graph == sc.agent_graph
     assert m.delta_hat == 0.0

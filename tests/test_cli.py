@@ -385,12 +385,13 @@ def test_malformed_scenario_is_data_error(case, tmp_path, capsys):
 @pytest.mark.parametrize("sigma_delta", [-1.0, -5e-324])
 def test_a_negative_walk_step_is_data_error(tmp_path, capsys, sigma_delta):
     """numpy's normal draw refuses a negative scale with a bare ValueError,
-    so the scenario reader refuses the walk before the run starts."""
+    so the scenario reader refuses the walk before the run starts, naming
+    the file as it names any scenario it refuses."""
     path = tmp_path / "walk.json"
     walk = {"kind": "gaussian_walk", "sigma_delta": sigma_delta}
     path.write_text(json.dumps({**json.loads(CALM_FILE.read_text()), "perturbation": walk}))
     assert main(["run", str(path), "--seed", "0", "--length", "3"]) == 2
-    assert "error: gaussian_walk sigma_delta must be finite and >= 0, got -" in capsys.readouterr().err
+    assert f"error: {path}: gaussian_walk sigma_delta must be finite and >= 0, got -" in capsys.readouterr().err
 
 
 def test_overflowing_prediction_error_is_data_error(tmp_path, capsys):

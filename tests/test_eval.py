@@ -322,7 +322,7 @@ def test_shd_runs_at_most_once_per_snapshot_or_break(name, reflect_enabled):
     n_snapshots = sum(r.model_snapshot is not None for r in tr.records)
     with mock.patch.object(evaluate, "_distance", side_effect=evaluate._distance) as counted:
         rep = evaluate_trace(tr, sc)
-    assert rep.shd == per_tick_shd(tr, sc.materialized())
+    assert rep.shd == per_tick_shd(tr, sc)
     assert counted.call_count <= n_snapshots + len(sc.breaks) + 1
     assert counted.call_count < len(tr.records)
 

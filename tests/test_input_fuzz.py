@@ -244,7 +244,7 @@ def test_only_input_errors_escape_reading_a_reflect_block(path, value):
 def test_only_causalloop_errors_escape_scenario_from_dict(path, value):
     doc = replaced(SCENARIO, path, value)
     try:
-        scenario_from_dict(doc).validate()
+        scenario_from_dict(doc)
     except CausalLoopError:
         with tempfile.TemporaryDirectory() as tmp:
             file = os.path.join(tmp, "s.json")
@@ -487,12 +487,11 @@ def damaged_scenarios(draw):
 @given(damaged_scenarios(), st.integers(0, 2**16))
 @example({**BUNDLED[0], "perturbation": {"kind": "gaussian_walk", "sigma_delta": -1.0}}, 0)
 def test_only_causalloop_errors_escape_running_an_accepted_scenario(doc, seed):
-    """A scenario that ``scenario_from_dict`` and ``validate`` accept runs a
+    """A scenario that ``scenario_from_dict`` accepts (built, so checked) runs a
     short episode with and without reflect, then ``evaluate_trace``, and
     only a :class:`CausalLoopError` may end it."""
     try:
         sc = scenario_from_dict(doc)
-        sc.validate()
     except CausalLoopError:
         return
     for reflect in (False, True):

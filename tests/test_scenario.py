@@ -45,16 +45,24 @@ def tiny(**kw):
     return ScenarioConfig(**defaults)
 
 
-# ---- validation ------------------------------------------------------------
+# ---- resolving and checking when built ------------------------------------
+
+
+def refused(message, **kw):
+    """Build ``tiny(**kw)``, which must raise :class:`ConfigError` with exactly ``message``."""
+    with pytest.raises(ConfigError) as info:
+        tiny(**kw)
+    assert type(info.value) is ConfigError
+    assert str(info.value) == message
 
 
 def test_valid_config_passes():
-    tiny().validate()
+    sc = tiny()
+    assert sc.validate() is None and sc.materialized() is sc
 
 
 def test_initial_state_length_checked():
-    with pytest.raises(ConfigError):
-        tiny(initial_state=(0.0, 0.0)).validate()
+    refused("initial_state has 2 dims, d_state is 1", initial_state=(0.0, 0.0))
 
 
 def test_delay_must_fit_history():
@@ -63,39 +71,82 @@ def test_delay_must_fit_history():
         d_action=1,
         edges=(CausalEdge(VarRef.action(0), 0, delay=300, coefficient=1.0),),
     )
-    with pytest.raises(ConfigError):
-        tiny(graph=g).validate()
+    refused("graph edge delay 300 exceeds history_capacity 256", graph=g)
+    refused("agent_graph edge delay 300 exceeds history_capacity 256", agent_graph=g)
 
 
 def test_breaks_must_increase():
     g = tiny().graph
     bad = (ScheduledBreak(5, g), ScheduledBreak(5, g))
-    with pytest.raises(ConfigError):
-        tiny(breaks=bad).validate()
+    refused("breaks must have strictly increasing at_tick >= 1", breaks=bad)
 
 
 def test_rho_must_be_a_proper_fraction():
-    with pytest.raises(ConfigError):
-        tiny(rho=1.0).validate()
-    with pytest.raises(ConfigError):
-        tiny(rho=0.0).validate()
+    refused("rho must be in (0, 1), got 1.0", rho=1.0)
+    refused("rho must be in (0, 1), got 0.0", rho=0.0)
 
 
 def test_negative_noise_rejected():
-    with pytest.raises(ConfigError):
-        tiny(noise_sigma=-0.1).validate()
+    refused("noise_sigma must be finite and >= 0, got -0.1", noise_sigma=-0.1)
 
 
 def test_default_tau_tracks_noise():
     assert tiny().default_tau() == pytest.approx(0.04)
     assert tiny(noise_sigma=0.05).default_tau() == pytest.approx(4 * (0.0025 + 0.01))
-    assert tiny(tau=1.5).effective_tau() == 1.5
 
 
-def test_materialized_resolves_tau_and_agent_graph():
-    sc = tiny().materialized()
-    assert sc.tau == pytest.approx(0.04)
-    assert sc.agent_graph == sc.graph
+def test_a_scenario_is_resolved_when_built():
+    """Built with ``tau`` or ``agent_graph`` None, a scenario holds
+    ``default_tau()`` or its initial graph; given, it holds what it was given."""
+    sc = tiny()
+    assert sc.tau == sc.default_tau() == pytest.approx(0.04) and type(sc.tau) is float
+    assert sc.agent_graph is sc.graph
+    other = CausalGraph(1, 1, (CausalEdge(VarRef.action(0), 0, delay=2, coefficient=0.5),))
+    given = tiny(tau=1.5, agent_graph=other)
+    assert (given.tau, given.agent_graph) == (1.5, other)
+    assert scenario_to_dict(sc)["tau"] == sc.tau and scenario_from_dict(scenario_to_dict(sc)) == sc
+
+
+def test_replace_derives_tau_again_only_when_asked():
+    """``replace(sc, tau=None)`` derives ``tau`` from the new scenario;
+    replacing another field keeps the resolved ``tau``, as it does for a
+    loaded or bundled scenario, which states its ``tau``."""
+    sc = tiny()
+    noisier = dataclasses.replace(sc, noise_sigma=0.25)
+    assert noisier.tau == sc.tau
+    assert dataclasses.replace(noisier, tau=None).tau == noisier.default_tau() == pytest.approx(0.29)
+    for b in builtin_scenarios().values():
+        assert dataclasses.replace(b, noise_sigma=0.25).tau == b.tau
+
+
+def test_a_scenario_built_directly_runs_as_its_loaded_file(tmp_path):
+    """Resolved when built, a scenario records, evaluates and replays as the
+    file it saves to, and as that file with ``tau`` and ``agent_graph`` left
+    out, each loaded back."""
+    from causalloop.agent import RandomPolicy, replay, run_episode
+    from causalloop.evaluate import evaluate_trace, report_tsv
+    from causalloop.trace import trace_to_lines
+
+    g = tiny().graph
+    after = CausalGraph(1, 1, (CausalEdge(VarRef.action(0), 0, delay=1, coefficient=2.5),))
+    sc = tiny(breaks=(ScheduledBreak(20, after),), perturbation=Spike(prob=0.2, magnitude=0.3), noise_sigma=0.05)
+    assert (sc.tau, sc.agent_graph) == (sc.default_tau(), g)
+    saved, bare = tmp_path / "saved.json", tmp_path / "bare.json"
+    save_scenario(sc, str(saved))
+    doc = scenario_to_dict(sc)
+    del doc["tau"], doc["agent_graph"]
+    bare.write_text(json.dumps(doc))
+    trace = run_episode(sc, RandomPolicy(), seed=5, length=40)
+    report = evaluate_trace(trace, sc)
+    for path in (saved, bare):
+        twin = load_scenario(str(path))
+        assert twin == sc and twin.digest == sc.digest
+        twin_trace = run_episode(twin, RandomPolicy(), seed=5, length=40)
+        assert trace_to_lines(twin_trace) == trace_to_lines(trace)
+        twin_report = evaluate_trace(twin_trace, twin)
+        assert report_tsv(twin_report, twin_trace) == report_tsv(report, trace)
+        assert twin_report.to_dict() == report.to_dict()
+        assert trace_to_lines(replay(trace, twin)) == trace_to_lines(trace)
 
 
 # ---- serialization ---------------------------------------------------------
@@ -105,7 +156,7 @@ def test_dict_round_trip_all_builtins():
     for name, sc in builtin_scenarios().items():
         back = scenario_from_dict(scenario_to_dict(sc))
         assert scenario_digest(back) == scenario_digest(sc), name
-        assert back.materialized() == sc.materialized(), name
+        assert back == sc, name
 
 
 def test_round_trip_covers_breaks_and_perturbations():
@@ -144,23 +195,12 @@ def fresh_digest(sc):
 @pytest.mark.parametrize("sc", [tiny(), tiny(tau=0.5), *builtin_scenarios().values()], ids=lambda sc: sc.name)
 def test_the_cached_digest_is_the_canonical_sha256(sc):
     assert scenario_digest(sc) == fresh_digest(sc)
-    m = sc.materialized()
-    assert m.digest == fresh_digest(sc)
-    assert scenario_digest(sc) == m.digest  # read back from the cache
-
-
-def test_materialized_of_a_materialized_scenario_is_itself():
-    sc = tiny()
-    m = sc.materialized()
-    assert m is not sc and m == sc.materialized()
-    assert m.materialized() is m
-    assert tiny(tau=0.5).materialized() is not tiny(tau=0.5)  # agent_graph still unset
-    for b in builtin_scenarios().values():
-        assert b.materialized() is b
+    assert sc.digest == fresh_digest(sc)
+    assert scenario_digest(sc) == sc.digest  # read back from the cache
 
 
 def test_a_replaced_scenario_gets_its_own_digest():
-    sc = tiny().materialized()
+    sc = tiny()
     before = sc.digest
     noisier = dataclasses.replace(sc, noise_sigma=0.25)
     assert noisier.digest != before
@@ -191,9 +231,8 @@ def test_an_int_twin_is_equal_has_the_digest_and_replays():
 
 
 def test_float_fields_are_stored_as_floats():
-    sc = tiny(noise_sigma=0, tau=1, sigma_lik=2, rho=0, delta_max=5)
-    assert [type(getattr(sc, f)) for f in ("noise_sigma", "tau", "sigma_lik", "rho", "delta_max")] == [float] * 5
-    assert tiny().tau is None
+    sc = tiny(noise_sigma=0, tau=1, sigma_lik=2, delta_max=5)
+    assert [type(getattr(sc, f)) for f in ("noise_sigma", "tau", "sigma_lik", "delta_max")] == [float] * 4
     edge = CausalEdge(VarRef.action(0), 0, delay=1, coefficient=2)
     assert type(edge.coefficient) is float
     assert type(CausalGraph(1, 1, (edge,)).plan[0][4]) is float
@@ -466,7 +505,6 @@ def test_builtins_validate_and_have_distinct_digests():
     assert set(scs) == {"productivity", "break_demo", "calm"}
     digests = set()
     for sc in scs.values():
-        sc.validate()
         digests.add(scenario_digest(sc))
     assert len(digests) == 3
 

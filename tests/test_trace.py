@@ -336,6 +336,9 @@ TAKEN = {
     "state": "a later record's state is the previous record's observed",
     "delta_hat": "a later record's delta_hat is the last model snapshot's",
 }
+# Every key record_to_dict may write.
+WRITTEN = {"kind", "tick", "state", "action", "delta_hat", "true_delta", "predicted_next", "observed", "reflect",
+           "fit_event", "model_digest", "model_snapshot"}
 
 
 def reference_record_from_dict(d, previous=None, snapshot=None):
@@ -345,12 +348,17 @@ def reference_record_from_dict(d, previous=None, snapshot=None):
     the digest, and the loss rebuilt by ``core.loss``."""
     try:
         if isinstance(d, dict):
+            if d["kind"] != "record":
+                raise ValueError(f"kind is {d['kind']!r}, expected 'record'")
             for name in ("epsilon", "per_dim"):
                 if name in d:
                     raise ValueError(
                         f"{name} is {d[name]!r}, but a record does not hold it: it is rebuilt from"
                         " predicted_next and observed"
                     )
+            for name in d:
+                if name not in WRITTEN:
+                    raise ValueError(f"unknown key {name!r}")
             for name in ("reflect", "fit_event", "model_snapshot"):
                 if name in d and d[name] is None:
                     raise ValueError(f"{name} is null: a record leaves a null field out")
@@ -481,13 +489,14 @@ SNAPSHOTS = (
 def spoiled_records(draw):
     """A record with, mostly, one field, vector element or nested value
     replaced by an edge value, an arbitrary JSON value or a float; sometimes
-    a field dropped, a field the reader rebuilds or a null optional field
-    added, the record itself replaced, or nothing changed."""
+    a field dropped, a field the reader rebuilds, a null optional field or
+    a key no record holds added, the record itself replaced, or nothing
+    changed."""
     d = draw(RECORDS)
     how = draw(st.sampled_from(["replace", "replace", "replace", "replace", "drop", "add", "whole", "none"]))
     if how == "add":
         name = draw(st.sampled_from(["epsilon", "per_dim", "model_digest", "state", "delta_hat", "reflect",
-                                     "fit_event", "model_snapshot"]))
+                                     "fit_event", "model_snapshot", "foo"]))
         d[name] = draw(st.none() | EDGES | JSON_VALUES | st.floats())
     if how == "replace":
         elements = [(key, i) for key, v in d.items() if type(v) is list for i in range(len(v))]
@@ -831,10 +840,15 @@ def _snapshot_delta(value):
          " beyond DELTA_MAX 10.0$"),
         (_snapshot_delta(True),
          "src: line 3: malformed trace record: tick 1: the last model snapshot's delta_hat is True of type bool"),
+        (lambda ls: ls[3].update(kind="header-ish"),
+         "src: line 4: malformed trace record: kind is 'header-ish', expected 'record'$"),
+        (lambda ls: ls[3].pop("kind"), "src: line 4: malformed trace record: 'kind'$"),
+        (lambda ls: ls[3].update(foo=1), "src: line 4: malformed trace record: unknown key 'foo'$"),
     ],
     ids=["first-no-state", "first-no-delta_hat", "later-state", "later-delta_hat", "reflect-null", "fit_event-null",
          "snapshot-null", "snapshot-no-delta_hat", "snapshot-delta_hat-string", "snapshot-delta_hat-nan",
-         "snapshot-delta_hat-huge-int", "snapshot-delta_hat-beyond", "snapshot-delta_hat-bool"],
+         "snapshot-delta_hat-huge-int", "snapshot-delta_hat-beyond", "snapshot-delta_hat-bool", "kind-other",
+         "kind-missing", "unknown-key"],
 )
 def test_each_format_8_refusal(edit, message):
     with pytest.raises(InputError, match=f"^{message}"):

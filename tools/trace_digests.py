@@ -12,9 +12,10 @@ exits 1 if the trace read back differs from the one recorded.  Under
 its ``report_tsv`` table followed by ``to_dict()`` as sorted-key JSON.
 Under ``<key>.explain`` it hashes the read-back trace's explanations: at
 each tick that carries a model snapshot, ``explain_transition`` and
-``explain_counterfactual`` (to delta 0) of the model entering that tick,
-as ``causalloop explain`` builds it, and ``explain_reflection`` of every
-reflect block, each as its kind, text and sorted-key JSON grounding.  Two
+``explain_counterfactual`` (to delta 0) of the model entering that tick
+(``model_entering_tick``, as ``causalloop explain`` builds it), and
+``explain_reflection`` of every reflect block, each as its kind, text and
+sorted-key JSON grounding.  Two
 checkouts that print the same output record byte-identical traces, read
 them back to the traces recorded, and evaluate and explain them alike.
 
@@ -47,17 +48,19 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 from causalloop.agent import run_episode  # noqa: E402
-from causalloop.core import CausalTuple, Perturbation, TimeIndex  # noqa: E402
 from causalloop.evaluate import evaluate_trace, report_tsv  # noqa: E402
-from causalloop.explain import explain_counterfactual, explain_reflection, explain_transition  # noqa: E402
-from causalloop.model import model_from_snapshot  # noqa: E402
+from causalloop.explain import (  # noqa: E402
+    explain_counterfactual,
+    explain_reflection,
+    explain_transition,
+    model_entering_tick,
+)
 from causalloop.trace import EpisodeTrace, record_to_dict, trace_from_lines, trace_to_lines  # noqa: E402
 
 import bench_workloads  # noqa: E402
@@ -75,14 +78,10 @@ def _explanations(trace: EpisodeTrace) -> str:
     """Every explanation of ``trace`` that the module docstring lists, in
     tick order, one per line."""
     out = []
-    entering = None  # the last snapshot recorded before the tick
     for r in trace.records:
-        snap = r.model_snapshot
-        if snap is not None:
-            m = replace(model_from_snapshot(entering if entering is not None else snap), delta_hat=r.delta_hat)
-            tup = CausalTuple(r.state, r.action, TimeIndex(r.tick), Perturbation(r.delta_hat))
+        if r.model_snapshot is not None:
+            m, tup = model_entering_tick(trace, r.tick)
             out += [explain_transition(m, tup), explain_counterfactual(m, tup, 0.0)]
-            entering = snap
         if r.reflect is not None:
             out.append(explain_reflection(r.tick, r.reflect))
     return "\n".join(f"{e.kind.value}\t{e.text}\t{json.dumps(e.grounding, sort_keys=True)}" for e in out)
