@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, ClassVar, get_args
 
 from . import rng as _rng
@@ -200,13 +200,7 @@ def run_episode(
         raise ConfigError(f"length must be >= 1, got {length}")
     w = world_init(scenario, seed)
     m = initial_model(scenario)
-    settings = ReflectSettings(
-        budget=scenario.budget,
-        max_accepts=scenario.max_accepts,
-        holdout=scenario.holdout,
-        rho=scenario.rho,
-        k_max=scenario.k_max,
-    )
+    settings = ReflectSettings(**{f.name: getattr(scenario, f.name) for f in fields(ReflectSettings)})
     tau = scenario.tau
 
     records: list[TraceRecord] = []
@@ -255,11 +249,11 @@ def run_episode(
         # is immutable, so while every one is the very object the last
         # digest saw, that digest still holds.  One snapshot serves the
         # digest and the record.
-        fields = (m.graph, m.delta_hat, m.fit_window, m.sigma_lik, m.capacity, m.delta_max)
-        if digest is None or not all(map(operator.is_, fields, digest_fields)):
+        model_fields = (m.graph, m.delta_hat, m.fit_window, m.sigma_lik, m.capacity, m.delta_max)
+        if digest is None or not all(map(operator.is_, model_fields, digest_fields)):
             snapshot = model_snapshot(m)
             digest = model_digest(m, snapshot)
-            digest_fields = fields
+            digest_fields = model_fields
         records.append(
             TraceRecord(
                 t, state, action, tup.delta.delta, true_delta, pred_next, observed, err.epsilon, err.per_dim,

@@ -59,13 +59,19 @@ the kernel's one edge sum predicts, and their squared errors replace the
 baseline's in that row.  A StructuralBreak's refit,
 which needs the model, runs once when its row is built; only it and an
 accepted edit go through ``apply_hypothesis``.  After an acceptance the
-candidates still to test, remapped to the repaired model's edges, become
+candidates still to test, shifted onto the repaired model's edges by one
+rule (``_shifted``: past an accepted EdgeRemove, an edit of a higher edge
+moves one index down and an edit of the removed edge drops out), become
 one more batch against it, so a trigger builds at most ``max_accepts``
 batches.  The kernel is rebuilt only when an accepted StructuralBreak has
-replaced the history.  An edge edit has one rule, ``_edited_edge``: the
-plan index it acts on, the edge it puts there and its refusals.  The
-batch's rows and ``apply_hypothesis`` both take it from there, so each
-refuses what the other does.  A candidate the edited graph would refuse,
+replaced the history.  The report holds every edit as generated: each
+``edge_index`` in it, an accepted edit's too, names an edge of the model
+entering the trigger, so an edit accepted after an accepted EdgeRemove of
+a lower index was applied one index below the one it names.  An edge
+edit has one rule, ``_edited_edge``: the plan index it acts on, the edge
+it puts there and its refusals.  The batch's rows and
+``apply_hypothesis`` both take it from there, so each refuses what the
+other does.  A candidate the edited graph would refuse,
 or whose predictions leave the float range, is refused by its row alone.
 Every score and holdout MSE is bit-identical to rolling each candidate's
 model out afresh.
@@ -217,9 +223,9 @@ _FIELDS = {cls: _row_fields(cls) for cls in get_args(Hypothesis)}
 # The length of each edit class's row.
 _WIDTHS = {cls: 1 + sum(1 if f[2] is None else len(f[2]) for f in fs) for cls, fs in _FIELDS.items()}
 
-# The edit class of each record kind, and the kind of each edit class.
+# The edit class of each record kind, and the set of those kinds.
 _BY_KIND = {cls.kind: cls for cls in _FIELDS}
-HYPOTHESIS_KINDS: dict[type, str] = {cls: cls.kind for cls in _FIELDS}
+EDIT_KINDS = frozenset(_BY_KIND)
 
 
 # Each edit class's tie key: its rank, then its fields in declaration
@@ -759,30 +765,22 @@ class _EditBatch:
 
 
 # ---------------------------------------------------------------------------
-# Index remapping for sequential acceptance
+# Sequential acceptance
 # ---------------------------------------------------------------------------
 
 
-def _remap(h: Hypothesis, index_map: dict[int, int]) -> Hypothesis | None:
-    """Translate original edge indices to the working graph; None if gone."""
-    if isinstance(h, (CoefChange, DelayChange, EdgeRemove)):
-        pos = index_map.get(h.edge_index)
-        if pos is None:
-            return None
-        return h if pos == h.edge_index else replace(h, edge_index=pos)
-    return h
+def _shifted(h: Hypothesis, accepted: Hypothesis) -> Hypothesis | None:
+    """``h`` as an edit of the model ``accepted`` produced.
 
-
-def _update_map(h: Hypothesis, index_map: dict[int, int]) -> dict[int, int]:
-    if isinstance(h, EdgeRemove):
-        removed = h.edge_index
-        out = {}
-        for orig, pos in index_map.items():
-            if pos == removed:
-                continue
-            out[orig] = pos - 1 if pos > removed else pos
-        return out
-    return index_map
+    After an accepted EdgeRemove, an edge edit of a higher edge index comes
+    back one index lower and an edit of the removed edge as None; every
+    other edit comes back unchanged.
+    """
+    if not isinstance(accepted, EdgeRemove) or not isinstance(h, (CoefChange, DelayChange, EdgeRemove)):
+        return h
+    if h.edge_index == accepted.edge_index:
+        return None
+    return replace(h, edge_index=h.edge_index - 1) if h.edge_index > accepted.edge_index else h
 
 
 # ---------------------------------------------------------------------------
@@ -816,35 +814,23 @@ def reflect(
 
     base = _Baseline(m, lags)
     candidates = generate_hypotheses(m, ctx, err, tau, settings, base=base)
-    batch: _EditBatch | None = _EditBatch(base, candidates, h_lo)
+    batch = _EditBatch(base, candidates, h_lo)
     try:
         scored = [(i, HypothesisScore(h, batch.score(i))) for i, h in enumerate(candidates)]
     except CausalLoopError as exc:
         raise type(exc)(f"tick {ctx.tuple.time.tick}: {exc}") from exc
     ranked = sorted(scored, key=lambda item: (-item[1].score, _tie_key(item[1].hypothesis)))
 
-    # Tests run in rank order.  An acceptance changes the working model, so
-    # the candidates still to test, remapped to its edges, become one more
-    # batch against it: at most ``max_accepts`` batches in all.
+    # Tests run in rank order, each against the working model.  An
+    # acceptance changes that model, so the edits still to test, shifted to
+    # its edges (:func:`_shifted`), become one more batch against it: at
+    # most ``max_accepts`` batches in all.  An accepted edit is recorded as
+    # generated, an edit of the model entering the trigger.
     working = m
-    index_map = {i: i for i in range(len(m.graph.plan))}
-    rows = {i: i for i in range(len(candidates))}  # candidate -> its row of ``batch``
     accepted: list[Hypothesis] = []
-    for pos, (i, hs) in enumerate(ranked):
-        if len(accepted) >= settings.max_accepts:
-            break
-        if batch is None:
-            rest = [(j, _remap(later.hypothesis, index_map)) for j, later in ranked[pos:]]
-            rest = [(j, h) for j, h in rest if h is not None]
-            try:
-                base = _Baseline(working, lags, h_lo)
-            except CausalLoopError:
-                break  # a non-finite holdout prediction: every later test would raise on it
-            batch = _EditBatch(base, [h for _, h in rest], h_lo)
-            rows = {j: r for r, (j, _) in enumerate(rest)}
-        r = rows.get(i)
-        if r is None:
-            continue  # its edge was removed
+    todo = [(i, hs.hypothesis) for i, hs in ranked]  # (row of ``batch``, edit as generated)
+    while todo and len(accepted) < settings.max_accepts:
+        r, generated = todo.pop(0)
         try:
             ok, _, _ = batch.test(r, settings.rho)
         except CausalLoopError:
@@ -853,11 +839,19 @@ def reflect(
             continue
         h = batch.hs[r]
         working = apply_hypothesis(working, h)
-        index_map = _update_map(h, index_map)
-        accepted.append(hs.hypothesis)
-        batch = None
+        accepted.append(generated)
         if isinstance(h, StructuralBreak):  # the history changed: a kernel over the holdout
             lags, h_lo = _LagFeatures(working.history, holdout), 0
+        later = [(_shifted(batch.hs[j], h), g) for j, g in todo]
+        later = [(s, g) for s, g in later if s is not None]
+        if not later or len(accepted) == settings.max_accepts:
+            break
+        try:
+            base = _Baseline(working, lags, h_lo)
+        except CausalLoopError:
+            break  # a non-finite holdout prediction: every later test would raise on it
+        batch = _EditBatch(base, [s for s, _ in later], h_lo)
+        todo = [(j, g) for j, (_, g) in enumerate(later)]
 
     return ReflectReport(
         triggered=True,

@@ -40,7 +40,10 @@ candidate is its row with its score appended.  The rows of each kind::
 
 ``source_kind`` is ``"action"`` or ``"state"`` and ``form`` one of
 ``"linear"``, ``"tanh"`` and ``"quadratic"``; indices, delays and ``keep``
-are JSON ints, the rest finite numbers.
+are JSON ints, the rest finite numbers.  Every ``edge_index`` of a report,
+an accepted row's too, names an edge of the model entering the trigger,
+the edit as generated: an edit accepted after an accepted ``edge_remove``
+of a lower index was applied one index below the one its row names.
 
 :func:`read_trace` decodes the file as UTF-8 and hands its lines to
 :func:`trace_from_lines`, the inverse of :func:`trace_to_lines`, which
@@ -82,7 +85,7 @@ from operator import itemgetter
 from typing import Any, NamedTuple, get_type_hints
 
 from .core import DELTA_MAX, ActionVec, DimensionError, DomainError, InputError, StateVec, loss
-from .reflect import HYPOTHESIS_KINDS, Hypothesis, ReflectReport, hypothesis_from_row, hypothesis_to_row
+from .reflect import EDIT_KINDS, Hypothesis, ReflectReport, hypothesis_from_row, hypothesis_to_row
 from .rng import GENERATOR_NAME, SCHEME_VERSION
 from .scenario import atomic_write_text, json_number, json_types, json_typed, read_fields, read_text
 
@@ -194,9 +197,6 @@ class ReflectBlock(NamedTuple):
     accepted: tuple[Hypothesis, ...]
 
 
-_KINDS = frozenset(HYPOTHESIS_KINDS.values())
-
-
 def reflect_block_from_dict(tick: int, d: dict[str, Any]) -> ReflectBlock:
     """A record's reflect block as :func:`report_to_dict` writes it:
     ``triggered`` true, finite ``epsilon`` and ``tau``, a list of candidate
@@ -211,7 +211,7 @@ def reflect_block_from_dict(tick: int, d: dict[str, Any]) -> ReflectBlock:
         try:
             # Entry 0 of anything but a non-empty array is not a kind: a
             # string's is one character, an object has no key 0.
-            known = _KINDS.issuperset(map(itemgetter(0), candidates))
+            known = EDIT_KINDS.issuperset(map(itemgetter(0), candidates))
         except (IndexError, KeyError, TypeError):
             known = False
         if not known:

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+import causalloop.agent
 from causalloop.agent import (
     CyclicPolicy,
     ProbePolicy,
@@ -22,6 +23,7 @@ from causalloop.agent import (
 )
 from causalloop.core import ConfigError, ReplayError
 from causalloop.model import model_from_snapshot
+from causalloop.reflect import ReflectSettings
 from causalloop.scenario import ScenarioConfig, builtin_scenarios, scenario_digest
 from causalloop.trace import record_to_dict, trace_to_lines
 from causalloop.world import CausalEdge, CausalGraph, VarRef
@@ -279,6 +281,27 @@ def test_reflect_reports_cluster_at_break():
     for r in tr.records:
         if r.tick < 200 and r.reflect is not None:
             assert not r.reflect["accepted"], f"noise-only trigger accepted an edit at {r.tick}"
+
+
+def test_repair_settings_are_the_scenarios_and_default_alike(monkeypatch):
+    """run_episode hands reflect the scenario's fields of ReflectSettings'
+    names, and both default them alike: ``reflect`` called without settings
+    repairs as a default scenario's episode does."""
+    names = ("budget", "max_accepts", "holdout", "rho", "k_max")
+    assert tuple(f.name for f in dataclasses.fields(ReflectSettings)) == names
+    scenario_defaults = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+    assert dataclasses.asdict(ReflectSettings()) == {name: scenario_defaults[name] for name in names}
+
+    real_reflect, seen = causalloop.agent.reflect, set()
+
+    def logged(m, ctx, err, tau, settings):
+        seen.add(settings)
+        return real_reflect(m, ctx, err, tau, settings)
+
+    monkeypatch.setattr(causalloop.agent, "reflect", logged)
+    sc = dataclasses.replace(BREAK, budget=7, max_accepts=1, holdout=5, rho=0.25, k_max=3)
+    run_episode(sc, RandomPolicy(), seed=1, length=210)
+    assert seen == {ReflectSettings(budget=7, max_accepts=1, holdout=5, rho=0.25, k_max=3)}
 
 
 def test_fit_events_on_schedule():

@@ -69,10 +69,8 @@ from causalloop.reflect import (
     score_hypothesis,
     _Baseline,
     _EditBatch,
-    _remap,
     _residuals,
     _tie_key,
-    _update_map,
 )
 from causalloop.reflect import test_hypothesis as holdout_test
 from causalloop.world import CausalEdge, CausalGraph, Form, SourceKind, VarRef
@@ -533,9 +531,21 @@ def outside_edits(m, outside):
     return [h for i in (n + outside, -1 - outside) for h in (CoefChange(i, 9.0), DelayChange(i, 3), EdgeRemove(i))]
 
 
+def on_surviving_edges(h, surviving):
+    """``h``, an edit of the model entering a trigger, as an edit of a
+    working model whose edges are the original edges whose indices
+    ``surviving`` lists, in order; None if its edge is gone."""
+    if not isinstance(h, (CoefChange, DelayChange, EdgeRemove)):
+        return h
+    if h.edge_index not in surviving:
+        return None
+    return replace(h, edge_index=surviving.index(h.edge_index))
+
+
 def edit_outcomes(seed, pick, twin, outside=None):
     """Hold every candidate's batched answers to the references on the model
-    and on a working model after one accepted, remapped edit (the
+    and on a working model after one accepted edit, the others moved onto
+    its edges by :func:`on_surviving_edges` (the
     ``pick``-th, or with None the first edge's delay change onto its twin's
     neighbour tick), with :func:`outside_edits` of each model among them;
     return how many candidates building their model refuses."""
@@ -558,8 +568,10 @@ def edit_outcomes(seed, pick, twin, outside=None):
         working = apply_hypothesis(m, first)
     except CausalLoopError:
         return len(refused)
-    index_map = _update_map(first, {i: i for i in range(len(m.graph.edges))})
-    remapped = [_remap(h, index_map) for h in candidates if h != first]
+    surviving = list(range(len(m.graph.edges)))
+    if isinstance(first, EdgeRemove):
+        surviving.pop(first.edge_index)
+    remapped = [on_surviving_edges(h, surviving) for h in candidates if h != first]
     remapped = [h for h in remapped if h is not None] + outside_edits(working, outside)
     refused += batch_answers(working, remapped, rows, split)
     return len({h for cls, h in refused if cls in (ConfigError, DomainError)})
@@ -799,7 +811,8 @@ def reference_reflect(m, ctx, err, tau, settings):
     """:func:`reflect` by the references alone: the candidates of
     ``generate_hypotheses`` ranked by :func:`reference_score` and
     ``_tie_key``, then tested in that order against the working model with
-    :func:`reference_test`, each remapped to its edges, and accepted with
+    :func:`reference_test`, each moved onto its edges by
+    :func:`on_surviving_edges`, and accepted with
     ``apply_hypothesis``; after an accepted StructuralBreak the holdout is
     read against the flushed history.  Returns the ranked (candidate, score)
     pairs, the accepted candidates and the updated model, or the class of
@@ -817,19 +830,20 @@ def reference_reflect(m, ctx, err, tau, settings):
         zip(candidates, map(float.fromhex, scores)), key=lambda c: (-c[1], _tie_key(c[0]))
     )
     working, rows, lo = m, window, split
-    index_map = {i: i for i in range(len(m.graph.edges))}
+    surviving = list(range(len(m.graph.edges)))  # the original index of each working edge
     accepted = []
     for candidate, _ in ranked:
         if len(accepted) >= settings.max_accepts:
             break
-        h = _remap(candidate, index_map)
+        h = on_surviving_edges(candidate, surviving)
         if h is None:
             continue
         tested = reference_answers(working, h, rows, lo, settings.rho)[1]
         if isinstance(tested, type) or not tested[0]:
             continue
         working = apply_hypothesis(working, h)
-        index_map = _update_map(h, index_map)
+        if isinstance(h, EdgeRemove):
+            surviving.pop(h.edge_index)
         accepted.append(candidate)
         if isinstance(h, StructuralBreak):
             rows, lo = window[split:], 0

@@ -49,6 +49,7 @@ from causalloop.reflect import (
     hypothesis_to_row,
     reflect,
     score_hypothesis,
+    _shifted,
 )
 from causalloop.reflect import test_hypothesis as holdout_test
 from causalloop.world import CausalEdge, CausalGraph, Form, SourceKind, VarRef
@@ -528,6 +529,59 @@ def test_no_model_is_built_per_candidate(monkeypatch):
     edits = [kind for kind in kinds if kind != StructuralBreak.kind]
     assert len(edits) >= 5
     assert len([h for h in built if not isinstance(h, StructuralBreak)]) == len(edits)
+
+
+ADD = EdgeAdd(VarRef.state(0), 0, 2, Form.LINEAR, 0.3)
+
+
+@pytest.mark.parametrize(
+    "h, past_a_lower_removal, past_its_own_removal",
+    [
+        (DeltaShift(0.5), DeltaShift(0.5), DeltaShift(0.5)),
+        (CoefChange(1, 9.0), CoefChange(0, 9.0), None),
+        (DelayChange(1, 3), DelayChange(0, 3), None),
+        (ADD, ADD, ADD),
+        (EdgeRemove(1), EdgeRemove(0), None),
+        (StructuralBreak(4), StructuralBreak(4), StructuralBreak(4)),
+    ],
+    ids=lambda v: getattr(v, "kind", None),
+)
+def test_an_edit_is_shifted_only_past_an_accepted_removal(h, past_a_lower_removal, past_its_own_removal):
+    """An edit of edge 1 moves to edge 0 past an accepted EdgeRemove(0) and
+    is gone past EdgeRemove(1); an edit of no edge stays as it is.  Past a
+    removal of a higher edge, and past every other accepted kind, each edit
+    stays as it is."""
+    assert _shifted(h, EdgeRemove(0)) == past_a_lower_removal
+    assert _shifted(h, EdgeRemove(1)) == past_its_own_removal
+    assert _shifted(h, EdgeRemove(2)) == h
+    for accepted in (DeltaShift(0.1), CoefChange(0, 2.0), DelayChange(0, 2), ADD, StructuralBreak(3)):
+        assert _shifted(h, accepted) == h
+
+
+def test_an_edit_accepted_after_a_removal_is_recorded_as_generated():
+    """A spurious a0 -> s0 edge at delay 2 beside an a0 -> s0 edge at delay 3
+    whose coefficient is a third of the world's: the trigger accepts the
+    removal of edge 0, then a coefficient change of edge 1.  The report
+    records both as generated, edits of the model entering the trigger;
+    the second was applied to edge 0 of the model the removal left."""
+    g = CausalGraph(
+        d_state=1,
+        d_action=1,
+        edges=(
+            CausalEdge(VarRef.action(0), 0, delay=2, coefficient=5.0),
+            CausalEdge(VarRef.action(0), 0, delay=3, coefficient=1.0),
+        ),
+    )
+    m = CausalModel(graph=g, fit_window=32)
+    gen = np.random.default_rng(0)
+    actions = [float(gen.uniform(-2.0, 2.0)) for _ in range(24)]
+    effects = [lambda a: 0.0] * 2 + [lambda a, t=t: 3.0 * actions[t - 2] for t in range(2, 24)]
+    m, last = feed_effect_rows(m, effects, actions)
+    report = reflect(m, last, mismatch(m, last), tau=0.5)
+    assert report.accepted == (EdgeRemove(0), CoefChange(1, 2.0))
+    assert CoefChange(1, 2.0) in [hs.hypothesis for hs in report.candidates]
+    assert report.updated_model.graph.edges == (CausalEdge(VarRef.action(0), 0, delay=3, coefficient=2.0),)
+    assert report.updated_model.graph == apply_hypothesis(apply_hypothesis(m, EdgeRemove(0)), CoefChange(0, 2.0)).graph
 
 
 def test_max_accepts_bounds_acceptances():

@@ -1,6 +1,6 @@
 """Time the benchmark's episodes under two checkouts, side by side in one process.
 
-    python3 tools/ab_episodes.py PARENT CHANGE --workload steady_fit --seeds 1 2 --rounds 4
+    python3 tools/ab_episodes.py PARENT CHANGE --workload steady_fit --seeds 1 2
     python3 tools/ab_episodes.py PARENT CHANGE --groups width16h break_demo --rounds 8
 
 ``PARENT`` and ``CHANGE`` are checkout directories.  Each side's
@@ -39,13 +39,13 @@ self-comparison, ``tools/ab_episodes.py . .``, whose per-seed ratios (seeds
 * ``--rounds 16``: 0.992-1.004 on ``steady_fit``, 0.995-1.004 on
   ``repair_break``.
 
-So a gate of at least 0.98 per seed needs ``--rounds 16`` at the least:
-at 4 or 8 rounds an unchanged tree can fail it.  Even at 16, a busy host
-can move a seed's ratio by 2% (two trees with the same fit path read
-0.980 and 1.017 on ``steady_fit`` in one run), so run both orders,
-``PARENT CHANGE`` and ``CHANGE PARENT``, before reading such a gate.  Two
-seeds at 16 rounds take about 1.5 minutes on ``steady_fit`` and 3 on
-``repair_break``.
+So a gate of at least 0.98 per seed needs ``--rounds 16`` at the least,
+the default: at 4 or 8 rounds an unchanged tree can fail it.  Even at
+16, a busy host can move a seed's ratio by 2% (two trees with the same
+fit path read 0.980 and 1.017 on ``steady_fit`` in one run), so run
+both orders, ``PARENT CHANGE`` and ``CHANGE PARENT``, before reading such
+a gate.  Two seeds at 16 rounds take about 1.5 minutes on ``steady_fit``
+and 3 on ``repair_break``.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", help="checkout directory of the change")
     parser.add_argument("--workload", choices=WORKLOADS, default="steady_fit")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--rounds", type=int, default=4, help="runs of each episode per side; the best counts")
+    parser.add_argument("--rounds", type=int, default=16, help="runs of each episode per side; the best counts")
     parser.add_argument("--groups", nargs="+", metavar="GROUP", help="time only these episode groups")
     args = parser.parse_args(argv)
     if args.rounds < 1:
