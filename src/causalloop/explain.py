@@ -24,7 +24,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .core import ActionVec, CausalTuple, ConfigError, InputError, Perturbation, StateVec, TimeIndex
@@ -298,9 +298,6 @@ def _labelled(tick: int, report: dict[str, Any]) -> dict[str, Any]:
     return {**report, "candidates": candidates, "accepted": list(map(hypothesis_to_dict, block.accepted))}
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(TraceRecord))
-
-
 def _fact(value: Any) -> Any:
     """A record field's value as a fact: a vector or tuple as a list."""
     if isinstance(value, (StateVec, ActionVec)):
@@ -313,7 +310,7 @@ def render_prompt(record: TraceRecord) -> PromptBundle:
     with its reflect block's rows labelled (:func:`_labelled`).  Built from
     the record, not from its trace line, which leaves out what the reader
     rebuilds, such as a later tick's state and delta estimate."""
-    facts: dict[str, Any] = {"record": {name: _fact(getattr(record, name)) for name in _RECORD_FIELDS}}
+    facts: dict[str, Any] = {"record": {name: _fact(value) for name, value in zip(TraceRecord._fields, record)}}
     if record.reflect is not None:
         facts["record"]["reflect"] = _labelled(record.tick, record.reflect)
     return PromptBundle(system_preamble=SYSTEM_PREAMBLE, facts=facts, instruction=INSTRUCTION)

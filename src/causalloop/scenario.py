@@ -15,12 +15,12 @@ replaying and evaluating against one scenario object hash it once.
 
 Serialization helpers for graphs/edges live here too, shared by trace
 records and model snapshots, and the one JSON field reader,
-:func:`read_fields`: it reads a dataclass's fields from a JSON object, each
-by the reader for its annotation, so a field's annotation is the one
-statement of its JSON type.  Scenario files, trace headers and records,
-model snapshots, edge records, perturbation processes and policies are read
-through it.  A perturbation process or a policy states its ``kind`` once,
-on its class, and is written as that kind and its fields
+:func:`read_fields`: it reads a dataclass's or a named tuple's fields from a
+JSON object, each by the reader for its annotation, so a field's annotation
+is the one statement of its JSON type.  Scenario files, trace headers and
+records, model snapshots, edge records, perturbation processes and policies
+are read through it.  A perturbation process or a policy states its ``kind``
+once, on its class, and is written as that kind and its fields
 (:func:`tagged_to_dict`) and read back by it.
 """
 
@@ -90,8 +90,8 @@ class ScenarioConfig:
         """Resolve and check the scenario, once: each later reader takes it
         as built.  ``tau`` None becomes :meth:`default_tau`, ``agent_graph``
         None the initial graph; a scenario any check refuses raises
-        :class:`ConfigError`, and a ``noise_sigma`` whose square leaves the
-        float range, with ``tau`` None, OverflowError."""
+        :class:`ConfigError`, as does a ``noise_sigma`` whose square leaves
+        the float range, with ``tau`` None."""
         # Floats as floats, so that a config equal to another has its digest.
         object.__setattr__(self, "initial_state", tuple(float(v) for v in self.initial_state))
         object.__setattr__(self, "breaks", tuple(self.breaks))
@@ -148,12 +148,13 @@ class ScenarioConfig:
 
     def default_tau(self) -> float:
         """Mismatch threshold when none is configured: generous enough that
-        observation noise alone almost never trips it."""
+        observation noise alone almost never trips it.  A ``noise_sigma``
+        whose square leaves the float range raises :class:`ConfigError`."""
         try:
             return 4.0 * (self.noise_sigma**2 + 0.01)
         except OverflowError:
             msg = f"noise_sigma {self.noise_sigma!r} squares past a float, so tau cannot be derived"
-            raise OverflowError(msg) from None
+            raise ConfigError(msg) from None
 
     # Kept because perfbench calls them: bench_family.py materialized(),
     # bench_runner.py validate().  A built scenario is whole, so neither has
@@ -399,13 +400,15 @@ def _reader(t: Any) -> _Reader:
 @functools.cache
 def _field_readers(cls: type) -> tuple[tuple[str, _Reader], ...]:
     hints = get_type_hints(cls)
-    return tuple((f.name, _reader(hints[f.name])) for f in fields(cls) if f.init)
+    names = cls._fields if issubclass(cls, tuple) else [f.name for f in fields(cls) if f.init]
+    return tuple((name, _reader(hints[name])) for name in names)
 
 
 def read_fields(cls: type, d: Any, names: Collection[str] | None = None) -> dict[str, Any]:
-    """The init fields of the dataclass ``cls`` (those in ``names``, if
-    given) read from the JSON object ``d`` in declaration order, each by the
-    reader for its annotation, built once per class.
+    """The fields of ``cls``, a dataclass's init fields or a named tuple's
+    fields (those in ``names``, if given), read from the JSON object ``d``
+    in declaration order, each by the reader for its annotation, built once
+    per class.
 
     ``int``, ``str``, ``bool`` and ``dict[...]`` take that JSON type
     exactly, ``float`` a JSON int (read as a float) or a finite float
@@ -446,7 +449,10 @@ _KNOWN_KEYS = {f.name for f in fields(ScenarioConfig)} | {"format_version"}
 def scenario_from_dict(d: dict[str, Any]) -> ScenarioConfig:
     """The scenario :func:`scenario_to_dict` wrote, each field present read
     by :func:`read_fields` in declaration order; a field left out takes its
-    default.  A scenario its constructor refuses raises :class:`ConfigError`."""
+    default.  A ``format_version`` that is not the JSON int
+    ``FORMAT_VERSION`` (``true`` and ``1.0`` are not) raises
+    :class:`InputError`; a scenario its constructor refuses,
+    :class:`ConfigError`."""
     if not isinstance(d, dict):
         raise InputError(f"scenario must be an object, got {type(d).__name__}")
     unknown = set(d) - _KNOWN_KEYS
@@ -455,15 +461,14 @@ def scenario_from_dict(d: dict[str, Any]) -> ScenarioConfig:
     missing = _REQUIRED_KEYS - set(d)
     if missing:
         raise InputError(f"missing scenario keys: {sorted(missing)}")
-    version = d.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise InputError(f"unsupported scenario format_version {version!r}")
     try:
-        # default_tau() overflows if noise_sigma squares past a float
+        version = json_typed(d.get("format_version", FORMAT_VERSION), int, name="format_version")
+        if version != FORMAT_VERSION:
+            raise InputError(f"unsupported scenario format_version {version!r}")
         return ScenarioConfig(**read_fields(ScenarioConfig, d, d.keys()))
     except KeyError as exc:
         raise InputError(f"invalid scenario: missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"invalid scenario: {exc}") from exc
 
 

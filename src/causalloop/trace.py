@@ -107,8 +107,7 @@ class TraceHeader:
     )
 
 
-@dataclass(frozen=True, init=False)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One tick of an episode.  ``state`` is the previous tick's
     ``observed`` (the scenario's initial state at tick 0) and ``delta_hat``
     the delta estimate of the model entering the tick, the last snapshot's.
@@ -118,7 +117,13 @@ class TraceRecord:
     recorded only at a tick where the digest changed.  A trace line writes
     the state and delta estimate only at tick 0, neither loss field, the
     digest only beside a snapshot and no null field: the reader rebuilds
-    them (:func:`record_from_dict`)."""
+    them (:func:`record_from_dict`).
+
+    A named tuple, as :class:`ReflectBlock` is: one is built every tick and
+    every line read, and its constructor takes values already of their
+    fields' types and checks nothing (:func:`record_from_dict` checks what
+    it reads, and an episode builds checked values).  Edit one with
+    ``_replace``."""
 
     tick: int
     state: StateVec
@@ -133,35 +138,6 @@ class TraceRecord:
     fit_event: str | None
     model_digest: str
     model_snapshot: dict[str, Any] | None
-
-    def __init__(
-        self, tick: int, state: StateVec, action: ActionVec, delta_hat: float, true_delta: float,
-        predicted_next: StateVec, observed: StateVec, epsilon: float, per_dim: tuple[float, ...],
-        reflect: dict[str, Any] | None, fit_event: str | None, model_digest: str,
-        model_snapshot: dict[str, Any] | None,
-    ) -> None:
-        """Takes values already of their fields' types and checks nothing:
-        :func:`record_from_dict` checks what it reads, and an episode builds
-        checked values.  Written out because it runs once per tick: the
-        generated ``__init__`` of a frozen dataclass looks
-        ``object.__setattr__`` up again for each of the 13 fields, this looks
-        it up once.  It sets the fields one by one, not through ``__dict__``,
-        which would give every record a dict of its own, nearly three times
-        the size."""
-        set_ = object.__setattr__
-        set_(self, "tick", tick)
-        set_(self, "state", state)
-        set_(self, "action", action)
-        set_(self, "delta_hat", delta_hat)
-        set_(self, "true_delta", true_delta)
-        set_(self, "predicted_next", predicted_next)
-        set_(self, "observed", observed)
-        set_(self, "epsilon", epsilon)
-        set_(self, "per_dim", per_dim)
-        set_(self, "reflect", reflect)
-        set_(self, "fit_event", fit_event)
-        set_(self, "model_digest", model_digest)
-        set_(self, "model_snapshot", model_snapshot)
 
 
 @dataclass(frozen=True)

@@ -351,7 +351,7 @@ def test_replay_rejects_wrong_scenario():
 def test_replay_rejects_tampered_record():
     tr = run_episode(CALM, RandomPolicy(), seed=4, length=10)
     doctored = list(tr.records)
-    doctored[5] = dataclasses.replace(doctored[5], epsilon=doctored[5].epsilon + 1e-9)
+    doctored[5] = doctored[5]._replace(epsilon=doctored[5].epsilon + 1e-9)
     bad = dataclasses.replace(tr, records=tuple(doctored))
     with pytest.raises(ReplayError) as exc_info:
         replay(bad, CALM)

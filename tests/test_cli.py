@@ -371,6 +371,8 @@ MALFORMED_SCENARIOS = {
     "break-without-at_tick": {"breaks": [{"graph": json.loads(CALM_FILE.read_text())["graph"]}]},
     "budget-bool": {"budget": True},
     "fit_every-huge-float": {"fit_every": 1e300},
+    "format_version-bool": {"format_version": True},
+    "format_version-float": {"format_version": 1.0},
 }
 
 

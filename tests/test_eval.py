@@ -243,7 +243,7 @@ def trace_of(snapshots: dict[int, dict], length: int):
     """A ``length``-tick trace whose tick ``t`` carries ``snapshots.get(t)``
     as its model snapshot; the rest of each record is the template's."""
     first = TEMPLATE.records[0]
-    records = tuple(dataclasses.replace(first, tick=t, model_snapshot=snapshots.get(t)) for t in range(length))
+    records = tuple(first._replace(tick=t, model_snapshot=snapshots.get(t)) for t in range(length))
     return dataclasses.replace(TEMPLATE, records=records)
 
 
@@ -333,7 +333,7 @@ def test_a_snapshot_equal_to_the_last_but_malformed_is_refused():
     doctored = {**snapshot, "graph": {**snapshot["graph"], "d_state": True}}
     assert doctored == snapshot  # True == 1 in Python
     records = list(tr.records)
-    records[5] = dataclasses.replace(records[5], model_snapshot=doctored)
+    records[5] = records[5]._replace(model_snapshot=doctored)
     bad = dataclasses.replace(tr, records=tuple(records))
     with pytest.raises(InputError, match="d_state"):
         shd_series(bad, BREAK)
@@ -455,7 +455,7 @@ def with_block(block, tick=3):
     tr = run_episode(BREAK, RandomPolicy(), seed=0, length=10)
     assert all(r.reflect is None for r in tr.records)
     records = list(tr.records)
-    records[tick] = dataclasses.replace(records[tick], reflect=block)
+    records[tick] = records[tick]._replace(reflect=block)
     return dataclasses.replace(tr, records=tuple(records))
 
 

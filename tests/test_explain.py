@@ -6,7 +6,6 @@ faithfulness audit) treat these strings as a stable output format.
 
 from __future__ import annotations
 
-import dataclasses
 import http.server
 import json
 import math
@@ -433,7 +432,7 @@ def test_render_prompt_flattens_facts(record):
     assert set(bundle.facts) == {"record"}
     assert bundle.facts["record"]["reflect"] is None
 
-    record = dataclasses.replace(record, reflect=FACTS_BLOCK)
+    record = record._replace(reflect=FACTS_BLOCK)
     with_block = render_prompt(record)
     assert set(with_block.facts) == {"record"}
     assert with_block.facts["record"]["reflect"] == LABELLED_BLOCK
@@ -454,7 +453,7 @@ def test_render_prompt_states_every_field_of_a_later_record():
     for tick in (5, 47):
         record = trace.records[tick]
         facts = render_prompt(record).facts["record"]
-        assert list(facts) == [f.name for f in dataclasses.fields(TraceRecord)]
+        assert list(facts) == list(TraceRecord._fields)
         assert facts["state"] == list(record.state.values) == list(trace.records[tick - 1].observed.values)
         assert facts["delta_hat"] == record.delta_hat
         assert facts["per_dim"] == list(record.per_dim) and facts["model_digest"] == record.model_digest
@@ -466,7 +465,7 @@ def test_render_prompt_states_every_field_of_a_later_record():
     ids=["no-score", "edge_add-no-score", "score-string"],
 )
 def test_render_prompt_refuses_a_candidate_row_it_cannot_label(record, candidate):
-    record = dataclasses.replace(record, reflect={**FACTS_BLOCK, "candidates": [candidate]})
+    record = record._replace(reflect={**FACTS_BLOCK, "candidates": [candidate]})
     with pytest.raises(InputError, match=f"tick {record.tick}: malformed reflect block"):
         render_prompt(record)
 

@@ -852,27 +852,64 @@ def reference_reflect(m, ctx, err, tau, settings):
     return ranked, accepted, working
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 10), st.integers(1, 3))
-def test_reflect_matches_the_reference_loop(seed, twin, holdout, max_accepts):
-    m, _ = flushed_model(seed)
-    if twin:
-        m = with_twin(m)
+def assert_reflect_matches_the_reference_loop(m, tau, config):
+    """:func:`reflect` of ``m``'s last history row, with the live loop's
+    mismatch on it, against :func:`reference_reflect`: the same ranked
+    candidates and scores (``float.hex``), accepted edits and updated
+    model, or the same refusal class.  Returns the report, or None."""
     ctx = m.history[-1]
     err = loss(predict_next(m, ctx.tuple), ctx.observed)
-    config = ReflectSettings(holdout=holdout, max_accepts=max_accepts)
-    expected = reference_reflect(m, ctx, err, 0.0, config)
+    expected = reference_reflect(m, ctx, err, tau, config)
     try:
-        report = reflect(m, ctx, err, 0.0, config)
+        report = reflect(m, ctx, err, tau, config)
     except CausalLoopError as exc:
         assert type(exc) is expected
-        return
+        return None
     ranked, accepted, working = expected
     assert [(hs.hypothesis, hs.score.hex()) for hs in report.candidates] == [
         (h, score.hex()) for h, score in ranked
     ]
     assert report.accepted == tuple(accepted)
     assert report.updated_model == working
+    return report
+
+
+def removal_trigger():
+    """A 1-dim model with a spurious a0 -> s0 edge at delay 2 (edge 0) and
+    an a0 -> s0 edge at delay 3 (edge 1) whose coefficient is a third of the
+    world's, over 24 ticks: its trigger accepts EdgeRemove(0), then tests
+    the edits of edge 1 as edits of edge 0 of the model the removal left."""
+    edges = (CausalEdge(A0, 0, delay=2, coefficient=5.0), CausalEdge(A0, 0, delay=3, coefficient=1.0))
+    m = CausalModel(graph=CausalGraph(1, 1, edges), fit_window=32)
+    gen = np.random.default_rng(0)
+    actions = [float(gen.uniform(-2.0, 2.0)) for _ in range(24)]
+    state = 0.0
+    for t, a in enumerate(actions):
+        observed = state + (3.0 * actions[t - 2] if t >= 2 else 0.0)
+        tup = CausalTuple(StateVec((state,)), ActionVec((a,)), TimeIndex(t))
+        m = append_history(m, Transition(tup, StateVec((observed,))))
+        state = observed
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 10), st.integers(1, 3))
+def test_reflect_matches_the_reference_loop(seed, twin, holdout, max_accepts):
+    m, _ = flushed_model(seed)
+    if twin:
+        m = with_twin(m)
+    assert_reflect_matches_the_reference_loop(m, 0.0, ReflectSettings(holdout=holdout, max_accepts=max_accepts))
+
+
+@pytest.mark.parametrize("max_accepts", [2, 3])
+@pytest.mark.parametrize("holdout", [4, 8])
+def test_reflect_matches_the_reference_loop_past_an_accepted_removal(holdout, max_accepts):
+    """The random models above never accept an EdgeRemove and then test an
+    edit of a higher edge; this trigger does, every time."""
+    config = ReflectSettings(holdout=holdout, max_accepts=max_accepts)
+    report = assert_reflect_matches_the_reference_loop(removal_trigger(), 0.5, config)
+    assert report.accepted[0] == EdgeRemove(0)
+    assert [h for h in report.accepted[1:] if getattr(h, "edge_index", None) == 1]
 
 
 def edgeless_model(seed):

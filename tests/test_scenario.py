@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from causalloop.scenario import (
     graph_plan_from_dict,
     graph_to_dict,
     load_scenario,
+    read_fields,
     resolve_scenario,
     save_scenario,
     scenario_digest,
@@ -254,12 +256,60 @@ def test_missing_required_key_rejected():
         scenario_from_dict(d)
 
 
-def test_noise_too_large_to_derive_tau_rejected():
+TAU_OVERFLOW = "noise_sigma 1e+200 squares past a float, so tau cannot be derived"
+
+
+def test_noise_too_large_to_derive_tau_rejected(tmp_path):
     d = scenario_to_dict(tiny())
     d["noise_sigma"] = 1e200  # its square, and so the default tau, overflows
     del d["tau"]
-    with pytest.raises(InputError, match="invalid scenario: noise_sigma 1e[+]200 squares past a float"):
+    with pytest.raises(ConfigError) as info:
         scenario_from_dict(d)
+    assert type(info.value) is ConfigError and str(info.value) == TAU_OVERFLOW
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(InputError) as info:
+        load_scenario(str(path))
+    assert str(info.value) == f"{path}: {TAU_OVERFLOW}"
+
+
+def test_a_replaced_scenario_whose_tau_cannot_be_derived_is_refused():
+    refused(TAU_OVERFLOW, noise_sigma=1e200)
+    with pytest.raises(ConfigError) as info:
+        dataclasses.replace(builtin_scenarios()["calm"], tau=None, noise_sigma=1e200)
+    assert type(info.value) is ConfigError and str(info.value) == TAU_OVERFLOW
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_a_format_version_that_is_not_a_json_int_is_refused(version):
+    d = {**scenario_to_dict(tiny()), "format_version": version}
+    with pytest.raises(InputError, match=f"^invalid scenario: format_version is {version!r} of type "):
+        scenario_from_dict(d)
+
+
+def test_an_unknown_format_version_is_refused():
+    with pytest.raises(InputError, match="^unsupported scenario format_version 2$"):
+        scenario_from_dict({**scenario_to_dict(tiny()), "format_version": 2})
+
+
+class Reading(NamedTuple):
+    count: int
+    weight: float
+    label: str | None
+
+
+def test_read_fields_reads_a_named_tuple_in_declaration_order_and_refuses_by_field_name():
+    got = read_fields(Reading, {"label": None, "weight": 2, "count": 3})
+    assert list(got.items()) == [("count", 3), ("weight", 2.0), ("label", None)]
+    assert type(got["weight"]) is float and Reading(**got) == (3, 2.0, None)
+    assert read_fields(Reading, {"label": "x"}, ("label",)) == {"label": "x"}
+    # The first field refused in declaration order names the refusal.
+    with pytest.raises(TypeError, match="^weight is True of type bool, expected "):
+        read_fields(Reading, {"label": 5, "weight": True, "count": 1})
+    with pytest.raises(TypeError, match="^label is 5 of type int, expected str or NoneType$"):
+        read_fields(Reading, {"label": 5, "weight": 1.0, "count": 1})
+    with pytest.raises(KeyError, match="label"):
+        read_fields(Reading, {"weight": 1.0, "count": 1})
 
 
 # ---- graph records -----------------------------------------------------------
